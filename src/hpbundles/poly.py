@@ -73,11 +73,6 @@ class LaurentPoly:
             return None
         return max(p + q for p, q in self._terms)
 
-    def min_total_degree(self):
-        if not self._terms:
-            return None
-        return min(p + q for p, q in self._terms)
-
     def min_exponents(self):
         """Componentwise minimum (min p, min q), or None if zero."""
         if not self._terms:
@@ -274,7 +269,6 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly.const(1)
 U = LaurentPoly.monomial(1, 1, 0)
 V = LaurentPoly.monomial(1, 0, 1)
-UV = LaurentPoly.monomial(1, 1, 1)
 
 
 def uv_power(k):

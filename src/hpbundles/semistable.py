@@ -2,12 +2,16 @@
 
 The series for rank n is a closed leading term minus one correction per
 filtration type, each correction a product of lower-rank series shifted
-by the type's codimension.  Truncation by total degree makes the type
-sum finite; inner calls run at a reduced order because the codimension
-prefactor shifts every term up.
+by (uv)^c, c the type's codimension.  Truncation by total degree makes
+the type sum finite.  The shift raises total degree by 2c, so a type
+with 2c > order contributes nothing and is skipped, and the factors of
+a live type are needed only to order - 2c.
 
-The series depends on the degree only through its residue mod the rank,
-which is what the memo key records.
+The series depends on the degree only through its residue mod the rank.
+The memo keeps the highest-order series computed for each residue class
+and serves a lower-order request by truncating it; each product of
+factors is memoized too, keyed on the multiset of factor classes and
+its order.
 """
 
 from __future__ import annotations
@@ -35,12 +39,16 @@ def leading_closed_term(n, g):
 class SemistableSeries:
     """Memoized evaluator for the semistable-locus series.
 
-    A fresh instance has an empty cache; hit/miss counters and the
-    number of filtration types consumed are kept for reporting.
+    A fresh instance has an empty cache.  ``hits`` counts requests served
+    from the memo (an exact repeat, or a truncation of a higher-order
+    series of the same residue class), ``misses`` the series computed,
+    and ``types_used`` the live filtration types consumed.
     """
 
     def __init__(self):
-        self._cache = {}
+        self._cache = {}  # (n, d mod n, g, order) -> series
+        self._top = {}  # (n, d mod n, g) -> highest-order series computed
+        self._products = {}  # (sorted factor classes, g, order) -> product
         self.hits = 0
         self.misses = 0
         self.types_used = 0
@@ -57,18 +65,38 @@ class SemistableSeries:
         if cached is not None:
             self.hits += 1
             return cached
-        self.misses += 1
-        total = leading_closed_term(n, g).series_expand(order)
-        for t in enumerate_hn_types(n, d, g, order):
-            c = codim_hn(t, g)
-            prod = None
-            for nj, dj in t.quotients:
-                factor = self.series(nj, dj, g, order - c)
+        top = self._top.get(key[:3])
+        if top is not None and top.order > order:
+            self.hits += 1
+            result = top.truncate(order)
+        else:
+            self.misses += 1
+            result = leading_closed_term(n, g).series_expand(order)
+            for t in enumerate_hn_types(n, d, g, order):
+                c = codim_hn(t, g)
+                if 2 * c > order:
+                    continue
+                self.types_used += 1
+                result = result - self._product(t.quotients, g, order - 2 * c).shift(c)
+            self._top[key[:3]] = result
+        self._cache[key] = result
+        return result
+
+    def _product(self, quotients, g, order):
+        """Product of the factor series of a type's quotients, to ``order``.
+
+        Factors are multiplied in sorted class order, so types with the
+        same multiset of classes share one product.
+        """
+        classes = tuple(sorted((nj, dj % nj) for nj, dj in quotients))
+        key = (classes, g, order)
+        prod = self._products.get(key)
+        if prod is None:
+            for nj, rj in classes:
+                factor = self.series(nj, rj, g, order)
                 prod = factor if prod is None else prod * factor
-            self.types_used += 1
-            total = total - prod.shift(c).truncate(order)
-        self._cache[key] = total
-        return total
+            self._products[key] = prod
+        return prod
 
 
 def hp_ss_series(n, d, g, order, evaluator=None):

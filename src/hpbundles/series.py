@@ -177,13 +177,6 @@ class FactoredRational:
 
     # -- basic structure -----------------------------------------------
 
-    def den_poly(self):
-        """The denominator expanded to a LaurentPoly."""
-        prod = ONE
-        for (a, b), k in sorted(self.den.items()):
-            prod = prod * (ONE - LaurentPoly.monomial(1, a, b)) ** k
-        return prod
-
     def scaled_num(self):
         return self.num * self.scalar
 
@@ -288,7 +281,7 @@ class FactoredRational:
         Raises DivisionRemainderError when the denominator does not divide
         the numerator.
         """
-        return exact_divide(self.scaled_num(), self.den_poly())
+        return exact_divide(self.scaled_num(), _expand_factors(self.den))
 
 
 def _uv_monomial_text(a, b):

@@ -70,6 +70,42 @@ def test_memoized_reruns_agree():
     assert a.hits >= 1
 
 
+def test_memo_order_of_requests_does_not_change_values():
+    fresh_low = SemistableSeries().series(3, 1, 2, 10)
+    fresh_high = SemistableSeries().series(3, 1, 2, 18)
+    high_first = SemistableSeries()
+    assert high_first.series(3, 1, 2, 18) == fresh_high
+    misses = high_first.misses
+    assert high_first.series(3, 1, 2, 10) == fresh_low
+    assert high_first.misses == misses  # served by truncating the order-18 entry
+    low_first = SemistableSeries()
+    assert low_first.series(3, 1, 2, 10) == fresh_low
+    assert low_first.series(3, 1, 2, 18) == fresh_high
+
+
+def test_memo_exact_repeat_returns_cached_object():
+    evaluator = SemistableSeries()
+    first = evaluator.series(3, 1, 2, 12)
+    hits, misses, used = evaluator.hits, evaluator.misses, evaluator.types_used
+    assert evaluator.series(3, 4, 2, 12) is first
+    assert (evaluator.hits, evaluator.misses, evaluator.types_used) == (hits + 1, misses, used)
+
+
+def test_shared_evaluator_sweep_matches_univariate_oracle():
+    # Orders out of sequence, so later requests are served from the
+    # order-24 entries; the oracle runs once per class at the top order
+    # and is truncated, because its own cost grows steeply with order.
+    g, top = 2, 24
+    evaluator = SemistableSeries()
+    oracle_memo = {}
+    for order in (top, 8, 16):
+        for n in range(2, 6):
+            for r in range(n):
+                diag = evaluator.series(n, r - n, g, order).as_poly().specialize_diagonal()
+                oracle = diagonal_ss_series(n, r, g, top, oracle_memo)
+                assert [diag.get(k, 0) for k in range(order + 1)] == oracle[: order + 1], (n, r, order)
+
+
 def test_series_coefficients_nonnegative_integers():
     for n, d in [(1, 0), (2, 0), (2, 1), (3, 0)]:
         series = hp_ss_series(n, d, 2, 10)
@@ -121,13 +157,22 @@ def test_stable_coprime_rank2():
     assert poly.coefficient(dim, dim) == 1
 
 
-def test_stable_coprime_diagonal_matches_univariate_recursion():
-    poly = stable_coprime_polynomial(2, 1, 2)
-    diag = poly.specialize_diagonal()
-    dim = 4 * (2 - 1) + 1
-    oracle = diagonal_stable_coprime(2, 1, 2, 2 * dim)
+def _assert_coprime_diagonal_matches_univariate(n, d, g):
+    diag = stable_coprime_polynomial(n, d, g).specialize_diagonal()
+    dim = n * n * (g - 1) + 1
+    oracle = diagonal_stable_coprime(n, d, g, 2 * dim)
     for k in range(2 * dim + 1):
         assert diag.get(k, 0) == oracle[k]
+
+
+def test_stable_coprime_diagonal_matches_univariate_recursion():
+    _assert_coprime_diagonal_matches_univariate(2, 1, 2)
+
+
+# rank 5 is left out: the univariate oracle alone takes about a minute there
+@pytest.mark.parametrize("n, d, g", [(2, 1, 3), (3, 1, 2), (3, 2, 2), (3, 1, 3), (4, 1, 2), (4, 3, 2)])
+def test_stable_coprime_diagonal_matches_univariate_beyond_rank2_genus2(n, d, g):
+    _assert_coprime_diagonal_matches_univariate(n, d, g)
 
 
 def test_stable_coprime_rejects_common_factor():
