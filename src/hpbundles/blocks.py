@@ -25,6 +25,17 @@ def hp_jacobian(g):
     return (ONE + U) ** g * (ONE + V) ** g
 
 
+def twisted_numerator(g):
+    """(1+u^2 v)^g (1+u v^2)^g, the numerator the rank-2 closed forms
+    share with the l = 2 factor of the leading semistable term."""
+    return (ONE + LaurentPoly.monomial(1, 2, 1)) ** g * (ONE + LaurentPoly.monomial(1, 1, 2)) ** g
+
+
+def sign_numerator(g):
+    """(1-u^2)^g (1-v^2)^g: hp_jacobian(g) with u -> -u^2, v -> -v^2."""
+    return (ONE - U * U) ** g * (ONE - V * V) ** g
+
+
 def hp_bgl(n):
     """HP(BGL(n)) = prod_{k=1..n} 1/(1 - u^k v^k)."""
     if n < 1:
@@ -86,11 +97,9 @@ def hp_nt_zts(g):
     jac_plus, jac_minus = hp_plusminus_jac_pair(g)
     composed = bt_plus * jac_plus + bt_minus * jac_minus
 
-    two_g = hp_jacobian(2 * g)  # (1+u)^2g (1+v)^2g
-    sign_part = ((ONE - U * U) ** g) * ((ONE - V * V) ** g)
     closed_num = (
-        two_g * (ONE + U * V)
-        + sign_part * (ONE - U * V)
+        hp_jacobian(2 * g) * (ONE + U * V)
+        + sign_numerator(g) * (ONE - U * V)
         - 2 * uv_power(g) * hp_jacobian(g)
     )
     closed = FactoredRational(closed_num, {(1, 1): 1, (2, 2): 1}, HALF)

@@ -17,17 +17,22 @@ single closed form before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import convex
-from .blocks import hp_bgl, hp_jacobian, hp_nt_zts, hp_plusminus_jac_pair
+from .blocks import (
+    HALF,
+    hp_bgl,
+    hp_jacobian,
+    hp_nt_zts,
+    hp_plusminus_jac_pair,
+    sign_numerator,
+    twisted_numerator,
+)
 from .errors import DivisionRemainderError, DomainError, InternalCheckError
 from .hntypes import ReductiveClass, codim_deeper_stratum
-from .poly import ONE, U, V, LaurentPoly, dual_substitute, uv_power
+from .poly import ONE, U, V, dual_substitute, uv_power
 from .semistable import hp_ss_rank2_closed_form
 from .series import FactoredRational
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -94,15 +99,7 @@ def stratum_beta1(g):
     _check_genus(g)
     codim = _unique_beta_codim(weight_system_adjoint_sl2(g))
     _expect_codim("beta1", codim, 2 * g - 1)
-    contribution = FactoredRational(
-        (ONE - uv_power(g)) * hp_jacobian(g), {(1, 1): 2}
-    )
-    # Same value through the projective-fibre route: the base locus has
-    # HP(BT) * HP(Jac) and the fibre contributes 1 - (uv)^(z+1), z = g-1.
-    base = FactoredRational(hp_jacobian(g), {(1, 1): 2})
-    via_fibre = base * (ONE - uv_power(g))
-    if not contribution.equals(via_fibre):
-        raise InternalCheckError("beta1 contribution disagrees with its fibre form")
+    contribution = FactoredRational((ONE - uv_power(g)) * hp_jacobian(g), {(1, 1): 2})
     return StratumRecord("beta1", codim, contribution)
 
 
@@ -155,11 +152,9 @@ def stable_rank2_closed_form(g):
     """
     _check_genus(g)
     jac = hp_jacobian(g)
-    twisted = (ONE + LaurentPoly.monomial(1, 2, 1)) ** g * (
-        ONE + LaurentPoly.monomial(1, 1, 2)
-    ) ** g
+    twisted = twisted_numerator(g)
     square = hp_jacobian(2 * g)
-    signs = ((ONE - U * U) ** g) * ((ONE - V * V) ** g)
+    signs = sign_numerator(g)
     num = (
         2 * jac * twisted
         - uv_power(g - 1) * square * (2 * ONE - uv_power(g - 1) + uv_power(g + 1))
@@ -177,11 +172,9 @@ def deligne_rank2_closed_form(g):
     """
     _check_genus(g)
     jac = hp_jacobian(g)
-    twisted = (ONE + LaurentPoly.monomial(1, 2, 1)) ** g * (
-        ONE + LaurentPoly.monomial(1, 1, 2)
-    ) ** g
+    twisted = twisted_numerator(g)
     square = hp_jacobian(2 * g)
-    signs = ((ONE - U * U) ** g) * ((ONE - V * V) ** g)
+    signs = sign_numerator(g)
     num = (
         2 * jac * twisted
         - square * (ONE + 2 * uv_power(g + 1) - uv_power(2))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+from .blocks import hp_jacobian, twisted_numerator
 from .errors import DomainError, InternalCheckError
 from .hntypes import codim_hn, enumerate_hn_types
 from .poly import ONE, U, V, LaurentPoly, uv_power
@@ -114,10 +115,7 @@ def hp_ss_rank2_closed_form(g):
     """
     if g < 2:
         raise DomainError("genus out of supported range")
-    jac = (ONE + U) ** g * (ONE + V) ** g
-    twisted = (ONE + LaurentPoly.monomial(1, 2, 1)) ** g * (ONE + LaurentPoly.monomial(1, 1, 2)) ** g
-    square = (ONE + U) ** (2 * g) * (ONE + V) ** (2 * g)
-    num = jac * twisted - uv_power(g + 1) * square
+    num = hp_jacobian(g) * twisted_numerator(g) - uv_power(g + 1) * hp_jacobian(2 * g)
     return FactoredRational(num, {(1, 1): 2, (2, 2): 1})
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from hpbundles import (
     hp_plusminus_jac_pair,
     uv_power,
 )
+from hpbundles.blocks import sign_numerator, twisted_numerator
 
 
 def naive_product(*polys):
@@ -41,6 +43,19 @@ def test_jacobian_total_rank():
     # 2^(2g) classes in total at u = v = 1
     assert hp_jacobian(2).evaluate(1, 1) == 16
     assert hp_jacobian(2) == naive_product((ONE + U), (ONE + U), (ONE + V), (ONE + V))
+
+
+def test_rank2_numerators():
+    for g in range(0, 7):
+        assert sign_numerator(g) == hp_jacobian(g).negate_square_substitute()
+        assert twisted_numerator(g) == LaurentPoly(
+            {
+                (2 * i + j, i + 2 * j): math.comb(g, i) * math.comb(g, j)
+                for i in range(g + 1)
+                for j in range(g + 1)
+            }
+        )
+    assert twisted_numerator(2) == naive_product(*[ONE + U * U * V] * 2 + [ONE + U * V * V] * 2)
 
 
 def test_bgl_denominators():

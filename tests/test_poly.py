@@ -16,6 +16,7 @@ from hpbundles import (
     specialize_diagonal,
     uv_power,
 )
+from hpbundles.poly import _binomial_power, _dense_pays, _mul_dense, _mul_sparse
 
 
 def random_poly(rng, max_terms=6, lo=-3, hi=4, laurent=True):
@@ -70,6 +71,107 @@ def test_fraction_coefficients_demote_to_int():
     p = LaurentPoly({(0, 0): Fraction(4, 2)})
     assert p.coefficient(0, 0) == 2
     assert type(p.coefficient(0, 0)) is int
+
+
+def box_terms(rng, rows, cols, fill, coeff):
+    """Terms in a rows x cols box at a random, possibly negative, origin;
+    each cell is kept with probability ``fill``.  Normalized like every
+    LaurentPoly's terms: no zeros, integral Fractions demoted to int."""
+    p0, q0 = rng.randint(-6, 4), rng.randint(-6, 4)
+    terms = {}
+    for p in range(rows):
+        for q in range(cols):
+            c = coeff(rng) if rng.random() < fill else 0
+            if c:
+                terms[(p0 + p, q0 + q)] = c
+    return LaurentPoly(terms)._terms
+
+
+COEFFICIENTS = {
+    "small-int": lambda rng: rng.randint(-5, 5),
+    "fraction": lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+    "mixed": lambda rng: rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-9, 9), 6))),
+    "above-2^64": lambda rng: rng.choice((-1, 1)) * rng.randrange(2**64, 2**200),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+def test_dense_and_dict_products_agree(kind):
+    rng = random.Random(kind)
+    coeff = COEFFICIENTS[kind]
+    dense_taken = 0
+    for _ in range(40):
+        a, b = (
+            box_terms(rng, rng.randint(1, 12), rng.randint(1, 12), rng.choice((rng.random(), 1.0)), coeff)
+            for _ in range(2)
+        )
+        expected = _mul_sparse(a, b)
+        assert _mul_dense(a, b) == expected
+        assert _mul_dense(b, a) == expected
+        assert (LaurentPoly(a) * LaurentPoly(b))._terms == expected
+        short, long_ = sorted((a, b), key=len)
+        dense_taken += _dense_pays(short, long_)
+    assert 5 <= dense_taken <= 35  # both paths of LaurentPoly.__mul__ ran
+
+
+def test_dense_product_of_tiny_operands():
+    rng = random.Random(7)
+    dense = box_terms(rng, 6, 6, 1.0, COEFFICIENTS["mixed"])
+    for tiny in ({}, {(0, 0): 1}, {(-3, 2): Fraction(-5, 3)}, {(4, -1): -(2**80)}):
+        for a, b in ((tiny, dense), (dense, tiny), (tiny, tiny)):
+            assert _mul_dense(a, b) == _mul_sparse(a, b)
+
+
+def test_dense_product_slots_that_cancel():
+    # (1 + uv + ... + (uv)^19)(1 - uv) = 1 - (uv)^20: every inner slot sums to 0
+    geometric = {(k, k): 1 for k in range(20)}
+    assert _mul_dense(geometric, {(0, 0): 1, (1, 1): -1}) == {(0, 0): 1, (20, 20): -1}
+    # (1+u)^9 (1+v)^9 times (1-u)^9 (1-v)^9 = (1-u^2)^9 (1-v^2)^9: odd slots cancel
+    plus = ((ONE + U) ** 9 * (ONE + V) ** 9)._terms
+    minus = ((ONE - U) ** 9 * (ONE - V) ** 9)._terms
+    assert _dense_pays(plus, minus)
+    assert _mul_dense(plus, minus) == _mul_sparse(plus, minus)
+    assert _mul_dense(plus, minus) == ((ONE - U * U) ** 9 * (ONE - V * V) ** 9)._terms
+    # a huge coefficient against its negation cancels slot by slot
+    big = {(p, q): 2**100 + p - q for p in range(5) for q in range(5)}
+    neg = {(p, q): -c for (p, q), c in big.items()}
+    assert _mul_dense(big, neg) == _mul_sparse(big, neg)
+
+
+def test_sparse_times_dense_goes_down_the_dict_path():
+    rng = random.Random(8)
+    sparse = {}
+    while len(sparse) < 16:
+        sparse[(rng.randrange(40), rng.randrange(40))] = rng.randint(1, 9)
+    dense = box_terms(rng, 8, 8, 1.0, COEFFICIENTS["small-int"])
+    assert not _dense_pays(sparse, dense)
+    assert (LaurentPoly(sparse) * LaurentPoly(dense))._terms == _mul_sparse(sparse, dense)
+    jac = ((ONE + U) ** 6 * (ONE + V) ** 6)._terms
+    assert _dense_pays(jac, jac)
+
+
+def test_scalar_products_keep_integral_coefficients_int():
+    p = LaurentPoly({(0, 0): 4, (1, 0): 3, (0, 1): Fraction(2, 3)})
+    half = p * Fraction(1, 2)
+    assert half._terms == {(0, 0): 2, (1, 0): Fraction(3, 2), (0, 1): Fraction(1, 3)}
+    assert type(half.coefficient(0, 0)) is int
+    assert (p * Fraction(3, 1))._terms == {(0, 0): 12, (1, 0): 9, (0, 1): 2}
+    assert type((p * Fraction(3, 2)).coefficient(0, 1)) is int
+    assert (p * 0).is_zero() and (p * Fraction(0)).is_zero()
+
+
+def test_binomial_power_matches_repeated_products():
+    rng = random.Random(9)
+    for _ in range(30):
+        base = {}
+        while len(base) < 2:
+            base[(rng.randint(-3, 3), rng.randint(-3, 3))] = COEFFICIENTS["mixed"](rng) or 1
+        base = LaurentPoly(base)._terms
+        power = {(0, 0): 1}
+        for n in range(13):
+            assert _binomial_power(base, n) == power
+            assert (LaurentPoly(base) ** n)._terms == power
+            power = _mul_sparse(power, base)
 
 
 def test_negative_power_of_non_unit_rejected():

@@ -1,0 +1,89 @@
+"""LaurentPoly ring operations against sympy.Poly on hypothesis-drawn inputs.
+
+sympy.Poly has no negative exponents, so each operand is drawn with
+exponents >= -SHIFT and compared after multiplying by (uv)^SHIFT; a
+product then carries (uv)^(2 SHIFT) and an n-th power (uv)^(n SHIFT).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis", reason="hypothesis is a test-only dependency")
+sympy = pytest.importorskip("sympy", reason="sympy is a test-only dependency")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from hpbundles import LaurentPoly  # noqa: E402
+
+SHIFT = 4
+u, v = sympy.symbols("u v")
+
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-(2**80), 2**80),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def laurent_polys(draw, min_side=0, max_side=7):
+    """Coefficients filling a box at an origin >= (-SHIFT, -SHIFT); the
+    zeros drawn make some products sparse and some dense."""
+    p0 = draw(st.integers(-SHIFT, 2))
+    q0 = draw(st.integers(-SHIFT, 2))
+    rows = draw(st.integers(min_side, max_side))
+    cols = draw(st.integers(min_side, max_side))
+    cells = draw(st.lists(coefficients, min_size=rows * cols, max_size=rows * cols))
+    return LaurentPoly(
+        {(p0 + k // cols, q0 + k % cols): c for k, c in enumerate(cells)} if cols else {}
+    )
+
+
+def to_sympy(poly, shift):
+    terms = {}
+    for (p, q), c in poly.items():
+        c = Fraction(c)
+        terms[(p + shift, q + shift)] = sympy.Rational(c.numerator, c.denominator)
+    return sympy.Poly.from_dict(terms, u, v, domain="QQ")
+
+
+def assert_canonical(poly):
+    for c in poly._terms.values():
+        assert c != 0
+        assert type(c) is int or c.denominator != 1
+
+
+# Both small or sparse operands and wide ones, so that both paths of
+# LaurentPoly.__mul__ are taken.
+operands = st.one_of(laurent_polys(), laurent_polys(min_side=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands, operands)
+def test_product_and_sum_match_sympy(a, b):
+    product = a * b
+    assert_canonical(product)
+    assert to_sympy(product, 2 * SHIFT) == to_sympy(a, SHIFT) * to_sympy(b, SHIFT)
+    total = a + b
+    assert_canonical(total)
+    assert to_sympy(total, SHIFT) == to_sympy(a, SHIFT) + to_sympy(b, SHIFT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_polys(max_side=2), st.integers(0, 9))
+def test_power_matches_sympy(a, n):
+    power = a**n
+    assert_canonical(power)
+    assert to_sympy(power, n * SHIFT) == to_sympy(a, SHIFT) ** n
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_polys(), coefficients)
+def test_scalar_product_matches_sympy(a, c):
+    scaled = a * c
+    assert_canonical(scaled)
+    c = Fraction(c)
+    assert to_sympy(scaled, SHIFT) == to_sympy(a, SHIFT) * sympy.Rational(c.numerator, c.denominator)
