@@ -40,6 +40,7 @@ def build_parser():
     ss.add_argument("--deg", type=int, required=True)
     ss.add_argument("--genus", type=int, required=True)
     ss.add_argument("--order", type=int, default=None)
+    ss.set_defaults(func=_cmd_ss)
     _output_flags(ss)
 
     stable2 = compute_sub.add_parser("stable2", help="stable rank-2 moduli polynomial, even degree")
@@ -47,6 +48,7 @@ def build_parser():
     stable2.add_argument("--deg", type=int, default=None, help="optional; must be even")
     stable2.add_argument("--deligne", action="store_true", help="emit the compact-support polynomial")
     stable2.add_argument("--golden", default=None, help="compare against (or create) a golden JSON file")
+    stable2.set_defaults(func=_cmd_stable2)
     _output_flags(stable2)
 
     enum = sub.add_parser("enumerate", help="finite index sets")
@@ -57,22 +59,26 @@ def build_parser():
     hn.add_argument("--deg", type=int, required=True)
     hn.add_argument("--genus", type=int, required=True)
     hn.add_argument("--max-codim", type=int, required=True)
+    hn.set_defaults(func=_cmd_hn_types)
     _output_flags(hn)
 
     rc = enum_sub.add_parser("reductive-classes", help="blow-up stabilizer classes")
     rc.add_argument("--rank", type=int, required=True)
     rc.add_argument("--deg", type=int, required=True)
     rc.add_argument("--genus", type=int, default=None, help="optionally report codimensions")
+    rc.set_defaults(func=_cmd_reductive_classes)
     _output_flags(rc)
 
     beta = sub.add_parser("beta", help="convex geometry of weight systems")
     beta_sub = beta.add_subparsers(dest="target", required=True)
     bidx = beta_sub.add_parser("index-set", help="unstable indices of a weight system")
     bidx.add_argument("--system", required=True, help="weight system JSON file")
+    bidx.set_defaults(func=_cmd_index_set)
     _output_flags(bidx)
 
     verify = sub.add_parser("verify", help="run the bundled verification suite")
     verify.add_argument("--genus", type=int, default=None)
+    verify.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -224,21 +230,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
+    # Every subparser level is required, so a parse that returns has
+    # reached a leaf command, and each leaf sets func.
     try:
-        if args.command == "compute" and args.target == "ss":
-            return _cmd_ss(args)
-        if args.command == "compute" and args.target == "stable2":
-            return _cmd_stable2(args)
-        if args.command == "enumerate" and args.target == "hn-types":
-            return _cmd_hn_types(args)
-        if args.command == "enumerate" and args.target == "reductive-classes":
-            return _cmd_reductive_classes(args)
-        if args.command == "beta" and args.target == "index-set":
-            return _cmd_index_set(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.print_usage(sys.stderr)
-        return USAGE_EXIT
+        return args.func(args)
     except DomainError as err:
         print("error: %s" % err, file=sys.stderr)
         return 1

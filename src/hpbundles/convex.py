@@ -6,7 +6,16 @@ some subset of the torus weights.  At the scale that occurs here (a
 handful of rational weight vectors in dimension at most 4) exact
 computation is cheap: the minimizer is found by projecting the origin
 onto affine hulls of small subsets and checking the global optimality
-inequality x.p >= |x|^2 exactly over the rationals.
+inequality x.p >= |x|^2 exactly.
+
+The searches run in integers.  The points are scaled once by the lcm L
+of their denominators, and ``_project`` solves the projection by
+fraction-free (Bareiss) Gauss-Jordan elimination, returning integers
+(X, den) with x = X/(den*L); sign tests, support membership and the
+optimality inequality are integer comparisons, and a ``Fraction`` is
+built only for a point that is returned.  ``affine_projection`` and
+``solve_linear`` work over ``Fraction`` and stay as the reference that
+the all-faces oracle and the tests compare against.
 
 Whether every adjoint orbit meets the index set of the blown-up
 representation in at most one point is a hypothesis on the supplied
@@ -18,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import DomainError, InternalCheckError
 
@@ -48,6 +58,13 @@ def vscale(c, a):
 
 def _zero(r):
     return tuple(Fraction(0) for _ in range(r))
+
+
+def _scale(vectors):
+    """(L, [L*v for v in vectors]) with L > 0 the lcm of all denominators,
+    so the scaled vectors are integer tuples."""
+    big = lcm(*(x.denominator for v in vectors for x in v))
+    return big, [tuple(x.numerator * (big // x.denominator) for x in v) for v in vectors]
 
 
 def solve_linear(matrix, rhs):
@@ -97,14 +114,45 @@ def affine_projection(points):
     return x, coords
 
 
+def _project(points):
+    """Project the origin onto the affine hull of integer points, in integers.
+
+    Returns (X, den, coords) with den > 0: the projection is X/den and its
+    barycentric coordinates are coords/den.  Returns None when the points
+    are affinely dependent.  The Gram system of the directions p_i - p_0 is
+    solved by fraction-free Gauss-Jordan elimination; every division is
+    exact, and the last pivot is the Gram determinant.  The Gram matrix is
+    positive semidefinite, so a zero pivot (a vanishing leading principal
+    minor) means it is singular and no row exchange is needed.
+    """
+    base = points[0]
+    dirs = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
+    rows = [[dot(di, dj) for dj in dirs] + [-dot(base, di)] for di in dirs]
+    den = 1
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if pivot == 0:
+            return None
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(pivot * a - f * b) // den for a, b in zip(row, pivot_row)]
+        den = pivot
+    ts = [row[-1] for row in rows]
+    coords = (den - sum(ts),) + tuple(ts)
+    x = tuple(sum(c * p[i] for c, p in zip(coords, points)) for i in range(len(base)))
+    return x, den, coords
+
+
 def min_norm_point(points):
     """The unique point of the convex hull of ``points`` closest to 0.
 
-    Exact over the rationals.  The minimizer lies in the relative
-    interior of a face, so it is the projection of the origin onto the
-    affine hull of at most dim+1 affinely independent input points; a
-    candidate is accepted once the supporting inequality x.p >= |x|^2
-    holds for every input point, which characterizes the projection.
+    Exact.  The minimizer lies in the relative interior of a face, so it
+    is the projection of the origin onto the affine hull of at most dim+1
+    affinely independent input points; a candidate is accepted once the
+    supporting inequality x.p >= |x|^2 holds for every input point, which
+    characterizes the projection.  With the points scaled to integers P
+    and x = X/(den*L), the inequality reads X.P*den >= X.X.
     """
     pts = [_vec(p) for p in points]
     if not pts:
@@ -113,17 +161,18 @@ def min_norm_point(points):
     if any(len(p) != dim for p in pts):
         raise DomainError("points must share a dimension")
     unique = sorted(set(pts))
+    big, scaled = _scale(unique)
     for size in range(1, min(len(unique), dim + 1) + 1):
-        for subset in combinations(unique, size):
-            proj = affine_projection(list(subset))
+        for subset in combinations(scaled, size):
+            proj = _project(subset)
             if proj is None:
                 continue
-            x, coords = proj
+            x, den, coords = proj
             if any(c < 0 for c in coords):
                 continue
-            xx = norm_sq(x)
-            if all(dot(x, p) >= xx for p in unique):
-                return x
+            xx = dot(x, x)
+            if all(dot(x, p) * den >= xx for p in scaled):
+                return tuple(Fraction(c, den * big) for c in x)
     raise InternalCheckError("projection onto the hull not found; search is incomplete")
 
 
@@ -134,6 +183,10 @@ class WeightSystem:
     dim is the dimension of the ambient rational vector space; chamber
     holds the linear functionals s with the closed chamber given by
     x.s >= 0 for all of them.  Roots must be closed under negation.
+
+    The weights and roots are also kept scaled to integers (see
+    ``_scale``) in attributes that are not dataclass fields, so equality,
+    hashing and repr see only the four fields.
     """
 
     dim: int
@@ -142,6 +195,8 @@ class WeightSystem:
     chamber: tuple
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise DomainError("dimension must be non-negative")
         weights = tuple((_vec(v), int(m)) for v, m in self.weights)
         roots = tuple(_vec(r) for r in self.roots)
         chamber = tuple(_vec(s) for s in self.chamber)
@@ -163,6 +218,9 @@ class WeightSystem:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "chamber", chamber)
+        big, scaled = _scale([v for v, _ in weights])
+        object.__setattr__(self, "_int_weights", (big, tuple(zip(scaled, (m for _, m in weights)))))
+        object.__setattr__(self, "_int_roots", tuple(_scale(roots)[1]))
 
     def distinct_weight_vectors(self):
         seen = []
@@ -170,9 +228,6 @@ class WeightSystem:
             if v not in seen:
                 seen.append(v)
         return seen
-
-    def weight_multiplicity(self, v):
-        return sum(m for w, m in self.weights if w == v)
 
     def in_chamber(self, x):
         return all(dot(x, s) >= 0 for s in self.chamber)
@@ -190,34 +245,46 @@ def index_set(ws):
     """All nonzero positive-chamber indices of the weight system.
 
     beta qualifies iff it is the minimum-norm point of the hull of its
-    own support {alpha : alpha.beta = |beta|^2}.  Candidate generation
-    only needs subsets of at most dim+1 weights: the minimizer over any
-    hull lies in a face and already minimizes over the hull of at most
-    dim+1 affinely independent vertices of that face.
+    own support {alpha : alpha.beta = |beta|^2}.  Candidates are the
+    projections of the origin onto the affine hulls of affinely
+    independent subsets of at most dim weights that land inside their
+    hull.  The minimizer over any hull is such a projection for at most
+    dim+1 independent vertices of a face; a nonzero beta lies in that
+    face's hull, inside the hyperplane x.beta = |beta|^2, so the face has
+    at most dim independent vertices.  dim+1 independent points span the
+    whole space and project 0 onto 0, which is never an index.
+
+    The weights are scaled to integers once (``WeightSystem`` keeps them)
+    and projected by ``_project``; candidates are told apart by the
+    reduced integer pair (X, den), and only distinct candidates become
+    ``Fraction`` vectors.
 
     Sorted by |beta|^2 then lexicographically.
     """
     vectors = ws.distinct_weight_vectors()
+    big, weights = ws._int_weights
+    scaled = list(dict.fromkeys(v for v, _ in weights))
     candidates = set()
-    for size in range(1, min(len(vectors), ws.dim + 1) + 1):
-        for subset in combinations(vectors, size):
-            proj = affine_projection(list(subset))
+    for size in range(1, min(len(vectors), ws.dim) + 1):
+        for subset in combinations(scaled, size):
+            proj = _project(subset)
             if proj is None:
                 continue
-            x, coords = proj
+            x, den, coords = proj
             if any(c < 0 for c in coords):
                 continue
-            candidates.add(x)
+            g = gcd(den, *x)
+            candidates.add((tuple(c // g for c in x), den // g))
 
     out = []
-    zero = _zero(ws.dim)
-    for beta in candidates:
-        if beta == zero:
+    for x, den in candidates:
+        if not any(x):
             continue
+        beta = tuple(Fraction(c, den * big) for c in x)
         if not ws.in_chamber(beta):
             continue
-        bb = norm_sq(beta)
-        support = tuple(v for v in vectors if dot(v, beta) == bb)
+        xx = dot(x, x)
+        support = tuple(v for v, p in zip(vectors, scaled) if dot(p, x) * den == xx)
         if not support:
             continue
         if min_norm_point(support) != beta:
@@ -232,12 +299,15 @@ def stratum_codim(ws, beta_index):
 
     Counts the weights strictly below the supporting hyperplane of beta,
     minus the number of roots negative against beta (the dimension of
-    G/P for the parabolic attached to beta).
+    G/P for the parabolic attached to beta).  Evaluated on the integer
+    weights: with v = V/L and beta = B/M, v.beta < |beta|^2 reads
+    V.B*M < B.B*L.
     """
-    beta = beta_index.beta
-    bb = norm_sq(beta)
-    below = sum(m for v, m in ws.weights if dot(v, beta) < bb)
-    flipped = sum(1 for r in ws.roots if dot(r, beta) < 0)
+    big, weights = ws._int_weights
+    bscale, (b,) = _scale([_vec(beta_index.beta)])
+    bb = dot(b, b) * big
+    below = sum(m for v, m in weights if dot(v, b) * bscale < bb)
+    flipped = sum(1 for r in ws._int_roots if dot(r, b) < 0)
     return below - flipped
 
 

@@ -25,7 +25,10 @@ def parse_fraction(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as err:
+            raise DomainError("bad fraction string %r: %s" % (value, err)) from err
     raise DomainError("expected an integer or a fraction string, got %r" % (value,))
 
 
@@ -93,7 +96,9 @@ def weight_system_from_obj(obj):
             roots=tuple(_vector_from_obj(r) for r in obj.get("roots", [])),
             chamber=tuple(_vector_from_obj(s) for s in obj.get("chamber", [])),
         )
-    except (KeyError, TypeError) as err:
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as err:
         raise DomainError("malformed weight system: %s" % err) from err
 
 

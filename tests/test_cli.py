@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import hpbundles
 from hpbundles import serialize
 from hpbundles.cli import main
 
@@ -145,6 +148,32 @@ def test_beta_index_set_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "beta", "index-set", "--system", str(tmp_path / "nope.json"))
     assert code == 1
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"weights": [{"v": ["x", 1], "mult": 1}]}, "bad fraction string"),
+        ({"weights": [{"v": [1, 1], "mult": "a"}]}, "malformed weight system"),
+        ({"weights": [{"v": ["1/0", 1], "mult": 1}]}, "bad fraction string"),
+        ({"dim": -1, "weights": []}, "dimension must be non-negative"),
+    ],
+    ids=["bad-literal", "bad-mult", "zero-denominator", "negative-dim"],
+)
+def test_beta_index_set_malformed_system(tmp_path, change, message):
+    system = dict({"dim": 2, "weights": [{"v": [1, 0], "mult": 1}], "roots": [], "chamber": []}, **change)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(hpbundles.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hpbundles", "beta", "index-set", "--system", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_golden_write_then_match(capsys, tmp_path):

@@ -14,7 +14,7 @@ from hpbundles import (
     min_norm_point,
     stratum_codim,
 )
-from hpbundles.convex import affine_projection, norm_sq
+from hpbundles.convex import _project, _scale, affine_projection, dot, norm_sq
 from hpbundles.rank2 import weight_system_adjoint_sl2, weight_system_torus
 
 
@@ -187,3 +187,121 @@ def test_index_set_deterministic_order():
     indices = index_set(ws)
     norms = [norm_sq(b.beta) for b in indices]
     assert norms == sorted(norms)
+
+
+def random_rational(rng):
+    """A rational with a mixed denominator; now and then a huge one."""
+    bound = 2**100 if rng.random() < 0.1 else 6
+    return Fraction(rng.randint(-bound, bound), rng.choice((1, 1, 2, 3, 5, 7)))
+
+
+def random_points(rng, dim, count):
+    """Points with repeats and the zero vector mixed in, so affinely
+    dependent subsets occur."""
+    pts = []
+    for _ in range(count):
+        roll = rng.random()
+        if pts and roll < 0.15:
+            pts.append(rng.choice(pts))
+        elif roll < 0.25:
+            pts.append((Fraction(0),) * dim)
+        elif len(pts) >= 2 and roll < 0.35:
+            a, b = rng.sample(pts, 2)
+            t = Fraction(rng.randint(-3, 3), 2)
+            pts.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+        else:
+            pts.append(tuple(random_rational(rng) for _ in range(dim)))
+    return pts
+
+
+def test_project_matches_affine_projection():
+    rng = random.Random(20240)
+    dependent = independent = 0
+    for _ in range(600):
+        dim = rng.randint(1, 4)
+        pts = random_points(rng, dim, rng.randint(1, dim + 2))
+        big, scaled = _scale(pts)
+        got = _project(scaled)
+        want = affine_projection(pts)
+        if want is None:
+            assert got is None
+            dependent += 1
+            continue
+        independent += 1
+        x, den, coords = got
+        assert den > 0
+        assert all(isinstance(c, int) for c in x + coords)
+        assert tuple(Fraction(c, den * big) for c in x) == want[0]
+        assert tuple(Fraction(c, den) for c in coords) == want[1]
+    assert dependent > 50 and independent > 300
+
+
+def reference_min_norm(points):
+    """The search of ``min_norm_point`` over Fractions, with
+    ``affine_projection``."""
+    unique = sorted({tuple(Fraction(x) for x in p) for p in points})
+    for size in range(1, min(len(unique), len(unique[0]) + 1) + 1):
+        for subset in combinations(unique, size):
+            proj = affine_projection(list(subset))
+            if proj is None or any(c < 0 for c in proj[1]):
+                continue
+            x = proj[0]
+            if all(dot(x, p) >= norm_sq(x) for p in unique):
+                return x
+    raise AssertionError("no minimizer found")
+
+
+def reference_index_set(ws):
+    """Index set by projecting every subset of up to dim+1 weights over
+    Fractions, with the filters of ``index_set``."""
+    vectors = ws.distinct_weight_vectors()
+    candidates = set()
+    for size in range(1, min(len(vectors), ws.dim + 1) + 1):
+        for subset in combinations(vectors, size):
+            proj = affine_projection(list(subset))
+            if proj is not None and all(c >= 0 for c in proj[1]):
+                candidates.add(proj[0])
+    out = []
+    for beta in candidates:
+        if not any(beta) or not ws.in_chamber(beta):
+            continue
+        bb = norm_sq(beta)
+        support = tuple(v for v in vectors if dot(v, beta) == bb)
+        if support and reference_min_norm(support) == beta:
+            out.append(BetaIndex(beta=beta, support=support))
+    out.sort(key=lambda b: (norm_sq(b.beta), b.beta))
+    return out
+
+
+def reference_codim(ws, bi):
+    bb = norm_sq(bi.beta)
+    below = sum(m for v, m in ws.weights if dot(v, bi.beta) < bb)
+    return below - sum(1 for r in ws.roots if dot(r, bi.beta) < 0)
+
+
+def test_index_set_matches_fraction_reference():
+    rng = random.Random(7321)
+    indices_seen = 0
+    for _ in range(120):
+        dim = rng.randint(1, 4)
+        vectors = random_points(rng, dim, rng.randint(1, 9 - dim))
+        roots = [tuple(random_rational(rng) for _ in range(dim)) for _ in range(rng.randint(0, 2))]
+        roots = [r for r in roots if any(r)]
+        ws = WeightSystem(
+            dim=dim,
+            weights=tuple((v, rng.randint(1, 3)) for v in vectors),
+            roots=tuple(roots + [tuple(-x for x in r) for r in roots]),
+            chamber=tuple(roots[:1] + [tuple(random_rational(rng) for _ in range(dim))] * rng.randint(0, 1)),
+        )
+        got = index_set(ws)
+        assert got == reference_index_set(ws)
+        assert [stratum_codim(ws, bi) for bi in got] == [reference_codim(ws, bi) for bi in got]
+        indices_seen += len(got)
+    assert indices_seen > 100
+
+
+def test_integer_weights_stay_out_of_fields():
+    a = WeightSystem(dim=2, weights=(((Fraction(1, 2), 1), 2),), roots=(), chamber=())
+    b = WeightSystem(dim=2, weights=((("1/2", 1), 2),), roots=(), chamber=())
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "WeightSystem(dim=2, weights=(((Fraction(1, 2), Fraction(1, 1)), 2),), roots=(), chamber=())"
