@@ -8,19 +8,27 @@ polynomials are equal iff their term dicts are equal.
 The monomial order used for division is graded lexicographic with
 u > v, i.e. terms are compared by (p + q, p).
 
-A product of two polynomials takes one of two paths, chosen from the
-operands alone.  The dict loop does one dict update per pair of terms.
-The dense path packs each operand into one big integer (Kronecker
-substitution), multiplies once with CPython's Karatsuba integer
-multiply and unpacks one slot per cell of the product's exponent box;
-its cost follows the box, not the pairs.  The dense path is taken when
-both operands have at least 8 terms and the term pairs number at least
-4 times the cells of the box, as for the dense (g+1)^2-term products of
-the rank-2 closed forms.  Sparse products, such as a few terms spread
-over a wide box or a monomial shift, stay on the dict loop: the dense
-path would pay for every empty cell of the box (about 18 times slower
-for 16 terms spread over a 40 x 40 box).  The dict loop is also the
-reference implementation the dense path is tested against.
+A product of two term dicts takes one of three paths, chosen from the
+operands alone (``_mul_terms``).  When the shorter operand has one term,
+the product is an exponent translation of the other operand, scaled by
+that term's coefficient.  The dict loop does one dict update per pair of
+terms.  The dense path packs each operand into one big integer
+(Kronecker substitution), multiplies once with CPython's Karatsuba
+integer multiply and unpacks one slot per cell of the product's exponent
+box; its cost follows the box, not the pairs.  The dense path is taken
+when both operands have at least 8 terms and the term pairs number at
+least 4 times the cells of the box, as for the dense (g+1)^2-term
+products of the rank-2 closed forms.  Sparse products, such as a few
+terms spread over a wide box, stay on the dict loop: the dense path
+would pay for every empty cell of the box (about 18 times slower for 16
+terms spread over a 40 x 40 box).  The dict loop is also the reference
+implementation the dense path is tested against.
+
+Truncated power series (``series.TruncatedSeries``) multiply through the
+same paths with a total-degree window: given ``order``, each path returns
+only the terms with p + q <= order.  The dict loop then pairs each term
+of one operand only with the terms of the other that fit in the window,
+and the dense path unpacks only the slots inside it.
 
 A two-term base is raised to a power by the binomial theorem.
 """
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import DivisionRemainderError, DomainError
@@ -145,12 +154,7 @@ class LaurentPoly:
             return LaurentPoly._raw(_scale_terms(self._terms, as_coeff(other)))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        if _dense_pays(a, b):
-            return LaurentPoly._raw(_mul_dense(a, b))
-        return LaurentPoly._raw(_mul_sparse(a, b))
+        return LaurentPoly._raw(_mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -283,12 +287,44 @@ _DENSE_MIN_TERMS = 8
 _DENSE_PAIRS_PER_CELL = 4
 
 
-def _mul_sparse(a, b):
+def _mul_terms(a, b, order=None):
+    """Product of two term dicts by the path the module docstring names;
+    with ``order`` set, only its terms of total degree <= order."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        return _mul_monomial(a, b, order)
+    if _dense_pays(a, b):
+        return _mul_dense(a, b, order)
+    return _mul_sparse(a, b, order)
+
+
+def _mul_monomial(a, b, order=None):
+    """Product of the one-term dict a and the term dict b: b translated
+    by the exponent of a and scaled by its coefficient."""
+    (((p, q), c),) = a.items()
+    if order is None:
+        moved = {(p + s, q + t): k for (s, t), k in b.items()}
+    else:
+        moved = {(p + s, q + t): k for (s, t), k in b.items() if p + q + s + t <= order}
+    return moved if c == 1 else _scale_terms(moved, c)
+
+
+def _mul_sparse(a, b, order=None):
     """Product of two term dicts by the pairwise dict loop: one dict
-    update per pair of terms.  The reference for the dense path."""
+    update per pair of terms.  The reference for the dense path.
+
+    With ``order`` set, b is sorted by total degree once, and each term
+    of a runs over the prefix of b that keeps the pair in the window."""
+    row = b.items()
+    if order is not None:
+        by_degree = sorted(row, key=lambda t: t[0][0] + t[0][1])
+        degrees = [p + q for (p, q), _ in by_degree]
     res = {}
     for (p1, q1), c1 in a.items():
-        for (p2, q2), c2 in b.items():
+        if order is not None:
+            row = by_degree[: bisect_right(degrees, order - p1 - q1)]
+        for (p2, q2), c2 in row:
             e = (p1 + p2, q1 + q2)
             s = res.get(e, 0) + c1 * c2
             if s:
@@ -316,7 +352,7 @@ def _dense_pays(a, b):
     return len(a) * len(b) >= _DENSE_PAIRS_PER_CELL * rows * cols
 
 
-def _mul_dense(a, b):
+def _mul_dense(a, b, order=None):
     """Product of two term dicts by Kronecker substitution.
 
     Each operand, shifted to valuation (0, 0), becomes one integer with
@@ -327,10 +363,21 @@ def _mul_dense(a, b):
     the convolution, and adding half the slot range to every slot makes
     them all non-negative, so they unpack without borrows.  Fractions
     are cleared to a common denominator first.
+
+    With ``order`` set, only the rows that meet the window are unpacked,
+    and in row p only the slots with p + q <= order.  The biased slots
+    are the base-2^(8 width) digits of the product, so those rows are
+    its low digits, and the rows above them are never converted.
     """
     if not a or not b:
         return {}
     origin_a, origin_b, (rows, cols) = _product_box(a, b)
+    p0 = origin_a[0] + origin_b[0]
+    q0 = origin_a[1] + origin_b[1]
+    if order is not None:
+        rows = min(rows, order - p0 - q0 + 1)
+        if rows <= 0:
+            return {}
     ia, den_a = _integral(a)
     ib, den_b = _integral(b)
     den = den_a * den_b
@@ -340,13 +387,12 @@ def _mul_dense(a, b):
     half = 1 << (8 * width - 1)
     slots = rows * cols
     bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-    data = (packed + bias).to_bytes(width * slots, "little")
-    p0 = origin_a[0] + origin_b[0]
-    q0 = origin_a[1] + origin_b[1]
+    data = ((packed + bias) & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
     res = {}
-    at = 0
     for p in range(p0, p0 + rows):
-        for q in range(q0, q0 + cols):
+        at = width * (p - p0) * cols
+        span = cols if order is None else min(cols, order - p - q0 + 1)
+        for q in range(q0, q0 + span):
             c = int.from_bytes(data[at : at + width], "little") - half
             at += width
             if c:

@@ -76,7 +76,16 @@ def _vector_to_obj(v):
 
 
 def _vector_from_obj(obj):
+    if not isinstance(obj, list):
+        raise DomainError("malformed weight system: a vector must be a list, got %r" % (obj,))
     return tuple(parse_fraction(x) for x in obj)
+
+
+def _count_from_obj(value, name):
+    """An int, or a string that int() reads; floats and booleans fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise DomainError("malformed weight system: %s must be an integer, got %r" % (name, value))
+    return int(value)
 
 
 def weight_system_to_obj(ws):
@@ -91,8 +100,10 @@ def weight_system_to_obj(ws):
 def weight_system_from_obj(obj):
     try:
         return convex.WeightSystem(
-            dim=int(obj["dim"]),
-            weights=tuple((_vector_from_obj(w["v"]), int(w["mult"])) for w in obj["weights"]),
+            dim=_count_from_obj(obj["dim"], "dim"),
+            weights=tuple(
+                (_vector_from_obj(w["v"]), _count_from_obj(w["mult"], "mult")) for w in obj["weights"]
+            ),
             roots=tuple(_vector_from_obj(r) for r in obj.get("roots", [])),
             chamber=tuple(_vector_from_obj(s) for s in obj.get("chamber", [])),
         )

@@ -4,6 +4,14 @@ Every rational function handled here has denominator a product of
 binomials (1 - u^a v^b)^k with a, b >= 1, which keeps all factors
 invertible as power series and makes equality decidable by
 cross-multiplication, with no rational-function normal form needed.
+
+A product of two truncated series is a ``LaurentPoly`` product kernel
+(``poly._mul_terms``) with the total-degree window of the smaller order,
+so series and polynomials share one dict loop, one dense path and one
+dispatch rule.  ``FactoredRational.as_polynomial`` divides by one factor
+(1 - u^a v^b) at a time with running sums along lines of direction
+(a, b); only a division that leaves a remainder falls back to the long
+division ``exact_divide``, which reports the remainder.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .poly import ONE, LaurentPoly, as_coeff, exact_divide
+from .poly import ONE, LaurentPoly, _mul_terms, _scale_terms, as_coeff, exact_divide
 
 
 class TruncatedSeries:
@@ -106,28 +114,9 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_coeff(other)
-            if not c:
-                return TruncatedSeries._raw({}, self.order)
-            return TruncatedSeries._raw(
-                {e: as_coeff(k * c) for e, k in self._terms.items()}, self.order
-            )
+            return TruncatedSeries._raw(_scale_terms(self._terms, as_coeff(other)), self.order)
         order = min(self.order, other.order)
-        res = {}
-        for (p1, q1), c1 in self._terms.items():
-            if p1 + q1 > order:
-                continue
-            for (p2, q2), c2 in other._terms.items():
-                p, q = p1 + p2, q1 + q2
-                if p + q > order:
-                    continue
-                e = (p, q)
-                s = res.get(e, 0) + c1 * c2
-                if s:
-                    res[e] = s
-                else:
-                    del res[e]
-        return TruncatedSeries._raw({e: as_coeff(c) for e, c in res.items()}, order)
+        return TruncatedSeries._raw(_mul_terms(self._terms, other._terms, order), order)
 
     __rmul__ = __mul__
 
@@ -278,10 +267,18 @@ class FactoredRational:
     def as_polynomial(self):
         """Certify the value is an honest polynomial, via exact division.
 
-        Raises DivisionRemainderError when the denominator does not divide
-        the numerator.
+        Divides by one factor (1 - u^a v^b) at a time, by running sums
+        (``_divide_binomial``).  If a division leaves a remainder, the
+        long division ``exact_divide`` by the whole denominator raises
+        DivisionRemainderError with the remainder.
         """
-        return exact_divide(self.scaled_num(), _expand_factors(self.den))
+        terms = self.scaled_num()._terms
+        for (a, b), k in sorted(self.den.items()):
+            for _ in range(k):
+                terms = _divide_binomial(terms, a, b)
+                if terms is None:
+                    return exact_divide(self.scaled_num(), _expand_factors(self.den))
+        return LaurentPoly._raw(terms)
 
 
 def _uv_monomial_text(a, b):
@@ -306,6 +303,35 @@ def _expand_factors(factors):
     for (a, b), k in sorted(factors.items()):
         prod = prod * (ONE - LaurentPoly.monomial(1, a, b)) ** k
     return prod
+
+
+def _divide_binomial(terms, a, b):
+    """The term dict q with q * (1 - u^a v^b) = terms, or None if there
+    is none.
+
+    Coefficientwise, q(e) = terms(e) + q(e - (a, b)): along each line of
+    direction (a, b), q is the running sum of the terms, including at
+    the points of the line where terms has none.  The division is exact
+    iff every line sums to zero.
+    """
+    lines = {}
+    for (p, q), c in sorted(terms.items()):
+        lines.setdefault((p * b - q * a, p % a), []).append((p, q, c))
+    res = {}
+    for line in lines.values():
+        p, q, total = line[0]
+        for p_next, _, c in line[1:]:
+            while p < p_next:
+                if total:
+                    res[(p, q)] = total
+                p += a
+                q += b
+            total += c
+            if type(total) is not int:
+                total = as_coeff(total)
+        if total:
+            return None
+    return res
 
 
 def _geometric_series(a, b, k, order):

@@ -157,8 +157,15 @@ def test_beta_index_set_missing_file(capsys, tmp_path):
         ({"weights": [{"v": [1, 1], "mult": "a"}]}, "malformed weight system"),
         ({"weights": [{"v": ["1/0", 1], "mult": 1}]}, "bad fraction string"),
         ({"dim": -1, "weights": []}, "dimension must be non-negative"),
+        ({"weights": [{"v": [1, 0], "mult": 1.5}]}, "mult must be an integer"),
+        ({"weights": [{"v": [1, 0], "mult": True}]}, "mult must be an integer"),
+        ({"dim": 2.9}, "dim must be an integer"),
+        ({"weights": [{"v": "10", "mult": 1}]}, "a vector must be a list"),
     ],
-    ids=["bad-literal", "bad-mult", "zero-denominator", "negative-dim"],
+    ids=[
+        "bad-literal", "bad-mult", "zero-denominator", "negative-dim",
+        "float-mult", "bool-mult", "float-dim", "string-vector",
+    ],
 )
 def test_beta_index_set_malformed_system(tmp_path, change, message):
     system = dict({"dim": 2, "weights": [{"v": [1, 0], "mult": 1}], "roots": [], "chamber": []}, **change)

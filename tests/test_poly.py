@@ -16,7 +16,14 @@ from hpbundles import (
     specialize_diagonal,
     uv_power,
 )
-from hpbundles.poly import _binomial_power, _dense_pays, _mul_dense, _mul_sparse
+from hpbundles.poly import (
+    _binomial_power,
+    _dense_pays,
+    _mul_dense,
+    _mul_monomial,
+    _mul_sparse,
+    _mul_terms,
+)
 
 
 def random_poly(rng, max_terms=6, lo=-3, hi=4, laurent=True):
@@ -148,6 +155,69 @@ def test_sparse_times_dense_goes_down_the_dict_path():
     assert (LaurentPoly(sparse) * LaurentPoly(dense))._terms == _mul_sparse(sparse, dense)
     jac = ((ONE + U) ** 6 * (ONE + V) ** 6)._terms
     assert _dense_pays(jac, jac)
+
+
+def window(terms, order):
+    return {e: c for e, c in terms.items() if e[0] + e[1] <= order}
+
+
+TINY_OPERANDS = ({}, {(0, 0): 1}, {(2, 1): Fraction(-5, 3)}, {(-1, 3): -(2**80)}, {(1, 1): 2**200})
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+def test_windowed_products_drop_exactly_the_terms_above_the_order(kind):
+    rng = random.Random("window:" + kind)
+    coeff = COEFFICIENTS[kind]
+    pairs = [
+        tuple(
+            box_terms(rng, rng.randint(1, 11), rng.randint(1, 11), rng.choice((rng.random(), 1.0)), coeff)
+            for _ in range(2)
+        )
+        for _ in range(6)
+    ]
+    dense = box_terms(rng, 5, 5, 1.0, coeff)
+    pairs += [(tiny, dense) for tiny in TINY_OPERANDS] + [(dense, TINY_OPERANDS[2])]
+    for a, b in pairs:
+        full = _mul_sparse(a, b)
+        for order in range(41):
+            expected = window(full, order)
+            assert _mul_sparse(a, b, order) == expected
+            assert _mul_sparse(b, a, order) == expected
+            assert _mul_dense(a, b, order) == expected
+            assert _mul_dense(b, a, order) == expected
+            assert _mul_terms(a, b, order) == expected
+
+
+def test_windowed_dense_product_with_huge_slots_and_cancellation():
+    # slots wider than a machine word, and a window cutting through
+    # rows whose lower slots cancel
+    big = {(p, q): 2**100 + p - q for p in range(6) for q in range(6)}
+    neg = {(p, q): -c for (p, q), c in big.items()}
+    geometric = {(k, k): 1 for k in range(12)}
+    for a, b in ((big, neg), (big, big), (geometric, {(0, 0): 1, (1, 1): -1})):
+        full = _mul_sparse(a, b)
+        for order in range(-2, 30):
+            assert _mul_dense(a, b, order) == window(full, order)
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+def test_one_term_products_are_translations(kind):
+    rng = random.Random("monomial:" + kind)
+    coeff = COEFFICIENTS[kind]
+    for _ in range(30):
+        e = (rng.randint(-4, 4), rng.randint(-4, 4))
+        mono = {e: coeff(rng) or 1}
+        other = box_terms(rng, rng.randint(1, 8), rng.randint(1, 8), rng.random(), coeff)
+        expected = _mul_sparse(mono, other)
+        assert _mul_monomial(mono, other) == expected
+        assert (LaurentPoly(mono) * LaurentPoly(other))._terms == expected
+        assert (LaurentPoly(other) * LaurentPoly(mono))._terms == expected
+        for order in range(-4, 20):
+            assert _mul_monomial(mono, other, order) == window(expected, order)
+    # the constant 1 hands back equal terms, never the operand's own dict
+    terms = (ONE + U)._terms
+    product = _mul_monomial({(0, 0): 1}, terms)
+    assert product == terms and product is not terms
 
 
 def test_scalar_products_keep_integral_coefficients_int():

@@ -1,4 +1,5 @@
-"""LaurentPoly ring operations against sympy.Poly on hypothesis-drawn inputs.
+"""LaurentPoly ring operations and exact_divide against sympy on
+hypothesis-drawn inputs.
 
 sympy.Poly has no negative exponents, so each operand is drawn with
 exponents >= -SHIFT and compared after multiplying by (uv)^SHIFT; a
@@ -15,7 +16,7 @@ sympy = pytest.importorskip("sympy", reason="sympy is a test-only dependency")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hpbundles import LaurentPoly  # noqa: E402
+from hpbundles import DivisionRemainderError, LaurentPoly, exact_divide  # noqa: E402
 
 SHIFT = 4
 u, v = sympy.symbols("u v")
@@ -87,3 +88,56 @@ def test_scalar_product_matches_sympy(a, c):
     assert_canonical(scaled)
     c = Fraction(c)
     assert to_sympy(scaled, SHIFT) == to_sympy(a, SHIFT) * sympy.Rational(c.numerator, c.denominator)
+
+
+
+def divide(num, den):
+    """(quotient, remainder) of exact_divide; one of them is None."""
+    try:
+        return exact_divide(num, den), None
+    except DivisionRemainderError as err:
+        return None, err.remainder
+
+
+def translate(poly, dp, dq):
+    return LaurentPoly({(p + dp, q + dq): c for (p, q), c in poly.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_polys(min_side=1), laurent_polys(min_side=1, max_side=4), st.booleans())
+def test_exact_divide_matches_sympy_div(a, den, exact):
+    if den.is_zero():
+        return
+    num = a * den if exact else a
+    quotient, _ = divide(num, den)
+    # Moved to valuation (0, 0), the divisor has no factor u or v, so it
+    # divides num in the Laurent ring iff it divides the polynomial
+    # (uv)^(2 SHIFT) num, with the quotient moved by the two shifts.
+    p0, q0 = den.min_exponents()
+    sym_quotient, sym_remainder = sympy.div(to_sympy(num, 2 * SHIFT), to_sympy(translate(den, -p0, -q0), 0))
+    assert (quotient is not None) == sym_remainder.is_zero
+    if exact:
+        assert quotient == a
+    if quotient is not None:
+        assert_canonical(quotient)
+        assert to_sympy(translate(quotient, p0, q0), 2 * SHIFT) == sym_quotient
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_polys(min_side=1), laurent_polys(min_side=1, max_side=4))
+def test_exact_divide_remainder_matches_sympy_reduced(num, den):
+    if num.is_zero() or den.is_zero():
+        return
+    # An ordinary dividend and a divisor of valuation (0, 0) need no
+    # shift, so exact_divide is the division algorithm in graded lex
+    # order with u > v, as sympy.reduced runs it.
+    num = translate(num, SHIFT, SHIFT)
+    den = translate(den, *(-e for e in den.min_exponents()))
+    _, remainder = divide(num, den)
+    _, sym_remainder = sympy.reduced(to_sympy(num, 0).as_expr(), [to_sympy(den, 0).as_expr()], u, v, order="grlex")
+    expected = sympy.Poly(sym_remainder, u, v, domain="QQ")
+    if remainder is None:
+        assert expected.is_zero
+    else:
+        assert_canonical(remainder)
+        assert to_sympy(remainder, 0) == expected

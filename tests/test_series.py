@@ -7,13 +7,18 @@ from hpbundles import (
     ONE,
     U,
     V,
+    DivisionRemainderError,
     DomainError,
     FactoredRational,
     LaurentPoly,
     TruncatedSeries,
+    exact_divide,
     series_expand,
     uv_power,
 )
+from hpbundles import series as series_module
+from hpbundles.poly import _dense_pays
+from hpbundles.series import _divide_binomial, _expand_factors
 
 
 def brute_convolution(factors, order):
@@ -161,3 +166,129 @@ def test_rational_product_and_shift():
     assert g.series_expand(6).coefficient(0, 0) == 0
     h = f * f
     assert h.den == {(1, 1): 2}
+
+
+def pairwise_series_product(x, y):
+    """The series product as a pairwise loop over both operands, skipping
+    the pairs beyond the smaller order: an oracle for the shared kernels."""
+    order = min(x.order, y.order)
+    res = {}
+    for (p1, q1), c1 in x.items():
+        if p1 + q1 > order:
+            continue
+        for (p2, q2), c2 in y.items():
+            p, q = p1 + p2, q1 + q2
+            if p + q > order:
+                continue
+            res[(p, q)] = res.get((p, q), 0) + c1 * c2
+    return {e: c for e, c in res.items() if c}
+
+
+SERIES_COEFFICIENTS = (
+    lambda rng: rng.randint(-5, 5),
+    lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 8)),
+    lambda rng: rng.choice((-1, 1)) * rng.randrange(2**64, 2**200),
+)
+
+
+def random_series(rng, order, fill):
+    coeff = rng.choice(SERIES_COEFFICIENTS)
+    terms = {
+        (p, k - p): coeff(rng)
+        for k in range(order + 1)
+        for p in range(k + 1)
+        if rng.random() < fill
+    }
+    return TruncatedSeries(terms, order)
+
+
+def test_series_product_matches_pairwise_loop():
+    rng = random.Random(11)
+    dense_taken = sparse_taken = 0
+    for _ in range(120):
+        x = random_series(rng, rng.randint(0, 24), rng.choice((0.05, 0.3, 1.0)))
+        y = random_series(rng, rng.randint(0, 24), rng.choice((0.05, 0.3, 1.0)))
+        product = x * y
+        expected = pairwise_series_product(x, y)
+        assert product.order == min(x.order, y.order)
+        assert dict(product.items()) == expected
+        assert all(type(c) is int or c.denominator != 1 for _, c in product.items())
+        assert (y * x) == product
+        short, long_ = sorted((dict(x.items()), dict(y.items())), key=len)
+        if _dense_pays(short, long_):
+            dense_taken += 1
+        elif len(short) > 1:
+            sparse_taken += 1
+    assert dense_taken >= 10 and sparse_taken >= 10  # both kernels ran
+
+
+def test_series_product_of_expansions_matches_pairwise_loop():
+    rng = random.Random(12)
+    for _ in range(20):
+        den = {(rng.randint(1, 2), rng.randint(1, 2)): rng.randint(1, 3) for _ in range(2)}
+        num = LaurentPoly({(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-4, 4) for _ in range(4)})
+        x = FactoredRational(num, den).series_expand(rng.randint(8, 30))
+        y = FactoredRational(ONE + U + V, den, Fraction(1, 3)).series_expand(rng.randint(8, 30))
+        assert dict((x * y).items()) == pairwise_series_product(x, y)
+        assert dict((x * x).items()) == pairwise_series_product(x, x)
+
+
+def random_binomials(rng):
+    return {(rng.randint(1, 3), rng.randint(1, 3)): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
+
+
+def random_laurent(rng, terms):
+    coeff = rng.choice(SERIES_COEFFICIENTS)
+    return LaurentPoly(
+        {(rng.randint(-3, 4), rng.randint(-3, 4)): coeff(rng) for _ in range(rng.randint(1, terms))}
+    )
+
+
+def test_running_sum_division_matches_exact_divide(monkeypatch):
+    rng = random.Random(13)
+    cases = []
+    for _ in range(60):
+        den = random_binomials(rng)
+        num = random_laurent(rng, 8) * _expand_factors(den)
+        scalar = rng.choice((1, -2, Fraction(3, 7), Fraction(-5, 2)))
+        cases.append((FactoredRational(num, den, scalar), exact_divide(num * scalar, _expand_factors(den))))
+    # exact inputs never reach the long division
+    monkeypatch.setattr(series_module, "exact_divide", None)
+    for f, expected in cases:
+        quotient = f.as_polynomial()
+        assert quotient == expected
+        assert all(type(c) is int or c.denominator != 1 for _, c in quotient.items())
+
+
+def test_running_sum_division_by_one_binomial():
+    rng = random.Random(14)
+    for _ in range(200):
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        quotient = random_laurent(rng, 10)
+        binomial = ONE - LaurentPoly.monomial(1, a, b)
+        assert _divide_binomial((quotient * binomial)._terms, a, b) == quotient._terms
+        inexact = quotient * binomial + LaurentPoly.monomial(1, rng.randint(-3, 6), rng.randint(-3, 6))
+        if _divide_binomial(inexact._terms, a, b) is not None:
+            assert LaurentPoly(_divide_binomial(inexact._terms, a, b)) * binomial == inexact
+    assert _divide_binomial({}, 2, 1) == {}
+    assert _divide_binomial({(0, 0): 1}, 1, 1) is None
+
+
+def test_inexact_division_raises_the_long_division_remainder():
+    rng = random.Random(15)
+    raised = 0
+    for _ in range(60):
+        den = random_binomials(rng)
+        num = random_laurent(rng, 6) * _expand_factors(den) + random_laurent(rng, 2)
+        f = FactoredRational(num, den, rng.choice((1, Fraction(2, 3))))
+        try:
+            expected = exact_divide(f.scaled_num(), _expand_factors(den))
+        except DivisionRemainderError as err:
+            with pytest.raises(DivisionRemainderError) as caught:
+                f.as_polynomial()
+            assert caught.value.remainder == err.remainder
+            assert str(caught.value) == str(err)
+            raised += 1
+        else:
+            assert f.as_polynomial() == expected
+    assert raised >= 40
