@@ -8,6 +8,7 @@ from.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError, InternalCheckError
@@ -22,7 +23,8 @@ def hp_jacobian(g):
     Jacobian (or any complex torus of dimension g)."""
     if g < 0:
         raise DomainError("genus must be non-negative")
-    return (ONE + U) ** g * (ONE + V) ** g
+    row = [math.comb(g, i) for i in range(g + 1)]
+    return LaurentPoly._raw({(i, j): ci * cj for i, ci in enumerate(row) for j, cj in enumerate(row)})
 
 
 def twisted_numerator(g):

@@ -254,6 +254,12 @@ def index_set(ws):
     at most dim independent vertices.  dim+1 independent points span the
     whole space and project 0 onto 0, which is never an index.
 
+    Every candidate in the chamber qualifies, so none is searched again
+    with ``min_norm_point``: it lies in the hull of the subset it was
+    projected from, that subset lies in its support, and every point p
+    of the support has p.beta = |beta|^2, the inequality that
+    characterizes the minimizer.
+
     The weights are scaled to integers once (``WeightSystem`` keeps them)
     and projected by ``_project``; candidates are told apart by the
     reduced integer pair (X, den), and only distinct candidates become
@@ -286,8 +292,6 @@ def index_set(ws):
         xx = dot(x, x)
         support = tuple(v for v, p in zip(vectors, scaled) if dot(p, x) * den == xx)
         if not support:
-            continue
-        if min_norm_point(support) != beta:
             continue
         out.append(BetaIndex(beta=beta, support=support))
     out.sort(key=lambda b: (norm_sq(b.beta), b.beta))

@@ -9,15 +9,17 @@ A product of two truncated series is a ``LaurentPoly`` product kernel
 (``poly._mul_terms``) with the total-degree window of the smaller order,
 so series and polynomials share one dict loop, one dense path and one
 dispatch rule.  ``FactoredRational.as_polynomial`` divides by one factor
-(1 - u^a v^b) at a time with running sums along lines of direction
-(a, b); only a division that leaves a remainder falls back to the long
-division ``exact_divide``, which reports the remainder.
+(1 - u^a v^b)^k at a time: the terms are grouped once into lines of
+direction (a, b), and each line takes k running sums.  Only a division
+that leaves a remainder falls back to the long division
+``exact_divide``, which reports the remainder.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError
 from .poly import ONE, LaurentPoly, _mul_terms, _scale_terms, as_coeff, exact_divide
@@ -110,7 +112,17 @@ class TruncatedSeries:
         return TruncatedSeries._raw({e: -c for e, c in self._terms.items()}, self.order)
 
     def __sub__(self, other):
-        return self + (-other)
+        order = min(self.order, other.order)
+        res = {e: c for e, c in self._terms.items() if e[0] + e[1] <= order}
+        for e, c in other._terms.items():
+            if e[0] + e[1] > order:
+                continue
+            s = res.get(e, 0) - c
+            if s:
+                res[e] = as_coeff(s)
+            else:
+                res.pop(e, None)
+        return TruncatedSeries._raw(res, order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -167,7 +179,7 @@ class FactoredRational:
     # -- basic structure -----------------------------------------------
 
     def scaled_num(self):
-        return self.num * self.scalar
+        return self.num if self.scalar == 1 else self.num * self.scalar
 
     def is_zero(self):
         return self.num.is_zero() or self.scalar == 0
@@ -267,17 +279,16 @@ class FactoredRational:
     def as_polynomial(self):
         """Certify the value is an honest polynomial, via exact division.
 
-        Divides by one factor (1 - u^a v^b) at a time, by running sums
+        Divides by one factor (1 - u^a v^b)^k at a time, by running sums
         (``_divide_binomial``).  If a division leaves a remainder, the
         long division ``exact_divide`` by the whole denominator raises
         DivisionRemainderError with the remainder.
         """
         terms = self.scaled_num()._terms
         for (a, b), k in sorted(self.den.items()):
-            for _ in range(k):
-                terms = _divide_binomial(terms, a, b)
-                if terms is None:
-                    return exact_divide(self.scaled_num(), _expand_factors(self.den))
+            terms = _divide_binomial(terms, a, b, k)
+            if terms is None:
+                return exact_divide(self.scaled_num(), _expand_factors(self.den))
         return LaurentPoly._raw(terms)
 
 
@@ -305,32 +316,34 @@ def _expand_factors(factors):
     return prod
 
 
-def _divide_binomial(terms, a, b):
-    """The term dict q with q * (1 - u^a v^b) = terms, or None if there
+def _divide_binomial(terms, a, b, k=1):
+    """The term dict q with q * (1 - u^a v^b)^k = terms, or None if there
     is none.
 
-    Coefficientwise, q(e) = terms(e) + q(e - (a, b)): along each line of
-    direction (a, b), q is the running sum of the terms, including at
-    the points of the line where terms has none.  The division is exact
-    iff every line sums to zero.
+    Coefficientwise, one division is q(e) = terms(e) + q(e - (a, b)):
+    along each line of direction (a, b), q is the running sum of the
+    terms, including at the points of the line where terms has none.  The
+    terms are grouped into lines once, and each line, as the list of its
+    coefficients from its first term to its last, takes k running sums.
+    The division is exact iff the line total before each running sum is
+    zero, so each sum drops its last entry.
     """
     lines = {}
     for (p, q), c in sorted(terms.items()):
         lines.setdefault((p * b - q * a, p % a), []).append((p, q, c))
     res = {}
     for line in lines.values():
-        p, q, total = line[0]
-        for p_next, _, c in line[1:]:
-            while p < p_next:
-                if total:
-                    res[(p, q)] = total
-                p += a
-                q += b
-            total += c
-            if type(total) is not int:
-                total = as_coeff(total)
-        if total:
-            return None
+        p0, q0, _ = line[0]
+        coeffs = [0] * ((line[-1][0] - p0) // a + 1)
+        for p, _, c in line:
+            coeffs[(p - p0) // a] = c
+        for _ in range(k):
+            coeffs = list(accumulate(coeffs))
+            if coeffs.pop():
+                return None
+        for j, c in enumerate(coeffs):
+            if c:
+                res[(p0 + j * a, q0 + j * b)] = c if type(c) is int else as_coeff(c)
     return res
 
 
@@ -344,5 +357,4 @@ def _geometric_series(a, b, k, order):
     return TruncatedSeries._raw(terms, order)
 
 
-def series_expand(f, order):
-    return f.series_expand(order)
+series_expand = FactoredRational.series_expand

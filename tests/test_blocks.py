@@ -45,6 +45,11 @@ def test_jacobian_total_rank():
     assert hp_jacobian(2) == naive_product((ONE + U), (ONE + U), (ONE + V), (ONE + V))
 
 
+def test_jacobian_outer_product_matches_binomial_powers():
+    for g in range(17):
+        assert hp_jacobian(g) == (ONE + U) ** g * (ONE + V) ** g
+
+
 def test_rank2_numerators():
     for g in range(0, 7):
         assert sign_numerator(g) == hp_jacobian(g).negate_square_substitute()

@@ -295,6 +295,8 @@ def test_index_set_matches_fraction_reference():
         )
         got = index_set(ws)
         assert got == reference_index_set(ws)
+        # the qualification rule, which index_set does not search again
+        assert all(oracle_min_norm(bi.support) == bi.beta for bi in got)
         assert [stratum_codim(ws, bi) for bi in got] == [reference_codim(ws, bi) for bi in got]
         indices_seen += len(got)
     assert indices_seen > 100

@@ -200,6 +200,42 @@ def test_windowed_dense_product_with_huge_slots_and_cancellation():
             assert _mul_dense(a, b, order) == window(full, order)
 
 
+def pairwise_product(a, b, order=None):
+    """The product as one dict update per pair of terms, with no seed and
+    no window prefix: independent of the library's kernels."""
+    res = {}
+    for (p1, q1), c1 in a.items():
+        for (p2, q2), c2 in b.items():
+            if order is None or p1 + q1 + p2 + q2 <= order:
+                e = (p1 + p2, q1 + q2)
+                res[e] = res.get(e, 0) + Fraction(c1) * c2
+    return {e: c.numerator if c.denominator == 1 else c for e, c in res.items() if c}
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+def test_seeded_dict_loop_matches_pairwise_products(kind):
+    rng = random.Random("seeded:" + kind)
+    coeff = COEFFICIENTS[kind]
+    small = [box_terms(rng, rng.randint(1, 2), rng.randint(1, 2), 1.0, coeff) for _ in range(8)]
+    # two-term factors whose products cancel slots: (1 - uv)(1 + uv + ... + (uv)^5)
+    # = 1 - (uv)^6, and (1/2 + uv/2)(2 - 2uv) = 1 - (uv)^2 with Fractions summing to ints
+    small += [{(0, 0): 1, (1, 1): -1}, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}]
+    cancelling = [
+        ({(0, 0): 1, (1, 1): -1}, {(k, k): 1 for k in range(6)}),
+        ({(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}, {(0, 0): 2, (1, 1): -2}),
+    ]
+    larger = [box_terms(rng, rng.randint(1, 6), rng.randint(1, 6), rng.random(), coeff) for _ in range(6)]
+    pairs = [(a, b) for a in list(TINY_OPERANDS) + small for b in larger + small[:3]] + cancelling
+    for a, b in pairs:
+        for order in (None,) + tuple(range(-3, 16)):
+            expected = pairwise_product(a, b, order)
+            for got in (_mul_sparse(a, b, order), _mul_sparse(b, a, order)):
+                assert got == expected
+                assert all(type(c) is int or c.denominator != 1 for c in got.values())
+    assert _mul_sparse(*cancelling[0]) == {(0, 0): 1, (6, 6): -1}
+    assert _mul_sparse(*cancelling[1]) == {(0, 0): 1, (2, 2): -1}
+
+
 @pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
 def test_one_term_products_are_translations(kind):
     rng = random.Random("monomial:" + kind)
@@ -208,7 +244,7 @@ def test_one_term_products_are_translations(kind):
         e = (rng.randint(-4, 4), rng.randint(-4, 4))
         mono = {e: coeff(rng) or 1}
         other = box_terms(rng, rng.randint(1, 8), rng.randint(1, 8), rng.random(), coeff)
-        expected = _mul_sparse(mono, other)
+        expected = pairwise_product(mono, other)
         assert _mul_monomial(mono, other) == expected
         assert (LaurentPoly(mono) * LaurentPoly(other))._terms == expected
         assert (LaurentPoly(other) * LaurentPoly(mono))._terms == expected
@@ -218,6 +254,30 @@ def test_one_term_products_are_translations(kind):
     terms = (ONE + U)._terms
     product = _mul_monomial({(0, 0): 1}, terms)
     assert product == terms and product is not terms
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+def test_difference_matches_sum_with_negation(kind):
+    rng = random.Random("difference:" + kind)
+    coeff = COEFFICIENTS[kind]
+    for _ in range(40):
+        a, b = (
+            LaurentPoly(box_terms(rng, rng.randint(0, 5), rng.randint(1, 5), rng.random(), coeff))
+            for _ in range(2)
+        )
+        if rng.random() < 0.3:
+            b = b + a  # shared terms, some of which cancel
+        for x, y in ((a, b), (b, a), (a, a)):
+            diff = x - y
+            assert diff._terms == (x + (-y))._terms
+            assert all(type(c) is int or c.denominator != 1 for _, c in diff.items())
+        c = coeff(rng)
+        assert (a - c)._terms == (a + (-LaurentPoly.const(c)))._terms
+        assert (c - a)._terms == ((-a) + LaurentPoly.const(c))._terms
+    half = LaurentPoly({(0, 0): Fraction(1, 2), (1, 0): 1})
+    whole = half - LaurentPoly({(0, 0): Fraction(-1, 2)})
+    assert whole._terms == {(0, 0): 1, (1, 0): 1}
+    assert type(whole.coefficient(0, 0)) is int
 
 
 def test_scalar_products_keep_integral_coefficients_int():

@@ -73,6 +73,15 @@ def test_product_and_sum_match_sympy(a, b):
     assert to_sympy(total, SHIFT) == to_sympy(a, SHIFT) + to_sympy(b, SHIFT)
 
 
+@settings(max_examples=100, deadline=None)
+@given(operands, operands)
+def test_difference_matches_sympy(a, b):
+    for x, y in ((a, b), (a, a + b)):
+        difference = x - y
+        assert_canonical(difference)
+        assert to_sympy(difference, SHIFT) == to_sympy(x, SHIFT) - to_sympy(y, SHIFT)
+
+
 @settings(max_examples=60, deadline=None)
 @given(laurent_polys(max_side=2), st.integers(0, 9))
 def test_power_matches_sympy(a, n):

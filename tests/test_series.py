@@ -274,6 +274,49 @@ def test_running_sum_division_by_one_binomial():
     assert _divide_binomial({(0, 0): 1}, 1, 1) is None
 
 
+def test_k_fold_division_matches_single_divisions_and_exact_divide():
+    rng = random.Random(16)
+    inexact_at = set()
+    for _ in range(160):
+        a, b, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+        binomial = ONE - LaurentPoly.monomial(1, a, b)
+        product = random_laurent(rng, 8) * binomial**k
+        for terms in (product._terms, (product + random_laurent(rng, 2))._terms):
+            single = terms
+            for _ in range(k):
+                single = _divide_binomial(single, a, b)
+                if single is None:
+                    break
+            try:
+                expected = exact_divide(LaurentPoly(terms), binomial**k)._terms
+            except DivisionRemainderError:
+                expected = None
+                inexact_at.add(k)
+            got = _divide_binomial(terms, a, b, k)
+            assert got == single == expected
+            if got is not None:
+                assert all(type(c) is int or c.denominator != 1 for c in got.values())
+    assert inexact_at == {1, 2, 3, 4}
+    assert _divide_binomial({}, 1, 2, 3) == {}
+    # exact once but not twice: (1 - uv) / (1 - uv)^2
+    assert _divide_binomial({(0, 0): 1, (1, 1): -1}, 1, 1, 1) == {(0, 0): 1}
+    assert _divide_binomial({(0, 0): 1, (1, 1): -1}, 1, 1, 2) is None
+
+
+def test_difference_of_series_matches_sum_with_negation():
+    rng = random.Random(17)
+    for _ in range(60):
+        x = random_series(rng, rng.randint(0, 12), rng.random())
+        y = random_series(rng, rng.randint(0, 12), rng.random())
+        if rng.random() < 0.3:
+            y = y + x  # shared terms, some of which cancel
+        for s, t in ((x, y), (y, x), (x, x)):
+            diff = s - t
+            assert diff == s + (-t)
+            assert diff.order == min(s.order, t.order)
+            assert all(type(c) is int or c.denominator != 1 for _, c in diff.items())
+
+
 def test_inexact_division_raises_the_long_division_remainder():
     rng = random.Random(15)
     raised = 0
