@@ -4,11 +4,17 @@ Jacobians of a genus-g curve, classifying spaces of GL(N) and SL(N), and
 the two-element-group eigenspace decomposition of a Jacobian square minus
 its diagonal.  These are the pieces the rank-2 stratification is glued
 from.
+
+A rank-2 call forms its dense numerators once, in one ``_Rank2Numerators``
+record built by ``_rank2_numerators(g)``, and hands that record to every
+closed form and stratum it evaluates.  The record lives only as long as
+the call.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalCheckError
@@ -83,6 +89,34 @@ def hp_plusminus_jac_pair(g):
     return plus, minus
 
 
+@dataclass(frozen=True)
+class _Rank2Numerators:
+    """The genus-g numerators of the rank-2 closed forms and strata:
+    jac = hp_jacobian(g), square = hp_jacobian(2g),
+    jac_twisted = jac * twisted_numerator(g), signs = sign_numerator(g)
+    and pair = hp_plusminus_jac_pair(g)."""
+
+    g: int
+    jac: LaurentPoly
+    square: LaurentPoly
+    jac_twisted: LaurentPoly
+    signs: LaurentPoly
+    pair: tuple
+
+
+def _rank2_numerators(g):
+    """Form each numerator of the record once."""
+    jac = hp_jacobian(g)
+    return _Rank2Numerators(
+        g=g,
+        jac=jac,
+        square=hp_jacobian(2 * g),
+        jac_twisted=jac * twisted_numerator(g),
+        signs=sign_numerator(g),
+        pair=hp_plusminus_jac_pair(g),
+    )
+
+
 def hp_nt_zts(g):
     """Equivariant HP of the split-pair locus: pairs of non-isomorphic
     degree-d/2 line bundles with their rank-2 torus of automorphisms.
@@ -95,14 +129,19 @@ def hp_nt_zts(g):
     """
     if g < 1:
         raise DomainError("genus must be at least 1")
+    return _nt_zts(_rank2_numerators(g))
+
+
+def _nt_zts(num):
+    """``hp_nt_zts`` from a ``_Rank2Numerators`` record."""
     bt_plus, bt_minus = hp_plusminus_bt()
-    jac_plus, jac_minus = hp_plusminus_jac_pair(g)
+    jac_plus, jac_minus = num.pair
     composed = bt_plus * jac_plus + bt_minus * jac_minus
 
     closed_num = (
-        hp_jacobian(2 * g) * (ONE + U * V)
-        + sign_numerator(g) * (ONE - U * V)
-        - 2 * uv_power(g) * hp_jacobian(g)
+        num.square * (ONE + U * V)
+        + num.signs * (ONE - U * V)
+        - 2 * uv_power(num.g) * num.jac
     )
     closed = FactoredRational(closed_num, {(1, 1): 1, (2, 2): 1}, HALF)
 

@@ -12,6 +12,15 @@ multiplying by (1-uv) leaves the Hodge-Poincare polynomial of the stable
 moduli space.  Every codimension is double-checked against an
 independent formula, and the assembled result is certified against a
 single closed form before being returned.
+
+There is one numerator record per call: each public entry point checks
+the genus, builds one ``blocks._Rank2Numerators`` record and hands it to
+a private body, so a Hodge-Deligne call forms the dense product
+hp_jacobian(g) * twisted_numerator(g) once for the semistable series and
+both closed forms, and the Jacobian pair once for the strata t and beta2.
+
+The genus is capped at MAX_GENUS, a bound sized from the output: past it
+a call raises DomainError instead of running for minutes.
 """
 
 from __future__ import annotations
@@ -19,20 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import convex
-from .blocks import (
-    HALF,
-    hp_bgl,
-    hp_jacobian,
-    hp_nt_zts,
-    hp_plusminus_jac_pair,
-    sign_numerator,
-    twisted_numerator,
-)
+from .blocks import HALF, _nt_zts, _rank2_numerators, hp_bgl, hp_jacobian
 from .errors import DivisionRemainderError, DomainError, InternalCheckError
 from .hntypes import ReductiveClass, codim_deeper_stratum
 from .poly import ONE, U, V, dual_substitute, uv_power
-from .semistable import hp_ss_rank2_closed_form
+from .semistable import _ss_rank2_closed_form
 from .series import FactoredRational
+
+# The polynomial has degree at most the moduli dimension 4g - 3 in each
+# variable, so at most (4g - 2)^2 terms: 64,516 at the cap.  The time
+# grows faster than the output, as about g^3 to g^4; a call at the cap
+# takes a few seconds (about 4 s on a 2-core Xeon with Python 3.11).
+MAX_GENUS = 64
 
 
 @dataclass(frozen=True)
@@ -106,9 +113,13 @@ def stratum_beta1(g):
 def stratum_t(g):
     """Split pairs of distinct line bundles, codim 2g-2."""
     _check_genus(g)
-    codim = codim_deeper_stratum(ReductiveClass(((1, 1), (1, 1))), 2, g)
-    _expect_codim("t", codim, 2 * g - 2)
-    return StratumRecord("t", codim, hp_nt_zts(g))
+    return _stratum_t(_rank2_numerators(g))
+
+
+def _stratum_t(num):
+    codim = codim_deeper_stratum(ReductiveClass(((1, 1), (1, 1))), 2, num.g)
+    _expect_codim("t", codim, 2 * num.g - 2)
+    return StratumRecord("t", codim, _nt_zts(num))
 
 
 def stratum_beta2(g):
@@ -118,10 +129,15 @@ def stratum_beta2(g):
         / (1-uv)^2.
     """
     _check_genus(g)
+    return _stratum_beta2(_rank2_numerators(g))
+
+
+def _stratum_beta2(num):
+    g = num.g
     codim = _unique_beta_codim(weight_system_torus(g))
     _expect_codim("beta2", codim, g - 1)
-    bracket = hp_jacobian(2 * g) - uv_power(g) * hp_jacobian(g)
-    plus, minus = hp_plusminus_jac_pair(g)
+    bracket = num.square - uv_power(g) * num.jac
+    plus, minus = num.pair
     if bracket != plus + minus:
         raise InternalCheckError("beta2 bracket is not the eigenspace total")
     contribution = FactoredRational((ONE - uv_power(g - 1)) * bracket, {(1, 1): 2})
@@ -129,7 +145,12 @@ def stratum_beta2(g):
 
 
 def rank2_strata(g):
-    return [stratum_gl2(g), stratum_beta1(g), stratum_t(g), stratum_beta2(g)]
+    _check_genus(g)
+    return _strata(_rank2_numerators(g))
+
+
+def _strata(num):
+    return [stratum_gl2(num.g), stratum_beta1(num.g), _stratum_t(num), _stratum_beta2(num)]
 
 
 def assemble_stable_hp(ss, strata):
@@ -151,16 +172,17 @@ def stable_rank2_closed_form(g):
           - (uv)^(2g-2)(1-u^2)^g(1-v^2)^g(1-uv)^2 ] / (2(1-uv)(1-u^2v^2)).
     """
     _check_genus(g)
-    jac = hp_jacobian(g)
-    twisted = twisted_numerator(g)
-    square = hp_jacobian(2 * g)
-    signs = sign_numerator(g)
-    num = (
-        2 * jac * twisted
-        - uv_power(g - 1) * square * (2 * ONE - uv_power(g - 1) + uv_power(g + 1))
-        - uv_power(2 * g - 2) * signs * (ONE - U * V) ** 2
+    return _stable_closed_form(_rank2_numerators(g))
+
+
+def _stable_closed_form(num):
+    g = num.g
+    numerator = (
+        2 * num.jac_twisted
+        - uv_power(g - 1) * num.square * (2 * ONE - uv_power(g - 1) + uv_power(g + 1))
+        - uv_power(2 * g - 2) * num.signs * (ONE - U * V) ** 2
     )
-    return FactoredRational(num, {(1, 1): 1, (2, 2): 1}, HALF)
+    return FactoredRational(numerator, {(1, 1): 1, (2, 2): 1}, HALF)
 
 
 def deligne_rank2_closed_form(g):
@@ -171,16 +193,16 @@ def deligne_rank2_closed_form(g):
           - (1-u^2)^g(1-v^2)^g(1-uv)^2 ] / (2(1-uv)(1-u^2v^2)).
     """
     _check_genus(g)
-    jac = hp_jacobian(g)
-    twisted = twisted_numerator(g)
-    square = hp_jacobian(2 * g)
-    signs = sign_numerator(g)
-    num = (
-        2 * jac * twisted
-        - square * (ONE + 2 * uv_power(g + 1) - uv_power(2))
-        - signs * (ONE - U * V) ** 2
+    return _deligne_closed_form(_rank2_numerators(g))
+
+
+def _deligne_closed_form(num):
+    numerator = (
+        2 * num.jac_twisted
+        - num.square * (ONE + 2 * uv_power(num.g + 1) - uv_power(2))
+        - num.signs * (ONE - U * V) ** 2
     )
-    return FactoredRational(num, {(1, 1): 1, (2, 2): 1}, HALF)
+    return FactoredRational(numerator, {(1, 1): 1, (2, 2): 1}, HALF)
 
 
 def moduli_dimension_rank2(g):
@@ -197,9 +219,13 @@ def hp_moduli_stable_rank2(g):
     closed form by cross-multiplication.
     """
     _check_genus(g)
-    assembled = assemble_stable_hp(hp_ss_rank2_closed_form(g), rank2_strata(g))
+    return _hp_moduli(_rank2_numerators(g))
+
+
+def _hp_moduli(num):
+    assembled = assemble_stable_hp(_ss_rank2_closed_form(num), _strata(num))
     quotient = assembled * (ONE - U * V)
-    closed = stable_rank2_closed_form(g)
+    closed = _stable_closed_form(num)
     if not quotient.equals(closed):
         raise InternalCheckError(
             "stable rank-2 pipeline disagrees with its closed form; residual %s"
@@ -220,9 +246,9 @@ def hodge_deligne_stable_rank2(g):
     """Hodge-Deligne polynomial of the same space, by duality at the
     moduli dimension; certified against its own closed form."""
     _check_genus(g)
-    hp = hp_moduli_stable_rank2(g)
-    dual = dual_substitute(hp, moduli_dimension_rank2(g))
-    closed = deligne_rank2_closed_form(g)
+    num = _rank2_numerators(g)
+    dual = dual_substitute(_hp_moduli(num), moduli_dimension_rank2(g))
+    closed = _deligne_closed_form(num)
     if not FactoredRational(dual).equals(closed):
         raise InternalCheckError(
             "dual polynomial disagrees with the compact-support closed form; residual %s"
@@ -234,3 +260,5 @@ def hodge_deligne_stable_rank2(g):
 def _check_genus(g):
     if g < 2:
         raise DomainError("genus out of supported range")
+    if g > MAX_GENUS:
+        raise DomainError("genus %d is above the rank-2 cap of %d" % (g, MAX_GENUS))

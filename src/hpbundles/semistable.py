@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 
-from .blocks import hp_jacobian, twisted_numerator
+from .blocks import _rank2_numerators
 from .errors import DomainError, InternalCheckError
 from .hntypes import codim_hn, enumerate_hn_types
-from .poly import ONE, U, V, LaurentPoly, uv_power
-from .series import FactoredRational
+from .poly import ONE, U, V, LaurentPoly, as_coeff, uv_power
+from .series import FactoredRational, TruncatedSeries
 
 
 def leading_closed_term(n, g):
@@ -72,13 +72,25 @@ class SemistableSeries:
             result = top.truncate(order)
         else:
             self.misses += 1
-            result = leading_closed_term(n, g).series_expand(order)
+            # a fresh series, so this call owns its terms and subtracts
+            # every shifted product into them; the memoized products and
+            # factor series are only read
+            terms = leading_closed_term(n, g).series_expand(order)._terms
             for t in enumerate_hn_types(n, d, g, order):
                 c = codim_hn(t, g)
                 if 2 * c > order:
                     continue
                 self.types_used += 1
-                result = result - self._product(t.quotients, g, order - 2 * c).shift(c)
+                # the product has order order - 2c, so its shift by
+                # (uv)^c stays inside the window
+                for (p, q), k in self._product(t.quotients, g, order - 2 * c).items():
+                    e = (p + c, q + c)
+                    s = terms.get(e, 0) - k
+                    if s:
+                        terms[e] = s if type(s) is int else as_coeff(s)
+                    else:
+                        terms.pop(e, None)
+            result = TruncatedSeries._raw(terms, order)
             self._top[key[:3]] = result
         self._cache[key] = result
         return result
@@ -115,8 +127,13 @@ def hp_ss_rank2_closed_form(g):
     """
     if g < 2:
         raise DomainError("genus out of supported range")
-    num = hp_jacobian(g) * twisted_numerator(g) - uv_power(g + 1) * hp_jacobian(2 * g)
-    return FactoredRational(num, {(1, 1): 2, (2, 2): 1})
+    return _ss_rank2_closed_form(_rank2_numerators(g))
+
+
+def _ss_rank2_closed_form(num):
+    """``hp_ss_rank2_closed_form`` from a ``blocks._Rank2Numerators`` record."""
+    numerator = num.jac_twisted - uv_power(num.g + 1) * num.square
+    return FactoredRational(numerator, {(1, 1): 2, (2, 2): 1})
 
 
 def stable_coprime_polynomial(n, d, g, evaluator=None):

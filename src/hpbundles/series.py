@@ -224,8 +224,8 @@ class FactoredRational:
         den = {}
         for f in set(self.den) | set(other.den):
             den[f] = max(self.den.get(f, 0), other.den.get(f, 0))
-        lhs = self.scaled_num() * _factor_product(den, self.den)
-        rhs = other.scaled_num() * _factor_product(den, other.den)
+        lhs = _times_factors(self.scaled_num(), _missing_factors(den, self.den))
+        rhs = _times_factors(other.scaled_num(), _missing_factors(den, other.den))
         return FactoredRational(lhs + rhs, den)
 
     def __sub__(self, other):
@@ -255,7 +255,7 @@ class FactoredRational:
                 only_self[f] = k1 - common
             if k2 > common:
                 only_other[f] = k2 - common
-        return self.scaled_num() * _expand_factors(only_other) - other.scaled_num() * _expand_factors(only_self)
+        return _times_factors(self.scaled_num(), only_other) - _times_factors(other.scaled_num(), only_self)
 
     # -- expansion ---------------------------------------------------------
 
@@ -299,14 +299,20 @@ def _uv_monomial_text(a, b):
     return "*".join(parts)
 
 
-def _factor_product(target, have):
-    """prod (1-u^a v^b)^(target[f]-have[f]) as a LaurentPoly."""
+def _missing_factors(target, have):
+    """The factor multiset {f: target[f] - have[f]} of the nonzero gaps."""
     missing = {}
     for f, k in target.items():
         gap = k - have.get(f, 0)
         if gap:
             missing[f] = gap
-    return _expand_factors(missing)
+    return missing
+
+
+def _times_factors(poly, factors):
+    """poly * prod (1-u^a v^b)^k over the factors; poly itself when there
+    are none, so that no product by ONE copies it."""
+    return poly * _expand_factors(factors) if factors else poly
 
 
 def _expand_factors(factors):

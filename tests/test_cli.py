@@ -48,6 +48,15 @@ def test_bad_genus_exits_one(capsys):
     assert "genus" in err
 
 
+@pytest.mark.parametrize("deligne", [[], ["--deligne"]])
+def test_stable2_genus_above_cap_exits_one(capsys, deligne):
+    genus = str(hpbundles.rank2.MAX_GENUS + 1)
+    code, out, err = run_cli(capsys, "compute", "stable2", "--genus", genus, *deligne)
+    assert code == 1
+    assert out == ""
+    assert "cap" in err
+
+
 def test_unknown_flag_exits_64(capsys):
     code, _, _ = run_cli(capsys, "compute", "stable2", "--genus", "2", "--frob")
     assert code == 64

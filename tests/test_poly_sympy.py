@@ -150,3 +150,11 @@ def test_exact_divide_remainder_matches_sympy_reduced(num, den):
     else:
         assert_canonical(remainder)
         assert to_sympy(remainder, 0) == expected
+
+
+def test_rank2_jac_twisted_matches_sympy():
+    from hpbundles.blocks import _rank2_numerators
+
+    for g in range(7):
+        expected = sympy.Poly(((1 + u) * (1 + v) * (1 + u**2 * v) * (1 + u * v**2)) ** g, u, v, domain="QQ")
+        assert to_sympy(_rank2_numerators(g).jac_twisted, 0) == expected

@@ -24,8 +24,8 @@ from hpbundles import (
     stable_rank2_closed_form,
     uv_power,
 )
+from hpbundles import blocks, rank2, semistable, serialize
 from hpbundles.rank2 import stratum_beta1, stratum_beta2, stratum_gl2, stratum_t
-from hpbundles import serialize
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -155,6 +155,52 @@ def test_deligne_golden_genus2():
     assert serialize.poly_from_obj(stored["poly"]) == hodge_deligne_stable_rank2(2)
 
 
+@pytest.mark.parametrize("g", [3, 4])
+def test_goldens_genus3_and_4(g):
+    for name, func in (("hp", hp_moduli_stable_rank2), ("hd", hodge_deligne_stable_rank2)):
+        with open(os.path.join(GOLDEN_DIR, "stable2_g%d_%s.json" % (g, name)), encoding="utf-8") as handle:
+            stored = json.load(handle)
+        assert serialize.poly_from_obj(stored["poly"]) == func(g)
+        assert stored["dim"] == moduli_dimension_rank2(g)
+
+
+def _same_rational(a, b):
+    return a.num == b.num and a.den == b.den and a.scalar == b.scalar
+
+
+def test_record_bodies_match_public_entry_points():
+    for g in range(2, 11):
+        num = blocks._rank2_numerators(g)
+        assert _same_rational(semistable._ss_rank2_closed_form(num), hp_ss_rank2_closed_form(g))
+        assert _same_rational(rank2._stable_closed_form(num), stable_rank2_closed_form(g))
+        assert _same_rational(rank2._deligne_closed_form(num), deligne_rank2_closed_form(g))
+        publics = (stratum_gl2(g), stratum_beta1(g), stratum_t(g), stratum_beta2(g))
+        for record, public in zip(rank2._strata(num), publics, strict=True):
+            assert (record.label, record.codim) == (public.label, public.codim)
+            assert _same_rational(record.contribution, public.contribution)
+
+
+def test_deligne_call_builds_one_record_and_one_twisted_product(monkeypatch):
+    calls = {"record": 0, "twisted": 0}
+
+    def counting(key, func):
+        def wrapper(g):
+            calls[key] += 1
+            return func(g)
+
+        return wrapper
+
+    monkeypatch.setattr(rank2, "_rank2_numerators", counting("record", rank2._rank2_numerators))
+    # every module namespace that binds twisted_numerator, so a second
+    # product formed anywhere on the call path is counted
+    twisted = counting("twisted", blocks.twisted_numerator)
+    for module in (blocks, rank2, semistable):
+        if hasattr(module, "twisted_numerator"):
+            monkeypatch.setattr(module, "twisted_numerator", twisted)
+    hodge_deligne_stable_rank2(3)
+    assert calls == {"record": 1, "twisted": 1}
+
+
 def test_deligne_double_dual_is_identity():
     for g in (2, 3):
         hd = hodge_deligne_stable_rank2(g)
@@ -173,3 +219,9 @@ def test_genus_below_two_rejected():
     for func in (hp_moduli_stable_rank2, hodge_deligne_stable_rank2, stable_rank2_closed_form):
         with pytest.raises(DomainError):
             func(1)
+
+
+def test_genus_above_cap_rejected():
+    for func in (hp_moduli_stable_rank2, hodge_deligne_stable_rank2, rank2_strata, stratum_t, stratum_beta2):
+        with pytest.raises(DomainError):
+            func(rank2.MAX_GENUS + 1)

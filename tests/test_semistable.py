@@ -70,6 +70,23 @@ def test_memoized_reruns_agree():
     assert a.hits >= 1
 
 
+def test_memo_entries_unchanged_by_later_requests():
+    evaluator = SemistableSeries()
+    evaluator.series(3, 1, 2, 16)
+    memo = {
+        name: {key: dict(series.items()) for key, series in getattr(evaluator, name).items()}
+        for name in ("_cache", "_products")
+    }
+    # (2, 0) at orders 12 and 20 recomputes from products this memo
+    # holds; the others reuse its series as factors
+    for n, d, order in ((2, 0, 12), (2, 0, 20), (4, 1, 16), (3, 1, 24), (3, 1, 16)):
+        evaluator.series(n, d, 2, order)
+    for name, entries in memo.items():
+        current = getattr(evaluator, name)
+        for key, terms in entries.items():
+            assert dict(current[key].items()) == terms, (name, key)
+
+
 def test_memo_order_of_requests_does_not_change_values():
     fresh_low = SemistableSeries().series(3, 1, 2, 10)
     fresh_high = SemistableSeries().series(3, 1, 2, 18)
