@@ -41,6 +41,8 @@ from .semistable import (
     SemistableSeries,
     hp_ss_rank2_closed_form,
     hp_ss_series,
+    moduli_dimension,
+    ss_closed_form,
     stable_coprime_polynomial,
 )
 from .rank2 import (
@@ -98,6 +100,8 @@ __all__ = [
     "SemistableSeries",
     "hp_ss_series",
     "hp_ss_rank2_closed_form",
+    "ss_closed_form",
+    "moduli_dimension",
     "stable_coprime_polynomial",
     "StratumRecord",
     "stratum_gl2",

@@ -26,7 +26,13 @@ from .rank2 import (
     weight_system_adjoint_sl2,
     weight_system_torus,
 )
-from .semistable import SemistableSeries, hp_ss_rank2_closed_form, stable_coprime_polynomial
+from .semistable import (
+    SemistableSeries,
+    hp_ss_rank2_closed_form,
+    moduli_dimension,
+    ss_closed_form,
+    stable_coprime_polynomial,
+)
 from .series import FactoredRational
 from .univariate import diagonal_stable_coprime
 
@@ -200,7 +206,7 @@ def criterion_coprime_sanity(n=2, d=1, g=2):
         return False, "not u<->v symmetric"
     if not poly.is_integral():
         return False, "non-integer coefficients"
-    dim = n * n * (g - 1) + 1
+    dim = moduli_dimension(n, g)
     diagonal = poly.specialize_diagonal()
     reference = diagonal_stable_coprime(n, d, g, 2 * dim)
     for k in range(2 * dim + 1):
@@ -213,6 +219,17 @@ def criterion_coprime_sanity(n=2, d=1, g=2):
     return True, "rank %d degree %d genus %d against the diagonal recursion" % (n, d, g)
 
 
+def criterion_ss_closed_form(ranks=range(2, 7), g=2, order=20):
+    """The HN recursion equals the closed-form sum over compositions, term
+    by term, for every residue class; non-coprime degrees included."""
+    evaluator = SemistableSeries()
+    for n in ranks:
+        for d in range(n):
+            if evaluator.series(n, d, g, order) != ss_closed_form(n, d, g).series_expand(order):
+                return False, "series mismatch at rank %d degree %d" % (n, d)
+    return True, "ranks %s, every residue, genus %d to order %d" % (list(ranks), g, order)
+
+
 CRITERIA = (
     ("stable-rank2-closed-form", criterion_stable_rank2_closed_form, True),
     ("compact-support-dual", criterion_compact_support_dual, True),
@@ -223,6 +240,7 @@ CRITERIA = (
     ("min-norm-oracle", criterion_min_norm_oracle, False),
     ("invariant-suite", criterion_invariant_suite, False),
     ("coprime-sanity", criterion_coprime_sanity, False),
+    ("ss-closed-form", criterion_ss_closed_form, False),
 )
 
 

@@ -16,7 +16,7 @@ from . import acceptance, convex, serialize
 from .errors import DomainError, InternalCheckError
 from .hntypes import codim_hn, codim_deeper_stratum, enumerate_hn_types, enumerate_reductive_classes
 from .rank2 import hodge_deligne_stable_rank2, hp_moduli_stable_rank2, moduli_dimension_rank2
-from .semistable import SemistableSeries
+from .semistable import SemistableSeries, moduli_dimension, stable_coprime_polynomial
 
 USAGE_EXIT = 64
 
@@ -50,6 +50,13 @@ def build_parser():
     stable2.add_argument("--golden", default=None, help="compare against (or create) a golden JSON file")
     stable2.set_defaults(func=_cmd_stable2)
     _output_flags(stable2)
+
+    coprime = compute_sub.add_parser("coprime", help="moduli polynomial, coprime rank and degree")
+    coprime.add_argument("--rank", type=int, required=True)
+    coprime.add_argument("--deg", type=int, required=True)
+    coprime.add_argument("--genus", type=int, required=True)
+    coprime.set_defaults(func=_cmd_coprime)
+    _output_flags(coprime)
 
     enum = sub.add_parser("enumerate", help="finite index sets")
     enum_sub = enum.add_subparsers(dest="target", required=True)
@@ -143,6 +150,20 @@ def _cmd_stable2(args):
     }
     if args.golden:
         return _golden_compare(args.golden, obj)
+    _emit(args, obj, str(poly))
+    return 0
+
+
+def _cmd_coprime(args):
+    poly = stable_coprime_polynomial(args.rank, args.deg, args.genus)
+    obj = {
+        "kind": "hodge-poincare",
+        "rank": args.rank,
+        "deg": args.deg,
+        "genus": args.genus,
+        "dim": moduli_dimension(args.rank, args.genus),
+        "poly": serialize.poly_to_obj(poly),
+    }
     _emit(args, obj, str(poly))
     return 0
 

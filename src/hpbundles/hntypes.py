@@ -23,6 +23,14 @@ of the later ones), and every pairwise term of the remaining block is at
 least 1 + n_k n_l (g - 1), which bounds d_j from above given K.  Both
 bounds are used per coordinate, so the recursion scans exactly the
 integer box that can contain admissible degree vectors.
+
+Input caps.  The types of rank n are scanned composition by
+composition, 2^(n-1) of them, so the rank is capped at MAX_RANK (128
+compositions).  The number of types grows like a power of the
+codimension cap, so the enumeration stops with a DomainError once it
+would return more than MAX_HN_TYPES types.  A semistable series of
+rank <= MAX_RANK to order <= ``semistable.MAX_ORDER`` needs at most
+4092 of them (rank 8, genus 2, order 100).
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
+
+MAX_RANK = 8
+MAX_HN_TYPES = 10000
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,8 @@ def enumerate_hn_types(n, d, g, max_codim):
     """
     if n < 1:
         raise DomainError("rank must be at least 1")
+    if n > MAX_RANK:
+        raise DomainError("rank %d is above the cap of %d" % (n, MAX_RANK))
     if g < 1:
         raise DomainError("genus must be at least 1")
     if max_codim < 0:
@@ -127,6 +140,8 @@ def _scan_degrees(ranks, tail_cost, g, j, S, budget, prev_slope, prefix, out):
     if j == len(ranks) - 1:
         if prev_slope is not None and Fraction(S, r) >= prev_slope:
             return
+        if len(out) == MAX_HN_TYPES:
+            raise DomainError("more than %d filtration types under the codimension cap" % MAX_HN_TYPES)
         out.append(HNType(tuple(zip(ranks, prefix + [S]))))
         return
     R = sum(ranks[j:])

@@ -221,12 +221,32 @@ class FactoredRational:
     def __add__(self, other):
         if not isinstance(other, FactoredRational):
             return NotImplemented
+        return FactoredRational.sum((self, other))
+
+    @staticmethod
+    def sum(terms):
+        """The sum of the terms over their least common denominator.
+
+        The numerators of terms with equal denominators are added first,
+        and each such group is multiplied once, by the factors its
+        denominator lacks; a long sum thus forms no partial sums over
+        partial denominators.
+        """
+        groups = {}
+        for term in terms:
+            key = frozenset(term.den.items())
+            num = groups.get(key)
+            groups[key] = term.scaled_num() if num is None else num + term.scaled_num()
         den = {}
-        for f in set(self.den) | set(other.den):
-            den[f] = max(self.den.get(f, 0), other.den.get(f, 0))
-        lhs = _times_factors(self.scaled_num(), _missing_factors(den, self.den))
-        rhs = _times_factors(other.scaled_num(), _missing_factors(den, other.den))
-        return FactoredRational(lhs + rhs, den)
+        for key in groups:
+            for f, k in key:
+                if k > den.get(f, 0):
+                    den[f] = k
+        num = None
+        for key, part in groups.items():
+            part = _times_factors(part, _missing_factors(den, dict(key)))
+            num = part if num is None else num + part
+        return FactoredRational(num, den)
 
     def __sub__(self, other):
         return self + (-other)

@@ -51,6 +51,10 @@ def test_criterion_9_coprime_sanity():
     _run("coprime-sanity", acceptance.criterion_coprime_sanity)
 
 
+def test_criterion_10_ss_closed_form():
+    _run("ss-closed-form", acceptance.criterion_ss_closed_form)
+
+
 def test_run_all_reports_every_criterion():
     lines = []
     ok = acceptance.run_all(report=lines.append)

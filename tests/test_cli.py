@@ -230,5 +230,74 @@ def test_verify_single_genus_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--genus", "2")
     assert code == 0
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 9
+    assert len(lines) == len(hpbundles.acceptance.CRITERIA)
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_coprime_json(capsys):
+    code, out, _ = run_cli(
+        capsys, "compute", "coprime", "--rank", "3", "--deg", "-2", "--genus", "2", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["kind"], payload["dim"]) == ("hodge-poincare", 10)
+    terms = {(t["p"], t["q"]): t["c"] for t in payload["poly"]}
+    assert terms[(0, 0)] == terms[(10, 10)] == "1"
+
+
+# Each input cap, one step over it: exit 1 with a message naming the cap.
+# CI runs the same commands under a timeout, so a hang fails the job too.
+CAP_COMMANDS = {
+    "ss-order": ("compute", "ss", "--rank", "2", "--deg", "1", "--genus", "2",
+                 "--order", str(hpbundles.semistable.MAX_ORDER + 1)),
+    "ss-rank": ("compute", "ss", "--rank", str(hpbundles.hntypes.MAX_RANK + 1), "--deg", "1",
+                "--genus", "2", "--order", "4"),
+    "hn-types-rank": ("enumerate", "hn-types", "--rank", str(hpbundles.hntypes.MAX_RANK + 1),
+                      "--deg", "1", "--genus", "2", "--max-codim", "4"),
+    "coprime-rank": ("compute", "coprime", "--rank", str(hpbundles.hntypes.MAX_RANK + 1),
+                     "--deg", "1", "--genus", "2"),
+    # rank 2 has moduli dimension 4(g - 1) + 1, one over the order cap here
+    "coprime-dimension": ("compute", "coprime", "--rank", "2", "--deg", "1",
+                          "--genus", str(hpbundles.semistable.MAX_ORDER // 4 + 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAP_COMMANDS))
+def test_input_cap_plus_one_exits_one(capsys, name):
+    code, out, err = run_cli(capsys, *CAP_COMMANDS[name])
+    assert code == 1
+    assert out == ""
+    assert "cap" in err
+
+
+def test_ss_order_at_cap_runs(capsys):
+    order = str(hpbundles.semistable.MAX_ORDER)
+    code, _, _ = run_cli(capsys, "compute", "ss", "--rank", "1", "--deg", "0", "--genus", "2", "--order", order)
+    assert code == 0
+
+
+def _hn_types_command(max_codim):
+    return ("enumerate", "hn-types", "--rank", "3", "--deg", "1", "--genus", "2",
+            "--max-codim", str(max_codim), "--json")
+
+
+def test_hn_type_count_at_cap_and_one_over(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, *_hn_types_command(12))
+    assert code == 0
+    count = json.loads(out)["count"]
+    monkeypatch.setattr(hpbundles.hntypes, "MAX_HN_TYPES", count)
+    assert run_cli(capsys, *_hn_types_command(12))[0] == 0
+    monkeypatch.setattr(hpbundles.hntypes, "MAX_HN_TYPES", count - 1)
+    code, out, err = run_cli(capsys, *_hn_types_command(12))
+    assert (code, out) == (1, "")
+    assert "more than %d filtration types" % (count - 1) in err
+
+
+def test_hn_types_huge_codimension_fails_fast(capsys):
+    # scans stop at the type cap instead of running until killed
+    code, _, err = run_cli(
+        capsys, "enumerate", "hn-types", "--rank", "6", "--deg", "1", "--genus", "2",
+        "--max-codim", "1000000",
+    )
+    assert code == 1
+    assert "filtration types" in err

@@ -1,7 +1,11 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from hpbundles import (
     ONE,
+    LaurentPoly,
     U,
     V,
     DomainError,
@@ -12,7 +16,9 @@ from hpbundles import (
     stable_coprime_polynomial,
     uv_power,
 )
-from hpbundles.semistable import leading_closed_term
+from hpbundles import InternalCheckError, semistable
+from hpbundles.hntypes import MAX_RANK, _compositions
+from hpbundles.semistable import _certify_coprime, leading_closed_term, ss_closed_form
 from hpbundles.univariate import diagonal_ss_series, diagonal_stable_coprime
 
 
@@ -205,3 +211,84 @@ def test_univariate_diagonal_agrees_with_bivariate_series():
         uni = diagonal_ss_series(n, d, g, order)
         for k in range(order + 1):
             assert diag.get(k, 0) == uni[k]
+
+
+# ranks 2-4 and genera 2-4 cover every class of the benchmark's coprime
+# workload; at (4, 4) the reference runs at order 100, the series cap
+@pytest.mark.parametrize("n, g", [(n, g) for n in (2, 3, 4) for g in (2, 3, 4)])
+def test_stable_coprime_matches_full_order_recursion(n, g):
+    # the replaced pipeline: (1-uv) times the recursion's series, taken
+    # past twice the moduli dimension, with no terms left above it
+    dim = n * n * (g - 1) + 1
+    for r in range(1, n):
+        if math.gcd(n, r) != 1:
+            continue
+        quot = hp_ss_series(n, r, g, 2 * dim + 2).mul_poly(ONE - U * V)
+        assert all(p + q <= 2 * dim for p, q in dict(quot.items()))
+        reference = quot.as_poly()
+        for d in range(r - 2 * n, r + 2 * n + 1, n):
+            assert stable_coprime_polynomial(n, d, g) == reference, (n, d, g)
+
+
+def _mutated(poly, e, delta=1):
+    terms = poly.terms()
+    terms[e] = terms.get(e, 0) + delta
+    return LaurentPoly(terms)
+
+
+@pytest.mark.parametrize("n, d, g", [(2, 1, 2), (3, 1, 2), (3, 2, 3)])
+def test_coprime_certificate_rejects_one_changed_coefficient(n, d, g):
+    poly = stable_coprime_polynomial(n, d, g)
+    dim = n * n * (g - 1) + 1
+    _certify_coprime(poly, n, d, g)
+    lower = [e for e in sorted(dict(poly.items())) if e[0] + e[1] < dim]
+    upper = [e for e in sorted(dict(poly.items())) if e[0] + e[1] > dim]
+    for e in (lower[0], lower[-1], upper[0], upper[-1]):
+        with pytest.raises(InternalCheckError, match="Poincare duality"):
+            _certify_coprime(_mutated(poly, e), n, d, g)
+    with pytest.raises(InternalCheckError, match="non-integer"):
+        _certify_coprime(_mutated(poly, lower[-1], Fraction(1, 2)), n, d, g)
+    # a change that keeps duality is caught by the recursion alone: a term
+    # and its dual changed together, or a self-dual middle term
+    p, q = lower[-1]
+    paired = _mutated(_mutated(poly, (p, q)), (dim - p, dim - q))
+    with pytest.raises(InternalCheckError, match="HN recursion"):
+        _certify_coprime(paired, n, d, g)
+    if dim % 2 == 0:
+        with pytest.raises(InternalCheckError, match="HN recursion"):
+            _certify_coprime(_mutated(poly, (dim // 2, dim // 2)), n, d, g)
+
+
+def test_closed_form_exponent_is_integral_up_to_rank_8():
+    # e depends on the genus only through an integer term
+    for n in range(1, 9):
+        for ranks in _compositions(n):
+            for d in range(n):
+                assert semistable._closed_form_exponent(ranks, d, 2).denominator == 1, (ranks, d)
+
+
+def test_closed_form_rejects_fractional_exponent(monkeypatch):
+    monkeypatch.setattr(semistable, "_closed_form_exponent", lambda ranks, d, g: Fraction(1, 2))
+    with pytest.raises(InternalCheckError, match="not an integer"):
+        ss_closed_form(2, 1, 2)
+
+
+@pytest.mark.parametrize("n, d, g, order", [(1, 0, 3, 12), (2, 0, 3, 16), (3, 1, 2, 20), (4, 2, 3, 16)])
+def test_closed_form_series_matches_recursion(n, d, g, order):
+    assert ss_closed_form(n, d, g).series_expand(order) == hp_ss_series(n, d, g, order)
+
+
+def test_closed_form_rank2_equals_hand_coded_closed_form():
+    for g in (2, 3, 4):
+        assert ss_closed_form(2, 0, g).equals(hp_ss_rank2_closed_form(g))
+
+
+def test_caps_reject_inputs_one_over():
+    with pytest.raises(DomainError, match="cap"):
+        hp_ss_series(2, 1, 2, semistable.MAX_ORDER + 1)
+    with pytest.raises(DomainError, match="cap"):
+        hp_ss_series(MAX_RANK + 1, 1, 2, 4)
+    with pytest.raises(DomainError, match="cap"):
+        ss_closed_form(MAX_RANK + 1, 1, 2)
+    with pytest.raises(DomainError, match="cap"):
+        stable_coprime_polynomial(MAX_RANK + 1, 1, 2)
