@@ -22,7 +22,8 @@ d_j * R >= r * S + 1 (each slope strictly exceeds the weighted average
 of the later ones), and every pairwise term of the remaining block is at
 least 1 + n_k n_l (g - 1), which bounds d_j from above given K.  Both
 bounds are used per coordinate, so the recursion scans exactly the
-integer box that can contain admissible degree vectors.
+integer box that can contain admissible degree vectors.  Slopes are
+compared by cross-multiplying ranks and degrees, with no Fraction built.
 
 Input caps.  The types of rank n are scanned composition by
 composition, 2^(n-1) of them, so the rank is capped at MAX_RANK (128
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -59,10 +59,10 @@ class HNType:
         for r, d in self.quotients:
             if r < 1:
                 raise DomainError("quotient ranks must be positive")
-            slope = Fraction(d, r)
-            if prev is not None and slope >= prev:
+            # d / r >= d' / r' for positive ranks, cross-multiplied
+            if prev is not None and d * prev[0] >= prev[1] * r:
                 raise DomainError("slopes must strictly decrease")
-            prev = slope
+            prev = (r, d)
 
     @property
     def length(self):
@@ -110,8 +110,9 @@ def enumerate_hn_types(n, d, g, max_codim):
             continue
         tail_cost = _tail_costs(ranks, g)
         _scan_degrees(ranks, tail_cost, g, 0, d, max_codim, None, [], found)
-    found.sort(key=lambda t: (codim_hn(t, g), t.quotients))
-    return found
+    # the codimension of a found type is max_codim minus its budget left
+    found.sort(key=lambda bt: (max_codim - bt[0], bt[1].quotients))
+    return [t for _, t in found]
 
 
 def _compositions(n):
@@ -135,26 +136,32 @@ def _tail_costs(ranks, g):
     return out
 
 
-def _scan_degrees(ranks, tail_cost, g, j, S, budget, prev_slope, prefix, out):
+def _scan_degrees(ranks, tail_cost, g, j, S, budget, prev, prefix, out):
+    """Extend prefix by the degrees of ranks[j:], S the degree left, and
+    append each type found to out, paired with its budget left.
+
+    The costs of the blocks sum to the codimension, and the last block
+    costs nothing, so the budget left is the cap minus the codimension.
+    prev is the (rank, degree) of the quotient before j, or None; slopes
+    are compared by cross-multiplying, d / r < d' / r' iff d r' < d' r.
+    """
     r = ranks[j]
     if j == len(ranks) - 1:
-        if prev_slope is not None and Fraction(S, r) >= prev_slope:
+        if prev is not None and S * prev[0] >= prev[1] * r:
             return
         if len(out) == MAX_HN_TYPES:
             raise DomainError("more than %d filtration types under the codimension cap" % MAX_HN_TYPES)
-        out.append(HNType(tuple(zip(ranks, prefix + [S]))))
+        out.append((budget, HNType(tuple(zip(ranks, prefix + [S])))))
         return
     R = sum(ranks[j:])
     base = (g - 1) * r * (R - r)
     d_min = -((-(r * S + 1)) // R)  # ceil((r*S + 1) / R)
     d_max = (budget - tail_cost[j + 1] + r * S - base) // R
     for dj in range(d_min, d_max + 1):
-        if prev_slope is not None and Fraction(dj, r) >= prev_slope:
+        if prev is not None and dj * prev[0] >= prev[1] * r:
             break
         cost = dj * R - r * S + base
-        _scan_degrees(
-            ranks, tail_cost, g, j + 1, S - dj, budget - cost, Fraction(dj, r), prefix + [dj], out
-        )
+        _scan_degrees(ranks, tail_cost, g, j + 1, S - dj, budget - cost, (r, dj), prefix + [dj], out)
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,9 @@ def hp_moduli_stable_rank2(g):
 
 def _hp_moduli(num):
     assembled = assemble_stable_hp(_ss_rank2_closed_form(num), _strata(num))
-    quotient = assembled * (ONE - U * V)
+    den = dict(assembled.den)
+    den[(1, 1)] -= 1  # (1-uv) times the assembled series
+    quotient = FactoredRational(assembled.num, den, assembled.scalar)
     closed = _stable_closed_form(num)
     if not quotient.equals(closed):
         raise InternalCheckError(

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -180,16 +181,50 @@ def test_beta_index_set_malformed_system(tmp_path, change, message):
     system = dict({"dim": 2, "weights": [{"v": [1, 0], "mult": 1}], "roots": [], "chamber": []}, **change)
     path = tmp_path / "system.json"
     path.write_text(json.dumps(system), encoding="utf-8")
+    _assert_domain_error(_run_module("beta", "index-set", "--system", str(path)), message)
+
+
+def _run_module(*argv, timeout=None):
+    """``python -m hpbundles`` with argv, in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(hpbundles.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hpbundles", "beta", "index-set", "--system", str(path)],
+    return subprocess.run(
+        [sys.executable, "-m", "hpbundles", *argv],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=False,
+        timeout=timeout,
     )
+
+
+def _assert_domain_error(proc, message):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def _write_system(tmp_path, dim, vectors):
+    system = {"dim": dim, "weights": [{"v": v, "mult": 1} for v in vectors], "roots": [], "chamber": []}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system), encoding="utf-8")
+    return str(path)
+
+
+def test_index_set_subset_pairs_at_cap_and_one_over(capsys, monkeypatch, tmp_path):
+    # 5 weights in dimension 2: 5 + 10 subsets, each tested against 5 weights
+    path = _write_system(tmp_path, 2, [[1, 0], [0, 1], [1, 1], [2, -1], [-1, 3]])
+    monkeypatch.setattr(hpbundles.convex, "MAX_SUBSET_TESTS", 75)
+    assert run_cli(capsys, "beta", "index-set", "--system", path)[0] == 0
+    monkeypatch.setattr(hpbundles.convex, "MAX_SUBSET_TESTS", 74)
+    code, out, err = run_cli(capsys, "beta", "index-set", "--system", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "75 subset-weight pairs, above the cap of 74" in err
+
+
+def test_index_set_over_subset_cap_fails_fast(tmp_path):
+    # m distinct weights in dimension 1 make m subsets of m tests each
+    m = math.isqrt(hpbundles.convex.MAX_SUBSET_TESTS) + 1
+    path = _write_system(tmp_path, 1, [[k] for k in range(1, m + 1)])
+    _assert_domain_error(_run_module("beta", "index-set", "--system", path, timeout=10), "above the cap")
 
 
 def test_golden_write_then_match(capsys, tmp_path):
@@ -268,6 +303,15 @@ def test_input_cap_plus_one_exits_one(capsys, name):
     assert code == 1
     assert out == ""
     assert "cap" in err
+
+
+def test_ss_large_genus_small_order_runs_fast():
+    # the leading term is expanded inside the order's window, so its cost
+    # does not grow with the genus; CI runs this under the same timeout
+    proc = _run_module("compute", "ss", "--rank", "2", "--deg", "1", "--genus", "400", "--order", "4",
+                       timeout=10)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("1 + 400*v + 400*u")
 
 
 def test_ss_order_at_cap_runs(capsys):

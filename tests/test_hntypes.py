@@ -67,9 +67,13 @@ def test_codim_hand_evaluations():
 
 
 def test_type_validation():
-    with pytest.raises(DomainError):
-        HNType(((1, 0), (1, 0)))  # equal slopes
-    with pytest.raises(DomainError):
+    # equal slopes, then increasing ones, across unequal ranks too
+    for quotients in (
+        ((1, 0), (1, 0)), ((2, 2), (1, 1)), ((1, 0), (1, 1)), ((2, 1), (3, 2)), ((1, 2), (1, 1), (2, 2)),
+    ):
+        with pytest.raises(DomainError, match="^slopes must strictly decrease$"):
+            HNType(quotients)
+    with pytest.raises(DomainError, match="^quotient ranks must be positive$"):
         HNType(((0, 1),))
     with pytest.raises(DomainError):
         codim_hn(HNType(((1, 1), (1, 0))), 0)
@@ -115,6 +119,51 @@ def test_enumeration_matches_oracle(n, d, g, k):
     expected = oracle_types(n, d, g, k)
     got = {t.quotients for t in enumerate_hn_types(n, d, g, k)}
     assert got == expected
+
+
+def fraction_scan_types(n, d, g, max_codim):
+    """(codim, quotients) of every type the degree scan reaches, sorted
+    as ``enumerate_hn_types`` sorts them, with slopes compared as
+    Fractions: the scan as it was before slopes were cross-multiplied."""
+    found = []
+
+    def scan(ranks, j, S, budget, prev_slope, prefix):
+        r = ranks[j]
+        if j == len(ranks) - 1:
+            if prev_slope is None or Fraction(S, r) < prev_slope:
+                found.append(tuple(zip(ranks, prefix + [S])))
+            return
+        R = sum(ranks[j:])
+        base = (g - 1) * r * (R - r)
+        tail = sum(1 + a * b * (g - 1) for k, a in enumerate(ranks[j + 1:]) for b in ranks[j + 2 + k:])
+        for dj in range(math.ceil(Fraction(r * S + 1, R)), (budget - tail + r * S - base) // R + 1):
+            if prev_slope is not None and Fraction(dj, r) >= prev_slope:
+                break
+            cost = dj * R - r * S + base
+            scan(ranks, j + 1, S - dj, budget - cost, Fraction(dj, r), prefix + [dj])
+
+    def compositions(total):
+        if total == 0:
+            yield ()
+            return
+        for first in range(1, total + 1):
+            for rest in compositions(total - first):
+                yield (first,) + rest
+
+    for ranks in compositions(n):
+        if len(ranks) > 1:
+            scan(ranks, 0, d, max_codim, None, [])
+    return sorted((codim_hn(HNType(q), g), q) for q in found)
+
+
+def test_integer_slope_scan_matches_fraction_scan():
+    for n in range(1, 7):
+        for d in range(n):
+            for g in range(1, 5):
+                reference = fraction_scan_types(n, d, g, 30)
+                for cap in range(31):
+                    got = [(codim_hn(t, g), t.quotients) for t in enumerate_hn_types(n, d, g, cap)]
+                    assert got == [cq for cq in reference if cq[0] <= cap], (n, d, g, cap)
 
 
 def test_enumeration_order_deterministic():

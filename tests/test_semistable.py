@@ -11,6 +11,8 @@ from hpbundles import (
     DomainError,
     FactoredRational,
     SemistableSeries,
+    exact_divide,
+    hp_jacobian,
     hp_ss_rank2_closed_form,
     hp_ss_series,
     stable_coprime_polynomial,
@@ -157,6 +159,34 @@ def test_genus_validation():
         hp_ss_rank2_closed_form(1)
 
 
+def test_windowed_leading_series_matches_full_expansion():
+    # orders rising make the evaluator expand each one afresh, inside its
+    # window; falling, it copies them out of the order-40 expansion.  The
+    # full numerator's expansion to order 40, truncated, is its expansion
+    # to each lower order.
+    for n in range(1, MAX_RANK + 1):
+        for g in range(2, 6):
+            full = leading_closed_term(n, g).series_expand(40)
+            expected = {order: dict(full.truncate(order).items()) for order in range(41)}
+            evaluator = SemistableSeries()
+            for order in list(range(41)) + list(range(40, -1, -1)):
+                assert evaluator._leading_terms(n, g, order) == expected[order], (n, g, order)
+
+
+def test_memoized_leading_series_is_only_read():
+    evaluator = SemistableSeries()
+    evaluator.series(3, 0, 2, 12)
+    leading = evaluator._leading[(3, 2)]
+    before = dict(leading.items())
+    # the other residues reuse it at order 12 and subtract into a copy;
+    # order 20 then replaces it with a higher-order expansion
+    for d, order in ((1, 12), (2, 12), (1, 8), (2, 20)):
+        evaluator.series(3, d, 2, order)
+    assert dict(leading.items()) == before
+    assert leading == leading_closed_term(3, 2).series_expand(12)
+    assert evaluator._leading[(3, 2)] == leading_closed_term(3, 2).series_expand(20)
+
+
 def test_leading_term_rank1():
     lead = leading_closed_term(1, 3)
     assert lead.num == (ONE + U) ** 3 * (ONE + V) ** 3
@@ -228,6 +258,24 @@ def test_stable_coprime_matches_full_order_recursion(n, g):
         reference = quot.as_poly()
         for d in range(r - 2 * n, r + 2 * n + 1, n):
             assert stable_coprime_polynomial(n, d, g) == reference, (n, d, g)
+
+
+# the (rank, genus) classes of the benchmark's coprime workload
+BENCHMARK_COPRIME_CLASSES = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (3, 4)]
+
+
+@pytest.mark.parametrize("n, g", BENCHMARK_COPRIME_CLASSES)
+def test_stable_coprime_dual_degree_and_jacobian_factor(n, g):
+    # two certificates kept out of the per-call path: dualizing a bundle
+    # maps degree d to -d, so P(n, d) = P(n, n - d), and the moduli space
+    # carries the Jacobian's cohomology as a factor
+    jacobian = hp_jacobian(g)
+    for d in range(1, n):
+        if math.gcd(n, d) != 1:
+            continue
+        poly = stable_coprime_polynomial(n, d, g)
+        assert poly == stable_coprime_polynomial(n, n - d, g), (n, d, g)
+        assert exact_divide(poly, jacobian).is_integral(), (n, d, g)
 
 
 def _mutated(poly, e, delta=1):
