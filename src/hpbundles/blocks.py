@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalCheckError
-from .poly import ONE, U, V, LaurentPoly, uv_power
+from .poly import ONE, U, V, LaurentPoly, _expand_binomials, uv_power
 from .series import FactoredRational
 
 HALF = Fraction(1, 2)
@@ -33,9 +33,18 @@ def hp_jacobian(g):
     return LaurentPoly._raw({(i, j): ci * cj for i, ci in enumerate(row) for j, cj in enumerate(row)})
 
 
+def _jacobian_factors(g):
+    """The factors (1 + u)^g (1 + v)^g of hp_jacobian(g), as the (c, a, b, k)
+    of ``poly._expand_binomials``."""
+    return ((1, 1, 0, g), (1, 0, 1, g))
+
+
 def twisted_numerator(g):
     """(1+u^2 v)^g (1+u v^2)^g, the numerator the rank-2 closed forms
-    share with the l = 2 factor of the leading semistable term."""
+    share with the l = 2 factor of the leading semistable term.
+
+    The rank-2 record expands its product with hp_jacobian(g) in one go
+    (``_rank2_numerators``); the tests check that against this."""
     return (ONE + LaurentPoly.monomial(1, 2, 1)) ** g * (ONE + LaurentPoly.monomial(1, 1, 2)) ** g
 
 
@@ -77,7 +86,9 @@ def hp_plusminus_jac_pair(g):
     would mean the eigenspace bookkeeping is broken.
     """
     p = hp_jacobian(g)
-    p_sq = p * p
+    # P^2 by shift-adds, not hp_jacobian(2g): the outer product stays the
+    # independent side of the beta2 eigenspace check
+    p_sq = LaurentPoly._raw(_expand_binomials(_jacobian_factors(g) * 2))
     p_neg = p.negate_square_substitute()
     plus = (p_sq + p_neg) * HALF - uv_power(g) * p
     minus = (p_sq - p_neg) * HALF
@@ -94,7 +105,8 @@ class _Rank2Numerators:
     """The genus-g numerators of the rank-2 closed forms and strata:
     jac = hp_jacobian(g), square = hp_jacobian(2g),
     jac_twisted = jac * twisted_numerator(g), signs = sign_numerator(g)
-    and pair = hp_plusminus_jac_pair(g)."""
+    and pair = hp_plusminus_jac_pair(g).  jac_twisted, the product of four
+    binomial powers, is expanded by ``poly._expand_binomials``."""
 
     g: int
     jac: LaurentPoly
@@ -106,12 +118,13 @@ class _Rank2Numerators:
 
 def _rank2_numerators(g):
     """Form each numerator of the record once."""
-    jac = hp_jacobian(g)
     return _Rank2Numerators(
         g=g,
-        jac=jac,
+        jac=hp_jacobian(g),
         square=hp_jacobian(2 * g),
-        jac_twisted=jac * twisted_numerator(g),
+        jac_twisted=LaurentPoly._raw(
+            _expand_binomials(_jacobian_factors(g) + ((1, 2, 1, g), (1, 1, 2, g)))
+        ),
         signs=sign_numerator(g),
         pair=hp_plusminus_jac_pair(g),
     )

@@ -64,6 +64,13 @@ class HNType:
                 raise DomainError("slopes must strictly decrease")
             prev = (r, d)
 
+    @classmethod
+    def _raw(cls, quotients):
+        """A type from a tuple of int pairs already known to be valid."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "quotients", quotients)
+        return obj
+
     @property
     def length(self):
         return len(self.quotients)
@@ -151,7 +158,8 @@ def _scan_degrees(ranks, tail_cost, g, j, S, budget, prev, prefix, out):
             return
         if len(out) == MAX_HN_TYPES:
             raise DomainError("more than %d filtration types under the codimension cap" % MAX_HN_TYPES)
-        out.append((budget, HNType(tuple(zip(ranks, prefix + [S])))))
+        # the scan has checked the ranks and every slope
+        out.append((budget, HNType._raw(tuple(zip(ranks, prefix + [S])))))
         return
     R = sum(ranks[j:])
     base = (g - 1) * r * (R - r)

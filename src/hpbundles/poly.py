@@ -34,6 +34,19 @@ the terms that stay in the window, pairs each later term of one operand
 only with the terms of the other that fit in it, and the dense path
 unpacks only the slots inside it.
 
+A product of binomial powers prod (1 + c u^a v^b)^k, a and b >= 0, is
+formed a third way (``_expand_binomials``): the constant 1 is packed as
+on the dense path, in the box of the whole product, each power is one
+big-integer shift and add, x += c * (x << shift), and the product is
+unpacked once.  Most of its cost is that one unpacking: for the genus-24
+rank-2 numerator it takes a third of the time of the dense product of
+the two halves (10 ms against 30 ms).  The rank-2 numerators use it,
+for the Jacobian times (1 + u^2 v)^g (1 + u v^2)^g and for the Jacobian
+square of the eigenspace pair.  Other products go through
+``_mul_terms``, the windowed leading terms of the semistable recursion
+included: their window keeps only a few powers of each binomial, so a
+large genus at a small order stays cheap.
+
 A two-term base is raised to a power by the binomial theorem.
 """
 
@@ -375,9 +388,8 @@ def _mul_dense(a, b, order=None):
     of the product, so slot sums of the product never run into the next
     row.  Slots are whole bytes, wide enough for the largest possible
     product coefficient plus a sign bit.  One big-integer multiply does
-    the convolution, and adding half the slot range to every slot makes
-    them all non-negative, so they unpack without borrows.  Fractions
-    are cleared to a common denominator first.
+    the convolution, and ``_unpack`` reads the slots.  Fractions are
+    cleared to a common denominator first.
 
     With ``order`` set, only the rows that meet the window are unpacked,
     and in row p only the slots with p + q <= order.  The biased slots
@@ -397,8 +409,53 @@ def _mul_dense(a, b, order=None):
     ib, den_b = _integral(b)
     den = den_a * den_b
     bound = max(map(abs, ia.values())) * max(map(abs, ib.values())) * min(len(a), len(b))
-    width = (bound.bit_length() + 8) // 8
+    width = _slot_width(bound)
     packed = _pack(ia, origin_a, cols, width) * _pack(ib, origin_b, cols, width)
+    return _unpack(packed, (p0, q0), rows, cols, width, order, den)
+
+
+def _expand_binomials(factors):
+    """The term dict of prod (1 + c u^a v^b)^k over the factors (c, a, b, k),
+    with ints a, b, k >= 0 and c, by shift-adds on one packed integer.
+
+    The product starts as the constant 1, packed as in ``_mul_dense`` in a
+    box of 1 + sum k a rows and 1 + sum k b columns, so no term of a
+    partial product leaves the box.  Each factor is applied k times as
+    x += c * (x << shift), one big-integer shift and add per power.  The
+    L1 norm prod (1 + |c|)^k bounds every coefficient of every partial
+    product, so slots that hold it and a sign bit never carry into each
+    other, and the product is unpacked once.
+    """
+    rows = 1 + sum(k * a for _, a, _, k in factors)
+    cols = 1 + sum(k * b for _, _, b, k in factors)
+    bound = 1
+    for c, _, _, k in factors:
+        bound *= (1 + abs(c)) ** k
+    width = _slot_width(bound)
+    packed = 1
+    for c, a, b, k in factors:
+        shift = 8 * width * (a * cols + b)
+        for _ in range(k):
+            # a product by 1 would cost a pass over the whole integer
+            packed += packed << shift if c == 1 else c * (packed << shift)
+    return _unpack(packed, (0, 0), rows, cols, width)
+
+
+def _slot_width(bound):
+    """Bytes per slot for coefficients of absolute value <= bound: room
+    for the bound and a sign bit."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _unpack(packed, origin, rows, cols, width, order=None, den=1):
+    """The term dict packed as in ``_mul_dense``, its slot (0, 0) at the
+    exponent origin, over the first rows rows of cols slots each.
+
+    Adding half the slot range to every slot makes them all non-negative,
+    so they unpack without borrows; each coefficient is divided by den.
+    With ``order`` set, row p unpacks only the slots with p + q <= order.
+    """
+    p0, q0 = origin
     half = 1 << (8 * width - 1)
     slots = rows * cols
     bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")

@@ -8,11 +8,15 @@ cross-multiplication, with no rational-function normal form needed.
 A product of two truncated series is a ``LaurentPoly`` product kernel
 (``poly._mul_terms``) with the total-degree window of the smaller order,
 so series and polynomials share one dict loop, one dense path and one
-dispatch rule.  ``FactoredRational.as_polynomial`` divides by one factor
-(1 - u^a v^b)^k at a time: the terms are grouped once into lines of
-direction (a, b), and each line takes k running sums.  Only a division
-that leaves a remainder falls back to the long division
-``exact_divide``, which reports the remainder.
+dispatch rule.  ``FactoredRational.as_polynomial`` divides by running
+sums, one grouping per direction: the factors (1 - u^a v^b)^k are
+grouped by their primitive direction (a0, b0), the terms are grouped
+once into lines of each direction, and every factor of that direction,
+(a, b) = m (a0, b0), divides the same line lists by k running sums of
+stride m.  The rank-2 and coprime denominators have the one direction
+(1, 1), so they group the terms once.  Only a division that leaves a
+remainder falls back to the long division ``exact_divide``, which
+reports the remainder of the division by the whole denominator.
 """
 
 from __future__ import annotations
@@ -262,7 +266,11 @@ class FactoredRational:
         return self.residual(other).is_zero()
 
     def residual(self, other):
-        """lhs - rhs after clearing denominators; zero iff equal."""
+        """lhs - rhs after clearing denominators; zero iff equal.
+
+        The scalars are cleared too, by the lcm D of their denominators:
+        each numerator is scaled by an int, so the residual is D times
+        the difference of the values over the common factors."""
         if not isinstance(other, FactoredRational):
             raise TypeError("can only compare FactoredRational with FactoredRational")
         only_self = {}
@@ -275,7 +283,10 @@ class FactoredRational:
                 only_self[f] = k1 - common
             if k2 > common:
                 only_other[f] = k2 - common
-        return _times_factors(self.scaled_num(), only_other) - _times_factors(other.scaled_num(), only_self)
+        clear = math.lcm(self.scalar.denominator, other.scalar.denominator)
+        lhs = _times_int(self.num, int(self.scalar * clear))
+        rhs = _times_int(other.num, int(other.scalar * clear))
+        return _times_factors(lhs, only_other) - _times_factors(rhs, only_self)
 
     # -- expansion ---------------------------------------------------------
 
@@ -299,16 +310,14 @@ class FactoredRational:
     def as_polynomial(self):
         """Certify the value is an honest polynomial, via exact division.
 
-        Divides by one factor (1 - u^a v^b)^k at a time, by running sums
-        (``_divide_binomial``).  If a division leaves a remainder, the
+        Divides by all the factors of one direction at once, by running
+        sums (``_divide_factors``).  If a division leaves a remainder, the
         long division ``exact_divide`` by the whole denominator raises
         DivisionRemainderError with the remainder.
         """
-        terms = self.scaled_num()._terms
-        for (a, b), k in sorted(self.den.items()):
-            terms = _divide_binomial(terms, a, b, k)
-            if terms is None:
-                return exact_divide(self.scaled_num(), _expand_factors(self.den))
+        terms = _divide_factors(self.scaled_num()._terms, self.den)
+        if terms is None:
+            return exact_divide(self.scaled_num(), _expand_factors(self.den))
         return LaurentPoly._raw(terms)
 
 
@@ -335,6 +344,11 @@ def _times_factors(poly, factors):
     return poly * _expand_factors(factors) if factors else poly
 
 
+def _times_int(poly, c):
+    """poly * c for an int c; poly itself when c is 1."""
+    return poly if c == 1 else poly * c
+
+
 def _expand_factors(factors):
     prod = ONE
     for (a, b), k in sorted(factors.items()):
@@ -342,35 +356,45 @@ def _expand_factors(factors):
     return prod
 
 
-def _divide_binomial(terms, a, b, k=1):
-    """The term dict q with q * (1 - u^a v^b)^k = terms, or None if there
-    is none.
+def _divide_factors(terms, den):
+    """The term dict q with q * prod (1 - u^a v^b)^k = terms over the
+    factor multiset den {(a, b): k}, or None if there is none.
 
-    Coefficientwise, one division is q(e) = terms(e) + q(e - (a, b)):
-    along each line of direction (a, b), q is the running sum of the
-    terms, including at the points of the line where terms has none.  The
-    terms are grouped into lines once, and each line, as the list of its
-    coefficients from its first term to its last, takes k running sums.
-    The division is exact iff the line total before each running sum is
-    zero, so each sum drops its last entry.
+    The factors are grouped by their primitive direction (a0, b0), with
+    (a, b) = m (a0, b0).  For each direction the terms are grouped once
+    into lines of that direction, each line the list of its coefficients
+    from its first term to its last, at steps of (a0, b0).  Dividing a
+    line by 1 - t^m, t = u^a0 v^b0, is q(j) = c(j) + q(j - m): m
+    interleaved running sums, which also fill the points of the line
+    where terms has none.  The division is exact iff the top m entries
+    of the sums are zero, and it drops them.  Every factor of the
+    direction divides the same line lists, so each direction groups the
+    terms once, whatever its factors.
     """
-    lines = {}
-    for (p, q), c in sorted(terms.items()):
-        lines.setdefault((p * b - q * a, p % a), []).append((p, q, c))
-    res = {}
-    for line in lines.values():
-        p0, q0, _ = line[0]
-        coeffs = [0] * ((line[-1][0] - p0) // a + 1)
-        for p, _, c in line:
-            coeffs[(p - p0) // a] = c
-        for _ in range(k):
-            coeffs = list(accumulate(coeffs))
-            if coeffs.pop():
-                return None
-        for j, c in enumerate(coeffs):
-            if c:
-                res[(p0 + j * a, q0 + j * b)] = c if type(c) is int else as_coeff(c)
-    return res
+    directions = {}
+    for (a, b), k in den.items():
+        m = math.gcd(a, b)
+        directions.setdefault((a // m, b // m), []).extend([m] * k)
+    for (a, b), strides in sorted(directions.items()):
+        lines = {}
+        for (p, q), c in sorted(terms.items()):
+            lines.setdefault(p * b - q * a, []).append((p, q, c))
+        terms = {}
+        for line in lines.values():
+            p0, q0, _ = line[0]
+            coeffs = [0] * ((line[-1][0] - p0) // a + 1)
+            for p, _, c in line:
+                coeffs[(p - p0) // a] = c
+            for m in strides:
+                for r in range(m):
+                    coeffs[r::m] = accumulate(coeffs[r::m])
+                if any(coeffs[-m:]):
+                    return None
+                del coeffs[-m:]
+            for j, c in enumerate(coeffs):
+                if c:
+                    terms[(p0 + j * a, q0 + j * b)] = c if type(c) is int else as_coeff(c)
+    return terms
 
 
 def _geometric_series(a, b, k, order):

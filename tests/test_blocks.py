@@ -18,7 +18,7 @@ from hpbundles import (
     hp_plusminus_jac_pair,
     uv_power,
 )
-from hpbundles.blocks import sign_numerator, twisted_numerator
+from hpbundles.blocks import _rank2_numerators, sign_numerator, twisted_numerator
 
 
 def naive_product(*polys):
@@ -61,6 +61,17 @@ def test_rank2_numerators():
             }
         )
     assert twisted_numerator(2) == naive_product(*[ONE + U * U * V] * 2 + [ONE + U * V * V] * 2)
+
+
+def test_record_products_match_dict_and_dense_products():
+    # the record's expanded products against LaurentPoly products of their
+    # halves; from g = 7 on these take the dense path, below it the dict loop
+    for g in list(range(0, 13)) + [24]:
+        num = _rank2_numerators(g)
+        assert num.jac_twisted == hp_jacobian(g) * twisted_numerator(g)
+        plus, minus = num.pair
+        jac = hp_jacobian(g)
+        assert (plus + minus) + uv_power(g) * jac == jac * jac
 
 
 def test_bgl_denominators():

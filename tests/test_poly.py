@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,10 +20,12 @@ from hpbundles import (
 from hpbundles.poly import (
     _binomial_power,
     _dense_pays,
+    _expand_binomials,
     _mul_dense,
     _mul_monomial,
     _mul_sparse,
     _mul_terms,
+    _slot_width,
 )
 
 
@@ -302,6 +305,66 @@ def test_binomial_power_matches_repeated_products():
             assert _binomial_power(base, n) == power
             assert (LaurentPoly(base) ** n)._terms == power
             power = _mul_sparse(power, base)
+
+
+def binomial_product(factors):
+    """prod (1 + c u^a v^b)^k by the dict loop over binomial powers."""
+    product = {(0, 0): 1}
+    for c, a, b, k in factors:
+        if (a, b) == (0, 0):
+            product = _mul_sparse(product, {(0, 0): (1 + c) ** k} if 1 + c else {})
+        elif c:
+            product = _mul_sparse(product, _binomial_power({(0, 0): 1, (a, b): c}, k))
+    return product
+
+
+def test_binomial_expander_matches_products_of_binomial_powers():
+    rng = random.Random(10)
+    shapes = set()
+    for _ in range(120):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            a, b = rng.choice(((0, b), (a, 0), (a, b)))
+            factors.append((rng.choice((1, -1, 2, -3)), a, b, rng.randint(0, 6)))
+            shapes.add((a == 0, b == 0, factors[-1][3] == 0))
+        assert _expand_binomials(factors) == binomial_product(factors)
+    # (a = 0, b = 0, k = 0) seen: a = 0, b = 0, neither, and k = 0
+    assert shapes >= {(True, False, False), (False, True, False), (False, False, False), (False, False, True)}
+
+
+def test_binomial_expander_edge_cases():
+    assert _expand_binomials(()) == {(0, 0): 1}
+    assert _expand_binomials(((5, 2, 3, 0),)) == {(0, 0): 1}
+    assert _expand_binomials(((0, 2, 3, 4),)) == {(0, 0): 1}
+    # a constant factor (1 + c)^k, and one that is zero
+    assert _expand_binomials(((2, 0, 0, 3), (1, 1, 0, 1))) == {(0, 0): 27, (1, 0): 27}
+    assert _expand_binomials(((-1, 0, 0, 2), (1, 1, 1, 3))) == {}
+    # (1 + u)^k (1 - u)^k = (1 - u^2)^k: the odd slots cancel
+    for k in (1, 5, 16):
+        expected = _binomial_power({(0, 0): 1, (2, 0): -1}, k)
+        assert _expand_binomials(((1, 1, 0, k), (-1, 1, 0, k))) == expected
+        assert _expand_binomials(((-1, 1, 0, k), (1, 1, 0, k))) == expected
+    # (1 + uv)(1 - uv)(1 + u^2 v^2) = 1 - u^4 v^4
+    assert _expand_binomials(((1, 1, 1, 1), (-1, 1, 1, 1), (1, 2, 2, 1))) == {(0, 0): 1, (4, 4): -1}
+    # coefficients at the edge of a slot: L1 bounds of 127, 128 and 129
+    # against a sign bit in 1 or 2 bytes
+    for c in (126, 127, -127, 128, -128, 2**63 - 1, -(2**63)):
+        assert _expand_binomials(((c, 1, 1, 1),)) == {(0, 0): 1, (1, 1): c}
+        factors = ((c, 1, 0, 2), (-1, 0, 1, 1))
+        assert _expand_binomials(factors) == binomial_product(factors)
+
+
+def test_binomial_expander_with_slots_wider_than_256_bits():
+    # the L1 norm 2^256 * 4^2 needs 33-byte slots, beyond those of the
+    # genus-64 rank-2 numerators (2^256)
+    factors = ((1, 1, 0, 128), (1, 0, 1, 128), (-3, 1, 1, 2))
+    product = _expand_binomials(factors)
+    assert product == binomial_product(factors)
+    assert _slot_width(2**256 * 4**2) == 33
+    assert product[(130, 130)] == 9
+    central = math.comb(128, 64) ** 2 - 6 * math.comb(128, 63) ** 2 + 9 * math.comb(128, 62) ** 2
+    assert product[(64, 64)] == central and central > 2**240
 
 
 def test_negative_power_of_non_unit_rejected():

@@ -24,7 +24,7 @@ from hpbundles import (
     stable_rank2_closed_form,
     uv_power,
 )
-from hpbundles import blocks, rank2, semistable, serialize
+from hpbundles import blocks, poly, rank2, semistable, serialize, series
 from hpbundles.rank2 import stratum_beta1, stratum_beta2, stratum_gl2, stratum_t
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -181,24 +181,34 @@ def test_record_bodies_match_public_entry_points():
 
 
 def test_deligne_call_builds_one_record_and_one_twisted_product(monkeypatch):
-    calls = {"record": 0, "twisted": 0}
+    g = 3
+    twisted = (hp_jacobian(g) * blocks.twisted_numerator(g))._terms
+    square = hp_jacobian(2 * g)._terms
+    records = []
+    expansions = []
+    build_record = rank2._rank2_numerators
+    expand = poly._expand_binomials
 
-    def counting(key, func):
-        def wrapper(g):
-            calls[key] += 1
-            return func(g)
+    def counting_record(genus):
+        records.append(genus)
+        return build_record(genus)
 
-        return wrapper
+    def counting_expander(factors):
+        product = expand(factors)
+        expansions.append(product)
+        return product
 
-    monkeypatch.setattr(rank2, "_rank2_numerators", counting("record", rank2._rank2_numerators))
-    # every module namespace that binds twisted_numerator, so a second
-    # product formed anywhere on the call path is counted
-    twisted = counting("twisted", blocks.twisted_numerator)
-    for module in (blocks, rank2, semistable):
-        if hasattr(module, "twisted_numerator"):
-            monkeypatch.setattr(module, "twisted_numerator", twisted)
-    hodge_deligne_stable_rank2(3)
-    assert calls == {"record": 1, "twisted": 1}
+    monkeypatch.setattr(rank2, "_rank2_numerators", counting_record)
+    # every module namespace that binds the expander, so a second product
+    # expanded anywhere on the call path is counted
+    for module in (poly, blocks, rank2, semistable, series):
+        if hasattr(module, "_expand_binomials"):
+            monkeypatch.setattr(module, "_expand_binomials", counting_expander)
+    hodge_deligne_stable_rank2(g)
+    # one record: one Jacobian-times-twisted product and one Jacobian square
+    assert records == [g]
+    assert len(expansions) == 2
+    assert twisted in expansions and square in expansions
 
 
 def test_deligne_double_dual_is_identity():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from hpbundles import (
 )
 from hpbundles import series as series_module
 from hpbundles.poly import _dense_pays
-from hpbundles.series import _divide_binomial, _expand_factors
+from hpbundles.series import _divide_factors, _expand_factors
 
 
 def brute_convolution(factors, order):
@@ -149,6 +150,38 @@ def test_equality_agrees_with_series_random():
         assert f1.equals(f2) == (f1.series_expand(bound) == f2.series_expand(bound))
 
 
+def test_residual_clears_scalars_by_the_lcm_of_their_denominators():
+    rng = random.Random(20)
+    scalars = (1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), Fraction(2, 9))
+    equal_pairs = 0
+    for _ in range(60):
+        den1, den2 = random_binomials(rng), random_binomials(rng)
+        s1, s2 = rng.choice(scalars), rng.choice(scalars)
+        num1 = random_laurent(rng, 5)
+        f1 = FactoredRational(num1, den1, s1)
+        if rng.random() < 0.4:
+            # the same value written over another denominator and scalar:
+            # num2 / (den1 den2) * s2 = num1 / den1 * s1
+            num2 = num1 * _expand_factors(den2) * (Fraction(s1) / s2)
+            f2 = FactoredRational(num2, den1, s2) * FactoredRational(ONE, den2)
+            equal_pairs += 1
+        else:
+            f2 = FactoredRational(random_laurent(rng, 5), den2, s2)
+        common = {f: max(f1.den.get(f, 0), f2.den.get(f, 0)) for f in set(f1.den) | set(f2.den)}
+        # the difference of the values times the least common denominator
+        # and the lcm of the scalars' denominators
+        clear = math.lcm(Fraction(s1).denominator, Fraction(s2).denominator)
+        lhs, rhs = (
+            f.num * _expand_factors({e: k - f.den.get(e, 0) for e, k in common.items()}) * (f.scalar * clear)
+            for f in (f1, f2)
+        )
+        expected = lhs - rhs
+        residual = f1.residual(f2)
+        assert residual == expected
+        assert f1.equals(f2) == residual.is_zero()
+    assert equal_pairs >= 15
+
+
 def test_den_factor_validation():
     with pytest.raises(DomainError):
         FactoredRational(ONE, {(0, 1): 1})
@@ -266,12 +299,12 @@ def test_running_sum_division_by_one_binomial():
         a, b = rng.randint(1, 4), rng.randint(1, 4)
         quotient = random_laurent(rng, 10)
         binomial = ONE - LaurentPoly.monomial(1, a, b)
-        assert _divide_binomial((quotient * binomial)._terms, a, b) == quotient._terms
+        assert _divide_factors((quotient * binomial)._terms, {(a, b): 1}) == quotient._terms
         inexact = quotient * binomial + LaurentPoly.monomial(1, rng.randint(-3, 6), rng.randint(-3, 6))
-        if _divide_binomial(inexact._terms, a, b) is not None:
-            assert LaurentPoly(_divide_binomial(inexact._terms, a, b)) * binomial == inexact
-    assert _divide_binomial({}, 2, 1) == {}
-    assert _divide_binomial({(0, 0): 1}, 1, 1) is None
+        if _divide_factors(inexact._terms, {(a, b): 1}) is not None:
+            assert LaurentPoly(_divide_factors(inexact._terms, {(a, b): 1})) * binomial == inexact
+    assert _divide_factors({}, {(2, 1): 1}) == {}
+    assert _divide_factors({(0, 0): 1}, {(1, 1): 1}) is None
 
 
 def test_k_fold_division_matches_single_divisions_and_exact_divide():
@@ -284,7 +317,7 @@ def test_k_fold_division_matches_single_divisions_and_exact_divide():
         for terms in (product._terms, (product + random_laurent(rng, 2))._terms):
             single = terms
             for _ in range(k):
-                single = _divide_binomial(single, a, b)
+                single = _divide_factors(single, {(a, b): 1})
                 if single is None:
                     break
             try:
@@ -292,15 +325,127 @@ def test_k_fold_division_matches_single_divisions_and_exact_divide():
             except DivisionRemainderError:
                 expected = None
                 inexact_at.add(k)
-            got = _divide_binomial(terms, a, b, k)
+            got = _divide_factors(terms, {(a, b): k})
             assert got == single == expected
             if got is not None:
                 assert all(type(c) is int or c.denominator != 1 for c in got.values())
     assert inexact_at == {1, 2, 3, 4}
-    assert _divide_binomial({}, 1, 2, 3) == {}
+    assert _divide_factors({}, {(1, 2): 3}) == {}
     # exact once but not twice: (1 - uv) / (1 - uv)^2
-    assert _divide_binomial({(0, 0): 1, (1, 1): -1}, 1, 1, 1) == {(0, 0): 1}
-    assert _divide_binomial({(0, 0): 1, (1, 1): -1}, 1, 1, 2) is None
+    assert _divide_factors({(0, 0): 1, (1, 1): -1}, {(1, 1): 1}) == {(0, 0): 1}
+    assert _divide_factors({(0, 0): 1, (1, 1): -1}, {(1, 1): 2}) is None
+
+
+def divide_once(terms, a, b):
+    """terms / (1 - u^a v^b) by long division from the lowest exponent,
+    or None if it leaves a remainder; independent of the running sums."""
+    if not terms:
+        return {}
+    top = max(p for p, _ in terms) - a
+    work = dict(terms)
+    quotient = {}
+    while work:
+        e = min(work)
+        if e[0] > top:
+            return None
+        c = work.pop(e)
+        quotient[e] = c
+        f = (e[0] + a, e[1] + b)
+        s = work.get(f, 0) + c
+        if s:
+            work[f] = s
+        else:
+            work.pop(f, None)
+    return {e: c if type(c) is int or c.denominator != 1 else c.numerator for e, c in quotient.items()}
+
+
+def divide_sequentially(terms, den):
+    for (a, b), k in sorted(den.items()):
+        for _ in range(k):
+            terms = divide_once(terms, a, b)
+            if terms is None:
+                return None
+    return terms
+
+
+ONE_DIRECTION_DENOMINATORS = (
+    {(1, 1): 2, (2, 2): 1, (3, 3): 1},
+    {(1, 1): 1, (2, 2): 1},
+    {(2, 2): 2, (4, 4): 1},
+    {(1, 2): 1, (2, 4): 2},
+    {(3, 1): 1, (6, 2): 1, (9, 3): 1},
+)
+MIXED_DENOMINATORS = (
+    {(1, 1): 2, (2, 2): 1, (1, 2): 1, (2, 4): 1},
+    {(1, 1): 1, (2, 1): 1, (3, 3): 1, (1, 3): 1},
+    {(2, 3): 1, (4, 6): 1, (3, 2): 1},
+)
+
+
+def test_one_grouping_per_direction_matches_sequential_division_and_exact_divide():
+    rng = random.Random(18)
+    checked = {"exact": 0, "inexact": 0}
+    for den in ONE_DIRECTION_DENOMINATORS + MIXED_DENOMINATORS:
+        divisor = _expand_factors(den)
+        for _ in range(12):
+            # random_laurent draws int, Fraction and mixed coefficients and
+            # negative exponents
+            product = random_laurent(rng, 8) * divisor
+            for terms in (product._terms, (product + random_laurent(rng, 2))._terms):
+                try:
+                    expected = exact_divide(LaurentPoly(terms), divisor)._terms
+                except DivisionRemainderError:
+                    expected = None
+                got = _divide_factors(terms, den)
+                assert got == divide_sequentially(terms, den) == expected
+                checked["exact" if got is not None else "inexact"] += 1
+                if got is not None:
+                    assert all(type(c) is int or c.denominator != 1 for c in got.values())
+    assert checked["exact"] >= 100 and checked["inexact"] >= 50
+
+
+def test_one_grouping_detects_an_inexact_division_at_each_factor():
+    rng = random.Random(19)
+    for den in ONE_DIRECTION_DENOMINATORS + MIXED_DENOMINATORS:
+        factors = [f for f, k in sorted(den.items()) for _ in range(k)]
+        for i, (a, b) in enumerate(factors):
+            # exact for every factor but the i-th: the cofactor is not a
+            # multiple of (1 - u^a v^b)
+            rest = {}
+            for f in factors[:i] + factors[i + 1 :]:
+                rest[f] = rest.get(f, 0) + 1
+            cofactor = random_laurent(rng, 5) + LaurentPoly.monomial(Fraction(1, 3), -2, 5)
+            while divide_once(cofactor._terms, a, b) is not None:
+                cofactor = cofactor + LaurentPoly.monomial(1, rng.randint(0, 4), rng.randint(0, 4))
+            num = cofactor * _expand_factors(rest)
+            assert _divide_factors(num._terms, den) is None
+            f = FactoredRational(num, den, rng.choice((1, Fraction(-3, 2))))
+            with pytest.raises(DivisionRemainderError) as expected:
+                exact_divide(f.scaled_num(), _expand_factors(den))
+            with pytest.raises(DivisionRemainderError) as caught:
+                f.as_polynomial()
+            assert caught.value.remainder == expected.value.remainder
+            assert str(caught.value) == str(expected.value)
+
+
+def test_division_of_lines_shorter_than_the_stride():
+    # (1 + uv) is a line of two points, shorter than the stride 3 of (1 - u^3 v^3)
+    assert _divide_factors({(0, 0): 1, (1, 1): 1}, {(3, 3): 1}) is None
+    assert _divide_factors({(2, -1): Fraction(1, 2)}, {(2, 2): 1}) is None
+    # one line exact, another a single point
+    assert _divide_factors({(0, 0): 1, (3, 3): -1, (1, 0): 5}, {(3, 3): 1}) is None
+    assert _divide_factors({(0, 0): 1, (3, 3): -1, (1, 0): 5, (4, 3): -5}, {(3, 3): 1}) == {
+        (0, 0): 1,
+        (1, 0): 5,
+    }
+    # 1 - (uv)^3 over (1 - uv): a stride-1 division of a line with gaps
+    assert _divide_factors({(0, 0): 1, (3, 3): -1}, {(1, 1): 1}) == {(k, k): 1 for k in range(3)}
+    # (1 - (uv)^6) / ((1 - uv)(1 - (uv)^2)(1 - (uv)^3)) is not a polynomial
+    assert _divide_factors({(0, 0): 1, (6, 6): -1}, {(1, 1): 1, (2, 2): 1, (3, 3): 1}) is None
+    # (1 - (uv)^2)(1 - (uv)^3) / ((1 - uv)(1 - (uv)^2)(1 - (uv)^3)) = 1/(1 - uv)
+    numerator = ((ONE - uv_power(2)) * (ONE - uv_power(3)))._terms
+    assert _divide_factors(numerator, {(1, 1): 1, (2, 2): 1, (3, 3): 1}) is None
+    assert _divide_factors(numerator, {(2, 2): 1, (3, 3): 1}) == {(0, 0): 1}
 
 
 def test_difference_of_series_matches_sum_with_negation():
