@@ -50,7 +50,7 @@ def twisted_numerator(g):
 
 def sign_numerator(g):
     """(1-u^2)^g (1-v^2)^g: hp_jacobian(g) with u -> -u^2, v -> -v^2."""
-    return (ONE - U * U) ** g * (ONE - V * V) ** g
+    return LaurentPoly._raw(_expand_binomials(((-1, 2, 0, g), (-1, 0, 2, g))))
 
 
 def hp_bgl(n):

@@ -205,7 +205,7 @@ def _cmd_reductive_classes(args):
     classes = enumerate_reductive_classes(args.rank, args.deg)
     entries = []
     for c in classes:
-        codim = codim_deeper_stratum(c, args.rank, args.genus) if args.genus else None
+        codim = codim_deeper_stratum(c, args.rank, args.genus) if args.genus is not None else None
         entries.append(serialize.reductive_class_to_obj(c, codim=codim))
     obj = {"rank": args.rank, "deg": args.deg, "count": len(classes), "classes": entries}
     if args.genus == 1:

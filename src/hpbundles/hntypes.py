@@ -27,7 +27,8 @@ compared by cross-multiplying ranks and degrees, with no Fraction built.
 
 Input caps.  The types of rank n are scanned composition by
 composition, 2^(n-1) of them, so the rank is capped at MAX_RANK (128
-compositions).  The number of types grows like a power of the
+compositions); the reductive classes, 451,400 at rank 30 and degree 0,
+share the cap.  The number of types grows like a power of the
 codimension cap, so the enumeration stops with a DomainError once it
 would return more than MAX_HN_TYPES types.  A semistable series of
 rank <= MAX_RANK to order <= ``semistable.MAX_ORDER`` needs at most
@@ -212,6 +213,8 @@ def enumerate_reductive_classes(n, d):
     """
     if n < 1:
         raise DomainError("rank must be at least 1")
+    if n > MAX_RANK:
+        raise DomainError("rank %d is above the cap of %d" % (n, MAX_RANK))
     m = math.gcd(n, d)
     allowed = []
     for rank in range(1, n + 1):

@@ -40,9 +40,10 @@ on the dense path, in the box of the whole product, each power is one
 big-integer shift and add, x += c * (x << shift), and the product is
 unpacked once.  Most of its cost is that one unpacking: for the genus-24
 rank-2 numerator it takes a third of the time of the dense product of
-the two halves (10 ms against 30 ms).  The rank-2 numerators use it,
-for the Jacobian times (1 + u^2 v)^g (1 + u v^2)^g and for the Jacobian
-square of the eigenspace pair.  Other products go through
+the two halves (10 ms against 30 ms).  Every product of binomial powers
+is formed so: the rank-2 numerators (the Jacobian times (1 + u^2 v)^g
+(1 + u v^2)^g, the Jacobian square, (1 - u^2)^g (1 - v^2)^g) and the
+products of denominator factors.  Other products go through
 ``_mul_terms``, the windowed leading terms of the semistable recursion
 included: their window keeps only a few powers of each binomial, so a
 large genus at a small order stays cheap.
@@ -142,14 +143,7 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        res = dict(self._terms)
-        for e, c in other._terms.items():
-            s = res.get(e, 0) + c
-            if s:
-                res[e] = s if type(s) is int else as_coeff(s)
-            else:
-                res.pop(e, None)
-        return LaurentPoly._raw(res)
+        return LaurentPoly._raw(_add_terms(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -161,14 +155,7 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        res = dict(self._terms)
-        for e, c in other._terms.items():
-            s = res.get(e, 0) - c
-            if s:
-                res[e] = s if type(s) is int else as_coeff(s)
-            else:
-                res.pop(e, None)
-        return LaurentPoly._raw(res)
+        return LaurentPoly._raw(_sub_terms(self._terms, other._terms))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -303,6 +290,30 @@ def _var_power(name, e):
     return "%s^%d" % (name, e)
 
 
+def _add_terms(a, b):
+    """The term dict of a + b, for polynomials and series alike."""
+    res = dict(a)
+    for e, c in b.items():
+        s = res.get(e, 0) + c
+        if s:
+            res[e] = s if type(s) is int else as_coeff(s)
+        else:
+            res.pop(e, None)
+    return res
+
+
+def _sub_terms(a, b):
+    """The term dict of a - b, for polynomials and series alike."""
+    res = dict(a)
+    for e, c in b.items():
+        s = res.get(e, 0) - c
+        if s:
+            res[e] = s if type(s) is int else as_coeff(s)
+        else:
+            res.pop(e, None)
+    return res
+
+
 # -- products -----------------------------------------------------------
 
 # Gate of the dense path (see the module docstring).  On random inputs
@@ -424,8 +435,15 @@ def _expand_binomials(factors):
     x += c * (x << shift), one big-integer shift and add per power.  The
     L1 norm prod (1 + |c|)^k bounds every coefficient of every partial
     product, so slots that hold it and a sign bit never carry into each
-    other, and the product is unpacked once.
+    other, and the product is unpacked once.  When every a is a multiple of
+    ga and every b of gb, the product is expanded in u^ga and v^gb, in a
+    box ga gb times smaller.
     """
+    ga = math.gcd(*(a for _, a, _, _ in factors)) or 1
+    gb = math.gcd(*(b for _, _, b, _ in factors)) or 1
+    if ga * gb > 1:
+        terms = _expand_binomials([(c, a // ga, b // gb, k) for c, a, b, k in factors])
+        return {(p * ga, q * gb): c for (p, q), c in terms.items()}
     rows = 1 + sum(k * a for _, a, _, k in factors)
     cols = 1 + sum(k * b for _, _, b, k in factors)
     bound = 1

@@ -7,16 +7,16 @@ cross-multiplication, with no rational-function normal form needed.
 
 A product of two truncated series is a ``LaurentPoly`` product kernel
 (``poly._mul_terms``) with the total-degree window of the smaller order,
-so series and polynomials share one dict loop, one dense path and one
-dispatch rule.  ``FactoredRational.as_polynomial`` divides by running
-sums, one grouping per direction: the factors (1 - u^a v^b)^k are
-grouped by their primitive direction (a0, b0), the terms are grouped
-once into lines of each direction, and every factor of that direction,
-(a, b) = m (a0, b0), divides the same line lists by k running sums of
-stride m.  The rank-2 and coprime denominators have the one direction
-(1, 1), so they group the terms once.  Only a division that leaves a
-remainder falls back to the long division ``exact_divide``, which
-reports the remainder of the division by the whole denominator.
+and sums share the ``LaurentPoly`` merge loops.  Division by the
+denominator is one kernel, ``_divide_factors``: the factors
+(1 - u^a v^b)^k are grouped by their primitive direction (a0, b0), the
+terms are grouped once into lines of each direction, and every factor
+(a, b) = m (a0, b0) divides the same line lists by k running sums of
+stride m.  ``series_expand`` runs the sums inside the window of its
+order, with no geometric series built; ``as_polynomial`` runs them as
+an exact division, and only a division that leaves a remainder falls
+back to the long division ``exact_divide``, which reports the remainder
+of the division by the whole denominator.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError
-from .poly import ONE, LaurentPoly, _mul_terms, _scale_terms, as_coeff, exact_divide
+from .poly import LaurentPoly, _add_terms, _expand_binomials, _mul_terms, _scale_terms, _sub_terms
+from .poly import as_coeff, exact_divide
 
 
 class TruncatedSeries:
@@ -79,9 +80,13 @@ class TruncatedSeries:
     def truncate(self, order):
         if order > self.order:
             raise DomainError("cannot extend a truncated series")
-        return TruncatedSeries._raw(
-            {e: c for e, c in self._terms.items() if e[0] + e[1] <= order}, order
-        )
+        return TruncatedSeries._raw(self._window(order), order)
+
+    def _window(self, order):
+        """The terms of total degree <= order <= self.order, uncopied at self.order."""
+        if order == self.order:
+            return self._terms
+        return {e: c for e, c in self._terms.items() if e[0] + e[1] <= order}
 
     def shift(self, k):
         """Multiply by (uv)^k; the certified order grows by 2k."""
@@ -101,32 +106,14 @@ class TruncatedSeries:
 
     def __add__(self, other):
         order = min(self.order, other.order)
-        res = {e: c for e, c in self._terms.items() if e[0] + e[1] <= order}
-        for e, c in other._terms.items():
-            if e[0] + e[1] > order:
-                continue
-            s = res.get(e, 0) + c
-            if s:
-                res[e] = as_coeff(s)
-            else:
-                res.pop(e, None)
-        return TruncatedSeries._raw(res, order)
+        return TruncatedSeries._raw(_add_terms(self._window(order), other._window(order)), order)
 
     def __neg__(self):
         return TruncatedSeries._raw({e: -c for e, c in self._terms.items()}, self.order)
 
     def __sub__(self, other):
         order = min(self.order, other.order)
-        res = {e: c for e, c in self._terms.items() if e[0] + e[1] <= order}
-        for e, c in other._terms.items():
-            if e[0] + e[1] > order:
-                continue
-            s = res.get(e, 0) - c
-            if s:
-                res[e] = as_coeff(s)
-            else:
-                res.pop(e, None)
-        return TruncatedSeries._raw(res, order)
+        return TruncatedSeries._raw(_sub_terms(self._window(order), other._window(order)), order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -293,19 +280,18 @@ class FactoredRational:
     def series_expand(self, order):
         """Expand to a TruncatedSeries of the given order.
 
-        Each denominator factor is inverted by its geometric series; the
-        numerator must have non-negative exponents.
+        The numerator must have non-negative exponents; it is cut to the
+        window and divided there by running sums (``_divide_factors``).
         """
         if order < 0:
             raise DomainError("series order must be non-negative")
         if self.num.has_negative_exponents():
             raise DomainError("Laurent part not expandable")
-        result = TruncatedSeries.from_poly(self.num, order)
-        for (a, b), k in sorted(self.den.items()):
-            result = result * _geometric_series(a, b, k, order)
+        terms = {(p, q): c for (p, q), c in self.num.items() if p + q <= order}
+        terms = _divide_factors(terms, self.den, order)
         if self.scalar != 1:
-            result = result * self.scalar
-        return result
+            terms = _scale_terms(terms, as_coeff(self.scalar))
+        return TruncatedSeries._raw(terms, order)
 
     def as_polynomial(self):
         """Certify the value is an honest polynomial, via exact division.
@@ -350,13 +336,10 @@ def _times_int(poly, c):
 
 
 def _expand_factors(factors):
-    prod = ONE
-    for (a, b), k in sorted(factors.items()):
-        prod = prod * (ONE - LaurentPoly.monomial(1, a, b)) ** k
-    return prod
+    return LaurentPoly._raw(_expand_binomials([(-1, a, b, k) for (a, b), k in factors.items()]))
 
 
-def _divide_factors(terms, den):
+def _divide_factors(terms, den, order=None):
     """The term dict q with q * prod (1 - u^a v^b)^k = terms over the
     factor multiset den {(a, b): k}, or None if there is none.
 
@@ -370,6 +353,9 @@ def _divide_factors(terms, den):
     of the sums are zero, and it drops them.  Every factor of the
     direction divides the same line lists, so each direction groups the
     terms once, whatever its factors.
+
+    With ``order`` set (and terms inside it), each line runs to the edge of
+    that window, the series quotient there; nothing is checked or dropped.
     """
     directions = {}
     for (a, b), k in den.items():
@@ -382,29 +368,23 @@ def _divide_factors(terms, den):
         terms = {}
         for line in lines.values():
             p0, q0, _ = line[0]
-            coeffs = [0] * ((line[-1][0] - p0) // a + 1)
+            if order is None:
+                coeffs = [0] * ((line[-1][0] - p0) // a + 1)
+            else:
+                coeffs = [0] * ((order - p0 - q0) // (a + b) + 1)
             for p, _, c in line:
                 coeffs[(p - p0) // a] = c
             for m in strides:
                 for r in range(m):
                     coeffs[r::m] = accumulate(coeffs[r::m])
-                if any(coeffs[-m:]):
-                    return None
-                del coeffs[-m:]
+                if order is None:
+                    if any(coeffs[-m:]):
+                        return None
+                    del coeffs[-m:]
             for j, c in enumerate(coeffs):
                 if c:
                     terms[(p0 + j * a, q0 + j * b)] = c if type(c) is int else as_coeff(c)
     return terms
-
-
-def _geometric_series(a, b, k, order):
-    """(1 - u^a v^b)^(-k) truncated at total degree <= order."""
-    terms = {}
-    j = 0
-    while j * (a + b) <= order:
-        terms[(a * j, b * j)] = math.comb(j + k - 1, k - 1)
-        j += 1
-    return TruncatedSeries._raw(terms, order)
 
 
 series_expand = FactoredRational.series_expand

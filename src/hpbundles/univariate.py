@@ -9,7 +9,6 @@ cross-check diagonal specializations of the exact pipeline.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def poly_mul(a, b, order):
@@ -45,11 +44,9 @@ def _brute_force_types(n, d, g, max_codim):
     """Every filtration type of (n, d) with codim <= max_codim, found by
     scanning a rigid box: all slopes of such a type lie within max_codim
     of d/n, because the pair sums against the first and last quotient
-    already contribute n*n_j*(slope gap) to the codimension."""
+    already contribute n*n_j*(slope gap) to the codimension.  Slopes are
+    compared, and the box bounds rounded, by integer cross-multiplication."""
     results = []
-    mu = Fraction(d, n)
-    lo_s = mu - max_codim
-    hi_s = mu + max_codim
 
     def compositions(total):
         if total == 0:
@@ -75,16 +72,16 @@ def _brute_force_types(n, d, g, max_codim):
         def scan(j, chosen, remaining_d):
             if j == len(ranks) - 1:
                 r = ranks[j]
-                if Fraction(remaining_d, r) < Fraction(chosen[-1][1], chosen[-1][0]):
+                if remaining_d * chosen[-1][0] < chosen[-1][1] * r:
                     quots = tuple(chosen) + ((r, remaining_d),)
                     if codim(quots) <= max_codim:
                         results.append(quots)
                 return
             r = ranks[j]
-            lo = math.ceil(lo_s * r)
-            hi = math.floor(hi_s * r)
+            lo = -((n * max_codim - d) * r // n)
+            hi = (d + n * max_codim) * r // n
             for dj in range(lo, hi + 1):
-                if chosen and Fraction(dj, r) >= Fraction(chosen[-1][1], chosen[-1][0]):
+                if chosen and dj * chosen[-1][0] >= chosen[-1][1] * r:
                     break
                 scan(j + 1, chosen + [(r, dj)], remaining_d - dj)
 

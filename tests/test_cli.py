@@ -137,6 +137,14 @@ def test_enumerate_reductive_classes(capsys):
     assert payload["classes"][0]["codim"] == 6
 
 
+@pytest.mark.parametrize("genus", ["0", "-1"])
+def test_reductive_classes_genus_below_one_exits_one(capsys, genus):
+    code, out, err = run_cli(capsys, "enumerate", "reductive-classes", "--rank", "2", "--deg", "0",
+                             "--genus", genus)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "genus must be at least 1" in err
+
+
 def test_beta_index_set(capsys, tmp_path):
     system = {
         "dim": 1,
@@ -289,6 +297,8 @@ CAP_COMMANDS = {
                 "--genus", "2", "--order", "4"),
     "hn-types-rank": ("enumerate", "hn-types", "--rank", str(hpbundles.hntypes.MAX_RANK + 1),
                       "--deg", "1", "--genus", "2", "--max-codim", "4"),
+    "reductive-classes-rank": ("enumerate", "reductive-classes", "--rank", str(hpbundles.hntypes.MAX_RANK + 1),
+                               "--deg", "0"),
     "coprime-rank": ("compute", "coprime", "--rank", str(hpbundles.hntypes.MAX_RANK + 1),
                      "--deg", "1", "--genus", "2"),
     # rank 2 has moduli dimension 4(g - 1) + 1, one over the order cap here
@@ -302,7 +312,7 @@ def test_input_cap_plus_one_exits_one(capsys, name):
     code, out, err = run_cli(capsys, *CAP_COMMANDS[name])
     assert code == 1
     assert out == ""
-    assert "cap" in err
+    assert err.startswith("error: ") and "cap" in err
 
 
 def test_ss_large_genus_small_order_runs_fast():

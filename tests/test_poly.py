@@ -345,6 +345,14 @@ def test_binomial_expander_edge_cases():
         expected = _binomial_power({(0, 0): 1, (2, 0): -1}, k)
         assert _expand_binomials(((1, 1, 0, k), (-1, 1, 0, k))) == expected
         assert _expand_binomials(((-1, 1, 0, k), (1, 1, 0, k))) == expected
+    # exponents with a common stride in u or v are expanded in u^ga, v^gb
+    for factors in (
+        ((-1, 2, 0, 5), (-1, 0, 2, 5)),
+        ((1, 2, 3, 2), (-3, 4, 0, 1), (2, 0, 6, 3)),
+        ((5, 0, 2, 3),),
+        ((1, 4, 6, 2), (-1, 2, 2, 1)),
+    ):
+        assert _expand_binomials(factors) == binomial_product(factors)
     # (1 + uv)(1 - uv)(1 + u^2 v^2) = 1 - u^4 v^4
     assert _expand_binomials(((1, 1, 1, 1), (-1, 1, 1, 1), (1, 2, 2, 1))) == {(0, 0): 1, (4, 4): -1}
     # coefficients at the edge of a slot: L1 bounds of 127, 128 and 129

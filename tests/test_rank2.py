@@ -205,10 +205,12 @@ def test_deligne_call_builds_one_record_and_one_twisted_product(monkeypatch):
         if hasattr(module, "_expand_binomials"):
             monkeypatch.setattr(module, "_expand_binomials", counting_expander)
     hodge_deligne_stable_rank2(g)
-    # one record: one Jacobian-times-twisted product and one Jacobian square
+    # one record: one Jacobian-times-twisted product and one Jacobian
+    # square; the denominator and sign products expand through the same
+    # expander and are not counted
     assert records == [g]
-    assert len(expansions) == 2
-    assert twisted in expansions and square in expansions
+    assert expansions.count(twisted) == 1
+    assert expansions.count(square) == 1
 
 
 def test_deligne_double_dual_is_identity():

@@ -462,6 +462,80 @@ def test_difference_of_series_matches_sum_with_negation():
             assert all(type(c) is int or c.denominator != 1 for _, c in diff.items())
 
 
+def geometric_series(a, b, k, order):
+    """(1 - u^a v^b)^(-k) to the given order, from its binomial
+    coefficients: the sum over j of C(j + k - 1, k - 1) (u^a v^b)^j."""
+    return TruncatedSeries(
+        {(a * j, b * j): math.comb(j + k - 1, k - 1) for j in range(order // (a + b) + 1)}, order
+    )
+
+
+def geometric_product(f, order):
+    """The terms of f.series_expand(order) as the numerator times one
+    geometric series per factor, multiplied by the pairwise loop: an
+    oracle that shares no code with the running-sum division."""
+    acc = TruncatedSeries(dict(f.num.items()), order)
+    for (a, b), k in f.den.items():
+        acc = TruncatedSeries(pairwise_series_product(acc, geometric_series(a, b, k, order)), order)
+    return {e: c * f.scalar for e, c in acc.items()}
+
+
+WINDOW_FACTORS = ((1, 1), (2, 2), (1, 2), (2, 1), (3, 3))
+
+
+def test_windowed_division_matches_product_of_geometric_series():
+    rng = random.Random(19)
+    seen = dict.fromkeys(("empty", "mixed", "above", "fraction"), 0)
+    for _ in range(200):
+        den = {f: rng.randint(1, 3) for f in rng.sample(WINDOW_FACTORS, rng.randint(0, 3))}
+        coeff = rng.choice(SERIES_COEFFICIENTS)
+        num = LaurentPoly(
+            {(rng.randint(0, 12), rng.randint(0, 12)): coeff(rng) for _ in range(rng.randint(1, 8))}
+        )
+        f = FactoredRational(num, den, rng.choice((1, -2, Fraction(3, 4), Fraction(-5, 2))))
+        order = rng.randint(0, 20)
+        got = f.series_expand(order)
+        assert got.order == order
+        assert dict(got.items()) == geometric_product(f, order)
+        assert all(type(c) is int or c.denominator != 1 for _, c in got.items())
+        seen["empty"] += not den
+        seen["mixed"] += len({(a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in den}) > 1
+        seen["above"] += any(p + q > order for (p, q), _ in num.items())
+        seen["fraction"] += any(type(c) is Fraction for _, c in num.items())
+    assert min(seen.values()) >= 10, seen
+
+
+def test_windowed_division_of_lines_shorter_than_the_stride():
+    # the line of u v^2 runs (4 - 3) // 2 + 1 = 1 entry, short of the stride 3
+    assert dict(FactoredRational(U * V * V, {(3, 3): 1}).series_expand(4).items()) == {(1, 2): 1}
+    f = FactoredRational(LaurentPoly({(0, 0): 1, (2, 1): Fraction(3, 2), (0, 4): -1}), {(3, 3): 2, (2, 2): 1})
+    for order in range(21):
+        assert dict(f.series_expand(order).items()) == geometric_product(f, order)
+    assert f.series_expand(2) == TruncatedSeries({(0, 0): 1}, 2)
+
+
+def test_sums_of_unequal_orders_match_truncated_polynomial_sums():
+    rng = random.Random(23)
+    for _ in range(80):
+        x = random_series(rng, rng.randint(0, 16), rng.random())
+        y_terms = dict(random_series(rng, rng.randint(0, 16), rng.random()).items())
+        for e, c in x.items():
+            if rng.random() < 0.3:
+                y_terms[e] = rng.choice((c, -c))  # shared terms, some of which cancel
+        y = TruncatedSeries(y_terms, rng.randint(0, 16))
+        before = (dict(x.items()), dict(y.items()))
+        order = min(x.order, y.order)
+        for got, poly in (
+            (x + y, x.as_poly() + y.as_poly()),
+            (y + x, x.as_poly() + y.as_poly()),
+            (x - y, x.as_poly() - y.as_poly()),
+            (y - x, y.as_poly() - x.as_poly()),
+        ):
+            assert got.order == order
+            assert dict(got.items()) == {(p, q): c for (p, q), c in poly.items() if p + q <= order}
+        assert (dict(x.items()), dict(y.items())) == before
+
+
 def test_inexact_division_raises_the_long_division_remainder():
     rng = random.Random(15)
     raised = 0
