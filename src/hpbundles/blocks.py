@@ -33,10 +33,12 @@ def hp_jacobian(g):
     return LaurentPoly._raw({(i, j): ci * cj for i, ci in enumerate(row) for j, cj in enumerate(row)})
 
 
-def _jacobian_factors(g):
-    """The factors (1 + u)^g (1 + v)^g of hp_jacobian(g), as the (c, a, b, k)
-    of ``poly._expand_binomials``."""
-    return ((1, 1, 0, g), (1, 0, 1, g))
+def _leading_factors(n, g):
+    """The factors (1 + u^l v^(l-1))^g (1 + u^(l-1) v^l)^g, l = 1..n, of the
+    numerator of the leading semistable term, as the (c, a, b, k) of
+    ``poly._expand_binomials``.  Those of l = 1 make hp_jacobian(g), those
+    of l = 2 twisted_numerator(g)."""
+    return tuple((1, a, b, g) for l in range(1, n + 1) for a, b in ((l, l - 1), (l - 1, l)))
 
 
 def twisted_numerator(g):
@@ -88,7 +90,7 @@ def hp_plusminus_jac_pair(g):
     p = hp_jacobian(g)
     # P^2 by shift-adds, not hp_jacobian(2g): the outer product stays the
     # independent side of the beta2 eigenspace check
-    p_sq = LaurentPoly._raw(_expand_binomials(_jacobian_factors(g) * 2))
+    p_sq = LaurentPoly._raw(_expand_binomials(_leading_factors(1, g) * 2))
     p_neg = p.negate_square_substitute()
     plus = (p_sq + p_neg) * HALF - uv_power(g) * p
     minus = (p_sq - p_neg) * HALF
@@ -106,7 +108,7 @@ class _Rank2Numerators:
     jac = hp_jacobian(g), square = hp_jacobian(2g),
     jac_twisted = jac * twisted_numerator(g), signs = sign_numerator(g)
     and pair = hp_plusminus_jac_pair(g).  jac_twisted, the product of four
-    binomial powers, is expanded by ``poly._expand_binomials``."""
+    binomial powers ``_leading_factors(2, g)``, is expanded by ``poly._expand_binomials``."""
 
     g: int
     jac: LaurentPoly
@@ -122,9 +124,7 @@ def _rank2_numerators(g):
         g=g,
         jac=hp_jacobian(g),
         square=hp_jacobian(2 * g),
-        jac_twisted=LaurentPoly._raw(
-            _expand_binomials(_jacobian_factors(g) + ((1, 2, 1, g), (1, 1, 2, g)))
-        ),
+        jac_twisted=LaurentPoly._raw(_expand_binomials(_leading_factors(2, g))),
         signs=sign_numerator(g),
         pair=hp_plusminus_jac_pair(g),
     )

@@ -171,14 +171,21 @@ def _cmd_coprime(args):
 def _golden_compare(path, obj):
     payload = serialize.dumps(obj)
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            stored = handle.read()
-        if json.loads(stored) != json.loads(payload):
+        # ValueError covers both a malformed file and one that is not UTF-8
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                stored = json.load(handle)
+        except (OSError, ValueError) as err:
+            raise DomainError("cannot read golden file %s: %s" % (path, err)) from err
+        if stored != json.loads(payload):
             raise InternalCheckError("golden file %s does not match the computed value" % path)
         print("golden match: %s" % path)
         return 0
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(payload + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
+    except OSError as err:
+        raise DomainError("cannot write golden file %s: %s" % (path, err)) from err
     print("golden written: %s" % path)
     return 0
 
@@ -223,7 +230,7 @@ def _cmd_index_set(args):
     try:
         with open(args.system, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         raise DomainError("cannot read weight system: %s" % err) from err
     ws = serialize.weight_system_from_obj(raw)
     indices = convex.index_set(ws)

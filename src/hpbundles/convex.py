@@ -13,9 +13,12 @@ of their denominators, and ``_project`` solves the projection by
 fraction-free (Bareiss) Gauss-Jordan elimination, returning integers
 (X, den) with x = X/(den*L); sign tests, support membership and the
 optimality inequality are integer comparisons, and a ``Fraction`` is
-built only for a point that is returned.  ``affine_projection`` and
-``solve_linear`` work over ``Fraction`` and stay as the reference that
-the all-faces oracle and the tests compare against.
+built only for a point that is returned.  ``min_norm_point`` and
+``index_set`` share that search, ``_hull_projections``.
+``affine_projection`` and ``solve_linear`` work over ``Fraction`` and
+stay as the reference that the all-faces oracle and the tests compare
+against.  The codimension of a sequence of indices is the sum of
+``stratum_codim`` over its steps, in the successively shifted systems.
 
 Whether every adjoint orbit meets the index set of the blown-up
 representation in at most one point is a hypothesis on the supplied
@@ -67,10 +70,6 @@ def vadd(a, b):
 
 def vscale(c, a):
     return tuple(c * x for x in a)
-
-
-def _zero(r):
-    return tuple(Fraction(0) for _ in range(r))
 
 
 def _scale(vectors):
@@ -157,6 +156,17 @@ def _project(points):
     return x, den, coords
 
 
+def _hull_projections(points, max_size):
+    """(X, den) for each affinely independent subset of at most max_size
+    integer points whose hull contains X/den, the projection of the origin
+    onto their affine hull; by subset size, in ``combinations`` order."""
+    for size in range(1, min(len(points), max_size) + 1):
+        for subset in combinations(points, size):
+            proj = _project(subset)
+            if proj is not None and all(c >= 0 for c in proj[2]):
+                yield proj[:2]
+
+
 def min_norm_point(points):
     """The unique point of the convex hull of ``points`` closest to 0.
 
@@ -173,19 +183,11 @@ def min_norm_point(points):
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise DomainError("points must share a dimension")
-    unique = sorted(set(pts))
-    big, scaled = _scale(unique)
-    for size in range(1, min(len(unique), dim + 1) + 1):
-        for subset in combinations(scaled, size):
-            proj = _project(subset)
-            if proj is None:
-                continue
-            x, den, coords = proj
-            if any(c < 0 for c in coords):
-                continue
-            xx = dot(x, x)
-            if all(dot(x, p) * den >= xx for p in scaled):
-                return tuple(Fraction(c, den * big) for c in x)
+    big, scaled = _scale(sorted(set(pts)))
+    for x, den in _hull_projections(scaled, dim + 1):
+        xx = dot(x, x)
+        if all(dot(x, p) * den >= xx for p in scaled):
+            return tuple(Fraction(c, den * big) for c in x)
     raise InternalCheckError("projection onto the hull not found; search is incomplete")
 
 
@@ -289,16 +291,9 @@ def index_set(ws):
             % (subsets, len(scaled), subsets * len(scaled), MAX_SUBSET_TESTS)
         )
     candidates = set()
-    for size in range(1, min(len(vectors), ws.dim) + 1):
-        for subset in combinations(scaled, size):
-            proj = _project(subset)
-            if proj is None:
-                continue
-            x, den, coords = proj
-            if any(c < 0 for c in coords):
-                continue
-            g = gcd(den, *x)
-            candidates.add((tuple(c // g for c in x), den // g))
+    for x, den in _hull_projections(scaled, ws.dim):
+        g = gcd(den, *x)
+        candidates.add((tuple(c // g for c in x), den // g))
 
     out = []
     for x, den in candidates:
@@ -321,12 +316,15 @@ def stratum_codim(ws, beta_index):
 
     Counts the weights strictly below the supporting hyperplane of beta,
     minus the number of roots negative against beta (the dimension of
-    G/P for the parabolic attached to beta).  Evaluated on the integer
-    weights: with v = V/L and beta = B/M, v.beta < |beta|^2 reads
-    V.B*M < B.B*L.
+    G/P for the parabolic attached to beta); a beta of another dimension
+    than the system's is refused.  Evaluated on the integer weights: with
+    v = V/L and beta = B/M, v.beta < |beta|^2 reads V.B*M < B.B*L.
     """
+    beta = _vec(beta_index.beta)
+    if len(beta) != ws.dim:
+        raise DomainError("beta has dimension %d, the weight system %d" % (len(beta), ws.dim))
     big, weights = ws._int_weights
-    bscale, (b,) = _scale([_vec(beta_index.beta)])
+    bscale, (b,) = _scale([beta])
     bb = dot(b, b) * big
     below = sum(m for v, m in weights if dot(v, b) * bscale < bb)
     flipped = sum(1 for r in ws._int_roots if dot(r, b) < 0)
@@ -382,25 +380,15 @@ def beta_sequences(ws, max_len):
 
 
 def d_beta_sequence(ws, seq):
-    """Accumulated codimension of a sequence: at each step count the
-    weights dropping strictly below the new supporting hyperplane among
-    those supporting all earlier steps, minus half the roots newly moved
-    off the common stabilizer."""
+    """Accumulated codimension of a sequence: the sum over its steps of
+    ``stratum_codim`` of beta_j in the system shifted by the earlier steps
+    (``shifted_system``), where only the weights supporting them and the
+    roots orthogonal to them are left."""
     if not seq:
         raise DomainError("empty sequence")
-    seq = tuple(_vec(b) for b in seq)
     total = 0
-    weights = list(ws.weights)
-    roots = list(ws.roots)
-    shift = _zero(ws.dim)
     for beta in seq:
-        bb = norm_sq(beta)
-        e_j = sum(m for v, m in weights if dot(vsub(v, shift), beta) < bb)
-        killed = [r for r in roots if dot(r, beta) != 0]
-        if len(killed) % 2:
-            raise DomainError("root system not negation-closed")
-        total += e_j - len(killed) // 2
-        weights = [(v, m) for v, m in weights if dot(vsub(v, shift), beta) == bb]
-        roots = [r for r in roots if dot(r, beta) == 0]
-        shift = vadd(shift, beta)
+        beta = _vec(beta)
+        total += stratum_codim(ws, BetaIndex(beta=beta, support=()))
+        ws = shifted_system(ws, beta)
     return total

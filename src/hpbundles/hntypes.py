@@ -85,6 +85,14 @@ class HNType:
         return sum(d for _, d in self.quotients)
 
 
+def _check_rank(n):
+    """Raise DomainError unless 1 <= n <= MAX_RANK."""
+    if n < 1:
+        raise DomainError("rank must be at least 1")
+    if n > MAX_RANK:
+        raise DomainError("rank %d is above the cap of %d" % (n, MAX_RANK))
+
+
 def codim_hn(t, g):
     """Codimension of the stratum of bundles with filtration type t."""
     if g < 1:
@@ -104,10 +112,7 @@ def enumerate_hn_types(n, d, g, max_codim):
 
     Deterministic output: sorted by codimension, then by quotient tuple.
     """
-    if n < 1:
-        raise DomainError("rank must be at least 1")
-    if n > MAX_RANK:
-        raise DomainError("rank %d is above the cap of %d" % (n, MAX_RANK))
+    _check_rank(n)
     if g < 1:
         raise DomainError("genus must be at least 1")
     if max_codim < 0:
@@ -211,10 +216,7 @@ def enumerate_reductive_classes(n, d):
     and triggers no blow-up, so it is excluded.  Sorted by decreasing
     stabilizer dimension (the blow-up order), ties by pair tuple.
     """
-    if n < 1:
-        raise DomainError("rank must be at least 1")
-    if n > MAX_RANK:
-        raise DomainError("rank %d is above the cap of %d" % (n, MAX_RANK))
+    _check_rank(n)
     m = math.gcd(n, d)
     allowed = []
     for rank in range(1, n + 1):

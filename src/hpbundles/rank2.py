@@ -35,14 +35,14 @@ from .blocks import HALF, _nt_zts, _rank2_numerators, hp_bgl, hp_jacobian
 from .errors import DivisionRemainderError, DomainError, InternalCheckError
 from .hntypes import ReductiveClass, codim_deeper_stratum
 from .poly import ONE, U, V, dual_substitute, uv_power
-from .semistable import _ss_rank2_closed_form
+from .semistable import _ss_rank2_closed_form, moduli_dimension
 from .series import FactoredRational
 
 # The polynomial has degree at most the moduli dimension 4g - 3 in each
 # variable, so at most (4g - 2)^2 terms: 64,516 at the cap.  The time
 # grows faster than the output, as about g^3 to g^4; at the cap,
-# `compute stable2 --genus 64 --deligne` takes about 1.5-1.8 s on a
-# 2-core Xeon with Python 3.11, interpreter start and printing included.
+# `compute stable2 --genus 64 --deligne` takes about 1.6 s on a 2-core
+# Intel Xeon with Python 3.11, interpreter start and printing included.
 MAX_GENUS = 64
 
 
@@ -211,7 +211,7 @@ def _deligne_closed_form(num):
 
 def moduli_dimension_rank2(g):
     """Complex dimension of the rank-2 moduli space: 4(g-1) + 1."""
-    return 4 * (g - 1) + 1
+    return moduli_dimension(2, g)
 
 
 def hp_moduli_stable_rank2(g):

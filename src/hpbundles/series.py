@@ -135,9 +135,7 @@ class TruncatedSeries:
         return self * other
 
     def __str__(self):
-        from .poly import LaurentPoly as _LP
-
-        return "%s + O(deg %d)" % (_LP(dict(self._terms)), self.order + 1)
+        return "%s + O(deg %d)" % (LaurentPoly(dict(self._terms)), self.order + 1)
 
     def __repr__(self):
         return "TruncatedSeries(%s)" % str(self)
@@ -228,14 +226,11 @@ class FactoredRational:
             key = frozenset(term.den.items())
             num = groups.get(key)
             groups[key] = term.scaled_num() if num is None else num + term.scaled_num()
-        den = {}
-        for key in groups:
-            for f, k in key:
-                if k > den.get(f, 0):
-                    den[f] = k
+        dens = [dict(key) for key in groups]
+        den = _lcm_factors(dens)
         num = None
-        for key, part in groups.items():
-            part = _times_factors(part, _missing_factors(den, dict(key)))
+        for have, part in zip(dens, groups.values()):
+            part = _times_factors(part, _missing_factors(den, have))
             num = part if num is None else num + part
         return FactoredRational(num, den)
 
@@ -260,20 +255,13 @@ class FactoredRational:
         the difference of the values over the common factors."""
         if not isinstance(other, FactoredRational):
             raise TypeError("can only compare FactoredRational with FactoredRational")
-        only_self = {}
-        only_other = {}
-        for f in set(self.den) | set(other.den):
-            k1 = self.den.get(f, 0)
-            k2 = other.den.get(f, 0)
-            common = min(k1, k2)
-            if k1 > common:
-                only_self[f] = k1 - common
-            if k2 > common:
-                only_other[f] = k2 - common
+        den = _lcm_factors((self.den, other.den))
         clear = math.lcm(self.scalar.denominator, other.scalar.denominator)
         lhs = _times_int(self.num, int(self.scalar * clear))
         rhs = _times_int(other.num, int(other.scalar * clear))
-        return _times_factors(lhs, only_other) - _times_factors(rhs, only_self)
+        return _times_factors(lhs, _missing_factors(den, self.den)) - _times_factors(
+            rhs, _missing_factors(den, other.den)
+        )
 
     # -- expansion ---------------------------------------------------------
 
@@ -312,6 +300,16 @@ def _uv_monomial_text(a, b):
     parts.append("u" if a == 1 else "u^%d" % a)
     parts.append("v" if b == 1 else "v^%d" % b)
     return "*".join(parts)
+
+
+def _lcm_factors(dens):
+    """The least common multiple {f: max k} of the factor multisets."""
+    lcm = {}
+    for den in dens:
+        for f, k in den.items():
+            if k > lcm.get(f, 0):
+                lcm[f] = k
+    return lcm
 
 
 def _missing_factors(target, have):

@@ -168,6 +168,12 @@ def test_beta_index_set_missing_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_beta_index_set_non_utf8_file(tmp_path):
+    path = tmp_path / "system.json"
+    path.write_bytes(b"\xff\xfe{")
+    _assert_domain_error(_run_module("beta", "index-set", "--system", str(path)), "cannot read weight system")
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -255,6 +261,43 @@ def test_golden_mismatch_exits_two(capsys, tmp_path):
     )
     assert code == 2
     assert "golden" in err
+
+
+def _malformed_golden(tmp_path):
+    path = tmp_path / "g2.json"
+    path.write_text('{"kind": ', encoding="utf-8")
+    return path, "cannot read golden file"
+
+
+def _non_utf8_golden(tmp_path):
+    path = tmp_path / "g2.json"
+    path.write_bytes(b"\xff\xfe{")
+    return path, "cannot read golden file"
+
+
+def _directory_golden(tmp_path):
+    path = tmp_path / "golden"
+    path.mkdir()
+    return path, "cannot read golden file"
+
+
+def _missing_parent_golden(tmp_path):
+    return tmp_path / "missing" / "g2.json", "cannot write golden file"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_malformed_golden, _non_utf8_golden, _directory_golden, _missing_parent_golden],
+    ids=["malformed", "non-utf8", "directory", "missing-parent"],
+)
+def test_golden_bad_path_exits_one(tmp_path, make):
+    path, message = make(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    contents = path.read_bytes() if path.is_file() else None
+    proc = _run_module("compute", "stable2", "--genus", "2", "--golden", str(path))
+    _assert_domain_error(proc, message)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (path.read_bytes() if path.is_file() else None) == contents
 
 
 def test_byte_identical_reruns(capsys):
