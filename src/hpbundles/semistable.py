@@ -37,7 +37,7 @@ from itertools import combinations
 
 from .blocks import _leading_factors, _rank2_numerators
 from .errors import DivisionRemainderError, DomainError, InternalCheckError
-from .hntypes import MAX_RANK, _check_rank, _compositions, codim_hn, enumerate_hn_types
+from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
 from .poly import ONE, U, V, LaurentPoly, _mul_terms, as_coeff, uv_power
 from .series import FactoredRational, TruncatedSeries
 
@@ -57,14 +57,14 @@ def _leading_term(n, g, order=None):
     keeps only the terms of total degree <= order, all that
     ``series_expand(order)`` reads.
 
-    Each factor (1 + c u^a v^b)^k of ``blocks._leading_factors`` is expanded
+    Each factor (1 + u^a v^b)^k of ``blocks._leading_factors`` is expanded
     by the binomial theorem, and windowed it keeps only the powers j with
     j (a + b) <= order, so the cost of a windowed numerator does not grow with g.
     """
     num = {(0, 0): 1}
-    for c, a, b, k in _leading_factors(n, g):
+    for _, a, b, k in _leading_factors(n, g):
         top = k if order is None else min(k, order // (a + b))
-        factor = {(j * a, j * b): math.comb(k, j) * c**j for j in range(top + 1)}
+        factor = {(j * a, j * b): math.comb(k, j) for j in range(top + 1)}
         num = _mul_terms(num, factor, order)
     den = {(l, l): 2 for l in range(1, n)}
     den[(n, n)] = den.get((n, n), 0) + 1
@@ -90,12 +90,7 @@ class SemistableSeries:
         self.types_used = 0
 
     def series(self, n, d, g, order):
-        # the checks stay inline, not in hntypes._check_rank: they run on
-        # every memo hit, and a hit costs about 2 us, so a call would show
-        if n < 1:
-            raise DomainError("rank must be at least 1")
-        if n > MAX_RANK:
-            raise DomainError("rank %d is above the cap of %d" % (n, MAX_RANK))
+        _check_rank(n)
         if g < 2:
             raise DomainError("genus out of supported range")
         if order < 0:
