@@ -9,12 +9,16 @@ onto affine hulls of small subsets and checking the global optimality
 inequality x.p >= |x|^2 exactly.
 
 The searches run in integers.  The points are scaled once by the lcm L
-of their denominators, and ``_project`` solves the projection by
-fraction-free (Bareiss) Gauss-Jordan elimination, returning integers
-(X, den) with x = X/(den*L); sign tests, support membership and the
-optimality inequality are integer comparisons, and a ``Fraction`` is
-built only for a point that is returned.  ``min_norm_point`` and
-``index_set`` share that search, ``_hull_projections``.
+of their denominators, and one table of their pairwise products is built
+per search; ``_project`` reads each subset's Gram system from that table
+and solves it by fraction-free (Bareiss) Gauss-Jordan elimination,
+returning integer barycentric coordinates over a common denominator den.
+The point X with x = X/(den*L) is formed only after the hull test, for a
+subset whose coordinates are all >= 0.  Sign tests, the chamber test,
+support membership and the optimality inequality are integer
+comparisons, and a ``Fraction`` is built only for a point that is
+returned.  ``min_norm_point`` and ``index_set`` share that search,
+``_hull_projections``.
 ``affine_projection`` and ``solve_linear`` work over ``Fraction`` and
 stay as the reference that the all-faces oracle and the tests compare
 against.  The codimension of a sequence of indices is the sum of
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import DomainError, InternalCheckError
 
@@ -38,11 +43,12 @@ from .errors import DomainError, InternalCheckError
 # distinct weights, and tests the support of each candidate they give
 # against all m weights; it refuses a system with more subset-weight
 # pairs than this.  Near the cap, on random systems of distinct weights
-# with no chamber (every candidate kept), index_set took 2.1 s in
-# dimension 1 (1414 weights), 2.2 s in 2 (158), 2.7 s in 3 (58) and
-# 4.2 s in 4 (34) on a 2-core Xeon with Python 3.11; ``beta index-set``
-# took 3.5-6.0 s, as it also prints each index's codimension.  The cost
-# of a projection grows with the dimension, so higher ones take longer.
+# with no chamber (every candidate kept), index_set took 0.6-0.7 s in
+# dimension 1 (1414 weights), 0.9-1.3 s in 2 (158), 1.0-1.6 s in 3 (58)
+# and 1.2-1.6 s in 4 (34) on a shared 2-core Xeon with Python 3.11
+# (three runs each); ``beta index-set`` took 1.2-3.2 s, as it also
+# prints each index's codimension.  The cost of a projection grows with
+# the dimension, so higher ones take longer.
 # The largest benchmark system (dimension 4, 11 weights) has 561
 # subsets, 6171 pairs.
 MAX_SUBSET_TESTS = 2_000_000
@@ -53,7 +59,7 @@ def _vec(values):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def norm_sq(a):
@@ -126,20 +132,31 @@ def affine_projection(points):
     return x, coords
 
 
-def _project(points):
+def _project(gram, subset):
     """Project the origin onto the affine hull of integer points, in integers.
 
-    Returns (X, den, coords) with den > 0: the projection is X/den and its
-    barycentric coordinates are coords/den.  Returns None when the points
-    are affinely dependent.  The Gram system of the directions p_i - p_0 is
-    solved by fraction-free Gauss-Jordan elimination; every division is
-    exact, and the last pivot is the Gram determinant.  The Gram matrix is
-    positive semidefinite, so a zero pivot (a vanishing leading principal
-    minor) means it is singular and no row exchange is needed.
+    ``gram`` is the table of pairwise products of the points and ``subset``
+    holds the indices of some of them.  Returns (den, coords) with
+    den > 0: the projection is sum(coords[k] * p_k)/den over the subset's
+    points p_k (``_combine``), and its barycentric coordinates are
+    coords/den.  Returns None when the points are affinely dependent.
+
+    The Gram system of the directions p_i - p_0 has the entries
+    G_ij - G_i0 - G_0j + G_00 and the right-hand side G_00 - G_0i, read
+    from the table.  It is solved by fraction-free Gauss-Jordan
+    elimination; every division is exact, and the last pivot is the Gram
+    determinant.  The Gram matrix is positive semidefinite, so a zero pivot
+    (a vanishing leading principal minor) means it is singular and no row
+    exchange is needed.
     """
-    base = points[0]
-    dirs = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
-    rows = [[dot(di, dj) for dj in dirs] + [-dot(base, di)] for di in dirs]
+    i0, *rest = subset
+    g0 = gram[i0]
+    g00 = g0[i0]
+    rows = []
+    for i in rest:
+        gi = gram[i]
+        r = g00 - g0[i]
+        rows.append([gi[j] - g0[j] + r for j in rest] + [r])
     den = 1
     for k, pivot_row in enumerate(rows):
         pivot = pivot_row[k]
@@ -151,20 +168,37 @@ def _project(points):
                 rows[i] = [(pivot * a - f * b) // den for a, b in zip(row, pivot_row)]
         den = pivot
     ts = [row[-1] for row in rows]
-    coords = (den - sum(ts),) + tuple(ts)
-    x = tuple(sum(c * p[i] for c, p in zip(coords, points)) for i in range(len(base)))
-    return x, den, coords
+    return den, [den - sum(ts)] + ts
+
+
+def _combine(coords, subset, points):
+    """sum(coords[k] * points[subset[k]]): the integer point X of a
+    projection (den, coords) from ``_project``."""
+    return tuple(sum(map(mul, coords, column)) for column in zip(*(points[i] for i in subset)))
 
 
 def _hull_projections(points, max_size):
     """(X, den) for each affinely independent subset of at most max_size
     integer points whose hull contains X/den, the projection of the origin
-    onto their affine hull; by subset size, in ``combinations`` order."""
-    for size in range(1, min(len(points), max_size) + 1):
-        for subset in combinations(points, size):
-            proj = _project(subset)
-            if proj is not None and all(c >= 0 for c in proj[2]):
-                yield proj[:2]
+    onto their affine hull; by subset size, in ``combinations`` order.
+
+    A single point is its own projection, (p, 1).  Larger subsets read
+    their Gram systems from one table of the pairwise products of the
+    points, built once per search (not at all when max_size is 1), and X
+    is formed only for a subset whose coordinates are all >= 0."""
+    if max_size < 1:
+        return
+    for p in points:
+        yield p, 1
+    if max_size < 2:
+        return
+    gram = [[dot(p, q) for q in points] for p in points]
+    indices = range(len(points))
+    for size in range(2, min(len(points), max_size) + 1):
+        for subset in combinations(indices, size):
+            proj = _project(gram, subset)
+            if proj is not None and min(proj[1]) >= 0:
+                yield _combine(proj[1], subset, points), proj[0]
 
 
 def min_norm_point(points):
@@ -199,9 +233,9 @@ class WeightSystem:
     holds the linear functionals s with the closed chamber given by
     x.s >= 0 for all of them.  Roots must be closed under negation.
 
-    The weights and roots are also kept scaled to integers (see
-    ``_scale``) in attributes that are not dataclass fields, so equality,
-    hashing and repr see only the four fields.
+    The weights, roots and chamber functionals are also kept scaled to
+    integers (see ``_scale``) in attributes that are not dataclass fields,
+    so equality, hashing and repr see only the four fields.
     """
 
     dim: int
@@ -236,12 +270,16 @@ class WeightSystem:
         big, scaled = _scale([v for v, _ in weights])
         object.__setattr__(self, "_int_weights", (big, tuple(zip(scaled, (m for _, m in weights)))))
         object.__setattr__(self, "_int_roots", tuple(_scale(roots)[1]))
+        object.__setattr__(self, "_int_chamber", tuple(_scale(chamber)[1]))
 
     def distinct_weight_vectors(self):
         return list(dict.fromkeys(v for v, _ in self.weights))
 
     def in_chamber(self, x):
-        return all(dot(x, s) >= 0 for s in self.chamber)
+        """Whether x.s >= 0 for every chamber functional s; x may hold
+        Fractions or ints.  Read from the functionals scaled to integers by
+        a positive factor, which keeps the sign of every pairing."""
+        return all(dot(x, s) >= 0 for s in self._int_chamber)
 
 
 @dataclass(frozen=True)
@@ -272,9 +310,11 @@ def index_set(ws):
     characterizes the minimizer.
 
     The weights are scaled to integers once (``WeightSystem`` keeps them)
-    and projected by ``_project``; candidates are told apart by the
-    reduced integer pair (X, den), and only distinct candidates become
-    ``Fraction`` vectors.
+    and projected by ``_hull_projections``; candidates are told apart by
+    the reduced integer pair (X, den) with beta = X/(den*L).  The chamber
+    and support tests run on X, the sort key |beta|^2 = X.X/(den*L)^2 is
+    formed once per kept index, and only kept indices become ``Fraction``
+    vectors.
 
     A system with more than ``MAX_SUBSET_TESTS`` subset-weight pairs is
     refused with a DomainError before any projection.
@@ -295,20 +335,23 @@ def index_set(ws):
         g = gcd(den, *x)
         candidates.add((tuple(c // g for c in x), den // g))
 
-    out = []
+    kept = []
     for x, den in candidates:
-        if not any(x):
-            continue
-        beta = tuple(Fraction(c, den * big) for c in x)
-        if not ws.in_chamber(beta):
+        if not any(x) or not ws.in_chamber(x):
             continue
         xx = dot(x, x)
         support = tuple(v for v, p in zip(vectors, scaled) if dot(p, x) * den == xx)
         if not support:
             continue
-        out.append(BetaIndex(beta=beta, support=support))
-    out.sort(key=lambda b: (norm_sq(b.beta), b.beta))
-    return out
+        scale = den * big
+        kept.append((Fraction(xx, scale * scale), tuple(Fraction(c, scale) for c in x), support))
+    # (|beta|^2, beta) is distinct for distinct betas, so no support is
+    # compared; each entry is replaced by its index in place, which frees
+    # its key as the index is built
+    kept.sort()
+    for i, (_, beta, support) in enumerate(kept):
+        kept[i] = BetaIndex(beta=beta, support=support)
+    return kept
 
 
 def stratum_codim(ws, beta_index):

@@ -22,7 +22,9 @@ def fraction_to_str(c):
 
 
 def parse_fraction(value):
-    if isinstance(value, int):
+    """An int or a fraction string as a Fraction; JSON booleans, floats and
+    anything else fail."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

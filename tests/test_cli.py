@@ -185,10 +185,11 @@ def test_beta_index_set_non_utf8_file(tmp_path):
         ({"weights": [{"v": [1, 0], "mult": True}]}, "mult must be an integer"),
         ({"dim": 2.9}, "dim must be an integer"),
         ({"weights": [{"v": "10", "mult": 1}]}, "a vector must be a list"),
+        ({"dim": 1, "weights": [{"v": [True], "mult": 1}]}, "expected an integer or a fraction string"),
     ],
     ids=[
         "bad-literal", "bad-mult", "zero-denominator", "negative-dim",
-        "float-mult", "bool-mult", "float-dim", "string-vector",
+        "float-mult", "bool-mult", "float-dim", "string-vector", "bool-coordinate",
     ],
 )
 def test_beta_index_set_malformed_system(tmp_path, change, message):

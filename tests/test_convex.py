@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import hpbundles.convex
 from hpbundles import (
     BetaIndex,
     DomainError,
@@ -14,7 +15,17 @@ from hpbundles import (
     min_norm_point,
     stratum_codim,
 )
-from hpbundles.convex import _project, _scale, affine_projection, dot, norm_sq, vadd, vsub
+from hpbundles.convex import (
+    _combine,
+    _hull_projections,
+    _project,
+    _scale,
+    affine_projection,
+    dot,
+    norm_sq,
+    vadd,
+    vsub,
+)
 from hpbundles.rank2 import weight_system_adjoint_sl2, weight_system_torus
 
 
@@ -228,26 +239,101 @@ def random_points(rng, dim, count):
     return pts
 
 
+def gram_table(points):
+    return [[dot(p, q) for q in points] for p in points]
+
+
 def test_project_matches_affine_projection():
     rng = random.Random(20240)
+    # the subset sits among other points of the table, in shuffled places
+    others = random.Random(20241)
     dependent = independent = 0
     for _ in range(600):
         dim = rng.randint(1, 4)
         pts = random_points(rng, dim, rng.randint(1, dim + 2))
-        big, scaled = _scale(pts)
-        got = _project(scaled)
+        table = random_points(others, dim, others.randint(0, 4)) + pts
+        others.shuffle(table)
+        subset = []
+        for p in pts:
+            subset.append(next(i for i, q in enumerate(table) if q == p and i not in subset))
+        big, scaled = _scale(table)
+        got = _project(gram_table(scaled), subset)
         want = affine_projection(pts)
         if want is None:
             assert got is None
             dependent += 1
             continue
         independent += 1
-        x, den, coords = got
+        den, coords = got
+        x = _combine(coords, subset, scaled)
         assert den > 0
-        assert all(isinstance(c, int) for c in x + coords)
+        assert all(isinstance(c, int) for c in x + tuple(coords))
         assert tuple(Fraction(c, den * big) for c in x) == want[0]
         assert tuple(Fraction(c, den) for c in coords) == want[1]
     assert dependent > 50 and independent > 300
+
+
+def reference_hull_projections(points, max_size):
+    """The in-hull projections over Fractions, with ``affine_projection``,
+    by subset size in ``combinations`` order."""
+    out = []
+    for size in range(1, min(len(points), max_size) + 1):
+        for subset in combinations(points, size):
+            proj = affine_projection(list(subset))
+            if proj is not None and all(c >= 0 for c in proj[1]):
+                out.append(proj[0])
+    return out
+
+
+def test_hull_projections_match_affine_projection():
+    rng = random.Random(3301)
+    larger = 0
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        pts = random_points(rng, dim, rng.randint(1, 7))
+        big, scaled = _scale(pts)
+        for max_size in (0, 1, rng.randint(2, dim + 1)):
+            got = list(_hull_projections(scaled, max_size))
+            assert all(den > 0 and all(isinstance(c, int) for c in x) for x, den in got)
+            want = reference_hull_projections(pts, max_size)
+            assert [tuple(Fraction(c, den * big) for c in x) for x, den in got] == want
+            larger += max_size > 1 and len(want) > len(pts)
+    assert larger > 50
+
+
+def test_single_point_search_builds_no_table(monkeypatch):
+    # dimension-1 index sets search single points only; a table of the
+    # pairwise products of the 1414 weights allowed there would cost more
+    # time and memory than the search
+    products = []
+    real_dot = hpbundles.convex.dot
+    monkeypatch.setattr(hpbundles.convex, "dot", lambda a, b: products.append(1) or real_dot(a, b))
+    big, scaled = _scale(random_points(random.Random(41), 1, 30))
+    assert [x for x, _ in _hull_projections(scaled, 1)] == scaled
+    assert not products
+    list(_hull_projections(scaled, 2))
+    assert products
+
+
+def test_in_chamber_matches_fraction_rule():
+    rng = random.Random(9157)
+    outcomes = set()
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        chamber = [tuple(random_rational(rng) for _ in range(dim)) for _ in range(rng.randint(0, 3))]
+        ws = WeightSystem(dim=dim, weights=(), roots=(), chamber=tuple(chamber))
+        for _ in range(10):
+            x = tuple(random_rational(rng) for _ in range(dim))
+            if chamber and dim > 1 and rng.random() < 0.3:
+                # on the wall of the first functional
+                s = chamber[0]
+                x = (s[1], -s[0]) + (Fraction(0),) * (dim - 2)
+            want = all(sum(a * b for a, b in zip(x, s)) >= 0 for s in ws.chamber)
+            assert ws.in_chamber(x) is want
+            big, (ints,) = _scale([x])
+            assert ws.in_chamber(ints) is want
+            outcomes.add((want, bool(chamber)))
+    assert outcomes == {(True, True), (False, True), (True, False)}
 
 
 def reference_min_norm(points):

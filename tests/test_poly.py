@@ -17,6 +17,7 @@ from hpbundles import (
     specialize_diagonal,
     uv_power,
 )
+from hpbundles import poly
 from hpbundles.poly import (
     _binomial_power,
     _dense_pays,
@@ -312,7 +313,7 @@ def binomial_product(factors):
     product = {(0, 0): 1}
     for c, a, b, k in factors:
         if (a, b) == (0, 0):
-            product = _mul_sparse(product, {(0, 0): (1 + c) ** k} if 1 + c else {})
+            product = _mul_sparse(product, {(0, 0): (1 + c) ** k} if (1 + c) ** k else {})
         elif c:
             product = _mul_sparse(product, _binomial_power({(0, 0): 1, (a, b): c}, k))
     return product
@@ -361,6 +362,42 @@ def test_binomial_expander_edge_cases():
         assert _expand_binomials(((c, 1, 1, 1),)) == {(0, 0): 1, (1, 1): c}
         factors = ((c, 1, 0, 2), (-1, 0, 1, 1))
         assert _expand_binomials(factors) == binomial_product(factors)
+
+
+def test_binomial_expander_packs_lines_and_axis_splits_without_empty_slots(monkeypatch):
+    # factors on one primitive direction (a0, b0), constant factors mixed
+    # in, and products of u-only and v-only factors: equal to the products
+    # of binomial powers, and every packed box is one row or one column
+    boxes = []
+    unpack = poly._unpack
+
+    def recording_unpack(packed, origin, rows, cols, width, *rest):
+        boxes.append((rows, cols))
+        return unpack(packed, origin, rows, cols, width, *rest)
+
+    monkeypatch.setattr(poly, "_unpack", recording_unpack)
+    rng = random.Random(12)
+    coefficients = (1, -1, 2, -3)
+    for _ in range(120):
+        a0, b0 = rng.choice(((1, 1), (1, 2), (3, 2), (2, 5)))
+        line = [
+            (rng.choice(coefficients), m * a0, m * b0, rng.randint(0, 6))
+            for m in (rng.randint(0, 4) for _ in range(rng.randint(1, 4)))
+        ]
+        split = [(rng.choice(coefficients), rng.randint(1, 3), 0, rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+        split += [(rng.choice(coefficients), 0, rng.randint(1, 3), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+        split += [(rng.choice(coefficients), 0, 0, rng.randint(0, 2))] * rng.randint(0, 1)
+        rng.shuffle(split)
+        for factors in (line, split):
+            boxes.clear()
+            assert _expand_binomials(factors) == binomial_product(factors)
+            assert all(1 in box for box in boxes)
+    # the diagonal denominators of the coprime sum and the sign numerator
+    diagonal = [(-1, m, m, k) for m, k in ((1, 3), (2, 2), (3, 1), (5, 1))]
+    for factors in (diagonal, ((-1, 2, 0, 24), (-1, 0, 2, 24))):
+        boxes.clear()
+        assert _expand_binomials(factors) == binomial_product(factors)
+        assert boxes and all(1 in box for box in boxes)
 
 
 def test_binomial_expander_with_slots_wider_than_256_bits():

@@ -96,3 +96,13 @@ def test_dumps_deterministic():
 def test_fraction_strings_never_floats():
     with pytest.raises(DomainError):
         serialize.parse_fraction(0.5)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_booleans_are_not_numbers(flag):
+    with pytest.raises(DomainError, match="expected an integer or a fraction string"):
+        serialize.parse_fraction(flag)
+    with pytest.raises(DomainError, match="expected an integer or a fraction string"):
+        serialize.poly_from_obj([{"p": 0, "q": 0, "c": flag}])
+    with pytest.raises(DomainError, match="expected an integer or a fraction string"):
+        serialize.rational_from_obj({"scalar": flag, "num": [{"p": 0, "q": 0, "c": "1"}], "den": []})
