@@ -35,9 +35,9 @@ def hp_jacobian(g):
 
 def _leading_factors(n, g):
     """The factors (1 + u^l v^(l-1))^g (1 + u^(l-1) v^l)^g, l = 1..n, of the
-    numerator of the leading semistable term, as the (c, a, b, k) of
-    ``poly._expand_binomials``.  Those of l = 1 make hp_jacobian(g), those
-    of l = 2 twisted_numerator(g)."""
+    numerator of the leading semistable term, as the factors (c, a, b, k)
+    of a ``poly._expand_binomials`` part.  Those of l = 1 make
+    hp_jacobian(g), those of l = 2 twisted_numerator(g)."""
     return tuple((1, a, b, g) for l in range(1, n + 1) for a, b in ((l, l - 1), (l - 1, l)))
 
 
@@ -52,7 +52,7 @@ def twisted_numerator(g):
 
 def sign_numerator(g):
     """(1-u^2)^g (1-v^2)^g: hp_jacobian(g) with u -> -u^2, v -> -v^2."""
-    return LaurentPoly._raw(_expand_binomials(((-1, 2, 0, g), (-1, 0, 2, g))))
+    return LaurentPoly._raw(_expand_binomials([(1, (0, 0), ((-1, 2, 0, g), (-1, 0, 2, g)))]))
 
 
 def hp_bgl(n):
@@ -90,7 +90,7 @@ def hp_plusminus_jac_pair(g):
     p = hp_jacobian(g)
     # P^2 by shift-adds, not hp_jacobian(2g): the outer product stays the
     # independent side of the beta2 eigenspace check
-    p_sq = LaurentPoly._raw(_expand_binomials(_leading_factors(1, g) * 2))
+    p_sq = LaurentPoly._raw(_expand_binomials([(1, (0, 0), _leading_factors(1, g) * 2)]))
     p_neg = p.negate_square_substitute()
     plus = (p_sq + p_neg) * HALF - uv_power(g) * p
     minus = (p_sq - p_neg) * HALF
@@ -124,7 +124,7 @@ def _rank2_numerators(g):
         g=g,
         jac=hp_jacobian(g),
         square=hp_jacobian(2 * g),
-        jac_twisted=LaurentPoly._raw(_expand_binomials(_leading_factors(2, g))),
+        jac_twisted=LaurentPoly._raw(_expand_binomials([(1, (0, 0), _leading_factors(2, g))])),
         signs=sign_numerator(g),
         pair=hp_plusminus_jac_pair(g),
     )

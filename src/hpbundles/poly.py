@@ -34,21 +34,25 @@ the terms that stay in the window, pairs each later term of one operand
 only with the terms of the other that fit in it, and the dense path
 unpacks only the slots inside it.
 
-A product of binomial powers prod (1 + c u^a v^b)^k, a and b >= 0, is
-formed a third way (``_expand_binomials``): the constant 1 is packed as
-on the dense path, in the box of the whole product, each power is one
-big-integer shift and add, x += c * (x << shift), and the product is
-unpacked once.  Most of its cost is that one unpacking: for the genus-24
-rank-2 numerator it takes a third of the time of the dense product of
-the two halves (10 ms against 30 ms).  A product whose factors lie on
-one direction, or split into u-only and v-only factors, packs only one
-line per direction instead of the box.  Every product of binomial powers
-is formed so: the rank-2 numerators (the Jacobian times (1 + u^2 v)^g
-(1 + u v^2)^g, the Jacobian square, (1 - u^2)^g (1 - v^2)^g) and the
-products of denominator factors.  Other products go through
-``_mul_terms``, the windowed leading terms of the semistable recursion
-included: their window keeps only a few powers of each binomial, so a
-large genus at a small order stays cheap.
+A sum of monomials times products of binomial powers,
+sum s u^p v^q prod (1 + c u^a v^b)^k with a and b >= 0, is formed a
+third way (``_expand_binomials``): each part starts as the integer s,
+each power is one big-integer shift and add, x += c * (x << shift), the
+part is added at the slot of its monomial into one accumulator packed as
+on the dense path, in the box of the whole sum, and the sum is unpacked
+once.  Most of the cost of one product is that one unpacking: for the
+genus-24 rank-2 numerator it takes a third of the time of the dense
+product of the two halves (10 ms against 30 ms).  A single product whose
+factors lie on one direction, or split into u-only and v-only factors,
+packs only one line per direction instead of the box.  Every product of
+binomial powers is formed so: the rank-2 numerators (the Jacobian times
+(1 + u^2 v)^g (1 + u v^2)^g, the Jacobian square, (1 - u^2)^g
+(1 - v^2)^g), the unwindowed leading terms of the semistable series, the
+products of denominator factors, and the numerator of the closed-form HN
+sum (``semistable.ss_closed_form``), one part per composition.  Other
+products go through ``_mul_terms``, the windowed leading terms of the
+semistable recursion included: their window keeps only a few powers of
+each binomial, so a large genus at a small order stays cheap.
 
 A two-term base is raised to a power by the binomial theorem.
 """
@@ -427,55 +431,73 @@ def _mul_dense(a, b, order=None):
     return _unpack(packed, (p0, q0), rows, cols, width, order, den)
 
 
-def _expand_binomials(factors):
-    """The term dict of prod (1 + c u^a v^b)^k over the factors (c, a, b, k),
-    with ints a, b, k >= 0 and c, by shift-adds on one packed integer.
+def _expand_binomials(parts):
+    """The term dict of the sum of s u^p v^q prod (1 + c u^a v^b)^k over
+    the parts (s, (p, q), factors), each factor (c, a, b, k) with ints
+    a, b, k >= 0 and c, by shift-adds on one packed integer.
 
-    The product starts as the constant 1, packed as in ``_mul_dense`` in a
-    box of 1 + sum k a rows and 1 + sum k b columns, so no term of a
-    partial product leaves the box.  Each factor is applied k times as
-    x += c * (x << shift), one big-integer shift and add per power.  The
-    L1 norm prod (1 + |c|)^k bounds every coefficient of every partial
-    product, so slots that hold it and a sign bit never carry into each
-    other, and the product is unpacked once.  When every a is a multiple of
+    The sum is packed as in ``_mul_dense``, in the box that holds every
+    part: its origin is the least offset (p, q) of the parts, and it
+    reaches sum k a rows and sum k b columns past each part's offset, so
+    no term of a partial product leaves the box.  Each part starts as s
+    at slot (0, 0), each of its factors is applied k times as
+    x += c * (x << shift), one big-integer shift and add per power, and
+    the part is added into one accumulator at the slot of its offset.
+    The sum of |s| prod (1 + |c|)^k over the parts bounds every
+    coefficient of every partial product and partial sum, so slots that
+    hold it and a sign bit never carry into each other, and the sum is
+    unpacked once.
+
+    A single product, the one part (1, (0, 0), factors), skips empty
+    slots in three shapes of its factors.  When every a is a multiple of
     ga and every b of gb, the product is expanded in u^ga and v^gb, in a
-    box ga gb times smaller.
-
-    Two shapes skip the empty slots of the box.  When every factor lies
-    on one primitive direction (a0, b0), as the diagonal denominators
-    prod (1 - (uv)^m)^k do, the product is expanded in t = u^a0 v^b0 and
-    its terms are spread back along that direction.  When the factors
-    split into u-only and v-only powers, the product is the outer product
-    of the two one-variable expansions.
+    box ga gb times smaller.  When every factor lies on one primitive
+    direction (a0, b0), as the diagonal denominators prod (1 - (uv)^m)^k
+    do, the product is expanded in t = u^a0 v^b0 and its terms are spread
+    back along that direction.  When the factors split into u-only and
+    v-only powers, the product is the outer product of the two
+    one-variable expansions.
     """
-    ga = math.gcd(*(a for _, a, _, _ in factors)) or 1
-    gb = math.gcd(*(b for _, _, b, _ in factors)) or 1
-    if ga * gb > 1:
-        terms = _expand_binomials([(c, a // ga, b // gb, k) for c, a, b, k in factors])
-        return {(p * ga, q * gb): c for (p, q), c in terms.items()}
-    directions = {(a // g, b // g) for _, a, b, _ in factors if (g := math.gcd(a, b))}
-    if len(directions) == 1:
-        ((a0, b0),) = directions
-        if a0 and b0:
-            line = _expand_binomials([(c, a // a0, 0, k) for c, a, _, k in factors])
-            return {(j * a0, j * b0): c for (j, _), c in line.items()}
-    elif directions == {(1, 0), (0, 1)}:
-        us = _expand_binomials([f for f in factors if f[2] == 0])
-        vs = _expand_binomials([f for f in factors if f[2] != 0])
-        return {(p, q): cu * cv for (p, _), cu in us.items() for (_, q), cv in vs.items()}
-    rows = 1 + sum(k * a for _, a, _, k in factors)
-    cols = 1 + sum(k * b for _, _, b, k in factors)
-    bound = 1
-    for c, _, _, k in factors:
-        bound *= (1 + abs(c)) ** k
+    if len(parts) == 1 and parts[0][:2] == (1, (0, 0)):
+        factors = parts[0][2]
+        ga = math.gcd(*(a for _, a, _, _ in factors)) or 1
+        gb = math.gcd(*(b for _, _, b, _ in factors)) or 1
+        if ga * gb > 1:
+            terms = _expand_binomials([(1, (0, 0), [(c, a // ga, b // gb, k) for c, a, b, k in factors])])
+            return {(p * ga, q * gb): c for (p, q), c in terms.items()}
+        directions = {(a // g, b // g) for _, a, b, _ in factors if (g := math.gcd(a, b))}
+        if len(directions) == 1:
+            ((a0, b0),) = directions
+            if a0 and b0:
+                line = _expand_binomials([(1, (0, 0), [(c, a // a0, 0, k) for c, a, _, k in factors])])
+                return {(j * a0, j * b0): c for (j, _), c in line.items()}
+        elif directions == {(1, 0), (0, 1)}:
+            us = _expand_binomials([(1, (0, 0), [f for f in factors if f[2] == 0])])
+            vs = _expand_binomials([(1, (0, 0), [f for f in factors if f[2] != 0])])
+            return {(p, q): cu * cv for (p, _), cu in us.items() for (_, q), cv in vs.items()}
+    if not parts:
+        return {}
+    p0 = min(p for _, (p, _), _ in parts)
+    q0 = min(q for _, (_, q), _ in parts)
+    rows = 1 + max(p - p0 + sum(k * a for _, a, _, k in factors) for _, (p, _), factors in parts)
+    cols = 1 + max(q - q0 + sum(k * b for _, _, b, k in factors) for _, (_, q), factors in parts)
+    bound = 0
+    for s, _, factors in parts:
+        norm = abs(s)
+        for c, _, _, k in factors:
+            norm *= (1 + abs(c)) ** k
+        bound += norm
     width = _slot_width(bound)
-    packed = 1
-    for c, a, b, k in factors:
-        shift = 8 * width * (a * cols + b)
-        for _ in range(k):
-            # a product by 1 would cost a pass over the whole integer
-            packed += packed << shift if c == 1 else c * (packed << shift)
-    return _unpack(packed, (0, 0), rows, cols, width)
+    packed = 0
+    for s, (p, q), factors in parts:
+        part = s
+        for c, a, b, k in factors:
+            shift = 8 * width * (a * cols + b)
+            for _ in range(k):
+                # a product by 1 would cost a pass over the whole integer
+                part += part << shift if c == 1 else c * (part << shift)
+        packed += part << 8 * width * ((p - p0) * cols + q - q0)
+    return _unpack(packed, (p0, q0), rows, cols, width)
 
 
 def _slot_width(bound):

@@ -44,7 +44,7 @@ def poly_to_obj(p):
 def poly_from_obj(obj):
     terms = {}
     for entry in obj:
-        terms[(int(entry["p"]), int(entry["q"]))] = parse_fraction(entry["c"])
+        terms[(_int_from_obj(entry["p"], "p"), _int_from_obj(entry["q"], "q"))] = parse_fraction(entry["c"])
     return LaurentPoly(terms)
 
 
@@ -59,7 +59,10 @@ def rational_to_obj(f):
 
 
 def rational_from_obj(obj):
-    den = {(int(e["a"]), int(e["b"])): int(e["k"]) for e in obj.get("den", [])}
+    den = {
+        (_int_from_obj(e["a"], "a"), _int_from_obj(e["b"], "b")): _int_from_obj(e["k"], "k")
+        for e in obj.get("den", [])
+    }
     return FactoredRational(
         poly_from_obj(obj.get("num", [])), den, parse_fraction(obj.get("scalar", 1))
     )
@@ -70,7 +73,7 @@ def series_to_obj(s):
 
 
 def series_from_obj(obj):
-    return TruncatedSeries(poly_from_obj(obj["terms"]).terms(), int(obj["order"]))
+    return TruncatedSeries(poly_from_obj(obj["terms"]).terms(), _int_from_obj(obj["order"], "order"))
 
 
 def _vector_to_obj(v):
@@ -79,15 +82,19 @@ def _vector_to_obj(v):
 
 def _vector_from_obj(obj):
     if not isinstance(obj, list):
-        raise DomainError("malformed weight system: a vector must be a list, got %r" % (obj,))
+        raise DomainError("a vector must be a list, got %r" % (obj,))
     return tuple(parse_fraction(x) for x in obj)
 
 
-def _count_from_obj(value, name):
-    """An int, or a string that int() reads; floats and booleans fail."""
+def _int_from_obj(value, name):
+    """The integer field name: an int, or a string that int() reads.
+    Floats, booleans and any other value fail."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise DomainError("malformed weight system: %s must be an integer, got %r" % (name, value))
-    return int(value)
+        raise DomainError("%s must be an integer, got %r" % (name, value))
+    try:
+        return int(value)
+    except ValueError as err:
+        raise DomainError("%s must be an integer, got %r" % (name, value)) from err
 
 
 def weight_system_to_obj(ws):
@@ -102,16 +109,14 @@ def weight_system_to_obj(ws):
 def weight_system_from_obj(obj):
     try:
         return convex.WeightSystem(
-            dim=_count_from_obj(obj["dim"], "dim"),
+            dim=_int_from_obj(obj["dim"], "dim"),
             weights=tuple(
-                (_vector_from_obj(w["v"]), _count_from_obj(w["mult"], "mult")) for w in obj["weights"]
+                (_vector_from_obj(w["v"]), _int_from_obj(w["mult"], "mult")) for w in obj["weights"]
             ),
             roots=tuple(_vector_from_obj(r) for r in obj.get("roots", [])),
             chamber=tuple(_vector_from_obj(s) for s in obj.get("chamber", [])),
         )
-    except DomainError:
-        raise
-    except (KeyError, TypeError, ValueError) as err:
+    except (DomainError, KeyError, TypeError, ValueError) as err:
         raise DomainError("malformed weight system: %s" % err) from err
 
 
@@ -130,7 +135,7 @@ def hn_type_to_obj(t, codim=None):
 
 
 def hn_type_from_obj(obj):
-    return HNType(tuple((int(r), int(d)) for r, d in obj["quotients"]))
+    return HNType(tuple((_int_from_obj(r, "rank"), _int_from_obj(d, "degree")) for r, d in obj["quotients"]))
 
 
 def reductive_class_to_obj(c, codim=None):
@@ -146,7 +151,7 @@ def reductive_class_to_obj(c, codim=None):
 
 def reductive_class_from_obj(obj):
     return ReductiveClass(
-        tuple((int(m), int(r)) for m, r in obj["pairs"]),
+        tuple((_int_from_obj(m, "multiplicity"), _int_from_obj(r, "rank")) for m, r in obj["pairs"]),
         at_dimension_bound=bool(obj.get("at_dimension_bound", False)),
     )
 

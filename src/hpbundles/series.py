@@ -334,7 +334,8 @@ def _times_int(poly, c):
 
 
 def _expand_factors(factors):
-    return LaurentPoly._raw(_expand_binomials([(-1, a, b, k) for (a, b), k in factors.items()]))
+    binomials = [(-1, a, b, k) for (a, b), k in factors.items()]
+    return LaurentPoly._raw(_expand_binomials([(1, (0, 0), binomials)]))
 
 
 def _divide_factors(terms, den, order=None):

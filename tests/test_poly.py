@@ -19,6 +19,7 @@ from hpbundles import (
 )
 from hpbundles import poly
 from hpbundles.poly import (
+    _add_terms,
     _binomial_power,
     _dense_pays,
     _expand_binomials,
@@ -308,6 +309,11 @@ def test_binomial_power_matches_repeated_products():
             power = _mul_sparse(power, base)
 
 
+def expand(factors):
+    """The one-part call of the binomial expander: prod (1 + c u^a v^b)^k."""
+    return _expand_binomials([(1, (0, 0), factors)])
+
+
 def binomial_product(factors):
     """prod (1 + c u^a v^b)^k by the dict loop over binomial powers."""
     product = {(0, 0): 1}
@@ -329,23 +335,23 @@ def test_binomial_expander_matches_products_of_binomial_powers():
             a, b = rng.choice(((0, b), (a, 0), (a, b)))
             factors.append((rng.choice((1, -1, 2, -3)), a, b, rng.randint(0, 6)))
             shapes.add((a == 0, b == 0, factors[-1][3] == 0))
-        assert _expand_binomials(factors) == binomial_product(factors)
+        assert expand(factors) == binomial_product(factors)
     # (a = 0, b = 0, k = 0) seen: a = 0, b = 0, neither, and k = 0
     assert shapes >= {(True, False, False), (False, True, False), (False, False, False), (False, False, True)}
 
 
 def test_binomial_expander_edge_cases():
-    assert _expand_binomials(()) == {(0, 0): 1}
-    assert _expand_binomials(((5, 2, 3, 0),)) == {(0, 0): 1}
-    assert _expand_binomials(((0, 2, 3, 4),)) == {(0, 0): 1}
+    assert expand(()) == {(0, 0): 1}
+    assert expand(((5, 2, 3, 0),)) == {(0, 0): 1}
+    assert expand(((0, 2, 3, 4),)) == {(0, 0): 1}
     # a constant factor (1 + c)^k, and one that is zero
-    assert _expand_binomials(((2, 0, 0, 3), (1, 1, 0, 1))) == {(0, 0): 27, (1, 0): 27}
-    assert _expand_binomials(((-1, 0, 0, 2), (1, 1, 1, 3))) == {}
+    assert expand(((2, 0, 0, 3), (1, 1, 0, 1))) == {(0, 0): 27, (1, 0): 27}
+    assert expand(((-1, 0, 0, 2), (1, 1, 1, 3))) == {}
     # (1 + u)^k (1 - u)^k = (1 - u^2)^k: the odd slots cancel
     for k in (1, 5, 16):
         expected = _binomial_power({(0, 0): 1, (2, 0): -1}, k)
-        assert _expand_binomials(((1, 1, 0, k), (-1, 1, 0, k))) == expected
-        assert _expand_binomials(((-1, 1, 0, k), (1, 1, 0, k))) == expected
+        assert expand(((1, 1, 0, k), (-1, 1, 0, k))) == expected
+        assert expand(((-1, 1, 0, k), (1, 1, 0, k))) == expected
     # exponents with a common stride in u or v are expanded in u^ga, v^gb
     for factors in (
         ((-1, 2, 0, 5), (-1, 0, 2, 5)),
@@ -353,15 +359,15 @@ def test_binomial_expander_edge_cases():
         ((5, 0, 2, 3),),
         ((1, 4, 6, 2), (-1, 2, 2, 1)),
     ):
-        assert _expand_binomials(factors) == binomial_product(factors)
+        assert expand(factors) == binomial_product(factors)
     # (1 + uv)(1 - uv)(1 + u^2 v^2) = 1 - u^4 v^4
-    assert _expand_binomials(((1, 1, 1, 1), (-1, 1, 1, 1), (1, 2, 2, 1))) == {(0, 0): 1, (4, 4): -1}
+    assert expand(((1, 1, 1, 1), (-1, 1, 1, 1), (1, 2, 2, 1))) == {(0, 0): 1, (4, 4): -1}
     # coefficients at the edge of a slot: L1 bounds of 127, 128 and 129
     # against a sign bit in 1 or 2 bytes
     for c in (126, 127, -127, 128, -128, 2**63 - 1, -(2**63)):
-        assert _expand_binomials(((c, 1, 1, 1),)) == {(0, 0): 1, (1, 1): c}
+        assert expand(((c, 1, 1, 1),)) == {(0, 0): 1, (1, 1): c}
         factors = ((c, 1, 0, 2), (-1, 0, 1, 1))
-        assert _expand_binomials(factors) == binomial_product(factors)
+        assert expand(factors) == binomial_product(factors)
 
 
 def test_binomial_expander_packs_lines_and_axis_splits_without_empty_slots(monkeypatch):
@@ -390,13 +396,13 @@ def test_binomial_expander_packs_lines_and_axis_splits_without_empty_slots(monke
         rng.shuffle(split)
         for factors in (line, split):
             boxes.clear()
-            assert _expand_binomials(factors) == binomial_product(factors)
+            assert expand(factors) == binomial_product(factors)
             assert all(1 in box for box in boxes)
     # the diagonal denominators of the coprime sum and the sign numerator
     diagonal = [(-1, m, m, k) for m, k in ((1, 3), (2, 2), (3, 1), (5, 1))]
     for factors in (diagonal, ((-1, 2, 0, 24), (-1, 0, 2, 24))):
         boxes.clear()
-        assert _expand_binomials(factors) == binomial_product(factors)
+        assert expand(factors) == binomial_product(factors)
         assert boxes and all(1 in box for box in boxes)
 
 
@@ -404,12 +410,91 @@ def test_binomial_expander_with_slots_wider_than_256_bits():
     # the L1 norm 2^256 * 4^2 needs 33-byte slots, beyond those of the
     # genus-64 rank-2 numerators (2^256)
     factors = ((1, 1, 0, 128), (1, 0, 1, 128), (-3, 1, 1, 2))
-    product = _expand_binomials(factors)
+    product = expand(factors)
     assert product == binomial_product(factors)
     assert _slot_width(2**256 * 4**2) == 33
     assert product[(130, 130)] == 9
     central = math.comb(128, 64) ** 2 - 6 * math.comb(128, 63) ** 2 + 9 * math.comb(128, 62) ** 2
     assert product[(64, 64)] == central and central > 2**240
+
+
+def parts_sum(parts):
+    """sum s u^p v^q prod (1 + c u^a v^b)^k over the parts (s, (p, q), factors),
+    by the dict loop: each binomial product shifted by its monomial."""
+    total = {}
+    for s, (p, q), factors in parts:
+        total = _add_terms(total, _mul_sparse({(p, q): s} if s else {}, binomial_product(factors)))
+    return total
+
+
+def random_parts(rng, count):
+    parts = []
+    for _ in range(count):
+        factors = []
+        for _ in range(rng.randint(0, 4)):
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            a, b = rng.choice(((0, b), (a, 0), (a, b)))
+            factors.append((rng.choice((1, -1, 2, -3, 5)), a, b, rng.randint(0, 5)))
+        offset = (rng.randint(-3, 4), rng.randint(-3, 4))
+        parts.append((rng.choice((1, -1, 2, -7, 0)), offset, factors))
+    return parts
+
+
+def test_binomial_expander_sums_shifted_parts_in_one_unpacking(monkeypatch):
+    # random signs and scalars s (0 and |s| > 1 too), coefficients c
+    # beyond +-1, k = 0, empty factor lists, and offsets of either sign,
+    # so the least offset sets the origin of the box; a sum of more than
+    # one part is unpacked once
+    unpacked = []
+    unpack = poly._unpack
+
+    def recording_unpack(*args):
+        unpacked.append(args[1])
+        return unpack(*args)
+
+    monkeypatch.setattr(poly, "_unpack", recording_unpack)
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(200):
+        parts = random_parts(rng, rng.randint(2, 5))
+        unpacked.clear()
+        assert _expand_binomials(parts) == parts_sum(parts)
+        assert len(unpacked) == 1
+        origin = (min(p for _, (p, _), _ in parts), min(q for _, (_, q), _ in parts))
+        assert unpacked == [origin]
+        seen.add(origin != (0, 0))
+        seen.update("empty" for _, _, factors in parts if not factors)
+        seen.update("k = 0" for _, _, factors in parts for *_, k in factors if k == 0)
+    assert seen >= {True, False, "empty", "k = 0"}
+    # parts that cancel: a part and its negative, and a product minus its
+    # expansion term by term
+    for s, offset, factors in random_parts(rng, 20):
+        assert _expand_binomials([(s, offset, factors), (-s, offset, factors)]) == {}
+    cancel = [(3, (1, -2), [(2, 1, 1, 2)]), (-3, (1, -2), []), (-12, (2, -1), []), (-12, (3, 0), [])]
+    assert _expand_binomials(cancel) == {}
+    assert _expand_binomials([]) == {}
+
+
+def test_one_part_call_moves_and_scales_its_product():
+    # one part with s != 1 or an offset is its product moved to its
+    # offset and scaled by s, for the factor shapes a single product
+    # expands by a shortcut too (a common stride, one direction, a u/v
+    # split)
+    rng = random.Random(15)
+    shapes = (
+        [(-1, 2, 0, 3), (2, 0, 4, 2)],
+        [(-1, 1, 1, 3), (1, 2, 2, 2)],
+        [(1, 2, 0, 2), (-3, 0, 1, 3)],
+        [(1, 1, 0, 2), (1, 2, 1, 1)],
+        [],
+    )
+    for factors in shapes:
+        for _ in range(5):
+            part = (rng.choice((1, -1, 3, -4)), (rng.randint(-3, 3), rng.randint(-3, 3)), factors)
+            assert _expand_binomials([part]) == parts_sum([part])
+        assert _expand_binomials([(0, (2, 2), factors)]) == {}
+    for part in random_parts(rng, 40):
+        assert _expand_binomials([part]) == parts_sum([part])
 
 
 def test_negative_power_of_non_unit_rejected():

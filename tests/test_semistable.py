@@ -163,7 +163,8 @@ def test_windowed_leading_series_matches_full_expansion():
     # orders rising make the evaluator expand each one afresh, inside its
     # window; falling, it copies them out of the order-40 expansion.  The
     # full numerator's expansion to order 40, truncated, is its expansion
-    # to each lower order.
+    # to each lower order.  The full numerator comes from the shift-add
+    # expander, the windowed ones from ``_mul_terms``: two kernels.
     for n in range(1, MAX_RANK + 1):
         for g in range(2, 6):
             full = leading_closed_term(n, g).series_expand(40)
@@ -326,6 +327,43 @@ def test_closed_form_series_matches_recursion(n, d, g, order):
     assert ss_closed_form(n, d, g).series_expand(order) == hp_ss_series(n, d, g, order)
 
 
+def closed_form_by_sum(n, d, g, products):
+    """``ss_closed_form`` term by term: each composition's product of leading
+    terms, shifted and signed, added by ``FactoredRational.sum``.  The
+    products are kept in ``products``, keyed by the sorted parts and g."""
+    terms = []
+    for ranks in _compositions(n):
+        e = semistable._closed_form_exponent(ranks, d, g)
+        den = {}
+        for a, b in zip(ranks, ranks[1:]):
+            den[(a + b, a + b)] = den.get((a + b, a + b), 0) + 1
+        key = (tuple(sorted(ranks)), g)
+        if key not in products:
+            product = FactoredRational(ONE)
+            for m in key[0]:
+                product = product * leading_closed_term(m, g)
+            products[key] = product
+        terms.append(FactoredRational(uv_power(int(e)), den, (-1) ** (len(ranks) - 1)) * products[key])
+    return FactoredRational.sum(terms)
+
+
+@pytest.mark.parametrize(
+    "n, residues, genera",
+    [(n, range(n), (2, 3, 4)) for n in range(1, 7)] + [(8, (1, 3), (2,))],
+    ids=["rank%d" % n for n in (1, 2, 3, 4, 5, 6, 8)],
+)
+def test_closed_form_equals_sum_of_leading_products(n, residues, genera):
+    # the same num, den and scalar as the composition-by-composition sum
+    products = {}
+    for d in residues:
+        for g in genera:
+            closed = ss_closed_form(n, d, g)
+            expected = closed_form_by_sum(n, d, g, products)
+            assert closed.num == expected.num, (n, d, g)
+            assert closed.den == expected.den, (n, d, g)
+            assert closed.scalar == expected.scalar == 1, (n, d, g)
+
+
 def test_closed_form_rank2_equals_hand_coded_closed_form():
     for g in (2, 3, 4):
         assert ss_closed_form(2, 0, g).equals(hp_ss_rank2_closed_form(g))
@@ -340,3 +378,21 @@ def test_caps_reject_inputs_one_over():
         ss_closed_form(MAX_RANK + 1, 1, 2)
     with pytest.raises(DomainError, match="cap"):
         stable_coprime_polynomial(MAX_RANK + 1, 1, 2)
+
+
+def test_closed_form_rejects_moduli_dimension_one_over_its_cap(monkeypatch):
+    # dimension n^2(g-1) + 1: 257 for rank 1 at genus 257, and over the
+    # cap first for rank 2 at genus 65 and rank 8 at genus 5; nothing is
+    # expanded before the input is refused
+    cap = semistable.MAX_CLOSED_FORM_DIM
+    assert semistable.moduli_dimension(2, 64) <= cap < semistable.moduli_dimension(2, 65)
+    assert semistable.moduli_dimension(8, 4) <= cap < semistable.moduli_dimension(8, 5)
+    assert ss_closed_form(1, 0, cap).num == hp_jacobian(cap)
+
+    def refuse(parts):
+        raise AssertionError("expanded before the cap check")
+
+    monkeypatch.setattr(semistable, "_expand_binomials", refuse)
+    for n, g in ((1, cap + 1), (2, 65), (8, 5), (3, 1000)):
+        with pytest.raises(DomainError, match="closed-form cap of %d" % cap):
+            ss_closed_form(n, 1, g)

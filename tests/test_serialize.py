@@ -106,3 +106,34 @@ def test_booleans_are_not_numbers(flag):
         serialize.poly_from_obj([{"p": 0, "q": 0, "c": flag}])
     with pytest.raises(DomainError, match="expected an integer or a fraction string"):
         serialize.rational_from_obj({"scalar": flag, "num": [{"p": 0, "q": 0, "c": "1"}], "den": []})
+
+
+INTEGER_FIELDS = {
+    "poly-p": lambda x: serialize.poly_from_obj([{"p": x, "q": 0, "c": "1"}]),
+    "poly-q": lambda x: serialize.poly_from_obj([{"p": 0, "q": x, "c": "1"}]),
+    "den-a": lambda x: serialize.rational_from_obj({"num": [], "den": [{"a": x, "b": 1, "k": 1}]}),
+    "den-b": lambda x: serialize.rational_from_obj({"num": [], "den": [{"a": 1, "b": x, "k": 1}]}),
+    "den-k": lambda x: serialize.rational_from_obj({"num": [], "den": [{"a": 1, "b": 1, "k": x}]}),
+    "series-order": lambda x: serialize.series_from_obj({"order": x, "terms": []}),
+    "hn-type-rank": lambda x: serialize.hn_type_from_obj({"quotients": [[x, 1]]}),
+    "hn-type-degree": lambda x: serialize.hn_type_from_obj({"quotients": [[1, x]]}),
+    "class-multiplicity": lambda x: serialize.reductive_class_from_obj({"pairs": [[x, 1]]}),
+    "class-rank": lambda x: serialize.reductive_class_from_obj({"pairs": [[1, x]]}),
+    "weight-system-dim": lambda x: serialize.weight_system_from_obj({"dim": x, "weights": []}),
+    "weight-system-mult": lambda x: serialize.weight_system_from_obj(
+        {"dim": 1, "weights": [{"v": [1], "mult": x}]}
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+@pytest.mark.parametrize("value", [1.7, 1.0, 3.9, True, False, "1.5", None], ids=repr)
+def test_integer_fields_reject_floats_and_booleans(field, value):
+    with pytest.raises(DomainError, match="must be an integer"):
+        INTEGER_FIELDS[field](value)
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_fields_read_ints_and_integer_strings(field):
+    # FactoredRational has no ==, so the values are compared by their repr
+    assert repr(INTEGER_FIELDS[field](1)) == repr(INTEGER_FIELDS[field]("1"))
