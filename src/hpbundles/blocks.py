@@ -7,18 +7,22 @@ from.
 
 A rank-2 call forms its dense numerators once, in one ``_Rank2Numerators``
 record built by ``_rank2_numerators(g)``, and hands that record to every
-closed form and stratum it evaluates.  The record lives only as long as
+closed form and stratum it evaluates.  The numerators are packed
+integers in one box (``packed._Packed``), and the Jacobian pair is formed
+and certified from them by shifts, adds and a parity mask; public
+functions unpack what they return.  The record lives only as long as
 the call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, InternalCheckError
-from .poly import ONE, U, V, LaurentPoly, _expand_binomials, uv_power
+from .packed import _Box
+from .poly import ONE, U, V, LaurentPoly, _expand_binomials
 from .series import FactoredRational
 
 HALF = Fraction(1, 2)
@@ -45,13 +49,17 @@ def twisted_numerator(g):
     """(1+u^2 v)^g (1+u v^2)^g, the numerator the rank-2 closed forms
     share with the l = 2 factor of the leading semistable term.
 
-    The rank-2 record expands its product with hp_jacobian(g) in one go
-    (``_rank2_numerators``); the tests check that against this."""
+    The rank-2 record forms its product with hp_jacobian(g) by shift-adds
+    on the packed Jacobian (``_rank2_numerators``); the tests check that
+    against this."""
     return (ONE + LaurentPoly.monomial(1, 2, 1)) ** g * (ONE + LaurentPoly.monomial(1, 1, 2)) ** g
 
 
 def sign_numerator(g):
-    """(1-u^2)^g (1-v^2)^g: hp_jacobian(g) with u -> -u^2, v -> -v^2."""
+    """(1-u^2)^g (1-v^2)^g: hp_jacobian(g) with u -> -u^2, v -> -v^2.
+
+    The rank-2 record packs its own copy as an outer product of two
+    binomial rows; the tests check that against this."""
     return LaurentPoly._raw(_expand_binomials([(1, (0, 0), ((-1, 2, 0, g), (-1, 0, 2, g)))]))
 
 
@@ -87,47 +95,78 @@ def hp_plusminus_jac_pair(g):
     Both halves must come out with integer coefficients; a half-integer
     would mean the eigenspace bookkeeping is broken.
     """
-    p = hp_jacobian(g)
-    # P^2 by shift-adds, not hp_jacobian(2g): the outer product stays the
-    # independent side of the beta2 eigenspace check
-    p_sq = LaurentPoly._raw(_expand_binomials([(1, (0, 0), _leading_factors(1, g) * 2)]))
-    p_neg = p.negate_square_substitute()
-    plus = (p_sq + p_neg) * HALF - uv_power(g) * p
-    minus = (p_sq - p_neg) * HALF
-    for name, half in (("plus", plus), ("minus", minus)):
-        if not half.is_integral():
-            raise InternalCheckError(
-                "%s-part of the Jacobian pair has non-integer coefficients" % name
-            )
-    return plus, minus
+    return tuple(LaurentPoly._raw(half.unpack()) for half in _rank2_numerators(g).pair)
 
 
-@dataclass(frozen=True)
+def _rational(num, den, scalar=1):
+    """scalar * num / den for a packed numerator."""
+    return FactoredRational(LaurentPoly._raw(num.unpack()), den, scalar)
+
+
+# (1 - uv)(1 - u^2 v^2), the denominator of HP(BGL(2)) and of HP(BT)
+DEN_BT = {(1, 1): 1, (2, 2): 1}
+
+
 class _Rank2Numerators:
-    """The genus-g numerators of the rank-2 closed forms and strata:
-    jac = hp_jacobian(g), square = hp_jacobian(2g),
-    jac_twisted = jac * twisted_numerator(g), signs = sign_numerator(g)
-    and pair = hp_plusminus_jac_pair(g).  jac_twisted, the product of four
-    binomial powers ``_leading_factors(2, g)``, is expanded by ``poly._expand_binomials``."""
+    """The genus-g numerators of the rank-2 closed forms and strata, packed
+    in one ``packed._Box`` per call: jac = hp_jacobian(g),
+    square = hp_jacobian(2g), jac_twisted = jac * twisted_numerator(g),
+    signs = sign_numerator(g) and the ``hp_plusminus_jac_pair(g)`` halves
+    pair = (plus, minus), all ``packed._Packed``.  Each is formed when it is
+    first read and kept for the rest of the call, so a stratum that reads
+    only jac forms nothing else.
 
-    g: int
-    jac: LaurentPoly
-    square: LaurentPoly
-    jac_twisted: LaurentPoly
-    signs: LaurentPoly
-    pair: tuple
+    The box has origin (0, 0) and 4g + 3 columns, one more than the
+    largest exponent of v any rank-2 formula reaches, and its slots hold
+    the largest norm of those formulas: 2^(4g + 5) (4g + 1)^2 bounds the
+    certificate of the Hodge-Deligne quotient, the largest, and the
+    packed types check every other norm on the way.  jac, square and
+    signs are outer products of two binomial rows (``packed._Box.outer``);
+    jac_twisted and the square inside the pair are jac times binomial
+    powers, the ``_leading_factors`` of l = 2 and of l = 1, one shift-add
+    each.  Every closed form, stratum, sum and certificate is then a
+    shift, add or small-int multiply of these integers, and only the
+    values a caller asks for are unpacked."""
+
+    def __init__(self, g):
+        self.g = g
+        self.box = _Box(4 * g + 3, 2 ** (4 * g + 5) * (4 * g + 1) ** 2)
+
+    @cached_property
+    def jac(self):
+        return self.box.outer(1, 1, self.g)
+
+    @cached_property
+    def square(self):
+        return self.box.outer(1, 1, 2 * self.g)
+
+    @cached_property
+    def signs(self):
+        return self.box.outer(-1, 2, self.g)
+
+    @cached_property
+    def jac_twisted(self):
+        return self.jac.times_binomials(_leading_factors(2, self.g)[2:])
+
+    @cached_property
+    def pair(self):
+        # P^2 by shift-adds from P, while square is the outer product of the
+        # 2g-th binomial rows: the beta2 bracket check compares the two
+        jac_sq = self.jac.times_binomials(_leading_factors(1, self.g))
+        halves = []
+        for name, total in (("plus", jac_sq + self.signs), ("minus", jac_sq - self.signs)):
+            half = total.halve()
+            if half is None:
+                raise InternalCheckError("%s-part of the Jacobian pair has non-integer coefficients" % name)
+            halves.append(half)
+        return halves[0] - self.jac.uv(self.g), halves[1]
 
 
 def _rank2_numerators(g):
-    """Form each numerator of the record once."""
-    return _Rank2Numerators(
-        g=g,
-        jac=hp_jacobian(g),
-        square=hp_jacobian(2 * g),
-        jac_twisted=LaurentPoly._raw(_expand_binomials([(1, (0, 0), _leading_factors(2, g))])),
-        signs=sign_numerator(g),
-        pair=hp_plusminus_jac_pair(g),
-    )
+    """The record of genus g, for one call."""
+    if g < 0:
+        raise DomainError("genus must be non-negative")
+    return _Rank2Numerators(g)
 
 
 def hp_nt_zts(g):
@@ -142,22 +181,22 @@ def hp_nt_zts(g):
     """
     if g < 1:
         raise DomainError("genus must be at least 1")
-    return _nt_zts(_rank2_numerators(g))
+    return _rational(_nt_zts(_rank2_numerators(g)), DEN_BT, HALF)
 
 
 def _nt_zts(num):
-    """``hp_nt_zts`` from a ``_Rank2Numerators`` record."""
-    bt_plus, bt_minus = hp_plusminus_bt()
-    jac_plus, jac_minus = num.pair
-    composed = bt_plus * jac_plus + bt_minus * jac_minus
-
-    closed_num = (
-        num.square * (ONE + U * V)
-        + num.signs * (ONE - U * V)
-        - 2 * uv_power(num.g) * num.jac
+    """The packed numerator of ``hp_nt_zts`` over 2 (1-uv)(1-u^2v^2), from a
+    ``_Rank2Numerators`` record.  HP+(BT) = 1/((1-uv)(1-u^2v^2)) and
+    HP-(BT) = uv/((1-uv)(1-u^2v^2)), so the composition is
+    2 (plus + uv minus) over that denominator."""
+    plus, minus = num.pair
+    composed = 2 * (plus + minus.uv(1))
+    closed = (
+        num.square
+        + num.square.uv(1)
+        + num.signs.times_one_minus_uv(1)
+        - 2 * num.jac.uv(num.g)
     )
-    closed = FactoredRational(closed_num, {(1, 1): 1, (2, 2): 1}, HALF)
-
-    if not composed.equals(closed):
+    if composed != closed:
         raise InternalCheckError("eigenspace composition disagrees with its closed form")
     return closed

@@ -19,8 +19,8 @@ pass.  The dense path packs each operand into one big integer
 integer multiply and unpacks one slot per cell of the product's exponent
 box; its cost follows the box, not the pairs.  The dense path is taken
 when both operands have at least 8 terms and the term pairs number at
-least 4 times the cells of the box, as for the dense (g+1)^2-term
-products of the rank-2 closed forms.  Sparse products, such as a few
+least 4 times the cells of the box, as for two dense (g+1)^2-term
+Jacobians.  Sparse products, such as a few
 terms spread over a wide box, stay on the dict loop: the dense path
 would pay for every empty cell of the box (about 18 times slower for 16
 terms spread over a 40 x 40 box).  The dict loop is the reference the
@@ -41,18 +41,22 @@ each power is one big-integer shift and add, x += c * (x << shift), the
 part is added at the slot of its monomial into one accumulator packed as
 on the dense path, in the box of the whole sum, and the sum is unpacked
 once.  Most of the cost of one product is that one unpacking: for the
-genus-24 rank-2 numerator it takes a third of the time of the dense
-product of the two halves (10 ms against 30 ms).  A single product whose
+genus-24 product (1+u)^g (1+v)^g (1+u^2 v)^g (1+u v^2)^g it takes a
+third of the time of the dense product of the two halves (10 ms
+against 30 ms).  A single product whose
 factors lie on one direction, or split into u-only and v-only factors,
-packs only one line per direction instead of the box.  Every product of
-binomial powers is formed so: the rank-2 numerators (the Jacobian times
-(1 + u^2 v)^g (1 + u v^2)^g, the Jacobian square, (1 - u^2)^g
-(1 - v^2)^g), the unwindowed leading terms of the semistable series, the
-products of denominator factors, and the numerator of the closed-form HN
-sum (``semistable.ss_closed_form``), one part per composition.  Other
-products go through ``_mul_terms``, the windowed leading terms of the
-semistable recursion included: their window keeps only a few powers of
-each binomial, so a large genus at a small order stays cheap.
+packs only one line per direction instead of the box.  The unwindowed
+leading terms of the semistable series, the products of denominator
+factors, and the numerator of the closed-form HN sum
+(``semistable.ss_closed_form``), one part per composition, are formed
+so.  Other products go through ``_mul_terms``, the windowed leading
+terms of the semistable recursion included: their window keeps only a
+few powers of each binomial, so a large genus at a small order stays
+cheap.
+
+A computation that goes on working with its products keeps them packed
+(``packed``), reusing the slot width, the unpacking and the shift-add
+loop here.
 
 A two-term base is raised to a power by the binomial theorem.
 """
@@ -490,14 +494,21 @@ def _expand_binomials(parts):
     width = _slot_width(bound)
     packed = 0
     for s, (p, q), factors in parts:
-        part = s
-        for c, a, b, k in factors:
-            shift = 8 * width * (a * cols + b)
-            for _ in range(k):
-                # a product by 1 would cost a pass over the whole integer
-                part += part << shift if c == 1 else c * (part << shift)
-        packed += part << 8 * width * ((p - p0) * cols + q - q0)
+        packed += _times_binomials(s, factors, cols, width) << 8 * width * ((p - p0) * cols + q - q0)
     return _unpack(packed, (p0, q0), rows, cols, width)
+
+
+def _times_binomials(x, factors, cols, width):
+    """The packed x times prod (1 + c u^a v^b)^k over the factors
+    (c, a, b, k), packed as in ``_mul_dense`` in rows of cols slots of
+    width bytes: one big-integer shift and add per power.  The caller
+    sizes the slots and the row for every partial product."""
+    for c, a, b, k in factors:
+        shift = 8 * width * (a * cols + b)
+        for _ in range(k):
+            # a product by 1 would cost a pass over the whole integer
+            x += x << shift if c == 1 else c * (x << shift)
+    return x
 
 
 def _slot_width(bound):
@@ -517,18 +528,24 @@ def _unpack(packed, origin, rows, cols, width, order=None, den=1):
     p0, q0 = origin
     half = 1 << (8 * width - 1)
     slots = rows * cols
-    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    bias = _slot_pattern(half, width, slots)
     data = ((packed + bias) & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
+    from_bytes = int.from_bytes
     res = {}
     for p in range(p0, p0 + rows):
         at = width * (p - p0) * cols
         span = cols if order is None else min(cols, order - p - q0 + 1)
-        for q in range(q0, q0 + span):
-            c = int.from_bytes(data[at : at + width], "little") - half
-            at += width
-            if c:
-                res[(p, q)] = c if den == 1 else as_coeff(Fraction(c, den))
+        row = [from_bytes(data[i : i + width], "little") for i in range(at, at + width * span, width)]
+        for q, c in enumerate(row, q0):
+            if c != half:
+                res[(p, q)] = c - half if den == 1 else as_coeff(Fraction(c - half, den))
     return res
+
+
+def _slot_pattern(value, width, slots):
+    """The packed integer whose first slots slots, of width bytes, all
+    hold the value (0 <= value < 2^(8 width))."""
+    return int.from_bytes(value.to_bytes(width, "little") * slots, "little")
 
 
 def _integral(terms):

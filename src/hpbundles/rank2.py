@@ -15,12 +15,15 @@ single closed form before being returned.
 
 There is one numerator record per call: each public entry point checks
 the genus, builds one ``blocks._Rank2Numerators`` record and hands it to
-a private body, so a Hodge-Deligne call expands the product
-(1+u)^g (1+v)^g (1+u^2 v)^g (1+u v^2)^g once for the semistable series
-and both closed forms, and the Jacobian pair once for the strata t and
-beta2.  Both that product and the Jacobian square inside the pair are
-products of binomial powers, expanded by shift-adds on one packed
-integer (``poly._expand_binomials``).
+a private body.  The record holds the numerators as packed integers in
+one box (``packed._Packed``), so every closed form, stratum, the sum over
+the common denominator and every certificate is a big-integer shift,
+add or small-int multiply, and each equality is one integer comparison.
+The stable polynomial is divided out of its closed form by packed
+running sums along the diagonal, certified by multiplying back, and
+unpacked once per call; a Hodge-Deligne call reverses its slots for the
+dual instead and unpacks that.  Public functions that return a
+numerator, a stratum or a closed form unpack it from the same record.
 
 The genus is capped at MAX_GENUS, a bound sized from the output: past it
 a call raises DomainError instead of running for minutes.
@@ -31,19 +34,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import convex
-from .blocks import HALF, _nt_zts, _rank2_numerators, hp_bgl, hp_jacobian
-from .errors import DivisionRemainderError, DomainError, InternalCheckError
+from .blocks import DEN_BT, HALF, _nt_zts, _rank2_numerators, _rational
+# bound here too, though no formula reads it: perfbench's tracer test
+# checks that its wrapper reaches every module that binds hp_jacobian
+from .blocks import hp_jacobian  # noqa: F401
+from .errors import DomainError, InternalCheckError
 from .hntypes import ReductiveClass, codim_deeper_stratum
-from .poly import ONE, U, V, dual_substitute, uv_power
-from .semistable import _ss_rank2_closed_form, moduli_dimension
-from .series import FactoredRational
+from .poly import LaurentPoly
+from .semistable import SS_RANK2_DEN, _ss_rank2_numerator, moduli_dimension
+from .series import FactoredRational, _lcm_factors, _missing_factors
 
 # The polynomial has degree at most the moduli dimension 4g - 3 in each
 # variable, so at most (4g - 2)^2 terms: 64,516 at the cap.  The time
 # grows faster than the output, as about g^3 to g^4; at the cap,
-# `compute stable2 --genus 64 --deligne` takes about 1.6 s on a 2-core
-# Intel Xeon with Python 3.11, interpreter start and printing included.
+# `compute stable2 --genus 64 --deligne` takes about 1.1 s on a 2-core
+# Intel Xeon with Python 3.11, interpreter start and printing included
+# (the call itself about 0.45 s).
 MAX_GENUS = 64
+
+
+# (1 - uv)^2, the denominator of the beta strata
+DEN_BETA = {(1, 1): 2}
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,23 @@ def weight_system_torus(g):
     )
 
 
+@dataclass(frozen=True)
+class _Stratum:
+    """A stratum of one rank-2 call: scalar * num / den with a packed
+    numerator, before the shift (uv)^codim."""
+
+    label: str
+    codim: int
+    num: object
+    den: dict
+    scalar: object
+
+
+def _public(stratum):
+    contribution = _rational(stratum.num, stratum.den, stratum.scalar)
+    return StratumRecord(stratum.label, stratum.codim, contribution)
+
+
 def _expect_codim(label, value, expected):
     if value != expected:
         raise InternalCheckError(
@@ -98,32 +126,38 @@ def _unique_beta_codim(ws):
 def stratum_gl2(g):
     """Doubled line bundles: HP(BGL(2)) times a Jacobian, codim 3g."""
     _check_genus(g)
-    codim = codim_deeper_stratum(ReductiveClass(((2, 1),)), 2, g)
-    _expect_codim("gl2", codim, 3 * g)
-    contribution = hp_bgl(2) * hp_jacobian(g)
-    return StratumRecord("gl2", codim, contribution)
+    return _public(_stratum_gl2(_rank2_numerators(g)))
+
+
+def _stratum_gl2(num):
+    codim = codim_deeper_stratum(ReductiveClass(((2, 1),)), 2, num.g)
+    _expect_codim("gl2", codim, 3 * num.g)
+    return _Stratum("gl2", codim, num.jac, DEN_BT, 1)
 
 
 def stratum_beta1(g):
     """Non-split self-extensions: (1-(uv)^g)(1+u)^g(1+v)^g / (1-uv)^2,
     codim 2g-1 (cross-checked on the adjoint weight system)."""
     _check_genus(g)
-    codim = _unique_beta_codim(weight_system_adjoint_sl2(g))
-    _expect_codim("beta1", codim, 2 * g - 1)
-    contribution = FactoredRational((ONE - uv_power(g)) * hp_jacobian(g), {(1, 1): 2})
-    return StratumRecord("beta1", codim, contribution)
+    return _public(_stratum_beta1(_rank2_numerators(g)))
+
+
+def _stratum_beta1(num):
+    codim = _unique_beta_codim(weight_system_adjoint_sl2(num.g))
+    _expect_codim("beta1", codim, 2 * num.g - 1)
+    return _Stratum("beta1", codim, num.jac.times_one_minus_uv(num.g), DEN_BETA, 1)
 
 
 def stratum_t(g):
     """Split pairs of distinct line bundles, codim 2g-2."""
     _check_genus(g)
-    return _stratum_t(_rank2_numerators(g))
+    return _public(_stratum_t(_rank2_numerators(g)))
 
 
 def _stratum_t(num):
     codim = codim_deeper_stratum(ReductiveClass(((1, 1), (1, 1))), 2, num.g)
     _expect_codim("t", codim, 2 * num.g - 2)
-    return StratumRecord("t", codim, _nt_zts(num))
+    return _Stratum("t", codim, _nt_zts(num), DEN_BT, HALF)
 
 
 def stratum_beta2(g):
@@ -133,28 +167,27 @@ def stratum_beta2(g):
         / (1-uv)^2.
     """
     _check_genus(g)
-    return _stratum_beta2(_rank2_numerators(g))
+    return _public(_stratum_beta2(_rank2_numerators(g)))
 
 
 def _stratum_beta2(num):
     g = num.g
     codim = _unique_beta_codim(weight_system_torus(g))
     _expect_codim("beta2", codim, g - 1)
-    bracket = num.square - uv_power(g) * num.jac
+    bracket = num.square - num.jac.uv(g)
     plus, minus = num.pair
     if bracket != plus + minus:
         raise InternalCheckError("beta2 bracket is not the eigenspace total")
-    contribution = FactoredRational((ONE - uv_power(g - 1)) * bracket, {(1, 1): 2})
-    return StratumRecord("beta2", codim, contribution)
+    return _Stratum("beta2", codim, bracket.times_one_minus_uv(g - 1), DEN_BETA, 1)
 
 
 def rank2_strata(g):
     _check_genus(g)
-    return _strata(_rank2_numerators(g))
+    return [_public(stratum) for stratum in _strata(_rank2_numerators(g))]
 
 
 def _strata(num):
-    return [stratum_gl2(num.g), stratum_beta1(num.g), _stratum_t(num), _stratum_beta2(num)]
+    return [_stratum_gl2(num), _stratum_beta1(num), _stratum_t(num), _stratum_beta2(num)]
 
 
 def assemble_stable_hp(ss, strata):
@@ -168,6 +201,26 @@ def assemble_stable_hp(ss, strata):
     return result
 
 
+def _assembled_num(num):
+    """``assemble_stable_hp`` of the semistable closed form and the strata,
+    times (1-uv), packed: its numerator over 2 (1-uv)(1-u^2v^2).  Each term
+    is brought to the common denominator by the factors 1 - (uv)^a it
+    lacks, and to the scalar 1/2 by a small-int multiply."""
+    terms = [(SS_RANK2_DEN, 1, 0, _ss_rank2_numerator(num))]
+    terms += [(s.den, -s.scalar, s.codim, s.num) for s in _strata(num)]
+    common = _lcm_factors([den for den, _, _, _ in terms])
+    total = None
+    for den, scalar, codim, part in terms:
+        part = part.uv(codim)
+        # every factor here is diagonal, 1 - (uv)^a
+        for (a, _), k in _missing_factors(common, den).items():
+            for _ in range(k):
+                part = part.times_one_minus_uv(a)
+        part = int(2 * scalar) * part
+        total = part if total is None else total + part
+    return total
+
+
 def stable_rank2_closed_form(g):
     """Closed form of the stable-moduli HP polynomial before division:
 
@@ -176,17 +229,20 @@ def stable_rank2_closed_form(g):
           - (uv)^(2g-2)(1-u^2)^g(1-v^2)^g(1-uv)^2 ] / (2(1-uv)(1-u^2v^2)).
     """
     _check_genus(g)
-    return _stable_closed_form(_rank2_numerators(g))
+    return _rational(_stable_num(_rank2_numerators(g)), DEN_BT, HALF)
 
 
-def _stable_closed_form(num):
+def _stable_num(num):
     g = num.g
-    numerator = (
+    square = num.square.uv(g - 1)
+    signs = num.signs.uv(2 * g - 2)
+    return (
         2 * num.jac_twisted
-        - uv_power(g - 1) * num.square * (2 * ONE - uv_power(g - 1) + uv_power(g + 1))
-        - uv_power(2 * g - 2) * num.signs * (ONE - U * V) ** 2
+        - 2 * square
+        + square.uv(g - 1)
+        - square.uv(g + 1)
+        - signs.times_one_minus_uv(1).times_one_minus_uv(1)
     )
-    return FactoredRational(numerator, {(1, 1): 1, (2, 2): 1}, HALF)
 
 
 def deligne_rank2_closed_form(g):
@@ -197,16 +253,17 @@ def deligne_rank2_closed_form(g):
           - (1-u^2)^g(1-v^2)^g(1-uv)^2 ] / (2(1-uv)(1-u^2v^2)).
     """
     _check_genus(g)
-    return _deligne_closed_form(_rank2_numerators(g))
+    return _rational(_deligne_num(_rank2_numerators(g)), DEN_BT, HALF)
 
 
-def _deligne_closed_form(num):
-    numerator = (
+def _deligne_num(num):
+    return (
         2 * num.jac_twisted
-        - num.square * (ONE + 2 * uv_power(num.g + 1) - uv_power(2))
-        - num.signs * (ONE - U * V) ** 2
+        - num.square
+        - 2 * num.square.uv(num.g + 1)
+        + num.square.uv(2)
+        - num.signs.times_one_minus_uv(1).times_one_minus_uv(1)
     )
-    return FactoredRational(numerator, {(1, 1): 1, (2, 2): 1}, HALF)
 
 
 def moduli_dimension_rank2(g):
@@ -218,34 +275,30 @@ def hp_moduli_stable_rank2(g):
     """Hodge-Poincare polynomial of the stable rank-2 moduli space, even
     degree: (1-uv) times the stratum-stripped semistable series.
 
-    Certified twice: the factored result must divide out to an honest
-    polynomial with integer coefficients, and must agree with the single
-    closed form by cross-multiplication.
+    Certified twice: the assembled numerator must equal the single closed
+    form, and the quotient must divide out to an honest polynomial with
+    integer coefficients.
     """
     _check_genus(g)
-    return _hp_moduli(_rank2_numerators(g))
+    return LaurentPoly._raw(_stable_quotient(_rank2_numerators(g)).unpack())
 
 
-def _hp_moduli(num):
-    assembled = assemble_stable_hp(_ss_rank2_closed_form(num), _strata(num))
-    den = dict(assembled.den)
-    den[(1, 1)] -= 1  # (1-uv) times the assembled series
-    quotient = FactoredRational(assembled.num, den, assembled.scalar)
-    closed = _stable_closed_form(num)
-    if not quotient.equals(closed):
+def _stable_quotient(num):
+    """The certified stable polynomial, packed."""
+    assembled = _assembled_num(num)
+    closed = _stable_num(num)
+    if assembled != closed:
         raise InternalCheckError(
             "stable rank-2 pipeline disagrees with its closed form; residual %s"
-            % quotient.residual(closed)
+            % LaurentPoly._raw((assembled - closed).unpack())
         )
-    try:
-        poly = quotient.as_polynomial()
-    except DivisionRemainderError as err:
-        raise InternalCheckError(
-            "assembled series is not a polynomial; remainder %s" % err.remainder
-        ) from err
-    if not poly.is_integral():
+    half = closed.halve()
+    if half is None:
         raise InternalCheckError("stable rank-2 polynomial has non-integer coefficients")
-    return poly
+    quotient = half.divide_diagonal((1, 2))  # by DEN_BT, (1 - uv)(1 - u^2 v^2)
+    if quotient is None:
+        raise InternalCheckError("assembled series is not a polynomial")
+    return quotient
 
 
 def hodge_deligne_stable_rank2(g):
@@ -253,14 +306,15 @@ def hodge_deligne_stable_rank2(g):
     moduli dimension; certified against its own closed form."""
     _check_genus(g)
     num = _rank2_numerators(g)
-    dual = dual_substitute(_hp_moduli(num), moduli_dimension_rank2(g))
-    closed = _deligne_closed_form(num)
-    if not FactoredRational(dual).equals(closed):
+    dual = _stable_quotient(num).dual(moduli_dimension_rank2(g))
+    closed = _deligne_num(num)
+    cleared = (2 * dual).times_one_minus_uv(1).times_one_minus_uv(2)
+    if cleared != closed:
         raise InternalCheckError(
             "dual polynomial disagrees with the compact-support closed form; residual %s"
-            % FactoredRational(dual).residual(closed)
+            % LaurentPoly._raw((cleared - closed).unpack())
         )
-    return dual
+    return LaurentPoly._raw(dual.unpack())
 
 
 def _check_genus(g):

@@ -43,10 +43,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from .blocks import _leading_factors, _rank2_numerators
+from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DivisionRemainderError, DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .poly import ONE, U, V, LaurentPoly, _expand_binomials, _mul_terms, as_coeff, uv_power
+from .poly import ONE, U, V, LaurentPoly, _expand_binomials, _mul_terms, as_coeff
 from .series import FactoredRational, TruncatedSeries, _lcm_factors, _missing_factors
 
 # A series to order N has up to (N+1)(N+2)/2 terms, 5151 at this cap.
@@ -198,13 +198,17 @@ def hp_ss_rank2_closed_form(g):
     """
     if g < 2:
         raise DomainError("genus out of supported range")
-    return _ss_rank2_closed_form(_rank2_numerators(g))
+    return _rational(_ss_rank2_numerator(_rank2_numerators(g)), SS_RANK2_DEN)
 
 
-def _ss_rank2_closed_form(num):
-    """``hp_ss_rank2_closed_form`` from a ``blocks._Rank2Numerators`` record."""
-    numerator = num.jac_twisted - uv_power(num.g + 1) * num.square
-    return FactoredRational(numerator, {(1, 1): 2, (2, 2): 1})
+# (1-uv)^2 (1-u^2 v^2), the denominator of ``hp_ss_rank2_closed_form``
+SS_RANK2_DEN = {(1, 1): 2, (2, 2): 1}
+
+
+def _ss_rank2_numerator(num):
+    """The packed numerator of ``hp_ss_rank2_closed_form`` from a
+    ``blocks._Rank2Numerators`` record."""
+    return num.jac_twisted - num.square.uv(num.g + 1)
 
 
 def ss_closed_form(n, d, g):

@@ -8,6 +8,7 @@ byte-identically.  parse(print(x)) == x for each type here.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import convex
@@ -41,10 +42,24 @@ def poly_to_obj(p):
     ]
 
 
+@contextmanager
+def _reading(kind):
+    """Re-raise any error met while reading a kind of value, a bad field
+    or a malformed shape (a missing key, a list where an object belongs,
+    ...), as one DomainError naming the kind."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        # a DomainError says what is wrong; a KeyError alone names only the key
+        detail = err if isinstance(err, DomainError) else "%s: %s" % (type(err).__name__, err)
+        raise DomainError("malformed %s: %s" % (kind, detail)) from err
+
+
 def poly_from_obj(obj):
     terms = {}
-    for entry in obj:
-        terms[(_int_from_obj(entry["p"], "p"), _int_from_obj(entry["q"], "q"))] = parse_fraction(entry["c"])
+    with _reading("polynomial"):
+        for entry in obj:
+            terms[(_int_from_obj(entry["p"], "p"), _int_from_obj(entry["q"], "q"))] = parse_fraction(entry["c"])
     return LaurentPoly(terms)
 
 
@@ -59,13 +74,14 @@ def rational_to_obj(f):
 
 
 def rational_from_obj(obj):
-    den = {
-        (_int_from_obj(e["a"], "a"), _int_from_obj(e["b"], "b")): _int_from_obj(e["k"], "k")
-        for e in obj.get("den", [])
-    }
-    return FactoredRational(
-        poly_from_obj(obj.get("num", [])), den, parse_fraction(obj.get("scalar", 1))
-    )
+    with _reading("rational function"):
+        den = {
+            (_int_from_obj(e["a"], "a"), _int_from_obj(e["b"], "b")): _int_from_obj(e["k"], "k")
+            for e in obj.get("den", [])
+        }
+        return FactoredRational(
+            poly_from_obj(obj.get("num", [])), den, parse_fraction(obj.get("scalar", 1))
+        )
 
 
 def series_to_obj(s):
@@ -73,7 +89,8 @@ def series_to_obj(s):
 
 
 def series_from_obj(obj):
-    return TruncatedSeries(poly_from_obj(obj["terms"]).terms(), _int_from_obj(obj["order"], "order"))
+    with _reading("series"):
+        return TruncatedSeries(poly_from_obj(obj["terms"]).terms(), _int_from_obj(obj["order"], "order"))
 
 
 def _vector_to_obj(v):
@@ -107,7 +124,7 @@ def weight_system_to_obj(ws):
 
 
 def weight_system_from_obj(obj):
-    try:
+    with _reading("weight system"):
         return convex.WeightSystem(
             dim=_int_from_obj(obj["dim"], "dim"),
             weights=tuple(
@@ -116,8 +133,6 @@ def weight_system_from_obj(obj):
             roots=tuple(_vector_from_obj(r) for r in obj.get("roots", [])),
             chamber=tuple(_vector_from_obj(s) for s in obj.get("chamber", [])),
         )
-    except (DomainError, KeyError, TypeError, ValueError) as err:
-        raise DomainError("malformed weight system: %s" % err) from err
 
 
 def beta_index_to_obj(bi):
@@ -135,7 +150,8 @@ def hn_type_to_obj(t, codim=None):
 
 
 def hn_type_from_obj(obj):
-    return HNType(tuple((_int_from_obj(r, "rank"), _int_from_obj(d, "degree")) for r, d in obj["quotients"]))
+    with _reading("HN type"):
+        return HNType(tuple((_int_from_obj(r, "rank"), _int_from_obj(d, "degree")) for r, d in obj["quotients"]))
 
 
 def reductive_class_to_obj(c, codim=None):
@@ -150,10 +166,11 @@ def reductive_class_to_obj(c, codim=None):
 
 
 def reductive_class_from_obj(obj):
-    return ReductiveClass(
-        tuple((_int_from_obj(m, "multiplicity"), _int_from_obj(r, "rank")) for m, r in obj["pairs"]),
-        at_dimension_bound=bool(obj.get("at_dimension_bound", False)),
-    )
+    with _reading("reductive class"):
+        return ReductiveClass(
+            tuple((_int_from_obj(m, "multiplicity"), _int_from_obj(r, "rank")) for m, r in obj["pairs"]),
+            at_dimension_bound=bool(obj.get("at_dimension_bound", False)),
+        )
 
 
 def dumps(obj):

@@ -64,14 +64,22 @@ def test_rank2_numerators():
 
 
 def test_record_products_match_dict_and_dense_products():
-    # the record's expanded products against LaurentPoly products of their
-    # halves; from g = 7 on these take the dense path, below it the dict loop
+    # the record's packed numerators, unpacked, against LaurentPoly
+    # products of their halves; from g = 7 on these take the dense path,
+    # below it the dict loop
     for g in list(range(0, 13)) + [24]:
         num = _rank2_numerators(g)
-        assert num.jac_twisted == hp_jacobian(g) * twisted_numerator(g)
-        plus, minus = num.pair
         jac = hp_jacobian(g)
+        assert unpacked(num.jac) == jac
+        assert unpacked(num.square) == hp_jacobian(2 * g)
+        assert unpacked(num.signs) == sign_numerator(g)
+        assert unpacked(num.jac_twisted) == jac * twisted_numerator(g)
+        plus, minus = map(unpacked, num.pair)
         assert (plus + minus) + uv_power(g) * jac == jac * jac
+
+
+def unpacked(value):
+    return LaurentPoly._raw(value.unpack())
 
 
 def test_bgl_denominators():

@@ -1,0 +1,143 @@
+"""The packed polynomials of ``packed._Box``/``packed._Packed`` against
+``LaurentPoly`` arithmetic, on hypothesis-drawn signed integer
+polynomials with non-negative exponents."""
+
+import pytest
+
+pytest.importorskip("hypothesis", reason="hypothesis is a test-only dependency")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from hpbundles import ONE, InternalCheckError, LaurentPoly, uv_power  # noqa: E402
+from hpbundles.packed import _Box, _check_bounds, _Packed  # noqa: E402
+from hpbundles.poly import _pack, _unpack  # noqa: E402
+
+# Room for the drawn polynomials (exponents below SIDE) and every shift,
+# product and dual below; slots of 2^200 hold the drawn norms, below 2^90,
+# times anything the tests multiply them by.
+SIDE = 6
+COLS = 3 * SIDE
+BOX = _Box(COLS, 2**200)
+
+coefficients = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def polys(draw, side=SIDE):
+    cells = draw(st.lists(st.tuples(st.integers(0, side - 1), st.integers(0, side - 1), coefficients), max_size=12))
+    return LaurentPoly({(p, q): c for p, q, c in cells})
+
+
+def pack(box, terms):
+    """A term dict as a ``_Packed`` value of the box, with its exact norm
+    and top exponents."""
+    norm = sum(map(abs, terms.values()))
+    top = (max((p for p, _ in terms), default=0), max((q for _, q in terms), default=0))
+    _check_bounds(box, norm, top)
+    return _Packed(box, _pack(terms, (0, 0), box.cols, box.width) if terms else 0, norm, top)
+
+
+def packed(poly):
+    return pack(BOX, poly.terms())
+
+
+def unpacked(value):
+    return LaurentPoly._raw(value.unpack())
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.integers(0, SIDE))
+def test_shift_is_a_monomial_product(a, k):
+    assert unpacked(packed(a).uv(k)) == a * uv_power(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.integers(0, SIDE))
+def test_one_minus_uv_power_is_one_shift_and_one_subtraction(a, k):
+    assert unpacked(packed(a).times_one_minus_uv(k)) == a * (ONE - uv_power(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), st.integers(-5, 5))
+def test_sums_and_small_multiples(a, b, k):
+    assert unpacked(packed(a) + packed(b)) == a + b
+    assert unpacked(packed(a) - packed(b)) == a - b
+    assert unpacked(k * packed(a)) == a * k
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys())
+def test_parity_mask_and_halving(a):
+    assert unpacked(packed(a * 2).halve()) == a
+    odd = any(c % 2 for _, c in a.items())
+    assert (packed(a).halve() is None) == odd
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys())
+def test_equality_without_unpacking(a, b):
+    assert (packed(a) == packed(b)) == (a == b)
+    assert packed(a) + packed(b) == packed(a + b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.integers(0, 3))
+def test_dual_is_slot_reversal(a, extra):
+    dim = SIDE - 1 + extra
+    assert unpacked(packed(a).dual(dim)) == a.dual_substitute(dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(side=SIDE - 2), st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=2))
+def test_diagonal_division_is_certified(y, strides):
+    den = ONE
+    for m in strides:
+        den = den * (ONE - uv_power(m))
+    x = packed(y * den)
+    assert unpacked(x.divide_diagonal(strides)) == y
+    # one term more leaves a remainder
+    assert (x + pack(BOX, {(0, 1): 1})).divide_diagonal(strides) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.lists(st.sampled_from((-1, 0, 1)), min_size=6, max_size=6))
+def test_unpack_at_the_slot_bound(width, signs):
+    # balanced digits run from -limit to limit - 1
+    limit = 1 << (8 * width - 1)
+    edge = {-1: -limit, 0: limit - 1, 1: 1 - limit}
+    terms = {(k // 3, k % 3): edge[s] for k, s in enumerate(signs)}
+    assert _unpack(_pack(terms, (0, 0), 3, width), (0, 0), 2, 3, width) == terms
+
+
+def test_norm_at_the_slot_bound_unpacks():
+    box = _Box(4, 2**20)
+    terms = {(0, 0): box.limit // 2, (1, 3): -(box.limit // 2 - 1)}
+    assert pack(box, terms).unpack() == terms
+
+
+def test_norm_bound_forced_over_raises():
+    box = _Box(4, 2**20)
+    x = pack(box, {(0, 0): box.limit // 2, (1, 1): -1})
+    with pytest.raises(InternalCheckError):
+        2 * x
+    with pytest.raises(InternalCheckError):
+        x + x
+    with pytest.raises(InternalCheckError):
+        x.times_binomials([(1, 1, 0, 1)])
+    with pytest.raises(InternalCheckError):
+        _Packed(box, 0, box.limit, (0, 0))
+    # a term past the last column would carry into the next row
+    with pytest.raises(InternalCheckError):
+        pack(box, {(0, 2): 1}).uv(2)
+
+
+def test_outer_and_binomial_products_match_powers():
+    for c, e, k in ((1, 1, 0), (1, 1, 3), (-1, 2, 3), (2, 1, 2)):
+        assert unpacked(BOX.outer(c, e, k)) == (ONE + LaurentPoly.monomial(c, e, 0)) ** k * (
+            ONE + LaurentPoly.monomial(c, 0, e)
+        ) ** k
+    jac = BOX.outer(1, 1, 2)
+    twisted = jac.times_binomials([(1, 2, 1, 2), (-1, 1, 2, 1)])
+    expected = unpacked(jac) * (ONE + LaurentPoly.monomial(1, 2, 1)) ** 2 * (ONE - LaurentPoly.monomial(1, 1, 2))
+    assert unpacked(twisted) == expected

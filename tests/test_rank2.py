@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from hpbundles import (
     hodge_deligne_stable_rank2,
     hp_jacobian,
     hp_moduli_stable_rank2,
+    hp_nt_zts,
     hp_plusminus_jac_pair,
     hp_ss_rank2_closed_form,
     moduli_dimension_rank2,
@@ -24,7 +26,7 @@ from hpbundles import (
     stable_rank2_closed_form,
     uv_power,
 )
-from hpbundles import blocks, poly, rank2, semistable, serialize, series
+from hpbundles import blocks, packed, poly, rank2, serialize
 from hpbundles.rank2 import stratum_beta1, stratum_beta2, stratum_gl2, stratum_t
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -168,49 +170,80 @@ def _same_rational(a, b):
     return a.num == b.num and a.den == b.den and a.scalar == b.scalar
 
 
-def test_record_bodies_match_public_entry_points():
+def test_public_values_match_docstring_formulas():
+    # every rank-2 formula rebuilt from its docstring with plain LaurentPoly
+    # and FactoredRational arithmetic, none of it packed
+    half = Fraction(1, 2)
+    bt, beta, ss_den = {(1, 1): 1, (2, 2): 1}, {(1, 1): 2}, {(1, 1): 2, (2, 2): 1}
     for g in range(2, 11):
-        num = blocks._rank2_numerators(g)
-        assert _same_rational(semistable._ss_rank2_closed_form(num), hp_ss_rank2_closed_form(g))
-        assert _same_rational(rank2._stable_closed_form(num), stable_rank2_closed_form(g))
-        assert _same_rational(rank2._deligne_closed_form(num), deligne_rank2_closed_form(g))
+        uv = U * V
+        jac = (ONE + U) ** g * (ONE + V) ** g
+        square = (ONE + U) ** (2 * g) * (ONE + V) ** (2 * g)
+        signs = (ONE - U * U) ** g * (ONE - V * V) ** g
+        twisted = jac * (ONE + U * U * V) ** g * (ONE + U * V * V) ** g
+
+        pair_square = jac * jac
+        plus = (pair_square + jac.negate_square_substitute()) * half - uv_power(g) * jac
+        minus = (pair_square - jac.negate_square_substitute()) * half
+        assert hp_plusminus_jac_pair(g) == (plus, minus)
+
+        expected = {
+            "gl2": (3 * g, FactoredRational(jac, bt)),
+            "beta1": (2 * g - 1, FactoredRational((ONE - uv_power(g)) * jac, beta)),
+            "t": (2 * g - 2, FactoredRational(square * (ONE + uv) + signs * (ONE - uv) - 2 * uv_power(g) * jac, bt, half)),
+            "beta2": (g - 1, FactoredRational((ONE - uv_power(g - 1)) * (square - uv_power(g) * jac), beta)),
+        }
         publics = (stratum_gl2(g), stratum_beta1(g), stratum_t(g), stratum_beta2(g))
-        for record, public in zip(rank2._strata(num), publics, strict=True):
-            assert (record.label, record.codim) == (public.label, public.codim)
-            assert _same_rational(record.contribution, public.contribution)
+        for records in (publics, rank2_strata(g)):
+            assert [r.label for r in records] == list(expected)
+            for record in records:
+                codim, contribution = expected[record.label]
+                assert record.codim == codim
+                assert _same_rational(record.contribution, contribution)
+        assert _same_rational(hp_nt_zts(g), expected["t"][1])
+
+        ss = FactoredRational(twisted - uv_power(g + 1) * square, ss_den)
+        assert _same_rational(hp_ss_rank2_closed_form(g), ss)
+        stable = (
+            2 * twisted
+            - uv_power(g - 1) * square * (2 * ONE - uv_power(g - 1) + uv_power(g + 1))
+            - uv_power(2 * g - 2) * signs * (ONE - uv) ** 2
+        )
+        assert _same_rational(stable_rank2_closed_form(g), FactoredRational(stable, bt, half))
+        deligne = 2 * twisted - square * (ONE + 2 * uv_power(g + 1) - uv_power(2)) - signs * (ONE - uv) ** 2
+        assert _same_rational(deligne_rank2_closed_form(g), FactoredRational(deligne, bt, half))
 
 
 def test_deligne_call_builds_one_record_and_one_twisted_product(monkeypatch):
     g = 3
-    twisted = (hp_jacobian(g) * blocks.twisted_numerator(g))._terms
-    square = hp_jacobian(2 * g)._terms
+    twisted = list(blocks._leading_factors(2, g)[2:])
+    square = list(blocks._leading_factors(1, g))
     records = []
-    expansions = []
+    products = []
     build_record = rank2._rank2_numerators
-    expand = poly._expand_binomials
+    times = poly._times_binomials
 
     def counting_record(genus):
         records.append(genus)
         return build_record(genus)
 
-    def counting_expander(factors):
-        product = expand(factors)
-        expansions.append(product)
-        return product
+    def counting_times(x, factors, cols, width):
+        products.append(list(factors))
+        return times(x, factors, cols, width)
 
     monkeypatch.setattr(rank2, "_rank2_numerators", counting_record)
-    # every module namespace that binds the expander, so a second product
-    # expanded anywhere on the call path is counted
-    for module in (poly, blocks, rank2, semistable, series):
-        if hasattr(module, "_expand_binomials"):
-            monkeypatch.setattr(module, "_expand_binomials", counting_expander)
+    # every packed product of binomial powers, the record's and the dict
+    # expander's alike, runs this shift-add loop; it is patched in every
+    # module that binds it
+    for module in (poly, packed):
+        monkeypatch.setattr(module, "_times_binomials", counting_times)
     hodge_deligne_stable_rank2(g)
     # one record: one Jacobian-times-twisted product and one Jacobian
-    # square; the denominator and sign products expand through the same
-    # expander and are not counted
+    # square of the pair; the binomial rows of the outer products expand
+    # through the same loop and are not counted
     assert records == [g]
-    assert expansions.count(twisted) == 1
-    assert expansions.count(square) == 1
+    assert products.count(twisted) == 1
+    assert products.count(square) == 1
 
 
 def test_deligne_double_dual_is_identity():

@@ -137,3 +137,19 @@ def test_integer_fields_reject_floats_and_booleans(field, value):
 def test_integer_fields_read_ints_and_integer_strings(field):
     # FactoredRational has no ==, so the values are compared by their repr
     assert repr(INTEGER_FIELDS[field](1)) == repr(INTEGER_FIELDS[field]("1"))
+
+
+MALFORMED_SHAPES = {
+    "poly-term-without-c": lambda: serialize.poly_from_obj([{"p": 1}]),
+    "rational-as-list": lambda: serialize.rational_from_obj([1]),
+    "series-without-order": lambda: serialize.series_from_obj({"terms": []}),
+    "hn-type-short-pair": lambda: serialize.hn_type_from_obj({"quotients": [[1]]}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_SHAPES))
+def test_malformed_shapes_are_domain_errors(shape):
+    # a KeyError, AttributeError or ValueError escaping here would crash
+    # the CLI instead of exiting 1
+    with pytest.raises(DomainError, match="malformed"):
+        MALFORMED_SHAPES[shape]()
