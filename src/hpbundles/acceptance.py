@@ -86,6 +86,9 @@ def criterion_degree_shift(order=16):
 
 def criterion_codim_double_entry(genera=DEFAULT_GENERA_CODIM):
     """Each stratum codimension from two independent formulas."""
+    # Each index comes from a fresh, equal system, not the one passed to
+    # stratum_codim, so the count stored by index_set is not read back:
+    # stratum_codim counts again on its general path.
     for g in genera:
         checks = (
             ("gl2", codim_deeper_stratum(ReductiveClass(((2, 1),)), 2, g), 3 * g),

@@ -15,9 +15,9 @@ and solves it by fraction-free (Bareiss) Gauss-Jordan elimination,
 returning integer barycentric coordinates over a common denominator den.
 The point X with x = X/(den*L) is formed only after the hull test, for a
 subset whose coordinates are all >= 0.  Sign tests, the chamber test,
-support membership and the optimality inequality are integer
-comparisons, and a ``Fraction`` is built only for a point that is
-returned.  ``min_norm_point`` and ``index_set`` share that search,
+support membership, the codimension count and the optimality inequality
+are integer comparisons, and a ``Fraction`` is built only for a point
+that is returned.  ``min_norm_point`` and ``index_set`` share that search,
 ``_hull_projections``.
 ``affine_projection`` and ``solve_linear`` work over ``Fraction`` and
 stay as the reference that the all-faces oracle and the tests compare
@@ -40,15 +40,16 @@ from operator import mul
 from .errors import DomainError, InternalCheckError
 
 # index_set projects the sum over k <= dim of C(m, k) subsets of the m
-# distinct weights, and tests the support of each candidate they give
-# against all m weights; it refuses a system with more subset-weight
-# pairs than this.  Near the cap, on random systems of distinct weights
-# with no chamber (every candidate kept), index_set took 0.6-0.7 s in
-# dimension 1 (1414 weights), 0.9-1.3 s in 2 (158), 1.0-1.6 s in 3 (58)
-# and 1.2-1.6 s in 4 (34) on a shared 2-core Xeon with Python 3.11
-# (three runs each); ``beta index-set`` took 1.2-3.2 s, as it also
-# prints each index's codimension.  The cost of a projection grows with
-# the dimension, so higher ones take longer.
+# distinct weights, and pairs each candidate they give with all m weights
+# once, for its support and its stratum's codimension together; it refuses
+# a system with more subset-weight pairs than this.  Near the cap, on
+# random systems of distinct weights with no chamber (every candidate
+# kept), a whole ``beta index-set`` run, which prints each index with its
+# codimension, took 0.9-1.6 s in dimension 1 (1414 weights), 1.1-2.3 s in
+# 2 (158), 1.4-2.3 s in 3 (58) and 1.9-3.1 s in 4 (34) on a shared 2-core
+# Xeon with Python 3.11 (eight runs each), nearly all of it in index_set.
+# The cost of a projection grows with the dimension, so higher ones take
+# longer.
 # The largest benchmark system (dimension 4, 11 weights) has 561
 # subsets, 6171 pairs.
 MAX_SUBSET_TESTS = 2_000_000
@@ -235,7 +236,9 @@ class WeightSystem:
 
     The weights, roots and chamber functionals are also kept scaled to
     integers (see ``_scale``) in attributes that are not dataclass fields,
-    so equality, hashing and repr see only the four fields.
+    so equality, hashing and repr see only the four fields.  The integer
+    weights are the distinct vectors, in the order of
+    ``distinct_weight_vectors``, each with its multiplicities summed.
     """
 
     dim: int
@@ -268,7 +271,10 @@ class WeightSystem:
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "chamber", chamber)
         big, scaled = _scale([v for v, _ in weights])
-        object.__setattr__(self, "_int_weights", (big, tuple(zip(scaled, (m for _, m in weights)))))
+        mults = {}
+        for p, (_, m) in zip(scaled, weights):
+            mults[p] = mults.get(p, 0) + m
+        object.__setattr__(self, "_int_weights", (big, tuple(mults.items())))
         object.__setattr__(self, "_int_roots", tuple(_scale(roots)[1]))
         object.__setattr__(self, "_int_chamber", tuple(_scale(chamber)[1]))
 
@@ -284,10 +290,38 @@ class WeightSystem:
 
 @dataclass(frozen=True)
 class BetaIndex:
-    """A nonzero index point with the weights supporting it."""
+    """A nonzero index point with the weights supporting it.
+
+    An index returned by ``index_set`` also carries its stratum's
+    codimension, with the system it was counted in, in an attribute that
+    is not a dataclass field (see ``stratum_codim``); equality, hashing,
+    repr and ``dataclasses.replace`` see only the two fields."""
 
     beta: tuple
     support: tuple
+
+
+def _support_codim(ws, x, den):
+    """(support, codim) of the integer point (X, den), beta = X/(den*L):
+    the positions in ``ws._int_weights`` of the weights on beta's
+    supporting hyperplane, and the stratum's codimension.
+
+    One pass over the distinct integer weights P pairs each with X: with
+    v = P/L, v.beta = |beta|^2 reads P.X*den == X.X, and v.beta < |beta|^2
+    reads P.X*den < X.X, which adds the weight's multiplicity to the count
+    below the hyperplane.  The codimension is that count minus the roots
+    negative against beta (the dimension of G/P for the parabolic attached
+    to beta)."""
+    xx = dot(x, x)
+    support = []
+    below = 0
+    for i, (p, m) in enumerate(ws._int_weights[1]):
+        t = dot(p, x) * den
+        if t < xx:
+            below += m
+        elif t == xx:
+            support.append(i)
+    return support, below - sum(1 for r in ws._int_roots if dot(r, x) < 0)
 
 
 def index_set(ws):
@@ -312,8 +346,11 @@ def index_set(ws):
     The weights are scaled to integers once (``WeightSystem`` keeps them)
     and projected by ``_hull_projections``; candidates are told apart by
     the reduced integer pair (X, den) with beta = X/(den*L).  The chamber
-    and support tests run on X, the sort key |beta|^2 = X.X/(den*L)^2 is
-    formed once per kept index, and only kept indices become ``Fraction``
+    test runs on X, and one pass of ``_support_codim`` over the weights
+    finds each candidate's support and counts its stratum's codimension
+    from the same products; the index keeps that count for
+    ``stratum_codim``.  The sort key |beta|^2 = X.X/(den*L)^2 is formed
+    once per kept index, and only kept indices become ``Fraction``
     vectors.
 
     A system with more than ``MAX_SUBSET_TESTS`` subset-weight pairs is
@@ -323,7 +360,7 @@ def index_set(ws):
     """
     vectors = ws.distinct_weight_vectors()
     big, weights = ws._int_weights
-    scaled = list(dict.fromkeys(v for v, _ in weights))
+    scaled = [p for p, _ in weights]
     subsets = sum(comb(len(scaled), k) for k in range(1, min(len(scaled), ws.dim) + 1))
     if subsets * len(scaled) > MAX_SUBSET_TESTS:
         raise DomainError(
@@ -339,18 +376,25 @@ def index_set(ws):
     for x, den in candidates:
         if not any(x) or not ws.in_chamber(x):
             continue
-        xx = dot(x, x)
-        support = tuple(v for v, p in zip(vectors, scaled) if dot(p, x) * den == xx)
+        support, codim = _support_codim(ws, x, den)
         if not support:
             continue
         scale = den * big
-        kept.append((Fraction(xx, scale * scale), tuple(Fraction(c, scale) for c in x), support))
-    # (|beta|^2, beta) is distinct for distinct betas, so no support is
-    # compared; each entry is replaced by its index in place, which frees
-    # its key as the index is built
+        kept.append(
+            (
+                Fraction(dot(x, x), scale * scale),
+                tuple(Fraction(c, scale) for c in x),
+                tuple(vectors[i] for i in support),
+                codim,
+            )
+        )
+    # (|beta|^2, beta) is distinct for distinct betas, so no support or
+    # count is compared; each entry is replaced by its index in place,
+    # which frees its key as the index is built
     kept.sort()
-    for i, (_, beta, support) in enumerate(kept):
-        kept[i] = BetaIndex(beta=beta, support=support)
+    for i, (_, beta, support, codim) in enumerate(kept):
+        kept[i] = bi = BetaIndex(beta=beta, support=support)
+        object.__setattr__(bi, "_codim", (ws, codim))
     return kept
 
 
@@ -360,18 +404,24 @@ def stratum_codim(ws, beta_index):
     Counts the weights strictly below the supporting hyperplane of beta,
     minus the number of roots negative against beta (the dimension of
     G/P for the parabolic attached to beta); a beta of another dimension
-    than the system's is refused.  Evaluated on the integer weights: with
-    v = V/L and beta = B/M, v.beta < |beta|^2 reads V.B*M < B.B*L.
+    than the system's is refused.
+
+    An index that ``index_set`` returned for this very system object
+    carries the count from its support pass, which is returned.  Any
+    other index (built by hand, a step of ``d_beta_sequence``, or one
+    asked of an equal but distinct system) is counted by the same
+    ``_support_codim``: with beta = B/M, the point X = B*L over den = M
+    is beta on the system's integer weights.
     """
+    stored = getattr(beta_index, "_codim", None)
+    if stored is not None and stored[0] is ws:
+        return stored[1]
     beta = _vec(beta_index.beta)
     if len(beta) != ws.dim:
         raise DomainError("beta has dimension %d, the weight system %d" % (len(beta), ws.dim))
-    big, weights = ws._int_weights
     bscale, (b,) = _scale([beta])
-    bb = dot(b, b) * big
-    below = sum(m for v, m in weights if dot(v, b) * bscale < bb)
-    flipped = sum(1 for r in ws._int_roots if dot(r, b) < 0)
-    return below - flipped
+    big = ws._int_weights[0]
+    return _support_codim(ws, tuple(c * big for c in b), bscale)[1]
 
 
 def _is_positive(vec, chamber):

@@ -24,10 +24,16 @@ def fraction_to_str(c):
 
 def parse_fraction(value):
     """An int or a fraction string as a Fraction; JSON booleans, floats and
-    anything else fail."""
+    anything else fail.
+
+    A string with an exponent fails before ``Fraction`` reads it: a few
+    characters such as "1e10000000" would ask for an integer of millions of
+    digits, and ``fraction_to_str`` never writes one."""
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise DomainError("bad fraction string %r: exponents are not accepted" % (value,))
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as err:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -240,6 +241,17 @@ def test_index_set_over_subset_cap_fails_fast(tmp_path):
     m = math.isqrt(hpbundles.convex.MAX_SUBSET_TESTS) + 1
     path = _write_system(tmp_path, 1, [[k] for k in range(1, m + 1)])
     _assert_domain_error(_run_module("beta", "index-set", "--system", path, timeout=10), "above the cap")
+
+
+@pytest.mark.parametrize("literal", ["1e10000000", "3E-10000000", "1/2e10000000"])
+def test_exponent_weight_fails_fast(capsys, tmp_path, literal):
+    # Fraction("1e10000000") alone takes seconds and builds a 33-million-bit integer
+    path = _write_system(tmp_path, 2, [[literal, 0], [0, 1]])
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "beta", "index-set", "--system", path)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "exponents are not accepted" in err
 
 
 def test_golden_write_then_match(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -13,6 +14,7 @@ from hpbundles import (
     d_beta_sequence,
     index_set,
     min_norm_point,
+    serialize,
     stratum_codim,
 )
 from hpbundles.convex import (
@@ -407,6 +409,59 @@ def test_integer_weights_stay_out_of_fields():
     b = WeightSystem(dim=2, weights=((("1/2", 1), 2),), roots=(), chamber=())
     assert a == b and hash(a) == hash(b)
     assert repr(a) == "WeightSystem(dim=2, weights=(((Fraction(1, 2), Fraction(1, 1)), 2),), roots=(), chamber=())"
+
+
+def test_stored_codim_stays_out_of_fields():
+    ws = WeightSystem(dim=1, weights=(((2,), 2), ((0,), 2), ((-2,), 2)), roots=((2,), (-2,)), chamber=((1,),))
+    (bi,) = index_set(ws)
+    assert bi._codim == (ws, 3)
+    plain = BetaIndex(beta=bi.beta, support=bi.support)
+    assert bi == plain and hash(bi) == hash(plain)
+    assert repr(bi) == repr(plain) == "BetaIndex(beta=(Fraction(2, 1),), support=((Fraction(2, 1),),))"
+    assert serialize.beta_index_to_obj(bi) == serialize.beta_index_to_obj(plain)
+    for other in (plain, dataclasses.replace(bi), dataclasses.replace(bi, support=())):
+        assert not hasattr(other, "_codim")
+
+
+def test_stored_codim_matches_general_path_and_fraction_count(monkeypatch):
+    rng = random.Random(5107)
+    real_pass = hpbundles.convex._support_codim
+    passes = []
+    indices_seen = repeated_seen = flipped_seen = 0
+    for _ in range(100):
+        dim = rng.randint(1, 4)
+        vectors = random_points(rng, dim, rng.randint(2, 8 - dim))
+        # a repeated vector enters with its own multiplicity
+        vectors += rng.sample(vectors, rng.randint(1, len(vectors)))
+        roots = [tuple(random_rational(rng) for _ in range(dim)) for _ in range(rng.randint(1, 2))]
+        roots = [r for r in roots if any(r)]
+        ws = WeightSystem(
+            dim=dim,
+            weights=tuple((v, rng.randint(1, 3)) for v in vectors),
+            roots=tuple(roots + [tuple(-x for x in r) for r in roots]),
+            chamber=tuple(roots[:1] + [tuple(random_rational(rng) for _ in range(dim))] * rng.randint(0, 1)),
+        )
+        twin = WeightSystem(dim=ws.dim, weights=ws.weights, roots=ws.roots, chamber=ws.chamber)
+        assert twin == ws and twin is not ws
+        got = index_set(ws)
+        monkeypatch.setattr(hpbundles.convex, "_support_codim", lambda *args: passes.append(1) or real_pass(*args))
+        for bi in got:
+            want = reference_codim(ws, bi)
+            passes.clear()
+            assert bi._codim == (ws, want) and bi._codim[0] is ws
+            assert stratum_codim(ws, bi) == want
+            assert not passes
+            assert stratum_codim(ws, BetaIndex(beta=bi.beta, support=bi.support)) == want
+            assert stratum_codim(twin, bi) == want
+            assert len(passes) == 2
+            repeated_seen += any(
+                sum(1 for v, _ in ws.weights if v == s) > 1 and dot(s, bi.beta) < norm_sq(bi.beta)
+                for s in ws.distinct_weight_vectors()
+            )
+            flipped_seen += any(dot(r, bi.beta) < 0 for r in ws.roots)
+        monkeypatch.undo()
+        indices_seen += len(got)
+    assert indices_seen > 100 and repeated_seen > 60 and flipped_seen > 60
 
 
 def reference_d_beta_sequence(ws, seq):
