@@ -43,9 +43,9 @@ on the dense path, in the box of the whole sum, and the sum is unpacked
 once.  Most of the cost of one product is that one unpacking: for the
 genus-24 product (1+u)^g (1+v)^g (1+u^2 v)^g (1+u v^2)^g it takes a
 third of the time of the dense product of the two halves (10 ms
-against 30 ms).  A single product whose
-factors lie on one direction, or split into u-only and v-only factors,
-packs only one line per direction instead of the box.  The unwindowed
+against 30 ms).  A product of u-only and v-only factors packs one row
+and one column, not the box, and ``series._expand_factors`` packs a
+diagonal product in one variable.  The unwindowed
 leading terms of the semistable series, the products of denominator
 factors, and the numerator of the closed-form HN sum
 (``semistable.ss_closed_form``), one part per composition, are formed
@@ -82,6 +82,13 @@ def as_coeff(c):
     raise TypeError("coefficients must be int or Fraction, got %r" % type(c).__name__)
 
 
+def as_int(x, name):
+    """Validate an exponent, factor or multiplicity (floats and booleans fail)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError("%s must be an integer, got %r" % (name, x))
+    return int(x)
+
+
 class LaurentPoly:
     """A polynomial sum(c * u^p * v^q) stored as {(p, q): c}."""
 
@@ -91,9 +98,10 @@ class LaurentPoly:
         data = {}
         if terms:
             for (p, q), c in terms.items():
+                e = (as_int(p, "exponent"), as_int(q, "exponent"))
                 c = as_coeff(c)
                 if c:
-                    data[(int(p), int(q))] = c
+                    data[e] = c
         self._terms = data
 
     # -- inspection ---------------------------------------------------
@@ -453,14 +461,12 @@ def _expand_binomials(parts):
     unpacked once.
 
     A single product, the one part (1, (0, 0), factors), skips empty
-    slots in three shapes of its factors.  When every a is a multiple of
+    slots in two shapes of its factors.  When every a is a multiple of
     ga and every b of gb, the product is expanded in u^ga and v^gb, in a
-    box ga gb times smaller.  When every factor lies on one primitive
-    direction (a0, b0), as the diagonal denominators prod (1 - (uv)^m)^k
-    do, the product is expanded in t = u^a0 v^b0 and its terms are spread
-    back along that direction.  When the factors split into u-only and
+    box ga gb times smaller.  When the factors split into u-only and
     v-only powers, the product is the outer product of the two
-    one-variable expansions.
+    one-variable expansions.  Diagonal denominators are expanded in one
+    variable by ``series._expand_factors``.
     """
     if len(parts) == 1 and parts[0][:2] == (1, (0, 0)):
         factors = parts[0][2]
@@ -470,12 +476,7 @@ def _expand_binomials(parts):
             terms = _expand_binomials([(1, (0, 0), [(c, a // ga, b // gb, k) for c, a, b, k in factors])])
             return {(p * ga, q * gb): c for (p, q), c in terms.items()}
         directions = {(a // g, b // g) for _, a, b, _ in factors if (g := math.gcd(a, b))}
-        if len(directions) == 1:
-            ((a0, b0),) = directions
-            if a0 and b0:
-                line = _expand_binomials([(1, (0, 0), [(c, a // a0, 0, k) for c, a, _, k in factors])])
-                return {(j * a0, j * b0): c for (j, _), c in line.items()}
-        elif directions == {(1, 0), (0, 1)}:
+        if directions == {(1, 0), (0, 1)}:
             us = _expand_binomials([(1, (0, 0), [f for f in factors if f[2] == 0])])
             vs = _expand_binomials([(1, (0, 0), [f for f in factors if f[2] != 0])])
             return {(p, q): cu * cv for (p, _), cu in us.items() for (_, q), cv in vs.items()}

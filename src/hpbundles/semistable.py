@@ -229,7 +229,7 @@ def ss_closed_form(n, d, g):
     The sum is returned over the least common denominator of its terms.
     There, the numerator of each term is a monomial (uv)^e with its sign
     times binomial powers: the ``blocks._leading_factors`` of each part
-    and the factors (1 - u^a v^b)^k that its own denominator lacks.  So
+    and the factors (1 - (uv)^k)^m that its own denominator lacks.  So
     the whole numerator is one ``poly._expand_binomials`` call, one part
     per composition.  The rank is capped at ``hntypes.MAX_RANK``, since
     the sum has 2^(n-1) terms, and the moduli dimension n^2(g-1) + 1 at

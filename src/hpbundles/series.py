@@ -1,22 +1,22 @@
 """Factored rational functions and truncated power series expansion.
 
-Every rational function handled here has denominator a product of
-binomials (1 - u^a v^b)^k with a, b >= 1, which keeps all factors
-invertible as power series and makes equality decidable by
-cross-multiplication, with no rational-function normal form needed.
+Every rational function handled here has a diagonal denominator, a
+product of binomials (1 - (uv)^k)^m with k >= 1 as in H*(BG), which
+keeps all factors invertible as power series and makes equality
+decidable by cross-multiplication, with no rational-function normal
+form needed.
 
 A product of two truncated series is a ``LaurentPoly`` product kernel
 (``poly._mul_terms``) with the total-degree window of the smaller order,
 and sums share the ``LaurentPoly`` merge loops.  Division by the
-denominator is one kernel, ``_divide_factors``: the factors
-(1 - u^a v^b)^k are grouped by their primitive direction (a0, b0), the
-terms are grouped once into lines of each direction, and every factor
-(a, b) = m (a0, b0) divides the same line lists by k running sums of
-stride m.  ``series_expand`` runs the sums inside the window of its
-order, with no geometric series built; ``as_polynomial`` runs them as
-an exact division, and only a division that leaves a remainder falls
-back to the long division ``exact_divide``, which reports the remainder
-of the division by the whole denominator.
+denominator is one kernel, ``_divide_factors``: the terms are grouped
+once into diagonals p - q, and every factor (1 - (uv)^k)^m divides the
+same diagonal lists by m running sums of stride k.  ``series_expand``
+runs the sums inside the window of its order, with no geometric series
+built; ``as_polynomial`` runs them as an exact division, and only a
+division that leaves a remainder falls back to the long division
+``exact_divide``, which reports the remainder of the division by the
+whole denominator.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import accumulate
 
 from .errors import DomainError
 from .poly import LaurentPoly, _add_terms, _expand_binomials, _mul_terms, _scale_terms, _sub_terms
-from .poly import as_coeff, exact_divide
+from .poly import as_coeff, as_int, exact_divide
 
 
 class TruncatedSeries:
@@ -41,12 +41,14 @@ class TruncatedSeries:
     __slots__ = ("order", "_terms")
 
     def __init__(self, terms, order):
+        order = as_int(order, "series order")
         if order < 0:
             raise DomainError("series order must be non-negative")
         self.order = order
         data = {}
         if terms:
             for (p, q), c in terms.items():
+                p, q = as_int(p, "exponent"), as_int(q, "exponent")
                 if p < 0 or q < 0:
                     raise DomainError("Laurent part not expandable")
                 if p + q > order:
@@ -142,11 +144,12 @@ class TruncatedSeries:
 
 
 class FactoredRational:
-    """scalar * num / prod (1 - u^a v^b)^k, with exact rational scalar.
+    """scalar * num / prod (1 - (uv)^k)^m, with exact rational scalar.
 
-    The denominator is stored as the factor multiset {(a, b): k}.  No
-    cancellation with the numerator is attempted; equality is decided by
-    cross-multiplying numerators over the common factors.
+    The denominator is diagonal, stored as the factor multiset
+    {(k, k): m}.  No cancellation with the numerator is attempted;
+    equality is decided by cross-multiplying numerators over the common
+    factors.
     """
 
     __slots__ = ("num", "den", "scalar")
@@ -156,14 +159,14 @@ class FactoredRational:
             num = LaurentPoly.const(num)
         self.num = num
         factors = {}
-        for (a, b), k in (den or {}).items():
-            if k == 0:
-                continue
-            if a < 1 or b < 1 or k < 0:
-                raise DomainError("denominator factors must be (1 - u^a v^b)^k with a, b, k >= 1")
-            factors[(int(a), int(b))] = factors.get((int(a), int(b)), 0) + int(k)
+        for (a, b), m in (den or {}).items():
+            a, b, m = as_int(a, "factor exponent"), as_int(b, "factor exponent"), as_int(m, "multiplicity")
+            if a != b or a < 1 or m < 0:
+                raise DomainError("denominator factors must be (1 - (uv)^k)^m with k >= 1, m >= 0")
+            if m:
+                factors[(a, a)] = m
         self.den = factors
-        self.scalar = Fraction(scalar)
+        self.scalar = Fraction(as_coeff(scalar))
 
     # -- basic structure -----------------------------------------------
 
@@ -182,9 +185,9 @@ class FactoredRational:
         if not self.den:
             return num
         parts = []
-        for (a, b), k in sorted(self.den.items()):
-            base = "(1-%s)" % _uv_monomial_text(a, b)
-            parts.append(base if k == 1 else "%s^%d" % (base, k))
+        for (k, _), m in sorted(self.den.items()):
+            base = "(1-u*v)" if k == 1 else "(1-u^%d*v^%d)" % (k, k)
+            parts.append(base if m == 1 else "%s^%d" % (base, m))
         return "%s / (%s)" % (num, "*".join(parts))
 
     def __repr__(self):
@@ -197,6 +200,8 @@ class FactoredRational:
             return FactoredRational(self.num, self.den, self.scalar * Fraction(other))
         if isinstance(other, LaurentPoly):
             return FactoredRational(self.num * other, self.den, self.scalar)
+        if not isinstance(other, FactoredRational):
+            return NotImplemented
         den = dict(self.den)
         for f, k in other.den.items():
             den[f] = den.get(f, 0) + k
@@ -284,8 +289,8 @@ class FactoredRational:
     def as_polynomial(self):
         """Certify the value is an honest polynomial, via exact division.
 
-        Divides by all the factors of one direction at once, by running
-        sums (``_divide_factors``).  If a division leaves a remainder, the
+        Divides by all the factors at once, by running sums along the
+        diagonals (``_divide_factors``).  If a division leaves a remainder, the
         long division ``exact_divide`` by the whole denominator raises
         DivisionRemainderError with the remainder.
         """
@@ -293,13 +298,6 @@ class FactoredRational:
         if terms is None:
             return exact_divide(self.scaled_num(), _expand_factors(self.den))
         return LaurentPoly._raw(terms)
-
-
-def _uv_monomial_text(a, b):
-    parts = []
-    parts.append("u" if a == 1 else "u^%d" % a)
-    parts.append("v" if b == 1 else "v^%d" % b)
-    return "*".join(parts)
 
 
 def _lcm_factors(dens):
@@ -323,7 +321,7 @@ def _missing_factors(target, have):
 
 
 def _times_factors(poly, factors):
-    """poly * prod (1-u^a v^b)^k over the factors; poly itself when there
+    """poly * prod (1 - (uv)^k)^m over the factors; poly itself when there
     are none, so that no product by ONE copies it."""
     return poly * _expand_factors(factors) if factors else poly
 
@@ -334,56 +332,52 @@ def _times_int(poly, c):
 
 
 def _expand_factors(factors):
-    binomials = [(-1, a, b, k) for (a, b), k in factors.items()]
-    return LaurentPoly._raw(_expand_binomials([(1, (0, 0), binomials)]))
+    """prod (1 - (uv)^k)^m over the factor multiset {(k, k): m}: the
+    product prod (1 - t^k)^m in one variable, placed on the diagonal t = uv."""
+    line = _expand_binomials([(1, (0, 0), [(-1, k, 0, m) for (k, _), m in factors.items()])])
+    return LaurentPoly._raw({(j, j): c for (j, _), c in line.items()})
 
 
 def _divide_factors(terms, den, order=None):
-    """The term dict q with q * prod (1 - u^a v^b)^k = terms over the
-    factor multiset den {(a, b): k}, or None if there is none.
+    """The term dict q with q * prod (1 - (uv)^k)^m = terms over the
+    factor multiset den {(k, k): m}, or None if there is none.
 
-    The factors are grouped by their primitive direction (a0, b0), with
-    (a, b) = m (a0, b0).  For each direction the terms are grouped once
-    into lines of that direction, each line the list of its coefficients
-    from its first term to its last, at steps of (a0, b0).  Dividing a
-    line by 1 - t^m, t = u^a0 v^b0, is q(j) = c(j) + q(j - m): m
-    interleaved running sums, which also fill the points of the line
-    where terms has none.  The division is exact iff the top m entries
-    of the sums are zero, and it drops them.  Every factor of the
-    direction divides the same line lists, so each direction groups the
-    terms once, whatever its factors.
+    The terms are grouped once into diagonals p - q, each diagonal the
+    list of its coefficients from its first term to its last, at steps
+    of (1, 1).  Dividing a diagonal by 1 - t^k, t = uv, is
+    q(j) = c(j) + q(j - k): k interleaved running sums, which also fill
+    the points of the diagonal where terms has none.  The division is
+    exact iff the top k entries of the sums are zero, and it drops them.
+    Every factor divides the same diagonal lists.
 
-    With ``order`` set (and terms inside it), each line runs to the edge of
-    that window, the series quotient there; nothing is checked or dropped.
+    With ``order`` set (and terms inside it), each diagonal runs to the
+    edge of that window, the series quotient there; nothing is checked or
+    dropped.
     """
-    directions = {}
-    for (a, b), k in den.items():
-        m = math.gcd(a, b)
-        directions.setdefault((a // m, b // m), []).extend([m] * k)
-    for (a, b), strides in sorted(directions.items()):
-        lines = {}
-        for (p, q), c in sorted(terms.items()):
-            lines.setdefault(p * b - q * a, []).append((p, q, c))
-        terms = {}
-        for line in lines.values():
-            p0, q0, _ = line[0]
+    strides = [k for (k, _), m in den.items() for _ in range(m)]
+    diagonals = {}
+    for (p, q), c in sorted(terms.items()):
+        diagonals.setdefault(p - q, []).append((p, q, c))
+    res = {}
+    for line in diagonals.values():
+        p0, q0, _ = line[0]
+        if order is None:
+            coeffs = [0] * (line[-1][0] - p0 + 1)
+        else:
+            coeffs = [0] * ((order - p0 - q0) // 2 + 1)
+        for p, _, c in line:
+            coeffs[p - p0] = c
+        for k in strides:
+            for r in range(k):
+                coeffs[r::k] = accumulate(coeffs[r::k])
             if order is None:
-                coeffs = [0] * ((line[-1][0] - p0) // a + 1)
-            else:
-                coeffs = [0] * ((order - p0 - q0) // (a + b) + 1)
-            for p, _, c in line:
-                coeffs[(p - p0) // a] = c
-            for m in strides:
-                for r in range(m):
-                    coeffs[r::m] = accumulate(coeffs[r::m])
-                if order is None:
-                    if any(coeffs[-m:]):
-                        return None
-                    del coeffs[-m:]
-            for j, c in enumerate(coeffs):
-                if c:
-                    terms[(p0 + j * a, q0 + j * b)] = c if type(c) is int else as_coeff(c)
-    return terms
+                if any(coeffs[-k:]):
+                    return None
+                del coeffs[-k:]
+        for j, c in enumerate(coeffs):
+            if c:
+                res[(p0 + j, q0 + j)] = c if type(c) is int else as_coeff(c)
+    return res
 
 
 series_expand = FactoredRational.series_expand

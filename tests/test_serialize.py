@@ -142,6 +142,9 @@ def test_integer_fields_read_ints_and_integer_strings(field):
 MALFORMED_SHAPES = {
     "poly-term-without-c": lambda: serialize.poly_from_obj([{"p": 1}]),
     "rational-as-list": lambda: serialize.rational_from_obj([1]),
+    "rational-off-diagonal-factor": lambda: serialize.rational_from_obj(
+        {"num": [], "den": [{"a": 1, "b": 2, "k": 1}]}
+    ),
     "series-without-order": lambda: serialize.series_from_obj({"terms": []}),
     "hn-type-short-pair": lambda: serialize.hn_type_from_obj({"quotients": [[1]]}),
 }

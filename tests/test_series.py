@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hpbundles import (
     series_expand,
     uv_power,
 )
+from hpbundles import poly
 from hpbundles import series as series_module
 from hpbundles.poly import _dense_pays
 from hpbundles.series import _divide_factors, _expand_factors
@@ -64,9 +66,9 @@ def test_two_factor_convolution_against_oracle():
 
 
 def test_repeated_factor_against_oracle():
-    f = FactoredRational(ONE, {(1, 1): 2, (1, 2): 1})
-    s = f.series_expand(7)
-    assert dict(s.items()) == brute_convolution({(1, 1): 2, (1, 2): 1}, 7)
+    f = FactoredRational(ONE, {(1, 1): 2, (3, 3): 1})
+    s = f.series_expand(15)
+    assert dict(s.items()) == brute_convolution({(1, 1): 2, (3, 3): 1}, 15)
 
 
 def test_negative_exponent_numerator_rejected():
@@ -90,8 +92,8 @@ def test_truncation_consistency_random():
             }
         )
         den = {}
-        for _ in range(rng.randint(0, 3)):
-            den[(rng.randint(1, 3), rng.randint(1, 3))] = rng.randint(1, 2)
+        for k in (rng.randint(1, 3) for _ in range(rng.randint(0, 3))):
+            den[(k, k)] = rng.randint(1, 2)
         f = FactoredRational(num, den, Fraction(rng.randint(1, 3), rng.randint(1, 3)))
         d2 = rng.randint(4, 10)
         d1 = rng.randint(0, d2)
@@ -119,6 +121,33 @@ def test_series_rejects_negative_exponents():
         TruncatedSeries({(-1, 0): 1}, 3)
 
 
+@pytest.mark.parametrize("value", [0.5, 1.0, 1.5, 1.9, True, False], ids=repr)
+def test_series_and_rational_constructors_reject_non_integers(value):
+    # int() would read u^0.5 as 1 and 1/(1 - (uv)^1.5)^1.9 as 1/(1 - uv)
+    with pytest.raises(DomainError, match="exponent must be an integer"):
+        TruncatedSeries({(value, 0): 1}, 3)
+    with pytest.raises(DomainError, match="series order must be an integer"):
+        TruncatedSeries({}, value)
+    with pytest.raises(DomainError, match="factor exponent must be an integer"):
+        FactoredRational(ONE, {(value, value): 1})
+    with pytest.raises(DomainError, match="multiplicity must be an integer"):
+        FactoredRational(ONE, {(1, 1): value})
+
+
+def test_rational_refuses_float_scalars_and_operands():
+    f = FactoredRational(ONE, {(1, 1): 1})
+    with pytest.raises(TypeError, match="must be int or Fraction"):
+        FactoredRational(ONE, {(1, 1): 1}, 0.1)
+    assert f.__mul__(0.5) is NotImplemented
+    assert f.__add__(0.5) is NotImplemented
+    for op in (operator.mul, operator.add, operator.sub):
+        for lhs, rhs in ((f, 0.5), (0.5, f), (f, None)):
+            with pytest.raises(TypeError):
+                op(lhs, rhs)
+    assert FactoredRational(ONE, {(1, 1): 1}, Fraction(2, 4)).scalar == Fraction(1, 2)
+    assert (f * Fraction(1, 3)).scalar == Fraction(1, 3)
+
+
 def test_equality_by_cross_multiplication():
     # (1 - u^2 v^2) / ((1-uv)(1-u^2v^2)) == 1/(1-uv)
     lhs = FactoredRational(ONE - uv_power(2), {(1, 1): 1, (2, 2): 1})
@@ -138,8 +167,9 @@ def test_equality_agrees_with_series_random():
     for _ in range(20):
         num1 = LaurentPoly({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)})
         num2 = LaurentPoly({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)})
-        den1 = {(rng.randint(1, 2), rng.randint(1, 2)): rng.randint(1, 2)}
-        den2 = {(rng.randint(1, 2), rng.randint(1, 2)): rng.randint(1, 2)}
+        k1, k2 = rng.randint(1, 2), rng.randint(1, 2)
+        den1 = {(k1, k1): rng.randint(1, 2)}
+        den2 = {(k2, k2): rng.randint(1, 2)}
         f1 = FactoredRational(num1, den1)
         f2 = FactoredRational(num2, den2)
         # order bound: expansions decide equality past twice the degrees involved
@@ -183,8 +213,34 @@ def test_residual_clears_scalars_by_the_lcm_of_their_denominators():
 
 
 def test_den_factor_validation():
-    with pytest.raises(DomainError):
-        FactoredRational(ONE, {(0, 1): 1})
+    for den in ({(0, 1): 1}, {(1, 2): 1}, {(2, 1): 3}, {(1, 2): 0}, {(0, 0): 1}, {(1, 1): -1}):
+        with pytest.raises(DomainError, match=r"must be \(1 - \(uv\)\^k\)\^m"):
+            FactoredRational(ONE, den)
+    assert FactoredRational(ONE, {(1, 1): 0, (2, 2): 1}).den == {(2, 2): 1}
+
+
+def test_factor_expansion_packs_one_row(monkeypatch):
+    # prod (1 - (uv)^k)^m is expanded in one variable: one unpacking of a
+    # box one slot wide, equal to the product of binomial powers
+    boxes = []
+    unpack = poly._unpack
+
+    def recording_unpack(packed, origin, rows, cols, width, *rest):
+        boxes.append((rows, cols))
+        return unpack(packed, origin, rows, cols, width, *rest)
+
+    monkeypatch.setattr(poly, "_unpack", recording_unpack)
+    rng = random.Random(21)
+    # the denominator of a coprime closed-form sum, and the empty product
+    dens = [{(1, 1): 3, (2, 2): 2, (3, 3): 1, (5, 5): 1}, {}]
+    dens += [random_binomials(rng) for _ in range(60)]
+    for den in dens:
+        boxes.clear()
+        expected = ONE
+        for (k, _), m in den.items():
+            expected = expected * (ONE - uv_power(k)) ** m
+        assert _expand_factors(den) == expected
+        assert len(boxes) == 1 and boxes[0][1] == 1
 
 
 def test_as_polynomial_via_division():
@@ -258,7 +314,7 @@ def test_series_product_matches_pairwise_loop():
 def test_series_product_of_expansions_matches_pairwise_loop():
     rng = random.Random(12)
     for _ in range(20):
-        den = {(rng.randint(1, 2), rng.randint(1, 2)): rng.randint(1, 3) for _ in range(2)}
+        den = {(k, k): rng.randint(1, 3) for k in (rng.randint(1, 3) for _ in range(2))}
         num = LaurentPoly({(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-4, 4) for _ in range(4)})
         x = FactoredRational(num, den).series_expand(rng.randint(8, 30))
         y = FactoredRational(ONE + U + V, den, Fraction(1, 3)).series_expand(rng.randint(8, 30))
@@ -267,7 +323,8 @@ def test_series_product_of_expansions_matches_pairwise_loop():
 
 
 def random_binomials(rng):
-    return {(rng.randint(1, 3), rng.randint(1, 3)): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
+    """A diagonal denominator {(k, k): m} of one to three factors."""
+    return {(k, k): rng.randint(1, 3) for k in (rng.randint(1, 3) for _ in range(rng.randint(1, 3)))}
 
 
 def random_laurent(rng, terms):
@@ -296,14 +353,14 @@ def test_running_sum_division_matches_exact_divide(monkeypatch):
 def test_running_sum_division_by_one_binomial():
     rng = random.Random(14)
     for _ in range(200):
-        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        k = rng.randint(1, 4)
         quotient = random_laurent(rng, 10)
-        binomial = ONE - LaurentPoly.monomial(1, a, b)
-        assert _divide_factors((quotient * binomial)._terms, {(a, b): 1}) == quotient._terms
+        binomial = ONE - uv_power(k)
+        assert _divide_factors((quotient * binomial)._terms, {(k, k): 1}) == quotient._terms
         inexact = quotient * binomial + LaurentPoly.monomial(1, rng.randint(-3, 6), rng.randint(-3, 6))
-        if _divide_factors(inexact._terms, {(a, b): 1}) is not None:
-            assert LaurentPoly(_divide_factors(inexact._terms, {(a, b): 1})) * binomial == inexact
-    assert _divide_factors({}, {(2, 1): 1}) == {}
+        if _divide_factors(inexact._terms, {(k, k): 1}) is not None:
+            assert LaurentPoly(_divide_factors(inexact._terms, {(k, k): 1})) * binomial == inexact
+    assert _divide_factors({}, {(2, 2): 1}) == {}
     assert _divide_factors({(0, 0): 1}, {(1, 1): 1}) is None
 
 
@@ -311,13 +368,13 @@ def test_k_fold_division_matches_single_divisions_and_exact_divide():
     rng = random.Random(16)
     inexact_at = set()
     for _ in range(160):
-        a, b, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
-        binomial = ONE - LaurentPoly.monomial(1, a, b)
+        a, k = rng.randint(1, 3), rng.randint(1, 4)
+        binomial = ONE - uv_power(a)
         product = random_laurent(rng, 8) * binomial**k
         for terms in (product._terms, (product + random_laurent(rng, 2))._terms):
             single = terms
             for _ in range(k):
-                single = _divide_factors(single, {(a, b): 1})
+                single = _divide_factors(single, {(a, a): 1})
                 if single is None:
                     break
             try:
@@ -325,12 +382,12 @@ def test_k_fold_division_matches_single_divisions_and_exact_divide():
             except DivisionRemainderError:
                 expected = None
                 inexact_at.add(k)
-            got = _divide_factors(terms, {(a, b): k})
+            got = _divide_factors(terms, {(a, a): k})
             assert got == single == expected
             if got is not None:
                 assert all(type(c) is int or c.denominator != 1 for c in got.values())
     assert inexact_at == {1, 2, 3, 4}
-    assert _divide_factors({}, {(1, 2): 3}) == {}
+    assert _divide_factors({}, {(2, 2): 3}) == {}
     # exact once but not twice: (1 - uv) / (1 - uv)^2
     assert _divide_factors({(0, 0): 1, (1, 1): -1}, {(1, 1): 1}) == {(0, 0): 1}
     assert _divide_factors({(0, 0): 1, (1, 1): -1}, {(1, 1): 2}) is None
@@ -368,24 +425,22 @@ def divide_sequentially(terms, den):
     return terms
 
 
-ONE_DIRECTION_DENOMINATORS = (
+DIAGONAL_DENOMINATORS = (
     {(1, 1): 2, (2, 2): 1, (3, 3): 1},
     {(1, 1): 1, (2, 2): 1},
     {(2, 2): 2, (4, 4): 1},
-    {(1, 2): 1, (2, 4): 2},
-    {(3, 1): 1, (6, 2): 1, (9, 3): 1},
-)
-MIXED_DENOMINATORS = (
-    {(1, 1): 2, (2, 2): 1, (1, 2): 1, (2, 4): 1},
-    {(1, 1): 1, (2, 1): 1, (3, 3): 1, (1, 3): 1},
-    {(2, 3): 1, (4, 6): 1, (3, 2): 1},
+    {(3, 3): 1, (6, 6): 1},
+    {(1, 1): 3, (2, 2): 2, (5, 5): 1},
+    {(2, 2): 1, (3, 3): 1, (5, 5): 1},
+    {(4, 4): 2},
+    {(1, 1): 1, (3, 3): 2, (4, 4): 1},
 )
 
 
-def test_one_grouping_per_direction_matches_sequential_division_and_exact_divide():
+def test_one_diagonal_grouping_matches_sequential_division_and_exact_divide():
     rng = random.Random(18)
     checked = {"exact": 0, "inexact": 0}
-    for den in ONE_DIRECTION_DENOMINATORS + MIXED_DENOMINATORS:
+    for den in DIAGONAL_DENOMINATORS:
         divisor = _expand_factors(den)
         for _ in range(12):
             # random_laurent draws int, Fraction and mixed coefficients and
@@ -406,7 +461,7 @@ def test_one_grouping_per_direction_matches_sequential_division_and_exact_divide
 
 def test_one_grouping_detects_an_inexact_division_at_each_factor():
     rng = random.Random(19)
-    for den in ONE_DIRECTION_DENOMINATORS + MIXED_DENOMINATORS:
+    for den in DIAGONAL_DENOMINATORS:
         factors = [f for f, k in sorted(den.items()) for _ in range(k)]
         for i, (a, b) in enumerate(factors):
             # exact for every factor but the i-th: the cofactor is not a
@@ -480,12 +535,12 @@ def geometric_product(f, order):
     return {e: c * f.scalar for e, c in acc.items()}
 
 
-WINDOW_FACTORS = ((1, 1), (2, 2), (1, 2), (2, 1), (3, 3))
+WINDOW_FACTORS = ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5))
 
 
 def test_windowed_division_matches_product_of_geometric_series():
     rng = random.Random(19)
-    seen = dict.fromkeys(("empty", "mixed", "above", "fraction"), 0)
+    seen = dict.fromkeys(("empty", "several", "above", "fraction"), 0)
     for _ in range(200):
         den = {f: rng.randint(1, 3) for f in rng.sample(WINDOW_FACTORS, rng.randint(0, 3))}
         coeff = rng.choice(SERIES_COEFFICIENTS)
@@ -499,7 +554,7 @@ def test_windowed_division_matches_product_of_geometric_series():
         assert dict(got.items()) == geometric_product(f, order)
         assert all(type(c) is int or c.denominator != 1 for _, c in got.items())
         seen["empty"] += not den
-        seen["mixed"] += len({(a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in den}) > 1
+        seen["several"] += len(den) > 1
         seen["above"] += any(p + q > order for (p, q), _ in num.items())
         seen["fraction"] += any(type(c) is Fraction for _, c in num.items())
     assert min(seen.values()) >= 10, seen
