@@ -31,8 +31,6 @@ from .hntypes import (
 from .convex import (
     BetaIndex,
     WeightSystem,
-    beta_sequences,
-    d_beta_sequence,
     index_set,
     min_norm_point,
     stratum_codim,
@@ -95,8 +93,6 @@ __all__ = [
     "min_norm_point",
     "index_set",
     "stratum_codim",
-    "beta_sequences",
-    "d_beta_sequence",
     "SemistableSeries",
     "hp_ss_series",
     "hp_ss_rank2_closed_form",

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .errors import DomainError, InternalCheckError
 from .packed import _Box
-from .poly import ONE, U, V, LaurentPoly, _expand_binomials
+from .poly import ONE, U, V, LaurentPoly
 from .series import FactoredRational
 
 HALF = Fraction(1, 2)
@@ -31,10 +31,17 @@ HALF = Fraction(1, 2)
 def hp_jacobian(g):
     """(1+u)^g (1+v)^g, the Hodge-Poincare polynomial of a g-dimensional
     Jacobian (or any complex torus of dimension g)."""
+    return _binomial_outer(1, 1, g)
+
+
+def _binomial_outer(c, e, g):
+    """(1 + c u^e)^g (1 + c v^e)^g, the outer product of one row of
+    binomial coefficients with itself.  The rank-2 record packs its own
+    copies (``packed._Box.outer``); the tests check those against this."""
     if g < 0:
         raise DomainError("genus must be non-negative")
-    row = [math.comb(g, i) for i in range(g + 1)]
-    return LaurentPoly._raw({(i, j): ci * cj for i, ci in enumerate(row) for j, cj in enumerate(row)})
+    row = [(e * i, math.comb(g, i) * c**i) for i in range(g + 1)]
+    return LaurentPoly._raw({(i, j): ci * cj for i, ci in row for j, cj in row})
 
 
 def _leading_factors(n, g):
@@ -56,11 +63,8 @@ def twisted_numerator(g):
 
 
 def sign_numerator(g):
-    """(1-u^2)^g (1-v^2)^g: hp_jacobian(g) with u -> -u^2, v -> -v^2.
-
-    The rank-2 record packs its own copy as an outer product of two
-    binomial rows; the tests check that against this."""
-    return LaurentPoly._raw(_expand_binomials([(1, (0, 0), ((-1, 2, 0, g), (-1, 0, 2, g)))]))
+    """(1-u^2)^g (1-v^2)^g: hp_jacobian(g) with u -> -u^2, v -> -v^2."""
+    return _binomial_outer(-1, 2, g)
 
 
 def hp_bgl(n):

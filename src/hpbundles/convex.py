@@ -21,8 +21,7 @@ that is returned.  ``min_norm_point`` and ``index_set`` share that search,
 ``_hull_projections``.
 ``affine_projection`` and ``solve_linear`` work over ``Fraction`` and
 stay as the reference that the all-faces oracle and the tests compare
-against.  The codimension of a sequence of indices is the sum of
-``stratum_codim`` over its steps, in the successively shifted systems.
+against.
 
 Whether every adjoint orbit meets the index set of the blown-up
 representation in at most one point is a hypothesis on the supplied
@@ -408,10 +407,10 @@ def stratum_codim(ws, beta_index):
 
     An index that ``index_set`` returned for this very system object
     carries the count from its support pass, which is returned.  Any
-    other index (built by hand, a step of ``d_beta_sequence``, or one
-    asked of an equal but distinct system) is counted by the same
-    ``_support_codim``: with beta = B/M, the point X = B*L over den = M
-    is beta on the system's integer weights.
+    other index (built by hand, or one asked of an equal but distinct
+    system) is counted by the same ``_support_codim``: with beta = B/M,
+    the point X = B*L over den = M is beta on the system's integer
+    weights.
     """
     stored = getattr(beta_index, "_codim", None)
     if stored is not None and stored[0] is ws:
@@ -422,66 +421,3 @@ def stratum_codim(ws, beta_index):
     bscale, (b,) = _scale([beta])
     big = ws._int_weights[0]
     return _support_codim(ws, tuple(c * big for c in b), bscale)[1]
-
-
-def _is_positive(vec, chamber):
-    """Deterministic positivity: first nonzero pairing against the chamber
-    functionals, falling back to the lexicographic sign of vec."""
-    for s in chamber:
-        t = dot(vec, s)
-        if t > 0:
-            return True
-        if t < 0:
-            return False
-    for x in vec:
-        if x > 0:
-            return True
-        if x < 0:
-            return False
-    return False
-
-
-def shifted_system(ws, beta):
-    """The weight system seen by the stabilizer of beta on the support
-    locus: supporting weights translated by -beta, roots orthogonal to
-    beta, chamber cut out by the surviving positive roots."""
-    bb = norm_sq(beta)
-    weights = tuple(
-        (vsub(v, beta), m) for v, m in ws.weights if dot(v, beta) == bb
-    )
-    roots = tuple(r for r in ws.roots if dot(r, beta) == 0)
-    chamber = tuple(r for r in roots if _is_positive(r, ws.chamber))
-    return WeightSystem(dim=ws.dim, weights=weights, roots=roots, chamber=chamber)
-
-
-def beta_sequences(ws, max_len):
-    """All sequences (beta_1, ..., beta_q), q <= max_len, where each step
-    is an index of the system successively shifted into stabilizers.
-
-    Returned as tuples of vectors, depth-first in index order.
-    """
-    if max_len < 1:
-        return []
-    out = []
-    for bi in index_set(ws):
-        out.append((bi.beta,))
-        if max_len > 1:
-            sub = shifted_system(ws, bi.beta)
-            for tail in beta_sequences(sub, max_len - 1):
-                out.append((bi.beta,) + tail)
-    return out
-
-
-def d_beta_sequence(ws, seq):
-    """Accumulated codimension of a sequence: the sum over its steps of
-    ``stratum_codim`` of beta_j in the system shifted by the earlier steps
-    (``shifted_system``), where only the weights supporting them and the
-    roots orthogonal to them are left."""
-    if not seq:
-        raise DomainError("empty sequence")
-    total = 0
-    for beta in seq:
-        beta = _vec(beta)
-        total += stratum_codim(ws, BetaIndex(beta=beta, support=()))
-        ws = shifted_system(ws, beta)
-    return total

@@ -43,9 +43,10 @@ on the dense path, in the box of the whole sum, and the sum is unpacked
 once.  Most of the cost of one product is that one unpacking: for the
 genus-24 product (1+u)^g (1+v)^g (1+u^2 v)^g (1+u v^2)^g it takes a
 third of the time of the dense product of the two halves (10 ms
-against 30 ms).  A product of u-only and v-only factors packs one row
-and one column, not the box, and ``series._expand_factors`` packs a
-diagonal product in one variable.  The unwindowed
+against 30 ms).  Every call packs the whole box of its sum;
+``series._expand_factors`` packs a diagonal product in one variable
+instead, and ``blocks`` forms the outer product of two binomial rows,
+such as the Jacobian, from binomial coefficients.  The unwindowed
 leading terms of the semistable series, the products of denominator
 factors, and the numerator of the closed-form HN sum
 (``semistable.ss_closed_form``), one part per composition, are formed
@@ -459,27 +460,7 @@ def _expand_binomials(parts):
     coefficient of every partial product and partial sum, so slots that
     hold it and a sign bit never carry into each other, and the sum is
     unpacked once.
-
-    A single product, the one part (1, (0, 0), factors), skips empty
-    slots in two shapes of its factors.  When every a is a multiple of
-    ga and every b of gb, the product is expanded in u^ga and v^gb, in a
-    box ga gb times smaller.  When the factors split into u-only and
-    v-only powers, the product is the outer product of the two
-    one-variable expansions.  Diagonal denominators are expanded in one
-    variable by ``series._expand_factors``.
     """
-    if len(parts) == 1 and parts[0][:2] == (1, (0, 0)):
-        factors = parts[0][2]
-        ga = math.gcd(*(a for _, a, _, _ in factors)) or 1
-        gb = math.gcd(*(b for _, _, b, _ in factors)) or 1
-        if ga * gb > 1:
-            terms = _expand_binomials([(1, (0, 0), [(c, a // ga, b // gb, k) for c, a, b, k in factors])])
-            return {(p * ga, q * gb): c for (p, q), c in terms.items()}
-        directions = {(a // g, b // g) for _, a, b, _ in factors if (g := math.gcd(a, b))}
-        if directions == {(1, 0), (0, 1)}:
-            us = _expand_binomials([(1, (0, 0), [f for f in factors if f[2] == 0])])
-            vs = _expand_binomials([(1, (0, 0), [f for f in factors if f[2] != 0])])
-            return {(p, q): cu * cv for (p, _), cu in us.items() for (_, q), cv in vs.items()}
     if not parts:
         return {}
     p0 = min(p for _, (p, _), _ in parts)

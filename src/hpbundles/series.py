@@ -80,6 +80,9 @@ class TruncatedSeries:
         return LaurentPoly(dict(self._terms))
 
     def truncate(self, order):
+        order = as_int(order, "series order")
+        if order < 0:
+            raise DomainError("series order must be non-negative")
         if order > self.order:
             raise DomainError("cannot extend a truncated series")
         return TruncatedSeries._raw(self._window(order), order)
@@ -92,6 +95,7 @@ class TruncatedSeries:
 
     def shift(self, k):
         """Multiply by (uv)^k; the certified order grows by 2k."""
+        k = as_int(k, "shift")
         if k < 0:
             raise DomainError("negative shift would leave the series ring")
         return TruncatedSeries._raw(
@@ -107,6 +111,8 @@ class TruncatedSeries:
         return hash((self.order, frozenset(self._terms.items())))
 
     def __add__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         return TruncatedSeries._raw(_add_terms(self._window(order), other._window(order)), order)
 
@@ -114,12 +120,16 @@ class TruncatedSeries:
         return TruncatedSeries._raw({e: -c for e, c in self._terms.items()}, self.order)
 
     def __sub__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         return TruncatedSeries._raw(_sub_terms(self._window(order), other._window(order)), order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries._raw(_scale_terms(self._terms, as_coeff(other)), self.order)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         return TruncatedSeries._raw(_mul_terms(self._terms, other._terms, order), order)
 
@@ -157,6 +167,8 @@ class FactoredRational:
     def __init__(self, num, den=None, scalar=1):
         if isinstance(num, (int, Fraction)):
             num = LaurentPoly.const(num)
+        elif not isinstance(num, LaurentPoly):
+            raise DomainError("numerator must be a LaurentPoly, int or Fraction, got %r" % (num,))
         self.num = num
         factors = {}
         for (a, b), m in (den or {}).items():
@@ -276,6 +288,7 @@ class FactoredRational:
         The numerator must have non-negative exponents; it is cut to the
         window and divided there by running sums (``_divide_factors``).
         """
+        order = as_int(order, "series order")
         if order < 0:
             raise DomainError("series order must be non-negative")
         if self.num.has_negative_exponents():

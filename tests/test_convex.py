@@ -10,8 +10,6 @@ from hpbundles import (
     BetaIndex,
     DomainError,
     WeightSystem,
-    beta_sequences,
-    d_beta_sequence,
     index_set,
     min_norm_point,
     serialize,
@@ -25,8 +23,6 @@ from hpbundles.convex import (
     affine_projection,
     dot,
     norm_sq,
-    vadd,
-    vsub,
 )
 from hpbundles.rank2 import weight_system_adjoint_sl2, weight_system_torus
 
@@ -130,60 +126,9 @@ def test_negation_closure_enforced():
         WeightSystem(dim=1, weights=(((2,), 1),), roots=((2,),), chamber=())
 
 
-def test_beta_sequences_paper_systems():
-    for g in (2, 3):
-        assert beta_sequences(adjoint_system(g), 4) == [((Fraction(2),),)]
-        assert beta_sequences(torus_system(g), 4) == [((Fraction(2),),)]
-
-
-def test_beta_sequences_empty_weights():
-    ws = WeightSystem(dim=1, weights=(), roots=(), chamber=((1,),))
-    assert beta_sequences(ws, 3) == []
-
-
-SYNTHETIC = WeightSystem(
-    dim=2,
-    weights=(((2, 0), 1), ((2, 2), 1)),
-    roots=(),
-    chamber=(),
-)
-
-
-def test_beta_sequences_synthetic_length_two():
-    seqs = beta_sequences(SYNTHETIC, 3)
-    as_ints = {tuple(tuple(int(x) for x in b) for b in s) for s in seqs}
-    assert as_ints == {((2, 0),), ((2, 0), (0, 2)), ((2, 2),)}
-
-
-def test_d_beta_sequence_length_one_matches_codim():
-    for g in (2, 5):
-        ws = adjoint_system(g)
-        bi = index_set(ws)[0]
-        assert d_beta_sequence(ws, (bi.beta,)) == stratum_codim(ws, bi)
-        assert d_beta_sequence(ws, (bi.beta,)) == 2 * g - 1
-    wt = torus_system(3)
-    bi = index_set(wt)[0]
-    assert d_beta_sequence(wt, (bi.beta,)) == stratum_codim(wt, bi)
-
-
-def test_d_beta_sequence_synthetic_by_hand():
-    # step 1 at beta = (2,0): no weight pairs strictly below 4, no roots
-    # step 2 at beta = (0,2): the shifted weight (0,0) sits strictly below 4
-    assert d_beta_sequence(SYNTHETIC, ((2, 0), (0, 2))) == 1
-
-
-def test_d_beta_sequence_wrong_length_rejected():
-    ws = adjoint_system(3)
+def test_stratum_codim_wrong_length_rejected():
     with pytest.raises(DomainError, match="dimension 2"):
-        stratum_codim(ws, BetaIndex((2, 0), ()))
-    for seq in (((2, 5),), ((2,), (1, 1))):
-        with pytest.raises(DomainError, match="dimension 2"):
-            d_beta_sequence(ws, seq)
-
-
-def test_d_beta_sequence_empty_rejected():
-    with pytest.raises(DomainError, match="empty sequence"):
-        d_beta_sequence(adjoint_system(2), ())
+        stratum_codim(adjoint_system(3), BetaIndex((2, 0), ()))
 
 
 def test_scaling_invariance_of_counts():
@@ -462,63 +407,3 @@ def test_stored_codim_matches_general_path_and_fraction_count(monkeypatch):
         monkeypatch.undo()
         indices_seen += len(got)
     assert indices_seen > 100 and repeated_seen > 60 and flipped_seen > 60
-
-
-def reference_d_beta_sequence(ws, seq):
-    """Accumulated codimension with its own bookkeeping: at each step
-    count the weights dropping strictly below the new supporting
-    hyperplane among those supporting all earlier steps, translated by
-    their sum, minus half the roots newly moved off the common
-    stabilizer."""
-    if not seq:
-        raise DomainError("empty sequence")
-    total = 0
-    weights = list(ws.weights)
-    roots = list(ws.roots)
-    shift = (Fraction(0),) * ws.dim
-    for beta in (tuple(Fraction(x) for x in b) for b in seq):
-        bb = norm_sq(beta)
-        below = sum(m for v, m in weights if dot(vsub(v, shift), beta) < bb)
-        moved = [r for r in roots if dot(r, beta) != 0]
-        assert len(moved) % 2 == 0
-        total += below - len(moved) // 2
-        weights = [(v, m) for v, m in weights if dot(vsub(v, shift), beta) == bb]
-        roots = [r for r in roots if dot(r, beta) == 0]
-        shift = vadd(shift, beta)
-    return total
-
-
-def test_d_beta_sequence_matches_stepwise_reference():
-    rng = random.Random(5077)
-    checked = longer = 0
-    for _ in range(150):
-        dim = rng.randint(1, 3)
-        vectors = random_points(rng, dim, rng.randint(1, 7 - dim))
-        roots = []
-        if rng.random() < 0.5:
-            # a difference of two weights, so some steps are orthogonal to it
-            a, b = rng.choice(vectors), rng.choice(vectors)
-            root = vsub(a, b) if a != b else tuple(random_rational(rng) for _ in range(dim))
-            if any(root):
-                roots = [root, tuple(-x for x in root)]
-        chamber = rng.choice(((), tuple(roots[:1]), (tuple(random_rational(rng) for _ in range(dim)),)))
-        ws = WeightSystem(
-            dim=dim,
-            weights=tuple((v, rng.randint(1, 3)) for v in vectors),
-            roots=tuple(roots),
-            chamber=chamber,
-        )
-        sequences = beta_sequences(ws, 3)
-        # arbitrary steps: weights, their differences and random vectors
-        pool = vectors + [vsub(a, b) for a, b in combinations(vectors, 2)]
-        for _ in range(6):
-            sequences.append(tuple(
-                rng.choice(pool) if rng.random() < 0.7 else tuple(random_rational(rng) for _ in range(dim))
-                for _ in range(rng.randint(1, 3))
-            ))
-        for seq in sequences:
-            assert d_beta_sequence(ws, seq) == reference_d_beta_sequence(ws, seq)
-            checked += 1
-            longer += len(seq) > 1
-    assert checked > 1000 and longer > 500
-

@@ -360,7 +360,7 @@ def test_binomial_expander_edge_cases():
         expected = _binomial_power({(0, 0): 1, (2, 0): -1}, k)
         assert expand(((1, 1, 0, k), (-1, 1, 0, k))) == expected
         assert expand(((-1, 1, 0, k), (1, 1, 0, k))) == expected
-    # exponents with a common stride in u or v are expanded in u^ga, v^gb
+    # exponents with a common stride in u or v, whose boxes are mostly empty
     for factors in (
         ((-1, 2, 0, 5), (-1, 0, 2, 5)),
         ((1, 2, 3, 2), (-3, 4, 0, 1), (2, 0, 6, 3)),
@@ -376,35 +376,6 @@ def test_binomial_expander_edge_cases():
         assert expand(((c, 1, 1, 1),)) == {(0, 0): 1, (1, 1): c}
         factors = ((c, 1, 0, 2), (-1, 0, 1, 1))
         assert expand(factors) == binomial_product(factors)
-
-
-def test_binomial_expander_packs_axis_splits_without_empty_slots(monkeypatch):
-    # products of u-only and v-only factors, constant factors mixed in:
-    # equal to the products of binomial powers, and every packed box is
-    # one row or one column
-    boxes = []
-    unpack = poly._unpack
-
-    def recording_unpack(packed, origin, rows, cols, width, *rest):
-        boxes.append((rows, cols))
-        return unpack(packed, origin, rows, cols, width, *rest)
-
-    monkeypatch.setattr(poly, "_unpack", recording_unpack)
-    rng = random.Random(12)
-    coefficients = (1, -1, 2, -3)
-    for _ in range(120):
-        split = [(rng.choice(coefficients), rng.randint(1, 3), 0, rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
-        split += [(rng.choice(coefficients), 0, rng.randint(1, 3), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
-        split += [(rng.choice(coefficients), 0, 0, rng.randint(0, 2))] * rng.randint(0, 1)
-        rng.shuffle(split)
-        boxes.clear()
-        assert expand(split) == binomial_product(split)
-        assert all(1 in box for box in boxes)
-    # the sign numerator
-    factors = ((-1, 2, 0, 24), (-1, 0, 2, 24))
-    boxes.clear()
-    assert expand(factors) == binomial_product(factors)
-    assert boxes and all(1 in box for box in boxes)
 
 
 def test_binomial_expander_with_slots_wider_than_256_bits():
@@ -478,9 +449,8 @@ def test_binomial_expander_sums_shifted_parts_in_one_unpacking(monkeypatch):
 
 def test_one_part_call_moves_and_scales_its_product():
     # one part with s != 1 or an offset is its product moved to its
-    # offset and scaled by s, for the factor shapes a single product
-    # expands by a shortcut too (a common stride, a u/v split), and for
-    # factors on one diagonal
+    # offset and scaled by s, for factors with a common stride, a split
+    # into u-only and v-only powers, and factors on one diagonal
     rng = random.Random(15)
     shapes = (
         [(-1, 2, 0, 3), (2, 0, 4, 2)],

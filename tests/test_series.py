@@ -148,6 +148,71 @@ def test_rational_refuses_float_scalars_and_operands():
     assert (f * Fraction(1, 3)).scalar == Fraction(1, 3)
 
 
+SERIES = TruncatedSeries({(0, 0): 1, (1, 0): 2}, 3)
+FOREIGN = (0.5, 1, Fraction(1, 2), None, ONE, FactoredRational(ONE))
+
+
+def test_series_add_refuses_foreign_operands():
+    assert SERIES.__add__(SERIES) == TruncatedSeries({(0, 0): 2, (1, 0): 4}, 3)
+    for other in FOREIGN:
+        assert SERIES.__add__(other) is NotImplemented
+        for lhs, rhs in ((SERIES, other), (other, SERIES)):
+            with pytest.raises(TypeError):
+                lhs + rhs
+
+
+def test_series_sub_refuses_foreign_operands():
+    assert SERIES.__sub__(SERIES) == TruncatedSeries({}, 3)
+    for other in FOREIGN:
+        assert SERIES.__sub__(other) is NotImplemented
+        for lhs, rhs in ((SERIES, other), (other, SERIES)):
+            with pytest.raises(TypeError):
+                lhs - rhs
+
+
+def test_series_mul_refuses_foreign_operands_and_keeps_exact_scaling():
+    doubled = TruncatedSeries({(0, 0): 2, (1, 0): 4}, 3)
+    assert SERIES * 2 == 2 * SERIES == doubled
+    assert SERIES * Fraction(1, 2) == Fraction(1, 2) * SERIES == TruncatedSeries({(0, 0): Fraction(1, 2), (1, 0): 1}, 3)
+    for other in (0.5, None, ONE, FactoredRational(ONE)):
+        assert SERIES.__mul__(other) is NotImplemented
+        for lhs, rhs in ((SERIES, other), (other, SERIES)):
+            with pytest.raises(TypeError):
+                lhs * rhs
+
+
+@pytest.mark.parametrize("order", [1.5, 2.0, True, None, "2"], ids=repr)
+def test_truncate_refuses_non_integer_orders(order):
+    with pytest.raises(DomainError, match="series order must be an integer"):
+        SERIES.truncate(order)
+
+
+def test_truncate_refuses_negative_orders():
+    with pytest.raises(DomainError, match="series order must be non-negative"):
+        SERIES.truncate(-1)
+    assert SERIES.truncate(0) == TruncatedSeries({(0, 0): 1}, 0)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, True, None], ids=repr)
+def test_shift_refuses_non_integer_shifts(k):
+    with pytest.raises(DomainError, match="shift must be an integer"):
+        SERIES.shift(k)
+
+
+@pytest.mark.parametrize("order", [2.5, 2.0, False, None], ids=repr)
+def test_series_expand_refuses_non_integer_orders(order):
+    with pytest.raises(DomainError, match="series order must be an integer"):
+        FactoredRational(ONE, {(1, 1): 1}).series_expand(order)
+
+
+@pytest.mark.parametrize("num", [0.5, None, "1", SERIES, {(0, 0): 1}], ids=repr)
+def test_rational_refuses_non_polynomial_numerators(num):
+    with pytest.raises(DomainError, match="numerator must be a LaurentPoly, int or Fraction"):
+        FactoredRational(num)
+    with pytest.raises(DomainError, match="numerator must be a LaurentPoly, int or Fraction"):
+        FactoredRational(num, {(1, 1): 1}, 2)
+
+
 def test_equality_by_cross_multiplication():
     # (1 - u^2 v^2) / ((1-uv)(1-u^2v^2)) == 1/(1-uv)
     lhs = FactoredRational(ONE - uv_power(2), {(1, 1): 1, (2, 2): 1})
