@@ -40,20 +40,25 @@ third way (``_expand_binomials``): each part starts as the integer s,
 each power is one big-integer shift and add, x += c * (x << shift), the
 part is added at the slot of its monomial into one accumulator packed as
 on the dense path, in the box of the whole sum, and the sum is unpacked
-once.  Most of the cost of one product is that one unpacking: for the
-genus-24 product (1+u)^g (1+v)^g (1+u^2 v)^g (1+u v^2)^g it takes a
-third of the time of the dense product of the two halves (10 ms
-against 30 ms).  Every call packs the whole box of its sum;
+once.  About half the cost of one product is that one unpacking: the
+genus-24 product (1+u)^g (1+v)^g (1+u^2 v)^g (1+u v^2)^g takes 6 ms,
+3 ms of it unpacking, against 26 ms for the dense product of the two
+halves.  Every call packs the whole box of its sum;
 ``series._expand_factors`` packs a diagonal product in one variable
 instead, and ``blocks`` forms the outer product of two binomial rows,
 such as the Jacobian, from binomial coefficients.  The unwindowed
 leading terms of the semistable series, the products of denominator
 factors, and the numerator of the closed-form HN sum
 (``semistable.ss_closed_form``), one part per composition, are formed
-so.  Other products go through ``_mul_terms``, the windowed leading
-terms of the semistable recursion included: their window keeps only a
-few powers of each binomial, so a large genus at a small order stays
-cheap.
+so.  The windowed leading series of the semistable recursion are
+packed inside their window instead (``semistable._leading_series``):
+the window keeps only a few powers of each binomial, so a large genus
+at a small order stays cheap.  Other products go through
+``_mul_terms``.
+
+Every packed value is read by ``_unpack``, 8 bytes of each slot at a
+time (``_slot_values``): strided slices, not one slice and one
+``int.from_bytes`` call per slot.
 
 A computation that goes on working with its products keeps them packed
 (``packed``), reusing the slot width, the unpacking and the shift-add
@@ -66,6 +71,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -505,23 +512,93 @@ def _unpack(packed, origin, rows, cols, width, order=None, den=1):
 
     Adding half the slot range to every slot makes them all non-negative,
     so they unpack without borrows; each coefficient is divided by den.
-    With ``order`` set, row p unpacks only the slots with p + q <= order.
+    With ``order`` set, row p unpacks only the slots with p + q <= order:
+    only those slots are read (``_slot_values``).
     """
     p0, q0 = origin
-    half = 1 << (8 * width - 1)
     slots = rows * cols
-    bias = _slot_pattern(half, width, slots)
+    bias = _slot_pattern(1 << (8 * width - 1), width, slots)
     data = ((packed + bias) & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
-    from_bytes = int.from_bytes
+    spans = [cols] * rows
+    if order is not None:
+        spans = [min(cols, order - p - q0 + 1) for p in range(p0, p0 + rows)]
+        spans = [span for span in spans if span > 0]  # the spans fall with p
+        data = b"".join(data[width * i * cols : width * (i * cols + span)] for i, span in enumerate(spans))
+    values = _slot_values(data, width)
     res = {}
-    for p in range(p0, p0 + rows):
-        at = width * (p - p0) * cols
-        span = cols if order is None else min(cols, order - p - q0 + 1)
-        row = [from_bytes(data[i : i + width], "little") for i in range(at, at + width * span, width)]
-        for q, c in enumerate(row, q0):
-            if c != half:
-                res[(p, q)] = c - half if den == 1 else as_coeff(Fraction(c - half, den))
+    at = 0
+    for p, span in enumerate(spans, p0):
+        for q, c in enumerate(values[at : at + span], q0):
+            if c:
+                res[(p, q)] = c if den == 1 else as_coeff(Fraction(c, den))
+        at += span
     return res
+
+
+# A biased slot c + 2^(8 width - 1) differs from c in two's complement only
+# in the top bit of its top byte, which _TWOS flips; _SIGN maps a two's
+# complement byte to the byte that extends its sign.
+_TWOS = bytes(b ^ 0x80 for b in range(256))
+_SIGN = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+
+
+def _slot_values(data, width):
+    """The signed values of the biased slots of width bytes in data.
+
+    Each slot is read as one 8-byte limb: its bytes are copied into the
+    limbs by strided slices, one byte of every slot per slice, its top byte
+    through ``_TWOS``, the pad bytes of a narrower slot from ``_SIGN``,
+    and all limbs are read by one ``array('q')``.  A wider slot takes one
+    limb when all its bytes past the eighth extend the sign of the eighth,
+    which one strided compare per byte checks.  Otherwise two-limb slots
+    are combined from their limbs, and wider ones read one by one (cheaper
+    at 35-byte slots than combining five limbs).
+    """
+    twos = data[width - 1 :: width].translate(_TWOS)
+    if width <= 8:
+        return _read_limbs(_top_limb(data, width, 0, twos), "q")
+    sign = data[7::width].translate(_SIGN)
+    if twos == sign and all(data[j::width] == sign for j in range(8, width - 1)):
+        return _read_limbs(_limb(data, width, 0, 8), "q")
+    if width <= 16:
+        high = _read_limbs(_top_limb(data, width, 8, twos), "q")
+        return [h << 64 | l for h, l in zip(high, _read_limbs(_limb(data, width, 0, 8), "Q"))]
+    buf = bytearray(data)
+    buf[width - 1 :: width] = twos
+    buf = bytes(buf)
+    from_bytes = int.from_bytes
+    return [from_bytes(buf[i : i + width], "little", signed=True) for i in range(0, len(buf), width)]
+
+
+def _limb(data, width, start, stop):
+    """The bytes start..stop-1 of every width-byte slot of data, each slot's
+    at the low end of an 8-byte limb; the rest of each limb is 0."""
+    buf = bytearray(8 * (len(data) // width))
+    for j in range(start, stop):
+        buf[j - start :: 8] = data[j::width]
+    return buf
+
+
+def _top_limb(data, width, start, twos):
+    """The bytes from start of every width-byte slot of data, its top byte
+    replaced by the one in twos, sign-extended to an 8-byte limb
+    (width - start <= 8)."""
+    buf = _limb(data, width, start, width - 1)
+    buf[width - 1 - start :: 8] = twos
+    sign = twos.translate(_SIGN)
+    for j in range(width - start, 8):
+        buf[j::8] = sign
+    return buf
+
+
+def _read_limbs(buf, code):
+    """The little-endian 8-byte limbs of buf as ints: signed for code 'q',
+    unsigned for 'Q'."""
+    limbs = array(code)
+    limbs.frombytes(buf)
+    if sys.byteorder == "big":
+        limbs.byteswap()
+    return limbs.tolist()
 
 
 def _slot_pattern(value, width, slots):

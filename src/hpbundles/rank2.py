@@ -40,7 +40,7 @@ from .blocks import DEN_BT, HALF, _nt_zts, _rank2_numerators, _rational
 from .blocks import hp_jacobian  # noqa: F401
 from .errors import DomainError, InternalCheckError
 from .hntypes import ReductiveClass, codim_deeper_stratum
-from .poly import LaurentPoly
+from .poly import LaurentPoly, as_int
 from .semistable import SS_RANK2_DEN, _ss_rank2_numerator, moduli_dimension
 from .series import FactoredRational, _lcm_factors, _missing_factors
 
@@ -318,6 +318,7 @@ def hodge_deligne_stable_rank2(g):
 
 
 def _check_genus(g):
+    as_int(g, "genus")
     if g < 2:
         raise DomainError("genus out of supported range")
     if g > MAX_GENUS:

@@ -21,7 +21,8 @@ The expansion is built inside the window: the numerator of total degree
 most the order, so the work per miss depends on the order, not on g.
 With the HN types scanned in integers (``hntypes``), this took the
 ss-sweep benchmark from 0.152 to 0.066 s (medians of ten alternating
-pairs, seed 5; 2-core Xeon, Python 3.11).
+pairs, seed 5; 2-core Xeon, Python 3.11).  The expansion is one packed
+integer, masked to the window after every shift (``_leading_series``).
 
 The recursion has a closed solution, a finite sum over the compositions
 of n (``ss_closed_form``).  The coprime moduli polynomial is computed
@@ -30,8 +31,8 @@ recursion run to the moduli dimension (``stable_coprime_polynomial``).
 Over the common denominator every term of the sum is a monomial times
 binomial powers, so its numerator is formed in one packed pass of
 ``poly._expand_binomials``, as is the unwindowed leading term
-``leading_closed_term``; the windowed leading terms of the recursion
-are multiplied inside their window by ``poly._mul_terms`` instead.
+``leading_closed_term``; the windowed leading series of the recursion
+are formed packed inside their window by ``_leading_series`` instead.
 The packed pass took the coprime benchmark from 0.103 to 0.061 s
 (medians of ten alternating pairs, seed 101; 2-core Xeon, Python 3.11).
 """
@@ -46,7 +47,7 @@ from itertools import combinations
 from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DivisionRemainderError, DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .poly import ONE, U, V, LaurentPoly, _expand_binomials, _mul_terms, as_coeff
+from .poly import ONE, U, V, LaurentPoly, _expand_binomials, _slot_width, _unpack, as_coeff, as_int
 from .series import FactoredRational, TruncatedSeries, _lcm_factors, _missing_factors
 
 # A series to order N has up to (N+1)(N+2)/2 terms, 5151 at this cap.
@@ -76,20 +77,59 @@ def _leading_den(n):
     return den
 
 
-def _leading_term(n, g, order):
-    """``leading_closed_term(n, g)`` with only the numerator terms of total
-    degree <= order, all that ``series_expand(order)`` reads.
+def _leading_series(n, g, order):
+    """``leading_closed_term(n, g).series_expand(order)``, formed packed
+    inside the window of its order.
 
-    Each factor (1 + u^a v^b)^k of ``blocks._leading_factors`` is expanded
-    by the binomial theorem, keeping only the powers j with
-    j (a + b) <= order, and the factors are multiplied by ``_mul_terms``
-    inside the window, so the cost does not grow with g.
+    The series is packed as in ``poly._mul_dense``, from the origin, in
+    order + 1 rows of cols = order + 1 + max(n, order // 2 + 1) slots,
+    and every step keeps only the window, the slots with p + q <= order,
+    by a mask.  Each factor (1 + u^a v^b)^g of ``blocks._leading_factors``
+    is applied as its binomial row cut at j (a + b) <= order: x is
+    multiplied by sum C(g, j) (u^a v^b)^j, each power of u^a v^b one
+    shift by a cols + b slots and a mask, so the work does not grow with
+    g.  Each stride m of ``_leading_den`` is then divided out as in
+    ``packed._Packed.divide_diagonal``, by the running sums along the
+    diagonals, which hold at most reach = order // 2 + 1 points of the
+    window: x = (x + x (uv)^s) masked, s = m, 2m, 4m, ... below reach.
+    A shift moves a slot of the window at most max(n, reach - 1) columns
+    on, so no slot crosses into the next row.
+
+    Every value is non-negative, the numerator's coefficients at most the
+    product B_0 over the factors of the sums of their cut rows, and each
+    division multiplies the largest by at most reach.  So no slot ever
+    holds more than B = B_0 reach^(number of strides), and slots that
+    hold B and a sign bit never carry into each other.  One ``_unpack``
+    reads the window.
     """
-    num = {(0, 0): 1}
+    reach = order // 2 + 1
+    cols = order + 1 + max(n, reach)
+    strides = [m for (m, _), k in _leading_den(n).items() for _ in range(k)]
+    bound = reach ** len(strides)
+    rows = []
     for _, a, b, k in _leading_factors(n, g):
-        factor = {(j * a, j * b): math.comb(k, j) for j in range(min(k, order // (a + b)) + 1)}
-        num = _mul_terms(num, factor, order)
-    return FactoredRational(LaurentPoly._raw(num), _leading_den(n))
+        row = [math.comb(k, j) for j in range(1, min(k, order // (a + b)) + 1)]
+        bound *= 1 + sum(row)
+        rows.append((a * cols + b, row))
+    width = _slot_width(bound)
+    bits = 8 * width
+    window = int.from_bytes(
+        b"".join(b"\xff" * (width * (order + 1 - p)) + bytes(width * (cols - order - 1 + p)) for p in range(order + 1)),
+        "little",
+    )
+    x = 1
+    for shift, row in rows:
+        power = x
+        for c in row:
+            power = (power << bits * shift) & window
+            x += c * power
+    step = bits * (cols + 1)
+    for m in strides:
+        span = m
+        while span < reach:
+            x = (x + (x << span * step)) & window
+            span *= 2
+    return TruncatedSeries._raw(_unpack(x, (0, 0), order + 1, cols, width, order), order)
 
 
 class SemistableSeries:
@@ -128,6 +168,9 @@ class SemistableSeries:
             self.hits += 1
             result = top.truncate(order)
         else:
+            # the hit paths above only compare, so that a repeat costs no
+            # more; a miss first checks that its arguments are integers
+            _check_ints(n, d, g, order)
             self.misses += 1
             # a fresh copy of the leading series, so this call owns its
             # terms and subtracts every shifted product into them; the
@@ -162,7 +205,7 @@ class SemistableSeries:
         """
         top = self._leading.get((n, g))
         if top is None or top.order < order:
-            top = _leading_term(n, g, order).series_expand(order)
+            top = _leading_series(n, g, order)
             self._leading[(n, g)] = top
         return {e: c for e, c in top.items() if e[0] + e[1] <= order}
 
@@ -235,6 +278,7 @@ def ss_closed_form(n, d, g):
     the sum has 2^(n-1) terms, and the moduli dimension n^2(g-1) + 1 at
     ``MAX_CLOSED_FORM_DIM``.
     """
+    _check_ints(n, d, g)
     _check_rank(n)
     if g < 2:
         raise DomainError("genus out of supported range")
@@ -274,6 +318,12 @@ def _closed_form_exponent(ranks, d, g):
     return e
 
 
+def _check_ints(n, d, g, order=0):
+    """Raise DomainError unless the rank, degree, genus and order are integers."""
+    for x, name in ((n, "rank"), (d, "degree"), (g, "genus"), (order, "series order")):
+        as_int(x, name)
+
+
 def moduli_dimension(n, g):
     """Complex dimension of the moduli space of rank-n bundles: n^2(g-1) + 1."""
     return n * n * (g - 1) + 1
@@ -290,6 +340,7 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
     passed).  The moduli dimension dim is capped at ``MAX_ORDER``, the
     recursion's order, and the rank as in ``ss_closed_form``.
     """
+    _check_ints(n, d, g)
     if math.gcd(n, d) != 1:
         raise DomainError("semistable != stable; use rank-2 pipeline or report series only")
     dim = moduli_dimension(n, g)

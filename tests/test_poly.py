@@ -28,7 +28,15 @@ from hpbundles.poly import (
     _mul_sparse,
     _mul_terms,
     _slot_width,
+    _unpack,
+    as_coeff,
 )
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is a test-only dependency
+    st = None
 
 
 def random_poly(rng, max_terms=6, lo=-3, hi=4, laurent=True):
@@ -211,6 +219,62 @@ def test_windowed_dense_product_with_huge_slots_and_cancellation():
         full = _mul_sparse(a, b)
         for order in range(-2, 30):
             assert _mul_dense(a, b, order) == window(full, order)
+
+
+def per_slot_unpack(packed, origin, rows, cols, width, order=None, den=1):
+    """``poly._unpack`` one slot at a time: every slot, biased by half its
+    range, is sliced out and read by its own ``int.from_bytes`` call.
+    The reference the limb reads of ``_unpack`` are tested against."""
+    p0, q0 = origin
+    half = 1 << (8 * width - 1)
+    slots = rows * cols
+    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    data = ((packed + bias) & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
+    res = {}
+    for p in range(p0, p0 + rows):
+        at = width * (p - p0) * cols
+        span = cols if order is None else min(cols, order - p - q0 + 1)
+        row = [int.from_bytes(data[i : i + width], "little") for i in range(at, at + width * span, width)]
+        for q, c in enumerate(row, q0):
+            if c != half:
+                res[(p, q)] = c - half if den == 1 else as_coeff(Fraction(c - half, den))
+    return res
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is a test-only dependency")
+def test_unpack_matches_the_per_slot_reference():
+    # widths 1 to 40 bytes, one to five limbs: slots that fit one limb,
+    # two-limb slots and wider ones; coefficients at both ends of the slot
+    # range and at the 64-bit limb edges, small ones, single bits at every
+    # place, zeros, a common denominator, and windows that cut rows or miss
+    # the whole box
+    @st.composite
+    def boxes(draw):
+        width = draw(st.integers(1, 40))
+        limit = 1 << (8 * width - 1)
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+        edges = [-limit, limit - 1, 0] + [s * 2**63 + t for s in (1, -1) for t in (-1, 0, 1)] + [2**64, -(2**64)]
+        narrow = st.one_of(
+            st.integers(-1000, 1000),
+            st.builds(lambda k, s: s << k, st.integers(0, 8 * width - 2), st.sampled_from((1, -1))),
+        )
+        wide = st.sampled_from([c for c in edges if -limit <= c < limit]) | st.integers(-limit, limit - 1)
+        # a box of narrow values alone, a single bit among them, takes the
+        # one-limb read only if every byte of it is checked
+        coeff = draw(st.sampled_from((narrow, narrow | wide)))
+        values = draw(st.lists(coeff, min_size=rows * cols, max_size=rows * cols))
+        packed = sum(c << 8 * width * i for i, c in enumerate(values))
+        origin = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        order = draw(st.none() | st.integers(-8, 12))
+        den = draw(st.sampled_from((1, 1, 2, 6)))
+        return packed, origin, rows, cols, width, order, den
+
+    @settings(max_examples=600, deadline=None)
+    @given(boxes())
+    def check(box):
+        assert _unpack(*box) == per_slot_unpack(*box)
+
+    check()
 
 
 def pairwise_product(a, b, order=None):

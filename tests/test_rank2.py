@@ -270,3 +270,12 @@ def test_genus_above_cap_rejected():
     for func in (hp_moduli_stable_rank2, hodge_deligne_stable_rank2, rank2_strata, stratum_t, stratum_beta2):
         with pytest.raises(DomainError):
             func(rank2.MAX_GENUS + 1)
+
+
+@pytest.mark.parametrize("genus", [2.0, "3", True], ids=repr)
+def test_non_integer_genus_rejected(genus):
+    # a float, a string and a bool each fail as a domain error, not as the
+    # TypeError or AttributeError of the arithmetic they would reach
+    for func in (hp_moduli_stable_rank2, hodge_deligne_stable_rank2, stable_rank2_closed_form, rank2_strata):
+        with pytest.raises(DomainError, match="genus must be an integer"):
+            func(genus)

@@ -161,17 +161,25 @@ def test_genus_validation():
 
 def test_windowed_leading_series_matches_full_expansion():
     # orders rising make the evaluator expand each one afresh, inside its
-    # window; falling, it copies them out of the order-40 expansion.  The
-    # full numerator's expansion to order 40, truncated, is its expansion
-    # to each lower order.  The full numerator comes from the shift-add
-    # expander, the windowed ones from ``_mul_terms``: two kernels.
-    for n in range(1, MAX_RANK + 1):
-        for g in range(2, 6):
-            full = leading_closed_term(n, g).series_expand(40)
-            expected = {order: dict(full.truncate(order).items()) for order in range(41)}
-            evaluator = SemistableSeries()
-            for order in list(range(41)) + list(range(40, -1, -1)):
-                assert evaluator._leading_terms(n, g, order) == expected[order], (n, g, order)
+    # window; falling, it copies them out of the highest expansion.  The
+    # full numerator's expansion to the top order, truncated, is its
+    # expansion to each lower order.  The full numerator comes from the
+    # shift-add expander and is divided by ``series._divide_factors``; the
+    # windowed series are formed and divided packed inside their window
+    # (``semistable._leading_series``).  The two share only the factors.
+    # Ranks above 3 stop at order 40, and genus 40 at ranks up to 3: the
+    # full numerator's box grows as (n^2 g)^2.  Genus 64 to order 100 has
+    # 35-byte slots, read one by one, so it rises by nine orders a step.
+    cases = [(n, g, range(41)) for n in range(4, MAX_RANK + 1) for g in range(2, 6)]
+    cases += [(n, g, range(101)) for n in range(1, 4) for g in range(2, 6)]
+    cases += [(n, 40, range(13)) for n in range(1, 4)] + [(2, 64, [*range(0, 100, 9), 100])]
+    for n, g, rising in cases:
+        top = rising[-1]
+        full = leading_closed_term(n, g).series_expand(top)
+        expected = {order: dict(full.truncate(order).items()) for order in range(top + 1)}
+        evaluator = SemistableSeries()
+        for order in [*rising, *range(top, -1, -1)]:
+            assert evaluator._leading_terms(n, g, order) == expected[order], (n, g, order)
 
 
 def test_memoized_leading_series_is_only_read():
@@ -232,6 +240,32 @@ def test_stable_coprime_diagonal_matches_univariate_beyond_rank2_genus2(n, d, g)
 def test_stable_coprime_rejects_common_factor():
     with pytest.raises(DomainError, match="semistable != stable"):
         stable_coprime_polynomial(2, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "args, name", [((2, 1, 2.0), "genus"), ((2.0, 1, 3), "rank"), ((3, 1.0, 2), "degree"), ((3, 1, "2"), "genus")]
+)
+def test_stable_coprime_rejects_non_integer_arguments(args, name):
+    with pytest.raises(DomainError, match="%s must be an integer" % name):
+        stable_coprime_polynomial(*args)
+
+
+@pytest.mark.parametrize(
+    "args, name", [((2, 1, 2.0), "genus"), ((2.0, 1, 3), "rank"), ((3, 1.0, 2), "degree"), ((3, 1, True), "genus")]
+)
+def test_closed_form_rejects_non_integer_arguments(args, name):
+    with pytest.raises(DomainError, match="%s must be an integer" % name):
+        ss_closed_form(*args)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [((2, 1, 2.0, 4), "genus"), ((2.0, 1, 3, 4), "rank"), ((3, 1.0, 2, 4), "degree"), ((3, 1, 2, 4.0), "series order")],
+)
+def test_ss_series_rejects_non_integer_arguments(args, name):
+    # checked on a miss; a repeat is served from the memo without the check
+    with pytest.raises(DomainError, match="%s must be an integer" % name):
+        hp_ss_series(*args)
 
 
 def test_univariate_diagonal_agrees_with_bivariate_series():
