@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .errors import DomainError, InternalCheckError
 from .packed import _Box
-from .poly import ONE, U, V, LaurentPoly
+from .poly import ONE, U, V, LaurentPoly, as_int
 from .series import FactoredRational
 
 HALF = Fraction(1, 2)
@@ -31,6 +31,7 @@ HALF = Fraction(1, 2)
 def hp_jacobian(g):
     """(1+u)^g (1+v)^g, the Hodge-Poincare polynomial of a g-dimensional
     Jacobian (or any complex torus of dimension g)."""
+    as_int(g, "genus")
     return _binomial_outer(1, 1, g)
 
 
@@ -69,6 +70,7 @@ def sign_numerator(g):
 
 def hp_bgl(n):
     """HP(BGL(n)) = prod_{k=1..n} 1/(1 - u^k v^k)."""
+    as_int(n, "group rank")
     if n < 1:
         raise DomainError("group rank must be at least 1")
     return FactoredRational(ONE, {(k, k): 1 for k in range(1, n + 1)})
@@ -76,6 +78,7 @@ def hp_bgl(n):
 
 def hp_bsl(n):
     """HP(BSL(n)) = prod_{k=2..n} 1/(1 - u^k v^k); trivial for n = 1."""
+    as_int(n, "group rank")
     if n < 1:
         raise DomainError("group rank must be at least 1")
     return FactoredRational(ONE, {(k, k): 1 for k in range(2, n + 1)})
@@ -99,6 +102,7 @@ def hp_plusminus_jac_pair(g):
     Both halves must come out with integer coefficients; a half-integer
     would mean the eigenspace bookkeeping is broken.
     """
+    as_int(g, "genus")
     return tuple(LaurentPoly._raw(half.unpack()) for half in _rank2_numerators(g).pair)
 
 
@@ -183,6 +187,7 @@ def hp_nt_zts(g):
         [ (1+u)^2g (1+v)^2g (1+uv)/2 + (1-u^2)^g (1-v^2)^g (1-uv)/2
           - (uv)^g (1+u)^g (1+v)^g ] / ((1-uv)(1-u^2v^2)).
     """
+    as_int(g, "genus")
     if g < 1:
         raise DomainError("genus must be at least 1")
     return _rational(_nt_zts(_rank2_numerators(g)), DEN_BT, HALF)

@@ -10,15 +10,22 @@ inequality x.p >= |x|^2 exactly.
 
 The searches run in integers.  The points are scaled once by the lcm L
 of their denominators, and one table of their pairwise products is built
-per search; ``_project`` reads each subset's Gram system from that table
-and solves it by fraction-free (Bareiss) Gauss-Jordan elimination,
-returning integer barycentric coordinates over a common denominator den.
-The point X with x = X/(den*L) is formed only after the hull test, for a
-subset whose coordinates are all >= 0.  Sign tests, the chamber test,
-support membership, the codimension count and the optimality inequality
-are integer comparisons, and a ``Fraction`` is built only for a point
-that is returned.  ``min_norm_point`` and ``index_set`` share that search,
-``_hull_projections``.
+per search.  A pair or a triple is projected in closed form from that
+table (``_segments``, ``_triangles``): a segment by the two products
+t = G_ii - G_ij and d = |p_i - p_j|^2, a triangle by Cramer's rule on
+its 2x2 Gram system, and the signs of the integer barycentric
+coordinates are tested before any point is formed.  A subset of four or
+more points is solved by fraction-free (Bareiss) Gauss-Jordan
+elimination, ``_project``.  Each returns integer coordinates over a
+common denominator den, and the point X with x = X/(den*L) is formed
+only after the hull test, for a subset whose coordinates are all >= 0.
+Sign tests, the chamber test, support membership, the codimension count
+and the optimality inequality are integer comparisons.  ``index_set``
+also sorts on integers: with D the largest denominator among its kept
+indices, floor(X.X*D^4/den^2) and floor(X_i*D^2/den) order |beta|^2 and
+the components of beta exactly, and a ``Fraction`` is built only for a
+point that is returned.  ``min_norm_point`` and ``index_set`` share one
+search, ``_hull_projections``.
 ``affine_projection`` and ``solve_linear`` work over ``Fraction`` and
 stay as the reference that the all-faces oracle and the tests compare
 against.
@@ -37,6 +44,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import DomainError, InternalCheckError
+from .poly import as_int
 
 # index_set projects the sum over k <= dim of C(m, k) subsets of the m
 # distinct weights, and pairs each candidate they give with all m weights
@@ -44,18 +52,29 @@ from .errors import DomainError, InternalCheckError
 # a system with more subset-weight pairs than this.  Near the cap, on
 # random systems of distinct weights with no chamber (every candidate
 # kept), a whole ``beta index-set`` run, which prints each index with its
-# codimension, took 0.9-1.6 s in dimension 1 (1414 weights), 1.1-2.3 s in
-# 2 (158), 1.4-2.3 s in 3 (58) and 1.9-3.1 s in 4 (34) on a shared 2-core
+# codimension, took 1.0-1.6 s in dimension 1 (1414 weights), 1.1-1.8 s in
+# 2 (158), 1.4-2.0 s in 3 (58) and 2.0-2.8 s in 4 (34) on a shared 2-core
 # Xeon with Python 3.11 (eight runs each), nearly all of it in index_set.
-# The cost of a projection grows with the dimension, so higher ones take
-# longer.
+# Pairs and triples are projected in closed form and larger subsets by
+# elimination, so dimension 4, whose 46,376 quadruples are eliminated,
+# takes longest.
 # The largest benchmark system (dimension 4, 11 weights) has 561
 # subsets, 6171 pairs.
 MAX_SUBSET_TESTS = 2_000_000
 
 
 def _vec(values):
-    return tuple(Fraction(x) for x in values)
+    return tuple(map(_coordinate, values))
+
+
+def _coordinate(x):
+    """x as a Fraction: a Fraction is kept as it is, an int or a fraction
+    string is read, and a float or a boolean is refused."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (bool, float)):
+        raise DomainError("coordinates must be integers or fractions, got %r" % (x,))
+    return Fraction(x)
 
 
 def dot(a, b):
@@ -177,6 +196,69 @@ def _combine(coords, subset, points):
     return tuple(sum(map(mul, coords, column)) for column in zip(*(points[i] for i in subset)))
 
 
+def _segments(points, gram):
+    """(X, den) for each pair i < j of the integer points whose segment
+    holds X/den, the projection of the origin onto their line, in
+    ``combinations`` order; ``gram`` is the table of their pairwise
+    products.
+
+    With t = G_ii - G_ij and d = |p_i - p_j|^2 = t + G_jj - G_ij, the
+    projection is ((d - t) p_i + t p_j)/d, which is what ``_project``
+    gives.  A repeated point (d = 0) spans no line."""
+    n = len(points)
+    for i, gi in enumerate(gram):
+        gii = gi[i]
+        pi = points[i]
+        for j in range(i + 1, n):
+            t = gii - gi[j]
+            d = t + gram[j][j] - gi[j]
+            if d and 0 <= t <= d:
+                s = d - t
+                yield tuple(s * a + t * b for a, b in zip(pi, points[j])), d
+
+
+def _triangles(points, gram):
+    """(X, den) for each triple i < j < k of the integer points whose
+    triangle holds X/den, the projection of the origin onto its plane, in
+    ``combinations`` order; ``gram`` is the table of their pairwise
+    products.
+
+    The Gram system of the directions p_j - p_i, p_k - p_i has the entries
+    m11, m12, m22 and the right-hand side r1, r2 that ``_project`` builds.
+    By Cramer's rule its solution is (t1, t2)/det with det = m11 m22 - m12^2,
+    t1 = r1 m22 - m12 r2 and t2 = m11 r2 - m12 r1, the integers Bareiss
+    elimination returns, and the barycentric coordinates are
+    (det - t1 - t2, t1, t2)/det, whose signs are tested one by one.  The
+    Gram matrix is positive semidefinite, so det = 0 exactly when the
+    three points are affinely dependent, and det > 0 otherwise."""
+    n = len(points)
+    for i, gi in enumerate(gram):
+        gii = gi[i]
+        pi = points[i]
+        for j in range(i + 1, n):
+            gj = gram[j]
+            r1 = gii - gi[j]
+            m11 = r1 + gj[j] - gi[j]
+            if not m11:
+                # p_j repeats p_i: every triple (i, j, k) is dependent
+                continue
+            pj = points[j]
+            for k in range(j + 1, n):
+                r2 = gii - gi[k]
+                m12 = gj[k] - gi[k] + r1
+                m22 = r2 + gram[k][k] - gi[k]
+                t1 = r1 * m22 - m12 * r2
+                if t1 < 0:
+                    continue
+                t2 = m11 * r2 - m12 * r1
+                if t2 < 0:
+                    continue
+                det = m11 * m22 - m12 * m12
+                t0 = det - t1 - t2
+                if det and t0 >= 0:
+                    yield tuple(t0 * a + t1 * b + t2 * c for a, b, c in zip(pi, pj, points[k])), det
+
+
 def _hull_projections(points, max_size):
     """(X, den) for each affinely independent subset of at most max_size
     integer points whose hull contains X/den, the projection of the origin
@@ -184,8 +266,10 @@ def _hull_projections(points, max_size):
 
     A single point is its own projection, (p, 1).  Larger subsets read
     their Gram systems from one table of the pairwise products of the
-    points, built once per search (not at all when max_size is 1), and X
-    is formed only for a subset whose coordinates are all >= 0."""
+    points, built once per search (not at all when max_size is 1).  Pairs
+    and triples are projected in closed form (``_segments``,
+    ``_triangles``) and larger subsets by ``_project``; X is formed only
+    for a subset whose coordinates are all >= 0."""
     if max_size < 1:
         return
     for p in points:
@@ -193,8 +277,12 @@ def _hull_projections(points, max_size):
     if max_size < 2:
         return
     gram = [[dot(p, q) for q in points] for p in points]
+    yield from _segments(points, gram)
+    if max_size < 3:
+        return
+    yield from _triangles(points, gram)
     indices = range(len(points))
-    for size in range(2, min(len(points), max_size) + 1):
+    for size in range(4, min(len(points), max_size) + 1):
         for subset in combinations(indices, size):
             proj = _project(gram, subset)
             if proj is not None and min(proj[1]) >= 0:
@@ -246,9 +334,9 @@ class WeightSystem:
     chamber: tuple
 
     def __post_init__(self):
-        if self.dim < 0:
+        if as_int(self.dim, "dimension") < 0:
             raise DomainError("dimension must be non-negative")
-        weights = tuple((_vec(v), int(m)) for v, m in self.weights)
+        weights = tuple((_vec(v), as_int(m, "multiplicity")) for v, m in self.weights)
         roots = tuple(_vec(r) for r in self.roots)
         chamber = tuple(_vec(s) for s in self.chamber)
         for v, m in weights:
@@ -311,16 +399,16 @@ def _support_codim(ws, x, den):
     below the hyperplane.  The codimension is that count minus the roots
     negative against beta (the dimension of G/P for the parabolic attached
     to beta)."""
-    xx = dot(x, x)
+    xx = sum(map(mul, x, x))
     support = []
     below = 0
     for i, (p, m) in enumerate(ws._int_weights[1]):
-        t = dot(p, x) * den
+        t = sum(map(mul, p, x)) * den
         if t < xx:
             below += m
         elif t == xx:
             support.append(i)
-    return support, below - sum(1 for r in ws._int_roots if dot(r, x) < 0)
+    return support, below - sum(1 for r in ws._int_roots if sum(map(mul, r, x)) < 0)
 
 
 def index_set(ws):
@@ -348,9 +436,14 @@ def index_set(ws):
     test runs on X, and one pass of ``_support_codim`` over the weights
     finds each candidate's support and counts its stratum's codimension
     from the same products; the index keeps that count for
-    ``stratum_codim``.  The sort key |beta|^2 = X.X/(den*L)^2 is formed
-    once per kept index, and only kept indices become ``Fraction``
-    vectors.
+    ``stratum_codim``.
+
+    The kept indices are sorted on integers.  With D the largest den among
+    them, two distinct values of X.X/den^2 differ by at least 1/D^4 and
+    two distinct values of X_i/den by at least 1/D^2, so
+    floor(X.X*D^4/den^2) orders |beta|^2 = X.X/(den*L)^2 and
+    floor(X_i*D^2/den) orders beta_i exactly.  Only the returned indices
+    become ``Fraction`` vectors.
 
     A system with more than ``MAX_SUBSET_TESTS`` subset-weight pairs is
     refused with a DomainError before any projection.
@@ -376,25 +469,26 @@ def index_set(ws):
         if not any(x) or not ws.in_chamber(x):
             continue
         support, codim = _support_codim(ws, x, den)
-        if not support:
-            continue
+        if support:
+            kept.append((x, den, support, codim))
+    if len(kept) > 1:
+        top = max(den for _, den, _, _ in kept)
+        top2 = top * top
+        top4 = top2 * top2
+
+        def key(entry):
+            x, den = entry[0], entry[1]
+            return (sum(map(mul, x, x)) * top4 // (den * den), *(c * top2 // den for c in x))
+
+        kept.sort(key=key)
+    out = []
+    for x, den, support, codim in kept:
         scale = den * big
-        kept.append(
-            (
-                Fraction(dot(x, x), scale * scale),
-                tuple(Fraction(c, scale) for c in x),
-                tuple(vectors[i] for i in support),
-                codim,
-            )
-        )
-    # (|beta|^2, beta) is distinct for distinct betas, so no support or
-    # count is compared; each entry is replaced by its index in place,
-    # which frees its key as the index is built
-    kept.sort()
-    for i, (_, beta, support, codim) in enumerate(kept):
-        kept[i] = bi = BetaIndex(beta=beta, support=support)
+        beta = tuple(Fraction(c, scale) for c in x)
+        bi = BetaIndex(beta=beta, support=tuple(vectors[i] for i in support))
         object.__setattr__(bi, "_codim", (ws, codim))
-    return kept
+        out.append(bi)
+    return out
 
 
 def stratum_codim(ws, beta_index):

@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
+from .poly import as_int
 
 MAX_RANK = 8
 MAX_HN_TYPES = 10000
@@ -112,6 +113,8 @@ def enumerate_hn_types(n, d, g, max_codim):
 
     Deterministic output: sorted by codimension, then by quotient tuple.
     """
+    for x, name in ((n, "rank"), (d, "degree"), (g, "genus"), (max_codim, "codimension bound")):
+        as_int(x, name)
     _check_rank(n)
     if g < 1:
         raise DomainError("genus must be at least 1")
@@ -216,6 +219,8 @@ def enumerate_reductive_classes(n, d):
     and triggers no blow-up, so it is excluded.  Sorted by decreasing
     stabilizer dimension (the blow-up order), ties by pair tuple.
     """
+    as_int(n, "rank")
+    as_int(d, "degree")
     _check_rank(n)
     m = math.gcd(n, d)
     allowed = []

@@ -673,6 +673,7 @@ V = LaurentPoly.monomial(1, 0, 1)
 
 def uv_power(k):
     """The monomial (uv)^k."""
+    k = as_int(k, "exponent")
     return LaurentPoly.monomial(1, k, k)
 
 

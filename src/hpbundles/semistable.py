@@ -239,6 +239,7 @@ def hp_ss_rank2_closed_form(g):
         [ (1+u)^g (1+v)^g (1+u^2 v)^g (1+u v^2)^g
           - (uv)^(g+1) (1+u)^2g (1+v)^2g ] / ((1-u^2 v^2)(1-uv)^2).
     """
+    as_int(g, "genus")
     if g < 2:
         raise DomainError("genus out of supported range")
     return _rational(_ss_rank2_numerator(_rank2_numerators(g)), SS_RANK2_DEN)
@@ -326,6 +327,8 @@ def _check_ints(n, d, g, order=0):
 
 def moduli_dimension(n, g):
     """Complex dimension of the moduli space of rank-n bundles: n^2(g-1) + 1."""
+    as_int(n, "rank")
+    as_int(g, "genus")
     return n * n * (g - 1) + 1
 
 

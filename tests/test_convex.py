@@ -20,6 +20,8 @@ from hpbundles.convex import (
     _hull_projections,
     _project,
     _scale,
+    _segments,
+    _triangles,
     affine_projection,
     dot,
     norm_sq,
@@ -161,6 +163,60 @@ def test_index_set_deterministic_order():
     assert norms == sorted(norms)
 
 
+def test_index_set_order_matches_fraction_key():
+    # weights from the orbits of small integer vectors under coordinate
+    # swaps and sign flips, so that many indices tie in |beta|^2 and their
+    # components take both signs and differ by less than 1/den; a factor
+    # 1 + 2^-100 sets norms apart by less than a float resolves, and a
+    # factor 2^-100 gives denominators of 2^100
+    eps = Fraction(1, 2**100)
+    rng = random.Random(6011)
+    tied = close = negative = huge = 0
+    for _ in range(60):
+        orbit = sorted(
+            {
+                (sx * a, sy * b)
+                for x, y in ((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(2))
+                for a, b in ((x, y), (y, x))
+                for sx in (1, -1)
+                for sy in (1, -1)
+            }
+        )
+        vectors = rng.sample(orbit, min(len(orbit), 7))
+        vectors += [tuple((1 + eps) * x for x in v) for v in rng.sample(vectors, rng.randint(0, 2))]
+        vectors += [tuple(eps * x for x in v) for v in rng.sample(vectors, rng.randint(0, 2))]
+        ws = WeightSystem(dim=2, weights=tuple((v, 1) for v in dict.fromkeys(vectors)), roots=(), chamber=())
+        got = [bi.beta for bi in index_set(ws)]
+        assert got == sorted(got, key=lambda b: (norm_sq(b), b))
+        norms = [norm_sq(b) for b in got]
+        tied += len(norms) - len(set(norms))
+        close += any(0 < b - a < 2**-90 for a, b in zip(norms, norms[1:]))
+        negative += any(c < 0 for b in got for c in b)
+        huge += any(c.denominator >= 2**100 for b in got for c in b)
+    assert tied > 500 and close > 30 and negative > 50 and huge > 30
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"weights": (((1, 0), 2.5),)}, "multiplicity must be an integer"),
+        ({"weights": (((1, 0), True),)}, "multiplicity must be an integer"),
+        ({"dim": 1.0, "weights": (((1,), 1),)}, "dimension must be an integer"),
+        ({"dim": True, "weights": (((1,), 1),)}, "dimension must be an integer"),
+        ({"weights": (((0.1, 0), 1),)}, "coordinates must be integers or fractions"),
+        ({"chamber": ((True, 0),)}, "coordinates must be integers or fractions"),
+    ],
+    ids=["float-mult", "bool-mult", "float-dim", "bool-dim", "float-coordinate", "bool-coordinate"],
+)
+def test_weight_system_refuses_floats_and_booleans(fields, message):
+    # int() would truncate a multiplicity of 2.5 to 2 and read True as 1,
+    # dim=1.0 would pass until index_set raised TypeError, and Fraction(0.1)
+    # is 3602879701896397/36028797018963968
+    system = dict({"dim": 2, "weights": (((1, 0), 1),), "roots": (), "chamber": ()}, **fields)
+    with pytest.raises(DomainError, match=message):
+        WeightSystem(**system)
+
+
 def random_rational(rng):
     """A rational with a mixed denominator; now and then a huge one."""
     bound = 2**100 if rng.random() < 0.1 else 6
@@ -218,6 +274,31 @@ def test_project_matches_affine_projection():
         assert tuple(Fraction(c, den * big) for c in x) == want[0]
         assert tuple(Fraction(c, den) for c in coords) == want[1]
     assert dependent > 50 and independent > 300
+
+
+def test_closed_forms_match_project():
+    # every pair and triple of each point set, on its own and inside the
+    # whole search: the closed forms give the X and den of _project and
+    # _combine, or nothing where the subset is dependent or misses its hull
+    rng = random.Random(4409)
+    outcomes = {2: set(), 3: set()}
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        big, scaled = _scale(random_points(rng, dim, rng.randint(2, 7)))
+        table = gram_table(scaled)
+        for size, closed in ((2, _segments), (3, _triangles)):
+            everything = []
+            for subset in combinations(range(len(scaled)), size):
+                proj = _project(table, subset)
+                want = []
+                if proj is not None and min(proj[1]) >= 0:
+                    want = [(_combine(proj[1], subset, scaled), proj[0])]
+                points = [scaled[i] for i in subset]
+                assert list(closed(points, gram_table(points))) == want
+                everything += want
+                outcomes[size].add("dependent" if proj is None else "inside" if want else "outside")
+            assert list(closed(scaled, table)) == everything
+    assert outcomes == {2: {"dependent", "inside", "outside"}, 3: {"dependent", "inside", "outside"}}
 
 
 def reference_hull_projections(points, max_size):

@@ -5,6 +5,8 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import hpbundles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -30,3 +32,27 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+# (entry point, arguments with one float or bool, the argument's name)
+NON_INTEGER_CALLS = [
+    ("hp_ss_rank2_closed_form", (2.0,), "genus"),
+    ("hp_nt_zts", (2.0,), "genus"),
+    ("hp_plusminus_jac_pair", (2.0,), "genus"),
+    ("hp_jacobian", (2.0,), "genus"),
+    ("hp_bgl", (2.0,), "group rank"),
+    ("hp_bsl", (True,), "group rank"),
+    ("enumerate_hn_types", (2, 1, 2.0, 4), "genus"),
+    ("enumerate_reductive_classes", (2.0, 0), "rank"),
+    ("moduli_dimension", (2, 2.0), "genus"),
+    ("uv_power", (1.5,), "exponent"),
+]
+
+
+@pytest.mark.parametrize("func, args, name", NON_INTEGER_CALLS, ids=[call[0] for call in NON_INTEGER_CALLS])
+def test_entry_points_refuse_non_integer_arguments(func, args, name):
+    # a float or a bool fails as a domain error at the entry point, not as
+    # a TypeError or AttributeError of the arithmetic it would reach, or as
+    # a float result (moduli_dimension(2, 2.0) was 5.0)
+    with pytest.raises(hpbundles.DomainError, match="%s must be an integer" % name):
+        getattr(hpbundles, func)(*args)
