@@ -49,18 +49,9 @@ def _leading_factors(n, g):
     """The factors (1 + u^l v^(l-1))^g (1 + u^(l-1) v^l)^g, l = 1..n, of the
     numerator of the leading semistable term, as the factors (c, a, b, k)
     of a ``poly._expand_binomials`` part.  Those of l = 1 make
-    hp_jacobian(g), those of l = 2 twisted_numerator(g)."""
+    hp_jacobian(g), those of l = 2 the twisted numerator
+    (1+u^2 v)^g (1+u v^2)^g of the rank-2 closed forms."""
     return tuple((1, a, b, g) for l in range(1, n + 1) for a, b in ((l, l - 1), (l - 1, l)))
-
-
-def twisted_numerator(g):
-    """(1+u^2 v)^g (1+u v^2)^g, the numerator the rank-2 closed forms
-    share with the l = 2 factor of the leading semistable term.
-
-    The rank-2 record forms its product with hp_jacobian(g) by shift-adds
-    on the packed Jacobian (``_rank2_numerators``); the tests check that
-    against this."""
-    return (ONE + LaurentPoly.monomial(1, 2, 1)) ** g * (ONE + LaurentPoly.monomial(1, 1, 2)) ** g
 
 
 def sign_numerator(g):
@@ -118,7 +109,7 @@ DEN_BT = {(1, 1): 1, (2, 2): 1}
 class _Rank2Numerators:
     """The genus-g numerators of the rank-2 closed forms and strata, packed
     in one ``packed._Box`` per call: jac = hp_jacobian(g),
-    square = hp_jacobian(2g), jac_twisted = jac * twisted_numerator(g),
+    square = hp_jacobian(2g), jac_twisted = jac (1+u^2 v)^g (1+u v^2)^g,
     signs = sign_numerator(g) and the ``hp_plusminus_jac_pair(g)`` halves
     pair = (plus, minus), all ``packed._Packed``.  Each is formed when it is
     first read and kept for the rest of the call, so a stratum that reads

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import DomainError
 from .poly import as_int
@@ -121,10 +122,8 @@ def enumerate_hn_types(n, d, g, max_codim):
     if max_codim < 0:
         raise DomainError("codimension bound must be non-negative")
     found = []
-    for ranks in _compositions(n):
-        if len(ranks) < 2:
-            continue
-        tail_cost = _tail_costs(ranks, g)
+    for ranks, pairs, products in _shapes(n):
+        tail_cost = [a + (g - 1) * b for a, b in zip(pairs, products)]
         _scan_degrees(ranks, tail_cost, g, 0, d, max_codim, None, [], found)
     # the codimension of a found type is max_codim minus its budget left
     found.sort(key=lambda bt: (max_codim - bt[0], bt[1].quotients))
@@ -140,16 +139,33 @@ def _compositions(n):
             yield (first,) + rest
 
 
-def _tail_costs(ranks, g):
-    """tail_cost[j] = least possible codim contribution of pairs within ranks[j:]."""
-    out = []
+def _tail_pairs(ranks):
+    """For each j, the number of pairs k < l of ranks[j:] and the sum of
+    their rank products ranks[k] ranks[l].
+
+    Every pairwise term of a type's codimension is at least
+    1 + n_k n_l (g - 1), so the least possible contribution of the pairs
+    within ranks[j:] is pairs[j] + (g - 1) products[j].
+    """
+    pairs, products = [], []
     for j in range(len(ranks) + 1):
-        total = 0
-        for k in range(j, len(ranks)):
-            for l in range(k + 1, len(ranks)):
-                total += 1 + ranks[k] * ranks[l] * (g - 1)
-        out.append(total)
-    return out
+        tail = ranks[j:]
+        pairs.append(len(tail) * (len(tail) - 1) // 2)
+        products.append(sum(a * b for i, a in enumerate(tail) for b in tail[i + 1 :]))
+    return pairs, products
+
+
+@cache
+def _shapes(n):
+    """(ranks, pairs, products) of ``_tail_pairs`` for each composition of
+    n into two parts or more, in the order of ``_compositions``.
+
+    Formed once per rank, on first use, so importing the module costs
+    nothing; ``enumerate_hn_types`` checks the rank first, so the cache
+    holds at most MAX_RANK entries.  The genus enters only through the
+    tail costs each call forms from pairs and products.
+    """
+    return tuple((ranks, *_tail_pairs(ranks)) for ranks in _compositions(n) if len(ranks) > 1)
 
 
 def _scan_degrees(ranks, tail_cost, g, j, S, budget, prev, prefix, out):

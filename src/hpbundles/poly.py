@@ -242,10 +242,6 @@ class LaurentPoly:
                 del res[k]
         return res
 
-    def swap_variables(self):
-        """Exchange u and v (used to test h^{p,q} = h^{q,p} symmetry)."""
-        return LaurentPoly._raw({(q, p): c for (p, q), c in self._terms.items()})
-
     def evaluate(self, u_val, v_val):
         u_val = Fraction(u_val)
         v_val = Fraction(v_val)
@@ -260,7 +256,8 @@ class LaurentPoly:
         return all(type(c) is int for c in self._terms.values())
 
     def is_symmetric(self):
-        return self == self.swap_variables()
+        """h^{p,q} = h^{q,p}: unchanged when u and v are exchanged."""
+        return self._terms == {(q, p): c for (p, q), c in self._terms.items()}
 
     # -- construction helpers -------------------------------------------
 

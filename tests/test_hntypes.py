@@ -13,6 +13,7 @@ from hpbundles import (
     enumerate_hn_types,
     enumerate_reductive_classes,
 )
+from hpbundles.hntypes import MAX_RANK, _compositions, _shapes
 
 
 def oracle_types(n, d, g, max_codim):
@@ -170,6 +171,39 @@ def test_enumeration_order_deterministic():
     types = enumerate_hn_types(3, 0, 2, 9)
     keyed = [(codim_hn(t, 2), t.quotients) for t in types]
     assert keyed == sorted(keyed)
+
+
+def test_types_non_decreasing_in_codim():
+    # SemistableSeries.series ends its loop at the first type with
+    # 2c > order, which is right only if no later type has a lower codim
+    for n in range(1, 7):
+        for d in range(n):
+            for g in (2, 3):
+                for cap in (0, 3, 8, 17, 30):
+                    codims = [codim_hn(t, g) for t in enumerate_hn_types(n, d, g, cap)]
+                    assert codims == sorted(codims), (n, d, g, cap)
+
+
+def tail_costs(ranks, g):
+    """tail_cost[j] = least possible codim contribution of the pairs
+    within ranks[j:], summed pair by pair."""
+    out = []
+    for j in range(len(ranks) + 1):
+        total = 0
+        for k in range(j, len(ranks)):
+            for l in range(k + 1, len(ranks)):
+                total += 1 + ranks[k] * ranks[l] * (g - 1)
+        out.append(total)
+    return out
+
+
+def test_tabled_compositions_and_tail_costs():
+    for n in range(1, MAX_RANK + 1):
+        assert [ranks for ranks, _, _ in _shapes(n)] == [r for r in _compositions(n) if len(r) > 1]
+        for g in (1, 2, 7, 10**6):
+            for ranks, pairs, products in _shapes(n):
+                tabled = [a + (g - 1) * b for a, b in zip(pairs, products)]
+                assert tabled == tail_costs(ranks, g), (ranks, g)
 
 
 def test_every_enumerated_type_has_positive_codim():

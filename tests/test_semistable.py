@@ -11,6 +11,9 @@ from hpbundles import (
     DomainError,
     FactoredRational,
     SemistableSeries,
+    TruncatedSeries,
+    codim_hn,
+    enumerate_hn_types,
     exact_divide,
     hp_jacobian,
     hp_ss_rank2_closed_form,
@@ -79,20 +82,117 @@ def test_memoized_reruns_agree():
 
 
 def test_memo_entries_unchanged_by_later_requests():
+    # A product entry is replaced when a higher order is asked for, so the
+    # objects held before the later requests are kept and checked
+    # themselves, and each current entry is read at their order.
     evaluator = SemistableSeries()
     evaluator.series(3, 1, 2, 16)
-    memo = {
-        name: {key: dict(series.items()) for key, series in getattr(evaluator, name).items()}
+    held = {
+        name: {key: (series, dict(series.items())) for key, series in getattr(evaluator, name).items()}
         for name in ("_cache", "_products")
     }
-    # (2, 0) at orders 12 and 20 recomputes from products this memo
-    # holds; the others reuse its series as factors
+    # (2, 0) at orders 12 and 20 reads the rank-1 products this memo
+    # holds, and order 20 replaces them; the others reuse its series as
+    # factors, and (3, 1) at order 24 replaces its products
     for n, d, order in ((2, 0, 12), (2, 0, 20), (4, 1, 16), (3, 1, 24), (3, 1, 16)):
         evaluator.series(n, d, 2, order)
-    for name, entries in memo.items():
+    replaced = 0
+    for name, entries in held.items():
         current = getattr(evaluator, name)
-        for key, terms in entries.items():
-            assert dict(current[key].items()) == terms, (name, key)
+        for key, (series, terms) in entries.items():
+            assert dict(series.items()) == terms, (name, key)
+            assert dict(current[key].truncate(series.order).items()) == terms, (name, key)
+            replaced += current[key] is not series
+    assert replaced
+
+
+def _classes(quotients):
+    return tuple(sorted((nj, dj % nj) for nj, dj in quotients))
+
+
+@pytest.mark.parametrize("orders", [(32, 24, 16, 8), (8, 16, 24, 32)])
+def test_product_memo_one_entry_per_class_multiset(orders, monkeypatch):
+    g = 2
+    served = []  # (classes, order asked, product returned), in call order
+    product = SemistableSeries._product
+
+    def recording(self, quotients, g, order):
+        prod = product(self, quotients, g, order)
+        served.append((_classes(quotients), order, prod))
+        return prod
+
+    muls = []
+    mul = TruncatedSeries.__mul__
+
+    def counting(a, b):
+        muls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(SemistableSeries, "_product", recording)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    evaluator = SemistableSeries()
+    for order in orders:
+        for r in range(5):
+            evaluator.series(5, r, g, order)
+
+    # one entry per (classes, g): the class multisets of the live types of
+    # every series computed
+    live = {
+        (_classes(t.quotients), g)
+        for (n, r, _), top in evaluator._top.items()
+        for t in enumerate_hn_types(n, r, g, top.order)
+        if 2 * codim_hn(t, g) <= top.order
+    }
+    assert set(evaluator._products) == live
+
+    # A product is formed only above the order its entry holds, with
+    # k - 1 multiplications for k factors.  Inside one sweep the recursion
+    # still asks for lower-rank factor series at rising orders, so an
+    # entry can be formed more than once, higher each time.
+    held = {}
+    formed = 0
+    for classes, order, prod in served:
+        before = held.get(classes)
+        if prod is before:
+            assert prod.order >= order, (classes, order)
+        else:
+            assert before is None or before.order < order == prod.order, (classes, order)
+            held[classes] = prod
+            formed += len(classes) - 1
+    assert len(muls) == formed
+
+    # asked for one multiset at orders falling, the evaluator forms it
+    # once; rising, at every order
+    swept = len(served)
+    other = SemistableSeries()
+    quotients = ((4, 1), (1, 0))
+    first = other._product(quotients, g, orders[0])
+    count = len(muls)
+    for order in orders[1:]:
+        prod = other._product(quotients, g, order)
+        if orders[0] == max(orders):
+            assert prod is first and len(muls) == count
+        else:
+            assert prod.order == order and len(muls) > count
+            count = len(muls)
+    monkeypatch.undo()
+
+    # every product served, and the entry now held, read at each order
+    # asked for equals a fresh product of fresh factor series
+    fresh = {}
+
+    def fresh_product(classes, order):
+        prod = None
+        for nj, rj in classes:
+            if (nj, rj, order) not in fresh:
+                fresh[nj, rj, order] = SemistableSeries().series(nj, rj, g, order)
+            prod = fresh[nj, rj, order] if prod is None else prod * fresh[nj, rj, order]
+        return prod
+
+    for classes, order, prod in served[:swept]:
+        expected = fresh_product(classes, order)
+        assert prod.truncate(order) == expected, (classes, order)
+        assert evaluator._products[classes, g].truncate(order) == expected, (classes, order)
 
 
 def test_memo_order_of_requests_does_not_change_values():
