@@ -10,13 +10,15 @@ inequality x.p >= |x|^2 exactly.
 
 The searches run in integers.  The points are scaled once by the lcm L
 of their denominators, and one table of their pairwise products is built
-per search.  A pair or a triple is projected in closed form from that
-table (``_segments``, ``_triangles``): a segment by the two products
-t = G_ii - G_ij and d = |p_i - p_j|^2, a triangle by Cramer's rule on
-its 2x2 Gram system, and the signs of the integer barycentric
-coordinates are tested before any point is formed.  A subset of four or
-more points is solved by fraction-free (Bareiss) Gauss-Jordan
-elimination, ``_project``.  Each returns integer coordinates over a
+per search.  A pair, a triple or a quadruple is projected in closed
+form from that table (``_segments``, ``_triangles``, ``_tetrahedra``): a
+segment by the two products t = G_ii - G_ij and d = |p_i - p_j|^2, a
+triangle by Cramer's rule on its 2x2 Gram system, a tetrahedron by the
+adjugate of its 3x3 Gram system, and the signs of the integer
+barycentric coordinates are tested before any point is formed.  A subset
+of five or more points is solved by fraction-free (Bareiss)
+Gauss-Jordan elimination, ``_project``, which stays the reference the
+closed forms are tested against.  Each returns integer coordinates over a
 common denominator den, and the point X with x = X/(den*L) is formed
 only after the hull test, for a subset whose coordinates are all >= 0.
 Sign tests, the chamber test, support membership, the codimension count
@@ -53,11 +55,10 @@ from .poly import as_int
 # random systems of distinct weights with no chamber (every candidate
 # kept), a whole ``beta index-set`` run, which prints each index with its
 # codimension, took 1.0-1.6 s in dimension 1 (1414 weights), 1.1-1.8 s in
-# 2 (158), 1.4-2.0 s in 3 (58) and 2.0-2.8 s in 4 (34) on a shared 2-core
-# Xeon with Python 3.11 (eight runs each), nearly all of it in index_set.
-# Pairs and triples are projected in closed form and larger subsets by
-# elimination, so dimension 4, whose 46,376 quadruples are eliminated,
-# takes longest.
+# 2 (158), 1.4-2.0 s in 3 (58) (eight runs each) and 1.8-2.0 s in 4 (34)
+# (three runs) on a shared 2-core Xeon with Python 3.11, nearly all of it
+# in index_set.  Up to dimension 4 every subset index_set searches, the
+# 46,376 quadruples of dimension 4 included, is projected in closed form.
 # The largest benchmark system (dimension 4, 11 weights) has 561
 # subsets, 6171 pairs.
 MAX_SUBSET_TESTS = 2_000_000
@@ -167,6 +168,11 @@ def _project(gram, subset):
     determinant.  The Gram matrix is positive semidefinite, so a zero pivot
     (a vanishing leading principal minor) means it is singular and no row
     exchange is needed.
+
+    The search calls it only for subsets of five or more points, which
+    ``min_norm_point`` reaches from dimension 4 and ``index_set`` from
+    dimension 5; for two to four points it is the reference that
+    ``_segments``, ``_triangles`` and ``_tetrahedra`` are tested against.
     """
     i0, *rest = subset
     g0 = gram[i0]
@@ -259,6 +265,77 @@ def _triangles(points, gram):
                     yield tuple(t0 * a + t1 * b + t2 * c for a, b, c in zip(pi, pj, points[k])), det
 
 
+def _tetrahedra(points, gram):
+    """(X, den) for each quadruple i < j < k < l of the integer points
+    whose tetrahedron holds X/den, the projection of the origin onto its
+    affine hull, in ``combinations`` order; ``gram`` is the table of their
+    pairwise products.
+
+    The Gram system M t = r of the directions p_j - p_i, p_k - p_i,
+    p_l - p_i has the entries m11..m33 and the right-hand side r1, r2, r3
+    that ``_project`` builds.  Its solution is t/det with t = adj(M) r and
+    det = det M, the integers Bareiss elimination returns, and the
+    barycentric coordinates are (det - t1 - t2 - t3, t1, t2, t3)/det.
+    With the triple's minor a33 = m11 m22 - m12^2 and its triangle
+    numerators u1 = r1 m22 - m12 r2, u2 = m11 r2 - m12 r1 (``_triangles``),
+    the third row of the adjugate is (a13, a23, a33) with
+    a13 = m12 m23 - m13 m22 and a23 = m12 m13 - m11 m23, so that
+    t3 = a33 r3 - m13 u1 - m23 u2 and det = a13 m13 + a23 m23 + a33 m33.
+    The signs are tested one by one, t3 first, and X is formed only when
+    all four coordinates are >= 0.  The Gram matrix is positive
+    semidefinite, so a vanishing leading minor (m11 for the pair, a33 for
+    the triple) makes every quadruple that extends it dependent, and
+    det = 0 exactly when the four points are affinely dependent."""
+    n = len(points)
+    for i, gi in enumerate(gram):
+        gii = gi[i]
+        pi = points[i]
+        for j in range(i + 1, n):
+            gj = gram[j]
+            r1 = gii - gi[j]
+            m11 = r1 + gj[j] - gi[j]
+            if not m11:
+                # p_j repeats p_i: every quadruple (i, j, k, l) is dependent
+                continue
+            pj = points[j]
+            for k in range(j + 1, n):
+                gk = gram[k]
+                r2 = gii - gi[k]
+                m12 = gj[k] - gi[k] + r1
+                m22 = r2 + gk[k] - gi[k]
+                a33 = m11 * m22 - m12 * m12
+                if not a33:
+                    # p_i, p_j, p_k are collinear: every (i, j, k, l) is dependent
+                    continue
+                u1 = r1 * m22 - m12 * r2
+                u2 = m11 * r2 - m12 * r1
+                pk = points[k]
+                for l in range(k + 1, n):
+                    gil = gi[l]
+                    r3 = gii - gil
+                    m13 = gj[l] - gil + r1
+                    m23 = gk[l] - gil + r2
+                    t3 = a33 * r3 - m13 * u1 - m23 * u2
+                    if t3 < 0:
+                        continue
+                    m33 = r3 + gram[l][l] - gil
+                    a11 = m22 * m33 - m23 * m23
+                    a12 = m13 * m23 - m12 * m33
+                    a13 = m12 * m23 - m13 * m22
+                    t1 = a11 * r1 + a12 * r2 + a13 * r3
+                    if t1 < 0:
+                        continue
+                    a23 = m12 * m13 - m11 * m23
+                    t2 = a12 * r1 + (m11 * m33 - m13 * m13) * r2 + a23 * r3
+                    if t2 < 0:
+                        continue
+                    det = a13 * m13 + a23 * m23 + a33 * m33
+                    t0 = det - t1 - t2 - t3
+                    if det and t0 >= 0:
+                        pl = points[l]
+                        yield tuple(t0 * a + t1 * b + t2 * c + t3 * d for a, b, c, d in zip(pi, pj, pk, pl)), det
+
+
 def _hull_projections(points, max_size):
     """(X, den) for each affinely independent subset of at most max_size
     integer points whose hull contains X/den, the projection of the origin
@@ -266,10 +343,10 @@ def _hull_projections(points, max_size):
 
     A single point is its own projection, (p, 1).  Larger subsets read
     their Gram systems from one table of the pairwise products of the
-    points, built once per search (not at all when max_size is 1).  Pairs
-    and triples are projected in closed form (``_segments``,
-    ``_triangles``) and larger subsets by ``_project``; X is formed only
-    for a subset whose coordinates are all >= 0."""
+    points, built once per search (not at all when max_size is 1).  Pairs,
+    triples and quadruples are projected in closed form (``_segments``,
+    ``_triangles``, ``_tetrahedra``) and larger subsets by ``_project``;
+    X is formed only for a subset whose coordinates are all >= 0."""
     if max_size < 1:
         return
     for p in points:
@@ -281,8 +358,11 @@ def _hull_projections(points, max_size):
     if max_size < 3:
         return
     yield from _triangles(points, gram)
+    if max_size < 4:
+        return
+    yield from _tetrahedra(points, gram)
     indices = range(len(points))
-    for size in range(4, min(len(points), max_size) + 1):
+    for size in range(5, min(len(points), max_size) + 1):
         for subset in combinations(indices, size):
             proj = _project(gram, subset)
             if proj is not None and min(proj[1]) >= 0:
@@ -436,7 +516,9 @@ def index_set(ws):
     test runs on X, and one pass of ``_support_codim`` over the weights
     finds each candidate's support and counts its stratum's codimension
     from the same products; the index keeps that count for
-    ``stratum_codim``.
+    ``stratum_codim``.  The subset a candidate was projected from lies on
+    its supporting hyperplane, so an empty support means the search or
+    the support pass is broken, and raises InternalCheckError.
 
     The kept indices are sorted on integers.  With D the largest den among
     them, two distinct values of X.X/den^2 differ by at least 1/D^4 and
@@ -469,8 +551,11 @@ def index_set(ws):
         if not any(x) or not ws.in_chamber(x):
             continue
         support, codim = _support_codim(ws, x, den)
-        if support:
-            kept.append((x, den, support, codim))
+        if not support:
+            raise InternalCheckError(
+                "candidate %r over %d has an empty support; the search or the support pass is broken" % (x, den)
+            )
+        kept.append((x, den, support, codim))
     if len(kept) > 1:
         top = max(den for _, den, _, _ in kept)
         top2 = top * top

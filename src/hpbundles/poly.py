@@ -350,8 +350,9 @@ def _mul_terms(a, b, order=None):
     with ``order`` set, only its terms of total degree <= order."""
     if len(a) > len(b):
         a, b = b, a
-    if _dense_pays(a, b):
-        return _mul_dense(a, b, order)
+    box = _dense_box(a, b)
+    if box is not None:
+        return _mul_dense(a, b, order, box)
     return _mul_sparse(a, b, order)
 
 
@@ -406,16 +407,24 @@ def _product_box(a, b):
     return (min(pa), min(qa)), (min(pb), min(qb)), (rows, cols)
 
 
+def _dense_box(a, b):
+    """``_product_box(a, b)`` when the term dicts a (the shorter) and b
+    are to be multiplied densely, else None."""
+    if len(a) < _DENSE_MIN_TERMS:
+        return None
+    box = _product_box(a, b)
+    rows, cols = box[2]
+    return box if len(a) * len(b) >= _DENSE_PAIRS_PER_CELL * rows * cols else None
+
+
 def _dense_pays(a, b):
     """Whether to multiply the term dicts a (the shorter) and b densely."""
-    if len(a) < _DENSE_MIN_TERMS:
-        return False
-    rows, cols = _product_box(a, b)[2]
-    return len(a) * len(b) >= _DENSE_PAIRS_PER_CELL * rows * cols
+    return _dense_box(a, b) is not None
 
 
-def _mul_dense(a, b, order=None):
-    """Product of two term dicts by Kronecker substitution.
+def _mul_dense(a, b, order=None, box=None):
+    """Product of two term dicts by Kronecker substitution; ``box`` is
+    their ``_product_box`` when the caller has it.
 
     Each operand, shifted to valuation (0, 0), becomes one integer with
     the coefficient of u^p v^q in slot p * cols + q; cols is the q-span
@@ -432,7 +441,7 @@ def _mul_dense(a, b, order=None):
     """
     if not a or not b:
         return {}
-    origin_a, origin_b, (rows, cols) = _product_box(a, b)
+    origin_a, origin_b, (rows, cols) = box or _product_box(a, b)
     p0 = origin_a[0] + origin_b[0]
     q0 = origin_a[1] + origin_b[1]
     if order is not None:

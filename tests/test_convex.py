@@ -9,6 +9,7 @@ import hpbundles.convex
 from hpbundles import (
     BetaIndex,
     DomainError,
+    InternalCheckError,
     WeightSystem,
     index_set,
     min_norm_point,
@@ -21,6 +22,7 @@ from hpbundles.convex import (
     _project,
     _scale,
     _segments,
+    _tetrahedra,
     _triangles,
     affine_projection,
     dot,
@@ -276,29 +278,106 @@ def test_project_matches_affine_projection():
     assert dependent > 50 and independent > 300
 
 
+CLOSED_FORMS = {2: _segments, 3: _triangles, 4: _tetrahedra}
+
+
+def closed_form_outcomes(scaled, size):
+    """Check the closed form of ``size`` points against ``_project`` and
+    ``_combine`` on every subset of the integer points, on its own and
+    inside the whole search, and return the outcomes seen."""
+    closed = CLOSED_FORMS[size]
+    table = gram_table(scaled)
+    outcomes = set()
+    everything = []
+    for subset in combinations(range(len(scaled)), size):
+        proj = _project(table, subset)
+        want = []
+        if proj is not None and min(proj[1]) >= 0:
+            want = [(_combine(proj[1], subset, scaled), proj[0])]
+        points = [scaled[i] for i in subset]
+        assert list(closed(points, gram_table(points))) == want
+        everything += want
+        outcomes.add("dependent" if proj is None else "inside" if want else "outside")
+    assert list(closed(scaled, table)) == everything
+    return outcomes
+
+
 def test_closed_forms_match_project():
-    # every pair and triple of each point set, on its own and inside the
-    # whole search: the closed forms give the X and den of _project and
-    # _combine, or nothing where the subset is dependent or misses its hull
+    # every pair, triple and quadruple of each point set, on its own and
+    # inside the whole search: the closed forms give the X and den of
+    # _project and _combine, or nothing where the subset is dependent or
+    # misses its hull
     rng = random.Random(4409)
-    outcomes = {2: set(), 3: set()}
+    outcomes = {size: set() for size in CLOSED_FORMS}
     for _ in range(150):
         dim = rng.randint(1, 4)
         big, scaled = _scale(random_points(rng, dim, rng.randint(2, 7)))
-        table = gram_table(scaled)
-        for size, closed in ((2, _segments), (3, _triangles)):
-            everything = []
-            for subset in combinations(range(len(scaled)), size):
-                proj = _project(table, subset)
-                want = []
-                if proj is not None and min(proj[1]) >= 0:
-                    want = [(_combine(proj[1], subset, scaled), proj[0])]
-                points = [scaled[i] for i in subset]
-                assert list(closed(points, gram_table(points))) == want
-                everything += want
-                outcomes[size].add("dependent" if proj is None else "inside" if want else "outside")
-            assert list(closed(scaled, table)) == everything
-    assert outcomes == {2: {"dependent", "inside", "outside"}, 3: {"dependent", "inside", "outside"}}
+        for size in (2, 3):
+            outcomes[size] |= closed_form_outcomes(scaled, size)
+    for _ in range(200):
+        dim = rng.randint(3, 4)
+        big, scaled = _scale(random_points(rng, dim, rng.randint(4, 8)))
+        outcomes[4] |= closed_form_outcomes(scaled, 4)
+    assert all(seen == {"dependent", "inside", "outside"} for seen in outcomes.values())
+
+
+@pytest.mark.parametrize(
+    "points, outcome",
+    [
+        ([(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], "dependent"),
+        ([(1, 1, 1), (2, 2, 2), (3, 3, 3), (1, 0, 0)], "dependent"),
+        ([(1, 0, 1), (0, 1, 1), (-1, -1, 1), (2, 2, 1)], "dependent"),
+        ([(0, 2, 2), (0, 1, 1), (-2, -1, 0), (-1, 2, 2)], "outside"),
+        ([(-1, 1, 0), (1, 0, 1), (2, -1, 1), (2, -2, -1)], "outside"),
+        ([(-2, 1, -1), (1, -1, 0), (2, -2, 0), (0, -1, 0)], "outside"),
+        ([(1, 0, 1), (1, -1, -1), (1, 0, 0), (2, 0, 2)], "outside"),
+    ],
+    ids=[
+        "repeated-point",
+        "collinear-triple",
+        "coplanar",
+        "t0-is-minus-1",
+        "t1-is-minus-1",
+        "t2-is-minus-1",
+        "t3-is-minus-1",
+    ],
+)
+def test_fixed_quadruples(points, outcome):
+    # a repeated first pair (m11 = 0) and a collinear first triple skip
+    # every quadruple that extends them; four coplanar points whose first
+    # three are not collinear have det = 0, and there the adjugate gives
+    # t = 0, so only the det test keeps the zero point out.  Each outside
+    # quadruple has one barycentric coordinate -1 over den = 1
+    assert closed_form_outcomes(points, 4) == {outcome}
+    if outcome == "outside":
+        den, coords = _project(gram_table(points), range(4))
+        assert den == 1 and min(coords) == -1
+
+
+def test_tetrahedron_around_the_origin():
+    # the origin inside a tetrahedron projects to X = 0, which
+    # min_norm_point returns in dimension 3 and index_set drops in 4
+    points = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    ((x, den),) = _tetrahedra(points, gram_table(points))
+    assert x == (0, 0, 0) and den > 0
+    assert closed_form_outcomes(points, 4) == {"inside"}
+    assert min_norm_point(points) == (0, 0, 0)
+    vectors = [p + (0,) for p in points]
+    ws = WeightSystem(dim=4, weights=tuple((v, 1) for v in vectors), roots=(), chamber=())
+    assert ((0, 0, 0, 0), den) in _hull_projections(vectors, 4)
+    got = index_set(ws)
+    assert got == reference_index_set(ws)
+    assert got and all(any(bi.beta) for bi in got)
+
+
+def test_empty_support_is_an_internal_error(monkeypatch):
+    # a candidate's own subset lies on its supporting hyperplane, so an
+    # empty support means the search or the support pass is broken
+    ws = WeightSystem(dim=2, weights=(((1, 0), 1), ((0, 1), 2)), roots=(), chamber=())
+    assert index_set(ws)
+    monkeypatch.setattr(hpbundles.convex, "_support_codim", lambda *args: ([], 0))
+    with pytest.raises(InternalCheckError, match="empty support"):
+        index_set(ws)
 
 
 def reference_hull_projections(points, max_size):
