@@ -28,16 +28,23 @@ pairs, seed 5; 2-core Xeon, Python 3.11).  The expansion is one packed
 integer, masked to the window after every shift (``_leading_series``).
 
 The recursion has a closed solution, a finite sum over the compositions
-of n (``ss_closed_form``).  The coprime moduli polynomial is computed
-from that sum, which needs no truncation, and certified by the
-recursion run to the moduli dimension (``stable_coprime_polynomial``).
-Over the common denominator every term of the sum is a monomial times
-binomial powers, so its numerator is formed in one packed pass of
+of n (``ss_closed_form``).  Over the common denominator every term of
+the sum is a monomial times binomial powers (``_closed_form_parts``),
+so its numerator is formed in one packed pass of
 ``poly._expand_binomials``, as is the unwindowed leading term
 ``leading_closed_term``; the windowed leading series of the recursion
 are formed packed inside their window by ``_leading_series`` instead.
 The packed pass took the coprime benchmark from 0.103 to 0.061 s
 (medians of ten alternating pairs, seed 101; 2-core Xeon, Python 3.11).
+
+The coprime moduli polynomial is taken from the recursion run to the
+moduli dimension, its upper half by Poincare duality, and certified by
+the closed sum: times the sum's denominator less one factor (1-uv) it
+must be the sum's numerator, both packed in one box and compared as
+integers, so nothing is divided and the numerator is never unpacked
+(``stable_coprime_polynomial``, ``_certify_coprime``).  That took the
+coprime benchmark from 0.0432 to 0.0311 s (medians of ten alternating
+pairs, seed 79; 2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -45,13 +52,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from operator import itemgetter
 
 from .blocks import _leading_factors, _rank2_numerators, _rational
-from .errors import DivisionRemainderError, DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .poly import ONE, U, V, LaurentPoly, _expand_binomials, _slot_width, _unpack, as_coeff, as_int
-from .series import FactoredRational, TruncatedSeries, _lcm_factors, _missing_factors
+from .packed import _Box, _Packed
+from .poly import LaurentPoly, _expand_binomials, _pack, _slot_width, _unpack, as_coeff, as_int
+from .series import FactoredRational, TruncatedSeries, _expand_factors, _lcm_factors, _missing_factors
 
 # A series to order N has up to (N+1)(N+2)/2 terms, 5151 at this cap.
 # Rank 8 at order 100 takes about 1.4 s on a 2-core Xeon with Python 3.11.
@@ -286,12 +295,24 @@ def ss_closed_form(n, d, g):
 
     The sum is returned over the least common denominator of its terms.
     There, the numerator of each term is a monomial (uv)^e with its sign
-    times binomial powers: the ``blocks._leading_factors`` of each part
-    and the factors (1 - (uv)^k)^m that its own denominator lacks.  So
-    the whole numerator is one ``poly._expand_binomials`` call, one part
-    per composition.  The rank is capped at ``hntypes.MAX_RANK``, since
-    the sum has 2^(n-1) terms, and the moduli dimension n^2(g-1) + 1 at
+    times binomial powers (``_closed_form_parts``), so the whole
+    numerator is one ``poly._expand_binomials`` call, one part per
+    composition.  The rank is capped at ``hntypes.MAX_RANK``, since the
+    sum has 2^(n-1) terms, and the moduli dimension n^2(g-1) + 1 at
     ``MAX_CLOSED_FORM_DIM``.
+    """
+    parts, common = _closed_form_parts(n, d, g)
+    return FactoredRational(LaurentPoly._raw(_expand_binomials(parts)), common)
+
+
+def _closed_form_parts(n, d, g):
+    """The numerator of ``ss_closed_form(n, d, g)`` as ``_expand_binomials``
+    parts, and its common denominator as a factor multiset.
+
+    Each composition gives one part (sign, (e, e), factors): the
+    ``blocks._leading_factors`` of each of its ranks and the factors
+    (1 - (uv)^k)^m that its own denominator lacks (``_closed_form_shape``).
+    The arguments and caps are checked here, before anything is expanded.
     """
     _check_ints(n, d, g)
     _check_rank(n)
@@ -302,35 +323,52 @@ def ss_closed_form(n, d, g):
         raise DomainError(
             "moduli dimension %d is above the closed-form cap of %d" % (dim, MAX_CLOSED_FORM_DIM)
         )
-    terms = []
-    for ranks in _compositions(n):
+    shape, common = _closed_form_shape(n)
+    leading = [_leading_factors(m, g) for m in range(n + 1)]
+    parts = []
+    for ranks, sign, missing in shape:
         e = _closed_form_exponent(ranks, d, g)
         if e.denominator != 1:
             raise InternalCheckError("closed-form exponent %s is not an integer for %r" % (e, ranks))
+        parts.append((sign, (int(e), int(e)), [f for m in ranks for f in leading[m]] + list(missing)))
+    return parts, dict(common)
+
+
+@cache
+def _closed_form_shape(n):
+    """For each composition of n, its ranks, its sign and the binomial
+    factors (-1, k, k, m), one for each (1 - (uv)^k)^m that its
+    denominator lacks; and the common denominator, as (factor,
+    multiplicity) pairs.  None of it depends on the degree or the genus,
+    so it is formed once per rank."""
+    dens = []
+    for ranks in _compositions(n):
         den = Counter()
         for m in ranks:
             den.update(_leading_den(m))
         den.update((a + b, a + b) for a, b in zip(ranks, ranks[1:]))
-        factors = [f for m in ranks for f in _leading_factors(m, g)]
-        terms.append(((-1) ** (len(ranks) - 1), (int(e), int(e)), factors, den))
-    common = _lcm_factors([den for *_, den in terms])
-    parts = [
-        (sign, offset, factors + [(-1, a, b, k) for (a, b), k in _missing_factors(common, den).items()])
-        for sign, offset, factors, den in terms
-    ]
-    return FactoredRational(LaurentPoly._raw(_expand_binomials(parts)), common)
+        dens.append((ranks, den))
+    common = _lcm_factors([den for _, den in dens])
+    shape = tuple(
+        (ranks, (-1) ** (len(ranks) - 1), tuple((-1, a, b, k) for (a, b), k in _missing_factors(common, den).items()))
+        for ranks, den in dens
+    )
+    return shape, tuple(common.items())
 
 
 def _closed_form_exponent(ranks, d, g):
-    """The exponent e of ``ss_closed_form`` for one composition, as a Fraction."""
+    """The exponent e of ``ss_closed_form`` for one composition, as a Fraction.
+
+    For x = head d / n, n <x> = n - (head d mod n), so e n is the integer
+    n (g-1) sum_{i<j} n_i n_j + sum_{i<k} (n_i + n_(i+1)) (n - head d mod n).
+    """
     n = sum(ranks)
-    e = Fraction((g - 1) * sum(a * b for a, b in combinations(ranks, 2)))
+    total = n * (g - 1) * ((n * n - sum(a * a for a in ranks)) // 2)
     head = 0
     for a, b in zip(ranks, ranks[1:]):
         head += a
-        x = Fraction(head * d, n)
-        e += (a + b) * (1 + math.floor(x) - x)
-    return e
+        total += (a + b) * (n - head * d % n)
+    return Fraction(total, n)
 
 
 def _check_ints(n, d, g, order=0):
@@ -348,14 +386,17 @@ def moduli_dimension(n, g):
 
 def stable_coprime_polynomial(n, d, g, evaluator=None):
     """HP of the moduli space for coprime rank and degree, where the
-    semistable and stable loci agree: (1-uv) times ``ss_closed_form``,
-    divided out to a polynomial.
+    semistable and stable loci agree: (1-uv) times the semistable series,
+    a polynomial of total degree 2 dim, dim = n^2(g-1) + 1.
 
-    The result is certified whole before it is returned: the division is
-    exact, and ``_certify_coprime`` checks the rest against the HN
-    recursion, run to order dim by ``evaluator`` (a fresh one if none is
-    passed).  The moduli dimension dim is capped at ``MAX_ORDER``, the
-    recursion's order, and the rank as in ``ss_closed_form``.
+    The terms of total degree at most dim are (1-uv) times the HN
+    recursion's series to order dim, run by ``evaluator`` (a fresh one if
+    none is passed): c(p, q) - c(p-1, q-1) along each diagonal.  Poincare
+    duality at dim gives the rest: each term (p, q) with p + q < dim is
+    mirrored to (dim - p, dim - q).  The result is certified whole by
+    ``_certify_coprime`` before it is returned.  The moduli dimension is
+    capped at ``MAX_ORDER``, the recursion's order, and the rank as in
+    ``ss_closed_form``.
     """
     _check_ints(n, d, g)
     if math.gcd(n, d) != 1:
@@ -363,29 +404,75 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
     dim = moduli_dimension(n, g)
     if dim > MAX_ORDER:
         raise DomainError("moduli dimension %d is above the series order cap of %d" % (dim, MAX_ORDER))
-    closed = ss_closed_form(n, d, g)
-    den = dict(closed.den)
-    den[(1, 1)] -= 1  # (1-uv) times the sum
-    try:
-        poly = FactoredRational(closed.num, den, closed.scalar).as_polynomial()
-    except DivisionRemainderError as err:
-        raise InternalCheckError("closed form is not a polynomial; remainder %s" % err.remainder) from err
-    _certify_coprime(poly, n, d, g, evaluator)
+    series = hp_ss_series(n, d, g, dim, evaluator)
+    low = dict(series.items())
+    for (p, q), c in series.items():
+        if p + q + 2 <= dim:
+            low[(p + 1, q + 1)] = low.get((p + 1, q + 1), 0) - c
+    terms = {}
+    for (p, q), c in low.items():
+        if not c:
+            continue
+        if p > dim or q > dim:
+            raise InternalCheckError("exponent (%d, %d) of the recursion has no dual at %d" % (p, q, dim))
+        c = c if type(c) is int else as_coeff(c)
+        terms[(p, q)] = c
+        if p + q < dim:
+            terms[(dim - p, dim - q)] = c
+    poly = LaurentPoly._raw(terms)
+    _certify_coprime(poly, n, d, g)
     return poly
 
 
-def _certify_coprime(poly, n, d, g, evaluator=None):
+def _certify_coprime(poly, n, d, g):
     """Raise InternalCheckError unless poly has integer coefficients, is
-    Poincare dual at the moduli dimension dim, and agrees term by term up
-    to total degree dim with (1-uv) times the recursion's series to order
-    dim.  Duality maps the terms of degree < dim onto those of degree
-    > dim, so the recursion fixes every term.
+    Poincare dual at the moduli dimension dim, and times the closed
+    form's common denominator less one factor (1-uv), D = prod (1 -
+    (uv)^m) over its strides m, is the closed form's numerator N
+    (``_closed_form_parts``).  Then N / D is a polynomial, and it is poly.
+
+    Both sides are packed in one ``packed._Box``: N as the sum of its
+    parts, never unpacked, and the product as poly packed, then one shift
+    and subtraction per stride.  The columns reach past either side's
+    largest exponent of v, and the slots hold the larger of the two norm
+    bounds, N's and poly's times D's, so equal integers are equal
+    polynomials, and a wrong poly, however large its coefficients, fails
+    the comparison.  D's own norm is the bound, not 2 per stride as
+    ``times_one_minus_uv`` tracks it (2^15 against 2^28 at rank 8 and
+    genus 2), so the slots are no wider than N needs.
     """
     dim = moduli_dimension(n, g)
     if not poly.is_integral():
         raise InternalCheckError("coprime polynomial has non-integer coefficients")
     if poly.dual_substitute(dim) != poly:
         raise InternalCheckError("coprime polynomial fails Poincare duality at dimension %d" % dim)
-    lower = hp_ss_series(n, d, g, dim, evaluator).mul_poly(ONE - U * V)
-    if {e: c for e, c in poly.items() if e[0] + e[1] <= dim} != dict(lower.items()):
-        raise InternalCheckError("coprime polynomial disagrees with the HN recursion to order %d" % dim)
+    mismatch = "coprime polynomial times the closed form's denominator is not its numerator"
+    terms = poly._terms
+    # poly is dual at dim, so no exponent above dim means none below 0:
+    # poly packs from the origin, its exponents bounded by (dim, dim)
+    if max(terms)[0] > dim or max(terms, key=itemgetter(1))[1] > dim:
+        raise InternalCheckError(mismatch)
+    parts, common = _closed_form_parts(n, d, g)
+    den = dict(common)
+    den[(1, 1)] -= 1  # (1-uv) times the sum
+    strides = [m for (m, _), k in den.items() for _ in range(k)]
+    top = dim + sum(strides)
+    norm = sum(map(abs, terms.values())) * sum(map(abs, _expand_factors(den)._terms.values()))
+    num_norm = num_top = 0
+    for _, (e, _), factors in parts:
+        part_norm = 1
+        for c, _, _, k in factors:
+            part_norm *= (1 + abs(c)) ** k
+        num_norm += part_norm
+        num_top = max(num_top, e + sum(k * b for _, _, b, k in factors))
+    box = _Box(1 + max(num_top, top), max(num_norm, norm))
+    num = None
+    for sign, (e, _), factors in parts:
+        part = _Packed(box, sign, 1, (0, 0)).times_binomials(factors).uv(e)
+        num = part if num is None else num + part
+    value = _pack(terms, (0, 0), box.cols, box.width)
+    step = 8 * box.width * (box.cols + 1)
+    for m in strides:
+        value -= value << m * step
+    if _Packed(box, value, norm, (top, top)) != num:
+        raise InternalCheckError(mismatch)

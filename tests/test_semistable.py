@@ -23,6 +23,7 @@ from hpbundles import (
 )
 from hpbundles import InternalCheckError, semistable
 from hpbundles.hntypes import MAX_RANK, _compositions
+from hpbundles.packed import _Box
 from hpbundles.semistable import _certify_coprime, leading_closed_term, ss_closed_form
 from hpbundles.univariate import diagonal_ss_series, diagonal_stable_coprime
 
@@ -413,6 +414,9 @@ def test_stable_coprime_dual_degree_and_jacobian_factor(n, g):
         assert exact_divide(poly, jacobian).is_integral(), (n, d, g)
 
 
+CLOSED_FORM_MISMATCH = "closed form's denominator is not its numerator"
+
+
 def _mutated(poly, e, delta=1):
     terms = poly.terms()
     terms[e] = terms.get(e, 0) + delta
@@ -431,15 +435,59 @@ def test_coprime_certificate_rejects_one_changed_coefficient(n, d, g):
             _certify_coprime(_mutated(poly, e), n, d, g)
     with pytest.raises(InternalCheckError, match="non-integer"):
         _certify_coprime(_mutated(poly, lower[-1], Fraction(1, 2)), n, d, g)
-    # a change that keeps duality is caught by the recursion alone: a term
-    # and its dual changed together, or a self-dual middle term
+    # a change that keeps duality is caught by the closed form alone: a
+    # term and its dual changed together, or a self-dual middle term
     p, q = lower[-1]
     paired = _mutated(_mutated(poly, (p, q)), (dim - p, dim - q))
-    with pytest.raises(InternalCheckError, match="HN recursion"):
+    with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
         _certify_coprime(paired, n, d, g)
     if dim % 2 == 0:
-        with pytest.raises(InternalCheckError, match="HN recursion"):
+        with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
             _certify_coprime(_mutated(poly, (dim // 2, dim // 2)), n, d, g)
+    # a dual pair of terms with an exponent outside [0, dim]
+    for e in ((-1, 0), (0, -1)):
+        outside = _mutated(_mutated(poly, e), (dim - e[0], dim - e[1]))
+        with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
+            _certify_coprime(outside, n, d, g)
+
+
+@pytest.mark.parametrize("n, d, g", [(2, 1, 2), (3, 1, 2), (4, 3, 2)])
+def test_coprime_certificate_box_is_sized_from_the_candidate(monkeypatch, n, d, g):
+    # a term and its dual raised by one slot's range of the box the true
+    # polynomial gets: packed in that box, the raised slot would carry
+    # into its neighbour, so the box must widen with the candidate's norm
+    # and the candidate fail the comparison, not a bounds check
+    boxes = []
+
+    def recording(cols, bound):
+        boxes.append(_Box(cols, bound))
+        return boxes[-1]
+
+    monkeypatch.setattr(semistable, "_Box", recording)
+    poly = stable_coprime_polynomial(n, d, g)
+    dim = n * n * (g - 1) + 1
+    width = boxes[-1].width
+    p, q = sorted(e for e in dict(poly.items()) if e[0] + e[1] < dim)[-1]
+    raised = _mutated(_mutated(poly, (p, q), 1 << 8 * width), (dim - p, dim - q), 1 << 8 * width)
+    with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
+        _certify_coprime(raised, n, d, g)
+    assert boxes[-1].width > width
+
+
+# every coprime class of ranks 2-5 at genus 2 and ranks 2-3 at genus 3
+DIVISION_ORACLE_CLASSES = [
+    (n, d, g) for n, g in [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)] for d in range(1, n) if math.gcd(n, d) == 1
+]
+
+
+@pytest.mark.parametrize("n, d, g", DIVISION_ORACLE_CLASSES)
+def test_stable_coprime_equals_the_public_division_path(n, d, g):
+    # the closed-form sum times (1-uv), divided out by the public
+    # FactoredRational.as_polynomial
+    closed = ss_closed_form(n, d, g)
+    den = dict(closed.den)
+    den[(1, 1)] -= 1
+    assert stable_coprime_polynomial(n, d, g) == FactoredRational(closed.num, den).as_polynomial()
 
 
 def test_closed_form_exponent_is_integral_up_to_rank_8():
