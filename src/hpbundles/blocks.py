@@ -121,11 +121,15 @@ class _Rank2Numerators:
     certificate of the Hodge-Deligne quotient, the largest, and the
     packed types check every other norm on the way.  jac, square and
     signs are outer products of two binomial rows (``packed._Box.outer``);
-    jac_twisted and the square inside the pair are jac times binomial
+    jac_twisted and the square P^2 inside the pair are jac times binomial
     powers, the ``_leading_factors`` of l = 2 and of l = 1, one shift-add
-    each.  Every closed form, stratum, sum and certificate is then a
-    shift, add or small-int multiply of these integers, and only the
-    values a caller asks for are unpacked."""
+    per power, applied in order of the rows each power adds
+    (``poly._times_binomials``): (1+u v^2)^g before (1+u^2 v)^g, and
+    (1+v)^g before (1+u)^g.  The pair takes one halving and one parity
+    check: half = (P^2 + signs)/2, plus = half - (uv)^g jac and
+    minus = half - signs.  Every closed form, stratum, sum and certificate
+    is then a shift, add or small-int multiply of these integers, and only
+    the values a caller asks for are unpacked."""
 
     def __init__(self, g):
         self.g = g
@@ -152,13 +156,11 @@ class _Rank2Numerators:
         # P^2 by shift-adds from P, while square is the outer product of the
         # 2g-th binomial rows: the beta2 bracket check compares the two
         jac_sq = self.jac.times_binomials(_leading_factors(1, self.g))
-        halves = []
-        for name, total in (("plus", jac_sq + self.signs), ("minus", jac_sq - self.signs)):
-            half = total.halve()
-            if half is None:
-                raise InternalCheckError("%s-part of the Jacobian pair has non-integer coefficients" % name)
-            halves.append(half)
-        return halves[0] - self.jac.uv(self.g), halves[1]
+        half = (jac_sq + self.signs).halve()
+        if half is None:
+            raise InternalCheckError("the Jacobian pair has non-integer coefficients")
+        # (P^2 - N)/2 = (P^2 + N)/2 - N: one parity check serves both halves
+        return half - self.jac.uv(self.g), half - self.signs
 
 
 def _rank2_numerators(g):

@@ -15,8 +15,8 @@ coefficients, the dual (uv)^d p(1/u, 1/v) reverses the slots, and the
 division by a product of factors 1 - (uv)^m is a running sum by
 shift-adds, certified by multiplying back.  A product of two binomial
 rows (1 + c u^e)^k (1 + c v^e)^k is packed row by row, and a product by
-binomial powers is one shift-add per power.  Only the results are
-unpacked.
+binomial powers is one shift-add per power, fewest added rows first.
+Only the results are unpacked, each into its dict by C iterators.
 """
 
 from __future__ import annotations

@@ -38,12 +38,14 @@ A sum of monomials times products of binomial powers,
 sum s u^p v^q prod (1 + c u^a v^b)^k with a and b >= 0, is formed a
 third way (``_expand_binomials``): each part starts as the integer s,
 each power is one big-integer shift and add, x += c * (x << shift), the
-part is added at the slot of its monomial into one accumulator packed as
-on the dense path, in the box of the whole sum, and the sum is unpacked
-once.  About half the cost of one product is that one unpacking: the
-genus-24 product (1+u)^g (1+v)^g (1+u^2 v)^g (1+u v^2)^g takes 6 ms,
-3 ms of it unpacking, against 26 ms for the dense product of the two
-halves.  Every call packs the whole box of its sum;
+factors taken in order of the rows a power adds, fewest first, so that
+the passes run on the shortest integers they can (``_times_binomials``),
+the part is added at the slot of its monomial into one accumulator
+packed as on the dense path, in the box of the whole sum, and the sum is
+unpacked once.  More than half the cost of one product is that one
+unpacking: the genus-24 product (1+u)^g (1+v)^g (1+u^2 v)^g (1+u v^2)^g
+takes about 4 ms, 2.5 ms of it unpacking, against 26 ms for the dense
+product of the two halves.  Every call packs the whole box of its sum;
 ``series._expand_factors`` packs a diagonal product in one variable
 instead, and ``blocks`` forms the outer product of two binomial rows,
 such as the Jacobian, from binomial coefficients.  The unwindowed
@@ -58,7 +60,10 @@ at a small order stays cheap.  Other products go through
 
 Every packed value is read by ``_unpack``, 8 bytes of each slot at a
 time (``_slot_values``): strided slices, not one slice and one
-``int.from_bytes`` call per slot.
+``int.from_bytes`` call per slot, the two limbs of a 9-16-byte slot
+combined and a whole box's dict built by C iterators.  Slots of at most
+8 bytes are packed the same way round (``_pack``): one list of biased
+values, one ``array`` of 8-byte limbs, strided slices.
 
 A computation that goes on working with its products keeps them packed
 (``packed``), reusing the slot width, the unpacking and the shift-add
@@ -75,6 +80,8 @@ import sys
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import compress, product, repeat
+from operator import itemgetter, lshift, or_
 
 from .errors import DivisionRemainderError, DomainError
 
@@ -497,8 +504,15 @@ def _times_binomials(x, factors, cols, width):
     """The packed x times prod (1 + c u^a v^b)^k over the factors
     (c, a, b, k), packed as in ``_mul_dense`` in rows of cols slots of
     width bytes: one big-integer shift and add per power.  The caller
-    sizes the slots and the row for every partial product."""
-    for c, a, b, k in factors:
+    sizes the slots and the row for every partial product.
+
+    A power of a factor with a > 0 lengthens x by a rows, one with a = 0
+    by b slots, so the factors are applied in order of a, fewest rows
+    first, and every pass before the last runs on a shorter integer.  A
+    product over any subset of the factors stays within the norm and
+    exponent bounds of the whole product, so the order needs no room
+    the caller has not sized."""
+    for c, a, b, k in sorted(factors, key=itemgetter(1)):
         shift = 8 * width * (a * cols + b)
         for _ in range(k):
             # a product by 1 would cost a pass over the whole integer
@@ -519,12 +533,18 @@ def _unpack(packed, origin, rows, cols, width, order=None, den=1):
     Adding half the slot range to every slot makes them all non-negative,
     so they unpack without borrows; each coefficient is divided by den.
     With ``order`` set, row p unpacks only the slots with p + q <= order:
-    only those slots are read (``_slot_values``).
+    only those slots are read (``_slot_values``).  A whole box of integer
+    coefficients is read into its dict by C iterators: the keys of the box
+    in row order where the value is nonzero, zipped with those values.
     """
     p0, q0 = origin
     slots = rows * cols
     bias = _slot_pattern(1 << (8 * width - 1), width, slots)
     data = ((packed + bias) & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
+    if order is None and den == 1:
+        values = _slot_values(data, width)
+        keys = product(range(p0, p0 + rows), range(q0, q0 + cols))
+        return dict(zip(compress(keys, values), filter(None, values)))
     spans = [cols] * rows
     if order is not None:
         spans = [min(cols, order - p - q0 + 1) for p in range(p0, p0 + rows)]
@@ -557,8 +577,9 @@ def _slot_values(data, width):
     and all limbs are read by one ``array('q')``.  A wider slot takes one
     limb when all its bytes past the eighth extend the sign of the eighth,
     which one strided compare per byte checks.  Otherwise two-limb slots
-    are combined from their limbs, and wider ones read one by one (cheaper
-    at 35-byte slots than combining five limbs).
+    are combined from their limbs, high << 64 | low by ``map`` with no
+    Python loop, and wider ones read one by one (cheaper at 35-byte slots
+    than combining five limbs).
     """
     twos = data[width - 1 :: width].translate(_TWOS)
     if width <= 8:
@@ -568,7 +589,7 @@ def _slot_values(data, width):
         return _read_limbs(_limb(data, width, 0, 8), "q")
     if width <= 16:
         high = _read_limbs(_top_limb(data, width, 8, twos), "q")
-        return [h << 64 | l for h, l in zip(high, _read_limbs(_limb(data, width, 0, 8), "Q"))]
+        return list(map(or_, map(lshift, high, repeat(64)), _read_limbs(_limb(data, width, 0, 8), "Q")))
     buf = bytearray(data)
     buf[width - 1 :: width] = twos
     buf = bytes(buf)
@@ -625,9 +646,32 @@ def _integral(terms):
 
 
 def _pack(terms, origin, cols, width):
-    """sum c * 2^(8 * width * slot) over the terms, slot as in _mul_dense."""
+    """sum c * 2^(8 * width * slot) over the terms, slot as in _mul_dense.
+
+    Slots of at most 8 bytes are packed as ``_slot_values`` reads them,
+    by limbs: a dense list holds c + 2^(8 width - 1) at each term's slot
+    and that bias everywhere else, one ``array('Q')`` writes it as 8-byte
+    limbs, strided slices keep the low width bytes of each, and the bias
+    is taken off the one integer they make.  Wider slots are written term
+    by term, the positive and the negative coefficients apart."""
     p0, q0 = origin
-    size = width * (max((p - p0) * cols + q - q0 for p, q in terms) + 1)
+    slots = max((p - p0) * cols + q - q0 for p, q in terms) + 1
+    if width <= 8:
+        bias = 1 << (8 * width - 1)
+        dense = [bias] * slots
+        for (p, q), c in terms.items():
+            dense[(p - p0) * cols + q - q0] = c + bias
+        limbs = array("Q", dense)
+        if sys.byteorder == "big":
+            limbs.byteswap()
+        data = limbs.tobytes()
+        if width < 8:
+            buf = bytearray(width * slots)
+            for j in range(width):
+                buf[j::width] = data[j::8]
+            data = buf
+        return int.from_bytes(data, "little") - _slot_pattern(bias, width, slots)
+    size = width * slots
     pos = bytearray(size)
     neg = bytearray(size)
     for (p, q), c in terms.items():

@@ -204,19 +204,25 @@ def assemble_stable_hp(ss, strata):
 def _assembled_num(num):
     """``assemble_stable_hp`` of the semistable closed form and the strata,
     times (1-uv), packed: its numerator over 2 (1-uv)(1-u^2v^2).  Each term
-    is brought to the common denominator by the factors 1 - (uv)^a it
-    lacks, and to the scalar 1/2 by a small-int multiply."""
+    is shifted by its codimension and brought to the scalar 1/2 by a
+    small-int multiply; the terms that lack the same factors 1 - (uv)^a of
+    the common denominator are added up first, and each group is cleared
+    once: gl2 with t by 1 - uv, beta1 with beta2 by 1 - u^2 v^2, and the
+    semistable term by nothing."""
     terms = [(SS_RANK2_DEN, 1, 0, _ss_rank2_numerator(num))]
     terms += [(s.den, -s.scalar, s.codim, s.num) for s in _strata(num)]
     common = _lcm_factors([den for den, _, _, _ in terms])
-    total = None
+    groups = {}
     for den, scalar, codim, part in terms:
-        part = part.uv(codim)
+        part = int(2 * scalar) * part.uv(codim)
+        missing = tuple(sorted(_missing_factors(common, den).items()))
+        groups[missing] = groups[missing] + part if missing in groups else part
+    total = None
+    for missing, part in groups.items():
         # every factor here is diagonal, 1 - (uv)^a
-        for (a, _), k in _missing_factors(common, den).items():
+        for (a, _), k in missing:
             for _ in range(k):
                 part = part.times_one_minus_uv(a)
-        part = int(2 * scalar) * part
         total = part if total is None else total + part
     return total
 

@@ -432,12 +432,14 @@ def _certify_coprime(poly, n, d, g):
     (``_closed_form_parts``).  Then N / D is a polynomial, and it is poly.
 
     Both sides are packed in one ``packed._Box``: N as the sum of its
-    parts, never unpacked, and the product as poly packed, then one shift
-    and subtraction per stride.  The columns reach past either side's
-    largest exponent of v, and the slots hold the larger of the two norm
-    bounds, N's and poly's times D's, so equal integers are equal
-    polynomials, and a wrong poly, however large its coefficients, fails
-    the comparison.  D's own norm is the bound, not 2 per stride as
+    parts, never unpacked, each part formed without the Jacobian factor
+    (1+u)^g (1+v)^g that opens it and the Jacobian applied once to the
+    sum, and the product as poly packed, then one shift and subtraction
+    per stride.  The box is sized from the whole parts.  The columns reach
+    past either side's largest exponent of v, and the slots hold the
+    larger of the two norm bounds, N's and poly's times D's, so equal
+    integers are equal polynomials, and a wrong poly, however large its
+    coefficients, fails the comparison.  D's own norm is the bound, not 2 per stride as
     ``times_one_minus_uv`` tracks it (2^15 against 2^28 at rank 8 and
     genus 2), so the slots are no wider than N needs.
     """
@@ -466,10 +468,16 @@ def _certify_coprime(poly, n, d, g):
         num_norm += part_norm
         num_top = max(num_top, e + sum(k * b for _, _, b, k in factors))
     box = _Box(1 + max(num_top, top), max(num_norm, norm))
+    # every part opens with the Jacobian (1+u)^g (1+v)^g of its first rank:
+    # it is applied once, to the sum of the rest
+    jacobian = list(_leading_factors(1, g))
     num = None
     for sign, (e, _), factors in parts:
-        part = _Packed(box, sign, 1, (0, 0)).times_binomials(factors).uv(e)
+        if factors[:2] != jacobian:
+            raise InternalCheckError("closed-form part does not open with the Jacobian factor")
+        part = _Packed(box, sign, 1, (0, 0)).times_binomials(factors[2:]).uv(e)
         num = part if num is None else num + part
+    num = num.times_binomials(jacobian)
     value = _pack(terms, (0, 0), box.cols, box.width)
     step = 8 * box.width * (box.cols + 1)
     for m in strides:

@@ -9,6 +9,7 @@ from hpbundles import (
     V,
     DomainError,
     FactoredRational,
+    InternalCheckError,
     LaurentPoly,
     hp_bgl,
     hp_bsl,
@@ -18,7 +19,9 @@ from hpbundles import (
     hp_plusminus_jac_pair,
     uv_power,
 )
+from hpbundles import blocks
 from hpbundles.blocks import _rank2_numerators, sign_numerator
+from hpbundles.packed import _Packed
 
 
 def naive_product(*polys):
@@ -143,6 +146,22 @@ def test_jac_pair_integrality_up_to_twelve():
         plus, minus = hp_plusminus_jac_pair(g)
         assert plus.is_integral()
         assert minus.is_integral()
+
+
+@pytest.mark.parametrize("g", [1, 4])
+@pytest.mark.parametrize("at", [(0, 0), (1, 2)])
+def test_jac_pair_with_an_odd_coefficient_raises(monkeypatch, g, at):
+    # signs raised by one at a single monomial leaves P^2 + signs odd there:
+    # the pair's one parity check, which also serves its minus half,
+    # refuses it
+    def odd_signs(self):
+        box = self.box
+        monomial = _Packed(box, 1 << 8 * box.width * (at[0] * box.cols + at[1]), 1, at)
+        return box.outer(-1, 2, self.g) + monomial
+
+    monkeypatch.setattr(blocks._Rank2Numerators, "signs", property(odd_signs))
+    with pytest.raises(InternalCheckError, match="non-integer"):
+        hp_plusminus_jac_pair(g)
 
 
 def test_nt_zts_constant_term():

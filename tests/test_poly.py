@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,7 +28,9 @@ from hpbundles.poly import (
     _mul_monomial,
     _mul_sparse,
     _mul_terms,
+    _pack,
     _slot_width,
+    _times_binomials,
     _unpack,
     as_coeff,
 )
@@ -239,6 +242,45 @@ def per_slot_unpack(packed, origin, rows, cols, width, order=None, den=1):
             if c != half:
                 res[(p, q)] = c - half if den == 1 else as_coeff(Fraction(c - half, den))
     return res
+
+
+def per_term_pack(terms, origin, cols, width):
+    """``poly._pack`` one term at a time: each coefficient written by its own
+    ``to_bytes`` call, the positive and the negative ones into separate
+    buffers.  The reference the limb packing of ``_pack`` is tested
+    against."""
+    p0, q0 = origin
+    size = width * (max((p - p0) * cols + q - q0 for p, q in terms) + 1)
+    pos = bytearray(size)
+    neg = bytearray(size)
+    for (p, q), c in terms.items():
+        at = width * ((p - p0) * cols + q - q0)
+        if c > 0:
+            pos[at : at + width] = c.to_bytes(width, "little")
+        else:
+            neg[at : at + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def test_pack_matches_the_per_term_reference():
+    # widths 1 to 9 bytes: the limb packing of up to 8 and the per-term
+    # path past it; sparse and dense boxes, origins of either sign, and
+    # coefficients at both ends of the slot range, +-(2^(8 width - 1) - 1)
+    rng = random.Random(25)
+    for width in range(1, 10):
+        top = (1 << (8 * width - 1)) - 1
+        for rows, cols in ((1, 1), (1, 7), (4, 5), (9, 3)):
+            for density in (0.1, 0.5, 1.0):
+                origin = (rng.randint(-3, 3), rng.randint(-3, 3))
+                cells = [(p, q) for p in range(rows) for q in range(cols) if rng.random() < density]
+                cells = cells or [(rows - 1, cols - 1)]
+                values = [top, -top, 1, -1, rng.randint(-top, top) or 1, rng.randint(-9, 9) or 1]
+                terms = {(origin[0] + p, origin[1] + q): rng.choice(values) for p, q in cells}
+                packed = _pack(terms, origin, cols, width)
+                assert packed == per_term_pack(terms, origin, cols, width), (width, rows, cols, density)
+                assert _unpack(packed, origin, rows, cols, width) == terms
+        extremes = {(0, 0): top, (0, 1): -top, (1, 0): -top, (1, 1): top}
+        assert _pack(extremes, (0, 0), 2, width) == per_term_pack(extremes, (0, 0), 2, width)
 
 
 @pytest.mark.skipif(st is None, reason="hypothesis is a test-only dependency")
@@ -509,6 +551,34 @@ def test_binomial_expander_sums_shifted_parts_in_one_unpacking(monkeypatch):
     cancel = [(3, (1, -2), [(2, 1, 1, 2)]), (-3, (1, -2), []), (-12, (2, -1), []), (-12, (3, 0), [])]
     assert _expand_binomials(cancel) == {}
     assert _expand_binomials([]) == {}
+
+
+def test_times_binomials_is_the_same_for_every_order_of_its_factors():
+    # the factors are applied in order of the rows they add, whatever order
+    # the caller lists them in: every permutation gives the same integer,
+    # with c of either sign, factors that add no row (a = 0) and packed
+    # starting values other than 1, and it unpacks to the dict-loop
+    # product, as the expander's does
+    rng = random.Random(24)
+    seen = set()
+    for _ in range(40):
+        factors = [
+            (rng.choice((1, -1, 2, -3)), rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3))
+            for _ in range(rng.randint(2, 4))
+        ]
+        s = rng.choice((1, -1, 5))
+        rows = 1 + sum(k * a for _, a, _, k in factors)
+        cols = 1 + sum(k * b for _, _, b, k in factors)
+        width = _slot_width(abs(s) * math.prod((1 + abs(c)) ** k for c, _, _, k in factors))
+        values = {_times_binomials(s, list(order), cols, width) for order in itertools.permutations(factors)}
+        assert len(values) == 1
+        reference = {e: s * c for e, c in binomial_product(factors).items()}
+        assert _unpack(values.pop(), (0, 0), rows, cols, width) == reference
+        assert _expand_binomials([(s, (0, 0), factors)]) == reference
+        seen.update("c < 0" for c, *_ in factors if c < 0)
+        seen.update("a = 0" for _, a, _, k in factors if a == 0 and k)
+        seen.add("a differ" if len({a for _, a, _, k in factors if k}) > 1 else "a alike")
+    assert seen == {"c < 0", "a = 0", "a differ", "a alike"}
 
 
 def test_one_part_call_moves_and_scales_its_product():

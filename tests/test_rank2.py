@@ -28,6 +28,8 @@ from hpbundles import (
 )
 from hpbundles import blocks, packed, poly, rank2, serialize
 from hpbundles.rank2 import stratum_beta1, stratum_beta2, stratum_gl2, stratum_t
+from hpbundles.semistable import SS_RANK2_DEN, _ss_rank2_numerator
+from hpbundles.series import _lcm_factors, _missing_factors
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -244,6 +246,33 @@ def test_deligne_call_builds_one_record_and_one_twisted_product(monkeypatch):
     assert records == [g]
     assert products.count(twisted) == 1
     assert products.count(square) == 1
+
+
+def ungrouped_assembled_num(num):
+    """``rank2._assembled_num`` term by term: each term shifted by its
+    codimension, cleared by every factor of the common denominator it
+    lacks, scaled to 1/2 and added.  The reference the grouped clearing
+    is tested against."""
+    terms = [(SS_RANK2_DEN, 1, 0, _ss_rank2_numerator(num))]
+    terms += [(s.den, -s.scalar, s.codim, s.num) for s in rank2._strata(num)]
+    common = _lcm_factors([den for den, _, _, _ in terms])
+    total = None
+    for den, scalar, codim, part in terms:
+        part = part.uv(codim)
+        for (a, _), k in _missing_factors(common, den).items():
+            for _ in range(k):
+                part = part.times_one_minus_uv(a)
+        part = int(2 * scalar) * part
+        total = part if total is None else total + part
+    return total
+
+
+@pytest.mark.parametrize("g", list(range(2, 13)) + [24])
+def test_assembled_numerator_equals_the_ungrouped_sum(g):
+    num = blocks._rank2_numerators(g)
+    assembled = rank2._assembled_num(num)
+    assert assembled == ungrouped_assembled_num(num)
+    assert assembled == rank2._stable_num(num)
 
 
 def test_deligne_double_dual_is_identity():

@@ -423,7 +423,9 @@ def _mutated(poly, e, delta=1):
     return LaurentPoly(terms)
 
 
-@pytest.mark.parametrize("n, d, g", [(2, 1, 2), (3, 1, 2), (3, 2, 3)])
+# (4, 1, 2) and (5, 2, 2) have compositions of up to four and five parts,
+# each opening with the Jacobian factor the certificate applies once
+@pytest.mark.parametrize("n, d, g", [(2, 1, 2), (3, 1, 2), (3, 2, 3), (4, 1, 2), (5, 2, 2)])
 def test_coprime_certificate_rejects_one_changed_coefficient(n, d, g):
     poly = stable_coprime_polynomial(n, d, g)
     dim = n * n * (g - 1) + 1
