@@ -48,7 +48,7 @@ def _binomial_outer(c, e, g):
 def _leading_factors(n, g):
     """The factors (1 + u^l v^(l-1))^g (1 + u^(l-1) v^l)^g, l = 1..n, of the
     numerator of the leading semistable term, as the factors (c, a, b, k)
-    of a ``poly._expand_binomials`` part.  Those of l = 1 make
+    of a ``packed._expand_binomials`` part.  Those of l = 1 make
     hp_jacobian(g), those of l = 2 the twisted numerator
     (1+u^2 v)^g (1+u v^2)^g of the rank-2 closed forms."""
     return tuple((1, a, b, g) for l in range(1, n + 1) for a, b in ((l, l - 1), (l - 1, l)))
@@ -124,7 +124,7 @@ class _Rank2Numerators:
     jac_twisted and the square P^2 inside the pair are jac times binomial
     powers, the ``_leading_factors`` of l = 2 and of l = 1, one shift-add
     per power, applied in order of the rows each power adds
-    (``poly._times_binomials``): (1+u v^2)^g before (1+u^2 v)^g, and
+    (``packed._times_binomials``): (1+u v^2)^g before (1+u^2 v)^g, and
     (1+v)^g before (1+u)^g.  The pair takes one halving and one parity
     check: half = (P^2 + signs)/2, plus = half - (uv)^g jac and
     minus = half - signs.  Every closed form, stratum, sum and certificate

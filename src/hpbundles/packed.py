@@ -1,63 +1,376 @@
-"""Packed polynomials: a polynomial with int coefficients and
-non-negative exponents held as one big integer, one slot per exponent,
-for a computation that goes on working with its products, as the rank-2
-pipeline does (``blocks._rank2_numerators``).
+"""Packed polynomials: the one home of the packed-integer format.
 
-The packing is that of the dense product path of ``poly``
-(``poly._mul_dense``), and the slot width, the unpacking and the
-shift-add loop of ``poly._expand_binomials`` are reused from there.
-Every packed value carries a bound on its L1 norm and on its exponents,
-so a slot never overflows and a row never carries into the next: an
-operation that could raises InternalCheckError.  Sums, small-int
-multiples and products by (uv)^k or 1 - (uv)^k are then big-integer
-adds and shifts, equality is integer equality, a parity mask finds odd
+A polynomial with int coefficients is packed as one big integer, one
+slot per exponent of a box of rows of cols slots counted from an origin
+(p0, q0): value = sum c 2^(8 width s) over its terms, s = (p - p0) cols
++ q - q0 the slot of u^p v^q.  Slots are whole bytes, wide enough for a
+bound on every coefficient plus a sign bit (``_slot_width``), and cols
+reaches past the largest exponent of v, so a slot never carries into the
+next and a row never runs into the next.  Big-integer adds, shifts and
+small-int multiples are then sums, products by monomials and scalings,
+and one big-integer multiply is a product (Kronecker substitution, the
+dense product path of ``poly._mul_dense``).
+
+Reading and writing.  A packed value plus the bias, 2^(8 width - 1) in
+every slot, has only non-negative slots and no borrows, so its bytes are
+the biased slots.  ``_unpack`` reads them 8 bytes of each slot at a time
+(``_slot_values``): strided slices, one byte of every slot per slice,
+copy them into 8-byte limbs, a 256-byte table turns each biased top byte
+into two's complement, and one ``array('q')`` reads all the limbs; the
+two limbs of a 9-16-byte slot are combined by ``map``, a wider slot
+takes one limb when its high bytes only extend the sign and is read on
+its own otherwise, and the keys of a whole box are zipped with the
+nonzero values by C iterators.  ``_pack`` writes slots of at most 8
+bytes the same way round.
+
+Products of binomial powers.  A sum of monomials times products of
+binomial powers, sum s u^p v^q prod (1 + c u^a v^b)^k with a and b >= 0,
+is formed by shift-adds (``_expand_binomials``): each part starts as the
+integer s, each power is one big-integer shift and add,
+x += c (x << shift), the factors taken in order of the rows a power
+adds, fewest first, so that the passes run on the shortest integers they
+can (``_times_binomials``), and the part is added at the slot of its
+monomial into one accumulator in the box of the whole sum
+(``_parts_box``), which is unpacked once.  More than half the cost of
+one product is that unpacking: the genus-24 product
+(1+u)^g (1+v)^g (1+u^2 v)^g (1+u v^2)^g takes about 4 ms, 2.5 ms of it
+unpacking, against 26 ms for the dense product of the two halves.  The
+unwindowed leading terms of the semistable series, the products of
+denominator factors and the numerator of the closed-form HN sum
+(``semistable.ss_closed_form``), one part per composition, are formed
+so.  Every call packs the whole box of its sum, so a diagonal product is
+expanded in one variable instead (``series._expand_factors``), and an
+outer product of two binomial rows, such as the Jacobian, is formed from
+binomial coefficients (``_Box.outer``).
+
+The box.  A computation that goes on working with its products keeps
+them packed as ``_Packed`` values of one ``_Box``, origin (0, 0): the
+rank-2 pipeline (``blocks._rank2_numerators``), the windowed leading
+series of the semistable recursion and the coprime certificate.  Every
+packed value carries a bound on its L1 norm and on its exponents, so an
+operation that could overflow a slot or carry a term into the next row
+raises InternalCheckError.  Sums, small-int multiples and products by
+(uv)^k, by 1 - (uv)^k or by binomial powers are then big-integer adds
+and shifts, equality is integer equality, a parity mask finds odd
 coefficients, the dual (uv)^d p(1/u, 1/v) reverses the slots, and the
 division by a product of factors 1 - (uv)^m is a running sum by
-shift-adds, certified by multiplying back.  A product of two binomial
-rows (1 + c u^e)^k (1 + c v^e)^k is packed row by row, and a product by
-binomial powers is one shift-add per power, fewest added rows first.
-Only the results are unpacked, each into its dict by C iterators.
+shift-adds along the diagonals, certified by multiplying back.  The
+box holds its slot patterns, the bias, the parity mask and the digit
+masks of a division: each is built once, for the longest run of slots
+asked for, and cut to a shorter run by a mask, about 15 times cheaper
+than building it.  Only the results are unpacked.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import compress, product, repeat
+from operator import itemgetter, lshift, or_
+
 from .errors import InternalCheckError
-from .poly import _slot_pattern, _slot_width, _times_binomials, _unpack
+
+
+def _slot_width(bound):
+    """Bytes per slot for coefficients of absolute value <= bound: room
+    for the bound and a sign bit."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _slot_pattern(value, width, slots):
+    """The packed integer whose first slots slots, of width bytes, all
+    hold the value (0 <= value < 2^(8 width))."""
+    return int.from_bytes(value.to_bytes(width, "little") * slots, "little")
+
+
+def _pack(terms, origin, cols, width):
+    """sum c 2^(8 width s) over the terms, s the slot of u^p v^q from the
+    origin in rows of cols slots; 0 for no terms.
+
+    Slots of at most 8 bytes are packed as ``_slot_values`` reads them,
+    by limbs: a dense list holds c + 2^(8 width - 1) at each term's slot
+    and that bias everywhere else, one ``array('Q')`` writes it as 8-byte
+    limbs, strided slices keep the low width bytes of each, and the bias
+    is taken off the one integer they make.  Wider slots are written term
+    by term, the positive and the negative coefficients apart."""
+    if not terms:
+        return 0
+    p0, q0 = origin
+    slots = max((p - p0) * cols + q - q0 for p, q in terms) + 1
+    if width <= 8:
+        bias = 1 << (8 * width - 1)
+        dense = [bias] * slots
+        for (p, q), c in terms.items():
+            dense[(p - p0) * cols + q - q0] = c + bias
+        limbs = array("Q", dense)
+        if sys.byteorder == "big":
+            limbs.byteswap()
+        data = limbs.tobytes()
+        if width < 8:
+            buf = bytearray(width * slots)
+            for j in range(width):
+                buf[j::width] = data[j::8]
+            data = buf
+        return int.from_bytes(data, "little") - _slot_pattern(bias, width, slots)
+    size = width * slots
+    pos = bytearray(size)
+    neg = bytearray(size)
+    for (p, q), c in terms.items():
+        at = width * ((p - p0) * cols + q - q0)
+        if c > 0:
+            pos[at : at + width] = c.to_bytes(width, "little")
+        else:
+            neg[at : at + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(packed, origin, rows, cols, width, order=None):
+    """The term dict of the packed value, its slot (0, 0) at the exponent
+    origin, over its first rows rows of cols slots each; with ``order``
+    set, only the terms with p + q <= order, and only their slots are
+    read."""
+    return _read(packed + _slot_pattern(1 << (8 * width - 1), width, rows * cols), origin, rows, cols, width, order)
+
+
+def _read(biased, origin, rows, cols, width, order):
+    """``_unpack`` of a packed value whose first rows * cols slots are
+    already biased by 2^(8 width - 1).  A whole box is read into its dict
+    by C iterators: the keys of the box in row order where the value is
+    nonzero, zipped with those values.  With ``order`` set, row p reads
+    only its slots with p + q <= order."""
+    p0, q0 = origin
+    slots = rows * cols
+    data = (biased & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
+    if order is None:
+        values = _slot_values(data, width)
+        keys = product(range(p0, p0 + rows), range(q0, q0 + cols))
+        return dict(zip(compress(keys, values), filter(None, values)))
+    spans = [min(cols, order - p - q0 + 1) for p in range(p0, p0 + rows)]
+    spans = [span for span in spans if span > 0]  # the spans fall with p
+    data = b"".join(data[width * i * cols : width * (i * cols + span)] for i, span in enumerate(spans))
+    values = _slot_values(data, width)
+    res = {}
+    at = 0
+    for p, span in enumerate(spans, p0):
+        for q, c in enumerate(values[at : at + span], q0):
+            if c:
+                res[(p, q)] = c
+        at += span
+    return res
+
+
+# A biased slot c + 2^(8 width - 1) differs from c in two's complement only
+# in the top bit of its top byte, which _TWOS flips; _SIGN maps a two's
+# complement byte to the byte that extends its sign.
+_TWOS = bytes(b ^ 0x80 for b in range(256))
+_SIGN = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+
+
+def _slot_values(data, width):
+    """The signed values of the biased slots of width bytes in data.
+
+    Each slot is read as one 8-byte limb: its bytes are copied into the
+    limbs by strided slices, one byte of every slot per slice, its top byte
+    through ``_TWOS``, the pad bytes of a narrower slot from ``_SIGN``,
+    and all limbs are read by one ``array('q')``.  A wider slot takes one
+    limb when all its bytes past the eighth extend the sign of the eighth,
+    which one strided compare per byte checks.  Otherwise two-limb slots
+    are combined from their limbs, high << 64 | low by ``map`` with no
+    Python loop, and wider ones read one by one (cheaper at 35-byte slots
+    than combining five limbs).
+    """
+    twos = data[width - 1 :: width].translate(_TWOS)
+    if width <= 8:
+        return _read_limbs(_top_limb(data, width, 0, twos), "q")
+    sign = data[7::width].translate(_SIGN)
+    if twos == sign and all(data[j::width] == sign for j in range(8, width - 1)):
+        return _read_limbs(_limb(data, width, 0, 8), "q")
+    if width <= 16:
+        high = _read_limbs(_top_limb(data, width, 8, twos), "q")
+        return list(map(or_, map(lshift, high, repeat(64)), _read_limbs(_limb(data, width, 0, 8), "Q")))
+    buf = bytearray(data)
+    buf[width - 1 :: width] = twos
+    buf = bytes(buf)
+    from_bytes = int.from_bytes
+    return [from_bytes(buf[i : i + width], "little", signed=True) for i in range(0, len(buf), width)]
+
+
+def _limb(data, width, start, stop):
+    """The bytes start..stop-1 of every width-byte slot of data, each slot's
+    at the low end of an 8-byte limb; the rest of each limb is 0."""
+    buf = bytearray(8 * (len(data) // width))
+    for j in range(start, stop):
+        buf[j - start :: 8] = data[j::width]
+    return buf
+
+
+def _top_limb(data, width, start, twos):
+    """The bytes from start of every width-byte slot of data, its top byte
+    replaced by the one in twos, sign-extended to an 8-byte limb
+    (width - start <= 8)."""
+    buf = _limb(data, width, start, width - 1)
+    buf[width - 1 - start :: 8] = twos
+    sign = twos.translate(_SIGN)
+    for j in range(width - start, 8):
+        buf[j::8] = sign
+    return buf
+
+
+def _read_limbs(buf, code):
+    """The little-endian 8-byte limbs of buf as ints: signed for code 'q',
+    unsigned for 'Q'."""
+    limbs = array(code)
+    limbs.frombytes(buf)
+    if sys.byteorder == "big":
+        limbs.byteswap()
+    return limbs.tolist()
+
+
+def _times_binomials(x, factors, cols, width):
+    """The packed x times prod (1 + c u^a v^b)^k over the factors
+    (c, a, b, k), in rows of cols slots of width bytes: one big-integer
+    shift and add per power.  The caller sizes the slots and the row for
+    every partial product.
+
+    A power of a factor with a > 0 lengthens x by a rows, one with a = 0
+    by b slots, so the factors are applied in order of a, fewest rows
+    first, and every pass before the last runs on a shorter integer.  A
+    product over any subset of the factors stays within the norm and
+    exponent bounds of the whole product, so the order needs no room
+    the caller has not sized."""
+    for c, a, b, k in sorted(factors, key=itemgetter(1)):
+        shift = 8 * width * (a * cols + b)
+        for _ in range(k):
+            # a product by 1 would cost a pass over the whole integer
+            x += x << shift if c == 1 else c * (x << shift)
+    return x
+
+
+def _parts_box(parts):
+    """The box of a non-empty sum of parts (s, (p, q), factors), each
+    s u^p v^q prod (1 + c u^a v^b)^k over its factors (c, a, b, k): the
+    least offset (p0, q0) of the parts, the rows and columns from there
+    that hold every partial product of every part (sum k a rows and
+    sum k b columns past its offset), and the sum of |s| prod (1 + |c|)^k
+    over the parts, which bounds the L1 norm of every partial product and
+    partial sum."""
+    p0 = min(p for _, (p, _), _ in parts)
+    q0 = min(q for _, (_, q), _ in parts)
+    rows = cols = bound = 0
+    for s, (p, q), factors in parts:
+        # s, p and q become the part's norm bound and last row and column
+        for c, a, b, k in factors:
+            s *= (1 + abs(c)) ** k
+            p += k * a
+            q += k * b
+        rows, cols, bound = max(rows, p - p0 + 1), max(cols, q - q0 + 1), bound + abs(s)
+    return (p0, q0), rows, cols, bound
+
+
+def _expand_binomials(parts):
+    """The term dict of the sum of s u^p v^q prod (1 + c u^a v^b)^k over
+    the parts (s, (p, q), factors), each factor (c, a, b, k) with ints
+    a, b, k >= 0 and c, by shift-adds on one packed integer.
+
+    The sum is packed in the box of ``_parts_box``, so no term of a
+    partial product leaves the box, and its slots hold the norm bound and
+    a sign bit, so they never carry into each other.  Each part starts as
+    s at slot (0, 0), its factors are applied by ``_times_binomials``, and
+    it is added into one accumulator at the slot of its offset; the sum
+    is unpacked once.
+    """
+    if not parts:
+        return {}
+    (p0, q0), rows, cols, bound = _parts_box(parts)
+    width = _slot_width(bound)
+    packed = 0
+    for s, (p, q), factors in parts:
+        packed += _times_binomials(s, factors, cols, width) << 8 * width * ((p - p0) * cols + q - q0)
+    return _unpack(packed, (p0, q0), rows, cols, width)
 
 
 class _Box:
     """The exponent box of a family of packed polynomials: origin (0, 0),
     cols slots per row and slots of width bytes, sized so that every
     coefficient and every tracked norm stays below limit = 2^(8 width - 1)
-    for a norm bound of at most bound."""
+    for a norm bound of at most bound.  It holds the slot patterns its
+    values are read and checked with, one per value."""
 
-    __slots__ = ("cols", "width", "limit")
+    __slots__ = ("cols", "width", "limit", "_patterns")
 
     def __init__(self, cols, bound):
         self.cols = cols
         self.width = _slot_width(bound)
         self.limit = 1 << (8 * self.width - 1)
+        self._patterns = {}  # value -> (slots, its pattern over those slots)
+
+    def pattern(self, value, slots):
+        """The packed integer whose first slots slots all hold the value:
+        the held pattern of the value cut down by a mask, built anew only
+        when it is shorter than slots."""
+        held = self._patterns.get(value)
+        if held is None or held[0] < slots:
+            held = self._patterns[value] = (slots, _slot_pattern(value, self.width, slots))
+        return held[1] if held[0] == slots else held[1] & ((1 << 8 * self.width * slots) - 1)
+
+    def offset(self, p, q):
+        """The shift, in bits, that multiplies a packed value by u^p v^q."""
+        return 8 * self.width * (p * self.cols + q)
+
+    def pack(self, terms, top):
+        """The term dict, its exponents at most top = (P, Q), as a value of
+        the box with its L1 norm."""
+        return _Packed(self, _pack(terms, (0, 0), self.cols, self.width), sum(map(abs, terms.values())), top)
+
+    def unpack(self, value, rows, order=None):
+        """The term dict of a value of the box over its first rows rows;
+        with ``order`` set, only its terms with p + q <= order."""
+        return _read(value + self.pattern(self.limit, rows * self.cols), (0, 0), rows, self.cols, self.width, order)
+
+    def window(self, order):
+        """The mask of the slots with p + q <= order, for cols > order."""
+        width, cols = self.width, self.cols
+        rows = (b"\xff" * (width * (order + 1 - p)) + bytes(width * (cols - order - 1 + p)) for p in range(order + 1))
+        return int.from_bytes(b"".join(rows), "little")
+
+    def running_sums(self, value, strides, reach, mask):
+        """The running sums of value by each stride m along the diagonals,
+        which hold at most reach points: value / prod (1 - (uv)^m) as a
+        series cut after reach points of each diagonal.
+
+        Dividing by 1 - t, t = (uv)^m, is a running sum, and multiplying
+        by (1 + t)(1 + t^2)(1 + t^4)... (1 + t^(2^(j-1))) is that sum cut
+        after t^(2^j): j shift-adds, with 2^j m >= reach.  Every shift-add
+        keeps only the slots of mask, so the sum stays the size of the
+        box."""
+        step = self.offset(1, 1)
+        for m in strides:
+            span = m
+            while span < reach:
+                value = (value + (value << span * step)) & mask
+                span *= 2
+        return value
 
     def outer(self, c, e, k):
         """(1 + c u^e)^k (1 + c v^e)^k, packed row by row: the v-row by
         shift-adds on one row, then row p is the row times its own
-        coefficient of u^p.  No pass runs over the whole box."""
+        coefficient of v^p.  No pass runs over the whole box."""
         cols, width = self.cols, self.width
         norm = (1 + abs(c)) ** (2 * k)
         _check_bounds(self, norm, (e * k, e * k))
         row = _times_binomials(1, [(c, 0, e, k)], cols, width)
-        coeffs = _unpack(row, (0, 0), 1, e * k + 1, width)
-        blank = _slot_pattern(self.limit, width, cols)
+        coeffs = self.unpack(row, 1)
+        blank = self.pattern(self.limit, cols)
         data = b"".join(
             (coeffs.get((0, p), 0) * row + blank).to_bytes(cols * width, "little") for p in range(e * k + 1)
         )
-        value = int.from_bytes(data, "little") - _slot_pattern(self.limit, width, cols * (e * k + 1))
+        value = int.from_bytes(data, "little") - self.pattern(self.limit, cols * (e * k + 1))
         return _Packed(self, value, norm, (e * k, e * k))
 
 
 class _Packed:
-    """A polynomial with int coefficients and exponents in a ``_Box``,
-    packed as in ``poly._mul_dense``: value = sum c 2^(8 width (p cols + q)).
+    """A polynomial with int coefficients and exponents in a ``_Box``:
+    value = sum c 2^(8 width (p cols + q)).
 
     norm bounds the sum of |c|, so every |c|, and top = (P, Q) bounds the
     exponents: p <= P and q <= Q.  Both are tracked through every
@@ -100,11 +413,19 @@ class _Packed:
     def uv(self, k):
         """self times (uv)^k, k >= 0: a shift by k (cols + 1) slots."""
         top = (self.top[0] + k, self.top[1] + k)
-        return self._new(self.value << 8 * self.box.width * k * (self.box.cols + 1), self.norm, top)
+        return self._new(self.value << self.box.offset(k, k), self.norm, top)
 
     def times_one_minus_uv(self, k):
         """self times 1 - (uv)^k."""
-        return self - self.uv(k)
+        return self.times_diagonal((k,), 2)
+
+    def times_diagonal(self, strides, norm):
+        """self times D = prod (1 - (uv)^m) over the strides m, for a bound
+        norm on the L1 norm of D: one shift and subtraction per stride."""
+        value = self.value
+        for m in strides:
+            value -= value << self.box.offset(m, m)
+        return self._new(value, self.norm * norm, (self.top[0] + sum(strides), self.top[1] + sum(strides)))
 
     def times_binomials(self, factors):
         """self times prod (1 + c u^a v^b)^k over the factors (c, a, b, k)."""
@@ -121,15 +442,15 @@ class _Packed:
         """self / 2, or None when a coefficient is odd.  Biased by the
         limit, every slot holds c + limit with no borrow, and the limit is
         even, so the low bits of the biased slots are the parities of c."""
-        width = self.box.width
-        slots = (self.top[0] + 1) * self.box.cols
-        if (self.value + _slot_pattern(self.box.limit, width, slots)) & _slot_pattern(1, width, slots):
+        box = self.box
+        slots = (self.top[0] + 1) * box.cols
+        if (self.value + box.pattern(box.limit, slots)) & box.pattern(1, slots):
             return None
         return self._new(self.value >> 1, self.norm // 2, self.top)
 
     def unpack(self):
         """The term dict."""
-        return _unpack(self.value, (0, 0), self.top[0] + 1, self.box.cols, self.box.width)
+        return self.box.unpack(self.value, self.top[0] + 1)
 
     def dual(self, dim):
         """(uv)^dim self(1/u, 1/v), for degrees at most dim in each
@@ -138,9 +459,10 @@ class _Packed:
         as bytes, one byte of every slot per slice."""
         if max(self.top) > dim:
             raise InternalCheckError("a degree above %d has no dual at %d" % (max(self.top), dim))
-        width = self.box.width
-        slots = dim * (self.box.cols + 1) + 1
-        bias = _slot_pattern(self.box.limit, width, slots)
+        box = self.box
+        width = box.width
+        slots = dim * (box.cols + 1) + 1
+        bias = box.pattern(box.limit, slots)
         data = (self.value + bias).to_bytes(width * slots, "little")
         out = bytearray(len(data))
         for k in range(width):
@@ -151,13 +473,10 @@ class _Packed:
         """The quotient of self by prod (1 - (uv)^m) over the strides m,
         or None when the division is not exact.
 
-        The diagonals of the box have at most reach = P + 1 points.
-        Dividing by 1 - t, t = (uv)^m, is a running sum along them, and
-        multiplying by (1 + t)(1 + t^2)(1 + t^4)... (1 + t^(2^(j-1))) is
-        that sum cut after t^(2^j): j shift-adds.  With 2^j m >= reach the
-        cut terms lie past the box, so the low reach (cols + 1) slots of
-        the result, read as balanced digits, are the quotient if there is
-        one; each shift-add keeps only those slots.
+        The diagonals of the box have at most reach = P + 1 points, and
+        the running sums (``_Box.running_sums``) of self cut there are, in
+        the low reach (cols + 1) slots read as balanced digits, the
+        quotient if there is one: the cut terms lie past the box.
 
         Certified, not assumed: an exact quotient has norm at most the
         norm of self times reach^n, n the number of strides, and exponents
@@ -169,7 +488,7 @@ class _Packed:
         polynomials.
         """
         box = self.box
-        width, bits = box.width, 8 * box.width
+        bits = 8 * box.width
         reach = self.top[0] + 1
         top = (self.top[0] - sum(strides), self.top[1] - sum(strides))
         norm = self.norm * reach ** len(strides)
@@ -178,32 +497,21 @@ class _Packed:
             raise InternalCheckError("quotient norm bound %d reaches the digit bound 2^%d" % (norm, digit.bit_length() - 1))
         if min(top) < 0:
             return self._new(0, 0, (0, 0)) if self.value == 0 else None
-        step = bits * (box.cols + 1)
-        low = reach * step
-        mask = (1 << low) - 1
-        z = self.value
-        for m in strides:
-            span = m
-            while span < reach:
-                # only the low slots are kept: the sum stays the size of the box
-                z = (z + (z << span * step)) & mask
-                span *= 2
+        low = reach * box.offset(1, 1)
+        z = box.running_sums(self.value, strides, reach, (1 << low) - 1)
         if z >> (low - 1):
             z -= 1 << low
         slots = (top[0] + 1) * box.cols
-        bias = _slot_pattern(digit, width, slots)
+        bias = box.pattern(digit, slots)
         biased = z + bias
-        high = _slot_pattern((1 << bits) - 2 * digit, width, slots)
-        row = bytes(width * (top[1] + 1)) + b"\xff" * (width * (box.cols - top[1] - 1))
-        past = int.from_bytes(row * (top[0] + 1), "little")
+        high = box.pattern((1 << bits) - 2 * digit, slots)
+        # the slots past column top[1] of each of the top[0] + 1 rows
+        row = ((1 << bits * (box.cols - top[1] - 1)) - 1) << bits * (top[1] + 1)
+        past = _slot_pattern(row, box.width * box.cols, top[0] + 1)
         if not 0 <= biased < 1 << bits * slots or biased & high or (biased ^ bias) & past:
             return None
-        product = z
-        for m in strides:
-            product -= product << m * step
-        if product != self.value:
-            return None
-        return self._new(z, norm, top)
+        quotient = self._new(z, norm, top)
+        return quotient if quotient.times_diagonal(strides, 2 ** len(strides)) == self else None
 
 
 def _check_bounds(box, norm, top):

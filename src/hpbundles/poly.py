@@ -34,40 +34,9 @@ the terms that stay in the window, pairs each later term of one operand
 only with the terms of the other that fit in it, and the dense path
 unpacks only the slots inside it.
 
-A sum of monomials times products of binomial powers,
-sum s u^p v^q prod (1 + c u^a v^b)^k with a and b >= 0, is formed a
-third way (``_expand_binomials``): each part starts as the integer s,
-each power is one big-integer shift and add, x += c * (x << shift), the
-factors taken in order of the rows a power adds, fewest first, so that
-the passes run on the shortest integers they can (``_times_binomials``),
-the part is added at the slot of its monomial into one accumulator
-packed as on the dense path, in the box of the whole sum, and the sum is
-unpacked once.  More than half the cost of one product is that one
-unpacking: the genus-24 product (1+u)^g (1+v)^g (1+u^2 v)^g (1+u v^2)^g
-takes about 4 ms, 2.5 ms of it unpacking, against 26 ms for the dense
-product of the two halves.  Every call packs the whole box of its sum;
-``series._expand_factors`` packs a diagonal product in one variable
-instead, and ``blocks`` forms the outer product of two binomial rows,
-such as the Jacobian, from binomial coefficients.  The unwindowed
-leading terms of the semistable series, the products of denominator
-factors, and the numerator of the closed-form HN sum
-(``semistable.ss_closed_form``), one part per composition, are formed
-so.  The windowed leading series of the semistable recursion are
-packed inside their window instead (``semistable._leading_series``):
-the window keeps only a few powers of each binomial, so a large genus
-at a small order stays cheap.  Other products go through
-``_mul_terms``.
-
-Every packed value is read by ``_unpack``, 8 bytes of each slot at a
-time (``_slot_values``): strided slices, not one slice and one
-``int.from_bytes`` call per slot, the two limbs of a 9-16-byte slot
-combined and a whole box's dict built by C iterators.  Slots of at most
-8 bytes are packed the same way round (``_pack``): one list of biased
-values, one ``array`` of 8-byte limbs, strided slices.
-
-A computation that goes on working with its products keeps them packed
-(``packed``), reusing the slot width, the unpacking and the shift-add
-loop here.
+The packed format, its unpacking and the shift-add products of binomial
+powers (``packed._expand_binomials``) live in ``packed``, as do the
+packed values that a computation goes on working with.
 
 A two-term base is raised to a power by the binomial theorem.
 """
@@ -76,14 +45,11 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
-from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress, product, repeat
-from operator import itemgetter, lshift, or_
 
 from .errors import DivisionRemainderError, DomainError
+from .packed import _pack, _slot_width, _unpack
 
 
 def as_coeff(c):
@@ -424,22 +390,18 @@ def _dense_box(a, b):
     return box if len(a) * len(b) >= _DENSE_PAIRS_PER_CELL * rows * cols else None
 
 
-def _dense_pays(a, b):
-    """Whether to multiply the term dicts a (the shorter) and b densely."""
-    return _dense_box(a, b) is not None
-
-
 def _mul_dense(a, b, order=None, box=None):
     """Product of two term dicts by Kronecker substitution; ``box`` is
     their ``_product_box`` when the caller has it.
 
-    Each operand, shifted to valuation (0, 0), becomes one integer with
-    the coefficient of u^p v^q in slot p * cols + q; cols is the q-span
-    of the product, so slot sums of the product never run into the next
-    row.  Slots are whole bytes, wide enough for the largest possible
-    product coefficient plus a sign bit.  One big-integer multiply does
-    the convolution, and ``_unpack`` reads the slots.  Fractions are
-    cleared to a common denominator first.
+    Each operand, shifted to valuation (0, 0), is packed (``packed``)
+    with the coefficient of u^p v^q in slot p * cols + q; cols is the
+    q-span of the product, so slot sums of the product never run into the
+    next row.  Slots are wide enough for the largest possible product
+    coefficient plus a sign bit.  One big-integer multiply does the
+    convolution, and ``packed._unpack`` reads the slots.  Fractions are
+    cleared to a common denominator first, and the product is divided by
+    it after.
 
     With ``order`` set, only the rows that meet the window are unpacked,
     and in row p only the slots with p + q <= order.  The biased slots
@@ -461,177 +423,8 @@ def _mul_dense(a, b, order=None, box=None):
     bound = max(map(abs, ia.values())) * max(map(abs, ib.values())) * min(len(a), len(b))
     width = _slot_width(bound)
     packed = _pack(ia, origin_a, cols, width) * _pack(ib, origin_b, cols, width)
-    return _unpack(packed, (p0, q0), rows, cols, width, order, den)
-
-
-def _expand_binomials(parts):
-    """The term dict of the sum of s u^p v^q prod (1 + c u^a v^b)^k over
-    the parts (s, (p, q), factors), each factor (c, a, b, k) with ints
-    a, b, k >= 0 and c, by shift-adds on one packed integer.
-
-    The sum is packed as in ``_mul_dense``, in the box that holds every
-    part: its origin is the least offset (p, q) of the parts, and it
-    reaches sum k a rows and sum k b columns past each part's offset, so
-    no term of a partial product leaves the box.  Each part starts as s
-    at slot (0, 0), each of its factors is applied k times as
-    x += c * (x << shift), one big-integer shift and add per power, and
-    the part is added into one accumulator at the slot of its offset.
-    The sum of |s| prod (1 + |c|)^k over the parts bounds every
-    coefficient of every partial product and partial sum, so slots that
-    hold it and a sign bit never carry into each other, and the sum is
-    unpacked once.
-    """
-    if not parts:
-        return {}
-    p0 = min(p for _, (p, _), _ in parts)
-    q0 = min(q for _, (_, q), _ in parts)
-    rows = 1 + max(p - p0 + sum(k * a for _, a, _, k in factors) for _, (p, _), factors in parts)
-    cols = 1 + max(q - q0 + sum(k * b for _, _, b, k in factors) for _, (_, q), factors in parts)
-    bound = 0
-    for s, _, factors in parts:
-        norm = abs(s)
-        for c, _, _, k in factors:
-            norm *= (1 + abs(c)) ** k
-        bound += norm
-    width = _slot_width(bound)
-    packed = 0
-    for s, (p, q), factors in parts:
-        packed += _times_binomials(s, factors, cols, width) << 8 * width * ((p - p0) * cols + q - q0)
-    return _unpack(packed, (p0, q0), rows, cols, width)
-
-
-def _times_binomials(x, factors, cols, width):
-    """The packed x times prod (1 + c u^a v^b)^k over the factors
-    (c, a, b, k), packed as in ``_mul_dense`` in rows of cols slots of
-    width bytes: one big-integer shift and add per power.  The caller
-    sizes the slots and the row for every partial product.
-
-    A power of a factor with a > 0 lengthens x by a rows, one with a = 0
-    by b slots, so the factors are applied in order of a, fewest rows
-    first, and every pass before the last runs on a shorter integer.  A
-    product over any subset of the factors stays within the norm and
-    exponent bounds of the whole product, so the order needs no room
-    the caller has not sized."""
-    for c, a, b, k in sorted(factors, key=itemgetter(1)):
-        shift = 8 * width * (a * cols + b)
-        for _ in range(k):
-            # a product by 1 would cost a pass over the whole integer
-            x += x << shift if c == 1 else c * (x << shift)
-    return x
-
-
-def _slot_width(bound):
-    """Bytes per slot for coefficients of absolute value <= bound: room
-    for the bound and a sign bit."""
-    return (bound.bit_length() + 8) // 8
-
-
-def _unpack(packed, origin, rows, cols, width, order=None, den=1):
-    """The term dict packed as in ``_mul_dense``, its slot (0, 0) at the
-    exponent origin, over the first rows rows of cols slots each.
-
-    Adding half the slot range to every slot makes them all non-negative,
-    so they unpack without borrows; each coefficient is divided by den.
-    With ``order`` set, row p unpacks only the slots with p + q <= order:
-    only those slots are read (``_slot_values``).  A whole box of integer
-    coefficients is read into its dict by C iterators: the keys of the box
-    in row order where the value is nonzero, zipped with those values.
-    """
-    p0, q0 = origin
-    slots = rows * cols
-    bias = _slot_pattern(1 << (8 * width - 1), width, slots)
-    data = ((packed + bias) & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
-    if order is None and den == 1:
-        values = _slot_values(data, width)
-        keys = product(range(p0, p0 + rows), range(q0, q0 + cols))
-        return dict(zip(compress(keys, values), filter(None, values)))
-    spans = [cols] * rows
-    if order is not None:
-        spans = [min(cols, order - p - q0 + 1) for p in range(p0, p0 + rows)]
-        spans = [span for span in spans if span > 0]  # the spans fall with p
-        data = b"".join(data[width * i * cols : width * (i * cols + span)] for i, span in enumerate(spans))
-    values = _slot_values(data, width)
-    res = {}
-    at = 0
-    for p, span in enumerate(spans, p0):
-        for q, c in enumerate(values[at : at + span], q0):
-            if c:
-                res[(p, q)] = c if den == 1 else as_coeff(Fraction(c, den))
-        at += span
-    return res
-
-
-# A biased slot c + 2^(8 width - 1) differs from c in two's complement only
-# in the top bit of its top byte, which _TWOS flips; _SIGN maps a two's
-# complement byte to the byte that extends its sign.
-_TWOS = bytes(b ^ 0x80 for b in range(256))
-_SIGN = bytes(0xFF if b & 0x80 else 0 for b in range(256))
-
-
-def _slot_values(data, width):
-    """The signed values of the biased slots of width bytes in data.
-
-    Each slot is read as one 8-byte limb: its bytes are copied into the
-    limbs by strided slices, one byte of every slot per slice, its top byte
-    through ``_TWOS``, the pad bytes of a narrower slot from ``_SIGN``,
-    and all limbs are read by one ``array('q')``.  A wider slot takes one
-    limb when all its bytes past the eighth extend the sign of the eighth,
-    which one strided compare per byte checks.  Otherwise two-limb slots
-    are combined from their limbs, high << 64 | low by ``map`` with no
-    Python loop, and wider ones read one by one (cheaper at 35-byte slots
-    than combining five limbs).
-    """
-    twos = data[width - 1 :: width].translate(_TWOS)
-    if width <= 8:
-        return _read_limbs(_top_limb(data, width, 0, twos), "q")
-    sign = data[7::width].translate(_SIGN)
-    if twos == sign and all(data[j::width] == sign for j in range(8, width - 1)):
-        return _read_limbs(_limb(data, width, 0, 8), "q")
-    if width <= 16:
-        high = _read_limbs(_top_limb(data, width, 8, twos), "q")
-        return list(map(or_, map(lshift, high, repeat(64)), _read_limbs(_limb(data, width, 0, 8), "Q")))
-    buf = bytearray(data)
-    buf[width - 1 :: width] = twos
-    buf = bytes(buf)
-    from_bytes = int.from_bytes
-    return [from_bytes(buf[i : i + width], "little", signed=True) for i in range(0, len(buf), width)]
-
-
-def _limb(data, width, start, stop):
-    """The bytes start..stop-1 of every width-byte slot of data, each slot's
-    at the low end of an 8-byte limb; the rest of each limb is 0."""
-    buf = bytearray(8 * (len(data) // width))
-    for j in range(start, stop):
-        buf[j - start :: 8] = data[j::width]
-    return buf
-
-
-def _top_limb(data, width, start, twos):
-    """The bytes from start of every width-byte slot of data, its top byte
-    replaced by the one in twos, sign-extended to an 8-byte limb
-    (width - start <= 8)."""
-    buf = _limb(data, width, start, width - 1)
-    buf[width - 1 - start :: 8] = twos
-    sign = twos.translate(_SIGN)
-    for j in range(width - start, 8):
-        buf[j::8] = sign
-    return buf
-
-
-def _read_limbs(buf, code):
-    """The little-endian 8-byte limbs of buf as ints: signed for code 'q',
-    unsigned for 'Q'."""
-    limbs = array(code)
-    limbs.frombytes(buf)
-    if sys.byteorder == "big":
-        limbs.byteswap()
-    return limbs.tolist()
-
-
-def _slot_pattern(value, width, slots):
-    """The packed integer whose first slots slots, of width bytes, all
-    hold the value (0 <= value < 2^(8 width))."""
-    return int.from_bytes(value.to_bytes(width, "little") * slots, "little")
+    res = _unpack(packed, (p0, q0), rows, cols, width, order)
+    return res if den == 1 else _scale_terms(res, Fraction(1, den))
 
 
 def _integral(terms):
@@ -643,44 +436,6 @@ def _integral(terms):
     if den == 1:
         return terms, 1
     return {e: int(c * den) for e, c in terms.items()}, den
-
-
-def _pack(terms, origin, cols, width):
-    """sum c * 2^(8 * width * slot) over the terms, slot as in _mul_dense.
-
-    Slots of at most 8 bytes are packed as ``_slot_values`` reads them,
-    by limbs: a dense list holds c + 2^(8 width - 1) at each term's slot
-    and that bias everywhere else, one ``array('Q')`` writes it as 8-byte
-    limbs, strided slices keep the low width bytes of each, and the bias
-    is taken off the one integer they make.  Wider slots are written term
-    by term, the positive and the negative coefficients apart."""
-    p0, q0 = origin
-    slots = max((p - p0) * cols + q - q0 for p, q in terms) + 1
-    if width <= 8:
-        bias = 1 << (8 * width - 1)
-        dense = [bias] * slots
-        for (p, q), c in terms.items():
-            dense[(p - p0) * cols + q - q0] = c + bias
-        limbs = array("Q", dense)
-        if sys.byteorder == "big":
-            limbs.byteswap()
-        data = limbs.tobytes()
-        if width < 8:
-            buf = bytearray(width * slots)
-            for j in range(width):
-                buf[j::width] = data[j::8]
-            data = buf
-        return int.from_bytes(data, "little") - _slot_pattern(bias, width, slots)
-    size = width * slots
-    pos = bytearray(size)
-    neg = bytearray(size)
-    for (p, q), c in terms.items():
-        at = width * ((p - p0) * cols + q - q0)
-        if c > 0:
-            pos[at : at + width] = c.to_bytes(width, "little")
-        else:
-            neg[at : at + width] = (-c).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _scale_terms(terms, c):

@@ -219,10 +219,9 @@ def _assembled_num(num):
         groups[missing] = groups[missing] + part if missing in groups else part
     total = None
     for missing, part in groups.items():
-        # every factor here is diagonal, 1 - (uv)^a
-        for (a, _), k in missing:
-            for _ in range(k):
-                part = part.times_one_minus_uv(a)
+        # every factor here is diagonal, 1 - (uv)^a, of L1 norm 2
+        strides = [a for (a, _), k in missing for _ in range(k)]
+        part = part.times_diagonal(strides, 2 ** len(strides))
         total = part if total is None else total + part
     return total
 

@@ -31,7 +31,7 @@ The recursion has a closed solution, a finite sum over the compositions
 of n (``ss_closed_form``).  Over the common denominator every term of
 the sum is a monomial times binomial powers (``_closed_form_parts``),
 so its numerator is formed in one packed pass of
-``poly._expand_binomials``, as is the unwindowed leading term
+``packed._expand_binomials``, as is the unwindowed leading term
 ``leading_closed_term``; the windowed leading series of the recursion
 are formed packed inside their window by ``_leading_series`` instead.
 The packed pass took the coprime benchmark from 0.103 to 0.061 s
@@ -58,8 +58,8 @@ from operator import itemgetter
 from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .packed import _Box, _Packed
-from .poly import LaurentPoly, _expand_binomials, _pack, _slot_width, _unpack, as_coeff, as_int
+from .packed import _Box, _Packed, _expand_binomials, _parts_box
+from .poly import LaurentPoly, as_coeff, as_int
 from .series import FactoredRational, TruncatedSeries, _expand_factors, _lcm_factors, _missing_factors
 
 # A series to order N has up to (N+1)(N+2)/2 terms, 5151 at this cap.
@@ -93,55 +93,44 @@ def _leading_series(n, g, order):
     """``leading_closed_term(n, g).series_expand(order)``, formed packed
     inside the window of its order.
 
-    The series is packed as in ``poly._mul_dense``, from the origin, in
-    order + 1 rows of cols = order + 1 + max(n, order // 2 + 1) slots,
-    and every step keeps only the window, the slots with p + q <= order,
-    by a mask.  Each factor (1 + u^a v^b)^g of ``blocks._leading_factors``
-    is applied as its binomial row cut at j (a + b) <= order: x is
-    multiplied by sum C(g, j) (u^a v^b)^j, each power of u^a v^b one
-    shift by a cols + b slots and a mask, so the work does not grow with
-    g.  Each stride m of ``_leading_den`` is then divided out as in
-    ``packed._Packed.divide_diagonal``, by the running sums along the
-    diagonals, which hold at most reach = order // 2 + 1 points of the
-    window: x = (x + x (uv)^s) masked, s = m, 2m, 4m, ... below reach.
-    A shift moves a slot of the window at most max(n, reach - 1) columns
-    on, so no slot crosses into the next row.
+    The series is packed in a ``packed._Box`` of cols =
+    order + 1 + max(n, order // 2 + 1) columns, in order + 1 rows, and
+    every step keeps only the window, the slots with p + q <= order, by
+    the box's mask (``_Box.window``).  Each factor (1 + u^a v^b)^g of
+    ``blocks._leading_factors`` is applied as its binomial row cut at
+    j (a + b) <= order: x is multiplied by sum C(g, j) (u^a v^b)^j, each
+    power of u^a v^b one shift by a cols + b slots and a mask, so the work
+    does not grow with g.  Each stride m of ``_leading_den`` is then
+    divided out by the running sums along the diagonals
+    (``_Box.running_sums``, as in ``_Packed.divide_diagonal``), which hold
+    at most reach = order // 2 + 1 points of the window:
+    x = (x + x (uv)^s) masked, s = m, 2m, 4m, ... below reach.  A shift
+    moves a slot of the window at most max(n, reach - 1) columns on, so
+    no slot crosses into the next row.
 
     Every value is non-negative, the numerator's coefficients at most the
     product B_0 over the factors of the sums of their cut rows, and each
     division multiplies the largest by at most reach.  So no slot ever
     holds more than B = B_0 reach^(number of strides), and slots that
-    hold B and a sign bit never carry into each other.  One ``_unpack``
-    reads the window.
+    hold B and a sign bit never carry into each other.  The window is
+    unpacked once.
     """
     reach = order // 2 + 1
-    cols = order + 1 + max(n, reach)
     strides = [m for (m, _), k in _leading_den(n).items() for _ in range(k)]
-    bound = reach ** len(strides)
-    rows = []
-    for _, a, b, k in _leading_factors(n, g):
-        row = [math.comb(k, j) for j in range(1, min(k, order // (a + b)) + 1)]
-        bound *= 1 + sum(row)
-        rows.append((a * cols + b, row))
-    width = _slot_width(bound)
-    bits = 8 * width
-    window = int.from_bytes(
-        b"".join(b"\xff" * (width * (order + 1 - p)) + bytes(width * (cols - order - 1 + p)) for p in range(order + 1)),
-        "little",
-    )
+    rows = [
+        (a, b, [math.comb(k, j) for j in range(1, min(k, order // (a + b)) + 1)]) for _, a, b, k in _leading_factors(n, g)
+    ]
+    box = _Box(order + 1 + max(n, reach), reach ** len(strides) * math.prod(1 + sum(row) for _, _, row in rows))
+    window = box.window(order)
     x = 1
-    for shift, row in rows:
+    for a, b, row in rows:
+        shift = box.offset(a, b)
         power = x
         for c in row:
-            power = (power << bits * shift) & window
+            power = (power << shift) & window
             x += c * power
-    step = bits * (cols + 1)
-    for m in strides:
-        span = m
-        while span < reach:
-            x = (x + (x << span * step)) & window
-            span *= 2
-    return TruncatedSeries._raw(_unpack(x, (0, 0), order + 1, cols, width, order), order)
+    x = box.running_sums(x, strides, reach, window)
+    return TruncatedSeries._raw(box.unpack(x, order + 1, order), order)
 
 
 class SemistableSeries:
@@ -296,7 +285,7 @@ def ss_closed_form(n, d, g):
     The sum is returned over the least common denominator of its terms.
     There, the numerator of each term is a monomial (uv)^e with its sign
     times binomial powers (``_closed_form_parts``), so the whole
-    numerator is one ``poly._expand_binomials`` call, one part per
+    numerator is one ``packed._expand_binomials`` call, one part per
     composition.  The rank is capped at ``hntypes.MAX_RANK``, since the
     sum has 2^(n-1) terms, and the moduli dimension n^2(g-1) + 1 at
     ``MAX_CLOSED_FORM_DIM``.
@@ -435,13 +424,15 @@ def _certify_coprime(poly, n, d, g):
     parts, never unpacked, each part formed without the Jacobian factor
     (1+u)^g (1+v)^g that opens it and the Jacobian applied once to the
     sum, and the product as poly packed, then one shift and subtraction
-    per stride.  The box is sized from the whole parts.  The columns reach
-    past either side's largest exponent of v, and the slots hold the
-    larger of the two norm bounds, N's and poly's times D's, so equal
-    integers are equal polynomials, and a wrong poly, however large its
-    coefficients, fails the comparison.  D's own norm is the bound, not 2 per stride as
-    ``times_one_minus_uv`` tracks it (2^15 against 2^28 at rank 8 and
-    genus 2), so the slots are no wider than N needs.
+    per stride (``_Packed.times_diagonal``).  The box is sized from the
+    whole parts (``packed._parts_box``).  The columns reach past either
+    side's largest exponent of v, and the slots hold the larger of the two
+    norm bounds, N's and poly's times D's, so equal integers are equal
+    polynomials, and a wrong poly, however large its coefficients, the
+    zero polynomial included, fails the comparison.  D's own L1 norm is
+    the bound, not 2 per stride as ``times_one_minus_uv`` tracks it (2^15
+    against 2^28 at rank 8 and genus 2), so the slots are no wider than N
+    needs.
     """
     dim = moduli_dimension(n, g)
     if not poly.is_integral():
@@ -452,22 +443,16 @@ def _certify_coprime(poly, n, d, g):
     terms = poly._terms
     # poly is dual at dim, so no exponent above dim means none below 0:
     # poly packs from the origin, its exponents bounded by (dim, dim)
-    if max(terms)[0] > dim or max(terms, key=itemgetter(1))[1] > dim:
+    if terms and (max(terms)[0] > dim or max(terms, key=itemgetter(1))[1] > dim):
         raise InternalCheckError(mismatch)
     parts, common = _closed_form_parts(n, d, g)
     den = dict(common)
     den[(1, 1)] -= 1  # (1-uv) times the sum
     strides = [m for (m, _), k in den.items() for _ in range(k)]
-    top = dim + sum(strides)
-    norm = sum(map(abs, terms.values())) * sum(map(abs, _expand_factors(den)._terms.values()))
-    num_norm = num_top = 0
-    for _, (e, _), factors in parts:
-        part_norm = 1
-        for c, _, _, k in factors:
-            part_norm *= (1 + abs(c)) ** k
-        num_norm += part_norm
-        num_top = max(num_top, e + sum(k * b for _, _, b, k in factors))
-    box = _Box(1 + max(num_top, top), max(num_norm, norm))
+    den_norm = sum(map(abs, _expand_factors(den)._terms.values()))
+    # from the least offset (e0, e0) of the parts, N reaches column e0 + cols - 1
+    (_, e0), _, cols, num_norm = _parts_box(parts)
+    box = _Box(max(e0 + cols, dim + sum(strides) + 1), max(num_norm, sum(map(abs, terms.values())) * den_norm))
     # every part opens with the Jacobian (1+u)^g (1+v)^g of its first rank:
     # it is applied once, to the sum of the rest
     jacobian = list(_leading_factors(1, g))
@@ -478,9 +463,5 @@ def _certify_coprime(poly, n, d, g):
         part = _Packed(box, sign, 1, (0, 0)).times_binomials(factors[2:]).uv(e)
         num = part if num is None else num + part
     num = num.times_binomials(jacobian)
-    value = _pack(terms, (0, 0), box.cols, box.width)
-    step = 8 * box.width * (box.cols + 1)
-    for m in strides:
-        value -= value << m * step
-    if _Packed(box, value, norm, (top, top)) != num:
+    if box.pack(terms, (dim, dim)).times_diagonal(strides, den_norm) != num:
         raise InternalCheckError(mismatch)

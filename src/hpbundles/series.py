@@ -26,7 +26,8 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError
-from .poly import LaurentPoly, _add_terms, _expand_binomials, _mul_terms, _scale_terms, _sub_terms
+from .packed import _expand_binomials
+from .poly import LaurentPoly, _add_terms, _mul_terms, _scale_terms, _sub_terms
 from .poly import as_coeff, as_int, exact_divide
 
 

@@ -2,6 +2,9 @@
 ``LaurentPoly`` arithmetic, on hypothesis-drawn signed integer
 polynomials with non-negative exponents."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 pytest.importorskip("hypothesis", reason="hypothesis is a test-only dependency")
@@ -9,9 +12,10 @@ pytest.importorskip("hypothesis", reason="hypothesis is a test-only dependency")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hpbundles import ONE, InternalCheckError, LaurentPoly, uv_power  # noqa: E402
-from hpbundles.packed import _Box, _check_bounds, _Packed  # noqa: E402
-from hpbundles.poly import _pack, _unpack  # noqa: E402
+import hpbundles  # noqa: E402
+from hpbundles import ONE, InternalCheckError, LaurentPoly, hodge_deligne_stable_rank2, uv_power  # noqa: E402
+from hpbundles import packed as packed_module  # noqa: E402
+from hpbundles.packed import _Box, _check_bounds, _pack, _Packed, _unpack  # noqa: E402
 
 # Room for the drawn polynomials (exponents below SIDE) and every shift,
 # product and dual below; slots of 2^200 hold the drawn norms, below 2^90,
@@ -141,3 +145,41 @@ def test_outer_and_binomial_products_match_powers():
     twisted = jac.times_binomials([(1, 2, 1, 2), (-1, 1, 2, 1)])
     expected = unpacked(jac) * (ONE + LaurentPoly.monomial(1, 2, 1)) ** 2 * (ONE - LaurentPoly.monomial(1, 1, 2))
     assert unpacked(twisted) == expected
+
+
+def test_packed_is_the_one_module_of_the_slot_format():
+    # packed imports no other module of the package but errors, and no
+    # other module converts between integers and slot bytes
+    package = Path(hpbundles.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "packed.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    assert node.level == 0 or node.module == "errors", node.module
+                    assert not (node.module or "").startswith("hpbundles"), node.module
+                elif isinstance(node, ast.Import):
+                    assert not any(alias.name.startswith("hpbundles") for alias in node.names)
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr not in ("from_bytes", "to_bytes"), "%s:%d" % (path.name, node.lineno)
+
+
+def test_rank2_call_builds_each_slot_pattern_once(monkeypatch):
+    # one Hodge-Deligne call works in one box of 15-byte slots and 99
+    # columns at genus 24: outer products, halvings, the diagonal division,
+    # the dual and the unpacking all take their slot patterns from it, the
+    # division its mask of whole rows too, and no (value, slots) pattern is
+    # built twice
+    builds = []
+    build = packed_module._slot_pattern
+
+    def recording(value, width, slots):
+        builds.append((value, width, slots))
+        return build(value, width, slots)
+
+    monkeypatch.setattr(packed_module, "_slot_pattern", recording)
+    hodge_deligne_stable_rank2(24)
+    assert len(builds) == len(set(builds))
+    assert {width for _, width, _ in builds} == {15, 15 * 99}

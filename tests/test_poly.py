@@ -18,21 +18,16 @@ from hpbundles import (
     specialize_diagonal,
     uv_power,
 )
-from hpbundles import poly
+from hpbundles import packed as packed_module
+from hpbundles.packed import _expand_binomials, _pack, _slot_width, _times_binomials, _unpack
 from hpbundles.poly import (
     _add_terms,
     _binomial_power,
-    _dense_pays,
-    _expand_binomials,
+    _dense_box,
     _mul_dense,
     _mul_monomial,
     _mul_sparse,
     _mul_terms,
-    _pack,
-    _slot_width,
-    _times_binomials,
-    _unpack,
-    as_coeff,
 )
 
 try:
@@ -141,7 +136,7 @@ def test_dense_and_dict_products_agree(kind):
         assert _mul_dense(b, a) == expected
         assert (LaurentPoly(a) * LaurentPoly(b))._terms == expected
         short, long_ = sorted((a, b), key=len)
-        dense_taken += _dense_pays(short, long_)
+        dense_taken += _dense_box(short, long_) is not None
     assert 5 <= dense_taken <= 35  # both paths of LaurentPoly.__mul__ ran
 
 
@@ -160,7 +155,7 @@ def test_dense_product_slots_that_cancel():
     # (1+u)^9 (1+v)^9 times (1-u)^9 (1-v)^9 = (1-u^2)^9 (1-v^2)^9: odd slots cancel
     plus = ((ONE + U) ** 9 * (ONE + V) ** 9)._terms
     minus = ((ONE - U) ** 9 * (ONE - V) ** 9)._terms
-    assert _dense_pays(plus, minus)
+    assert _dense_box(plus, minus) is not None
     assert _mul_dense(plus, minus) == _mul_sparse(plus, minus)
     assert _mul_dense(plus, minus) == ((ONE - U * U) ** 9 * (ONE - V * V) ** 9)._terms
     # a huge coefficient against its negation cancels slot by slot
@@ -175,10 +170,10 @@ def test_sparse_times_dense_goes_down_the_dict_path():
     while len(sparse) < 16:
         sparse[(rng.randrange(40), rng.randrange(40))] = rng.randint(1, 9)
     dense = box_terms(rng, 8, 8, 1.0, COEFFICIENTS["small-int"])
-    assert not _dense_pays(sparse, dense)
+    assert _dense_box(sparse, dense) is None
     assert (LaurentPoly(sparse) * LaurentPoly(dense))._terms == _mul_sparse(sparse, dense)
     jac = ((ONE + U) ** 6 * (ONE + V) ** 6)._terms
-    assert _dense_pays(jac, jac)
+    assert _dense_box(jac, jac) is not None
 
 
 def window(terms, order):
@@ -224,8 +219,8 @@ def test_windowed_dense_product_with_huge_slots_and_cancellation():
             assert _mul_dense(a, b, order) == window(full, order)
 
 
-def per_slot_unpack(packed, origin, rows, cols, width, order=None, den=1):
-    """``poly._unpack`` one slot at a time: every slot, biased by half its
+def per_slot_unpack(packed, origin, rows, cols, width, order=None):
+    """``packed._unpack`` one slot at a time: every slot, biased by half its
     range, is sliced out and read by its own ``int.from_bytes`` call.
     The reference the limb reads of ``_unpack`` are tested against."""
     p0, q0 = origin
@@ -240,12 +235,12 @@ def per_slot_unpack(packed, origin, rows, cols, width, order=None, den=1):
         row = [int.from_bytes(data[i : i + width], "little") for i in range(at, at + width * span, width)]
         for q, c in enumerate(row, q0):
             if c != half:
-                res[(p, q)] = c - half if den == 1 else as_coeff(Fraction(c - half, den))
+                res[(p, q)] = c - half
     return res
 
 
 def per_term_pack(terms, origin, cols, width):
-    """``poly._pack`` one term at a time: each coefficient written by its own
+    """``packed._pack`` one term at a time: each coefficient written by its own
     ``to_bytes`` call, the positive and the negative ones into separate
     buffers.  The reference the limb packing of ``_pack`` is tested
     against."""
@@ -281,6 +276,7 @@ def test_pack_matches_the_per_term_reference():
                 assert _unpack(packed, origin, rows, cols, width) == terms
         extremes = {(0, 0): top, (0, 1): -top, (1, 0): -top, (1, 1): top}
         assert _pack(extremes, (0, 0), 2, width) == per_term_pack(extremes, (0, 0), 2, width)
+        assert _pack({}, (0, 0), 2, width) == 0
 
 
 @pytest.mark.skipif(st is None, reason="hypothesis is a test-only dependency")
@@ -288,8 +284,7 @@ def test_unpack_matches_the_per_slot_reference():
     # widths 1 to 40 bytes, one to five limbs: slots that fit one limb,
     # two-limb slots and wider ones; coefficients at both ends of the slot
     # range and at the 64-bit limb edges, small ones, single bits at every
-    # place, zeros, a common denominator, and windows that cut rows or miss
-    # the whole box
+    # place, zeros, and windows that cut rows or miss the whole box
     @st.composite
     def boxes(draw):
         width = draw(st.integers(1, 40))
@@ -308,8 +303,7 @@ def test_unpack_matches_the_per_slot_reference():
         packed = sum(c << 8 * width * i for i, c in enumerate(values))
         origin = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
         order = draw(st.none() | st.integers(-8, 12))
-        den = draw(st.sampled_from((1, 1, 2, 6)))
-        return packed, origin, rows, cols, width, order, den
+        return packed, origin, rows, cols, width, order
 
     @settings(max_examples=600, deadline=None)
     @given(boxes())
@@ -524,13 +518,13 @@ def test_binomial_expander_sums_shifted_parts_in_one_unpacking(monkeypatch):
     # so the least offset sets the origin of the box; a sum of more than
     # one part is unpacked once
     unpacked = []
-    unpack = poly._unpack
+    unpack = packed_module._unpack
 
     def recording_unpack(*args):
         unpacked.append(args[1])
         return unpack(*args)
 
-    monkeypatch.setattr(poly, "_unpack", recording_unpack)
+    monkeypatch.setattr(packed_module, "_unpack", recording_unpack)
     rng = random.Random(14)
     seen = set()
     for _ in range(200):

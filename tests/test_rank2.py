@@ -26,7 +26,7 @@ from hpbundles import (
     stable_rank2_closed_form,
     uv_power,
 )
-from hpbundles import blocks, packed, poly, rank2, serialize
+from hpbundles import blocks, packed, rank2, serialize
 from hpbundles.rank2 import stratum_beta1, stratum_beta2, stratum_gl2, stratum_t
 from hpbundles.semistable import SS_RANK2_DEN, _ss_rank2_numerator
 from hpbundles.series import _lcm_factors, _missing_factors
@@ -223,7 +223,7 @@ def test_deligne_call_builds_one_record_and_one_twisted_product(monkeypatch):
     records = []
     products = []
     build_record = rank2._rank2_numerators
-    times = poly._times_binomials
+    times = packed._times_binomials
 
     def counting_record(genus):
         records.append(genus)
@@ -235,10 +235,8 @@ def test_deligne_call_builds_one_record_and_one_twisted_product(monkeypatch):
 
     monkeypatch.setattr(rank2, "_rank2_numerators", counting_record)
     # every packed product of binomial powers, the record's and the dict
-    # expander's alike, runs this shift-add loop; it is patched in every
-    # module that binds it
-    for module in (poly, packed):
-        monkeypatch.setattr(module, "_times_binomials", counting_times)
+    # expander's alike, runs this shift-add loop
+    monkeypatch.setattr(packed, "_times_binomials", counting_times)
     hodge_deligne_stable_rank2(g)
     # one record: one Jacobian-times-twisted product and one Jacobian
     # square of the pair; the binomial rows of the outer products expand

@@ -437,6 +437,9 @@ def test_coprime_certificate_rejects_one_changed_coefficient(n, d, g):
             _certify_coprime(_mutated(poly, e), n, d, g)
     with pytest.raises(InternalCheckError, match="non-integer"):
         _certify_coprime(_mutated(poly, lower[-1], Fraction(1, 2)), n, d, g)
+    # the zero polynomial is integral and dual, and no quotient
+    with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
+        _certify_coprime(LaurentPoly(), n, d, g)
     # a change that keeps duality is caught by the closed form alone: a
     # term and its dual changed together, or a self-dual middle term
     p, q = lower[-1]

@@ -18,9 +18,9 @@ from hpbundles import (
     series_expand,
     uv_power,
 )
-from hpbundles import poly
+from hpbundles import packed
 from hpbundles import series as series_module
-from hpbundles.poly import _dense_pays
+from hpbundles.poly import _dense_box
 from hpbundles.series import _divide_factors, _expand_factors
 
 
@@ -288,13 +288,13 @@ def test_factor_expansion_packs_one_row(monkeypatch):
     # prod (1 - (uv)^k)^m is expanded in one variable: one unpacking of a
     # box one slot wide, equal to the product of binomial powers
     boxes = []
-    unpack = poly._unpack
+    unpack = packed._unpack
 
     def recording_unpack(packed, origin, rows, cols, width, *rest):
         boxes.append((rows, cols))
         return unpack(packed, origin, rows, cols, width, *rest)
 
-    monkeypatch.setattr(poly, "_unpack", recording_unpack)
+    monkeypatch.setattr(packed, "_unpack", recording_unpack)
     rng = random.Random(21)
     # the denominator of a coprime closed-form sum, and the empty product
     dens = [{(1, 1): 3, (2, 2): 2, (3, 3): 1, (5, 5): 1}, {}]
@@ -369,7 +369,7 @@ def test_series_product_matches_pairwise_loop():
         assert all(type(c) is int or c.denominator != 1 for _, c in product.items())
         assert (y * x) == product
         short, long_ = sorted((dict(x.items()), dict(y.items())), key=len)
-        if _dense_pays(short, long_):
+        if _dense_box(short, long_) is not None:
             dense_taken += 1
         elif len(short) > 1:
             sparse_taken += 1
