@@ -19,9 +19,36 @@ copy them into 8-byte limbs, a 256-byte table turns each biased top byte
 into two's complement, and one ``array('q')`` reads all the limbs; the
 two limbs of a 9-16-byte slot are combined by ``map``, a wider slot
 takes one limb when its high bytes only extend the sign and is read on
-its own otherwise, and the keys of a whole box are zipped with the
-nonzero values by C iterators.  ``_pack`` writes slots of at most 8
-bytes the same way round.
+its own otherwise, and the keys of a whole box or band window are
+zipped with the nonzero values by C iterators (``_read_slots``).
+``_pack`` writes slots of at most 8 bytes the same way round, into as
+many slots as its caller sized.
+
+The band.  A truncated series of the semistable recursion lies in a
+thin band around the diagonal, so every windowed value, the leading
+series (``semistable._leading_series``) and the windowed product
+(``poly._mul_dense``), is packed in a band of width D (``_Band``)
+instead of a box: u^p v^q, p, q >= 0 and |p - q| <= D, sits at slot
+(D + 1) p + D q.  With s = p + q, t = p - q and K = 2D + 1 that slot is
+(K s + t) / 2, and |t| <= D < K / 2, so the points of total degree s
+take consecutive slots from (K s - D) / 2 up, all below those of s + 1:
+the slot map is one-to-one on the band and runs in order of total
+degree.  A point with p or q negative has a slot too, which no value
+fills.  The window p + q <= N is thus exactly the low (K N + D) // 2 + 1
+slots (``_Band.slots``): one low-bits mask keeps it, and a product read
+there never converts the slots above.  The map is linear, so a
+big-integer product of band values is their product while its
+exponents stay in the band, D = band(a) + band(b), and multiplying by
+(uv)^m is a shift by K m slots.  The window is read by ``_slot_values``
+and zipped with a key table, the exponents of slots 0, 1, ... (slot i
+holds s = (2i + D) // K and p = i - D s).  One table is kept per band
+width, grown to the largest window read; a smaller window reads a
+prefix of it.  Values that fill a box stay in boxes, the unwindowed
+products, the rank-2 record and the certificates: in a band the
+corners of a square support would double the slots.  So does a
+windowed product far from the diagonal, such as one of series in u
+alone, whose window would take about D band slots per total degree for
+one term (``poly._mul_dense``).
 
 Products of binomial powers.  A sum of monomials times products of
 binomial powers, sum s u^p v^q prod (1 + c u^a v^b)^k with a and b >= 0,
@@ -45,20 +72,19 @@ binomial coefficients (``_Box.outer``).
 
 The box.  A computation that goes on working with its products keeps
 them packed as ``_Packed`` values of one ``_Box``, origin (0, 0): the
-rank-2 pipeline (``blocks._rank2_numerators``), the windowed leading
-series of the semistable recursion and the coprime certificate.  Every
-packed value carries a bound on its L1 norm and on its exponents, so an
-operation that could overflow a slot or carry a term into the next row
-raises InternalCheckError.  Sums, small-int multiples and products by
-(uv)^k, by 1 - (uv)^k or by binomial powers are then big-integer adds
-and shifts, equality is integer equality, a parity mask finds odd
-coefficients, the dual (uv)^d p(1/u, 1/v) reverses the slots, and the
-division by a product of factors 1 - (uv)^m is a running sum by
-shift-adds along the diagonals, certified by multiplying back.  The
-box holds its slot patterns, the bias, the parity mask and the digit
-masks of a division: each is built once, for the longest run of slots
-asked for, and cut to a shorter run by a mask, about 15 times cheaper
-than building it.  Only the results are unpacked.
+rank-2 pipeline (``blocks._rank2_numerators``) and the coprime
+certificate.  Every packed value carries a bound on its L1 norm and on
+its exponents, so an operation that could overflow a slot or carry a
+term into the next row raises InternalCheckError.  Sums, small-int
+multiples and products by (uv)^k, by 1 - (uv)^k or by binomial powers
+are then big-integer adds and shifts, equality is integer equality, a
+parity mask finds odd coefficients, the dual (uv)^d p(1/u, 1/v) reverses
+the slots, and the division by a product of factors 1 - (uv)^m is a
+running sum by shift-adds along the diagonals, certified by multiplying
+back.  The box holds its slot patterns, the bias, the parity mask and
+the digit masks of a division: each is built once, for the longest run
+of slots asked for, and cut to a shorter run by a mask, about 15 times
+cheaper than building it.  Only the results are unpacked.
 """
 
 from __future__ import annotations
@@ -83,9 +109,12 @@ def _slot_pattern(value, width, slots):
     return int.from_bytes(value.to_bytes(width, "little") * slots, "little")
 
 
-def _pack(terms, origin, cols, width):
-    """sum c 2^(8 width s) over the terms, s the slot of u^p v^q from the
-    origin in rows of cols slots; 0 for no terms.
+def _pack(terms, origin, strides, width, slots):
+    """sum c 2^(8 width s) over the terms, s = (p - p0) sp + (q - q0) sq
+    the slot of u^p v^q from the origin (p0, q0) for the strides (sp, sq):
+    (cols, 1) in rows of cols slots, (D + 1, D) in a band of width D.  The
+    caller passes slots, more than the last slot of any term, from the box
+    or band it sized; 0 for no terms.
 
     Slots of at most 8 bytes are packed as ``_slot_values`` reads them,
     by limbs: a dense list holds c + 2^(8 width - 1) at each term's slot
@@ -95,13 +124,13 @@ def _pack(terms, origin, cols, width):
     by term, the positive and the negative coefficients apart."""
     if not terms:
         return 0
-    p0, q0 = origin
-    slots = max((p - p0) * cols + q - q0 for p, q in terms) + 1
+    sp, sq = strides
+    base = origin[0] * sp + origin[1] * sq
     if width <= 8:
         bias = 1 << (8 * width - 1)
         dense = [bias] * slots
         for (p, q), c in terms.items():
-            dense[(p - p0) * cols + q - q0] = c + bias
+            dense[p * sp + q * sq - base] = c + bias
         limbs = array("Q", dense)
         if sys.byteorder == "big":
             limbs.byteswap()
@@ -116,7 +145,7 @@ def _pack(terms, origin, cols, width):
     pos = bytearray(size)
     neg = bytearray(size)
     for (p, q), c in terms.items():
-        at = width * ((p - p0) * cols + q - q0)
+        at = width * (p * sp + q * sq - base)
         if c > 0:
             pos[at : at + width] = c.to_bytes(width, "little")
         else:
@@ -124,39 +153,45 @@ def _pack(terms, origin, cols, width):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _unpack(packed, origin, rows, cols, width, order=None):
+def _unpack(packed, origin, rows, cols, width):
     """The term dict of the packed value, its slot (0, 0) at the exponent
-    origin, over its first rows rows of cols slots each; with ``order``
-    set, only the terms with p + q <= order, and only their slots are
-    read."""
-    return _read(packed + _slot_pattern(1 << (8 * width - 1), width, rows * cols), origin, rows, cols, width, order)
+    origin, over its first rows rows of cols slots each."""
+    return _read(packed + _slot_pattern(1 << (8 * width - 1), width, rows * cols), origin, rows, cols, width)
 
 
-def _read(biased, origin, rows, cols, width, order):
+def _read(biased, origin, rows, cols, width):
     """``_unpack`` of a packed value whose first rows * cols slots are
-    already biased by 2^(8 width - 1).  A whole box is read into its dict
-    by C iterators: the keys of the box in row order where the value is
-    nonzero, zipped with those values.  With ``order`` set, row p reads
-    only its slots with p + q <= order."""
+    already biased by 2^(8 width - 1): the keys of the box in row order
+    zipped with the values (``_read_slots``)."""
     p0, q0 = origin
-    slots = rows * cols
+    return _read_slots(biased, product(range(p0, p0 + rows), range(q0, q0 + cols)), width, rows * cols)
+
+
+def _read_slots(biased, keys, width, slots):
+    """The dict of the first slots slots of a biased value, read by
+    ``_slot_values``: the keys, one per slot in slot order, where the value
+    is nonzero, zipped with those values, all by C iterators.  The keys may
+    run on past the slots."""
     data = (biased & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
-    if order is None:
-        values = _slot_values(data, width)
-        keys = product(range(p0, p0 + rows), range(q0, q0 + cols))
-        return dict(zip(compress(keys, values), filter(None, values)))
-    spans = [min(cols, order - p - q0 + 1) for p in range(p0, p0 + rows)]
-    spans = [span for span in spans if span > 0]  # the spans fall with p
-    data = b"".join(data[width * i * cols : width * (i * cols + span)] for i, span in enumerate(spans))
     values = _slot_values(data, width)
-    res = {}
-    at = 0
-    for p, span in enumerate(spans, p0):
-        for q, c in enumerate(values[at : at + span], q0):
-            if c:
-                res[(p, q)] = c
-        at += span
-    return res
+    return dict(zip(compress(keys, values), filter(None, values)))
+
+
+# band width -> the exponents (p, q) of its slots 0, 1, ..., as far as
+# any window has read; a pure function of the band, grown in place
+_BAND_KEYS = {}
+
+
+def _band_keys(band, slots):
+    """The key table of the band of width band, at least slots long: slot
+    i holds u^p v^q of total degree s = (2i + band) // K, K = 2 band + 1,
+    and p = i - band s."""
+    keys = _BAND_KEYS.setdefault(band, [])
+    k = 2 * band + 1
+    for i in range(len(keys), slots):
+        s = (2 * i + band) // k
+        keys.append((i - band * s, (band + 1) * s - i))
+    return keys
 
 
 # A biased slot c + 2^(8 width - 1) differs from c in two's complement only
@@ -291,15 +326,17 @@ def _expand_binomials(parts):
 
 class _Box:
     """The exponent box of a family of packed polynomials: origin (0, 0),
-    cols slots per row and slots of width bytes, sized so that every
-    coefficient and every tracked norm stays below limit = 2^(8 width - 1)
-    for a norm bound of at most bound.  It holds the slot patterns its
-    values are read and checked with, one per value."""
+    cols slots per row, so u^p v^q sits at slot p cols + q (strides
+    (cols, 1)), and slots of width bytes, sized so that every coefficient
+    and every tracked norm stays below limit = 2^(8 width - 1) for a norm
+    bound of at most bound.  It holds the slot patterns its values are
+    read and checked with, one per value."""
 
-    __slots__ = ("cols", "width", "limit", "_patterns")
+    __slots__ = ("cols", "strides", "width", "limit", "_patterns")
 
     def __init__(self, cols, bound):
         self.cols = cols
+        self.strides = (cols, 1)
         self.width = _slot_width(bound)
         self.limit = 1 << (8 * self.width - 1)
         self._patterns = {}  # value -> (slots, its pattern over those slots)
@@ -315,23 +352,18 @@ class _Box:
 
     def offset(self, p, q):
         """The shift, in bits, that multiplies a packed value by u^p v^q."""
-        return 8 * self.width * (p * self.cols + q)
+        sp, sq = self.strides
+        return 8 * self.width * (p * sp + q * sq)
 
     def pack(self, terms, top):
         """The term dict, its exponents at most top = (P, Q), as a value of
         the box with its L1 norm."""
-        return _Packed(self, _pack(terms, (0, 0), self.cols, self.width), sum(map(abs, terms.values())), top)
+        value = _pack(terms, (0, 0), self.strides, self.width, top[0] * self.cols + top[1] + 1)
+        return _Packed(self, value, sum(map(abs, terms.values())), top)
 
-    def unpack(self, value, rows, order=None):
-        """The term dict of a value of the box over its first rows rows;
-        with ``order`` set, only its terms with p + q <= order."""
-        return _read(value + self.pattern(self.limit, rows * self.cols), (0, 0), rows, self.cols, self.width, order)
-
-    def window(self, order):
-        """The mask of the slots with p + q <= order, for cols > order."""
-        width, cols = self.width, self.cols
-        rows = (b"\xff" * (width * (order + 1 - p)) + bytes(width * (cols - order - 1 + p)) for p in range(order + 1))
-        return int.from_bytes(b"".join(rows), "little")
+    def unpack(self, value, rows):
+        """The term dict of a value of the box over its first rows rows."""
+        return _read(value + self.pattern(self.limit, rows * self.cols), (0, 0), rows, self.cols, self.width)
 
     def running_sums(self, value, strides, reach, mask):
         """The running sums of value by each stride m along the diagonals,
@@ -366,6 +398,35 @@ class _Box:
         )
         value = int.from_bytes(data, "little") - self.pattern(self.limit, cols * (e * k + 1))
         return _Packed(self, value, norm, (e * k, e * k))
+
+
+class _Band(_Box):
+    """The band of width D = band of a truncated series: u^p v^q at slot
+    (D + 1) p + D q (strides (D + 1, D)) for every exponent with
+    |p - q| <= D, slots of width bytes sized from bound as in ``_Box``.
+    Shifts by monomials, running sums and slot patterns are the box's; the
+    window of total degree at most an order is the low ``slots(order)``
+    slots, and a value is read there against the band's key table."""
+
+    __slots__ = ("band",)
+
+    def __init__(self, band, bound):
+        super().__init__(None, bound)  # a band has no rows
+        self.band = band
+        self.strides = (band + 1, band)
+
+    def slots(self, order):
+        """The number of slots of the window p + q <= order: the low
+        (K order + D) // 2 + 1, K = 2D + 1; none below order 0."""
+        return max(0, ((2 * self.band + 1) * order + self.band) // 2 + 1)
+
+    def unpack(self, value, order):
+        """The term dict of a value of the band over the window
+        p + q <= order, read against the band's key table."""
+        slots = self.slots(order)
+        if not slots:
+            return {}
+        return _read_slots(value + self.pattern(self.limit, slots), _band_keys(self.band, slots), self.width, slots)
 
 
 class _Packed:

@@ -32,7 +32,8 @@ same paths with a total-degree window: given ``order``, each path returns
 only the terms with p + q <= order.  The dict loop then translates only
 the terms that stay in the window, pairs each later term of one operand
 only with the terms of the other that fit in it, and the dense path
-unpacks only the slots inside it.
+packs the operands in a diagonal band and reads only the window, the
+band's low slots (the band layout is described in ``packed``).
 
 The packed format, its unpacking and the shift-add products of binomial
 powers (``packed._expand_binomials``) live in ``packed``, as do the
@@ -49,7 +50,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import DivisionRemainderError, DomainError
-from .packed import _pack, _slot_width, _unpack
+from .packed import _Band, _pack, _slot_width, _unpack
 
 
 def as_coeff(c):
@@ -372,12 +373,16 @@ def _mul_sparse(a, b, order=None):
 
 def _product_box(a, b):
     """For non-empty term dicts a and b: the minimal exponents (p, q) of
-    a and of b, and the (rows, cols) size of their product's exponent box."""
+    a and of b, the (rows, cols) size of their product's exponent box, and
+    the number of slots each operand takes in rows of cols slots from its
+    minimal exponents."""
     pa, qa = zip(*a)
     pb, qb = zip(*b)
-    rows = max(pa) - min(pa) + max(pb) - min(pb) + 1
-    cols = max(qa) - min(qa) + max(qb) - min(qb) + 1
-    return (min(pa), min(qa)), (min(pb), min(qb)), (rows, cols)
+    origin_a, origin_b = (min(pa), min(qa)), (min(pb), min(qb))
+    ra, ca = max(pa) - origin_a[0], max(qa) - origin_a[1]
+    rb, cb = max(pb) - origin_b[0], max(qb) - origin_b[1]
+    cols = ca + cb + 1
+    return origin_a, origin_b, (ra + rb + 1, cols), (ra * cols + ca + 1, rb * cols + cb + 1)
 
 
 def _dense_box(a, b):
@@ -394,37 +399,66 @@ def _mul_dense(a, b, order=None, box=None):
     """Product of two term dicts by Kronecker substitution; ``box`` is
     their ``_product_box`` when the caller has it.
 
-    Each operand, shifted to valuation (0, 0), is packed (``packed``)
-    with the coefficient of u^p v^q in slot p * cols + q; cols is the
-    q-span of the product, so slot sums of the product never run into the
-    next row.  Slots are wide enough for the largest possible product
-    coefficient plus a sign bit.  One big-integer multiply does the
-    convolution, and ``packed._unpack`` reads the slots.  Fractions are
-    cleared to a common denominator first, and the product is divided by
-    it after.
-
-    With ``order`` set, only the rows that meet the window are unpacked,
-    and in row p only the slots with p + q <= order.  The biased slots
-    are the base-2^(8 width) digits of the product, so those rows are
-    its low digits, and the rows above them are never converted.
+    Each operand, shifted to valuation (0, 0), is packed (``packed``) and
+    one big-integer multiply does the convolution.  In the product's box
+    the coefficient of u^p v^q sits in slot p * cols + q, cols the q-span
+    of the product, so slot sums of the product never run into the next
+    row, and ``packed._unpack`` reads the box.  With ``order`` set the
+    operands are packed in the diagonal band of width D = band(a) +
+    band(b) instead, each band the largest |p - q| of an operand from its
+    own valuation (the band layout is described in ``packed``), and only
+    the window p + q <= order is read: the product's low slots, never
+    converted above them.  A product far from the diagonal, such as a
+    series in u alone, would take about D slots per total degree for one
+    term each, so when the window takes more slots in the band than in the
+    rows of the box that meet it, the operands stay in the box, and those
+    rows are read and cut to the window.  Slots are wide enough for the largest
+    possible product coefficient plus a sign bit.  Fractions are cleared
+    to a common denominator first, and the product is divided by it
+    after.
     """
     if not a or not b:
         return {}
-    origin_a, origin_b, (rows, cols) = box or _product_box(a, b)
+    origin_a, origin_b, (rows, cols), (slots_a, slots_b) = box or _product_box(a, b)
     p0 = origin_a[0] + origin_b[0]
     q0 = origin_a[1] + origin_b[1]
-    if order is not None:
-        rows = min(rows, order - p0 - q0 + 1)
-        if rows <= 0:
-            return {}
+    if order is not None and order < p0 + q0:
+        return {}
     ia, den_a = _integral(a)
     ib, den_b = _integral(b)
     den = den_a * den_b
     bound = max(map(abs, ia.values())) * max(map(abs, ib.values())) * min(len(a), len(b))
-    width = _slot_width(bound)
-    packed = _pack(ia, origin_a, cols, width) * _pack(ib, origin_b, cols, width)
-    res = _unpack(packed, (p0, q0), rows, cols, width, order)
+    band = None
+    if order is not None:
+        band_a, degree_a = _band_shape(a, origin_a)
+        band_b, degree_b = _band_shape(b, origin_b)
+        band = _Band(band_a + band_b, bound)
+        window = min(order - p0 - q0, degree_a + degree_b)
+        rows = min(rows, window + 1)
+        if band.slots(window) > rows * cols:
+            band = None
+    if band is not None:
+        packed = _pack(ia, origin_a, band.strides, band.width, band.slots(degree_a))
+        packed *= _pack(ib, origin_b, band.strides, band.width, band.slots(degree_b))
+        res = band.unpack(packed, window)
+        if p0 or q0:
+            res = {(p + p0, q + q0): c for (p, q), c in res.items()}
+    else:
+        width = _slot_width(bound)
+        packed = _pack(ia, origin_a, (cols, 1), width, slots_a) * _pack(ib, origin_b, (cols, 1), width, slots_b)
+        res = _unpack(packed, (p0, q0), rows, cols, width)
+        if order is not None:
+            res = {(p, q): c for (p, q), c in res.items() if p + q <= order}
     return res if den == 1 else _scale_terms(res, Fraction(1, den))
+
+
+def _band_shape(terms, origin):
+    """The band and degree of a non-empty term dict from the origin
+    (p0, q0) of its minimal exponents: the largest |p - q - (p0 - q0)|
+    and the largest p + q - p0 - q0 over its terms."""
+    diffs = [p - q for p, q in terms]
+    t0 = origin[0] - origin[1]
+    return max(max(diffs) - t0, t0 - min(diffs)), max([p + q for p, q in terms]) - origin[0] - origin[1]
 
 
 def _integral(terms):

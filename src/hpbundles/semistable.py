@@ -25,7 +25,8 @@ most the order, so the work per miss depends on the order, not on g.
 With the HN types scanned in integers (``hntypes``), this took the
 ss-sweep benchmark from 0.152 to 0.066 s (medians of ten alternating
 pairs, seed 5; 2-core Xeon, Python 3.11).  The expansion is one packed
-integer, masked to the window after every shift (``_leading_series``).
+integer in a diagonal band, masked to the window, its low slots, after
+every shift (``_leading_series``).
 
 The recursion has a closed solution, a finite sum over the compositions
 of n (``ss_closed_form``).  Over the common denominator every term of
@@ -58,12 +59,12 @@ from operator import itemgetter
 from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .packed import _Box, _Packed, _expand_binomials, _parts_box
+from .packed import _Band, _Box, _Packed, _expand_binomials, _parts_box
 from .poly import LaurentPoly, as_coeff, as_int
 from .series import FactoredRational, TruncatedSeries, _expand_factors, _lcm_factors, _missing_factors
 
 # A series to order N has up to (N+1)(N+2)/2 terms, 5151 at this cap.
-# Rank 8 at order 100 takes about 1.4 s on a 2-core Xeon with Python 3.11.
+# Rank 8 at order 100 takes about 1.1 s on a 2-core Xeon with Python 3.11.
 MAX_ORDER = 100
 
 # Cap on the moduli dimension n^2(g-1) + 1 of ``ss_closed_form``.  Each
@@ -93,20 +94,21 @@ def _leading_series(n, g, order):
     """``leading_closed_term(n, g).series_expand(order)``, formed packed
     inside the window of its order.
 
-    The series is packed in a ``packed._Box`` of cols =
-    order + 1 + max(n, order // 2 + 1) columns, in order + 1 rows, and
-    every step keeps only the window, the slots with p + q <= order, by
-    the box's mask (``_Box.window``).  Each factor (1 + u^a v^b)^g of
-    ``blocks._leading_factors`` is applied as its binomial row cut at
-    j (a + b) <= order: x is multiplied by sum C(g, j) (u^a v^b)^j, each
-    power of u^a v^b one shift by a cols + b slots and a mask, so the work
-    does not grow with g.  Each stride m of ``_leading_den`` is then
-    divided out by the running sums along the diagonals
-    (``_Box.running_sums``, as in ``_Packed.divide_diagonal``), which hold
-    at most reach = order // 2 + 1 points of the window:
-    x = (x + x (uv)^s) masked, s = m, 2m, 4m, ... below reach.  A shift
-    moves a slot of the window at most max(n, reach - 1) columns on, so
-    no slot crosses into the next row.
+    The series is packed in the diagonal band of width
+    D = min(n g, order + 1) (``packed._Band``; the band layout is
+    described in ``packed``), whose window p + q <= order is its low
+    slots, kept by one mask after every step.  Each factor
+    (1 + u^a v^b)^g of ``blocks._leading_factors`` moves p - q by one per
+    power, n of them up and n down, so every partial product lies in the
+    band of width n g; and every window point has |p - q| <= order, so a
+    shift by u^a v^b leaves it within order + 1 of the diagonal.  Each
+    factor is applied as its binomial row cut at j (a + b) <= order:
+    x is multiplied by sum C(g, j) (u^a v^b)^j, each power of u^a v^b one
+    shift and a mask, so the work does not grow with g.  Each stride m
+    of ``_leading_den`` is then divided out by the running sums along the
+    diagonals (``_Box.running_sums``, as in ``_Packed.divide_diagonal``),
+    which hold at most reach = order // 2 + 1 points of the window:
+    x = (x + x (uv)^s) masked, s = m, 2m, 4m, ... below reach.
 
     Every value is non-negative, the numerator's coefficients at most the
     product B_0 over the factors of the sums of their cut rows, and each
@@ -120,17 +122,17 @@ def _leading_series(n, g, order):
     rows = [
         (a, b, [math.comb(k, j) for j in range(1, min(k, order // (a + b)) + 1)]) for _, a, b, k in _leading_factors(n, g)
     ]
-    box = _Box(order + 1 + max(n, reach), reach ** len(strides) * math.prod(1 + sum(row) for _, _, row in rows))
-    window = box.window(order)
+    band = _Band(min(n * g, order + 1), reach ** len(strides) * math.prod(1 + sum(row) for _, _, row in rows))
+    window = (1 << 8 * band.width * band.slots(order)) - 1
     x = 1
     for a, b, row in rows:
-        shift = box.offset(a, b)
+        shift = band.offset(a, b)
         power = x
         for c in row:
             power = (power << shift) & window
             x += c * power
-    x = box.running_sums(x, strides, reach, window)
-    return TruncatedSeries._raw(box.unpack(x, order + 1, order), order)
+    x = band.running_sums(x, strides, reach, window)
+    return TruncatedSeries._raw(band.unpack(x, order), order)
 
 
 class SemistableSeries:

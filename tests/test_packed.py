@@ -39,7 +39,7 @@ def pack(box, terms):
     norm = sum(map(abs, terms.values()))
     top = (max((p for p, _ in terms), default=0), max((q for _, q in terms), default=0))
     _check_bounds(box, norm, top)
-    return _Packed(box, _pack(terms, (0, 0), box.cols, box.width) if terms else 0, norm, top)
+    return _Packed(box, _pack(terms, (0, 0), box.strides, box.width, top[0] * box.cols + top[1] + 1), norm, top)
 
 
 def packed(poly):
@@ -111,7 +111,7 @@ def test_unpack_at_the_slot_bound(width, signs):
     limit = 1 << (8 * width - 1)
     edge = {-1: -limit, 0: limit - 1, 1: 1 - limit}
     terms = {(k // 3, k % 3): edge[s] for k, s in enumerate(signs)}
-    assert _unpack(_pack(terms, (0, 0), 3, width), (0, 0), 2, 3, width) == terms
+    assert _unpack(_pack(terms, (0, 0), (3, 1), width, 6), (0, 0), 2, 3, width) == terms
 
 
 def test_norm_at_the_slot_bound_unpacks():

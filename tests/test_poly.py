@@ -19,7 +19,7 @@ from hpbundles import (
     uv_power,
 )
 from hpbundles import packed as packed_module
-from hpbundles.packed import _expand_binomials, _pack, _slot_width, _times_binomials, _unpack
+from hpbundles.packed import _Band, _expand_binomials, _pack, _slot_width, _times_binomials, _unpack
 from hpbundles.poly import (
     _add_terms,
     _binomial_power,
@@ -219,7 +219,27 @@ def test_windowed_dense_product_with_huge_slots_and_cancellation():
             assert _mul_dense(a, b, order) == window(full, order)
 
 
-def per_slot_unpack(packed, origin, rows, cols, width, order=None):
+def test_windowed_product_far_from_the_diagonal_stays_in_its_box(monkeypatch):
+    # a series in u alone would take about D slots per total degree in
+    # the band, one term each, so its window is read from the box; a
+    # series near the diagonal is read from the band
+    bands = []
+    unpack = packed_module._Band.unpack
+
+    def recording_unpack(band, value, order):
+        bands.append(band.band)
+        return unpack(band, value, order)
+
+    monkeypatch.setattr(packed_module._Band, "unpack", recording_unpack)
+    row = {(k, 0): math.comb(40, k) for k in range(41)}
+    diagonal = {(p, s - p): s + 1 for s in range(21) for p in range(s + 1) if abs(2 * p - s) <= 2}
+    for a, order, read in ((row, 40, []), (row, 7, []), (diagonal, 20, [4]), (diagonal, 9, [4])):
+        bands.clear()
+        assert _mul_dense(a, a, order) == window(_mul_sparse(a, a), order)
+        assert bands == read
+
+
+def per_slot_unpack(packed, origin, rows, cols, width):
     """``packed._unpack`` one slot at a time: every slot, biased by half its
     range, is sliced out and read by its own ``int.from_bytes`` call.
     The reference the limb reads of ``_unpack`` are tested against."""
@@ -231,25 +251,25 @@ def per_slot_unpack(packed, origin, rows, cols, width, order=None):
     res = {}
     for p in range(p0, p0 + rows):
         at = width * (p - p0) * cols
-        span = cols if order is None else min(cols, order - p - q0 + 1)
-        row = [int.from_bytes(data[i : i + width], "little") for i in range(at, at + width * span, width)]
+        row = [int.from_bytes(data[i : i + width], "little") for i in range(at, at + width * cols, width)]
         for q, c in enumerate(row, q0):
             if c != half:
                 res[(p, q)] = c - half
     return res
 
 
-def per_term_pack(terms, origin, cols, width):
+def per_term_pack(terms, origin, strides, width):
     """``packed._pack`` one term at a time: each coefficient written by its own
-    ``to_bytes`` call, the positive and the negative ones into separate
-    buffers.  The reference the limb packing of ``_pack`` is tested
-    against."""
+    ``to_bytes`` call at slot (p - p0) sp + (q - q0) sq, the positive and
+    the negative ones into separate buffers.  The reference the limb
+    packing of ``_pack`` is tested against."""
     p0, q0 = origin
-    size = width * (max((p - p0) * cols + q - q0 for p, q in terms) + 1)
+    sp, sq = strides
+    size = width * (max((p - p0) * sp + (q - q0) * sq for p, q in terms) + 1)
     pos = bytearray(size)
     neg = bytearray(size)
     for (p, q), c in terms.items():
-        at = width * ((p - p0) * cols + q - q0)
+        at = width * ((p - p0) * sp + (q - q0) * sq)
         if c > 0:
             pos[at : at + width] = c.to_bytes(width, "little")
         else:
@@ -271,12 +291,28 @@ def test_pack_matches_the_per_term_reference():
                 cells = cells or [(rows - 1, cols - 1)]
                 values = [top, -top, 1, -1, rng.randint(-top, top) or 1, rng.randint(-9, 9) or 1]
                 terms = {(origin[0] + p, origin[1] + q): rng.choice(values) for p, q in cells}
-                packed = _pack(terms, origin, cols, width)
-                assert packed == per_term_pack(terms, origin, cols, width), (width, rows, cols, density)
+                packed = _pack(terms, origin, (cols, 1), width, rows * cols)
+                assert packed == per_term_pack(terms, origin, (cols, 1), width), (width, rows, cols, density)
                 assert _unpack(packed, origin, rows, cols, width) == terms
         extremes = {(0, 0): top, (0, 1): -top, (1, 0): -top, (1, 1): top}
-        assert _pack(extremes, (0, 0), 2, width) == per_term_pack(extremes, (0, 0), 2, width)
-        assert _pack({}, (0, 0), 2, width) == 0
+        assert _pack(extremes, (0, 0), (2, 1), width, 4) == per_term_pack(extremes, (0, 0), (2, 1), width)
+        assert _pack({}, (0, 0), (2, 1), width, 4) == 0
+
+
+def slot_coefficients(draw, width):
+    """A hypothesis strategy of slot values of width bytes, one of two
+    mixes chosen by draw: small values and single bits at every place,
+    alone or with both ends of the slot range and the 64-bit limb edges.
+    A value of narrow slots alone, a single bit among them, takes the
+    one-limb read only if every byte of it is checked."""
+    limit = 1 << (8 * width - 1)
+    edges = [-limit, limit - 1, 0] + [s * 2**63 + t for s in (1, -1) for t in (-1, 0, 1)] + [2**64, -(2**64)]
+    narrow = st.one_of(
+        st.integers(-1000, 1000),
+        st.builds(lambda k, s: s << k, st.integers(0, 8 * width - 2), st.sampled_from((1, -1))),
+    )
+    wide = st.sampled_from([c for c in edges if -limit <= c < limit]) | st.integers(-limit, limit - 1)
+    return draw(st.sampled_from((narrow, narrow | wide)))
 
 
 @pytest.mark.skipif(st is None, reason="hypothesis is a test-only dependency")
@@ -284,31 +320,81 @@ def test_unpack_matches_the_per_slot_reference():
     # widths 1 to 40 bytes, one to five limbs: slots that fit one limb,
     # two-limb slots and wider ones; coefficients at both ends of the slot
     # range and at the 64-bit limb edges, small ones, single bits at every
-    # place, zeros, and windows that cut rows or miss the whole box
+    # place, and zeros.  Windowed reads are the band's
+    # (test_band_unpack_matches_the_per_slot_reference)
     @st.composite
     def boxes(draw):
         width = draw(st.integers(1, 40))
-        limit = 1 << (8 * width - 1)
         rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-        edges = [-limit, limit - 1, 0] + [s * 2**63 + t for s in (1, -1) for t in (-1, 0, 1)] + [2**64, -(2**64)]
-        narrow = st.one_of(
-            st.integers(-1000, 1000),
-            st.builds(lambda k, s: s << k, st.integers(0, 8 * width - 2), st.sampled_from((1, -1))),
-        )
-        wide = st.sampled_from([c for c in edges if -limit <= c < limit]) | st.integers(-limit, limit - 1)
-        # a box of narrow values alone, a single bit among them, takes the
-        # one-limb read only if every byte of it is checked
-        coeff = draw(st.sampled_from((narrow, narrow | wide)))
-        values = draw(st.lists(coeff, min_size=rows * cols, max_size=rows * cols))
+        values = draw(st.lists(slot_coefficients(draw, width), min_size=rows * cols, max_size=rows * cols))
         packed = sum(c << 8 * width * i for i, c in enumerate(values))
         origin = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
-        order = draw(st.none() | st.integers(-8, 12))
-        return packed, origin, rows, cols, width, order
+        return packed, origin, rows, cols, width
 
     @settings(max_examples=600, deadline=None)
     @given(boxes())
     def check(box):
         assert _unpack(*box) == per_slot_unpack(*box)
+
+    check()
+
+
+def band_cells(band, degree):
+    """The exponents (p, q) >= 0 with p + q <= degree and |p - q| <= band."""
+    return [(p, s - p) for s in range(degree + 1) for p in range(s + 1) if abs(2 * p - s) <= band]
+
+
+def per_slot_band_unpack(packed, band, width, order):
+    """``packed._Band.unpack`` one slot at a time: each exponent of the
+    band with p + q <= order read from its slot (band + 1) p + band q,
+    biased by half the slot range, by its own ``int.from_bytes`` call.
+    The reference the key tables of ``_Band.unpack`` are tested against."""
+    cells = band_cells(band, order)
+    if not cells:
+        return {}
+    half = 1 << (8 * width - 1)
+    slots = max((band + 1) * p + band * q for p, q in cells) + 1
+    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    data = ((packed + bias) & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
+    res = {}
+    for p, q in cells:
+        at = width * ((band + 1) * p + band * q)
+        c = int.from_bytes(data[at : at + width], "little") - half
+        if c:
+            res[(p, q)] = c
+    return res
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is a test-only dependency")
+def test_band_unpack_matches_the_per_slot_reference():
+    # widths 1 to 40 bytes, band widths D from 0 to N + 1 for the window
+    # p + q <= N, coefficients as in the box test above, and windows that
+    # cut a row (N below the value's degree), take all of it or miss the
+    # whole value (N < 0); the band packing matches the per-term one
+    @st.composite
+    def bands(draw):
+        width = draw(st.integers(1, 40))
+        order = draw(st.integers(-2, 9))
+        band = draw(st.integers(0, max(order, 0) + 1))
+        degree = draw(st.integers(0, 8))
+        cells = band_cells(band, degree)
+        # clamped to the slot range: a slot that carries would reach the
+        # unused slots of the band, which no product ever writes
+        limit = 1 << (8 * width - 1)
+        coeff = slot_coefficients(draw, width).map(lambda c: max(-limit, min(limit - 1, c)))
+        values = draw(st.lists(coeff, min_size=len(cells), max_size=len(cells)))
+        return {e: c for e, c in zip(cells, values) if c}, band, degree, width, order
+
+    @settings(max_examples=600, deadline=None)
+    @given(bands())
+    def check(case):
+        terms, band, degree, width, order = case
+        layout = _Band(band, (1 << 8 * width - 1) - 1)
+        assert layout.width == width and layout.strides == (band + 1, band)
+        packed = _pack(terms, (0, 0), layout.strides, width, layout.slots(degree))
+        assert packed == (per_term_pack(terms, (0, 0), (band + 1, band), width) if terms else 0)
+        expected = {(p, q): c for (p, q), c in terms.items() if p + q <= order}
+        assert layout.unpack(packed, order) == per_slot_band_unpack(packed, band, width, order) == expected
 
     check()
 
@@ -696,3 +782,4 @@ def test_evaluate():
     p = (ONE + U) ** 2 * (ONE + V) ** 2
     assert p.evaluate(1, 1) == 16
     assert p.evaluate(0, 0) == 1
+

@@ -24,7 +24,7 @@ from hpbundles import (
 from hpbundles import InternalCheckError, semistable
 from hpbundles.hntypes import MAX_RANK, _compositions
 from hpbundles.packed import _Box
-from hpbundles.semistable import _certify_coprime, leading_closed_term, ss_closed_form
+from hpbundles.semistable import _certify_coprime, _leading_series, leading_closed_term, ss_closed_form
 from hpbundles.univariate import diagonal_ss_series, diagonal_stable_coprime
 
 
@@ -281,6 +281,17 @@ def test_windowed_leading_series_matches_full_expansion():
         evaluator = SemistableSeries()
         for order in [*rising, *range(top, -1, -1)]:
             assert evaluator._leading_terms(n, g, order) == expected[order], (n, g, order)
+
+
+# the band of width min(n g, order + 1): n g at or below the cap, the cap
+# order + 1 at order 0 and for g far above the order (genus 40 at order 4)
+LEADING_SERIES_GRID = [(n, g, order) for n in (1, 2, 3, 5, 8) for g in (2, 3) for order in (0, 1, 2, 7, 16)]
+LEADING_SERIES_GRID += [(n, 40, 4) for n in (1, 2, 3)] + [(2, 40, 0)]
+
+
+@pytest.mark.parametrize("n, g, order", LEADING_SERIES_GRID)
+def test_leading_series_is_the_closed_term_expanded(n, g, order):
+    assert _leading_series(n, g, order) == leading_closed_term(n, g).series_expand(order)
 
 
 def test_memoized_leading_series_is_only_read():
