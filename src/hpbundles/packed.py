@@ -41,14 +41,16 @@ big-integer product of band values is their product while its
 exponents stay in the band, D = band(a) + band(b), and multiplying by
 (uv)^m is a shift by K m slots.  The window is read by ``_slot_values``
 and zipped with a key table, the exponents of slots 0, 1, ... (slot i
-holds s = (2i + D) // K and p = i - D s).  One table is kept per band
-width, grown to the largest window read; a smaller window reads a
-prefix of it.  Values that fill a box stay in boxes, the unwindowed
-products, the rank-2 record and the certificates: in a band the
-corners of a square support would double the slots.  So does a
-windowed product far from the diagonal, such as one of series in u
-alone, whose window would take about D band slots per total degree for
-one term (``poly._mul_dense``).
+holds s = (2i + D) // K and p = i - D s).  The tables are built at
+power-of-two lengths, and the 64 used last are kept (``_band_table``):
+a shorter window reads a prefix of its table, no table is longer than
+twice a window read at its width, and each is a tuple, built whole
+before it is shared, so threads can share them.  Values that fill a
+box stay in boxes, the unwindowed products, the rank-2 record and the
+certificates: in a band the corners of a square support would double
+the slots.  A windowed product far from the diagonal, such as one of
+series in u alone, whose window would take about D band slots per
+total degree for one term, is not packed at all (``poly._dense_plan``).
 
 Products of binomial powers.  A sum of monomials times products of
 binomial powers, sum s u^p v^q prod (1 + c u^a v^b)^k with a and b >= 0,
@@ -91,6 +93,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import lru_cache
 from itertools import compress, product, repeat
 from operator import itemgetter, lshift, or_
 
@@ -177,21 +180,30 @@ def _read_slots(biased, keys, width, slots):
     return dict(zip(compress(keys, values), filter(None, values)))
 
 
-# band width -> the exponents (p, q) of its slots 0, 1, ..., as far as
-# any window has read; a pure function of the band, grown in place
-_BAND_KEYS = {}
+def _band_slots(band, order):
+    """The number of slots of the window p + q <= order in the band of
+    width band: the low (K order + band) // 2 + 1, K = 2 band + 1; none
+    below order 0."""
+    return max(0, ((2 * band + 1) * order + band) // 2 + 1)
 
 
 def _band_keys(band, slots):
-    """The key table of the band of width band, at least slots long: slot
-    i holds u^p v^q of total degree s = (2i + band) // K, K = 2 band + 1,
-    and p = i - band s."""
-    keys = _BAND_KEYS.setdefault(band, [])
+    """The key table of the band of width band, at least slots long: the
+    table of its power-of-two length (``_band_table``)."""
+    return _band_table(band, 1 << (slots - 1).bit_length())
+
+
+@lru_cache(maxsize=64)
+def _band_table(band, slots):
+    """The exponents (p, q) of the first slots slots of the band of width
+    band, as a tuple: slot i holds u^p v^q of total degree
+    s = (2i + band) // K, K = 2 band + 1, and p = i - band s."""
     k = 2 * band + 1
-    for i in range(len(keys), slots):
+    keys = []
+    for i in range(slots):
         s = (2 * i + band) // k
         keys.append((i - band * s, (band + 1) * s - i))
-    return keys
+    return tuple(keys)
 
 
 # A biased slot c + 2^(8 width - 1) differs from c in two's complement only
@@ -324,19 +336,16 @@ def _expand_binomials(parts):
     return _unpack(packed, (p0, q0), rows, cols, width)
 
 
-class _Box:
-    """The exponent box of a family of packed polynomials: origin (0, 0),
-    cols slots per row, so u^p v^q sits at slot p cols + q (strides
-    (cols, 1)), and slots of width bytes, sized so that every coefficient
-    and every tracked norm stays below limit = 2^(8 width - 1) for a norm
-    bound of at most bound.  It holds the slot patterns its values are
-    read and checked with, one per value."""
+class _Slots:
+    """Slots of width bytes, sized so that every coefficient and every
+    tracked norm stays below limit = 2^(8 width - 1) for a norm bound of at
+    most bound, for the values of a box or a band.  It holds the slot
+    patterns its values are read and checked with, one per value; the
+    layout gives ``offset``, the shift by a monomial."""
 
-    __slots__ = ("cols", "strides", "width", "limit", "_patterns")
+    __slots__ = ("width", "limit", "_patterns")
 
-    def __init__(self, cols, bound):
-        self.cols = cols
-        self.strides = (cols, 1)
+    def __init__(self, bound):
         self.width = _slot_width(bound)
         self.limit = 1 << (8 * self.width - 1)
         self._patterns = {}  # value -> (slots, its pattern over those slots)
@@ -350,21 +359,6 @@ class _Box:
             held = self._patterns[value] = (slots, _slot_pattern(value, self.width, slots))
         return held[1] if held[0] == slots else held[1] & ((1 << 8 * self.width * slots) - 1)
 
-    def offset(self, p, q):
-        """The shift, in bits, that multiplies a packed value by u^p v^q."""
-        sp, sq = self.strides
-        return 8 * self.width * (p * sp + q * sq)
-
-    def pack(self, terms, top):
-        """The term dict, its exponents at most top = (P, Q), as a value of
-        the box with its L1 norm."""
-        value = _pack(terms, (0, 0), self.strides, self.width, top[0] * self.cols + top[1] + 1)
-        return _Packed(self, value, sum(map(abs, terms.values())), top)
-
-    def unpack(self, value, rows):
-        """The term dict of a value of the box over its first rows rows."""
-        return _read(value + self.pattern(self.limit, rows * self.cols), (0, 0), rows, self.cols, self.width)
-
     def running_sums(self, value, strides, reach, mask):
         """The running sums of value by each stride m along the diagonals,
         which hold at most reach points: value / prod (1 - (uv)^m) as a
@@ -374,7 +368,7 @@ class _Box:
         by (1 + t)(1 + t^2)(1 + t^4)... (1 + t^(2^(j-1))) is that sum cut
         after t^(2^j): j shift-adds, with 2^j m >= reach.  Every shift-add
         keeps only the slots of mask, so the sum stays the size of the
-        box."""
+        box or window."""
         step = self.offset(1, 1)
         for m in strides:
             span = m
@@ -382,6 +376,32 @@ class _Box:
                 value = (value + (value << span * step)) & mask
                 span *= 2
         return value
+
+
+class _Box(_Slots):
+    """The exponent box of a family of packed polynomials: origin (0, 0),
+    cols slots per row, so u^p v^q sits at slot p cols + q, in the slots
+    of ``_Slots``."""
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols, bound):
+        super().__init__(bound)
+        self.cols = cols
+
+    def offset(self, p, q):
+        """The shift, in bits, that multiplies a packed value by u^p v^q."""
+        return 8 * self.width * (p * self.cols + q)
+
+    def pack(self, terms, top):
+        """The term dict, its exponents at most top = (P, Q), as a value of
+        the box with its L1 norm."""
+        value = _pack(terms, (0, 0), (self.cols, 1), self.width, top[0] * self.cols + top[1] + 1)
+        return _Packed(self, value, sum(map(abs, terms.values())), top)
+
+    def unpack(self, value, rows):
+        """The term dict of a value of the box over its first rows rows."""
+        return _read(value + self.pattern(self.limit, rows * self.cols), (0, 0), rows, self.cols, self.width)
 
     def outer(self, c, e, k):
         """(1 + c u^e)^k (1 + c v^e)^k, packed row by row: the v-row by
@@ -400,25 +420,28 @@ class _Box:
         return _Packed(self, value, norm, (e * k, e * k))
 
 
-class _Band(_Box):
+class _Band(_Slots):
     """The band of width D = band of a truncated series: u^p v^q at slot
     (D + 1) p + D q (strides (D + 1, D)) for every exponent with
-    |p - q| <= D, slots of width bytes sized from bound as in ``_Box``.
-    Shifts by monomials, running sums and slot patterns are the box's; the
-    window of total degree at most an order is the low ``slots(order)``
-    slots, and a value is read there against the band's key table."""
+    |p - q| <= D, in the slots of ``_Slots``.  The window of total degree
+    at most an order is the low ``slots(order)`` slots, and a value is
+    read there against the band's key table."""
 
-    __slots__ = ("band",)
+    __slots__ = ("band", "strides")
 
     def __init__(self, band, bound):
-        super().__init__(None, bound)  # a band has no rows
+        super().__init__(bound)
         self.band = band
         self.strides = (band + 1, band)
 
+    def offset(self, p, q):
+        """The shift, in bits, that multiplies a packed value by u^p v^q."""
+        return 8 * self.width * (p * (self.band + 1) + q * self.band)
+
     def slots(self, order):
-        """The number of slots of the window p + q <= order: the low
-        (K order + D) // 2 + 1, K = 2D + 1; none below order 0."""
-        return max(0, ((2 * self.band + 1) * order + self.band) // 2 + 1)
+        """The number of slots of the window p + q <= order
+        (``_band_slots``)."""
+        return _band_slots(self.band, order)
 
     def unpack(self, value, order):
         """The term dict of a value of the band over the window
@@ -535,7 +558,7 @@ class _Packed:
         or None when the division is not exact.
 
         The diagonals of the box have at most reach = P + 1 points, and
-        the running sums (``_Box.running_sums``) of self cut there are, in
+        the running sums (``_Slots.running_sums``) of self cut there are, in
         the low reach (cols + 1) slots read as balanced digits, the
         quotient if there is one: the cut terms lie past the box.
 

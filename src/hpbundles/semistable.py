@@ -106,7 +106,7 @@ def _leading_series(n, g, order):
     x is multiplied by sum C(g, j) (u^a v^b)^j, each power of u^a v^b one
     shift and a mask, so the work does not grow with g.  Each stride m
     of ``_leading_den`` is then divided out by the running sums along the
-    diagonals (``_Box.running_sums``, as in ``_Packed.divide_diagonal``),
+    diagonals (``_Slots.running_sums``, as in ``_Packed.divide_diagonal``),
     which hold at most reach = order // 2 + 1 points of the window:
     x = (x + x (uv)^s) masked, s = m, 2m, 4m, ... below reach.
 

@@ -39,7 +39,7 @@ def pack(box, terms):
     norm = sum(map(abs, terms.values()))
     top = (max((p for p, _ in terms), default=0), max((q for _, q in terms), default=0))
     _check_bounds(box, norm, top)
-    return _Packed(box, _pack(terms, (0, 0), box.strides, box.width, top[0] * box.cols + top[1] + 1), norm, top)
+    return _Packed(box, _pack(terms, (0, 0), (box.cols, 1), box.width, top[0] * box.cols + top[1] + 1), norm, top)
 
 
 def packed(poly):

@@ -219,10 +219,11 @@ def test_windowed_dense_product_with_huge_slots_and_cancellation():
             assert _mul_dense(a, b, order) == window(full, order)
 
 
-def test_windowed_product_far_from_the_diagonal_stays_in_its_box(monkeypatch):
+def test_windowed_product_far_from_the_diagonal_takes_the_dict_loop(monkeypatch):
     # a series in u alone would take about D slots per total degree in
-    # the band, one term each, so its window is read from the box; a
-    # series near the diagonal is read from the band
+    # the band, one term each, so the gate sends its window to the dict
+    # loop; a series near the diagonal is read from the band.  Every
+    # windowed dense product is packed in the band.
     bands = []
     unpack = packed_module._Band.unpack
 
@@ -233,10 +234,16 @@ def test_windowed_product_far_from_the_diagonal_stays_in_its_box(monkeypatch):
     monkeypatch.setattr(packed_module._Band, "unpack", recording_unpack)
     row = {(k, 0): math.comb(40, k) for k in range(41)}
     diagonal = {(p, s - p): s + 1 for s in range(21) for p in range(s + 1) if abs(2 * p - s) <= 2}
+    assert _dense_box(row, row) is not None
     for a, order, read in ((row, 40, []), (row, 7, []), (diagonal, 20, [4]), (diagonal, 9, [4])):
+        expected = window(_mul_sparse(a, a), order)
+        assert (_dense_box(a, a, order) is not None) == bool(read)
         bands.clear()
-        assert _mul_dense(a, a, order) == window(_mul_sparse(a, a), order)
+        assert _mul_terms(a, a, order) == expected
         assert bands == read
+        bands.clear()
+        assert _mul_dense(a, a, order) == expected
+        assert bands == [read[0] if read else 80]
 
 
 def per_slot_unpack(packed, origin, rows, cols, width):
