@@ -21,7 +21,7 @@ and codim = sum_j cost_j exactly.  Decreasing slopes force
 d_j * R >= r * S + 1 (each slope strictly exceeds the weighted average
 of the later ones), and every pairwise term of the remaining block is at
 least 1 + n_k n_l (g - 1), which bounds d_j from above given K.  Both
-bounds are used per coordinate, so the recursion scans exactly the
+bounds are used per coordinate, so the scan covers exactly the
 integer box that can contain admissible degree vectors.  Slopes are
 compared by cross-multiplying ranks and degrees, with no Fraction built.
 
@@ -121,10 +121,7 @@ def enumerate_hn_types(n, d, g, max_codim):
         raise DomainError("genus must be at least 1")
     if max_codim < 0:
         raise DomainError("codimension bound must be non-negative")
-    found = []
-    for ranks, pairs, products in _shapes(n):
-        tail_cost = [a + (g - 1) * b for a, b in zip(pairs, products)]
-        _scan_degrees(ranks, tail_cost, g, 0, d, max_codim, None, [], found)
+    found = _scan_degrees(_shapes(n), g, d, max_codim)
     # the codimension of a found type is max_codim minus its budget left
     found.sort(key=lambda bt: (max_codim - bt[0], bt[1].quotients))
     return [t for _, t in found]
@@ -157,44 +154,69 @@ def _tail_pairs(ranks):
 
 @cache
 def _shapes(n):
-    """(ranks, pairs, products) of ``_tail_pairs`` for each composition of
-    n into two parts or more, in the order of ``_compositions``.
+    """(ranks, levels) for each composition of n into two parts or more,
+    in the order of ``_compositions``: levels[j], for each quotient j but
+    the last, is (r, R, r (R - r), pairs, products), r = ranks[j], R the
+    rank from j on, and pairs and products those of ``_tail_pairs`` for
+    the quotients after j.
 
     Formed once per rank, on first use, so importing the module costs
     nothing; ``enumerate_hn_types`` checks the rank first, so the cache
     holds at most MAX_RANK entries.  The genus enters only through the
-    tail costs each call forms from pairs and products.
+    costs the scan forms from them.
     """
-    return tuple((ranks, *_tail_pairs(ranks)) for ranks in _compositions(n) if len(ranks) > 1)
+    shapes = []
+    for ranks in _compositions(n):
+        if len(ranks) > 1:
+            pairs, products = _tail_pairs(ranks)
+            rest = [sum(ranks[j:]) for j in range(len(ranks))]
+            levels = tuple(
+                (r, rest[j], r * (rest[j] - r), pairs[j + 1], products[j + 1]) for j, r in enumerate(ranks[:-1])
+            )
+            shapes.append((ranks, levels))
+    return tuple(shapes)
 
 
-def _scan_degrees(ranks, tail_cost, g, j, S, budget, prev, prefix, out):
-    """Extend prefix by the degrees of ranks[j:], S the degree left, and
-    append each type found to out, paired with its budget left.
+def _scan_degrees(shapes, g, d, budget):
+    """Each type of the shapes ``_shapes`` and total degree d within the
+    budget, paired with its budget left, in order of shape and then of
+    degree vector.
 
-    The costs of the blocks sum to the codimension, and the last block
-    costs nothing, so the budget left is the cap minus the codimension.
-    prev is the (rank, degree) of the quotient before j, or None; slopes
-    are compared by cross-multiplying, d / r < d' / r' iff d r' < d' r.
+    The cost of block j, R, S the rank and degree from j on, is
+    d_j R - r S + (g - 1) r (R - r).  The costs of the blocks sum to the
+    codimension, and the last block costs nothing, so the budget left is
+    the cap minus the codimension.  The scan is depth first, one stack
+    entry per prefix of quotients, carrying its degree left S, its budget
+    left and the quotient tuple.  Each degree d_j runs from its least
+    value up to the least of its budget bound and the slope bound of the
+    quotient before it, d_j / r < d' / r', that is d_j r' <= d' r - 1.
+    The last quotient is appended inline: the least value of the one
+    before it, d_j (r + r_k) >= r S + 1, is the last slope test.
     """
-    r = ranks[j]
-    if j == len(ranks) - 1:
-        if prev is not None and S * prev[0] >= prev[1] * r:
-            return
-        if len(out) == MAX_HN_TYPES:
-            raise DomainError("more than %d filtration types under the codimension cap" % MAX_HN_TYPES)
-        # the scan has checked the ranks and every slope
-        out.append((budget, HNType._raw(tuple(zip(ranks, prefix + [S])))))
-        return
-    R = sum(ranks[j:])
-    base = (g - 1) * r * (R - r)
-    d_min = -((-(r * S + 1)) // R)  # ceil((r*S + 1) / R)
-    d_max = (budget - tail_cost[j + 1] + r * S - base) // R
-    for dj in range(d_min, d_max + 1):
-        if prev is not None and dj * prev[0] >= prev[1] * r:
-            break
-        cost = dj * R - r * S + base
-        _scan_degrees(ranks, tail_cost, g, j + 1, S - dj, budget - cost, (r, dj), prefix + [dj], out)
+    gm = g - 1
+    out = []
+    stack = [(levels, len(levels) - 1, ranks[-1], 0, d, budget, ()) for ranks, levels in reversed(shapes)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        levels, leaf, last, j, S, budget, quotients = pop()
+        r, R, rr, pairs, products = levels[j]
+        base = gm * rr
+        low = -((-(r * S + 1)) // R)  # ceil((r*S + 1) / R)
+        high = (budget - pairs - gm * products + r * S - base) // R
+        if quotients:
+            pr, pd = quotients[-1]
+            high = min(high, (pd * r - 1) // pr)
+        if j < leaf:
+            # pushed from the top, so the stack pops them in increasing order
+            for dj in range(high, low - 1, -1):
+                push((levels, leaf, last, j + 1, S - dj, budget - dj * R + r * S - base, quotients + ((r, dj),)))
+        elif low <= high:
+            if len(out) + high - low >= MAX_HN_TYPES:
+                raise DomainError("more than %d filtration types under the codimension cap" % MAX_HN_TYPES)
+            # the scan has checked the ranks and every slope
+            for dj in range(low, high + 1):
+                out.append((budget - dj * R + r * S - base, HNType._raw(quotients + ((r, dj), (last, S - dj)))))
+    return out
 
 
 @dataclass(frozen=True)

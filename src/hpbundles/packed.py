@@ -26,7 +26,8 @@ many slots as its caller sized.
 
 The band.  A truncated series of the semistable recursion lies in a
 thin band around the diagonal, so every windowed value, the leading
-series (``semistable._leading_series``) and the windowed product
+series, type products and series of a miss of the recursion
+(``semistable.SemistableSeries``) and the windowed product
 (``poly._mul_dense``), is packed in a band of width D (``_Band``)
 instead of a box: u^p v^q, p, q >= 0 and |p - q| <= D, sits at slot
 (D + 1) p + D q.  With s = p + q, t = p - q and K = 2D + 1 that slot is
@@ -45,12 +46,17 @@ holds s = (2i + D) // K and p = i - D s).  The tables are built at
 power-of-two lengths, and the 64 used last are kept (``_band_table``):
 a shorter window reads a prefix of its table, no table is longer than
 twice a window read at its width, and each is a tuple, built whole
-before it is shared, so threads can share them.  Values that fill a
-box stay in boxes, the unwindowed products, the rank-2 record and the
+before it is shared, so threads can share them.  The recursion holds
+its leading series and type products as ``_BandValue``s, each with the
+bound on its coefficients that sized its slots, and a miss widens them
+into the slots of its own bound in the same band (``_widen``: one
+strided byte slice per byte of the held slots), where they are
+subtracted, shifted, with no term dict formed.  Values that fill a box
+stay in boxes, the unwindowed products, the rank-2 record and the
 certificates: in a band the corners of a square support would double
 the slots.  A windowed product far from the diagonal, such as one of
 series in u alone, whose window would take about D band slots per
-total degree for one term, is not packed at all (``poly._dense_plan``).
+total degree for one term, is not packed at all (``poly._dense_box``).
 
 Products of binomial powers.  A sum of monomials times products of
 binomial powers, sum s u^p v^q prod (1 + c u^a v^b)^k with a and b >= 0,
@@ -450,6 +456,56 @@ class _Band(_Slots):
         if not slots:
             return {}
         return _read_slots(value + self.pattern(self.limit, slots), _band_keys(self.band, slots), self.width, slots)
+
+
+class _BandValue:
+    """A series held packed in a ``_Band``: value, masked to the window
+    p + q <= order, and bound, a bound on every coefficient there, from
+    which the band's slots were sized.  A bound at an order also holds at
+    every lower one, whose coefficients are among those bounded."""
+
+    __slots__ = ("band", "value", "order", "bound")
+
+    def __init__(self, band, value, order, bound):
+        self.band = band
+        self.value = value
+        self.order = order
+        self.bound = bound
+
+    def read(self, order):
+        """The term dict of the window p + q <= order <= self.order."""
+        return self.band.unpack(self.value, order)
+
+
+def _widen(held, target, order):
+    """The window p + q <= order of the held ``_BandValue``, as a value of
+    the band target: the same band, slots at least as wide.
+
+    The held value plus its bias, masked to the window, has the biased
+    slots c + 2^(8 w - 1) as its bytes, w the held width, even where the
+    held value was masked with a negative coefficient in its window.
+    Each of the w bytes of the slots is copied into the wider slots by
+    one strided slice, and the pattern of 2^(8 w - 1) in the target's
+    slots is taken off: every coefficient is kept, and no slot above the
+    window is set.  A band change or a narrowing raises
+    InternalCheckError: neither can keep every slot.
+    """
+    source = held.band
+    if target.band != source.band or target.width < source.width or order > held.order:
+        raise InternalCheckError(
+            "cannot read a band-%d window of width %d, order %d, as band %d, width %d, order %d"
+            % (source.band, source.width, held.order, target.band, target.width, order)
+        )
+    slots = source.slots(order)
+    width, wide = source.width, target.width
+    biased = (held.value + source.pattern(source.limit, slots)) & ((1 << 8 * width * slots) - 1)
+    if wide > width:
+        data = biased.to_bytes(width * slots, "little")
+        buf = bytearray(wide * slots)
+        for j in range(width):
+            buf[j::wide] = data[j::width]
+        biased = int.from_bytes(buf, "little")
+    return biased - target.pattern(source.limit, slots)
 
 
 class _Packed:

@@ -10,23 +10,28 @@ a live type are needed only to order - 2c.
 The series depends on the degree only through its residue mod the rank.
 The memo keeps the highest-order series computed for each residue class
 and serves a lower-order request by truncating it.  Each product of
-factors is memoized too, keyed on the multiset of factor classes and
-the genus, not the order: the highest-order product formed serves every
-lower order, read in place up to that order with no truncated copy, and
-a request above it forms the product once at the new order.  The HN
-types arrive sorted by codimension, so the first dead one ends the loop.
+factors is held too, keyed on the multiset of factor classes and the
+genus, not the order: the product at the highest window formed serves
+every lower window, and a request above it forms the product once at
+the new window.  The HN types arrive sorted by codimension, so the first
+dead one ends the loop.
 
 The leading term does not depend on the degree at all.  The evaluator
 expands it once per (n, g), at the highest order requested, and every
-residue class and lower order copies its terms out of that expansion.
-The expansion is built inside the window: the numerator of total degree
-2n^2 g (100 for rank 5 at genus 2) keeps only its terms of degree at
-most the order, so the work per miss depends on the order, not on g.
-With the HN types scanned in integers (``hntypes``), this took the
-ss-sweep benchmark from 0.152 to 0.066 s (medians of ten alternating
-pairs, seed 5; 2-core Xeon, Python 3.11).  The expansion is one packed
-integer in a diagonal band, masked to the window, its low slots, after
-every shift (``_leading_series``).
+residue class and lower order reads it there.  The expansion is built
+inside the window: the numerator of total degree 2n^2 g (100 for rank 5
+at genus 2) keeps only its terms of degree at most the order, so the
+work per miss depends on the order, not on g.  With the HN types
+scanned in integers (``hntypes``), this took the ss-sweep benchmark
+from 0.152 to 0.066 s (medians of ten alternating pairs, seed 5; 2-core
+Xeon, Python 3.11).  The expansion is one packed integer in a diagonal
+band, masked to the window, its low slots, after every shift
+(``_leading_series``).
+
+A miss stays packed: the leading series and the products are held as
+packed band values, and the series is the leading series less one
+shifted product per live type, all in one band, then read once
+(``SemistableSeries``).
 
 The recursion has a closed solution, a finite sum over the compositions
 of n (``ss_closed_form``).  Over the common denominator every term of
@@ -59,12 +64,12 @@ from operator import itemgetter
 from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .packed import _Band, _Box, _Packed, _expand_binomials, _parts_box
+from .packed import _Band, _BandValue, _Box, _Packed, _expand_binomials, _pack, _parts_box, _widen
 from .poly import LaurentPoly, as_coeff, as_int
 from .series import FactoredRational, TruncatedSeries, _expand_factors, _lcm_factors, _missing_factors
 
 # A series to order N has up to (N+1)(N+2)/2 terms, 5151 at this cap.
-# Rank 8 at order 100 takes about 1.1 s on a 2-core Xeon with Python 3.11.
+# Rank 8 at order 100 takes about 0.4 s on a 2-core Xeon with Python 3.11.
 MAX_ORDER = 100
 
 # Cap on the moduli dimension n^2(g-1) + 1 of ``ss_closed_form``.  Each
@@ -92,7 +97,7 @@ def _leading_den(n):
 
 def _leading_series(n, g, order):
     """``leading_closed_term(n, g).series_expand(order)``, formed packed
-    inside the window of its order.
+    inside the window of its order and held so (``packed._BandValue``).
 
     The series is packed in the diagonal band of width
     D = min(n g, order + 1) (``packed._Band``; the band layout is
@@ -114,15 +119,16 @@ def _leading_series(n, g, order):
     product B_0 over the factors of the sums of their cut rows, and each
     division multiplies the largest by at most reach.  So no slot ever
     holds more than B = B_0 reach^(number of strides), and slots that
-    hold B and a sign bit never carry into each other.  The window is
-    unpacked once.
+    hold B and a sign bit never carry into each other.  B is held with
+    the value as its bound.
     """
     reach = order // 2 + 1
     strides = [m for (m, _), k in _leading_den(n).items() for _ in range(k)]
     rows = [
         (a, b, [math.comb(k, j) for j in range(1, min(k, order // (a + b)) + 1)]) for _, a, b, k in _leading_factors(n, g)
     ]
-    band = _Band(min(n * g, order + 1), reach ** len(strides) * math.prod(1 + sum(row) for _, _, row in rows))
+    bound = reach ** len(strides) * math.prod(1 + sum(row) for _, _, row in rows)
+    band = _Band(min(n * g, order + 1), bound)
     window = (1 << 8 * band.width * band.slots(order)) - 1
     x = 1
     for a, b, row in rows:
@@ -131,8 +137,7 @@ def _leading_series(n, g, order):
         for c in row:
             power = (power << shift) & window
             x += c * power
-    x = band.running_sums(x, strides, reach, window)
-    return TruncatedSeries._raw(band.unpack(x, order), order)
+    return _BandValue(band, band.running_sums(x, strides, reach, window), order, bound)
 
 
 class SemistableSeries:
@@ -142,13 +147,64 @@ class SemistableSeries:
     from the memo (an exact repeat, or a truncation of a higher-order
     series of the same residue class), ``misses`` the series computed,
     and ``types_used`` the live filtration types consumed.
+
+    A miss is formed packed in the band of its leading series and read
+    once.  The evaluator holds, as ``packed._BandValue``, the leading
+    series of each (n, g) at the highest order formed and the product of
+    each multiset of factor classes at the highest window formed.  The
+    miss sizes its slots for the sum B of the bounds of the leading
+    series and of the product of every live type, widens each held value
+    to them (``packed._widen``) and subtracts each product, shifted by
+    (uv)^c, once per live type: the leading series less the shifted
+    products is the series, and each partial difference has every
+    coefficient at most B.
+
+    One band serves every miss with a live type.  The series and
+    products of rank m lie in the band of width m g, by induction on m:
+    the leading series does (``_leading_series``, which packs it in the
+    band min(m g, order + 1)), a product of factors of ranks m_j lies in
+    the band sum m_j g = m g, and a shift by (uv)^c keeps p - q.  A live
+    type of rank n has codimension c at least (g-1)(n-1) + 1 with
+    2c <= order, so order + 1 >= 2(g-1)(n-1) + 3, which is above n g
+    since (g-2)(n-2) + 1 > 0.  The leading series is then packed in the
+    band n g too, and only the slot widths differ.  A miss with no live
+    type reads the held leading series at its own order.
+
+    Bounds.  A product is formed from the factor series to its window,
+    packed at its own width in the band n g, and its window is masked
+    after each multiplication.  By Young's inequality the sup norm of a
+    product is at most the product of the L1 norms of its factors, and
+    the window of a product depends only on the windows of its factors.
+    So every coefficient of every partial product, in the window or above
+    it before the mask, is at most the product B_t of the factor norms
+    (a nonzero integer series has norm at least 1).  B_t bounds the L1
+    norm of the product's window too.  The leading series has its own
+    bound (``_leading_series``).  A bound holds at every lower window, so
+    a held value is read at any window below its own.  The miss's slots,
+    sized for the sum of the bounds, are never narrower than a held
+    value's: widths only widen.
+
+    Masked and aliased terms.  A factor of rank m lies in the band m g
+    and every partial product in the band n g, so no term is aliased:
+    each has its own slot, and the slots run in order of total degree.
+    The terms of a product above its window thus sit above the window's
+    s slots, where the mask cuts them.  Masking a value with a negative
+    coefficient in its window leaves a multiple of 2^(8 w s) more, w the
+    slot width, which also sits above the window, and the later products,
+    the widening and the read all work modulo 2^(8 w s).  A held product
+    is widened cut at the window of its first live type, the largest.
+    Its terms above the window w = order - 2c of a later type, shifted by
+    (uv)^c, that is by K c slots, K = 2 n g + 1, sit at or above slot
+    s(w) + K c = s(order), above the miss's window.  Whatever sits there,
+    carries and borrows included, changes the miss's integer only by a
+    multiple of 2^(8 w s(order)), which the read's mask removes.
     """
 
     def __init__(self):
         self._cache = {}  # (n, d mod n, g, order) -> series
         self._top = {}  # (n, d mod n, g) -> highest-order series computed
-        self._products = {}  # (sorted factor classes, g) -> highest-order product formed
-        self._leading = {}  # (n, g) -> highest-order leading series computed
+        self._products = {}  # (sorted factor classes, g) -> product held at the highest window formed
+        self._leading = {}  # (n, g) -> leading series held at the highest order formed
         self.hits = 0
         self.misses = 0
         self.types_used = 0
@@ -175,69 +231,74 @@ class SemistableSeries:
             # more; a miss first checks that its arguments are integers
             _check_ints(n, d, g, order)
             self.misses += 1
-            # a fresh copy of the leading series, so this call owns its
-            # terms and subtracts every shifted product into them; the
-            # memoized leading series, products and factor series are
-            # only read
-            terms = self._leading_terms(n, g, order)
-            for t in enumerate_hn_types(n, d, g, order):
-                c = codim_hn(t, g)
-                if 2 * c > order:
-                    # the types come sorted by codimension, so every later
-                    # one is dead too
-                    break
-                self.types_used += 1
-                # only the product's terms of total degree <= order - 2c
-                # are read, so their shift by (uv)^c stays inside the window
-                window = order - 2 * c
-                for (p, q), k in self._product(t.quotients, g, window).items():
-                    if p + q > window:
-                        continue
-                    e = (p + c, q + c)
-                    s = terms.get(e, 0) - k
-                    if s:
-                        terms[e] = s if type(s) is int else as_coeff(s)
-                    else:
-                        terms.pop(e, None)
-            result = TruncatedSeries._raw(terms, order)
+            result = TruncatedSeries._raw(self._miss(n, d, g, order), order)
             self._top[key[:3]] = result
         self._cache[key] = result
         return result
 
-    def _leading_terms(self, n, g, order):
-        """A fresh term dict of the leading term's series to ``order``.
+    def _miss(self, n, d, g, order):
+        """The term dict of the series to ``order``, formed packed as the
+        class docstring describes; the held values are only read."""
+        leading = self._leading_value(n, g, order)
+        live = []  # (c, held product) per live type
+        for t in enumerate_hn_types(n, d, g, order):
+            c = codim_hn(t, g)
+            if 2 * c > order:
+                # the types come sorted by codimension, so every later one
+                # is dead too
+                break
+            self.types_used += 1
+            live.append((c, self._product(t.quotients, g, order - 2 * c)))
+        if not live:
+            return leading.read(order)
+        band = _Band(leading.band.band, leading.bound + sum(held.bound for _, held in live))
+        x = _widen(leading, band, order)
+        wide = {}  # held product -> widened at the window of its first type
+        for c, held in live:
+            y = wide.get(held)
+            if y is None:
+                y = wide[held] = _widen(held, band, order - 2 * c)
+            x -= y << band.offset(c, c)
+        return band.unpack(x, order)
 
-        The series does not depend on the degree, so one is kept per
-        (n, g), at the highest order requested, and lower orders are
-        copied out of it.
+    def _leading_value(self, n, g, order):
+        """The held leading series of (n, g), to ``order`` or higher.
+
+        The series does not depend on the degree, so one is held per
+        (n, g), at the highest order requested, and serves every residue
+        class and lower order.
         """
-        top = self._leading.get((n, g))
-        if top is None or top.order < order:
-            top = _leading_series(n, g, order)
-            self._leading[(n, g)] = top
-        return {e: c for e, c in top.items() if e[0] + e[1] <= order}
+        held = self._leading.get((n, g))
+        if held is None or held.order < order:
+            held = self._leading[(n, g)] = _leading_series(n, g, order)
+        return held
 
-    def _product(self, quotients, g, order):
-        """Product of the factor series of a type's quotients, to ``order``
-        or higher.
+    def _product(self, quotients, g, window):
+        """The held product of the factor series of a type's quotients, to
+        ``window`` or higher.
 
         Factors are multiplied in sorted class order, so types with the
-        same multiset of classes share one product.  The highest-order
-        product formed for each multiset is kept, and a request at a lower
-        order is served by it, uncut: the caller reads only its terms of
-        total degree <= order.
+        same multiset of classes share one product.  The highest window
+        formed for each multiset is held, and serves every lower window;
+        a request above it forms the product anew, from the factor series
+        to the new window.
         """
         classes = tuple(sorted((nj, dj % nj) for nj, dj in quotients))
         key = (classes, g)
         held = self._products.get(key)
-        if held is not None and held.order >= order:
+        if held is not None and held.order >= window:
             return held
-        prod = None
-        for nj, rj in classes:
-            factor = self.series(nj, rj, g, order)
-            prod = factor if prod is None else prod * factor
-        self._products[key] = prod
-        return prod
+        factors = [self.series(nj, rj, g, window)._terms for nj, rj in classes]
+        bound = math.prod(sum(map(abs, terms.values())) for terms in factors)
+        band = _Band(g * sum(nj for nj, _ in classes), bound)
+        slots = band.slots(window)
+        mask = (1 << 8 * band.width * slots) - 1
+        value = None
+        for terms in factors:
+            packed = _pack(terms, (0, 0), band.strides, band.width, slots)
+            value = packed if value is None else value * packed & mask
+        held = self._products[key] = _BandValue(band, value, window, bound)
+        return held
 
 
 def hp_ss_series(n, d, g, order, evaluator=None):

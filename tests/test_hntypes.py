@@ -198,12 +198,19 @@ def tail_costs(ranks, g):
 
 
 def test_tabled_compositions_and_tail_costs():
+    # each level tables, for one quotient but the last, its rank r, the
+    # rank R from it on, r (R - r), and the pairs and rank products of the
+    # later quotients, whose tail cost is pairs + (g - 1) products
     for n in range(1, MAX_RANK + 1):
-        assert [ranks for ranks, _, _ in _shapes(n)] == [r for r in _compositions(n) if len(r) > 1]
+        assert [ranks for ranks, _ in _shapes(n)] == [r for r in _compositions(n) if len(r) > 1]
+        for ranks, levels in _shapes(n):
+            assert [level[:3] for level in levels] == [
+                (r, sum(ranks[j:]), r * sum(ranks[j + 1 :])) for j, r in enumerate(ranks[:-1])
+            ]
         for g in (1, 2, 7, 10**6):
-            for ranks, pairs, products in _shapes(n):
-                tabled = [a + (g - 1) * b for a, b in zip(pairs, products)]
-                assert tabled == tail_costs(ranks, g), (ranks, g)
+            for ranks, levels in _shapes(n):
+                tabled = [pairs + (g - 1) * products for *_, pairs, products in levels]
+                assert tabled == tail_costs(ranks, g)[1 : len(ranks)], (ranks, g)
 
 
 def test_every_enumerated_type_has_positive_codim():

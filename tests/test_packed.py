@@ -3,6 +3,7 @@
 polynomials with non-negative exponents."""
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 import hpbundles  # noqa: E402
 from hpbundles import ONE, InternalCheckError, LaurentPoly, hodge_deligne_stable_rank2, uv_power  # noqa: E402
 from hpbundles import packed as packed_module  # noqa: E402
-from hpbundles.packed import _Box, _check_bounds, _pack, _Packed, _unpack  # noqa: E402
+from hpbundles.packed import _Band, _BandValue, _Box, _check_bounds, _pack, _Packed, _unpack, _widen  # noqa: E402
 
 # Room for the drawn polynomials (exponents below SIDE) and every shift,
 # product and dual below; slots of 2^200 hold the drawn norms, below 2^90,
@@ -134,6 +135,41 @@ def test_norm_bound_forced_over_raises():
     # a term past the last column would carry into the next row
     with pytest.raises(InternalCheckError):
         pack(box, {(0, 2): 1}).uv(2)
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+def test_widening_round_trips(width):
+    # every point of the window p + q <= 5 in the band of width 3, with the
+    # coefficients at both ends of the slots, held masked to the window as
+    # a held series is, so that its negative coefficients borrow past it
+    rng = random.Random(width)
+    limit = 1 << (8 * width - 1)
+    band, top = 3, 5
+    source = _Band(band, limit - 1)
+    assert source.width == width
+    points = [(p, s - p) for s in range(top + 1) for p in range(s + 1) if abs(2 * p - s) <= band]
+    terms = {e: rng.choice((limit - 1, 1 - limit, 0, rng.randrange(1 - limit, limit))) for e in points}
+    terms[points[0]], terms[points[-1]] = limit - 1, 1 - limit
+    terms = {e: c for e, c in terms.items() if c}
+    slots = source.slots(top)
+    value = _pack(terms, (0, 0), source.strides, width, slots) & ((1 << 8 * width * slots) - 1)
+    held = _BandValue(source, value, top, limit - 1)
+    for wide in sorted({width, width + 1, width + 7, 17} - set(range(width))):
+        target = _Band(band, (1 << 8 * wide - 1) - 1)
+        assert target.width == wide
+        for order in range(top + 1):
+            cut = {e: c for e, c in terms.items() if sum(e) <= order}
+            widened = _widen(held, target, order)
+            # exactly the cut window in the wider slots, nothing above it
+            assert widened == _pack(cut, (0, 0), target.strides, wide, target.slots(order)), (wide, order)
+            assert target.unpack(widened, order) == cut, (wide, order)
+    # a band change, a narrowing or an order above the held one raises
+    for target, order in ((_Band(band + 1, limit - 1), top), (_Band(band - 1, limit - 1), top), (source, top + 1)):
+        with pytest.raises(InternalCheckError):
+            _widen(held, target, order)
+    if width > 1:
+        with pytest.raises(InternalCheckError):
+            _widen(held, _Band(band, (limit >> 8) - 1), top)
 
 
 def test_outer_and_binomial_products_match_powers():

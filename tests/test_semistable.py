@@ -23,7 +23,7 @@ from hpbundles import (
 )
 from hpbundles import InternalCheckError, semistable
 from hpbundles.hntypes import MAX_RANK, _compositions
-from hpbundles.packed import _Box
+from hpbundles.packed import _Box, _slot_width
 from hpbundles.semistable import _certify_coprime, _leading_series, leading_closed_term, ss_closed_form
 from hpbundles.univariate import diagonal_ss_series, diagonal_stable_coprime
 
@@ -82,28 +82,38 @@ def test_memoized_reruns_agree():
     assert a.hits >= 1
 
 
+def _state(held):
+    """A held packed value's fields, to check that nothing mutates it."""
+    return held.band, held.band.width, held.value, held.order, held.bound
+
+
 def test_memo_entries_unchanged_by_later_requests():
-    # A product entry is replaced when a higher order is asked for, so the
-    # objects held before the later requests are kept and checked
+    # A product entry is replaced when a higher window is asked for, so
+    # the objects held before the later requests are kept and checked
     # themselves, and each current entry is read at their order.
     evaluator = SemistableSeries()
     evaluator.series(3, 1, 2, 16)
+    series = {key: (entry, dict(entry.items())) for key, entry in evaluator._cache.items()}
     held = {
-        name: {key: (series, dict(series.items())) for key, series in getattr(evaluator, name).items()}
-        for name in ("_cache", "_products")
+        (name, key): (entry, _state(entry), entry.read(entry.order))
+        for name in ("_products", "_leading")
+        for key, entry in getattr(evaluator, name).items()
     }
+    assert any(name == "_products" for name, _ in held)
     # (2, 0) at orders 12 and 20 reads the rank-1 products this memo
     # holds, and order 20 replaces them; the others reuse its series as
     # factors, and (3, 1) at order 24 replaces its products
     for n, d, order in ((2, 0, 12), (2, 0, 20), (4, 1, 16), (3, 1, 24), (3, 1, 16)):
         evaluator.series(n, d, 2, order)
+    for key, (entry, terms) in series.items():
+        assert dict(entry.items()) == terms, key
+        assert dict(evaluator._cache[key].items()) == terms, key
     replaced = 0
-    for name, entries in held.items():
-        current = getattr(evaluator, name)
-        for key, (series, terms) in entries.items():
-            assert dict(series.items()) == terms, (name, key)
-            assert dict(current[key].truncate(series.order).items()) == terms, (name, key)
-            replaced += current[key] is not series
+    for (name, key), (entry, state, terms) in held.items():
+        current = getattr(evaluator, name)[key]
+        assert _state(entry) == state, (name, key)
+        assert current.read(entry.order) == terms, (name, key)
+        replaced += current is not entry
     assert replaced
 
 
@@ -114,23 +124,23 @@ def _classes(quotients):
 @pytest.mark.parametrize("orders", [(32, 24, 16, 8), (8, 16, 24, 32)])
 def test_product_memo_one_entry_per_class_multiset(orders, monkeypatch):
     g = 2
-    served = []  # (classes, order asked, product returned), in call order
+    served = []  # (classes, window asked, held product returned), in call order
     product = SemistableSeries._product
 
-    def recording(self, quotients, g, order):
-        prod = product(self, quotients, g, order)
-        served.append((_classes(quotients), order, prod))
-        return prod
+    def recording(self, quotients, g, window):
+        held = product(self, quotients, g, window)
+        served.append((_classes(quotients), window, held))
+        return held
 
-    muls = []
-    mul = TruncatedSeries.__mul__
+    packs = []  # one per factor series packed into a product
+    pack = semistable._pack
 
-    def counting(a, b):
-        muls.append(None)
-        return mul(a, b)
+    def counting(*args):
+        packs.append(None)
+        return pack(*args)
 
     monkeypatch.setattr(SemistableSeries, "_product", recording)
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    monkeypatch.setattr(semistable, "_pack", counting)
     evaluator = SemistableSeries()
     for order in orders:
         for r in range(5):
@@ -144,41 +154,41 @@ def test_product_memo_one_entry_per_class_multiset(orders, monkeypatch):
         for t in enumerate_hn_types(n, r, g, top.order)
         if 2 * codim_hn(t, g) <= top.order
     }
-    assert set(evaluator._products) == live
+    assert live and set(evaluator._products) == live
 
-    # A product is formed only above the order its entry holds, with
-    # k - 1 multiplications for k factors.  Inside one sweep the recursion
+    # A product is formed only above the window its entry holds, from one
+    # packed factor series per class.  Inside one sweep the recursion
     # still asks for lower-rank factor series at rising orders, so an
     # entry can be formed more than once, higher each time.
     held = {}
     formed = 0
-    for classes, order, prod in served:
+    for classes, window, prod in served:
         before = held.get(classes)
         if prod is before:
-            assert prod.order >= order, (classes, order)
+            assert prod.order >= window, (classes, window)
         else:
-            assert before is None or before.order < order == prod.order, (classes, order)
+            assert before is None or before.order < window == prod.order, (classes, window)
             held[classes] = prod
-            formed += len(classes) - 1
-    assert len(muls) == formed
+            formed += len(classes)
+    assert formed and len(packs) == formed
 
-    # asked for one multiset at orders falling, the evaluator forms it
-    # once; rising, at every order
+    # asked for one multiset at windows falling, the evaluator forms it
+    # once; rising, at every window
     swept = len(served)
     other = SemistableSeries()
     quotients = ((4, 1), (1, 0))
     first = other._product(quotients, g, orders[0])
-    count = len(muls)
+    count = len(packs)
     for order in orders[1:]:
         prod = other._product(quotients, g, order)
         if orders[0] == max(orders):
-            assert prod is first and len(muls) == count
+            assert prod is first and len(packs) == count
         else:
-            assert prod.order == order and len(muls) > count
-            count = len(muls)
+            assert prod.order == order and len(packs) > count
+            count = len(packs)
     monkeypatch.undo()
 
-    # every product served, and the entry now held, read at each order
+    # every product served, and the entry now held, read at each window
     # asked for equals a fresh product of fresh factor series
     fresh = {}
 
@@ -188,12 +198,12 @@ def test_product_memo_one_entry_per_class_multiset(orders, monkeypatch):
             if (nj, rj, order) not in fresh:
                 fresh[nj, rj, order] = SemistableSeries().series(nj, rj, g, order)
             prod = fresh[nj, rj, order] if prod is None else prod * fresh[nj, rj, order]
-        return prod
+        return dict(prod.items())
 
-    for classes, order, prod in served[:swept]:
-        expected = fresh_product(classes, order)
-        assert prod.truncate(order) == expected, (classes, order)
-        assert evaluator._products[classes, g].truncate(order) == expected, (classes, order)
+    for classes, window, prod in served[:swept]:
+        expected = fresh_product(classes, window)
+        assert prod.read(window) == expected, (classes, window)
+        assert evaluator._products[classes, g].read(window) == expected, (classes, window)
 
 
 def test_memo_order_of_requests_does_not_change_values():
@@ -262,8 +272,8 @@ def test_genus_validation():
 
 def test_windowed_leading_series_matches_full_expansion():
     # orders rising make the evaluator expand each one afresh, inside its
-    # window; falling, it copies them out of the highest expansion.  The
-    # full numerator's expansion to the top order, truncated, is its
+    # window; falling, it reads them out of the highest expansion held.
+    # The full numerator's expansion to the top order, truncated, is its
     # expansion to each lower order.  The full numerator comes from the
     # shift-add expander and is divided by ``series._divide_factors``; the
     # windowed series are formed and divided packed inside their window
@@ -279,8 +289,11 @@ def test_windowed_leading_series_matches_full_expansion():
         full = leading_closed_term(n, g).series_expand(top)
         expected = {order: dict(full.truncate(order).items()) for order in range(top + 1)}
         evaluator = SemistableSeries()
-        for order in [*rising, *range(top, -1, -1)]:
-            assert evaluator._leading_terms(n, g, order) == expected[order], (n, g, order)
+        for orders, formed in ((rising, None), (range(top, -1, -1), top)):
+            for order in orders:
+                held = evaluator._leading_value(n, g, order)
+                assert held.order == (order if formed is None else formed), (n, g, order)
+                assert held.read(order) == expected[order], (n, g, order)
 
 
 # the band of width min(n g, order + 1): n g at or below the cap, the cap
@@ -291,21 +304,92 @@ LEADING_SERIES_GRID += [(n, 40, 4) for n in (1, 2, 3)] + [(2, 40, 0)]
 
 @pytest.mark.parametrize("n, g, order", LEADING_SERIES_GRID)
 def test_leading_series_is_the_closed_term_expanded(n, g, order):
-    assert _leading_series(n, g, order) == leading_closed_term(n, g).series_expand(order)
+    held = _leading_series(n, g, order)
+    assert (held.band.band, held.order) == (min(n * g, order + 1), order)
+    assert held.read(order) == dict(leading_closed_term(n, g).series_expand(order).items())
 
 
 def test_memoized_leading_series_is_only_read():
     evaluator = SemistableSeries()
     evaluator.series(3, 0, 2, 12)
     leading = evaluator._leading[(3, 2)]
-    before = dict(leading.items())
-    # the other residues reuse it at order 12 and subtract into a copy;
-    # order 20 then replaces it with a higher-order expansion
+    before = _state(leading)
+    # the other residues read it at order 12 and 8; order 20 then
+    # replaces it with a higher-order expansion
     for d, order in ((1, 12), (2, 12), (1, 8), (2, 20)):
         evaluator.series(3, d, 2, order)
-    assert dict(leading.items()) == before
-    assert leading == leading_closed_term(3, 2).series_expand(12)
-    assert evaluator._leading[(3, 2)] == leading_closed_term(3, 2).series_expand(20)
+    assert _state(leading) == before
+    assert leading.read(12) == dict(leading_closed_term(3, 2).series_expand(12).items())
+    current = evaluator._leading[(3, 2)]
+    assert current is not leading and current.order == 20
+    assert current.read(20) == dict(leading_closed_term(3, 2).series_expand(20).items())
+
+
+def test_held_values_and_results_fit_their_slots(monkeypatch):
+    # Every miss's result must fit the slots of the band it was read from,
+    # every held value must hold its bound, and the bound must have sized
+    # its slots.  The band of a miss is the target of its last widening;
+    # a miss with no live type makes none and reads its leading series.
+    targets = []
+    widen = semistable._widen
+
+    def recording_widen(held, target, order):
+        targets.append(target)
+        return widen(held, target, order)
+
+    results = []  # (n, g, result terms, band read from)
+    miss = SemistableSeries._miss
+
+    def recording_miss(self, n, d, g, order):
+        before = len(targets)
+        terms = miss(self, n, d, g, order)
+        band = targets[-1] if len(targets) > before else self._leading[(n, g)].band
+        results.append((n, g, terms, band, len(targets) > before))
+        return terms
+
+    monkeypatch.setattr(semistable, "_widen", recording_widen)
+    monkeypatch.setattr(SemistableSeries, "_miss", recording_miss)
+    products = 0
+    for g in (2, 3, 4):
+        evaluator = SemistableSeries()
+        for order in (24, 40, 7, 33, 16):
+            for n in range(2, MAX_RANK + 1):
+                for d in range(n):
+                    evaluator.series(n, d, g, order)
+        for held in [*evaluator._products.values(), *evaluator._leading.values()]:
+            assert held.band.width == _slot_width(held.bound)
+            assert max(map(abs, held.read(held.order).values())) <= held.bound
+            # held masked to its window: nothing above it is kept
+            assert 0 <= held.value < 1 << 8 * held.band.width * held.band.slots(held.order)
+        products += len(evaluator._products)
+    assert products and any(live for *_, live in results)
+    for n, g, terms, band, live in results:
+        assert max(map(abs, terms.values())) < band.limit, (n, g)
+        if live:
+            assert band.band == n * g, (n, g)
+
+
+# hits, misses and types_used after each order of a sweep over ranks 2-6
+# and every residue, on one evaluator per genus, as the dict recursion
+# counted them; the CLI's --json output carries them
+SWEEP_COUNTS = {
+    ((40, 30, 20, 10), 2): [(265, 22, 402), (285, 22, 402), (305, 22, 402), (325, 22, 402)],
+    ((40, 30, 20, 10), 3): [(128, 22, 202), (148, 22, 202), (168, 22, 202), (188, 22, 202)],
+    ((10, 20, 30, 40), 2): [(18, 22, 16), (105, 44, 101), (265, 66, 310), (502, 88, 712)],
+    ((10, 20, 30, 40), 3): [(4, 22, 5), (37, 44, 40), (114, 66, 138), (228, 88, 340)],
+}
+
+
+@pytest.mark.parametrize("orders, g", list(SWEEP_COUNTS))
+def test_memo_counters_on_falling_and_rising_sweeps(orders, g):
+    evaluator = SemistableSeries()
+    counts = []
+    for order in orders:
+        for n in range(2, 7):
+            for d in range(n):
+                evaluator.series(n, d, g, order)
+        counts.append((evaluator.hits, evaluator.misses, evaluator.types_used))
+    assert counts == SWEEP_COUNTS[orders, g]
 
 
 def test_leading_term_rank1():
