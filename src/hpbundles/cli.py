@@ -168,14 +168,19 @@ def _cmd_coprime(args):
     return 0
 
 
+# What reading a JSON file can raise on bad input: ValueError for a
+# malformed file or one that is not UTF-8, RecursionError for one nested
+# deeper than the decoder recurses
+_READ_ERRORS = (OSError, ValueError, RecursionError)
+
+
 def _golden_compare(path, obj):
     payload = serialize.dumps(obj)
     if os.path.exists(path):
-        # ValueError covers both a malformed file and one that is not UTF-8
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 stored = json.load(handle)
-        except (OSError, ValueError) as err:
+        except _READ_ERRORS as err:
             raise DomainError("cannot read golden file %s: %s" % (path, err)) from err
         if stored != json.loads(payload):
             raise InternalCheckError("golden file %s does not match the computed value" % path)
@@ -230,7 +235,7 @@ def _cmd_index_set(args):
     try:
         with open(args.system, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, ValueError) as err:
+    except _READ_ERRORS as err:
         raise DomainError("cannot read weight system: %s" % err) from err
     ws = serialize.weight_system_from_obj(raw)
     indices = convex.index_set(ws)

@@ -9,8 +9,8 @@ onto affine hulls of small subsets and checking the global optimality
 inequality x.p >= |x|^2 exactly.
 
 The searches run in integers.  The points are scaled once by the lcm L
-of their denominators, and one table of their pairwise products is built
-per search.  A pair, a triple or a quadruple is projected in closed
+of their denominators, and one table of their pairwise products, a
+``_pairings`` row per point, is built per search.  A pair, a triple or a quadruple is projected in closed
 form from that table (``_segments``, ``_triangles``, ``_tetrahedra``): a
 segment by the two products t = G_ii - G_ij and d = |p_i - p_j|^2, a
 triangle by Cramer's rule on its 2x2 Gram system, a tetrahedron by the
@@ -23,6 +23,14 @@ common denominator den, and the point X with x = X/(den*L) is formed
 only after the hull test, for a subset whose coordinates are all >= 0.
 Sign tests, the chamber test, support membership, the codimension count
 and the optimality inequality are integer comparisons.  ``index_set``
+tests X != 0 and the chamber on the raw pair (X, den), before it divides
+out the gcd and drops repeats, so only candidates it keeps are reduced;
+both tests ignore the positive factors den and gcd.  The support pass,
+``_support_codim``, forms the row of pairings P.X of every weight P at
+once (``_pairings``, unrolled up to dimension 4, as the closed forms
+are) and compares it with X.X/den: P lies on the supporting hyperplane
+iff den divides X.X and P.X = X.X/den, and below it iff
+P.X < ceil(X.X/den).  ``index_set``
 also sorts on integers: with D the largest denominator among its kept
 indices, floor(X.X*D^4/den^2) and floor(X_i*D^2/den) order |beta|^2 and
 the components of beta exactly, and a ``Fraction`` is built only for a
@@ -54,11 +62,11 @@ from .poly import as_int
 # a system with more subset-weight pairs than this.  Near the cap, on
 # random systems of distinct weights with no chamber (every candidate
 # kept), a whole ``beta index-set`` run, which prints each index with its
-# codimension, took 1.0-1.6 s in dimension 1 (1414 weights), 1.1-1.8 s in
-# 2 (158), 1.4-2.0 s in 3 (58) (eight runs each) and 1.8-2.0 s in 4 (34)
-# (three runs) on a shared 2-core Xeon with Python 3.11, nearly all of it
-# in index_set.  Up to dimension 4 every subset index_set searches, the
-# 46,376 quadruples of dimension 4 included, is projected in closed form.
+# codimension, took 0.28 s in dimension 1 (1414 weights), 0.51 s in 2
+# (158), 0.74 s in 3 (58) and 0.81 s in 4 (34) (medians of three runs) on
+# a shared 2-core Xeon with Python 3.11, nearly all of it in index_set.
+# Up to dimension 4 every subset index_set searches, the 46,376
+# quadruples of dimension 4 included, is projected in closed form.
 # The largest benchmark system (dimension 4, 11 weights) has 561
 # subsets, 6171 pairs.
 MAX_SUBSET_TESTS = 2_000_000
@@ -84,6 +92,26 @@ def dot(a, b):
 
 def norm_sq(a):
     return sum(x * x for x in a)
+
+
+def _pairings(points, x):
+    """[P.X for P in points]: one row of the pairings with x, unrolled in
+    dimensions 1 to 4, where the search's closed forms end, and summed
+    generically above."""
+    n = len(x)
+    if n == 2:
+        a, b = x
+        return [a * p + b * q for p, q in points]
+    if n == 3:
+        a, b, c = x
+        return [a * p + b * q + c * r for p, q, r in points]
+    if n == 4:
+        a, b, c, d = x
+        return [a * p + b * q + c * r + d * s for p, q, r, s in points]
+    if n == 1:
+        (a,) = x
+        return [a * p for (p,) in points]
+    return [sum(map(mul, p, x)) for p in points]
 
 
 def vsub(a, b):
@@ -353,7 +381,7 @@ def _hull_projections(points, max_size):
         yield p, 1
     if max_size < 2:
         return
-    gram = [[dot(p, q) for q in points] for p in points]
+    gram = [_pairings(points, p) for p in points]
     yield from _segments(points, gram)
     if max_size < 3:
         return
@@ -404,8 +432,8 @@ class WeightSystem:
     The weights, roots and chamber functionals are also kept scaled to
     integers (see ``_scale``) in attributes that are not dataclass fields,
     so equality, hashing and repr see only the four fields.  The integer
-    weights are the distinct vectors, in the order of
-    ``distinct_weight_vectors``, each with its multiplicities summed.
+    weights are (L, points, mults): the distinct vectors, in the order of
+    ``distinct_weight_vectors``, and their multiplicities, summed.
     """
 
     dim: int
@@ -432,7 +460,10 @@ class WeightSystem:
         for s in chamber:
             if len(s) != self.dim:
                 raise DomainError("chamber functional dimension mismatch")
-        if set(roots) != {vscale(Fraction(-1), r) for r in roots}:
+        # one positive factor scales every root, so the integer roots are
+        # negation-closed exactly when the roots are
+        int_roots = tuple(_scale(roots)[1])
+        if set(int_roots) != {tuple(-c for c in r) for r in int_roots}:
             raise DomainError("root system not negation-closed")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "roots", roots)
@@ -441,8 +472,8 @@ class WeightSystem:
         mults = {}
         for p, (_, m) in zip(scaled, weights):
             mults[p] = mults.get(p, 0) + m
-        object.__setattr__(self, "_int_weights", (big, tuple(mults.items())))
-        object.__setattr__(self, "_int_roots", tuple(_scale(roots)[1]))
+        object.__setattr__(self, "_int_weights", (big, tuple(mults), tuple(mults.values())))
+        object.__setattr__(self, "_int_roots", int_roots)
         object.__setattr__(self, "_int_chamber", tuple(_scale(chamber)[1]))
 
     def distinct_weight_vectors(self):
@@ -452,7 +483,7 @@ class WeightSystem:
         """Whether x.s >= 0 for every chamber functional s; x may hold
         Fractions or ints.  Read from the functionals scaled to integers by
         a positive factor, which keeps the sign of every pairing."""
-        return all(dot(x, s) >= 0 for s in self._int_chamber)
+        return min(_pairings(self._int_chamber, x), default=0) >= 0
 
 
 @dataclass(frozen=True)
@@ -469,26 +500,28 @@ class BetaIndex:
 
 
 def _support_codim(ws, x, den):
-    """(support, codim) of the integer point (X, den), beta = X/(den*L):
-    the positions in ``ws._int_weights`` of the weights on beta's
-    supporting hyperplane, and the stratum's codimension.
+    """(support, codim) of the integer point (X, den), den > 0, with
+    beta = X/(den*L): the positions in ``ws._int_weights`` of the weights
+    on beta's supporting hyperplane, and the stratum's codimension.
 
-    One pass over the distinct integer weights P pairs each with X: with
-    v = P/L, v.beta = |beta|^2 reads P.X*den == X.X, and v.beta < |beta|^2
-    reads P.X*den < X.X, which adds the weight's multiplicity to the count
-    below the hyperplane.  The codimension is that count minus the roots
-    negative against beta (the dimension of G/P for the parabolic attached
-    to beta)."""
-    xx = sum(map(mul, x, x))
-    support = []
-    below = 0
-    for i, (p, m) in enumerate(ws._int_weights[1]):
-        t = sum(map(mul, p, x)) * den
-        if t < xx:
-            below += m
-        elif t == xx:
-            support.append(i)
-    return support, below - sum(1 for r in ws._int_roots if sum(map(mul, r, x)) < 0)
+    One row of the pairings P.X of the distinct integer weights P
+    (``_pairings``) is compared with X.X/den: with v = P/L,
+    v.beta = |beta|^2 reads P.X*den == X.X, which holds iff den divides
+    X.X and P.X = X.X/den, and v.beta < |beta|^2 reads P.X < X.X/den,
+    which for an integer P.X is P.X < ceil(X.X/den); such a weight adds
+    its multiplicity to the count below the hyperplane.  The codimension
+    is that count minus the roots negative against beta (the dimension of
+    G/P for the parabolic attached to beta)."""
+    _, points, mults = ws._int_weights
+    row = _pairings(points, x)
+    level, rest = divmod(sum(map(mul, x, x)), den)
+    if rest:
+        support = []
+        level += 1
+    else:
+        support = [i for i, t in enumerate(row) if t == level]
+    below = sum([m for t, m in zip(row, mults) if t < level])
+    return support, below - sum([t < 0 for t in _pairings(ws._int_roots, x)])
 
 
 def index_set(ws):
@@ -511,14 +544,16 @@ def index_set(ws):
     characterizes the minimizer.
 
     The weights are scaled to integers once (``WeightSystem`` keeps them)
-    and projected by ``_hull_projections``; candidates are told apart by
-    the reduced integer pair (X, den) with beta = X/(den*L).  The chamber
-    test runs on X, and one pass of ``_support_codim`` over the weights
-    finds each candidate's support and counts its stratum's codimension
-    from the same products; the index keeps that count for
-    ``stratum_codim``.  The subset a candidate was projected from lies on
-    its supporting hyperplane, so an empty support means the search or
-    the support pass is broken, and raises InternalCheckError.
+    and projected by ``_hull_projections``.  A projection (X, den) with
+    X = 0 or X outside the chamber is dropped as it comes, and the rest
+    are told apart by the reduced integer pair (X/g, den/g),
+    g = gcd(den, X), with beta = X/(den*L).  One pass of
+    ``_support_codim`` over the weights finds each candidate's support and
+    counts its stratum's codimension from the same row of pairings; the
+    index keeps that count for ``stratum_codim``.  The subset a candidate
+    was projected from lies on its supporting hyperplane, so an empty
+    support means the search or the support pass is broken, and raises
+    InternalCheckError.
 
     The kept indices are sorted on integers.  With D the largest den among
     them, two distinct values of X.X/den^2 differ by at least 1/D^4 and
@@ -533,23 +568,25 @@ def index_set(ws):
     Sorted by |beta|^2 then lexicographically.
     """
     vectors = ws.distinct_weight_vectors()
-    big, weights = ws._int_weights
-    scaled = [p for p, _ in weights]
-    subsets = sum(comb(len(scaled), k) for k in range(1, min(len(scaled), ws.dim) + 1))
-    if subsets * len(scaled) > MAX_SUBSET_TESTS:
+    big, points, _ = ws._int_weights
+    count = len(points)
+    subsets = sum(comb(count, k) for k in range(1, min(count, ws.dim) + 1))
+    if subsets * count > MAX_SUBSET_TESTS:
         raise DomainError(
             "%d subsets of %d distinct weights make %d subset-weight pairs, above the cap of %d"
-            % (subsets, len(scaled), subsets * len(scaled), MAX_SUBSET_TESTS)
+            % (subsets, count, subsets * count, MAX_SUBSET_TESTS)
         )
+    in_chamber = ws.in_chamber
     candidates = set()
-    for x, den in _hull_projections(scaled, ws.dim):
-        g = gcd(den, *x)
-        candidates.add((tuple(c // g for c in x), den // g))
+    for x, den in _hull_projections(points, ws.dim):
+        # den > 0 and the gcd g > 0, so X and the reduced X/g lie on the
+        # same side of every chamber wall
+        if any(x) and in_chamber(x):
+            g = gcd(den, *x)
+            candidates.add((tuple([c // g for c in x]), den // g))
 
     kept = []
     for x, den in candidates:
-        if not any(x) or not ws.in_chamber(x):
-            continue
         support, codim = _support_codim(ws, x, den)
         if not support:
             raise InternalCheckError(
@@ -563,13 +600,13 @@ def index_set(ws):
 
         def key(entry):
             x, den = entry[0], entry[1]
-            return (sum(map(mul, x, x)) * top4 // (den * den), *(c * top2 // den for c in x))
+            return (sum(map(mul, x, x)) * top4 // (den * den), *[c * top2 // den for c in x])
 
         kept.sort(key=key)
     out = []
     for x, den, support, codim in kept:
         scale = den * big
-        beta = tuple(Fraction(c, scale) for c in x)
+        beta = tuple([Fraction(c, scale) for c in x])
         bi = BetaIndex(beta=beta, support=tuple(vectors[i] for i in support))
         object.__setattr__(bi, "_codim", (ws, codim))
         out.append(bi)

@@ -26,12 +26,27 @@ def parse_fraction(value):
     """An int or a fraction string as a Fraction; JSON booleans, floats and
     anything else fail.
 
-    A string with an exponent fails before ``Fraction`` reads it: a few
-    characters such as "1e10000000" would ask for an integer of millions of
-    digits, and ``fraction_to_str`` never writes one."""
+    The forms ``fraction_to_str`` writes, ASCII "-?digits" and
+    "-?digits/digits" with a nonzero denominator, are read by ``int()``,
+    which gives the Fraction that ``Fraction(value)`` gives; any other
+    string (a decimal, a sign "+", spaces, "_", a zero denominator, or
+    more digits than ``int()`` reads) is left to ``Fraction``.  A string
+    with an exponent fails before ``Fraction`` reads it: a few characters
+    such as "1e10000000" would ask for an integer of millions of digits,
+    and ``fraction_to_str`` never writes one."""
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if (
+            value.isascii()
+            and (num[1:] if num[:1] == "-" else num).isdigit()
+            and (not slash or den.isdigit() and den.strip("0"))
+        ):
+            try:
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            except ValueError:
+                pass  # over int()'s digit limit: Fraction(value) says so below
         if "e" in value or "E" in value:
             raise DomainError("bad fraction string %r: exponents are not accepted" % (value,))
         try:

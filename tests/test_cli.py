@@ -175,6 +175,12 @@ def test_beta_index_set_non_utf8_file(tmp_path):
     _assert_domain_error(_run_module("beta", "index-set", "--system", str(path)), "cannot read weight system")
 
 
+def test_beta_index_set_deeply_nested_file(tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(DEEPLY_NESTED, encoding="utf-8")
+    _assert_domain_error(_run_module("beta", "index-set", "--system", str(path)), "cannot read weight system")
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -298,10 +304,20 @@ def _missing_parent_golden(tmp_path):
     return tmp_path / "missing" / "g2.json", "cannot write golden file"
 
 
+# nested deeper than the JSON decoder recurses: json.load raises RecursionError
+DEEPLY_NESTED = "[" * 200_000
+
+
+def _deeply_nested_golden(tmp_path):
+    path = tmp_path / "g2.json"
+    path.write_text(DEEPLY_NESTED, encoding="utf-8")
+    return path, "cannot read golden file"
+
+
 @pytest.mark.parametrize(
     "make",
-    [_malformed_golden, _non_utf8_golden, _directory_golden, _missing_parent_golden],
-    ids=["malformed", "non-utf8", "directory", "missing-parent"],
+    [_malformed_golden, _non_utf8_golden, _directory_golden, _missing_parent_golden, _deeply_nested_golden],
+    ids=["malformed", "non-utf8", "directory", "missing-parent", "deeply-nested"],
 )
 def test_golden_bad_path_exits_one(tmp_path, make):
     path, message = make(tmp_path)

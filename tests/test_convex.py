@@ -106,6 +106,16 @@ def test_index_set_single_weight():
     assert indices[0].beta == (1, 2)
 
 
+def test_index_set_reduces_candidates_before_dropping_repeats():
+    # (1, 1) is a weight (X = (1, 1) over den 1) and the projection of
+    # the segments to (2, 0) (X = (2, 2) over den 2) and to (3, -1)
+    # (X = (8, 8) over den 8): one index, reached three ways
+    ws = WeightSystem(dim=2, weights=(((1, 1), 1), ((2, 0), 1), ((3, -1), 1)), roots=(), chamber=())
+    got = index_set(ws)
+    assert got == reference_index_set(ws)
+    assert [bi.beta for bi in got].count((1, 1)) == 1
+
+
 def test_index_set_drops_out_of_chamber_candidates():
     ws = WeightSystem(dim=1, weights=(((2,), 1), ((-2,), 1)), roots=(), chamber=((1,),))
     assert [bi.beta for bi in index_set(ws)] == [(2,)]
@@ -128,6 +138,11 @@ def test_stratum_codim_no_weight_below():
 def test_negation_closure_enforced():
     with pytest.raises(DomainError, match="negation-closed"):
         WeightSystem(dim=1, weights=(((2,), 1),), roots=((2,),), chamber=())
+    # closure is read on the roots scaled to integers by their common
+    # denominator: 1/2 and -1/3 scale to 3 and -2
+    WeightSystem(dim=2, weights=(), roots=(("1/2", "-1/3"), ("-1/2", "1/3")), chamber=())
+    with pytest.raises(DomainError, match="negation-closed"):
+        WeightSystem(dim=1, weights=(), roots=(("1/2",), ("-1/3",)), chamber=())
 
 
 def test_stratum_codim_wrong_length_rejected():
@@ -411,10 +426,11 @@ def test_hull_projections_match_affine_projection():
 def test_single_point_search_builds_no_table(monkeypatch):
     # dimension-1 index sets search single points only; a table of the
     # pairwise products of the 1414 weights allowed there would cost more
-    # time and memory than the search
+    # time and memory than the search.  The table is built one row of
+    # pairings at a time
     products = []
-    real_dot = hpbundles.convex.dot
-    monkeypatch.setattr(hpbundles.convex, "dot", lambda a, b: products.append(1) or real_dot(a, b))
+    real_pairings = hpbundles.convex._pairings
+    monkeypatch.setattr(hpbundles.convex, "_pairings", lambda *args: products.append(1) or real_pairings(*args))
     big, scaled = _scale(random_points(random.Random(41), 1, 30))
     assert [x for x, _ in _hull_projections(scaled, 1)] == scaled
     assert not products
@@ -486,20 +502,51 @@ def reference_codim(ws, bi):
     return below - sum(1 for r in ws.roots if dot(r, bi.beta) < 0)
 
 
+def benchmark_sized_system(dim, count):
+    """A weight system shaped like those of the benchmark's convex
+    workload: count distinct weights with coordinates k/1, k/2 or k/3,
+    |k| <= 6, and multiplicities 1 to 3, the root pair +-(e1 - e2) and the
+    chamber it bounds."""
+    rng = random.Random("index-set-reference:%d:%d" % (dim, count))
+    vectors = {}
+    while len(vectors) < count:
+        vectors[tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(dim))] = None
+    root = (1, -1) + (0,) * (dim - 2)
+    return WeightSystem(
+        dim=dim,
+        weights=tuple((v, rng.randint(1, 3)) for v in vectors),
+        roots=(root, tuple(-x for x in root)),
+        chamber=(root,),
+    )
+
+
+# (dimension, weight count) of the benchmark-sized systems: the benchmark
+# draws dimension 2 with 10-19 weights, 3 with 10-12 and 4 with 10-11
+BENCHMARK_SIZES = ((2, 10), (2, 13), (2, 16), (2, 19), (3, 10), (3, 12), (4, 10), (4, 11))
+
+
 def test_index_set_matches_fraction_reference():
     rng = random.Random(7321)
-    indices_seen = 0
+    systems = []
     for _ in range(120):
         dim = rng.randint(1, 4)
         vectors = random_points(rng, dim, rng.randint(1, 9 - dim))
         roots = [tuple(random_rational(rng) for _ in range(dim)) for _ in range(rng.randint(0, 2))]
         roots = [r for r in roots if any(r)]
-        ws = WeightSystem(
-            dim=dim,
-            weights=tuple((v, rng.randint(1, 3)) for v in vectors),
-            roots=tuple(roots + [tuple(-x for x in r) for r in roots]),
-            chamber=tuple(roots[:1] + [tuple(random_rational(rng) for _ in range(dim))] * rng.randint(0, 1)),
+        systems.append(
+            WeightSystem(
+                dim=dim,
+                weights=tuple((v, rng.randint(1, 3)) for v in vectors),
+                roots=tuple(roots + [tuple(-x for x in r) for r in roots]),
+                chamber=tuple(roots[:1] + [tuple(random_rational(rng) for _ in range(dim))] * rng.randint(0, 1)),
+            )
         )
+    # benchmark-sized systems, where the chamber drops candidates
+    sized = [benchmark_sized_system(dim, count) for dim, count in BENCHMARK_SIZES]
+    for ws in sized:
+        assert len(index_set(ws)) < len(index_set(dataclasses.replace(ws, roots=(), chamber=())))
+    indices_seen = 0
+    for ws in systems + sized:
         got = index_set(ws)
         assert got == reference_index_set(ws)
         # the qualification rule, which index_set does not search again
@@ -507,6 +554,35 @@ def test_index_set_matches_fraction_reference():
         assert [stratum_codim(ws, bi) for bi in got] == [reference_codim(ws, bi) for bi in got]
         indices_seen += len(got)
     assert indices_seen > 100
+
+
+def test_stratum_codim_of_any_beta_matches_fraction_count():
+    # beta = b/s with b_0 = 1 over integer weights, so X = b and den = s:
+    # den does not divide X.X, and the weight v = (floor(X.X/den), 0, ...)
+    # has v.X = floor(X.X/den) < X.X/den, so it lies below the hyperplane
+    rng = random.Random(2207)
+    checked = 0
+    for _ in range(100):
+        dim = rng.randint(2, 5)
+        s = rng.randint(2, 6)
+        b = (1,) + tuple(rng.randint(-6, 6) for _ in range(dim - 1))
+        level, rest = divmod(sum(c * c for c in b), s)
+        if not rest:
+            continue
+        vectors = [(level,) + (0,) * (dim - 1)] + [
+            tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(rng.randint(0, 6))
+        ]
+        roots = [r for r in (tuple(rng.randint(-2, 2) for _ in range(dim)),) if any(r)]
+        ws = WeightSystem(
+            dim=dim,
+            weights=tuple((v, rng.randint(1, 3)) for v in vectors),
+            roots=tuple(roots + [tuple(-x for x in r) for r in roots]),
+            chamber=(),
+        )
+        bi = BetaIndex(beta=tuple(Fraction(c, s) for c in b), support=())
+        assert stratum_codim(ws, bi) == reference_codim(ws, bi)
+        checked += 1
+    assert checked > 50
 
 
 def test_integer_weights_stay_out_of_fields():

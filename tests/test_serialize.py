@@ -156,3 +156,57 @@ def test_malformed_shapes_are_domain_errors(shape):
     # the CLI instead of exiting 1
     with pytest.raises(DomainError, match="malformed"):
         MALFORMED_SHAPES[shape]()
+
+
+def fraction_reference(value):
+    """What ``parse_fraction`` made of a string before it read the forms
+    ``fraction_to_str`` writes with int(): ``Fraction(value)``, or the
+    DomainError text of its failure."""
+    if "e" in value or "E" in value:
+        return "bad fraction string %r: exponents are not accepted" % (value,)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as err:
+        return "bad fraction string %r: %s" % (value, err)
+
+
+def parse_outcome(value):
+    try:
+        got = serialize.parse_fraction(value)
+    except DomainError as err:
+        return str(err)
+    assert type(got) is Fraction
+    return got
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "3", "-3", "0", "1/2", "-7/3", "2/4", "10/1", "-0/5", "007/003",
+        "--3", "-", "+3", " 3", "3 ", "1_0", "3/", "/3", "3/-2", "0/0", "3/00",
+        "007", "-0", "\u0663", "\u00b2", "1.5", "1e3", "1" * 5000, "1/" + "7" * 5000,
+    ],
+    ids=lambda value: value if len(value) < 20 else "%d-chars" % len(value),
+)
+def test_parse_fraction_matches_fraction_reading(value):
+    # the canonical forms are read by int(); everything else, a digit
+    # int() reads but the ASCII test refuses (U+0663) or one it does not
+    # read (U+00B2) included, must give what Fraction gave before
+    assert parse_outcome(value) == fraction_reference(value)
+
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is a test-only dependency
+    st = None
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is a test-only dependency")
+def test_parse_fraction_matches_fraction_reading_sweep():
+    # signs, ASCII digits, slashes, spaces, underscores and one non-ASCII digit
+    @given(st.text(alphabet="-+0123456789/ _\u0663", max_size=12))
+    def check(value):
+        assert parse_outcome(value) == fraction_reference(value)
+
+    check()
