@@ -25,16 +25,15 @@ zipped with the nonzero values by C iterators (``_read_slots``).
 many slots as its caller sized.
 
 The band.  A truncated series of the semistable recursion lies in a
-thin band around the diagonal, so every windowed value, the leading
-series, type products and series of a miss of the recursion
-(``semistable.SemistableSeries``) and the windowed product
-(``poly._mul_dense``), is packed in a band of width D (``_Band``)
-instead of a box: u^p v^q, p, q >= 0 and |p - q| <= D, sits at slot
-(D + 1) p + D q.  With s = p + q, t = p - q and K = 2D + 1 that slot is
-(K s + t) / 2, and |t| <= D < K / 2, so the points of total degree s
-take consecutive slots from (K s - D) / 2 up, all below those of s + 1:
-the slot map is one-to-one on the band and runs in order of total
-degree.  A point with p or q negative has a slot too, which no value
+thin band around the diagonal, so every windowed value of the recursion,
+its leading series, type products and the series of a miss
+(``semistable.SemistableSeries``), is packed in a band of width D
+(``_Band``) instead of a box: u^p v^q, p, q >= 0 and |p - q| <= D,
+sits at slot (D + 1) p + D q.  With s = p + q, t = p - q and
+K = 2D + 1 that slot is (K s + t) / 2, and |t| <= D < K / 2, so the
+points of total degree s take consecutive slots from (K s - D) / 2 up,
+all below those of s + 1: the slot map is one-to-one on the band and
+runs in order of total degree.  A point with p or q negative has a slot too, which no value
 fills.  The window p + q <= N is thus exactly the low (K N + D) // 2 + 1
 slots (``_Band.slots``): one low-bits mask keeps it, and a product read
 there never converts the slots above.  The map is linear, so a
@@ -54,9 +53,7 @@ strided byte slice per byte of the held slots), where they are
 subtracted, shifted, with no term dict formed.  Values that fill a box
 stay in boxes, the unwindowed products, the rank-2 record and the
 certificates: in a band the corners of a square support would double
-the slots.  A windowed product far from the diagonal, such as one of
-series in u alone, whose window would take about D band slots per
-total degree for one term, is not packed at all (``poly._dense_box``).
+the slots.
 
 Products of binomial powers.  A sum of monomials times products of
 binomial powers, sum s u^p v^q prod (1 + c u^a v^b)^k with a and b >= 0,
@@ -184,13 +181,6 @@ def _read_slots(biased, keys, width, slots):
     data = (biased & ((1 << 8 * width * slots) - 1)).to_bytes(width * slots, "little")
     values = _slot_values(data, width)
     return dict(zip(compress(keys, values), filter(None, values)))
-
-
-def _band_slots(band, order):
-    """The number of slots of the window p + q <= order in the band of
-    width band: the low (K order + band) // 2 + 1, K = 2 band + 1; none
-    below order 0."""
-    return max(0, ((2 * band + 1) * order + band) // 2 + 1)
 
 
 def _band_keys(band, slots):
@@ -445,9 +435,9 @@ class _Band(_Slots):
         return 8 * self.width * (p * (self.band + 1) + q * self.band)
 
     def slots(self, order):
-        """The number of slots of the window p + q <= order
-        (``_band_slots``)."""
-        return _band_slots(self.band, order)
+        """The number of slots of the window p + q <= order: the low
+        (K order + D) // 2 + 1, K = 2 D + 1; none below order 0."""
+        return max(0, ((2 * self.band + 1) * order + self.band) // 2 + 1)
 
     def unpack(self, value, order):
         """The term dict of a value of the band over the window

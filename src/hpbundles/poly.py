@@ -27,16 +27,13 @@ terms spread over a 40 x 40 box).  The dict loop is the reference the
 dense path is tested against; the tests check the dict loop in turn
 against a plain pairwise loop.
 
-Truncated power series (``series.TruncatedSeries``) multiply through the
-same paths with a total-degree window: given ``order``, each path returns
-only the terms with p + q <= order.  The dict loop then translates only
-the terms that stay in the window, pairs each later term of one operand
-only with the terms of the other that fit in it, and the dense path
-packs the operands in a diagonal band and reads only the window, the
-band's low slots (the band layout is described in ``packed``).  A
-windowed product far from the diagonal, whose window would take more
-slots in the band than in the rows of its box that meet it, takes the
-dict loop (``_dense_box``).
+Truncated power series (``series.TruncatedSeries``) multiply on the
+dict loop with a total-degree window: given ``order``, ``_mul_sparse``
+returns only the terms with p + q <= order.  It translates only the
+terms that stay in the window, and pairs each later term of one operand
+only with the terms of the other that fit in it.  The semistable
+recursion forms its windowed products itself, packed on their diagonal
+band (``packed._BandValue``).
 
 The packed format, its unpacking and the shift-add products of binomial
 powers (``packed._expand_binomials``) live in ``packed``, as do the
@@ -53,7 +50,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import DivisionRemainderError, DomainError
-from .packed import _Band, _band_slots, _pack, _slot_width, _unpack
+from .packed import _pack, _slot_width, _unpack
 
 
 def as_coeff(c):
@@ -322,15 +319,14 @@ _DENSE_MIN_TERMS = 8
 _DENSE_PAIRS_PER_CELL = 4
 
 
-def _mul_terms(a, b, order=None):
-    """Product of two term dicts by the path the module docstring names;
-    with ``order`` set, only its terms of total degree <= order."""
+def _mul_terms(a, b):
+    """Product of two term dicts by the path the module docstring names."""
     if len(a) > len(b):
         a, b = b, a
-    plan = _dense_box(a, b, order)
-    if plan is not None:
-        return _mul_dense(a, b, order, plan)
-    return _mul_sparse(a, b, order)
+    box = _dense_box(a, b)
+    if box is not None:
+        return _mul_dense(a, b, box)
+    return _mul_sparse(a, b)
 
 
 def _mul_monomial(a, b, order=None):
@@ -388,93 +384,43 @@ def _product_box(a, b):
     return origin_a, origin_b, (ra + rb + 1, cols), (ra * cols + ca + 1, rb * cols + cb + 1)
 
 
-def _dense_box(a, b, order=None):
+def _dense_box(a, b):
     """``_product_box(a, b)`` when the term dicts a (the shorter) and b
-    are to be multiplied densely, else None.  With ``order`` set, their
-    ``_product_band`` instead, and None also when the window would take
-    more slots in the band than in the rows of the box that meet it: a
-    product far from the diagonal, such as one of series in u alone,
-    would take about D band slots per total degree for one term."""
+    are to be multiplied densely, else None."""
     if len(a) < _DENSE_MIN_TERMS:
         return None
     box = _product_box(a, b)
     rows, cols = box[2]
     if len(a) * len(b) < _DENSE_PAIRS_PER_CELL * rows * cols:
         return None
-    if order is None:
-        return box
-    band = _product_band(a, b, box[0], box[1], order)
-    return band if _band_slots(band[2], band[3]) <= min(rows, band[3] + 1) * cols else None
+    return box
 
 
-def _product_band(a, b, origin_a, origin_b, order):
-    """For non-empty term dicts a and b, their minimal exponents origin_a
-    and origin_b, and the window p + q <= order: those origins, the band
-    D = band(a) + band(b) of the product (``_band_shape``), its window
-    from its own minimal exponent, order - p0 - q0 capped at its degree,
-    and the degrees of a and of b from their origins."""
-    band_a, degree_a = _band_shape(a, origin_a)
-    band_b, degree_b = _band_shape(b, origin_b)
-    window = min(order - sum(origin_a) - sum(origin_b), degree_a + degree_b)
-    return origin_a, origin_b, band_a + band_b, window, degree_a, degree_b
-
-
-def _band_shape(terms, origin):
-    """The band and degree of a non-empty term dict from the origin
-    (p0, q0) of its minimal exponents: the largest |p - q - (p0 - q0)|
-    and the largest p + q - p0 - q0 over its terms."""
-    diffs = [p - q for p, q in terms]
-    t0 = origin[0] - origin[1]
-    return max(max(diffs) - t0, t0 - min(diffs)), max([p + q for p, q in terms]) - origin[0] - origin[1]
-
-
-def _mul_dense(a, b, order=None, plan=None):
-    """Product of two term dicts by Kronecker substitution; ``plan`` is
-    their ``_product_box``, or with ``order`` set their ``_product_band``,
-    when the caller has it.
+def _mul_dense(a, b, box=None):
+    """Product of two term dicts by Kronecker substitution; ``box`` is
+    their ``_product_box`` when the caller has it.
 
     Each operand, shifted to valuation (0, 0), is packed (``packed``) and
     one big-integer multiply does the convolution.  In the product's box
     the coefficient of u^p v^q sits in slot p * cols + q, cols the q-span
     of the product, so slot sums of the product never run into the next
-    row, and ``packed._unpack`` reads the box.  With ``order`` set the
-    operands are packed in the diagonal band of width D = band(a) +
-    band(b) instead, each band the largest |p - q| of an operand from its
-    own valuation, and only the window p + q <= order is read: the
-    product's low slots, never converted above them (the band layout is
-    described in ``packed``).  Slots are wide enough for the largest
-    possible product coefficient plus a sign bit.  Fractions are cleared
-    to a common denominator first, and the product is divided by it
-    after.
+    row, and ``packed._unpack`` reads the box.  Slots are wide enough for
+    the largest possible product coefficient plus a sign bit.  Fractions
+    are cleared to a common denominator first, and the product is divided
+    by it after.
     """
     if not a or not b:
         return {}
-    if order is None:
-        origin_a, origin_b, (rows, cols), (slots_a, slots_b) = plan or _product_box(a, b)
-    else:
-        if plan is None:
-            box = _product_box(a, b)
-            plan = _product_band(a, b, box[0], box[1], order)
-        origin_a, origin_b, band, window, degree_a, degree_b = plan
-        if window < 0:
-            return {}
+    origin_a, origin_b, (rows, cols), (slots_a, slots_b) = box or _product_box(a, b)
     ia, den_a = _integral(a)
     ib, den_b = _integral(b)
     den = den_a * den_b
     bound = max(map(abs, ia.values())) * max(map(abs, ib.values())) * min(len(a), len(b))
     p0 = origin_a[0] + origin_b[0]
     q0 = origin_a[1] + origin_b[1]
-    if order is None:
-        width = _slot_width(bound)
-        packed = _pack(ia, origin_a, (cols, 1), width, slots_a) * _pack(ib, origin_b, (cols, 1), width, slots_b)
-        res = _unpack(packed, (p0, q0), rows, cols, width)
-    else:
-        band = _Band(band, bound)
-        packed = _pack(ia, origin_a, band.strides, band.width, band.slots(degree_a))
-        packed *= _pack(ib, origin_b, band.strides, band.width, band.slots(degree_b))
-        res = band.unpack(packed, window)
-        if p0 or q0:
-            res = {(p + p0, q + q0): c for (p, q), c in res.items()}
+    width = _slot_width(bound)
+    packed = _pack(ia, origin_a, (cols, 1), width, slots_a) * _pack(ib, origin_b, (cols, 1), width, slots_b)
+    res = _unpack(packed, (p0, q0), rows, cols, width)
     return res if den == 1 else _scale_terms(res, Fraction(1, den))
 
 

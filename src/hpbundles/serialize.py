@@ -2,7 +2,10 @@
 
 Coefficients travel as exact fraction strings ("1", "-3", "1/2"); term
 lists are emitted sorted by (p+q, p) so identical values always print
-byte-identically.  parse(print(x)) == x for each type here.
+byte-identically.  Weight systems are the one value read back: a file
+of the form the CLI's ``--system`` option takes becomes a
+``convex.WeightSystem`` (``weight_system_from_obj``), its fields read
+exactly or refused as a DomainError.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ from fractions import Fraction
 
 from . import convex
 from .errors import DomainError
-from .hntypes import HNType, ReductiveClass
-from .poly import LaurentPoly
-from .series import FactoredRational, TruncatedSeries
 
 
 def fraction_to_str(c):
@@ -76,42 +76,8 @@ def _reading(kind):
         raise DomainError("malformed %s: %s" % (kind, detail)) from err
 
 
-def poly_from_obj(obj):
-    terms = {}
-    with _reading("polynomial"):
-        for entry in obj:
-            terms[(_int_from_obj(entry["p"], "p"), _int_from_obj(entry["q"], "q"))] = parse_fraction(entry["c"])
-    return LaurentPoly(terms)
-
-
-def rational_to_obj(f):
-    return {
-        "scalar": fraction_to_str(f.scalar),
-        "num": poly_to_obj(f.num),
-        "den": [
-            {"a": a, "b": b, "k": k} for (a, b), k in sorted(f.den.items())
-        ],
-    }
-
-
-def rational_from_obj(obj):
-    with _reading("rational function"):
-        den = {
-            (_int_from_obj(e["a"], "a"), _int_from_obj(e["b"], "b")): _int_from_obj(e["k"], "k")
-            for e in obj.get("den", [])
-        }
-        return FactoredRational(
-            poly_from_obj(obj.get("num", [])), den, parse_fraction(obj.get("scalar", 1))
-        )
-
-
 def series_to_obj(s):
     return {"order": s.order, "terms": poly_to_obj(s.as_poly())}
-
-
-def series_from_obj(obj):
-    with _reading("series"):
-        return TruncatedSeries(poly_from_obj(obj["terms"]).terms(), _int_from_obj(obj["order"], "order"))
 
 
 def _vector_to_obj(v):
@@ -133,15 +99,6 @@ def _int_from_obj(value, name):
         return int(value)
     except ValueError as err:
         raise DomainError("%s must be an integer, got %r" % (name, value)) from err
-
-
-def weight_system_to_obj(ws):
-    return {
-        "dim": ws.dim,
-        "weights": [{"v": _vector_to_obj(v), "mult": m} for v, m in ws.weights],
-        "roots": [_vector_to_obj(r) for r in ws.roots],
-        "chamber": [_vector_to_obj(s) for s in ws.chamber],
-    }
 
 
 def weight_system_from_obj(obj):
@@ -170,11 +127,6 @@ def hn_type_to_obj(t, codim=None):
     return obj
 
 
-def hn_type_from_obj(obj):
-    with _reading("HN type"):
-        return HNType(tuple((_int_from_obj(r, "rank"), _int_from_obj(d, "degree")) for r, d in obj["quotients"]))
-
-
 def reductive_class_to_obj(c, codim=None):
     obj = {
         "pairs": [[m, r] for m, r in c.pairs],
@@ -184,14 +136,6 @@ def reductive_class_to_obj(c, codim=None):
     if codim is not None:
         obj["codim"] = codim
     return obj
-
-
-def reductive_class_from_obj(obj):
-    with _reading("reductive class"):
-        return ReductiveClass(
-            tuple((_int_from_obj(m, "multiplicity"), _int_from_obj(r, "rank")) for m, r in obj["pairs"]),
-            at_dimension_bound=bool(obj.get("at_dimension_bound", False)),
-        )
 
 
 def dumps(obj):

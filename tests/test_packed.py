@@ -183,9 +183,14 @@ def test_outer_and_binomial_products_match_powers():
     assert unpacked(twisted) == expected
 
 
+BAND_NAMES = {"_Band", "_BandValue", "_widen"}
+
+
 def test_packed_is_the_one_module_of_the_slot_format():
     # packed imports no other module of the package but errors, and no
-    # other module converts between integers and slot bytes
+    # other module converts between integers and slot bytes.  Only the
+    # semistable recursion packs series on a band, and poly packs boxes
+    # alone, by _pack and _unpack
     package = Path(hpbundles.__file__).parent
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -198,8 +203,16 @@ def test_packed_is_the_one_module_of_the_slot_format():
                     assert not any(alias.name.startswith("hpbundles") for alias in node.names)
             continue
         for node in ast.walk(tree):
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                assert node.func.attr not in ("from_bytes", "to_bytes"), "%s:%d" % (path.name, node.lineno)
+                assert node.func.attr not in ("from_bytes", "to_bytes"), where
+            if path.name != "semistable.py":
+                if isinstance(node, ast.ImportFrom):
+                    assert not BAND_NAMES & {alias.name for alias in node.names}, where
+                assert not (isinstance(node, ast.Name) and node.id in BAND_NAMES), where
+                assert not (isinstance(node, ast.Attribute) and node.attr in BAND_NAMES), where
+            if path.name == "poly.py" and isinstance(node, ast.ImportFrom) and node.module == "packed":
+                assert {alias.name for alias in node.names} <= {"_pack", "_slot_width", "_unpack"}, where
 
 
 def test_rank2_call_builds_each_slot_pattern_once(monkeypatch):

@@ -12,6 +12,7 @@ from hpbundles import (
     DivisionRemainderError,
     DomainError,
     LaurentPoly,
+    TruncatedSeries,
     dual_substitute,
     exact_divide,
     negate_square_substitute,
@@ -27,7 +28,6 @@ from hpbundles.poly import (
     _mul_dense,
     _mul_monomial,
     _mul_sparse,
-    _mul_terms,
 )
 
 try:
@@ -183,6 +183,14 @@ def window(terms, order):
 TINY_OPERANDS = ({}, {(0, 0): 1}, {(2, 1): Fraction(-5, 3)}, {(-1, 3): -(2**80)}, {(1, 1): 2**200})
 
 
+def at_valuation_zero(terms):
+    """The terms translated so that their least exponents are (0, 0)."""
+    if not terms:
+        return terms
+    p0, q0 = min(p for p, _ in terms), min(q for _, q in terms)
+    return {(p - p0, q - q0): c for (p, q), c in terms.items()}
+
+
 @pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
 def test_windowed_products_drop_exactly_the_terms_above_the_order(kind):
     rng = random.Random("window:" + kind)
@@ -198,52 +206,16 @@ def test_windowed_products_drop_exactly_the_terms_above_the_order(kind):
     pairs += [(tiny, dense) for tiny in TINY_OPERANDS] + [(dense, TINY_OPERANDS[2])]
     for a, b in pairs:
         full = _mul_sparse(a, b)
+        # the same operands as series, whose exponents are non-negative
+        a0, b0 = at_valuation_zero(a), at_valuation_zero(b)
+        full0 = _mul_sparse(a0, b0)
         for order in range(41):
             expected = window(full, order)
             assert _mul_sparse(a, b, order) == expected
             assert _mul_sparse(b, a, order) == expected
-            assert _mul_dense(a, b, order) == expected
-            assert _mul_dense(b, a, order) == expected
-            assert _mul_terms(a, b, order) == expected
-
-
-def test_windowed_dense_product_with_huge_slots_and_cancellation():
-    # slots wider than a machine word, and a window cutting through
-    # rows whose lower slots cancel
-    big = {(p, q): 2**100 + p - q for p in range(6) for q in range(6)}
-    neg = {(p, q): -c for (p, q), c in big.items()}
-    geometric = {(k, k): 1 for k in range(12)}
-    for a, b in ((big, neg), (big, big), (geometric, {(0, 0): 1, (1, 1): -1})):
-        full = _mul_sparse(a, b)
-        for order in range(-2, 30):
-            assert _mul_dense(a, b, order) == window(full, order)
-
-
-def test_windowed_product_far_from_the_diagonal_takes_the_dict_loop(monkeypatch):
-    # a series in u alone would take about D slots per total degree in
-    # the band, one term each, so the gate sends its window to the dict
-    # loop; a series near the diagonal is read from the band.  Every
-    # windowed dense product is packed in the band.
-    bands = []
-    unpack = packed_module._Band.unpack
-
-    def recording_unpack(band, value, order):
-        bands.append(band.band)
-        return unpack(band, value, order)
-
-    monkeypatch.setattr(packed_module._Band, "unpack", recording_unpack)
-    row = {(k, 0): math.comb(40, k) for k in range(41)}
-    diagonal = {(p, s - p): s + 1 for s in range(21) for p in range(s + 1) if abs(2 * p - s) <= 2}
-    assert _dense_box(row, row) is not None
-    for a, order, read in ((row, 40, []), (row, 7, []), (diagonal, 20, [4]), (diagonal, 9, [4])):
-        expected = window(_mul_sparse(a, a), order)
-        assert (_dense_box(a, a, order) is not None) == bool(read)
-        bands.clear()
-        assert _mul_terms(a, a, order) == expected
-        assert bands == read
-        bands.clear()
-        assert _mul_dense(a, a, order) == expected
-        assert bands == [read[0] if read else 80]
+            product = TruncatedSeries(a0, order) * TruncatedSeries(b0, order + 3)
+            assert product.order == order
+            assert dict(product.items()) == window(full0, order)
 
 
 def per_slot_unpack(packed, origin, rows, cols, width):

@@ -20,7 +20,6 @@ from hpbundles import (
 )
 from hpbundles import packed
 from hpbundles import series as series_module
-from hpbundles.poly import _dense_box
 from hpbundles.series import _divide_factors, _expand_factors
 
 
@@ -356,9 +355,15 @@ def random_series(rng, order, fill):
     return TruncatedSeries(terms, order)
 
 
+def is_dense_fill(series):
+    """At least 8 terms, filling at least half the window of its order."""
+    terms = len(dict(series.items()))
+    return terms >= 8 and 2 * terms >= (series.order + 1) * (series.order + 2) // 2
+
+
 def test_series_product_matches_pairwise_loop():
     rng = random.Random(11)
-    dense_taken = sparse_taken = 0
+    dense_pairs = 0
     for _ in range(120):
         x = random_series(rng, rng.randint(0, 24), rng.choice((0.05, 0.3, 1.0)))
         y = random_series(rng, rng.randint(0, 24), rng.choice((0.05, 0.3, 1.0)))
@@ -368,12 +373,8 @@ def test_series_product_matches_pairwise_loop():
         assert dict(product.items()) == expected
         assert all(type(c) is int or c.denominator != 1 for _, c in product.items())
         assert (y * x) == product
-        short, long_ = sorted((dict(x.items()), dict(y.items())), key=len)
-        if _dense_box(short, long_) is not None:
-            dense_taken += 1
-        elif len(short) > 1:
-            sparse_taken += 1
-    assert dense_taken >= 10 and sparse_taken >= 10  # both kernels ran
+        dense_pairs += is_dense_fill(x) and is_dense_fill(y)
+    assert dense_pairs >= 10  # products of dense series, as the recursion makes, were checked
 
 
 def test_series_product_of_expansions_matches_pairwise_loop():
