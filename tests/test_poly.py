@@ -20,6 +20,8 @@ from hpbundles import (
     uv_power,
 )
 from hpbundles import packed as packed_module
+from hpbundles import poly as poly_module
+from hpbundles import series as series_module
 from hpbundles.packed import _Band, _expand_binomials, _pack, _slot_width, _times_binomials, _unpack
 from hpbundles.poly import (
     _add_terms,
@@ -216,6 +218,54 @@ def test_windowed_products_drop_exactly_the_terms_above_the_order(kind):
             product = TruncatedSeries(a0, order) * TruncatedSeries(b0, order + 3)
             assert product.order == order
             assert dict(product.items()) == window(full0, order)
+
+
+def test_windowed_dense_product_with_huge_slots_and_cancellation():
+    # coefficients wider than a machine word, and a window cutting
+    # through total degrees whose terms cancel
+    big = {(p, q): 2**100 + p - q for p in range(6) for q in range(6)}
+    neg = {(p, q): -c for (p, q), c in big.items()}
+    geometric = {(k, k): 1 for k in range(12)}
+    for a, b in ((big, neg), (big, big), (geometric, {(0, 0): 1, (1, 1): -1})):
+        full = _mul_sparse(a, b)
+        for order in range(-2, 30):
+            assert _mul_sparse(a, b, order) == window(full, order)
+            if order >= 0:
+                product = TruncatedSeries(a, order) * TruncatedSeries(b, order)
+                assert dict(product.items()) == window(full, order)
+
+
+def test_windowed_product_far_from_the_diagonal_takes_the_dict_loop(monkeypatch):
+    # a series in u alone and one near the diagonal: every windowed
+    # product is formed by the dict loop, and nothing is packed, in a
+    # box or on a band
+    windows, packs = [], []
+    mul_sparse, pack, band_unpack = series_module._mul_sparse, poly_module._pack, packed_module._Band.unpack
+
+    def recording_mul_sparse(a, b, order=None):
+        windows.append(order)
+        return mul_sparse(a, b, order)
+
+    def recording_pack(*args):
+        packs.append("box")
+        return pack(*args)
+
+    def recording_band_unpack(band, value, order):
+        packs.append("band")
+        return band_unpack(band, value, order)
+
+    monkeypatch.setattr(series_module, "_mul_sparse", recording_mul_sparse)
+    monkeypatch.setattr(poly_module, "_pack", recording_pack)
+    monkeypatch.setattr(packed_module._Band, "unpack", recording_band_unpack)
+    row = {(k, 0): math.comb(40, k) for k in range(41)}
+    diagonal = {(p, s - p): s + 1 for s in range(21) for p in range(s + 1) if abs(2 * p - s) <= 2}
+    for a, order in ((row, 40), (row, 7), (diagonal, 20), (diagonal, 9)):
+        expected = window(_mul_sparse(a, a), order)
+        windows.clear()
+        product = TruncatedSeries(a, order) * TruncatedSeries(a, order)
+        assert dict(product.items()) == expected
+        assert windows == [order]
+    assert packs == []
 
 
 def per_slot_unpack(packed, origin, rows, cols, width):

@@ -1,8 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from hpbundles import DomainError, LaurentPoly, TruncatedSeries, WeightSystem
+from hpbundles import DomainError, HNType, LaurentPoly, ReductiveClass, TruncatedSeries, WeightSystem
 from hpbundles import serialize
 from hpbundles.rank2 import weight_system_adjoint_sl2
 
@@ -11,6 +12,28 @@ def test_poly_obj_is_sorted_and_stringly_exact():
     p = LaurentPoly({(2, 2): 1, (0, 0): Fraction(1, 2)})
     obj = serialize.poly_to_obj(p)
     assert obj == [{"p": 0, "q": 0, "c": "1/2"}, {"p": 2, "q": 2, "c": "1"}]
+
+
+def read_back(obj):
+    """A written form as a reader of the CLI's output finds it: printed
+    by ``dumps`` and parsed as JSON."""
+    return json.loads(serialize.dumps(obj))
+
+
+def poly_from_terms(terms):
+    return LaurentPoly({(t["p"], t["q"]): serialize.parse_fraction(t["c"]) for t in terms})
+
+
+def test_poly_roundtrip():
+    # every term is written exactly: the JSON text gives the polynomial back
+    p = LaurentPoly({(0, 0): 1, (2, 1): Fraction(-3, 2), (-1, 4): 7})
+    assert poly_from_terms(read_back(serialize.poly_to_obj(p))) == p
+
+
+def test_series_roundtrip():
+    s = TruncatedSeries({(0, 0): 1, (1, 1): 3, (2, 0): Fraction(5, 7)}, 5)
+    obj = read_back(serialize.series_to_obj(s))
+    assert TruncatedSeries(poly_from_terms(obj["terms"]).terms(), obj["order"]) == s
 
 
 def test_weight_system_roundtrip():
@@ -40,6 +63,22 @@ def test_weight_system_malformed_rejected():
         serialize.weight_system_from_obj({"weights": []})
 
 
+def test_hn_type_roundtrip():
+    t = HNType(((1, 3), (2, -1)))
+    obj = read_back(serialize.hn_type_to_obj(t, codim=4))
+    assert HNType(tuple(map(tuple, obj["quotients"]))) == t
+    assert obj["codim"] == 4
+
+
+def test_reductive_class_roundtrip():
+    c = ReductiveClass(((1, 1), (2, 1)), at_dimension_bound=True)
+    obj = read_back(serialize.reductive_class_to_obj(c))
+    back = ReductiveClass(tuple(map(tuple, obj["pairs"])), at_dimension_bound=obj["at_dimension_bound"])
+    assert back.pairs == c.pairs
+    assert back.at_dimension_bound == c.at_dimension_bound
+    assert obj["dim"] == c.dim
+
+
 def test_dumps_deterministic():
     s = TruncatedSeries({(1, 1): 1, (0, 0): Fraction(1, 2)}, 4)
     first = serialize.dumps(serialize.series_to_obj(s))
@@ -58,7 +97,22 @@ def test_booleans_are_not_numbers(flag):
         serialize.parse_fraction(flag)
 
 
+# the integer fields of the forms the CLI writes, each read by the rule
+# (``_int_from_obj``) that reads the integer fields of a --system file
+WRITTEN_INTEGER_FIELDS = {
+    "poly-p": "p",
+    "poly-q": "q",
+    "series-order": "order",
+    "hn-type-rank": "rank",
+    "hn-type-degree": "degree",
+    "class-multiplicity": "multiplicity",
+    "class-rank": "rank",
+}
 INTEGER_FIELDS = {
+    **{
+        key: lambda x, name=name: serialize._int_from_obj(x, name)
+        for key, name in WRITTEN_INTEGER_FIELDS.items()
+    },
     "weight-system-dim": lambda x: serialize.weight_system_from_obj({"dim": x, "weights": []}),
     "weight-system-mult": lambda x: serialize.weight_system_from_obj(
         {"dim": 1, "weights": [{"v": [1], "mult": x}]}
