@@ -45,21 +45,37 @@ holds s = (2i + D) // K and p = i - D s).  The tables are built at
 power-of-two lengths, and the 64 used last are kept (``_band_table``):
 a shorter window reads a prefix of its table, no table is longer than
 twice a window read at its width, and each is a tuple, built whole
-before it is shared, so threads can share them.  The recursion holds
-its leading series and type products as ``_BandValue``s, each with the
-bound on its coefficients that sized its slots, and a miss widens them
-into the slots of its own bound in the same band (``_widen``: one
-strided byte slice per byte of the held slots), where they are
-subtracted, shifted, with no term dict formed.  Values that fill a box
-stay in boxes, the unwindowed products, the rank-2 record and the
-certificates: in a band the corners of a square support would double
-the slots.
+before it is shared, so threads can share them; a frozenset of a
+window's points tests a term dict's exponents against it
+(``_Band.points``).  Linearity also gives the dual: (p, q) ->
+(dim - p, dim - q) sends slot i to K dim - i, so the dual
+(uv)^dim x(1/u, 1/v) of a polynomial in the slots 0..K dim reverses
+them, one byte of every slot per slice, as in a box (``_reverse_slots``).
+
+Band values.  A ``_BandValue`` is a series held in a band with a bound
+on its coefficients, and its operations are those of the recursion and
+of the coprime certificate: the window of an order (one mask), the
+product by (uv)^c (one shift), sums and differences, the dual, the
+products by prod (1 - (uv)^m) (one shift and subtraction per stride) and
+by binomial powers (``_times_binomials`` on the band's strides), and the
+read.  Each tracks its bound and refuses one that reaches its slots'
+limit.  The recursion holds its leading series and type products so,
+each with the bound that sized its slots, and a miss widens them into
+the slots of its own bound in the same band (``_widen``: one strided
+byte slice per byte of the held slots), where the products are
+subtracted, shifted (``_BandValue.subtract``), with no term dict formed.
+The coprime moduli polynomial, the closed-form numerator that certifies
+it and every partial product lie in the band of the recursion's series
+too, and are formed and compared there
+(``semistable.stable_coprime_polynomial``).  Values that fill a box stay
+in boxes, the unwindowed products and the rank-2 record: in a band the
+corners of a square support would double the slots.
 
 Products of binomial powers.  A sum of monomials times products of
 binomial powers, sum s u^p v^q prod (1 + c u^a v^b)^k with a and b >= 0,
 is formed by shift-adds (``_expand_binomials``): each part starts as the
 integer s, each power is one big-integer shift and add,
-x += c (x << shift), the factors taken in order of the rows a power
+x += c (x << shift), the factors taken in order of the slots a power
 adds, fewest first, so that the passes run on the shortest integers they
 can (``_times_binomials``), and the part is added at the slot of its
 monomial into one accumulator in the box of the whole sum
@@ -77,19 +93,19 @@ binomial coefficients (``_Box.outer``).
 
 The box.  A computation that goes on working with its products keeps
 them packed as ``_Packed`` values of one ``_Box``, origin (0, 0): the
-rank-2 pipeline (``blocks._rank2_numerators``) and the coprime
-certificate.  Every packed value carries a bound on its L1 norm and on
-its exponents, so an operation that could overflow a slot or carry a
-term into the next row raises InternalCheckError.  Sums, small-int
-multiples and products by (uv)^k, by 1 - (uv)^k or by binomial powers
-are then big-integer adds and shifts, equality is integer equality, a
-parity mask finds odd coefficients, the dual (uv)^d p(1/u, 1/v) reverses
-the slots, and the division by a product of factors 1 - (uv)^m is a
-running sum by shift-adds along the diagonals, certified by multiplying
-back.  The box holds its slot patterns, the bias, the parity mask and
-the digit masks of a division: each is built once, for the longest run
-of slots asked for, and cut to a shorter run by a mask, about 15 times
-cheaper than building it.  Only the results are unpacked.
+rank-2 pipeline (``blocks._rank2_numerators``).  Every packed value
+carries a bound on its L1 norm and on its exponents, so an operation
+that could overflow a slot or carry a term into the next row raises
+InternalCheckError.  Sums, small-int multiples and products by (uv)^k,
+by 1 - (uv)^k or by binomial powers are then big-integer adds and
+shifts, equality is integer equality, a parity mask finds odd
+coefficients, the dual (uv)^d p(1/u, 1/v) reverses the slots, and the
+division by a product of factors 1 - (uv)^m is a running sum by
+shift-adds along the diagonals, certified by multiplying back.  The box
+holds its slot patterns, the bias, the parity mask and the digit masks
+of a division: each is built once, for the longest run of slots asked
+for, and cut to a shorter run by a mask, about 15 times cheaper than
+building it.  Only the results are unpacked.
 """
 
 from __future__ import annotations
@@ -98,7 +114,7 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import compress, product, repeat
-from operator import itemgetter, lshift, or_
+from operator import lshift, or_
 
 from .errors import InternalCheckError
 
@@ -202,6 +218,13 @@ def _band_table(band, slots):
     return tuple(keys)
 
 
+@lru_cache(maxsize=64)
+def _band_points(band, slots):
+    """The exponents of the first slots slots of the band of width band,
+    as a frozenset."""
+    return frozenset(_band_keys(band, slots)[:slots])
+
+
 # A biased slot c + 2^(8 width - 1) differs from c in two's complement only
 # in the top bit of its top byte, which _TWOS flips; _SIGN maps a two's
 # complement byte to the byte that extends its sign.
@@ -269,23 +292,30 @@ def _read_limbs(buf, code):
     return limbs.tolist()
 
 
-def _times_binomials(x, factors, cols, width):
+def _times_binomials(x, factors, sp, width, sq=1):
     """The packed x times prod (1 + c u^a v^b)^k over the factors
-    (c, a, b, k), in rows of cols slots of width bytes: one big-integer
-    shift and add per power.  The caller sizes the slots and the row for
-    every partial product.
+    (c, a, b, k), in slots of width bytes with u^p v^q at slot p sp + q sq
+    (sp = cols, sq = 1 in rows of cols slots; sp = D + 1, sq = D in a band
+    of width D): one big-integer shift by a sp + b sq slots and add per
+    power.  The caller sizes the slots and the layout for every partial
+    product.
 
-    A power of a factor with a > 0 lengthens x by a rows, one with a = 0
-    by b slots, so the factors are applied in order of a, fewest rows
-    first, and every pass before the last runs on a shorter integer.  A
-    product over any subset of the factors stays within the norm and
-    exponent bounds of the whole product, so the order needs no room
-    the caller has not sized."""
-    for c, a, b, k in sorted(factors, key=itemgetter(1)):
-        shift = 8 * width * (a * cols + b)
+    Each power lengthens x by the slots of its shift, so the factors are
+    applied in order of that shift, fewest slots first (in rows, fewest
+    rows first), and every pass before the last runs on a shorter integer.
+    A product over any subset of the factors stays within the norm and
+    exponent bounds of the whole product, so the order needs no room the
+    caller has not sized."""
+    for c, a, b, k in sorted(factors, key=lambda f: f[1] * sp + f[2] * sq):
+        shift = 8 * width * (a * sp + b * sq)
         for _ in range(k):
-            # a product by 1 would cost a pass over the whole integer
-            x += x << shift if c == 1 else c * (x << shift)
+            # a product by 1 or -1 would cost a pass over the whole integer
+            if c == 1:
+                x += x << shift
+            elif c == -1:
+                x -= x << shift
+            else:
+                x += c * (x << shift)
     return x
 
 
@@ -389,12 +419,6 @@ class _Box(_Slots):
         """The shift, in bits, that multiplies a packed value by u^p v^q."""
         return 8 * self.width * (p * self.cols + q)
 
-    def pack(self, terms, top):
-        """The term dict, its exponents at most top = (P, Q), as a value of
-        the box with its L1 norm."""
-        value = _pack(terms, (0, 0), (self.cols, 1), self.width, top[0] * self.cols + top[1] + 1)
-        return _Packed(self, value, sum(map(abs, terms.values())), top)
-
     def unpack(self, value, rows):
         """The term dict of a value of the box over its first rows rows."""
         return _read(value + self.pattern(self.limit, rows * self.cols), (0, 0), rows, self.cols, self.width)
@@ -439,6 +463,12 @@ class _Band(_Slots):
         (K order + D) // 2 + 1, K = 2 D + 1; none below order 0."""
         return max(0, ((2 * self.band + 1) * order + self.band) // 2 + 1)
 
+    def points(self, order):
+        """The exponents of the slots of the window p + q <= order: every
+        (p, q) with p + q <= order and |p - q| <= D that has a slot, those
+        with p or q negative included, which no value fills."""
+        return _band_points(self.band, self.slots(order))
+
     def unpack(self, value, order):
         """The term dict of a value of the band over the window
         p + q <= order, read against the band's key table."""
@@ -449,14 +479,31 @@ class _Band(_Slots):
 
 
 class _BandValue:
-    """A series held packed in a ``_Band``: value, masked to the window
-    p + q <= order, and bound, a bound on every coefficient there, from
-    which the band's slots were sized.  A bound at an order also holds at
-    every lower one, whose coefficients are among those bounded."""
+    """A series held packed in a ``_Band``: value, congruent modulo
+    2^(8 w slots(order)), w the band's slot width, to the packed window
+    p + q <= order, and bound, a bound on every coefficient there, which
+    the band's slots hold.  A bound at an order also holds at every lower
+    one, whose coefficients are among those bounded.  A value may be
+    masked to its window, when a negative coefficient there leaves a
+    borrow above it, or exact, the packed polynomial itself with nothing
+    above its terms; a polynomial of total degree at most order is its
+    own window.
+
+    The operations below keep the congruence and track the bound; one
+    whose bound would reach the slot limit raises InternalCheckError, so
+    no slot ever carries into the next.  The products by a polynomial
+    (``times_diagonal``, ``times_binomials``) multiply the bound by its L1
+    norm, a bound on the product's coefficients when the bound is one on
+    the L1 norm of the window, as it is for a packed polynomial or a
+    product of series (``semistable``).  The caller keeps every term in
+    the band: a product by a factor that moves p - q beyond it would alias
+    its terms."""
 
     __slots__ = ("band", "value", "order", "bound")
 
     def __init__(self, band, value, order, bound):
+        if bound >= band.limit:
+            raise InternalCheckError("band bound %d reaches the slot limit 2^%d" % (bound, 8 * band.width - 1))
         self.band = band
         self.value = value
         self.order = order
@@ -464,7 +511,91 @@ class _BandValue:
 
     def read(self, order):
         """The term dict of the window p + q <= order <= self.order."""
+        if order > self.order:
+            raise InternalCheckError("cannot read order %d of a band value held to order %d" % (order, self.order))
         return self.band.unpack(self.value, order)
+
+    def window(self, order):
+        """The window p + q <= order <= self.order, exact: the value masked
+        to the low slots(order) slots, less 2^(8 w slots(order)) when its
+        top bit is set.  Every slot holds less than half its range, so the
+        window's packed integer lies below half the range of its slots, and
+        its sign is that bit."""
+        if order > self.order:
+            raise InternalCheckError("cannot cut order %d of a band value held to order %d" % (order, self.order))
+        bits = 8 * self.band.width * self.band.slots(order)
+        value = self.value & ((1 << bits) - 1)
+        if bits and value >> (bits - 1):
+            value -= 1 << bits
+        return _BandValue(self.band, value, order, self.bound)
+
+    def shift(self, c):
+        """self times (uv)^c, c >= 0: a shift by K c slots, K = 2 D + 1."""
+        return _BandValue(self.band, self.value << self.band.offset(c, c), self.order + 2 * c, self.bound)
+
+    def __add__(self, other):
+        """The sum of two values of one band, known to the lower order."""
+        if other.band is not self.band:
+            raise InternalCheckError("cannot add values of two bands")
+        return _BandValue(self.band, self.value + other.value, min(self.order, other.order), self.bound + other.bound)
+
+    def subtract(self, shifted):
+        """self less (uv)^c y for each pair (c, y) of shifted, in order of
+        c, y held in a band of the same width in slots no wider than
+        self's.  Each y is widened into self's slots (``_widen``) once, cut
+        at the window self.order - 2c of its first pair, and every pair of
+        it shifts and subtracts that value: a later pair has c no lower, so
+        the window plus 2c covers self's order, and so does the result.
+        Its bound is the sum of self's and one y's per pair."""
+        band = self.band
+        step = band.offset(1, 1)
+        value, bound = self.value, self.bound
+        wide = {}  # y -> widened value
+        last = 0
+        for c, y in shifted:
+            if c < last:
+                raise InternalCheckError("shift %d follows shift %d" % (c, last))
+            last = c
+            x = wide.get(y)
+            if x is None:
+                x = wide[y] = _widen(y, band, self.order - 2 * c)
+            value -= x << c * step
+            bound += y.bound
+        return _BandValue(band, value, self.order, bound)
+
+    def dual(self, dim):
+        """(uv)^dim self(1/u, 1/v), for an exact value in the slots
+        0..K dim, K = 2 D + 1: the band's slot map is linear, so (p, q) goes
+        to (dim - p, dim - q) when slot i goes to K dim - i.  The biased
+        slots are reversed as bytes (``_reverse_slots``), and the result is
+        exact, a polynomial of total degree at most 2 dim.  A value with a
+        term above slot K dim loses it, so it differs from its dual."""
+        band = self.band
+        slots = (2 * band.band + 1) * dim + 1
+        bias = band.pattern(band.limit, slots)
+        biased = (self.value + bias) & ((1 << 8 * band.width * slots) - 1)
+        data = _reverse_slots(biased.to_bytes(band.width * slots, "little"), band.width)
+        return _BandValue(band, int.from_bytes(data, "little") - bias, 2 * dim, self.bound)
+
+    def times_diagonal(self, strides, norm):
+        """self times prod (1 - (uv)^m) over the strides m, norm a bound on
+        the L1 norm of that product: one shift and subtraction per stride.
+        Its window at self's order depends only on self's."""
+        value = self.value
+        step = self.band.offset(1, 1)
+        for m in strides:
+            value -= value << m * step
+        return _BandValue(self.band, value, self.order, self.bound * norm)
+
+    def times_binomials(self, factors):
+        """self times prod (1 + c u^a v^b)^k over the factors (c, a, b, k),
+        by ``_times_binomials`` on the band's strides."""
+        bound = self.bound
+        for c, _, _, k in factors:
+            bound *= (1 + abs(c)) ** k
+        band = self.band
+        value = _times_binomials(self.value, factors, band.band + 1, band.width, band.band)
+        return _BandValue(band, value, self.order, bound)
 
 
 def _widen(held, target, order):
@@ -586,18 +717,14 @@ class _Packed:
         """(uv)^dim self(1/u, 1/v), for degrees at most dim in each
         variable: (p, q) goes to (dim - p, dim - q), which reverses the
         order of the slots up to (dim, dim).  The biased slots are reversed
-        as bytes, one byte of every slot per slice."""
+        as bytes (``_reverse_slots``)."""
         if max(self.top) > dim:
             raise InternalCheckError("a degree above %d has no dual at %d" % (max(self.top), dim))
         box = self.box
-        width = box.width
         slots = dim * (box.cols + 1) + 1
         bias = box.pattern(box.limit, slots)
-        data = (self.value + bias).to_bytes(width * slots, "little")
-        out = bytearray(len(data))
-        for k in range(width):
-            out[k::width] = data[len(data) - width + k :: -width]
-        return self._new(int.from_bytes(out, "little") - bias, self.norm, (dim, dim))
+        data = _reverse_slots((self.value + bias).to_bytes(box.width * slots, "little"), box.width)
+        return self._new(int.from_bytes(data, "little") - bias, self.norm, (dim, dim))
 
     def divide_diagonal(self, strides):
         """The quotient of self by prod (1 - (uv)^m) over the strides m,
@@ -642,6 +769,15 @@ class _Packed:
             return None
         quotient = self._new(z, norm, top)
         return quotient if quotient.times_diagonal(strides, 2 ** len(strides)) == self else None
+
+
+def _reverse_slots(data, width):
+    """The slots of width bytes in data in reverse order, each slot's bytes
+    kept in order: one byte of every slot per slice."""
+    out = bytearray(len(data))
+    for k in range(width):
+        out[k::width] = data[len(data) - width + k :: -width]
+    return out
 
 
 def _check_bounds(box, norm, top):

@@ -43,14 +43,28 @@ are formed packed inside their window by ``_leading_series`` instead.
 The packed pass took the coprime benchmark from 0.103 to 0.061 s
 (medians of ten alternating pairs, seed 101; 2-core Xeon, Python 3.11).
 
-The coprime moduli polynomial is taken from the recursion run to the
-moduli dimension, its upper half by Poincare duality, and certified by
-the closed sum: times the sum's denominator less one factor (1-uv) it
-must be the sum's numerator, both packed in one box and compared as
-integers, so nothing is divided and the numerator is never unpacked
-(``stable_coprime_polynomial``, ``_certify_coprime``).  That took the
-coprime benchmark from 0.0432 to 0.0311 s (medians of ten alternating
-pairs, seed 79; 2-core Xeon, Python 3.11).
+The coprime moduli polynomial P is taken from the recursion run to the
+moduli dimension dim, its upper half by Poincare duality, and certified
+by the closed sum: times the sum's denominator less one factor (1-uv),
+D, it must be the sum's numerator N, so nothing is divided and N is
+never unpacked (``stable_coprime_polynomial``, ``_check_coprime``).  The
+recursion's series S, N and every partial product of both lie in the
+diagonal band of width n g of the recursion, so all of it is done there
+on one packed integer per value (``packed._BandValue``): S is packed
+once, P is (1-uv) S by one shift and subtraction, its windows p + q <=
+dim and dim - 1 by two masks and the mirror of the second by one slot
+reversal, the band's slot map being linear; duality is that reversal of
+P compared with P as integers, P D one shift and subtraction per stride,
+and N is shifted and added from the parts of the sum
+(``_closed_form_parts``) in the same band.  Soundness: every value stays
+in the band, where the slot map is one-to-one, and the slots hold
+max(N's norm bound, P's norm bound times D's L1 norm), so no slot
+carries into the next and equal integers are equal polynomials.  The
+value returned is the certified one, read once.  Packed in one box
+instead, with the polynomial mirrored and checked for duality in dicts,
+the certificate took the coprime benchmark from 0.0432 to 0.0311 s; in
+the band it took it from 0.0255 to 0.0221 s (medians of ten alternating
+pairs, seed 13; 2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -59,13 +73,12 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from operator import itemgetter
 
 from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .packed import _Band, _BandValue, _Box, _Packed, _expand_binomials, _pack, _parts_box, _widen
-from .poly import LaurentPoly, as_coeff, as_int
+from .packed import _Band, _BandValue, _expand_binomials, _pack, _parts_box, _widen
+from .poly import LaurentPoly, as_int
 from .series import FactoredRational, TruncatedSeries, _expand_factors, _lcm_factors, _missing_factors
 
 # A series to order N has up to (N+1)(N+2)/2 terms, 5151 at this cap.
@@ -155,9 +168,9 @@ class SemistableSeries:
     miss sizes its slots for the sum B of the bounds of the leading
     series and of the product of every live type, widens each held value
     to them (``packed._widen``) and subtracts each product, shifted by
-    (uv)^c, once per live type: the leading series less the shifted
-    products is the series, and each partial difference has every
-    coefficient at most B.
+    (uv)^c, once per live type (``packed._BandValue.subtract``): the
+    leading series less the shifted products is the series, and each
+    partial difference has every coefficient at most B.
 
     One band serves every miss with a live type.  The series and
     products of rank m lie in the band of width m g, by induction on m:
@@ -252,14 +265,8 @@ class SemistableSeries:
         if not live:
             return leading.read(order)
         band = _Band(leading.band.band, leading.bound + sum(held.bound for _, held in live))
-        x = _widen(leading, band, order)
-        wide = {}  # held product -> widened at the window of its first type
-        for c, held in live:
-            y = wide.get(held)
-            if y is None:
-                y = wide[held] = _widen(held, band, order - 2 * c)
-            x -= y << band.offset(c, c)
-        return band.unpack(x, order)
+        x = _BandValue(band, _widen(leading, band, order), order, leading.bound)
+        return x.subtract(live).read(order)
 
     def _leading_value(self, n, g, order):
         """The held leading series of (n, g), to ``order`` or higher.
@@ -376,13 +383,13 @@ def _closed_form_parts(n, d, g):
             "moduli dimension %d is above the closed-form cap of %d" % (dim, MAX_CLOSED_FORM_DIM)
         )
     shape, common = _closed_form_shape(n)
-    leading = [_leading_factors(m, g) for m in range(n + 1)]
+    leading = _leading_factors(n, g)  # those of rank m are the first 2m
     parts = []
     for ranks, sign, missing in shape:
         e = _closed_form_exponent(ranks, d, g)
         if e.denominator != 1:
             raise InternalCheckError("closed-form exponent %s is not an integer for %r" % (e, ranks))
-        parts.append((sign, (int(e), int(e)), [f for m in ranks for f in leading[m]] + list(missing)))
+        parts.append((sign, (int(e), int(e)), [f for m in ranks for f in leading[: 2 * m]] + list(missing)))
     return parts, dict(common)
 
 
@@ -442,13 +449,20 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
     a polynomial of total degree 2 dim, dim = n^2(g-1) + 1.
 
     The terms of total degree at most dim are (1-uv) times the HN
-    recursion's series to order dim, run by ``evaluator`` (a fresh one if
-    none is passed): c(p, q) - c(p-1, q-1) along each diagonal.  Poincare
-    duality at dim gives the rest: each term (p, q) with p + q < dim is
-    mirrored to (dim - p, dim - q).  The result is certified whole by
-    ``_certify_coprime`` before it is returned.  The moduli dimension is
-    capped at ``MAX_ORDER``, the recursion's order, and the rank as in
-    ``ss_closed_form``.
+    recursion's series S to order dim, run by ``evaluator`` (a fresh one
+    if none is passed), and Poincare duality at dim gives the rest: each
+    term (p, q) with p + q < dim is mirrored to (dim - p, dim - q).  S
+    is packed once, in the band of width n g of the certificate
+    (``_coprime_band``), and P formed there: (1-uv) S by one shift and
+    subtraction, its windows p + q <= dim and p + q <= dim - 1 by two
+    masks, and the mirror of the second by one slot reversal
+    (``packed._BandValue.dual``).  The terms of total degree dim are
+    taken whole, not mirrored, so duality is checked, not built in: P is
+    certified in place (``_check_coprime``), and the certified value is
+    what is read and returned.  P has L1 norm at most 4 |S|_1, twice
+    that of (1-uv) S, and the band is sized for it.  The moduli
+    dimension is capped at ``MAX_ORDER``, the recursion's order, and the
+    rank as in ``ss_closed_form``.
     """
     _check_ints(n, d, g)
     if math.gcd(n, d) != 1:
@@ -456,75 +470,111 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
     dim = moduli_dimension(n, g)
     if dim > MAX_ORDER:
         raise DomainError("moduli dimension %d is above the series order cap of %d" % (dim, MAX_ORDER))
-    series = hp_ss_series(n, d, g, dim, evaluator)
-    low = dict(series.items())
-    for (p, q), c in series.items():
-        if p + q + 2 <= dim:
-            low[(p + 1, q + 1)] = low.get((p + 1, q + 1), 0) - c
-    terms = {}
-    for (p, q), c in low.items():
-        if not c:
-            continue
-        if p > dim or q > dim:
-            raise InternalCheckError("exponent (%d, %d) of the recursion has no dual at %d" % (p, q, dim))
-        c = c if type(c) is int else as_coeff(c)
-        terms[(p, q)] = c
-        if p + q < dim:
-            terms[(dim - p, dim - q)] = c
-    poly = LaurentPoly._raw(terms)
-    _certify_coprime(poly, n, d, g)
-    return poly
+    terms = hp_ss_series(n, d, g, dim, evaluator)._terms
+    norm = sum(map(abs, terms.values()))
+    if type(norm) is not int:
+        raise InternalCheckError("the recursion's series has non-integer coefficients")
+    parts, band = _coprime_band(n, d, g, 4 * norm)
+    if not terms.keys() <= band.points(dim):
+        raise InternalCheckError("the recursion's series has a term outside its window in the band %d" % band.band)
+    series = _BandValue(band, _pack(terms, (0, 0), band.strides, band.width, band.slots(dim)), dim, norm)
+    low = series.times_diagonal((1,), 2)
+    # both are exact polynomials, of total degree at most dim and above it
+    upper = low.window(dim - 1).dual(dim)
+    poly = _BandValue(band, low.window(dim).value + upper.value, 2 * dim, 4 * norm)
+    _check_coprime(poly, parts, n, g, dim)
+    return LaurentPoly._raw(poly.read(2 * dim))
+
+
+_COPRIME_MISMATCH = "coprime polynomial times the closed form's denominator is not its numerator"
 
 
 def _certify_coprime(poly, n, d, g):
-    """Raise InternalCheckError unless poly has integer coefficients, is
-    Poincare dual at the moduli dimension dim, and times the closed
-    form's common denominator less one factor (1-uv), D = prod (1 -
-    (uv)^m) over its strides m, is the closed form's numerator N
-    (``_closed_form_parts``).  Then N / D is a polynomial, and it is poly.
-
-    Both sides are packed in one ``packed._Box``: N as the sum of its
-    parts, never unpacked, each part formed without the Jacobian factor
-    (1+u)^g (1+v)^g that opens it and the Jacobian applied once to the
-    sum, and the product as poly packed, then one shift and subtraction
-    per stride (``_Packed.times_diagonal``).  The box is sized from the
-    whole parts (``packed._parts_box``).  The columns reach past either
-    side's largest exponent of v, and the slots hold the larger of the two
-    norm bounds, N's and poly's times D's, so equal integers are equal
-    polynomials, and a wrong poly, however large its coefficients, the
-    zero polynomial included, fails the comparison.  D's own L1 norm is
-    the bound, not 2 per stride as ``times_one_minus_uv`` tracks it (2^15
-    against 2^28 at rank 8 and genus 2), so the slots are no wider than N
-    needs.
-    """
+    """Raise InternalCheckError unless the LaurentPoly poly is the coprime
+    moduli polynomial: it has integer coefficients, every exponent is a
+    point of the window p + q <= 2 dim of the band |p - q| <= n g, where
+    the closed form lies (a term off it fails the closed-form comparison
+    before anything is packed), and, packed in that band, it passes
+    ``_check_coprime``."""
     dim = moduli_dimension(n, g)
     if not poly.is_integral():
         raise InternalCheckError("coprime polynomial has non-integer coefficients")
-    if poly.dual_substitute(dim) != poly:
-        raise InternalCheckError("coprime polynomial fails Poincare duality at dimension %d" % dim)
-    mismatch = "coprime polynomial times the closed form's denominator is not its numerator"
     terms = poly._terms
-    # poly is dual at dim, so no exponent above dim means none below 0:
-    # poly packs from the origin, its exponents bounded by (dim, dim)
-    if terms and (max(terms)[0] > dim or max(terms, key=itemgetter(1))[1] > dim):
-        raise InternalCheckError(mismatch)
-    parts, common = _closed_form_parts(n, d, g)
-    den = dict(common)
+    norm = sum(map(abs, terms.values()))
+    parts, band = _coprime_band(n, d, g, norm)
+    if not terms.keys() <= band.points(2 * dim):
+        raise InternalCheckError(_COPRIME_MISMATCH)
+    value = _pack(terms, (0, 0), band.strides, band.width, band.slots(2 * dim))
+    _check_coprime(_BandValue(band, value, 2 * dim, norm), parts, n, g, dim)
+
+
+def _coprime_band(n, d, g, norm):
+    """The closed form's parts (``_closed_form_parts``) and the band of the
+    coprime certificate for a candidate of L1 norm at most norm: width
+    n g, slots that hold the larger of N's norm bound and norm times the
+    L1 norm of the denominator less (1-uv) (``_coprime_denominator``)."""
+    parts, _ = _closed_form_parts(n, d, g)
+    num_norm = _parts_box(parts)[3]
+    return parts, _Band(n * g, max(num_norm, norm * _coprime_denominator(n)[1]))
+
+
+@cache
+def _coprime_denominator(n):
+    """The strides m of the closed form's common denominator less one
+    factor (1-uv), D = prod (1 - (uv)^m), and the L1 norm of D.  Neither
+    depends on the degree or the genus, so both are formed once per rank,
+    as ``_closed_form_shape`` is."""
+    den = dict(_closed_form_shape(n)[1])
     den[(1, 1)] -= 1  # (1-uv) times the sum
-    strides = [m for (m, _), k in den.items() for _ in range(k)]
-    den_norm = sum(map(abs, _expand_factors(den)._terms.values()))
-    # from the least offset (e0, e0) of the parts, N reaches column e0 + cols - 1
-    (_, e0), _, cols, num_norm = _parts_box(parts)
-    box = _Box(max(e0 + cols, dim + sum(strides) + 1), max(num_norm, sum(map(abs, terms.values())) * den_norm))
+    strides = tuple(m for (m, _), k in den.items() for _ in range(k))
+    return strides, sum(map(abs, _expand_factors(den)._terms.values()))
+
+
+def _check_coprime(poly, parts, n, g, dim):
+    """Raise InternalCheckError unless the exact band value poly is
+    Poincare dual at the moduli dimension dim and, times D, the closed
+    form's common denominator less one factor (1-uv)
+    (``_coprime_denominator``), is the closed form's numerator N, formed
+    from its parts in the same band.  Then N / D is a polynomial, and it
+    is poly.
+
+    Duality is poly's slot reversal compared with poly as integers
+    (``packed._BandValue.dual``), which also proves poly exact in the
+    slots 0..K dim, K = 2 n g + 1, the reversal's output being so.  The
+    product is poly times D by one shift and subtraction per stride.  N is
+    the sum of its parts, each formed without the Jacobian factor
+    (1+u)^g (1+v)^g that opens it, and the Jacobian applied once to the
+    sum; it is never unpacked.
+
+    Soundness.  The band's slot map is one-to-one on the points with
+    |p - q| <= n g, so a polynomial there whose slots are non-negative and
+    hold its coefficients has one packed integer.  N lies there with
+    non-negative exponents, and so does each partial product of a part:
+    each leading factor (1 + u^a v^b)^g of a rank m moves p - q by g, m of
+    them up and m down, the ranks of a part sum to n, and the diagonal
+    factors keep p - q.  poly lies there in the slots 0..K dim, and D's
+    factors keep p - q and only raise slots.  The slots hold the larger of
+    N's norm bound and poly's times D's L1 norm (``_coprime_band``), so no
+    slot of N, of a partial sum or of the product carries into the next:
+    equal integers are equal polynomials, and poly D = N.  A wrong poly,
+    however large its coefficients, the zero polynomial included, fails
+    the comparison.  D's own L1 norm is the bound, not 2 per stride (2^15
+    against 2^28 at rank 8 and genus 2), so the slots are no wider than N
+    needs.
+    """
+    if poly.dual(dim).value != poly.value:
+        raise InternalCheckError("coprime polynomial fails Poincare duality at dimension %d" % dim)
+    band = poly.band
     # every part opens with the Jacobian (1+u)^g (1+v)^g of its first rank:
-    # it is applied once, to the sum of the rest
+    # it is applied once, to the sum of the rest.  The parts are exact
+    # polynomials, so their orders are only carried
     jacobian = list(_leading_factors(1, g))
     num = None
     for sign, (e, _), factors in parts:
         if factors[:2] != jacobian:
             raise InternalCheckError("closed-form part does not open with the Jacobian factor")
-        part = _Packed(box, sign, 1, (0, 0)).times_binomials(factors[2:]).uv(e)
+        part = _BandValue(band, sign, poly.order, 1).times_binomials(factors[2:]).shift(e)
         num = part if num is None else num + part
-    num = num.times_binomials(jacobian)
-    if box.pack(terms, (dim, dim)).times_diagonal(strides, den_norm) != num:
-        raise InternalCheckError(mismatch)
+    strides, norm = _coprime_denominator(n)
+    if poly.times_diagonal(strides, norm).value != num.times_binomials(jacobian).value:
+        raise InternalCheckError(_COPRIME_MISMATCH)

@@ -172,6 +172,84 @@ def test_widening_round_trips(width):
             _widen(held, _Band(band, (limit >> 8) - 1), top)
 
 
+# Band values: polynomials within BAND_POLY of the diagonal, in a band of
+# width BAND_WIDTH, which holds them times factors that move p - q by at
+# most 2 either way; exact, so known to any order at or above their degree
+BAND_POLY, BAND_WIDTH, BAND_TOP = 4, 6, 40
+FACTORS = [(1, 1, 0, 2), (-1, 0, 1, 1), (2, 1, 1, 1), (-3, 0, 1, 1)]
+
+
+def band_value(band, terms, order):
+    slots = band.slots(order)
+    return _BandValue(band, _pack(terms, (0, 0), band.strides, band.width, slots), order, sum(map(abs, terms.values())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.integers(-1, 2 * SIDE), st.integers(0, 3))
+def test_band_operations_match_polynomial_arithmetic(a, cut, c):
+    a = LaurentPoly({(p, q): x for (p, q), x in a.items() if abs(p - q) <= BAND_POLY})
+    band = _Band(BAND_WIDTH, 2**200)
+    x = band_value(band, a.terms(), BAND_TOP)
+    window = x.window(cut)
+    truncated = {e: v for e, v in a.items() if sum(e) <= cut}
+    # exact: the packed truncation itself, not just its residue
+    assert window.value == _pack(truncated, (0, 0), band.strides, band.width, band.slots(BAND_TOP))
+    assert window.order == cut and window.read(cut) == truncated
+    assert x.shift(c).read(BAND_TOP) == (a * uv_power(c)).terms()
+    dim = SIDE - 1
+    dual = x.dual(dim)
+    assert dual.order == 2 * dim and dual.read(2 * dim) == a.dual_substitute(dim).terms()
+    den = (ONE - uv_power(1)) * (ONE - uv_power(2)) ** 2
+    assert x.times_diagonal((1, 2, 2), 9).read(BAND_TOP) == (a * den).terms()
+    product = a
+    for k, i, j, m in FACTORS:
+        product = product * (ONE + LaurentPoly.monomial(k, i, j)) ** m
+    assert x.times_binomials(FACTORS).read(BAND_TOP) == product.terms()
+    # each value subtracted is widened once, cut at the window of its first
+    # pair, here from slots of 13 bytes into the 26 of the band; the pairs
+    # come in order of their shifts, so the difference is known to its order
+    top = 3 * SIDE
+    narrow = band_value(_Band(BAND_WIDTH, 2**100), a.terms(), BAND_TOP)
+    pairs = [(1, narrow), (c + 1, x), (c + 1, narrow), (c + 2, x)]
+    difference = x.window(top).subtract(pairs)
+    expected = a - sum((a * uv_power(k) for k, _ in pairs), LaurentPoly())
+    assert difference.order == top
+    assert difference.read(top) == {e: v for e, v in expected.items() if sum(e) <= top}
+
+
+def test_band_values_refuse_what_their_slots_cannot_hold():
+    band = _Band(3, 2**15)
+    x = band_value(band, {(0, 0): 1, (1, 2): -5}, 6)
+    # a read or a cut above the held order would take zeros for terms
+    for order in (7, 10):
+        with pytest.raises(InternalCheckError):
+            x.read(order)
+        with pytest.raises(InternalCheckError):
+            x.window(order)
+    # a bound that reaches the slot limit, by a sum or a product
+    with pytest.raises(InternalCheckError):
+        _BandValue(band, 0, 6, band.limit)
+    big = _BandValue(band, 0, 6, band.limit // 2)
+    with pytest.raises(InternalCheckError):
+        big + big
+    with pytest.raises(InternalCheckError):
+        big.subtract([(1, big)])
+    with pytest.raises(InternalCheckError):
+        big.times_diagonal((1,), 2)
+    with pytest.raises(InternalCheckError):
+        big.times_binomials([(1, 1, 0, 1)])
+    # pairs out of order of their shifts would leave a window uncovered
+    with pytest.raises(InternalCheckError):
+        x.subtract([(1, x), (0, x)])
+    # a value of another band width, or in wider slots, cannot be widened
+    # in, and values of two bands, even of one width and layout, do not add
+    for other in (_Band(4, 2**15), _Band(3, 2**40)):
+        with pytest.raises(InternalCheckError):
+            x.subtract([(0, band_value(other, {(0, 0): 1}, 6))])
+    with pytest.raises(InternalCheckError):
+        x + band_value(_Band(3, 2**15), {(0, 0): 1}, 6)
+
+
 def test_outer_and_binomial_products_match_powers():
     for c, e, k in ((1, 1, 0), (1, 1, 3), (-1, 2, 3), (2, 1, 2)):
         assert unpacked(BOX.outer(c, e, k)) == (ONE + LaurentPoly.monomial(c, e, 0)) ** k * (

@@ -23,7 +23,7 @@ from hpbundles import (
 )
 from hpbundles import InternalCheckError, semistable
 from hpbundles.hntypes import MAX_RANK, _compositions
-from hpbundles.packed import _Box, _slot_width
+from hpbundles.packed import _Band, _slot_width
 from hpbundles.semistable import _certify_coprime, _leading_series, leading_closed_term, ss_closed_form
 from hpbundles.univariate import diagonal_ss_series, diagonal_stable_coprime
 
@@ -309,6 +309,20 @@ def test_leading_series_is_the_closed_term_expanded(n, g, order):
     assert held.read(order) == dict(leading_closed_term(n, g).series_expand(order).items())
 
 
+def test_held_series_is_read_only_to_its_order():
+    # a held series knows nothing above its order: a read or a cut there
+    # is refused, as a widening is, instead of taking zeros for terms
+    held = _leading_series(2, 2, 6)
+    expected = dict(leading_closed_term(2, 2).series_expand(6).items())
+    assert held.read(6) == expected
+    assert held.window(6).read(6) == expected
+    for order in (7, 10):
+        with pytest.raises(InternalCheckError, match="order %d" % order):
+            held.read(order)
+        with pytest.raises(InternalCheckError):
+            held.window(order)
+
+
 def test_memoized_leading_series_is_only_read():
     evaluator = SemistableSeries()
     evaluator.series(3, 0, 2, 12)
@@ -553,25 +567,78 @@ def test_coprime_certificate_rejects_one_changed_coefficient(n, d, g):
 
 @pytest.mark.parametrize("n, d, g", [(2, 1, 2), (3, 1, 2), (4, 3, 2)])
 def test_coprime_certificate_box_is_sized_from_the_candidate(monkeypatch, n, d, g):
-    # a term and its dual raised by one slot's range of the box the true
-    # polynomial gets: packed in that box, the raised slot would carry
-    # into its neighbour, so the box must widen with the candidate's norm
+    # a term and its dual raised by one slot's range of the band the true
+    # polynomial gets: packed in that band, the raised slot would carry
+    # into its neighbour, so the band must widen with the candidate's norm
     # and the candidate fail the comparison, not a bounds check
-    boxes = []
+    bands = []
 
-    def recording(cols, bound):
-        boxes.append(_Box(cols, bound))
-        return boxes[-1]
+    def recording(band, bound):
+        bands.append(_Band(band, bound))
+        return bands[-1]
 
-    monkeypatch.setattr(semistable, "_Box", recording)
     poly = stable_coprime_polynomial(n, d, g)
+    monkeypatch.setattr(semistable, "_Band", recording)
+    _certify_coprime(poly, n, d, g)
+    assert len(bands) == 1 and bands[0].band == n * g
     dim = n * n * (g - 1) + 1
-    width = boxes[-1].width
+    width = bands[0].width
     p, q = sorted(e for e in dict(poly.items()) if e[0] + e[1] < dim)[-1]
     raised = _mutated(_mutated(poly, (p, q), 1 << 8 * width), (dim - p, dim - q), 1 << 8 * width)
     with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
         _certify_coprime(raised, n, d, g)
-    assert boxes[-1].width > width
+    assert len(bands) == 2 and bands[1].band == n * g
+    assert bands[1].width > width
+
+
+@pytest.mark.parametrize("n, d, g", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (4, 1, 2)])
+def test_coprime_certificate_rejects_a_dual_pair_off_the_band(monkeypatch, n, d, g):
+    # the closed form lies in the band |p - q| <= n g, so a dual pair of
+    # terms inside [0, dim]^2 but off it is refused before anything is
+    # packed: packed, it would alias slots of the band
+    poly = stable_coprime_polynomial(n, d, g)
+    dim = n * n * (g - 1) + 1
+
+    def refused(*args):
+        raise AssertionError("packed a candidate off the band")
+
+    monkeypatch.setattr(semistable, "_pack", refused)
+    for p, q in ((0, dim), (n * g + 1, 0), (dim, dim - n * g - 1)):
+        assert abs(p - q) > n * g and 0 <= min(p, q) and max(p, q) <= dim
+        paired = _mutated(_mutated(poly, (p, q)), (dim - p, dim - q))
+        with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
+            _certify_coprime(paired, n, d, g)
+
+
+class _ChangedSeries:
+    """An evaluator that returns the recursion's true series with the
+    coefficient at one exponent raised by delta."""
+
+    def __init__(self, exponent, delta=1):
+        self.exponent = exponent
+        self.delta = delta
+
+    def series(self, n, d, g, order):
+        terms = dict(SemistableSeries().series(n, d, g, order).items())
+        terms[self.exponent] = terms.get(self.exponent, 0) + self.delta
+        return TruncatedSeries(terms, order)
+
+
+@pytest.mark.parametrize("n, d, g", [(2, 1, 2), (3, 1, 2), (4, 1, 2), (5, 2, 2)])
+def test_stable_coprime_certifies_what_it_returns(n, d, g):
+    # the production path forms the polynomial from the evaluator's series
+    # and certifies that value itself: a series with one changed
+    # coefficient, at the constant term, in the middle of the window, at
+    # its top or just below it, gives a polynomial the closed form refuses,
+    # or, on the top diagonal p + q = dim off p = q, which is not mirrored,
+    # one that is not dual
+    dim = n * n * (g - 1) + 1
+    for exponent in ((0, 0), (dim // 4, dim // 4), (dim // 2, dim - dim // 2), (dim // 2, dim // 2 - 1)):
+        with pytest.raises(InternalCheckError):
+            stable_coprime_polynomial(n, d, g, _ChangedSeries(exponent))
+    # and a series that is not integral is refused before it is packed
+    with pytest.raises(InternalCheckError, match="non-integer"):
+        stable_coprime_polynomial(n, d, g, _ChangedSeries((0, 0), Fraction(1, 2)))
 
 
 # every coprime class of ranks 2-5 at genus 2 and ranks 2-3 at genus 3
