@@ -32,7 +32,8 @@ share the cap.  The number of types grows like a power of the
 codimension cap, so the enumeration stops with a DomainError once it
 would return more than MAX_HN_TYPES types.  A semistable series of
 rank <= MAX_RANK to order <= ``semistable.MAX_ORDER`` needs at most
-4092 of them (rank 8, genus 2, order 100).
+4316 of them (rank 7, degree 6, genus 2, order 100; rank 8 needs at
+most 4108, at degree 2).
 """
 
 from __future__ import annotations

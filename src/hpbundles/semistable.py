@@ -14,7 +14,9 @@ factors is held too, keyed on the multiset of factor classes and the
 genus, not the order: the product at the highest window formed serves
 every lower window, and a request above it forms the product once at
 the new window.  The HN types arrive sorted by codimension, so the first
-dead one ends the loop.
+dead one ends the loop.  The type list of each residue class is held
+too, with the codimension cap it was enumerated at, and serves every
+later miss of the class up to twice that cap (``SemistableSeries``).
 
 The leading term does not depend on the degree at all.  The evaluator
 expands it once per (n, g), at the highest order requested, and every
@@ -77,7 +79,7 @@ from functools import cache
 from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .packed import _Band, _BandValue, _expand_binomials, _pack, _parts_box, _widen
+from .packed import _Band, _BandValue, _expand_binomials, _pack, _widen
 from .poly import LaurentPoly, as_int
 from .series import FactoredRational, TruncatedSeries, _expand_factors, _lcm_factors, _missing_factors
 
@@ -211,6 +213,28 @@ class SemistableSeries:
     s(w) + K c = s(order), above the miss's window.  Whatever sits there,
     carries and borrows included, changes the miss's integer only by a
     multiple of 2^(8 w s(order)), which the read's mask removes.
+
+    Held type lists.  A miss enumerates the HN types to codimension
+    ``order`` but uses only the live ones, c <= order // 2.  So the
+    evaluator holds, per class (n, d mod n, g), the list of its last
+    enumeration and the cap it was made at, and a later miss of the class
+    at an order at most twice that cap reads its live types from the list;
+    any other miss enumerates at its own order and replaces the list
+    (``_hn_types``).  The list may have been enumerated for another degree
+    d' = d + k n of the class.  Twisting by a line bundle of degree k
+    sends each quotient (r_i, d_i) to (r_i, d_i + k r_i): that maps the
+    types of (n, d) one to one onto those of (n, d + k n), keeps every
+    codimension (each pairwise term n_i d_j - n_j d_i gains
+    k (n_i n_j - n_j n_i) = 0), and keeps the sort order, codimension and
+    then quotient tuple (quotients of equal rank gain the same k r_i).
+    From a type the miss reads only ``codim_hn`` and the classes
+    (n_j, d_j mod n_j) that ``_product`` keys on, and twisting changes
+    neither, so the series and every counter are those a fresh
+    enumeration gives.  Misses of one class come at rising orders, so with
+    orders 8, 16, 24 and 32 it enumerates at 8 and 24 only.  A held list
+    has at most 4316 types within the caps (rank 7, degree 6, genus 2,
+    order 100; ``hntypes``); the lists about double what an evaluator
+    retains, 8.3 against 4.2 MiB after ``series(8, 1, 2, 100)`` (tracemalloc).
     """
 
     def __init__(self):
@@ -218,6 +242,7 @@ class SemistableSeries:
         self._top = {}  # (n, d mod n, g) -> highest-order series computed
         self._products = {}  # (sorted factor classes, g) -> product held at the highest window formed
         self._leading = {}  # (n, g) -> leading series held at the highest order formed
+        self._types = {}  # (n, d mod n, g) -> (cap, HN types to codimension cap) of the last enumeration
         self.hits = 0
         self.misses = 0
         self.types_used = 0
@@ -254,7 +279,7 @@ class SemistableSeries:
         class docstring describes; the held values are only read."""
         leading = self._leading_value(n, g, order)
         live = []  # (c, held product) per live type
-        for t in enumerate_hn_types(n, d, g, order):
+        for t in self._hn_types(n, d, g, order):
             c = codim_hn(t, g)
             if 2 * c > order:
                 # the types come sorted by codimension, so every later one
@@ -267,6 +292,18 @@ class SemistableSeries:
         band = _Band(leading.band.band, leading.bound + sum(held.bound for _, held in live))
         x = _BandValue(band, _widen(leading, band, order), order, leading.bound)
         return x.subtract(live).read(order)
+
+    def _hn_types(self, n, d, g, order):
+        """The HN types of the class of (n, d) to codimension order // 2 or
+        higher, sorted: the held list when its cap is at least
+        order // 2, else a new enumeration to codimension ``order``, which
+        is held in its place (the class docstring gives the twist
+        argument for reading a list enumerated at another degree)."""
+        key = (n, d % n, g)
+        held = self._types.get(key)
+        if held is None or order > 2 * held[0]:
+            held = self._types[key] = (order, enumerate_hn_types(n, d, g, order))
+        return held[1]
 
     def _leading_value(self, n, g, order):
         """The held leading series of (n, g), to ``order`` or higher.
@@ -416,7 +453,8 @@ def _closed_form_shape(n):
 
 
 def _closed_form_exponent(ranks, d, g):
-    """The exponent e of ``ss_closed_form`` for one composition, as a Fraction.
+    """The exponent e of ``ss_closed_form`` for one composition: an int
+    when it is one, else a Fraction.
 
     For x = head d / n, n <x> = n - (head d mod n), so e n is the integer
     n (g-1) sum_{i<j} n_i n_j + sum_{i<k} (n_i + n_(i+1)) (n - head d mod n).
@@ -427,7 +465,8 @@ def _closed_form_exponent(ranks, d, g):
     for a, b in zip(ranks, ranks[1:]):
         head += a
         total += (a + b) * (n - head * d % n)
-    return Fraction(total, n)
+    e, rest = divmod(total, n)
+    return Fraction(total, n) if rest else e
 
 
 def _check_ints(n, d, g, order=0):
@@ -512,10 +551,26 @@ def _coprime_band(n, d, g, norm):
     """The closed form's parts (``_closed_form_parts``) and the band of the
     coprime certificate for a candidate of L1 norm at most norm: width
     n g, slots that hold the larger of N's norm bound and norm times the
-    L1 norm of the denominator less (1-uv) (``_coprime_denominator``)."""
+    L1 norm of the denominator less (1-uv) (``_coprime_denominator``).
+
+    N's norm bound is that of ``packed._parts_box``, the sum over the
+    parts of prod (1 + |c|)^k over their factors (c, a, b, k).  The
+    leading factors of a part's ranks are 2n factors (1 + u^a v^b)^g, so
+    they give 2^(2 n g) for every part, and its missing factors
+    (1 - (uv)^k)^m give 2^m each: the bound is 2^(2 n g) M(n), M(n) the
+    sum over the compositions of 2^(sum of their missing multiplicities)
+    (``_closed_form_weight``)."""
     parts, _ = _closed_form_parts(n, d, g)
-    num_norm = _parts_box(parts)[3]
+    num_norm = _closed_form_weight(n) << 2 * n * g
     return parts, _Band(n * g, max(num_norm, norm * _coprime_denominator(n)[1]))
+
+
+@cache
+def _closed_form_weight(n):
+    """M(n) of ``_coprime_band``: the sum over the compositions of n of
+    2^(sum of the multiplicities of the factors their denominators lack).
+    It depends on the rank only, so it is formed once per rank."""
+    return sum(1 << sum(m for *_, m in missing) for _, _, missing in _closed_form_shape(n)[0])
 
 
 @cache

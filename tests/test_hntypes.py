@@ -13,7 +13,14 @@ from hpbundles import (
     enumerate_hn_types,
     enumerate_reductive_classes,
 )
-from hpbundles.hntypes import MAX_RANK, _compositions, _shapes
+from hpbundles.hntypes import MAX_HN_TYPES, MAX_RANK, _compositions, _shapes
+from hpbundles.semistable import MAX_ORDER
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is a test-only dependency
+    st = None
 
 
 def oracle_types(n, d, g, max_codim):
@@ -228,6 +235,40 @@ def test_degree_shift_bijection():
             tuple((r, dd + r) for r, dd in t.quotients): codim_hn(t, g) for t in base
         }
         assert {t.quotients: codim_hn(t, g) for t in shifted} == mapped
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is a test-only dependency")
+def test_twist_maps_types_in_order():
+    # twisting by a line bundle of degree k sends each quotient (r, d) to
+    # (r, d + k r): the types of (n, d + k n) are those of (n, d) twisted,
+    # in the same order and with the same codimensions, which is what lets
+    # SemistableSeries read a type list enumerated at another degree
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(-12, 12),
+        st.integers(-3, 3),
+        st.sampled_from((2, 3, 4)),
+        st.integers(0, 40),
+    )
+    def check(n, d, k, g, cap):
+        base = enumerate_hn_types(n, d, g, cap)
+        twisted = enumerate_hn_types(n, d + k * n, g, cap)
+        assert [t.quotients for t in twisted] == [tuple((r, e + k * r) for r, e in t.quotients) for t in base]
+        assert [codim_hn(t, g) for t in twisted] == [codim_hn(t, g) for t in base]
+
+    check()
+
+
+def test_most_types_a_series_within_the_caps_needs():
+    # a series of rank n and degree d to order N enumerates the types of
+    # codimension at most N; the count depends on d mod n only (a twist),
+    # grows with N and falls with g (each codimension grows with g), so
+    # genus 2 at MAX_ORDER gives the most, which the hntypes docstring
+    # and SemistableSeries cite
+    counts = {(n, d): len(enumerate_hn_types(n, d, 2, MAX_ORDER)) for n in range(1, MAX_RANK + 1) for d in range(n)}
+    assert max(counts.values()) == counts[7, 6] == 4316 < MAX_HN_TYPES
+    assert max(counts[8, d] for d in range(8)) == counts[8, 2] == 4108
 
 
 def test_genus_zero_rejected_everywhere():

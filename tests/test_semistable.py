@@ -23,9 +23,15 @@ from hpbundles import (
 )
 from hpbundles import InternalCheckError, semistable
 from hpbundles.hntypes import MAX_RANK, _compositions
-from hpbundles.packed import _Band, _slot_width
+from hpbundles.packed import _Band, _parts_box, _slot_width
 from hpbundles.semistable import _certify_coprime, _leading_series, leading_closed_term, ss_closed_form
 from hpbundles.univariate import diagonal_ss_series, diagonal_stable_coprime
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is a test-only dependency
+    st = None
 
 
 def test_rank1_series_matches_closed_form():
@@ -406,6 +412,56 @@ def test_memo_counters_on_falling_and_rising_sweeps(orders, g):
     assert counts == SWEEP_COUNTS[orders, g]
 
 
+def test_type_list_is_read_up_to_twice_its_cap(monkeypatch):
+    # one evaluator asks for the class (5, 2 mod 5) at rising orders, each
+    # at another degree of the class: the list enumerated to codimension 8
+    # serves order 16, and the one to 24 serves order 32
+    requests = [(2, 8), (7, 16), (-3, 24), (12, 32)]
+    fresh = [SemistableSeries().series(5, d, 2, order) for d, order in requests]
+    calls = []
+    enumerate_types = semistable.enumerate_hn_types
+
+    def counting(n, d, g, max_codim):
+        calls.append((n, max_codim))
+        return enumerate_types(n, d, g, max_codim)
+
+    monkeypatch.setattr(semistable, "enumerate_hn_types", counting)
+    evaluator = SemistableSeries()
+    assert [evaluator.series(5, d, 2, order) for d, order in requests] == fresh
+    assert [order for n, order in calls if n == 5] == [8, 24]
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is a test-only dependency")
+def test_held_type_lists_change_no_series_and_no_counter():
+    # on one evaluator, a short sequence of requests at any degrees: each
+    # result equals a fresh evaluator's, every miss (the recursion's own
+    # included) counts once, and the live types it used are those of
+    # codimension at most order // 2, counted by a fresh enumeration
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 5), st.integers(-10, 10), st.sampled_from((2, 3)), st.integers(0, 40)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def check(requests):
+        evaluator = SemistableSeries()
+        misses = []
+
+        def recording(n, d, g, order):
+            misses.append((n, d, g, order))
+            return SemistableSeries._miss(evaluator, n, d, g, order)
+
+        evaluator._miss = recording
+        for n, d, g, order in requests:
+            assert evaluator.series(n, d, g, order) == SemistableSeries().series(n, d, g, order)
+        assert evaluator.misses == len(misses)
+        assert evaluator.types_used == sum(len(enumerate_hn_types(n, d, g, order // 2)) for n, d, g, order in misses)
+
+    check()
+
+
 def test_leading_term_rank1():
     lead = leading_closed_term(1, 3)
     assert lead.num == (ONE + U) ** 3 * (ONE + V) ** 3
@@ -663,6 +719,25 @@ def test_closed_form_exponent_is_integral_up_to_rank_8():
         for ranks in _compositions(n):
             for d in range(n):
                 assert semistable._closed_form_exponent(ranks, d, 2).denominator == 1, (ranks, d)
+
+
+def test_coprime_norm_bound_is_that_of_the_parts_box(monkeypatch):
+    # _coprime_band forms N's norm bound from the rank and genus alone,
+    # 2^(2 n g) M(n); it must be the bound the parts box gives, for every
+    # coprime class of ranks up to 8 at genus 2-4 (all within the caps)
+    bounds = []
+
+    def recording(band, bound):
+        bounds.append(bound)
+        return _Band(band, bound)
+
+    monkeypatch.setattr(semistable, "_Band", recording)
+    for g in (2, 3, 4):
+        for n in range(1, MAX_RANK + 1):
+            for d in range(n):
+                if math.gcd(n, d) == 1:
+                    parts, _ = semistable._coprime_band(n, d, g, 0)
+                    assert bounds.pop() == _parts_box(parts)[3], (n, d, g)
 
 
 def test_closed_form_rejects_fractional_exponent(monkeypatch):
