@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, InternalCheckError
-from .packed import _Box
+from .packed import _Box, _partition_counts
 from .poly import ONE, U, V, LaurentPoly, as_int
 from .series import FactoredRational
 
@@ -117,9 +117,8 @@ class _Rank2Numerators:
 
     The box has origin (0, 0) and 4g + 3 columns, one more than the
     largest exponent of v any rank-2 formula reaches, and its slots hold
-    the largest norm of those formulas: 2^(4g + 5) (4g + 1)^2 bounds the
-    certificate of the Hodge-Deligne quotient, the largest, and the
-    packed types check every other norm on the way.  jac, square and
+    the largest coefficient bound a call tracks (``_rank2_bound``), and
+    the packed types check every bound on the way.  jac, square and
     signs are outer products of two binomial rows (``packed._Box.outer``);
     jac_twisted and the square P^2 inside the pair are jac times binomial
     powers, the ``_leading_factors`` of l = 2 and of l = 1, one shift-add
@@ -133,7 +132,7 @@ class _Rank2Numerators:
 
     def __init__(self, g):
         self.g = g
-        self.box = _Box(4 * g + 3, 2 ** (4 * g + 5) * (4 * g + 1) ** 2)
+        self.box = _Box(4 * g + 3, _rank2_bound(g))
 
     @cached_property
     def jac(self):
@@ -161,6 +160,24 @@ class _Rank2Numerators:
             raise InternalCheckError("the Jacobian pair has non-integer coefficients")
         # (P^2 - N)/2 = (P^2 + N)/2 - N: one parity check serves both halves
         return half - self.jac.uv(self.g), half - self.signs
+
+
+def _rank2_bound(g):
+    """The largest coefficient bound a rank-2 call of genus g tracks, that
+    of the Hodge-Deligne certificate.
+
+    The packed outer products start from their largest coefficients,
+    C(k, floor(k/2))^2 for (1+u)^k (1+v)^k and for the signs, so the
+    stable closed form has the bound S = 2 C(g, g/2)^2 4^g (2 jac_twisted)
+    + 4 C(2g, g)^2 (the four shifted squares) + 4 C(g, g/2)^2 (signs times
+    (1-uv)^2), with g/2 rounded down.  Its half, S // 2, divided by
+    (1-uv)(1-u^2 v^2) has the bound S // 2 times T(4g + 1), the L1 norm of
+    the series 1/((1-uv)(1-u^2 v^2)) cut after the 4g + 1 points of the
+    longest diagonal, T(r) = sum_{k<r} (k // 2 + 1); and the certificate
+    multiplies twice its dual by (1-uv)(1-u^2 v^2), whose L1 norm is 4."""
+    centre = math.comb(g, g // 2) ** 2
+    closed = 2 * centre * 4**g + 4 * math.comb(2 * g, g) ** 2 + 4 * centre
+    return 8 * (closed // 2) * sum(_partition_counts((1, 2), 4 * g + 1))
 
 
 def _rank2_numerators(g):

@@ -433,7 +433,8 @@ class WeightSystem:
     integers (see ``_scale``) in attributes that are not dataclass fields,
     so equality, hashing and repr see only the four fields.  The integer
     weights are (L, points, mults): the distinct vectors, in the order of
-    ``distinct_weight_vectors``, and their multiplicities, summed.
+    ``distinct_weight_vectors``, and their multiplicities, summed.  The
+    distinct vectors themselves are kept in that order too, formed once.
     """
 
     dim: int
@@ -473,11 +474,12 @@ class WeightSystem:
         for p, (_, m) in zip(scaled, weights):
             mults[p] = mults.get(p, 0) + m
         object.__setattr__(self, "_int_weights", (big, tuple(mults), tuple(mults.values())))
+        object.__setattr__(self, "_vectors", tuple(dict.fromkeys(v for v, _ in weights)))
         object.__setattr__(self, "_int_roots", int_roots)
         object.__setattr__(self, "_int_chamber", tuple(_scale(chamber)[1]))
 
     def distinct_weight_vectors(self):
-        return list(dict.fromkeys(v for v, _ in self.weights))
+        return list(self._vectors)
 
     def in_chamber(self, x):
         """Whether x.s >= 0 for every chamber functional s; x may hold
@@ -567,7 +569,7 @@ def index_set(ws):
 
     Sorted by |beta|^2 then lexicographically.
     """
-    vectors = ws.distinct_weight_vectors()
+    vectors = ws._vectors
     big, points, _ = ws._int_weights
     count = len(points)
     subsets = sum(comb(count, k) for k in range(1, min(count, ws.dim) + 1))

@@ -94,18 +94,21 @@ binomial coefficients (``_Box.outer``).
 The box.  A computation that goes on working with its products keeps
 them packed as ``_Packed`` values of one ``_Box``, origin (0, 0): the
 rank-2 pipeline (``blocks._rank2_numerators``).  Every packed value
-carries a bound on its L1 norm and on its exponents, so an operation
-that could overflow a slot or carry a term into the next row raises
-InternalCheckError.  Sums, small-int multiples and products by (uv)^k,
-by 1 - (uv)^k or by binomial powers are then big-integer adds and
-shifts, equality is integer equality, a parity mask finds odd
-coefficients, the dual (uv)^d p(1/u, 1/v) reverses the slots, and the
-division by a product of factors 1 - (uv)^m is a running sum by
-shift-adds along the diagonals, certified by multiplying back.  The box
-holds its slot patterns, the bias, the parity mask and the digit masks
-of a division: each is built once, for the longest run of slots asked
-for, and cut to a shorter run by a mask, about 15 times cheaper than
-building it.  Only the results are unpacked.
+carries a bound on its largest |coefficient| and on its exponents, so an
+operation that could overflow a slot or carry a term into the next row
+raises InternalCheckError.  Sums add the bounds, small-int multiples
+scale them, and a product by a polynomial, 1 - (uv)^k or binomial
+powers, multiplies the bound by that polynomial's L1 norm: by Young's
+inequality, max |coefficient of a b| <= max |coefficient of a| |b|_1.
+Those operations are then big-integer adds and shifts, equality is
+integer equality, a parity mask finds odd coefficients, the dual
+(uv)^d p(1/u, 1/v) reverses the slots, and the division by a product of
+factors 1 - (uv)^m is a running sum by shift-adds along the diagonals,
+certified by multiplying back.  The box holds its slot patterns, the
+bias, the parity mask and the digit masks of a division: each is built
+once, for the longest run of slots asked for, and cut to a shorter run
+by a mask, about 15 times cheaper than building it.  Only the results
+are unpacked.
 """
 
 from __future__ import annotations
@@ -114,6 +117,7 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import compress, product, repeat
+from math import comb
 from operator import lshift, or_
 
 from .errors import InternalCheckError
@@ -303,9 +307,9 @@ def _times_binomials(x, factors, sp, width, sq=1):
     Each power lengthens x by the slots of its shift, so the factors are
     applied in order of that shift, fewest slots first (in rows, fewest
     rows first), and every pass before the last runs on a shorter integer.
-    A product over any subset of the factors stays within the norm and
-    exponent bounds of the whole product, so the order needs no room the
-    caller has not sized."""
+    A product over any subset of the factors stays within the bounds on
+    the coefficients and exponents of the whole product, so the order
+    needs no room the caller has not sized."""
     for c, a, b, k in sorted(factors, key=lambda f: f[1] * sp + f[2] * sq):
         shift = 8 * width * (a * sp + b * sq)
         for _ in range(k):
@@ -364,10 +368,10 @@ def _expand_binomials(parts):
 
 class _Slots:
     """Slots of width bytes, sized so that every coefficient and every
-    tracked norm stays below limit = 2^(8 width - 1) for a norm bound of at
-    most bound, for the values of a box or a band.  It holds the slot
-    patterns its values are read and checked with, one per value; the
-    layout gives ``offset``, the shift by a monomial."""
+    tracked coefficient bound stays below limit = 2^(8 width - 1) for a
+    bound of at most bound, for the values of a box or a band.  It holds
+    the slot patterns its values are read and checked with, one per value;
+    the layout gives ``offset``, the shift by a monomial."""
 
     __slots__ = ("width", "limit", "_patterns")
 
@@ -404,6 +408,18 @@ class _Slots:
         return value
 
 
+def _partition_counts(strides, reach):
+    """The first reach coefficients of prod 1 / (1 - t^m) over the strides
+    m, the series the running sums multiply by: for each j < reach, the
+    number of ways to write j = sum k_i m_i over the list of strides, each
+    k_i >= 0 (a stride listed twice counts twice).  All are non-negative."""
+    counts = [1] + [0] * (reach - 1)
+    for m in strides:
+        for j in range(m, reach):
+            counts[j] += counts[j - m]
+    return counts
+
+
 class _Box(_Slots):
     """The exponent box of a family of packed polynomials: origin (0, 0),
     cols slots per row, so u^p v^q sits at slot p cols + q, in the slots
@@ -426,10 +442,12 @@ class _Box(_Slots):
     def outer(self, c, e, k):
         """(1 + c u^e)^k (1 + c v^e)^k, packed row by row: the v-row by
         shift-adds on one row, then row p is the row times its own
-        coefficient of v^p.  No pass runs over the whole box."""
+        coefficient of v^p.  No pass runs over the whole box.  Its largest
+        coefficient is exactly (max_j C(k, j) |c|^j)^2, the bound, and
+        the row's is its square root."""
         cols, width = self.cols, self.width
-        norm = (1 + abs(c)) ** (2 * k)
-        _check_bounds(self, norm, (e * k, e * k))
+        bound = max(comb(k, j) * abs(c) ** j for j in range(k + 1)) ** 2
+        _check_bounds(self, bound, (e * k, e * k))
         row = _times_binomials(1, [(c, 0, e, k)], cols, width)
         coeffs = self.unpack(row, 1)
         blank = self.pattern(self.limit, cols)
@@ -437,7 +455,7 @@ class _Box(_Slots):
             (coeffs.get((0, p), 0) * row + blank).to_bytes(cols * width, "little") for p in range(e * k + 1)
         )
         value = int.from_bytes(data, "little") - self.pattern(self.limit, cols * (e * k + 1))
-        return _Packed(self, value, norm, (e * k, e * k))
+        return _Packed(self, value, bound, (e * k, e * k))
 
 
 class _Band(_Slots):
@@ -493,11 +511,11 @@ class _BandValue:
     whose bound would reach the slot limit raises InternalCheckError, so
     no slot ever carries into the next.  The products by a polynomial
     (``times_diagonal``, ``times_binomials``) multiply the bound by its L1
-    norm, a bound on the product's coefficients when the bound is one on
-    the L1 norm of the window, as it is for a packed polynomial or a
-    product of series (``semistable``).  The caller keeps every term in
-    the band: a product by a factor that moves p - q beyond it would alias
-    its terms."""
+    norm, which bounds the product's coefficients by Young's inequality
+    (max |coefficient of a b| <= max |coefficient of a| |b|_1); the
+    product's window depends only on self's.  The caller keeps every term
+    in the band: a product by a factor that moves p - q beyond it would
+    alias its terms."""
 
     __slots__ = ("band", "value", "order", "bound")
 
@@ -633,27 +651,29 @@ class _Packed:
     """A polynomial with int coefficients and exponents in a ``_Box``:
     value = sum c 2^(8 width (p cols + q)).
 
-    norm bounds the sum of |c|, so every |c|, and top = (P, Q) bounds the
-    exponents: p <= P and q <= Q.  Both are tracked through every
-    operation; an operation whose result could reach the slot limit, or
-    carry a term past the last column into the next row, raises
-    InternalCheckError instead.  Within those bounds the packing is
-    one-to-one, so two values are equal iff their integers are, and the
-    operations below are big-integer shifts, adds and small-int
-    multiplies: multiplying by (uv)^k is a shift by k (cols + 1) slots,
-    and by 1 - (uv)^k one shift and one subtraction."""
+    bound bounds every |c|, and top = (P, Q) bounds the exponents: p <= P
+    and q <= Q.  Both are tracked through every operation; an operation
+    whose result could reach the slot limit, or carry a term past the
+    last column into the next row, raises InternalCheckError instead.
+    Within those bounds the packing is one-to-one, so two values are
+    equal iff their integers are, and the operations below are
+    big-integer shifts, adds and small-int multiplies: multiplying by
+    (uv)^k is a shift by k (cols + 1) slots, and by 1 - (uv)^k one shift
+    and one subtraction.  A product by a polynomial multiplies the bound
+    by the polynomial's L1 norm, which bounds the product's coefficients
+    (Young's inequality)."""
 
-    __slots__ = ("box", "value", "norm", "top")
+    __slots__ = ("box", "value", "bound", "top")
 
-    def __init__(self, box, value, norm, top):
-        _check_bounds(box, norm, top)
+    def __init__(self, box, value, bound, top):
+        _check_bounds(box, bound, top)
         self.box = box
         self.value = value
-        self.norm = norm
+        self.bound = bound
         self.top = top
 
-    def _new(self, value, norm, top):
-        return _Packed(self.box, value, norm, top)
+    def _new(self, value, bound, top):
+        return _Packed(self.box, value, bound, top)
 
     def __eq__(self, other):
         if not isinstance(other, _Packed):
@@ -663,18 +683,18 @@ class _Packed:
     __hash__ = None
 
     def __add__(self, other):
-        return self._new(self.value + other.value, self.norm + other.norm, _max_top(self, other))
+        return self._new(self.value + other.value, self.bound + other.bound, _max_top(self, other))
 
     def __sub__(self, other):
-        return self._new(self.value - other.value, self.norm + other.norm, _max_top(self, other))
+        return self._new(self.value - other.value, self.bound + other.bound, _max_top(self, other))
 
     def __rmul__(self, k):
-        return self._new(k * self.value, abs(k) * self.norm, self.top)
+        return self._new(k * self.value, abs(k) * self.bound, self.top)
 
     def uv(self, k):
         """self times (uv)^k, k >= 0: a shift by k (cols + 1) slots."""
         top = (self.top[0] + k, self.top[1] + k)
-        return self._new(self.value << self.box.offset(k, k), self.norm, top)
+        return self._new(self.value << self.box.offset(k, k), self.bound, top)
 
     def times_one_minus_uv(self, k):
         """self times 1 - (uv)^k."""
@@ -686,18 +706,19 @@ class _Packed:
         value = self.value
         for m in strides:
             value -= value << self.box.offset(m, m)
-        return self._new(value, self.norm * norm, (self.top[0] + sum(strides), self.top[1] + sum(strides)))
+        return self._new(value, self.bound * norm, (self.top[0] + sum(strides), self.top[1] + sum(strides)))
 
     def times_binomials(self, factors):
-        """self times prod (1 + c u^a v^b)^k over the factors (c, a, b, k)."""
-        norm = self.norm
+        """self times prod (1 + c u^a v^b)^k over the factors (c, a, b, k),
+        whose L1 norm is prod (1 + |c|)^k."""
+        bound = self.bound
         p, q = self.top
         for c, a, b, k in factors:
-            norm *= (1 + abs(c)) ** k
+            bound *= (1 + abs(c)) ** k
             p += k * a
             q += k * b
-        _check_bounds(self.box, norm, (p, q))
-        return self._new(_times_binomials(self.value, factors, self.box.cols, self.box.width), norm, (p, q))
+        _check_bounds(self.box, bound, (p, q))
+        return self._new(_times_binomials(self.value, factors, self.box.cols, self.box.width), bound, (p, q))
 
     def halve(self):
         """self / 2, or None when a coefficient is odd.  Biased by the
@@ -707,7 +728,7 @@ class _Packed:
         slots = (self.top[0] + 1) * box.cols
         if (self.value + box.pattern(box.limit, slots)) & box.pattern(1, slots):
             return None
-        return self._new(self.value >> 1, self.norm // 2, self.top)
+        return self._new(self.value >> 1, self.bound // 2, self.top)
 
     def unpack(self):
         """The term dict."""
@@ -724,7 +745,7 @@ class _Packed:
         slots = dim * (box.cols + 1) + 1
         bias = box.pattern(box.limit, slots)
         data = _reverse_slots((self.value + bias).to_bytes(box.width * slots, "little"), box.width)
-        return self._new(int.from_bytes(data, "little") - bias, self.norm, (dim, dim))
+        return self._new(int.from_bytes(data, "little") - bias, self.bound, (dim, dim))
 
     def divide_diagonal(self, strides):
         """The quotient of self by prod (1 - (uv)^m) over the strides m,
@@ -735,23 +756,25 @@ class _Packed:
         the low reach (cols + 1) slots read as balanced digits, the
         quotient if there is one: the cut terms lie past the box.
 
-        Certified, not assumed: an exact quotient has norm at most the
-        norm of self times reach^n, n the number of strides, and exponents
-        up to top - (sum m, sum m).  The candidate must have digits of
-        at most limit / 2^(n+1) and no term past those exponents (checked
-        on the biased slots by masks), and prod (1 - (uv)^m) times it must
-        be self.  Those digits keep every slot of that product and of the
-        difference from self below 2^(8 width), so equal integers are equal
-        polynomials.
+        Certified, not assumed: an exact quotient is self times the series
+        prod 1 / (1 - (uv)^m), of which only the first reach terms reach
+        the box, so its coefficients are at most self's bound times their
+        sum, the L1 norm of that cut series (``_partition_counts``), and
+        its exponents are at most top - (sum m, sum m).  The candidate must
+        have digits of at most limit / 2^(n+1), n the number of strides,
+        and no term past those exponents (checked on the biased slots by
+        masks), and prod (1 - (uv)^m) times it must be self.  Those digits
+        keep every slot of that product and of the difference from self
+        below 2^(8 width), so equal integers are equal polynomials.
         """
         box = self.box
         bits = 8 * box.width
         reach = self.top[0] + 1
         top = (self.top[0] - sum(strides), self.top[1] - sum(strides))
-        norm = self.norm * reach ** len(strides)
+        bound = self.bound * sum(_partition_counts(strides, reach))
         digit = box.limit >> (len(strides) + 1)
-        if norm >= digit:
-            raise InternalCheckError("quotient norm bound %d reaches the digit bound 2^%d" % (norm, digit.bit_length() - 1))
+        if bound >= digit:
+            raise InternalCheckError("quotient bound %d reaches the digit bound 2^%d" % (bound, digit.bit_length() - 1))
         if min(top) < 0:
             return self._new(0, 0, (0, 0)) if self.value == 0 else None
         low = reach * box.offset(1, 1)
@@ -767,7 +790,7 @@ class _Packed:
         past = _slot_pattern(row, box.width * box.cols, top[0] + 1)
         if not 0 <= biased < 1 << bits * slots or biased & high or (biased ^ bias) & past:
             return None
-        quotient = self._new(z, norm, top)
+        quotient = self._new(z, bound, top)
         return quotient if quotient.times_diagonal(strides, 2 ** len(strides)) == self else None
 
 
@@ -780,12 +803,12 @@ def _reverse_slots(data, width):
     return out
 
 
-def _check_bounds(box, norm, top):
+def _check_bounds(box, bound, top):
     """Raise InternalCheckError unless a packed value of the box with this
-    norm bound and these top exponents fits its slots and its rows; run
-    before an operation forms the value, so that none overflows."""
-    if norm >= box.limit:
-        raise InternalCheckError("packed norm bound %d reaches the slot limit 2^%d" % (norm, 8 * box.width - 1))
+    coefficient bound and these top exponents fits its slots and its rows;
+    run before an operation forms the value, so that none overflows."""
+    if bound >= box.limit:
+        raise InternalCheckError("packed bound %d reaches the slot limit 2^%d" % (bound, 8 * box.width - 1))
     if top[1] >= box.cols:
         raise InternalCheckError("packed exponent %d of v is past the last of %d columns" % (top[1], box.cols))
 

@@ -79,7 +79,7 @@ from functools import cache
 from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .packed import _Band, _BandValue, _expand_binomials, _pack, _widen
+from .packed import _Band, _BandValue, _expand_binomials, _pack, _partition_counts, _widen
 from .poly import LaurentPoly, as_int
 from .series import FactoredRational, TruncatedSeries, _expand_factors, _lcm_factors, _missing_factors
 
@@ -110,6 +110,18 @@ def _leading_den(n):
     return den
 
 
+@cache
+def _leading_division(n):
+    """The strides m of ``_leading_den(n)``, one per factor 1 - (uv)^m, and
+    the coefficients of prod 1 / (1 - (uv)^m) over them up to the reach
+    MAX_ORDER // 2 + 1 of the longest diagonal of a window
+    (``packed._partition_counts``).  Neither depends on the genus or the
+    order, so both are formed once per rank, as ``_closed_form_shape``
+    is."""
+    strides = tuple(m for (m, _), k in _leading_den(n).items() for _ in range(k))
+    return strides, tuple(_partition_counts(strides, MAX_ORDER // 2 + 1))
+
+
 def _leading_series(n, g, order):
     """``leading_closed_term(n, g).series_expand(order)``, formed packed
     inside the window of its order and held so (``packed._BandValue``).
@@ -130,19 +142,26 @@ def _leading_series(n, g, order):
     which hold at most reach = order // 2 + 1 points of the window:
     x = (x + x (uv)^s) masked, s = m, 2m, 4m, ... below reach.
 
-    Every value is non-negative, the numerator's coefficients at most the
-    product B_0 over the factors of the sums of their cut rows, and each
-    division multiplies the largest by at most reach.  So no slot ever
-    holds more than B = B_0 reach^(number of strides), and slots that
-    hold B and a sign bit never carry into each other.  B is held with
-    the value as its bound.
+    Every value is non-negative, and the numerator's L1 norm is at most
+    the product B_0 over the factors of the sums of their cut rows.  A
+    coefficient of the series is a sum, over the points of its diagonal
+    below it, of a numerator coefficient times a coefficient of
+    prod 1 / (1 - (uv)^m), shifted by fewer than reach points; those are
+    counts of partitions, non-negative (``_leading_division``).  So it is
+    at most B = B_0 P, P the largest of the first reach of them, and
+    every partial running sum, which multiplies by a series no larger,
+    coefficient by coefficient, is too.  Slots that hold B and a sign bit
+    never carry into each other, and B is held with the value as its
+    bound.
     """
     reach = order // 2 + 1
-    strides = [m for (m, _), k in _leading_den(n).items() for _ in range(k)]
+    strides, counts = _leading_division(n)
+    if reach > len(counts):
+        raise InternalCheckError("series order %d is above the cap of %d" % (order, MAX_ORDER))
     rows = [
         (a, b, [math.comb(k, j) for j in range(1, min(k, order // (a + b)) + 1)]) for _, a, b, k in _leading_factors(n, g)
     ]
-    bound = reach ** len(strides) * math.prod(1 + sum(row) for _, _, row in rows)
+    bound = max(counts[:reach]) * math.prod(1 + sum(row) for _, _, row in rows)
     band = _Band(min(n * g, order + 1), bound)
     window = (1 << 8 * band.width * band.slots(order)) - 1
     x = 1

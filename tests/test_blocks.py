@@ -17,9 +17,10 @@ from hpbundles import (
     hp_nt_zts,
     hp_plusminus_bt,
     hp_plusminus_jac_pair,
+    hp_ss_rank2_closed_form,
     uv_power,
 )
-from hpbundles import blocks
+from hpbundles import blocks, packed, rank2
 from hpbundles.blocks import _rank2_numerators, sign_numerator
 from hpbundles.packed import _Packed
 
@@ -201,3 +202,34 @@ def test_every_block_is_uv_symmetric():
         assert plus.is_symmetric()
         assert minus.is_symmetric()
         assert hp_nt_zts(g).num.is_symmetric()
+
+
+def test_rank2_box_holds_every_tracked_bound_within_a_byte(monkeypatch):
+    # the record's box is sized by _rank2_bound(g): at least every
+    # coefficient bound that any rank-2 entry point tracks at genus g, and
+    # below 256 times the largest, so no slot is a byte wider than a call
+    # needs
+    seen = []
+    check = packed._check_bounds
+
+    def recording(box, bound, top):
+        seen.append(bound)
+        return check(box, bound, top)
+
+    monkeypatch.setattr(packed, "_check_bounds", recording)
+    calls = (
+        rank2.hp_moduli_stable_rank2,
+        rank2.hodge_deligne_stable_rank2,
+        rank2.rank2_strata,
+        rank2.stable_rank2_closed_form,
+        rank2.deligne_rank2_closed_form,
+        hp_nt_zts,
+        hp_plusminus_jac_pair,
+        hp_ss_rank2_closed_form,
+    )
+    for g in range(2, 25):
+        seen.clear()
+        for call in calls:
+            call(g)
+        bound = blocks._rank2_bound(g)
+        assert bound >= max(seen) > bound // 256, g

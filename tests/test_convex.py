@@ -150,6 +150,23 @@ def test_stratum_codim_wrong_length_rejected():
         stratum_codim(adjoint_system(3), BetaIndex((2, 0), ()))
 
 
+def test_distinct_weight_vectors_are_kept_in_first_order():
+    # repeats, in any written form, collapse to the first; every call hands
+    # out a fresh list in the order of the system's integer points
+    ws = WeightSystem(
+        dim=2,
+        weights=(((1, 2), 1), (("1/2", 0), 2), ((1, 2), 3), ((Fraction(2, 4), 0), 1), ((0, -1), 1)),
+        roots=(),
+        chamber=(),
+    )
+    vectors = ws.distinct_weight_vectors()
+    assert vectors == [(1, 2), (Fraction(1, 2), 0), (0, -1)]
+    assert len(vectors) == len(ws._int_weights[1])
+    assert ws._int_weights[2] == (4, 3, 1)
+    vectors.clear()
+    assert ws.distinct_weight_vectors() == [(1, 2), (Fraction(1, 2), 0), (0, -1)]
+
+
 def test_scaling_invariance_of_counts():
     for g in (2, 4):
         base = adjoint_system(g)

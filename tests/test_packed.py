@@ -3,6 +3,7 @@
 polynomials with non-negative exponents."""
 
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -10,17 +11,28 @@ import pytest
 
 pytest.importorskip("hypothesis", reason="hypothesis is a test-only dependency")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import hpbundles  # noqa: E402
 from hpbundles import ONE, InternalCheckError, LaurentPoly, hodge_deligne_stable_rank2, uv_power  # noqa: E402
 from hpbundles import packed as packed_module  # noqa: E402
-from hpbundles.packed import _Band, _BandValue, _Box, _check_bounds, _pack, _Packed, _unpack, _widen  # noqa: E402
+from hpbundles.blocks import _rank2_numerators  # noqa: E402
+from hpbundles.packed import (  # noqa: E402
+    _Band,
+    _BandValue,
+    _Box,
+    _check_bounds,
+    _pack,
+    _Packed,
+    _partition_counts,
+    _unpack,
+    _widen,
+)
 
 # Room for the drawn polynomials (exponents below SIDE) and every shift,
-# product and dual below; slots of 2^200 hold the drawn norms, below 2^90,
-# times anything the tests multiply them by.
+# product and dual below; slots of 2^200 hold the drawn coefficients,
+# below 2^90, times anything the tests multiply them by.
 SIDE = 6
 COLS = 3 * SIDE
 BOX = _Box(COLS, 2**200)
@@ -34,13 +46,18 @@ def polys(draw, side=SIDE):
     return LaurentPoly({(p, q): c for p, q, c in cells})
 
 
+def largest(terms):
+    """The largest |coefficient| of a term dict, 0 for none."""
+    return max(map(abs, terms.values()), default=0)
+
+
 def pack(box, terms):
-    """A term dict as a ``_Packed`` value of the box, with its exact norm
-    and top exponents."""
-    norm = sum(map(abs, terms.values()))
+    """A term dict as a ``_Packed`` value of the box, with its exact bound,
+    its largest |coefficient|, and top exponents."""
+    bound = largest(terms)
     top = (max((p for p, _ in terms), default=0), max((q for _, q in terms), default=0))
-    _check_bounds(box, norm, top)
-    return _Packed(box, _pack(terms, (0, 0), (box.cols, 1), box.width, top[0] * box.cols + top[1] + 1), norm, top)
+    _check_bounds(box, bound, top)
+    return _Packed(box, _pack(terms, (0, 0), (box.cols, 1), box.width, top[0] * box.cols + top[1] + 1), bound, top)
 
 
 def packed(poly):
@@ -103,6 +120,70 @@ def test_diagonal_division_is_certified(y, strides):
     assert unpacked(x.divide_diagonal(strides)) == y
     # one term more leaves a remainder
     assert (x + pack(BOX, {(0, 1): 1})).divide_diagonal(strides) is None
+
+
+binomial_factors = st.lists(
+    st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(0, 1), st.integers(0, 1), st.integers(0, 2)),
+    max_size=3,
+)
+
+
+def bounded(value):
+    """The value, after checking that its tracked bound is at least its
+    largest |coefficient|."""
+    assert value.bound >= largest(value.unpack()), (value.bound, value.unpack())
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    polys(),
+    polys(),
+    st.integers(-5, 5),
+    st.integers(0, SIDE),
+    binomial_factors,
+    st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=2),
+)
+# a quotient larger than its dividend: (1 + 2t + 2t^2 + 2t^3 + t^4)(1 - t)
+# = 1 + t - t^4 - t^5, t = uv
+@example(LaurentPoly({(0, 0): 1, (1, 1): 2, (2, 2): 2, (3, 3): 2, (4, 4): 1}), LaurentPoly(), 0, 0, [], [1])
+def test_tracked_bounds_hold_the_largest_coefficient(a, b, k, c, factors, strides):
+    # the drawn values carry their exact largest |coefficient|; every
+    # operation's tracked bound must stay at or above the one of its result
+    x, y = packed(a), packed(b)
+    bounded(x + y)
+    bounded(x - y)
+    bounded(k * x)
+    bounded(x.uv(c))
+    bounded(x.times_one_minus_uv(c + 1))
+    bounded(x.times_diagonal(strides, 2 ** len(strides)))
+    bounded(x.times_binomials(factors))
+    bounded((2 * x).halve())
+    bounded(x.dual(SIDE - 1 + c))
+    den = ONE
+    for m in strides:
+        den = den * (ONE - uv_power(m))
+    quotient = packed(a * den).divide_diagonal(strides)
+    assert unpacked(bounded(quotient)) == a
+
+
+@pytest.mark.parametrize("c, e, k", [(1, 1, 0), (1, 1, 1), (1, 1, 6), (-1, 2, 5), (2, 1, 4), (-3, 1, 5), (1, 2, 7)])
+def test_outer_bound_is_the_largest_coefficient(c, e, k):
+    value = BOX.outer(c, e, k)
+    assert value.bound == largest(value.unpack())
+
+
+def test_partition_counts_are_the_series_of_the_running_sums():
+    # the first reach coefficients of prod 1/(1 - t^m), counted by brute
+    # force over the number of parts of each stride
+    for strides in ((1,), (1, 2), (1, 1, 2, 2, 3), (2, 3), (3,)):
+        counts = _partition_counts(strides, 20)
+        brute = [0] * 20
+        for parts in itertools.product(*(range(20 // m + 1) for m in strides)):
+            total = sum(p * m for p, m in zip(parts, strides))
+            if total < 20:
+                brute[total] += 1
+        assert counts == brute, strides
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,11 +375,12 @@ def test_packed_is_the_one_module_of_the_slot_format():
 
 
 def test_rank2_call_builds_each_slot_pattern_once(monkeypatch):
-    # one Hodge-Deligne call works in one box of 15-byte slots and 99
-    # columns at genus 24: outer products, halvings, the diagonal division,
-    # the dual and the unpacking all take their slot patterns from it, the
-    # division its mask of whole rows too, and no (value, slots) pattern is
-    # built twice
+    # one Hodge-Deligne call works in one box of 99 columns at genus 24, its
+    # slot width that of the genus-24 record: outer products, halvings, the
+    # diagonal division, the dual and the unpacking all take their slot
+    # patterns from it, the division its mask of whole rows too, and no
+    # (value, slots) pattern is built twice
+    box = _rank2_numerators(24).box
     builds = []
     build = packed_module._slot_pattern
 
@@ -309,4 +391,5 @@ def test_rank2_call_builds_each_slot_pattern_once(monkeypatch):
     monkeypatch.setattr(packed_module, "_slot_pattern", recording)
     hodge_deligne_stable_rank2(24)
     assert len(builds) == len(set(builds))
-    assert {width for _, width, _ in builds} == {15, 15 * 99}
+    assert box.cols == 99
+    assert {width for _, width, _ in builds} == {box.width, box.width * box.cols}

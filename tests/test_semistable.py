@@ -315,6 +315,16 @@ def test_leading_series_is_the_closed_term_expanded(n, g, order):
     assert held.read(order) == dict(leading_closed_term(n, g).series_expand(order).items())
 
 
+def test_leading_series_past_its_partition_counts_is_refused():
+    # the bound reads the restricted partition counts tabled once per rank
+    # up to the longest diagonal of a window within MAX_ORDER; a longer
+    # one would read past them
+    held = _leading_series(3, 2, semistable.MAX_ORDER + 1)
+    assert max(map(abs, held.read(held.order).values())) <= held.bound
+    with pytest.raises(InternalCheckError, match="above the cap"):
+        _leading_series(3, 2, semistable.MAX_ORDER + 2)
+
+
 def test_held_series_is_read_only_to_its_order():
     # a held series knows nothing above its order: a read or a cut there
     # is refused, as a widening is, instead of taking zeros for terms
