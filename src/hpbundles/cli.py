@@ -39,7 +39,7 @@ def build_parser():
     ss.add_argument("--rank", type=int, required=True)
     ss.add_argument("--deg", type=int, required=True)
     ss.add_argument("--genus", type=int, required=True)
-    ss.add_argument("--order", type=int, default=None)
+    ss.add_argument("--order", type=int, default=12)
     ss.set_defaults(func=_cmd_ss)
     _output_flags(ss)
 
@@ -96,16 +96,6 @@ def _output_flags(parser):
     group.add_argument("--text", action="store_true")
 
 
-def _default_order():
-    raw = os.environ.get("HP_MODULI_ORDER_DEFAULT")
-    if raw is None:
-        return 12
-    try:
-        return int(raw)
-    except ValueError as err:
-        raise DomainError("HP_MODULI_ORDER_DEFAULT must be an integer") from err
-
-
 def _emit(args, obj, text):
     if args.json:
         print(serialize.dumps(obj))
@@ -114,14 +104,13 @@ def _emit(args, obj, text):
 
 
 def _cmd_ss(args):
-    order = args.order if args.order is not None else _default_order()
     evaluator = SemistableSeries()
-    series = evaluator.series(args.rank, args.deg, args.genus, order)
+    series = evaluator.series(args.rank, args.deg, args.genus, args.order)
     meta = {
         "rank": args.rank,
         "deg": args.deg,
         "genus": args.genus,
-        "order": order,
+        "order": args.order,
         "sections_dim": args.deg + args.rank * (1 - args.genus),
         "memo_hits": evaluator.hits,
         "memo_misses": evaluator.misses,

@@ -52,21 +52,20 @@ window's points tests a term dict's exponents against it
 (uv)^dim x(1/u, 1/v) of a polynomial in the slots 0..K dim reverses
 them, one byte of every slot per slice, as in a box (``_reverse_slots``).
 
-Band values.  A ``_BandValue`` is a series held in a band with a bound
-on its coefficients, and its operations are those of the recursion and
-of the coprime certificate: the window of an order (one mask), the
-product by (uv)^c (one shift), sums and differences, the dual, the
-products by prod (1 - (uv)^m) (one shift and subtraction per stride) and
-by binomial powers (``_times_binomials`` on the band's strides), and the
-read.  Each tracks its bound and refuses one that reaches its slots'
-limit.  The recursion holds its leading series and type products so,
-each with the bound that sized its slots, and a miss widens them into
-the slots of its own bound in the same band (``_widen``: one strided
-byte slice per byte of the held slots), where the products are
-subtracted, shifted (``_BandValue.subtract``), with no term dict formed.
-The coprime moduli polynomial, the closed-form numerator that certifies
-it and every partial product lie in the band of the recursion's series
-too, and are formed and compared there
+Band values.  A ``_BandValue`` is a truncated series held in a band
+with a bound on its coefficients, and its operations are those of a
+truncated series: the window of an order (one mask), the product by
+prod (1 - (uv)^m) (one shift and subtraction per stride), the difference
+less shifted products, and the read.  Each tracks its bound and refuses
+one that reaches its slots' limit.  The recursion holds its leading
+series and type products so, each with the bound that sized its slots,
+and a miss widens them into the slots of its own bound in the same band
+(``_widen``: one strided byte slice per byte of the held slots), where
+the products are subtracted, shifted (``_BandValue.subtract``), with no
+term dict formed.  A window is an exact polynomial, a ``_Packed`` value
+of the band (below): so are the coprime moduli polynomial, the
+closed-form numerator that certifies it and every partial product,
+formed and compared in the band of the recursion's series
 (``semistable.stable_coprime_polynomial``).  Values that fill a box stay
 in boxes, the unwindowed products and the rank-2 record: in a band the
 corners of a square support would double the slots.
@@ -91,20 +90,23 @@ expanded in one variable instead (``series._expand_factors``), and an
 outer product of two binomial rows, such as the Jacobian, is formed from
 binomial coefficients (``_Box.outer``).
 
-The box.  A computation that goes on working with its products keeps
-them packed as ``_Packed`` values of one ``_Box``, origin (0, 0): the
-rank-2 pipeline (``blocks._rank2_numerators``).  Every packed value
-carries a bound on its largest |coefficient| and on its exponents, so an
-operation that could overflow a slot or carry a term into the next row
-raises InternalCheckError.  Sums add the bounds, small-int multiples
-scale them, and a product by a polynomial, 1 - (uv)^k or binomial
-powers, multiplies the bound by that polynomial's L1 norm: by Young's
-inequality, max |coefficient of a b| <= max |coefficient of a| |b|_1.
-Those operations are then big-integer adds and shifts, equality is
-integer equality, a parity mask finds odd coefficients, the dual
-(uv)^d p(1/u, 1/v) reverses the slots, and the division by a product of
+Exact polynomials.  A computation that goes on working with its
+products keeps them packed as ``_Packed`` values of one layout, a
+``_Box`` with origin (0, 0) (the rank-2 pipeline,
+``blocks._rank2_numerators``) or a ``_Band`` (the coprime certificate).
+Every packed value carries a bound on its largest |coefficient| and on
+its exponents, so an operation that could overflow a slot, or carry a
+term past a box's last column into the next row, raises
+InternalCheckError.  Sums add the bounds, small-int multiples scale
+them, and a product by a polynomial, prod (1 - (uv)^m) or binomial
+powers, multiplies the bound by the L1 norm of each partial product it
+forms: by Young's inequality, max |coefficient of a b| <=
+max |coefficient of a| |b|_1.  Those operations are then big-integer
+adds and shifts in either layout, equality is integer equality, a
+parity mask finds odd coefficients, and the dual (uv)^d p(1/u, 1/v)
+reverses the slots.  In a box only, the division by a product of
 factors 1 - (uv)^m is a running sum by shift-adds along the diagonals,
-certified by multiplying back.  The box holds its slot patterns, the
+certified by multiplying back.  A layout holds its slot patterns, the
 bias, the parity mask and the digit masks of a division: each is built
 once, for the longest run of slots asked for, and cut to a shorter run
 by a mask, about 15 times cheaper than building it.  Only the results
@@ -181,14 +183,9 @@ def _pack(terms, origin, strides, width, slots):
 
 def _unpack(packed, origin, rows, cols, width):
     """The term dict of the packed value, its slot (0, 0) at the exponent
-    origin, over its first rows rows of cols slots each."""
-    return _read(packed + _slot_pattern(1 << (8 * width - 1), width, rows * cols), origin, rows, cols, width)
-
-
-def _read(biased, origin, rows, cols, width):
-    """``_unpack`` of a packed value whose first rows * cols slots are
-    already biased by 2^(8 width - 1): the keys of the box in row order
-    zipped with the values (``_read_slots``)."""
+    origin, over its first rows rows of cols slots each: the keys of the
+    box in row order zipped with the values (``_read_slots``)."""
+    biased = packed + _slot_pattern(1 << (8 * width - 1), width, rows * cols)
     p0, q0 = origin
     return _read_slots(biased, product(range(p0, p0 + rows), range(q0, q0 + cols)), width, rows * cols)
 
@@ -296,13 +293,13 @@ def _read_limbs(buf, code):
     return limbs.tolist()
 
 
-def _times_binomials(x, factors, sp, width, sq=1):
+def _times_binomials(x, factors, strides, width):
     """The packed x times prod (1 + c u^a v^b)^k over the factors
     (c, a, b, k), in slots of width bytes with u^p v^q at slot p sp + q sq
-    (sp = cols, sq = 1 in rows of cols slots; sp = D + 1, sq = D in a band
-    of width D): one big-integer shift by a sp + b sq slots and add per
-    power.  The caller sizes the slots and the layout for every partial
-    product.
+    for the strides (sp, sq) of a layout ((cols, 1) in rows of cols slots,
+    (D + 1, D) in a band of width D): one big-integer shift by a sp + b sq
+    slots and add per power.  The caller sizes the slots and the layout
+    for every partial product.
 
     Each power lengthens x by the slots of its shift, so the factors are
     applied in order of that shift, fewest slots first (in rows, fewest
@@ -310,6 +307,7 @@ def _times_binomials(x, factors, sp, width, sq=1):
     A product over any subset of the factors stays within the bounds on
     the coefficients and exponents of the whole product, so the order
     needs no room the caller has not sized."""
+    sp, sq = strides
     for c, a, b, k in sorted(factors, key=lambda f: f[1] * sp + f[2] * sq):
         shift = 8 * width * (a * sp + b * sq)
         for _ in range(k):
@@ -362,23 +360,50 @@ def _expand_binomials(parts):
     width = _slot_width(bound)
     packed = 0
     for s, (p, q), factors in parts:
-        packed += _times_binomials(s, factors, cols, width) << 8 * width * ((p - p0) * cols + q - q0)
+        packed += _times_binomials(s, factors, (cols, 1), width) << 8 * width * ((p - p0) * cols + q - q0)
     return _unpack(packed, (p0, q0), rows, cols, width)
 
 
 class _Slots:
     """Slots of width bytes, sized so that every coefficient and every
     tracked coefficient bound stays below limit = 2^(8 width - 1) for a
-    bound of at most bound, for the values of a box or a band.  It holds
-    the slot patterns its values are read and checked with, one per value;
-    the layout gives ``offset``, the shift by a monomial."""
+    bound of at most bound, u^p v^q at slot p sp + q sq for the strides
+    (sp, sq) of a layout, ``_Box`` or ``_Band``, which gives the exponents
+    of its slots (``keys``).  It holds the slot patterns its values are
+    read and checked with, one per value."""
 
-    __slots__ = ("width", "limit", "_patterns")
+    __slots__ = ("strides", "width", "limit", "_patterns")
 
-    def __init__(self, bound):
+    def __init__(self, strides, bound):
+        self.strides = strides
         self.width = _slot_width(bound)
         self.limit = 1 << (8 * self.width - 1)
         self._patterns = {}  # value -> (slots, its pattern over those slots)
+
+    def offset(self, p, q):
+        """The shift, in bits, that multiplies a packed value by u^p v^q."""
+        sp, sq = self.strides
+        return 8 * self.width * (p * sp + q * sq)
+
+    def check(self, bound, top):
+        """Raise InternalCheckError unless a value with this coefficient
+        bound fits the slots: the one check of every ``_Packed`` bound.  A
+        box checks the top exponents too; in a band the caller keeps them."""
+        if bound >= self.limit:
+            raise InternalCheckError("packed bound %d reaches the slot limit 2^%d" % (bound, 8 * self.width - 1))
+
+    def span(self, top):
+        """The slots up to that of u^P v^Q, top = (P, Q): those of every
+        exponent up to top, the strides being non-negative."""
+        sp, sq = self.strides
+        return top[0] * sp + top[1] * sq + 1
+
+    def read(self, value, slots):
+        """The term dict of the first slots slots of a value, read against
+        the layout's keys; none for no slots."""
+        if slots <= 0:
+            return {}
+        return _read_slots(value + self.pattern(self.limit, slots), self.keys(slots), self.width, slots)
 
     def pattern(self, value, slots):
         """The packed integer whose first slots slots all hold the value:
@@ -422,22 +447,30 @@ def _partition_counts(strides, reach):
 
 class _Box(_Slots):
     """The exponent box of a family of packed polynomials: origin (0, 0),
-    cols slots per row, so u^p v^q sits at slot p cols + q, in the slots
-    of ``_Slots``."""
+    cols slots per row, so u^p v^q sits at slot p cols + q (strides
+    (cols, 1)), in the slots of ``_Slots``."""
 
     __slots__ = ("cols",)
 
     def __init__(self, cols, bound):
-        super().__init__(bound)
+        super().__init__((cols, 1), bound)
         self.cols = cols
 
-    def offset(self, p, q):
-        """The shift, in bits, that multiplies a packed value by u^p v^q."""
-        return 8 * self.width * (p * self.cols + q)
+    def check(self, bound, top):
+        """``_Slots.check``, and no exponent of v past the last column,
+        where a term would carry into the next row."""
+        super().check(bound, top)
+        if top[1] >= self.cols:
+            raise InternalCheckError("packed exponent %d of v is past the last of %d columns" % (top[1], self.cols))
 
-    def unpack(self, value, rows):
-        """The term dict of a value of the box over its first rows rows."""
-        return _read(value + self.pattern(self.limit, rows * self.cols), (0, 0), rows, self.cols, self.width)
+    def span(self, top):
+        """The slots of the rows 0..P, top = (P, Q): whole rows, so that the
+        reads and parity masks of a box share the lengths of its patterns."""
+        return (top[0] + 1) * self.cols
+
+    def keys(self, slots):
+        """The exponents of slots 0, 1, ...: the box in row order."""
+        return product(range(slots // self.cols + 1), range(self.cols))
 
     def outer(self, c, e, k):
         """(1 + c u^e)^k (1 + c v^e)^k, packed row by row: the v-row by
@@ -447,15 +480,16 @@ class _Box(_Slots):
         the row's is its square root."""
         cols, width = self.cols, self.width
         bound = max(comb(k, j) * abs(c) ** j for j in range(k + 1)) ** 2
-        _check_bounds(self, bound, (e * k, e * k))
-        row = _times_binomials(1, [(c, 0, e, k)], cols, width)
-        coeffs = self.unpack(row, 1)
+        top = (e * k, e * k)
+        self.check(bound, top)
+        row = _times_binomials(1, [(c, 0, e, k)], self.strides, width)
+        coeffs = self.read(row, cols)
         blank = self.pattern(self.limit, cols)
         data = b"".join(
             (coeffs.get((0, p), 0) * row + blank).to_bytes(cols * width, "little") for p in range(e * k + 1)
         )
         value = int.from_bytes(data, "little") - self.pattern(self.limit, cols * (e * k + 1))
-        return _Packed(self, value, bound, (e * k, e * k))
+        return _Packed(self, value, bound, top)
 
 
 class _Band(_Slots):
@@ -465,16 +499,11 @@ class _Band(_Slots):
     at most an order is the low ``slots(order)`` slots, and a value is
     read there against the band's key table."""
 
-    __slots__ = ("band", "strides")
+    __slots__ = ("band",)
 
     def __init__(self, band, bound):
-        super().__init__(bound)
+        super().__init__((band + 1, band), bound)
         self.band = band
-        self.strides = (band + 1, band)
-
-    def offset(self, p, q):
-        """The shift, in bits, that multiplies a packed value by u^p v^q."""
-        return 8 * self.width * (p * (self.band + 1) + q * self.band)
 
     def slots(self, order):
         """The number of slots of the window p + q <= order: the low
@@ -487,35 +516,31 @@ class _Band(_Slots):
         with p or q negative included, which no value fills."""
         return _band_points(self.band, self.slots(order))
 
+    def keys(self, slots):
+        """The exponents of slots 0, 1, ...: the band's key table."""
+        return _band_keys(self.band, slots)
+
     def unpack(self, value, order):
-        """The term dict of a value of the band over the window
-        p + q <= order, read against the band's key table."""
-        slots = self.slots(order)
-        if not slots:
-            return {}
-        return _read_slots(value + self.pattern(self.limit, slots), _band_keys(self.band, slots), self.width, slots)
+        """The term dict of a value of the band over the window p + q <= order."""
+        return self.read(value, self.slots(order))
 
 
 class _BandValue:
-    """A series held packed in a ``_Band``: value, congruent modulo
-    2^(8 w slots(order)), w the band's slot width, to the packed window
-    p + q <= order, and bound, a bound on every coefficient there, which
-    the band's slots hold.  A bound at an order also holds at every lower
-    one, whose coefficients are among those bounded.  A value may be
+    """A truncated series held packed in a ``_Band``: value, congruent
+    modulo 2^(8 w slots(order)), w the band's slot width, to the packed
+    window p + q <= order, and bound, a bound on every coefficient there,
+    which the band's slots hold.  A bound at an order also holds at every
+    lower one, whose coefficients are among those bounded.  A value may be
     masked to its window, when a negative coefficient there leaves a
     borrow above it, or exact, the packed polynomial itself with nothing
     above its terms; a polynomial of total degree at most order is its
     own window.
 
-    The operations below keep the congruence and track the bound; one
-    whose bound would reach the slot limit raises InternalCheckError, so
-    no slot ever carries into the next.  The products by a polynomial
-    (``times_diagonal``, ``times_binomials``) multiply the bound by its L1
-    norm, which bounds the product's coefficients by Young's inequality
-    (max |coefficient of a b| <= max |coefficient of a| |b|_1); the
-    product's window depends only on self's.  The caller keeps every term
-    in the band: a product by a factor that moves p - q beyond it would
-    alias its terms."""
+    Its operations are those of a truncated series; a window is exact, a
+    ``_Packed`` value of the band.  Each tracks the bound, and one whose
+    bound would reach the slot limit raises InternalCheckError, so no slot
+    ever carries into the next.  The caller keeps every term in the
+    band."""
 
     __slots__ = ("band", "value", "order", "bound")
 
@@ -534,28 +559,18 @@ class _BandValue:
         return self.band.unpack(self.value, order)
 
     def window(self, order):
-        """The window p + q <= order <= self.order, exact: the value masked
-        to the low slots(order) slots, less 2^(8 w slots(order)) when its
-        top bit is set.  Every slot holds less than half its range, so the
-        window's packed integer lies below half the range of its slots, and
-        its sign is that bit."""
+        """The window p + q <= order <= self.order, an exact ``_Packed``
+        value with top (order, order): the value masked to the low
+        slots(order) slots, less 2^(8 w slots(order)) when its top bit is
+        set.  Every slot holds less than half its range, so the window's
+        packed integer lies below half that of its slots: its sign."""
         if order > self.order:
             raise InternalCheckError("cannot cut order %d of a band value held to order %d" % (order, self.order))
         bits = 8 * self.band.width * self.band.slots(order)
         value = self.value & ((1 << bits) - 1)
         if bits and value >> (bits - 1):
             value -= 1 << bits
-        return _BandValue(self.band, value, order, self.bound)
-
-    def shift(self, c):
-        """self times (uv)^c, c >= 0: a shift by K c slots, K = 2 D + 1."""
-        return _BandValue(self.band, self.value << self.band.offset(c, c), self.order + 2 * c, self.bound)
-
-    def __add__(self, other):
-        """The sum of two values of one band, known to the lower order."""
-        if other.band is not self.band:
-            raise InternalCheckError("cannot add values of two bands")
-        return _BandValue(self.band, self.value + other.value, min(self.order, other.order), self.bound + other.bound)
+        return _Packed(self.band, value, self.bound, (order, order))
 
     def subtract(self, shifted):
         """self less (uv)^c y for each pair (c, y) of shifted, in order of
@@ -581,39 +596,15 @@ class _BandValue:
             bound += y.bound
         return _BandValue(band, value, self.order, bound)
 
-    def dual(self, dim):
-        """(uv)^dim self(1/u, 1/v), for an exact value in the slots
-        0..K dim, K = 2 D + 1: the band's slot map is linear, so (p, q) goes
-        to (dim - p, dim - q) when slot i goes to K dim - i.  The biased
-        slots are reversed as bytes (``_reverse_slots``), and the result is
-        exact, a polynomial of total degree at most 2 dim.  A value with a
-        term above slot K dim loses it, so it differs from its dual."""
-        band = self.band
-        slots = (2 * band.band + 1) * dim + 1
-        bias = band.pattern(band.limit, slots)
-        biased = (self.value + bias) & ((1 << 8 * band.width * slots) - 1)
-        data = _reverse_slots(biased.to_bytes(band.width * slots, "little"), band.width)
-        return _BandValue(band, int.from_bytes(data, "little") - bias, 2 * dim, self.bound)
-
     def times_diagonal(self, strides, norm):
-        """self times prod (1 - (uv)^m) over the strides m, norm a bound on
-        the L1 norm of that product: one shift and subtraction per stride.
-        Its window at self's order depends only on self's."""
+        """self times prod (1 - (uv)^m) over the strides m, as
+        ``_Packed.times_diagonal``; its window at self's order depends
+        only on self's."""
         value = self.value
         step = self.band.offset(1, 1)
         for m in strides:
             value -= value << m * step
         return _BandValue(self.band, value, self.order, self.bound * norm)
-
-    def times_binomials(self, factors):
-        """self times prod (1 + c u^a v^b)^k over the factors (c, a, b, k),
-        by ``_times_binomials`` on the band's strides."""
-        bound = self.bound
-        for c, _, _, k in factors:
-            bound *= (1 + abs(c)) ** k
-        band = self.band
-        value = _times_binomials(self.value, factors, band.band + 1, band.width, band.band)
-        return _BandValue(band, value, self.order, bound)
 
 
 def _widen(held, target, order):
@@ -648,32 +639,28 @@ def _widen(held, target, order):
 
 
 class _Packed:
-    """A polynomial with int coefficients and exponents in a ``_Box``:
-    value = sum c 2^(8 width (p cols + q)).
+    """A polynomial with int coefficients and non-negative exponents,
+    packed exactly in the slots of a layout, a ``_Box`` or a ``_Band``:
+    value = sum c 2^(8 width (p sp + q sq)), (sp, sq) the layout's strides.
 
     bound bounds every |c|, and top = (P, Q) bounds the exponents: p <= P
-    and q <= Q.  Both are tracked through every operation; an operation
-    whose result could reach the slot limit, or carry a term past the
-    last column into the next row, raises InternalCheckError instead.
-    Within those bounds the packing is one-to-one, so two values are
-    equal iff their integers are, and the operations below are
-    big-integer shifts, adds and small-int multiplies: multiplying by
-    (uv)^k is a shift by k (cols + 1) slots, and by 1 - (uv)^k one shift
-    and one subtraction.  A product by a polynomial multiplies the bound
-    by the polynomial's L1 norm, which bounds the product's coefficients
-    (Young's inequality)."""
+    and q <= Q.  Both are tracked through every operation and checked by
+    the layout (``_Slots.check``), and in a band the caller keeps every
+    term within its width.  Within those bounds the packing is one-to-one,
+    so two values are equal iff their integers are, and the operations
+    below are big-integer shifts, adds and small-int multiplies on values
+    of one layout: multiplying by (uv)^k is a shift by k (sp + sq) slots,
+    and by 1 - (uv)^k one shift and one subtraction.  A product by a
+    polynomial multiplies the bound by its L1 norm (Young's inequality)."""
 
-    __slots__ = ("box", "value", "bound", "top")
+    __slots__ = ("layout", "value", "bound", "top")
 
-    def __init__(self, box, value, bound, top):
-        _check_bounds(box, bound, top)
-        self.box = box
+    def __init__(self, layout, value, bound, top):
+        layout.check(bound, top)
+        self.layout = layout
         self.value = value
         self.bound = bound
         self.top = top
-
-    def _new(self, value, bound, top):
-        return _Packed(self.box, value, bound, top)
 
     def __eq__(self, other):
         if not isinstance(other, _Packed):
@@ -683,73 +670,88 @@ class _Packed:
     __hash__ = None
 
     def __add__(self, other):
-        return self._new(self.value + other.value, self.bound + other.bound, _max_top(self, other))
+        return self._sum(other, self.value + other.value)
 
     def __sub__(self, other):
-        return self._new(self.value - other.value, self.bound + other.bound, _max_top(self, other))
+        return self._sum(other, self.value - other.value)
+
+    def _sum(self, other, value):
+        """value, self plus or minus other, in their one layout."""
+        layout = self.layout
+        if other.layout is not layout:
+            raise InternalCheckError("cannot add values of two layouts")
+        (p, q), (r, s) = self.top, other.top
+        return _Packed(layout, value, self.bound + other.bound, (p if p > r else r, q if q > s else s))
 
     def __rmul__(self, k):
-        return self._new(k * self.value, abs(k) * self.bound, self.top)
+        return _Packed(self.layout, k * self.value, abs(k) * self.bound, self.top)
 
     def uv(self, k):
-        """self times (uv)^k, k >= 0: a shift by k (cols + 1) slots."""
-        top = (self.top[0] + k, self.top[1] + k)
-        return self._new(self.value << self.box.offset(k, k), self.bound, top)
+        """self times (uv)^k, k >= 0: a shift by k (sp + sq) slots."""
+        p, q = self.top
+        return _Packed(self.layout, self.value << self.layout.offset(k, k), self.bound, (p + k, q + k))
 
     def times_one_minus_uv(self, k):
         """self times 1 - (uv)^k."""
         return self.times_diagonal((k,), 2)
 
     def times_diagonal(self, strides, norm):
-        """self times D = prod (1 - (uv)^m) over the strides m, for a bound
-        norm on the L1 norm of D: one shift and subtraction per stride."""
+        """self times D = prod (1 - (uv)^m) over the strides m, one shift
+        and subtraction per stride, in order, for a bound norm on the L1
+        norm of every partial product over the first strides, each being
+        formed, not only of D."""
         value = self.value
+        step = self.layout.offset(1, 1)
         for m in strides:
-            value -= value << self.box.offset(m, m)
-        return self._new(value, self.bound * norm, (self.top[0] + sum(strides), self.top[1] + sum(strides)))
+            value -= value << m * step
+        total = sum(strides)
+        p, q = self.top
+        return _Packed(self.layout, value, self.bound * norm, (p + total, q + total))
 
     def times_binomials(self, factors):
         """self times prod (1 + c u^a v^b)^k over the factors (c, a, b, k),
-        whose L1 norm is prod (1 + |c|)^k."""
+        whose L1 norm is prod (1 + |c|)^k (``_times_binomials``)."""
         bound = self.bound
         p, q = self.top
         for c, a, b, k in factors:
             bound *= (1 + abs(c)) ** k
             p += k * a
             q += k * b
-        _check_bounds(self.box, bound, (p, q))
-        return self._new(_times_binomials(self.value, factors, self.box.cols, self.box.width), bound, (p, q))
+        layout = self.layout
+        return _Packed(layout, _times_binomials(self.value, factors, layout.strides, layout.width), bound, (p, q))
 
     def halve(self):
         """self / 2, or None when a coefficient is odd.  Biased by the
         limit, every slot holds c + limit with no borrow, and the limit is
         even, so the low bits of the biased slots are the parities of c."""
-        box = self.box
-        slots = (self.top[0] + 1) * box.cols
-        if (self.value + box.pattern(box.limit, slots)) & box.pattern(1, slots):
+        layout = self.layout
+        slots = layout.span(self.top)
+        if (self.value + layout.pattern(layout.limit, slots)) & layout.pattern(1, slots):
             return None
-        return self._new(self.value >> 1, self.bound // 2, self.top)
+        return _Packed(layout, self.value >> 1, self.bound // 2, self.top)
 
     def unpack(self):
         """The term dict."""
-        return self.box.unpack(self.value, self.top[0] + 1)
+        return self.layout.read(self.value, self.layout.span(self.top))
 
     def dual(self, dim):
         """(uv)^dim self(1/u, 1/v), for degrees at most dim in each
-        variable: (p, q) goes to (dim - p, dim - q), which reverses the
-        order of the slots up to (dim, dim).  The biased slots are reversed
-        as bytes (``_reverse_slots``)."""
+        variable: (p, q) goes to (dim - p, dim - q), which, the slot map
+        being linear, reverses the order of the slots up to that of
+        (dim, dim), dim (sp + sq).  The biased slots are reversed as bytes
+        (``_reverse_slots``)."""
         if max(self.top) > dim:
             raise InternalCheckError("a degree above %d has no dual at %d" % (max(self.top), dim))
-        box = self.box
-        slots = dim * (box.cols + 1) + 1
-        bias = box.pattern(box.limit, slots)
-        data = _reverse_slots((self.value + bias).to_bytes(box.width * slots, "little"), box.width)
-        return self._new(int.from_bytes(data, "little") - bias, self.bound, (dim, dim))
+        layout = self.layout
+        slots = dim * sum(layout.strides) + 1
+        bias = layout.pattern(layout.limit, slots)
+        data = _reverse_slots((self.value + bias).to_bytes(layout.width * slots, "little"), layout.width)
+        return _Packed(layout, int.from_bytes(data, "little") - bias, self.bound, (dim, dim))
 
     def divide_diagonal(self, strides):
         """The quotient of self by prod (1 - (uv)^m) over the strides m,
-        or None when the division is not exact.
+        or None when the division is not exact; for a value of a box only,
+        whose rows its masks are cut to.
 
         The diagonals of the box have at most reach = P + 1 points, and
         the running sums (``_Slots.running_sums``) of self cut there are, in
@@ -767,7 +769,9 @@ class _Packed:
         keep every slot of that product and of the difference from self
         below 2^(8 width), so equal integers are equal polynomials.
         """
-        box = self.box
+        box = self.layout
+        if type(box) is not _Box:
+            raise InternalCheckError("a diagonal division needs a box; this value is packed in a band")
         bits = 8 * box.width
         reach = self.top[0] + 1
         top = (self.top[0] - sum(strides), self.top[1] - sum(strides))
@@ -776,7 +780,7 @@ class _Packed:
         if bound >= digit:
             raise InternalCheckError("quotient bound %d reaches the digit bound 2^%d" % (bound, digit.bit_length() - 1))
         if min(top) < 0:
-            return self._new(0, 0, (0, 0)) if self.value == 0 else None
+            return _Packed(box, 0, 0, (0, 0)) if self.value == 0 else None
         low = reach * box.offset(1, 1)
         z = box.running_sums(self.value, strides, reach, (1 << low) - 1)
         if z >> (low - 1):
@@ -790,7 +794,7 @@ class _Packed:
         past = _slot_pattern(row, box.width * box.cols, top[0] + 1)
         if not 0 <= biased < 1 << bits * slots or biased & high or (biased ^ bias) & past:
             return None
-        quotient = self._new(z, bound, top)
+        quotient = _Packed(box, z, bound, top)
         return quotient if quotient.times_diagonal(strides, 2 ** len(strides)) == self else None
 
 
@@ -801,17 +805,3 @@ def _reverse_slots(data, width):
     for k in range(width):
         out[k::width] = data[len(data) - width + k :: -width]
     return out
-
-
-def _check_bounds(box, bound, top):
-    """Raise InternalCheckError unless a packed value of the box with this
-    coefficient bound and these top exponents fits its slots and its rows;
-    run before an operation forms the value, so that none overflows."""
-    if bound >= box.limit:
-        raise InternalCheckError("packed bound %d reaches the slot limit 2^%d" % (bound, 8 * box.width - 1))
-    if top[1] >= box.cols:
-        raise InternalCheckError("packed exponent %d of v is past the last of %d columns" % (top[1], box.cols))
-
-
-def _max_top(a, b):
-    return (max(a.top[0], b.top[0]), max(a.top[1], b.top[1]))

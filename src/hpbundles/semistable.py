@@ -52,21 +52,23 @@ D, it must be the sum's numerator N, so nothing is divided and N is
 never unpacked (``stable_coprime_polynomial``, ``_check_coprime``).  The
 recursion's series S, N and every partial product of both lie in the
 diagonal band of width n g of the recursion, so all of it is done there
-on one packed integer per value (``packed._BandValue``): S is packed
-once, P is (1-uv) S by one shift and subtraction, its windows p + q <=
-dim and dim - 1 by two masks and the mirror of the second by one slot
-reversal, the band's slot map being linear; duality is that reversal of
-P compared with P as integers, P D one shift and subtraction per stride,
-and N is shifted and added from the parts of the sum
-(``_closed_form_parts``) in the same band.  Soundness: every value stays
-in the band, where the slot map is one-to-one, and the slots hold
-max(N's norm bound, P's norm bound times D's L1 norm), so no slot
-carries into the next and equal integers are equal polynomials.  The
-value returned is the certified one, read once.  Packed in one box
-instead, with the polynomial mirrored and checked for duality in dicts,
-the certificate took the coprime benchmark from 0.0432 to 0.0311 s; in
-the band it took it from 0.0255 to 0.0221 s (medians of ten alternating
-pairs, seed 13; 2-core Xeon, Python 3.11).
+on one packed integer per value: S is packed once as a truncated series
+(``packed._BandValue``), (1-uv) S is one shift and subtraction, and its
+windows p + q <= dim and dim - 1, two masks, are exact polynomials
+(``packed._Packed`` in the band), as are P, N and their parts.  The
+mirror of the second window is one slot reversal, the band's slot map
+being linear; duality is that reversal of P compared with P as
+integers, P D one shift and subtraction per stride, and N is shifted
+and added from the parts of the sum (``_closed_form_parts``) in the same
+band.  Soundness: every value stays in the band, where the slot map is
+one-to-one, and the slots hold max(N's coefficient bound, P's times the
+largest L1 norm of a partial product of D), so no slot carries into the
+next and equal integers are equal polynomials.  The value returned is
+the certified one, read once.  Packed in one box instead, with the
+polynomial mirrored and checked for duality in dicts, the certificate
+took the coprime benchmark from 0.0432 to 0.0311 s; in the band it took
+it from 0.0255 to 0.0221 s (medians of ten alternating pairs, seed 13;
+2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from functools import cache
 from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .packed import _Band, _BandValue, _expand_binomials, _pack, _partition_counts, _widen
+from .packed import _Band, _BandValue, _expand_binomials, _pack, _Packed, _partition_counts, _widen
 from .poly import LaurentPoly, as_int
 from .series import FactoredRational, TruncatedSeries, _expand_factors, _lcm_factors, _missing_factors
 
@@ -513,14 +515,15 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
     is packed once, in the band of width n g of the certificate
     (``_coprime_band``), and P formed there: (1-uv) S by one shift and
     subtraction, its windows p + q <= dim and p + q <= dim - 1 by two
-    masks, and the mirror of the second by one slot reversal
-    (``packed._BandValue.dual``).  The terms of total degree dim are
-    taken whole, not mirrored, so duality is checked, not built in: P is
-    certified in place (``_check_coprime``), and the certified value is
-    what is read and returned.  P has L1 norm at most 4 |S|_1, twice
-    that of (1-uv) S, and the band is sized for it.  The moduli
-    dimension is capped at ``MAX_ORDER``, the recursion's order, and the
-    rank as in ``ss_closed_form``.
+    masks, each an exact ``packed._Packed``, and the mirror of the second
+    by one slot reversal (``packed._Packed.dual``).  The terms of total
+    degree dim are taken whole, not mirrored, so duality is checked, not
+    built in: P is certified in place (``_check_coprime``), and the
+    certified value is what is read and returned.  (1-uv) S has
+    coefficients of at most 2 max|S| and P at most 4 max|S| (Young's
+    inequality), and the band is sized for that.  The moduli dimension is
+    capped at ``MAX_ORDER``, the recursion's order, and the rank as in
+    ``ss_closed_form``.
     """
     _check_ints(n, d, g)
     if math.gcd(n, d) != 1:
@@ -529,19 +532,19 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
     if dim > MAX_ORDER:
         raise DomainError("moduli dimension %d is above the series order cap of %d" % (dim, MAX_ORDER))
     terms = hp_ss_series(n, d, g, dim, evaluator)._terms
-    norm = sum(map(abs, terms.values()))
-    if type(norm) is not int:
+    values = terms.values()
+    # a sum of ints is an int, and a non-int coefficient makes it another type
+    if type(sum(values)) is not int:
         raise InternalCheckError("the recursion's series has non-integer coefficients")
-    parts, band = _coprime_band(n, d, g, 4 * norm)
+    bound = max(max(values), -min(values))
+    parts, band = _coprime_band(n, d, g, 4 * bound)
     if not terms.keys() <= band.points(dim):
         raise InternalCheckError("the recursion's series has a term outside its window in the band %d" % band.band)
-    series = _BandValue(band, _pack(terms, (0, 0), band.strides, band.width, band.slots(dim)), dim, norm)
+    series = _BandValue(band, _pack(terms, (0, 0), band.strides, band.width, band.slots(dim)), dim, bound)
     low = series.times_diagonal((1,), 2)
-    # both are exact polynomials, of total degree at most dim and above it
-    upper = low.window(dim - 1).dual(dim)
-    poly = _BandValue(band, low.window(dim).value + upper.value, 2 * dim, 4 * norm)
+    poly = low.window(dim) + low.window(dim - 1).dual(dim)
     _check_coprime(poly, parts, n, g, dim)
-    return LaurentPoly._raw(poly.read(2 * dim))
+    return LaurentPoly._raw(poly.unpack())
 
 
 _COPRIME_MISMATCH = "coprime polynomial times the closed form's denominator is not its numerator"
@@ -552,36 +555,37 @@ def _certify_coprime(poly, n, d, g):
     moduli polynomial: it has integer coefficients, every exponent is a
     point of the window p + q <= 2 dim of the band |p - q| <= n g, where
     the closed form lies (a term off it fails the closed-form comparison
-    before anything is packed), and, packed in that band, it passes
-    ``_check_coprime``."""
+    before anything is packed), and, packed in that band with the bound
+    of its largest |coefficient|, it passes ``_check_coprime``."""
     dim = moduli_dimension(n, g)
     if not poly.is_integral():
         raise InternalCheckError("coprime polynomial has non-integer coefficients")
     terms = poly._terms
-    norm = sum(map(abs, terms.values()))
-    parts, band = _coprime_band(n, d, g, norm)
+    bound = max(max(terms.values(), default=0), -min(terms.values(), default=0))
+    parts, band = _coprime_band(n, d, g, bound)
     if not terms.keys() <= band.points(2 * dim):
         raise InternalCheckError(_COPRIME_MISMATCH)
+    top = (max((p for p, _ in terms), default=0), max((q for _, q in terms), default=0))
     value = _pack(terms, (0, 0), band.strides, band.width, band.slots(2 * dim))
-    _check_coprime(_BandValue(band, value, 2 * dim, norm), parts, n, g, dim)
+    _check_coprime(_Packed(band, value, bound, top), parts, n, g, dim)
 
 
-def _coprime_band(n, d, g, norm):
+def _coprime_band(n, d, g, bound):
     """The closed form's parts (``_closed_form_parts``) and the band of the
-    coprime certificate for a candidate of L1 norm at most norm: width
-    n g, slots that hold the larger of N's norm bound and norm times the
-    L1 norm of the denominator less (1-uv) (``_coprime_denominator``).
+    coprime certificate for a candidate with coefficients at most bound:
+    width n g, slots that hold the larger of N's bound and bound times
+    the norm of ``_coprime_denominator``.
 
-    N's norm bound is that of ``packed._parts_box``, the sum over the
-    parts of prod (1 + |c|)^k over their factors (c, a, b, k).  The
-    leading factors of a part's ranks are 2n factors (1 + u^a v^b)^g, so
-    they give 2^(2 n g) for every part, and its missing factors
-    (1 - (uv)^k)^m give 2^m each: the bound is 2^(2 n g) M(n), M(n) the
-    sum over the compositions of 2^(sum of their missing multiplicities)
-    (``_closed_form_weight``)."""
+    N's bound, the one its parts track, is that of ``packed._parts_box``,
+    the sum over the parts of prod (1 + |c|)^k over their factors
+    (c, a, b, k).  The leading factors of a part's ranks are 2n factors
+    (1 + u^a v^b)^g, so they give 2^(2 n g) for every part, and its
+    missing factors (1 - (uv)^k)^m give 2^m each: the bound is
+    2^(2 n g) M(n), M(n) the sum over the compositions of 2^(sum of their
+    missing multiplicities) (``_closed_form_weight``)."""
     parts, _ = _closed_form_parts(n, d, g)
-    num_norm = _closed_form_weight(n) << 2 * n * g
-    return parts, _Band(n * g, max(num_norm, norm * _coprime_denominator(n)[1]))
+    num_bound = _closed_form_weight(n) << 2 * n * g
+    return parts, _Band(n * g, max(num_bound, bound * _coprime_denominator(n)[1]))
 
 
 @cache
@@ -595,30 +599,31 @@ def _closed_form_weight(n):
 @cache
 def _coprime_denominator(n):
     """The strides m of the closed form's common denominator less one
-    factor (1-uv), D = prod (1 - (uv)^m), and the L1 norm of D.  Neither
-    depends on the degree or the genus, so both are formed once per rank,
-    as ``_closed_form_shape`` is."""
+    factor (1-uv), D = prod (1 - (uv)^m), and the largest L1 norm of a
+    product over the first strides, the norm ``packed._Packed``'s
+    ``times_diagonal`` needs, as it forms each: above D's own at ranks 5
+    (224 against 208) and 7 (5036 against 5012).  Neither depends on the
+    degree or the genus, so both are formed once per rank."""
     den = dict(_closed_form_shape(n)[1])
     den[(1, 1)] -= 1  # (1-uv) times the sum
     strides = tuple(m for (m, _), k in den.items() for _ in range(k))
-    return strides, sum(map(abs, _expand_factors(den)._terms.values()))
+    heads = (Counter((m, m) for m in strides[:j]) for j in range(len(strides) + 1))
+    return strides, max(sum(map(abs, _expand_factors(head)._terms.values())) for head in heads)
 
 
 def _check_coprime(poly, parts, n, g, dim):
-    """Raise InternalCheckError unless the exact band value poly is
-    Poincare dual at the moduli dimension dim and, times D, the closed
-    form's common denominator less one factor (1-uv)
+    """Raise InternalCheckError unless the ``packed._Packed`` band value
+    poly is Poincare dual at the moduli dimension dim and, times D, the
+    closed form's common denominator less one factor (1-uv)
     (``_coprime_denominator``), is the closed form's numerator N, formed
     from its parts in the same band.  Then N / D is a polynomial, and it
     is poly.
 
-    Duality is poly's slot reversal compared with poly as integers
-    (``packed._BandValue.dual``), which also proves poly exact in the
-    slots 0..K dim, K = 2 n g + 1, the reversal's output being so.  The
-    product is poly times D by one shift and subtraction per stride.  N is
-    the sum of its parts, each formed without the Jacobian factor
-    (1+u)^g (1+v)^g that opens it, and the Jacobian applied once to the
-    sum; it is never unpacked.
+    Duality is poly's slot reversal compared with poly
+    (``packed._Packed.dual``).  The product is poly times D by one shift
+    and subtraction per stride.  N is the sum of its parts, each formed
+    without the Jacobian factor (1+u)^g (1+v)^g that opens it, and the
+    Jacobian applied once to the sum; it is never unpacked.
 
     Soundness.  The band's slot map is one-to-one on the points with
     |p - q| <= n g, so a polynomial there whose slots are non-negative and
@@ -626,29 +631,30 @@ def _check_coprime(poly, parts, n, g, dim):
     non-negative exponents, and so does each partial product of a part:
     each leading factor (1 + u^a v^b)^g of a rank m moves p - q by g, m of
     them up and m down, the ranks of a part sum to n, and the diagonal
-    factors keep p - q.  poly lies there in the slots 0..K dim, and D's
-    factors keep p - q and only raise slots.  The slots hold the larger of
-    N's norm bound and poly's times D's L1 norm (``_coprime_band``), so no
-    slot of N, of a partial sum or of the product carries into the next:
-    equal integers are equal polynomials, and poly D = N.  A wrong poly,
-    however large its coefficients, the zero polynomial included, fails
-    the comparison.  D's own L1 norm is the bound, not 2 per stride (2^15
-    against 2^28 at rank 8 and genus 2), so the slots are no wider than N
-    needs.
+    factors keep p - q.  poly lies there with exponents at most dim, as
+    its dual checks, and D's factors keep p - q and only raise slots.
+    Every value tracks a bound
+    on its largest |coefficient| (Young's inequality), each partial
+    product of poly and D at most poly's times the norm of
+    ``_coprime_denominator``, and the slots hold the larger of N's and
+    that (``_coprime_band``), so no slot of N, of a partial sum or of a
+    partial product carries into the next: equal integers are equal
+    polynomials, and poly D = N.  A wrong poly, however large its
+    coefficients, the zero polynomial included, fails the comparison.
+    The largest partial norm, not 2 per stride (2^15 against 2^28 at rank
+    8), keeps the slots no wider than N needs.
     """
-    if poly.dual(dim).value != poly.value:
+    if poly.dual(dim) != poly:
         raise InternalCheckError("coprime polynomial fails Poincare duality at dimension %d" % dim)
-    band = poly.band
     # every part opens with the Jacobian (1+u)^g (1+v)^g of its first rank:
-    # it is applied once, to the sum of the rest.  The parts are exact
-    # polynomials, so their orders are only carried
+    # it is applied once, to the sum of the rest
     jacobian = list(_leading_factors(1, g))
     num = None
     for sign, (e, _), factors in parts:
         if factors[:2] != jacobian:
             raise InternalCheckError("closed-form part does not open with the Jacobian factor")
-        part = _BandValue(band, sign, poly.order, 1).times_binomials(factors[2:]).shift(e)
+        part = _Packed(poly.layout, sign, 1, (0, 0)).times_binomials(factors[2:]).uv(e)
         num = part if num is None else num + part
     strides, norm = _coprime_denominator(n)
-    if poly.times_diagonal(strides, norm).value != num.times_binomials(jacobian).value:
+    if poly.times_diagonal(strides, norm) != num.times_binomials(jacobian):
         raise InternalCheckError(_COPRIME_MISMATCH)

@@ -210,13 +210,14 @@ def test_rank2_box_holds_every_tracked_bound_within_a_byte(monkeypatch):
     # below 256 times the largest, so no slot is a byte wider than a call
     # needs
     seen = []
-    check = packed._check_bounds
+    check = packed._Slots.check
 
     def recording(box, bound, top):
         seen.append(bound)
         return check(box, bound, top)
 
-    monkeypatch.setattr(packed, "_check_bounds", recording)
+    # every layout's check passes the bound through _Slots.check
+    monkeypatch.setattr(packed._Slots, "check", recording)
     calls = (
         rank2.hp_moduli_stable_rank2,
         rank2.hodge_deligne_stable_rank2,

@@ -87,20 +87,11 @@ def test_ss_metadata(capsys):
     assert terms[(0, 0)] == "1"
 
 
-def test_ss_order_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("HP_MODULI_ORDER_DEFAULT", "5")
-    code, out, _ = run_cli(
-        capsys, "compute", "ss", "--rank", "1", "--deg", "0", "--genus", "2", "--json"
-    )
+def test_ss_order_defaults_to_12(capsys):
+    code, out, _ = run_cli(capsys, "compute", "ss", "--rank", "1", "--deg", "0", "--genus", "2", "--json")
     assert code == 0
-    assert json.loads(out)["series"]["order"] == 5
-
-
-def test_ss_bad_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("HP_MODULI_ORDER_DEFAULT", "many")
-    code, _, err = run_cli(capsys, "compute", "ss", "--rank", "1", "--deg", "0", "--genus", "2")
-    assert code == 1
-    assert "HP_MODULI_ORDER_DEFAULT" in err
+    payload = json.loads(out)
+    assert payload["meta"]["order"] == payload["series"]["order"] == 12
 
 
 def test_enumerate_hn_types_json(capsys):

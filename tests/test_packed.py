@@ -1,5 +1,6 @@
-"""The packed polynomials of ``packed._Box``/``packed._Packed`` against
-``LaurentPoly`` arithmetic, on hypothesis-drawn signed integer
+"""The packed polynomials of ``packed._Packed``, in a ``packed._Box`` and
+in a ``packed._Band``, and the truncated series of ``packed._BandValue``,
+against ``LaurentPoly`` arithmetic, on hypothesis-drawn signed integer
 polynomials with non-negative exponents."""
 
 import ast
@@ -22,7 +23,6 @@ from hpbundles.packed import (  # noqa: E402
     _Band,
     _BandValue,
     _Box,
-    _check_bounds,
     _pack,
     _Packed,
     _partition_counts,
@@ -51,13 +51,13 @@ def largest(terms):
     return max(map(abs, terms.values()), default=0)
 
 
-def pack(box, terms):
-    """A term dict as a ``_Packed`` value of the box, with its exact bound,
-    its largest |coefficient|, and top exponents."""
+def pack(layout, terms):
+    """A term dict as a ``_Packed`` value of the layout, a box or a band,
+    with its exact bound, its largest |coefficient|, and top exponents."""
     bound = largest(terms)
     top = (max((p for p, _ in terms), default=0), max((q for _, q in terms), default=0))
-    _check_bounds(box, bound, top)
-    return _Packed(box, _pack(terms, (0, 0), (box.cols, 1), box.width, top[0] * box.cols + top[1] + 1), bound, top)
+    layout.check(bound, top)
+    return _Packed(layout, _pack(terms, (0, 0), layout.strides, layout.width, layout.span(top)), bound, top)
 
 
 def packed(poly):
@@ -261,38 +261,56 @@ FACTORS = [(1, 1, 0, 2), (-1, 0, 1, 1), (2, 1, 1, 1), (-3, 0, 1, 1)]
 
 
 def band_value(band, terms, order):
+    """A term dict as a truncated series of the band, held to order."""
     slots = band.slots(order)
-    return _BandValue(band, _pack(terms, (0, 0), band.strides, band.width, slots), order, sum(map(abs, terms.values())))
+    return _BandValue(band, _pack(terms, (0, 0), band.strides, band.width, slots), order, largest(terms))
+
+
+def near_diagonal(a):
+    return LaurentPoly({(p, q): x for (p, q), x in a.items() if abs(p - q) <= BAND_POLY})
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys(), st.integers(-1, 2 * SIDE), st.integers(0, 3))
-def test_band_operations_match_polynomial_arithmetic(a, cut, c):
-    a = LaurentPoly({(p, q): x for (p, q), x in a.items() if abs(p - q) <= BAND_POLY})
+@given(polys(), polys(), st.integers(-1, 2 * SIDE), st.integers(0, 3), st.integers(-5, 5))
+def test_band_operations_match_polynomial_arithmetic(a, b, cut, c, k):
+    a, b = near_diagonal(a), near_diagonal(b)
     band = _Band(BAND_WIDTH, 2**200)
     x = band_value(band, a.terms(), BAND_TOP)
-    window = x.window(cut)
     truncated = {e: v for e, v in a.items() if sum(e) <= cut}
-    # exact: the packed truncation itself, not just its residue
+    assert x.read(cut) == truncated
+    # a window is the exact polynomial: the packed truncation itself, not
+    # just its residue, as a value of the band
+    window = x.window(cut)
     assert window.value == _pack(truncated, (0, 0), band.strides, band.width, band.slots(BAND_TOP))
-    assert window.order == cut and window.read(cut) == truncated
-    assert x.shift(c).read(BAND_TOP) == (a * uv_power(c)).terms()
-    dim = SIDE - 1
-    dual = x.dual(dim)
-    assert dual.order == 2 * dim and dual.read(2 * dim) == a.dual_substitute(dim).terms()
+    assert window.top == (cut, cut) and window.unpack() == truncated
     den = (ONE - uv_power(1)) * (ONE - uv_power(2)) ** 2
-    assert x.times_diagonal((1, 2, 2), 9).read(BAND_TOP) == (a * den).terms()
+    # every partial product of den has L1 norm at most 8
+    assert x.times_diagonal((1, 2, 2), 8).read(BAND_TOP) == (a * den).terms()
+    # the operations of an exact polynomial run on band values as on a box
+    y, z = pack(band, a.terms()), pack(band, b.terms())
+    assert y == x.window(BAND_TOP) and (y == z) == (a == b)
+    assert bounded(y + z).unpack() == (a + b).terms()
+    assert bounded(y - z).unpack() == (a - b).terms()
+    assert bounded(k * y).unpack() == (a * k).terms()
+    assert bounded(y.uv(c)).unpack() == (a * uv_power(c)).terms()
+    assert bounded(y.times_one_minus_uv(c + 1)).unpack() == (a * (ONE - uv_power(c + 1))).terms()
+    assert bounded(y.times_diagonal((1, 2, 2), 8)).unpack() == (a * den).terms()
     product = a
-    for k, i, j, m in FACTORS:
-        product = product * (ONE + LaurentPoly.monomial(k, i, j)) ** m
-    assert x.times_binomials(FACTORS).read(BAND_TOP) == product.terms()
+    for s, i, j, m in FACTORS:
+        product = product * (ONE + LaurentPoly.monomial(s, i, j)) ** m
+    assert bounded(y.times_binomials(FACTORS)).unpack() == product.terms()
+    dim = SIDE - 1 + c
+    dual = bounded(y.dual(dim))
+    assert dual.top == (dim, dim) and dual.unpack() == a.dual_substitute(dim).terms()
+    assert (2 * y).halve() == y
+    assert (y.halve() is None) == any(v % 2 for _, v in a.items())
     # each value subtracted is widened once, cut at the window of its first
     # pair, here from slots of 13 bytes into the 26 of the band; the pairs
     # come in order of their shifts, so the difference is known to its order
     top = 3 * SIDE
     narrow = band_value(_Band(BAND_WIDTH, 2**100), a.terms(), BAND_TOP)
     pairs = [(1, narrow), (c + 1, x), (c + 1, narrow), (c + 2, x)]
-    difference = x.window(top).subtract(pairs)
+    difference = band_value(band, a.terms(), top).subtract(pairs)
     expected = a - sum((a * uv_power(k) for k, _ in pairs), LaurentPoly())
     assert difference.order == top
     assert difference.read(top) == {e: v for e, v in expected.items() if sum(e) <= top}
@@ -307,28 +325,50 @@ def test_band_values_refuse_what_their_slots_cannot_hold():
             x.read(order)
         with pytest.raises(InternalCheckError):
             x.window(order)
-    # a bound that reaches the slot limit, by a sum or a product
+    # a bound that reaches the slot limit, by a sum, a multiple or a product,
+    # of a truncated series or of an exact polynomial
     with pytest.raises(InternalCheckError):
         _BandValue(band, 0, 6, band.limit)
-    big = _BandValue(band, 0, 6, band.limit // 2)
     with pytest.raises(InternalCheckError):
-        big + big
+        _Packed(band, 0, band.limit, (0, 0))
+    big = _BandValue(band, 0, 6, band.limit // 2)
     with pytest.raises(InternalCheckError):
         big.subtract([(1, big)])
     with pytest.raises(InternalCheckError):
         big.times_diagonal((1,), 2)
-    with pytest.raises(InternalCheckError):
-        big.times_binomials([(1, 1, 0, 1)])
+    exact = big.window(6)
+    for operation in (
+        lambda: exact + exact,
+        lambda: exact - exact,
+        lambda: 2 * exact,
+        lambda: exact.times_diagonal((1,), 2),
+        lambda: exact.times_binomials([(1, 1, 0, 1)]),
+    ):
+        with pytest.raises(InternalCheckError):
+            operation()
     # pairs out of order of their shifts would leave a window uncovered
     with pytest.raises(InternalCheckError):
         x.subtract([(1, x), (0, x)])
     # a value of another band width, or in wider slots, cannot be widened
-    # in, and values of two bands, even of one width and layout, do not add
+    # in, and values of two layouts, two bands even of one width and slot
+    # width, or a band and a box, neither add nor subtract
     for other in (_Band(4, 2**15), _Band(3, 2**40)):
         with pytest.raises(InternalCheckError):
             x.subtract([(0, band_value(other, {(0, 0): 1}, 6))])
-    with pytest.raises(InternalCheckError):
-        x + band_value(_Band(3, 2**15), {(0, 0): 1}, 6)
+    y = x.window(6)
+    for other in (band_value(_Band(3, 2**15), {(0, 0): 1}, 6).window(6), pack(_Box(4, 2**15), {(0, 0): 1})):
+        assert other.layout.width == y.layout.width
+        for operation in (lambda: y + other, lambda: y - other, lambda: other + y, lambda: other - y):
+            with pytest.raises(InternalCheckError, match="two layouts"):
+                operation()
+
+
+def test_diagonal_division_refuses_a_band_value():
+    # its digit and row masks are cut to the rows of a box, so a band value,
+    # even one that divides exactly, has no diagonal division
+    x = band_value(_Band(3, 2**15), {(0, 0): 1, (1, 1): -1}, 6).window(6)
+    with pytest.raises(InternalCheckError, match="box"):
+        x.divide_diagonal((1,))
 
 
 def test_outer_and_binomial_products_match_powers():

@@ -679,7 +679,7 @@ def test_times_binomials_is_the_same_for_every_order_of_its_factors():
         rows = 1 + sum(k * a for _, a, _, k in factors)
         cols = 1 + sum(k * b for _, _, b, k in factors)
         width = _slot_width(abs(s) * math.prod((1 + abs(c)) ** k for c, _, _, k in factors))
-        values = {_times_binomials(s, list(order), cols, width) for order in itertools.permutations(factors)}
+        values = {_times_binomials(s, list(order), (cols, 1), width) for order in itertools.permutations(factors)}
         assert len(values) == 1
         reference = {e: s * c for e, c in binomial_product(factors).items()}
         assert _unpack(values.pop(), (0, 0), rows, cols, width) == reference

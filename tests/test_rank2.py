@@ -229,9 +229,9 @@ def test_deligne_call_builds_one_record_and_one_twisted_product(monkeypatch):
         records.append(genus)
         return build_record(genus)
 
-    def counting_times(x, factors, cols, width):
+    def counting_times(x, factors, strides, width):
         products.append(list(factors))
-        return times(x, factors, cols, width)
+        return times(x, factors, strides, width)
 
     monkeypatch.setattr(rank2, "_rank2_numerators", counting_record)
     # every packed product of binomial powers, the record's and the dict

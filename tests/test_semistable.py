@@ -25,6 +25,7 @@ from hpbundles import InternalCheckError, semistable
 from hpbundles.hntypes import MAX_RANK, _compositions
 from hpbundles.packed import _Band, _parts_box, _slot_width
 from hpbundles.semistable import _certify_coprime, _leading_series, leading_closed_term, ss_closed_form
+from hpbundles.series import _expand_factors
 from hpbundles.univariate import diagonal_ss_series, diagonal_stable_coprime
 
 try:
@@ -331,7 +332,7 @@ def test_held_series_is_read_only_to_its_order():
     held = _leading_series(2, 2, 6)
     expected = dict(leading_closed_term(2, 2).series_expand(6).items())
     assert held.read(6) == expected
-    assert held.window(6).read(6) == expected
+    assert held.window(6).unpack() == expected
     for order in (7, 10):
         with pytest.raises(InternalCheckError, match="order %d" % order):
             held.read(order)
@@ -748,6 +749,24 @@ def test_coprime_norm_bound_is_that_of_the_parts_box(monkeypatch):
                 if math.gcd(n, d) == 1:
                     parts, _ = semistable._coprime_band(n, d, g, 0)
                     assert bounds.pop() == _parts_box(parts)[3], (n, d, g)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_RANK + 1))
+def test_coprime_denominator_norm_bounds_every_partial_product(n):
+    # times_diagonal forms the product over the first j strides for each j,
+    # in order, so the norm it is given must bound the L1 norm of every one
+    # of them, not only of the whole denominator: 224 against 208 at rank 5
+    # and 5036 against 5012 at rank 7
+    strides, norm = semistable._coprime_denominator(n)
+    partial, norms = ONE, [1]
+    for m in strides:
+        partial = partial * (ONE - uv_power(m))
+        norms.append(sum(abs(c) for _, c in partial.items()))
+    # the strides are those of the denominator less one factor (1-uv)
+    den = dict(semistable._closed_form_shape(n)[1])
+    den[(1, 1)] -= 1
+    assert partial == _expand_factors(den)
+    assert norm == max(norms), (n, norm, max(norms))
 
 
 def test_closed_form_rejects_fractional_exponent(monkeypatch):
