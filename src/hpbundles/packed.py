@@ -52,23 +52,33 @@ window's points tests a term dict's exponents against it
 (uv)^dim x(1/u, 1/v) of a polynomial in the slots 0..K dim reverses
 them, one byte of every slot per slice, as in a box (``_reverse_slots``).
 
-Band values.  A ``_BandValue`` is a truncated series held in a band
-with a bound on its coefficients, and its operations are those of a
-truncated series: the window of an order (one mask), the product by
-prod (1 - (uv)^m) (one shift and subtraction per stride), the difference
-less shifted products, and the read.  Each tracks its bound and refuses
-one that reaches its slots' limit.  The recursion holds its leading
-series and type products so, each with the bound that sized its slots,
-and a miss widens them into the slots of its own bound in the same band
-(``_widen``: one strided byte slice per byte of the held slots), where
-the products are subtracted, shifted (``_BandValue.subtract``), with no
-term dict formed.  A window is an exact polynomial, a ``_Packed`` value
-of the band (below): so are the coprime moduli polynomial, the
-closed-form numerator that certifies it and every partial product,
-formed and compared in the band of the recursion's series
-(``semistable.stable_coprime_polynomial``).  Values that fill a box stay
-in boxes, the unwindowed products and the rank-2 record: in a band the
-corners of a square support would double the slots.
+Band values.  A ``_BandValue`` is a truncated series held in a band to
+an order, with a bound on its coefficients, and the semistable recursion
+works on its series only through these values and their operations, as
+big-integer arithmetic with no term dict formed.  ``_Band.pack`` packs a
+term dict, and the read unpacks a window.  The product of two values to
+the lower order is one big-integer multiply masked once to that window
+(``_BandValue.times``), the bound multiplied by a bound on the other
+factor's L1 norm (Young's inequality).  The product by binomial rows
+cut at the window is one shift and mask per power, so the work does not
+grow with the uncut row (``times_rows``); the quotient by
+prod (1 - (uv)^m) as a series is the running sums along the diagonals,
+masked to the window (``over_diagonal``); the product by
+prod (1 - (uv)^m) is one shift and subtraction per stride.  The caller
+keeps every term in the band and gives a bound where one needs more
+than Young's inequality, such as non-negative values; each operation
+tracks its bound and refuses one that reaches its slots' limit.  The
+recursion holds its leading series and type products so, each in slots
+sized by its own bound, and a miss subtracts the shifted products from
+the leading series (``_BandValue.subtract``) in slots sized for the sum
+of the bounds, each held value widened into them once (``_widen``: one
+strided byte slice per byte of the held slots).  A window is an exact
+polynomial, a ``_Packed`` value of the band (below): so are the coprime
+moduli polynomial, the closed-form numerator that certifies it and every
+partial product, formed and compared in the band of the recursion's
+series (``semistable.stable_coprime_polynomial``).  Values that fill a
+box stay in boxes, the unwindowed products and the rank-2 record: in a
+band the corners of a square support would double the slots.
 
 Products of binomial powers.  A sum of monomials times products of
 binomial powers, sum s u^p v^q prod (1 + c u^a v^b)^k with a and b >= 0,
@@ -414,6 +424,14 @@ class _Slots:
             held = self._patterns[value] = (slots, _slot_pattern(value, self.width, slots))
         return held[1] if held[0] == slots else held[1] & ((1 << 8 * self.width * slots) - 1)
 
+    def times_diagonal(self, value, strides):
+        """value times prod (1 - (uv)^m) over the strides m: one shift by
+        m (sp + sq) slots and one subtraction per stride, in order."""
+        step = self.offset(1, 1)
+        for m in strides:
+            value -= value << m * step
+        return value
+
     def running_sums(self, value, strides, reach, mask):
         """The running sums of value by each stride m along the diagonals,
         which hold at most reach points: value / prod (1 - (uv)^m) as a
@@ -520,9 +538,16 @@ class _Band(_Slots):
         """The exponents of slots 0, 1, ...: the band's key table."""
         return _band_keys(self.band, slots)
 
-    def unpack(self, value, order):
-        """The term dict of a value of the band over the window p + q <= order."""
-        return self.read(value, self.slots(order))
+    def mask(self, order):
+        """The low-bits mask that keeps the window p + q <= order."""
+        return (1 << 8 * self.width * self.slots(order)) - 1
+
+    def pack(self, terms, order, bound):
+        """The term dict, each exponent a point of the window
+        p + q <= order (``points``), as a ``_BandValue`` held to order
+        with the bound, which must bound every |coefficient|: the packed
+        polynomial itself, exact."""
+        return _BandValue(self, _pack(terms, (0, 0), self.strides, self.width, self.slots(order)), order, bound)
 
 
 class _BandValue:
@@ -533,14 +558,18 @@ class _BandValue:
     lower one, whose coefficients are among those bounded.  A value may be
     masked to its window, when a negative coefficient there leaves a
     borrow above it, or exact, the packed polynomial itself with nothing
-    above its terms; a polynomial of total degree at most order is its
-    own window.
+    above its terms (``_Band.pack``); a polynomial of total degree at most
+    order is its own window.
 
-    Its operations are those of a truncated series; a window is exact, a
-    ``_Packed`` value of the band.  Each tracks the bound, and one whose
-    bound would reach the slot limit raises InternalCheckError, so no slot
-    ever carries into the next.  The caller keeps every term in the
-    band."""
+    Its operations are those of a truncated series, each a few big-integer
+    shifts, adds or one multiply, masked to the window where terms above
+    it would grow the integer: a window is exact, a ``_Packed`` value of
+    the band.  Each tracks the bound, and one whose bound would reach the
+    slot limit raises InternalCheckError, so no slot ever carries into the
+    next.  The caller keeps every term of every partial result in the
+    band, where the slots run in order of total degree: the terms above a
+    window, and any carry or borrow among them, then sit above its slots,
+    and change the value only by a multiple of 2^(8 w slots(order))."""
 
     __slots__ = ("band", "value", "order", "bound")
 
@@ -556,60 +585,93 @@ class _BandValue:
         """The term dict of the window p + q <= order <= self.order."""
         if order > self.order:
             raise InternalCheckError("cannot read order %d of a band value held to order %d" % (order, self.order))
-        return self.band.unpack(self.value, order)
+        return self.band.read(self.value, self.band.slots(order))
 
-    def window(self, order):
+    def window(self, order, top=None):
         """The window p + q <= order <= self.order, an exact ``_Packed``
-        value with top (order, order): the value masked to the low
-        slots(order) slots, less 2^(8 w slots(order)) when its top bit is
-        set.  Every slot holds less than half its range, so the window's
-        packed integer lies below half that of its slots: its sign."""
+        value with top (order, order), or the caller's tighter top: the
+        value masked to the low slots(order) slots, less
+        2^(8 w slots(order)) when its top bit is set.  Every slot holds
+        less than half its range, so the window's packed integer lies below
+        half that of its slots: its sign."""
         if order > self.order:
             raise InternalCheckError("cannot cut order %d of a band value held to order %d" % (order, self.order))
         bits = 8 * self.band.width * self.band.slots(order)
         value = self.value & ((1 << bits) - 1)
         if bits and value >> (bits - 1):
             value -= 1 << bits
-        return _Packed(self.band, value, self.bound, (order, order))
+        return _Packed(self.band, value, self.bound, top or (order, order))
 
-    def subtract(self, shifted):
-        """self less (uv)^c y for each pair (c, y) of shifted, in order of
-        c, y held in a band of the same width in slots no wider than
-        self's.  Each y is widened into self's slots (``_widen``) once, cut
-        at the window self.order - 2c of its first pair, and every pair of
-        it shifts and subtracts that value: a later pair has c no lower, so
-        the window plus 2c covers self's order, and so does the result.
-        Its bound is the sum of self's and one y's per pair."""
+    def times(self, other, norm):
+        """self times other, a value of the same band, to the lower of their
+        orders: one big-integer product, masked once to that window, which
+        depends only on the windows of the factors.  norm bounds the L1
+        norm of other's window, so by Young's inequality every coefficient
+        of the product of the windows, in the window or above it, is at
+        most self.bound * norm, the product's bound."""
         band = self.band
-        step = band.offset(1, 1)
-        value, bound = self.value, self.bound
-        wide = {}  # y -> widened value
-        last = 0
-        for c, y in shifted:
-            if c < last:
-                raise InternalCheckError("shift %d follows shift %d" % (c, last))
-            last = c
-            x = wide.get(y)
-            if x is None:
-                x = wide[y] = _widen(y, band, self.order - 2 * c)
-            value -= x << c * step
-            bound += y.bound
+        if other.band is not band:
+            raise InternalCheckError("cannot multiply values of two bands")
+        order = min(self.order, other.order)
+        return _BandValue(band, self.value * other.value & band.mask(order), order, self.bound * norm)
+
+    def times_rows(self, rows, bound):
+        """self times prod 1 + sum_j c_j (u^a v^b)^j over the rows
+        (a, b, (c_1, c_2, ...)), to self's order, for a bound on every
+        partial product: each power of u^a v^b one shift and one mask to
+        the window, so a row cut where j (a + b) passes the order costs no
+        more however long the uncut row is."""
+        band, mask, x = self.band, self.band.mask(self.order), self.value
+        for a, b, row in rows:
+            power, shift = x, band.offset(a, b)
+            for c in row:
+                power = (power << shift) & mask
+                x += c * power
+        return _BandValue(band, x, self.order, bound)
+
+    def over_diagonal(self, strides, bound):
+        """self / prod (1 - (uv)^m) over the strides m, as a series to
+        self's order, for a bound on every partial running sum: the running
+        sums along the diagonals, which hold at most order // 2 + 1 points
+        of the window, masked to it (``_Slots.running_sums``)."""
+        band = self.band
+        value = band.running_sums(self.value, strides, self.order // 2 + 1, band.mask(self.order))
         return _BandValue(band, value, self.order, bound)
+
+    def subtract(self, shifted, order):
+        """The window p + q <= order of self less (uv)^c y for each pair
+        (c, y) of shifted, each y held in a band of self's width D: a value
+        of the band D whose slots hold the sum of the bounds of self and of
+        one y per pair, that sum its bound.  self and each y are widened
+        into those slots once (``_widen``), y cut at the window
+        order - 2c of its first pair, and every pair of it shifts and
+        subtracts that value.  The pairs of each y come in order of c, so
+        that the window plus 2c covers the order; a pair whose shift is
+        below its y's first raises InternalCheckError."""
+        bound = self.bound + sum(y.bound for _, y in shifted)
+        band = _Band(self.band.band, bound)
+        value = _widen(self, band, order).value
+        step = band.offset(1, 1)
+        wide = {}  # y -> its window widened at its first pair
+        for c, y in shifted:
+            if y not in wide:
+                wide[y] = _widen(y, band, order - 2 * c)
+            if wide[y].order + 2 * c < order:
+                raise InternalCheckError("window %d shifted by %d misses order %d" % (wide[y].order, c, order))
+            value -= wide[y].value << c * step
+        return _BandValue(band, value, order, bound)
 
     def times_diagonal(self, strides, norm):
         """self times prod (1 - (uv)^m) over the strides m, as
         ``_Packed.times_diagonal``; its window at self's order depends
         only on self's."""
-        value = self.value
-        step = self.band.offset(1, 1)
-        for m in strides:
-            value -= value << m * step
-        return _BandValue(self.band, value, self.order, self.bound * norm)
+        return _BandValue(self.band, self.band.times_diagonal(self.value, strides), self.order, self.bound * norm)
 
 
 def _widen(held, target, order):
-    """The window p + q <= order of the held ``_BandValue``, as a value of
-    the band target: the same band, slots at least as wide.
+    """The window p + q <= order of the held ``_BandValue`` as a
+    ``_BandValue`` of the band target, the same band in slots at least as
+    wide, with the held bound: exact, nothing above the window.
 
     The held value plus its bias, masked to the window, has the biased
     slots c + 2^(8 w - 1) as its bytes, w the held width, even where the
@@ -635,7 +697,7 @@ def _widen(held, target, order):
         for j in range(width):
             buf[j::wide] = data[j::width]
         biased = int.from_bytes(buf, "little")
-    return biased - target.pattern(source.limit, slots)
+    return _BandValue(target, biased - target.pattern(source.limit, slots), order, held.bound)
 
 
 class _Packed:
@@ -700,12 +762,9 @@ class _Packed:
         and subtraction per stride, in order, for a bound norm on the L1
         norm of every partial product over the first strides, each being
         formed, not only of D."""
-        value = self.value
-        step = self.layout.offset(1, 1)
-        for m in strides:
-            value -= value << m * step
         total = sum(strides)
         p, q = self.top
+        value = self.layout.times_diagonal(self.value, strides)
         return _Packed(self.layout, value, self.bound * norm, (p + total, q + total))
 
     def times_binomials(self, factors):

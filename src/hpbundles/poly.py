@@ -32,8 +32,8 @@ dict loop with a total-degree window: given ``order``, ``_mul_sparse``
 returns only the terms with p + q <= order.  It translates only the
 terms that stay in the window, and pairs each later term of one operand
 only with the terms of the other that fit in it.  The semistable
-recursion forms its windowed products itself, packed on their diagonal
-band (``packed._BandValue``).
+recursion forms its windowed products packed on their diagonal band
+instead (``packed._BandValue.times``).
 
 The packed format, its unpacking and the shift-add products of binomial
 powers (``packed._expand_binomials``) live in ``packed``, as do the

@@ -26,14 +26,16 @@ at genus 2) keeps only its terms of degree at most the order, so the
 work per miss depends on the order, not on g.  With the HN types
 scanned in integers (``hntypes``), this took the ss-sweep benchmark
 from 0.152 to 0.066 s (medians of ten alternating pairs, seed 5; 2-core
-Xeon, Python 3.11).  The expansion is one packed integer in a diagonal
-band, masked to the window, its low slots, after every shift
-(``_leading_series``).
+Xeon, Python 3.11).  The expansion is a band value held to the window,
+each factor applied as its binomial row cut there (``_leading_series``).
 
-A miss stays packed: the leading series and the products are held as
-packed band values, and the series is the leading series less one
-shifted product per live type, all in one band, then read once
-(``SemistableSeries``).
+A miss stays packed: the leading series and the products of factor
+series, each formed to its window by band products
+(``packed._BandValue.times``), are held as band values, and the series
+is the leading series less one shifted product per live type, all in
+one band, then read once (``SemistableSeries``).  This module holds the
+mathematics, bounds, bands and windows; the slot format and every
+operation on it live in ``packed``.
 
 The recursion has a closed solution, a finite sum over the compositions
 of n (``ss_closed_form``).  Over the common denominator every term of
@@ -81,7 +83,7 @@ from functools import cache
 from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .packed import _Band, _BandValue, _expand_binomials, _pack, _Packed, _partition_counts, _widen
+from .packed import _Band, _BandValue, _expand_binomials, _Packed, _partition_counts
 from .poly import LaurentPoly, as_int
 from .series import FactoredRational, TruncatedSeries, _expand_factors, _lcm_factors, _missing_factors
 
@@ -128,21 +130,19 @@ def _leading_series(n, g, order):
     """``leading_closed_term(n, g).series_expand(order)``, formed packed
     inside the window of its order and held so (``packed._BandValue``).
 
-    The series is packed in the diagonal band of width
-    D = min(n g, order + 1) (``packed._Band``; the band layout is
-    described in ``packed``), whose window p + q <= order is its low
-    slots, kept by one mask after every step.  Each factor
-    (1 + u^a v^b)^g of ``blocks._leading_factors`` moves p - q by one per
-    power, n of them up and n down, so every partial product lies in the
-    band of width n g; and every window point has |p - q| <= order, so a
-    shift by u^a v^b leaves it within order + 1 of the diagonal.  Each
-    factor is applied as its binomial row cut at j (a + b) <= order:
-    x is multiplied by sum C(g, j) (u^a v^b)^j, each power of u^a v^b one
-    shift and a mask, so the work does not grow with g.  Each stride m
-    of ``_leading_den`` is then divided out by the running sums along the
-    diagonals (``_Slots.running_sums``, as in ``_Packed.divide_diagonal``),
-    which hold at most reach = order // 2 + 1 points of the window:
-    x = (x + x (uv)^s) masked, s = m, 2m, 4m, ... below reach.
+    The series lies in the diagonal band of width D = min(n g, order + 1)
+    (``packed._Band``).  Each factor (1 + u^a v^b)^g of
+    ``blocks._leading_factors`` moves p - q by one per power, n of them up
+    and n down, so every partial product lies in the band of width n g;
+    and every window point has |p - q| <= order, so a shift by u^a v^b
+    leaves it within order + 1 of the diagonal.  Each factor is applied as
+    its binomial row cut at j (a + b) <= order, sum C(g, j) (u^a v^b)^j,
+    which has the same window, so the work does not grow with g
+    (``packed._BandValue.times_rows``).  Each stride m of ``_leading_den``
+    is then divided out as a series, by the running sums along the
+    diagonals, which hold at most reach = order // 2 + 1 points of the
+    window (``packed._BandValue.over_diagonal``).  The constant 1 they
+    start from is the integer 1 in every layout.
 
     Every value is non-negative, and the numerator's L1 norm is at most
     the product B_0 over the factors of the sums of their cut rows.  A
@@ -151,10 +151,9 @@ def _leading_series(n, g, order):
     prod 1 / (1 - (uv)^m), shifted by fewer than reach points; those are
     counts of partitions, non-negative (``_leading_division``).  So it is
     at most B = B_0 P, P the largest of the first reach of them, and
-    every partial running sum, which multiplies by a series no larger,
-    coefficient by coefficient, is too.  Slots that hold B and a sign bit
-    never carry into each other, and B is held with the value as its
-    bound.
+    every partial product and partial running sum, which multiplies by a
+    series no larger, coefficient by coefficient, is too: B bounds every
+    value formed, sizes the band's slots and is held as the bound.
     """
     reach = order // 2 + 1
     strides, counts = _leading_division(n)
@@ -164,16 +163,8 @@ def _leading_series(n, g, order):
         (a, b, [math.comb(k, j) for j in range(1, min(k, order // (a + b)) + 1)]) for _, a, b, k in _leading_factors(n, g)
     ]
     bound = max(counts[:reach]) * math.prod(1 + sum(row) for _, _, row in rows)
-    band = _Band(min(n * g, order + 1), bound)
-    window = (1 << 8 * band.width * band.slots(order)) - 1
-    x = 1
-    for a, b, row in rows:
-        shift = band.offset(a, b)
-        power = x
-        for c in row:
-            power = (power << shift) & window
-            x += c * power
-    return _BandValue(band, band.running_sums(x, strides, reach, window), order, bound)
+    one = _BandValue(_Band(min(n * g, order + 1), bound), 1, order, 1)
+    return one.times_rows(rows, bound).over_diagonal(strides, bound)
 
 
 class SemistableSeries:
@@ -188,12 +179,12 @@ class SemistableSeries:
     once.  The evaluator holds, as ``packed._BandValue``, the leading
     series of each (n, g) at the highest order formed and the product of
     each multiset of factor classes at the highest window formed.  The
-    miss sizes its slots for the sum B of the bounds of the leading
-    series and of the product of every live type, widens each held value
-    to them (``packed._widen``) and subtracts each product, shifted by
-    (uv)^c, once per live type (``packed._BandValue.subtract``): the
-    leading series less the shifted products is the series, and each
-    partial difference has every coefficient at most B.
+    miss subtracts each product, shifted by (uv)^c, once per live type
+    from the leading series (``packed._BandValue.subtract``, in slots
+    sized for the sum B of the bounds of the leading series and of the
+    product of every live type): the leading series less the shifted
+    products is the series, and each partial difference has every
+    coefficient at most B.
 
     One band serves every miss with a live type.  The series and
     products of rank m lie in the band of width m g, by induction on m:
@@ -206,34 +197,25 @@ class SemistableSeries:
     band n g too, and only the slot widths differ.  A miss with no live
     type reads the held leading series at its own order.
 
-    Bounds.  A product is formed from the factor series to its window,
-    packed at its own width in the band n g, and its window is masked
-    after each multiplication.  By Young's inequality the sup norm of a
-    product is at most the product of the L1 norms of its factors, and
-    the window of a product depends only on the windows of its factors.
-    So every coefficient of every partial product, in the window or above
-    it before the mask, is at most the product B_t of the factor norms
-    (a nonzero integer series has norm at least 1).  B_t bounds the L1
-    norm of the product's window too.  The leading series has its own
-    bound (``_leading_series``).  A bound holds at every lower window, so
-    a held value is read at any window below its own.  The miss's slots,
-    sized for the sum of the bounds, are never narrower than a held
-    value's: widths only widen.
+    Bounds.  A product is formed from the factor series to its window, one
+    factor at a time (``packed._BandValue.times``).  By Young's inequality
+    the sup norm of a product is at most that of one factor times the L1
+    norms of the others, and the window of a product depends only on the
+    windows of its factors.  So every coefficient of every partial
+    product, in the window or above it, is at most the product B_t of the
+    factor norms (a nonzero integer series has norm at least 1).  B_t
+    bounds the L1 norm of the product's window too.  The leading series
+    has its own bound (``_leading_series``).  A bound holds at every lower
+    window, so a held value is read at any window below its own.  The
+    miss's bound, the sum of the bounds, is at least each held value's,
+    so slot widths only widen.
 
-    Masked and aliased terms.  A factor of rank m lies in the band m g
-    and every partial product in the band n g, so no term is aliased:
-    each has its own slot, and the slots run in order of total degree.
-    The terms of a product above its window thus sit above the window's
-    s slots, where the mask cuts them.  Masking a value with a negative
-    coefficient in its window leaves a multiple of 2^(8 w s) more, w the
-    slot width, which also sits above the window, and the later products,
-    the widening and the read all work modulo 2^(8 w s).  A held product
-    is widened cut at the window of its first live type, the largest.
-    Its terms above the window w = order - 2c of a later type, shifted by
-    (uv)^c, that is by K c slots, K = 2 n g + 1, sit at or above slot
-    s(w) + K c = s(order), above the miss's window.  Whatever sits there,
-    carries and borrows included, changes the miss's integer only by a
-    multiple of 2^(8 w s(order)), which the read's mask removes.
+    Windows.  A factor of rank m lies in the band m g and every partial
+    product in the band n g, so every term of every value formed stays in
+    the band, as ``packed._BandValue`` requires.  A held product is read
+    cut at the window of its first live type, the largest.  Its terms
+    above the window order - 2c of a later type, shifted by (uv)^c, have
+    total degree above order, outside the miss's window.
 
     Held type lists.  A miss enumerates the HN types to codimension
     ``order`` but uses only the live ones, c <= order // 2.  So the
@@ -308,11 +290,7 @@ class SemistableSeries:
                 break
             self.types_used += 1
             live.append((c, self._product(t.quotients, g, order - 2 * c)))
-        if not live:
-            return leading.read(order)
-        band = _Band(leading.band.band, leading.bound + sum(held.bound for _, held in live))
-        x = _BandValue(band, _widen(leading, band, order), order, leading.bound)
-        return x.subtract(live).read(order)
+        return (leading.subtract(live, order) if live else leading).read(order)
 
     def _hn_types(self, n, d, g, order):
         """The HN types of the class of (n, d) to codimension order // 2 or
@@ -354,15 +332,12 @@ class SemistableSeries:
         if held is not None and held.order >= window:
             return held
         factors = [self.series(nj, rj, g, window)._terms for nj, rj in classes]
-        bound = math.prod(sum(map(abs, terms.values())) for terms in factors)
-        band = _Band(g * sum(nj for nj, _ in classes), bound)
-        slots = band.slots(window)
-        mask = (1 << 8 * band.width * slots) - 1
-        value = None
-        for terms in factors:
-            packed = _pack(terms, (0, 0), band.strides, band.width, slots)
-            value = packed if value is None else value * packed & mask
-        held = self._products[key] = _BandValue(band, value, window, bound)
+        norms = [sum(map(abs, terms.values())) for terms in factors]
+        band = _Band(g * sum(nj for nj, _ in classes), math.prod(norms))
+        held = band.pack(factors[0], window, norms[0])
+        for terms, norm in zip(factors[1:], norms[1:]):
+            held = held.times(band.pack(terms, window, norm), norm)
+        self._products[key] = held
         return held
 
 
@@ -418,18 +393,16 @@ def ss_closed_form(n, d, g):
     sum has 2^(n-1) terms, and the moduli dimension n^2(g-1) + 1 at
     ``MAX_CLOSED_FORM_DIM``.
     """
-    parts, common = _closed_form_parts(n, d, g)
-    return FactoredRational(LaurentPoly._raw(_expand_binomials(parts)), common)
+    parts = _closed_form_parts(n, d, g)
+    return FactoredRational(LaurentPoly._raw(_expand_binomials(parts)), dict(_closed_form_shape(n)[1]))
 
 
 def _closed_form_parts(n, d, g):
-    """The numerator of ``ss_closed_form(n, d, g)`` as ``_expand_binomials``
-    parts, and its common denominator as a factor multiset.
-
-    Each composition gives one part (sign, (e, e), factors): the
-    ``blocks._leading_factors`` of each of its ranks and the factors
-    (1 - (uv)^k)^m that its own denominator lacks (``_closed_form_shape``).
-    The arguments and caps are checked here, before anything is expanded.
+    """The numerator of ``ss_closed_form(n, d, g)`` over the common
+    denominator of ``_closed_form_shape``, as a tuple of
+    ``_expand_binomials`` parts (``_closed_form_terms``).  The arguments
+    and caps are checked here, on every call, before anything is read or
+    expanded.
     """
     _check_ints(n, d, g)
     _check_rank(n)
@@ -440,15 +413,27 @@ def _closed_form_parts(n, d, g):
         raise DomainError(
             "moduli dimension %d is above the closed-form cap of %d" % (dim, MAX_CLOSED_FORM_DIM)
         )
-    shape, common = _closed_form_shape(n)
+    return _closed_form_terms(n, d % n, g)
+
+
+@cache
+def _closed_form_terms(n, r, g):
+    """The parts of ``_closed_form_parts`` for the degrees d = r mod n.
+    Each composition gives one part (sign, (e, e), factors): the
+    ``blocks._leading_factors`` of each of its ranks and the factors
+    (1 - (uv)^k)^m that its own denominator lacks (``_closed_form_shape``).
+    The exponent e reads d only as head d mod n (``_closed_form_exponent``),
+    so the parts depend on (n, d mod n, g) alone and are formed once per
+    class, at most 676 classes within the caps; they are tuples, which no
+    caller can change."""
     leading = _leading_factors(n, g)  # those of rank m are the first 2m
     parts = []
-    for ranks, sign, missing in shape:
-        e = _closed_form_exponent(ranks, d, g)
+    for ranks, sign, missing in _closed_form_shape(n)[0]:
+        e = _closed_form_exponent(ranks, r, g)
         if e.denominator != 1:
             raise InternalCheckError("closed-form exponent %s is not an integer for %r" % (e, ranks))
-        parts.append((sign, (int(e), int(e)), [f for m in ranks for f in leading[: 2 * m]] + list(missing)))
-    return parts, dict(common)
+        parts.append((sign, (e, e), tuple(f for m in ranks for f in leading[: 2 * m]) + missing))
+    return tuple(parts)
 
 
 @cache
@@ -540,8 +525,7 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
     parts, band = _coprime_band(n, d, g, 4 * bound)
     if not terms.keys() <= band.points(dim):
         raise InternalCheckError("the recursion's series has a term outside its window in the band %d" % band.band)
-    series = _BandValue(band, _pack(terms, (0, 0), band.strides, band.width, band.slots(dim)), dim, bound)
-    low = series.times_diagonal((1,), 2)
+    low = band.pack(terms, dim, bound).times_diagonal((1,), 2)
     poly = low.window(dim) + low.window(dim - 1).dual(dim)
     _check_coprime(poly, parts, n, g, dim)
     return LaurentPoly._raw(poly.unpack())
@@ -566,8 +550,7 @@ def _certify_coprime(poly, n, d, g):
     if not terms.keys() <= band.points(2 * dim):
         raise InternalCheckError(_COPRIME_MISMATCH)
     top = (max((p for p, _ in terms), default=0), max((q for _, q in terms), default=0))
-    value = _pack(terms, (0, 0), band.strides, band.width, band.slots(2 * dim))
-    _check_coprime(_Packed(band, value, bound, top), parts, n, g, dim)
+    _check_coprime(band.pack(terms, 2 * dim, bound).window(2 * dim, top), parts, n, g, dim)
 
 
 def _coprime_band(n, d, g, bound):
@@ -583,7 +566,7 @@ def _coprime_band(n, d, g, bound):
     missing factors (1 - (uv)^k)^m give 2^m each: the bound is
     2^(2 n g) M(n), M(n) the sum over the compositions of 2^(sum of their
     missing multiplicities) (``_closed_form_weight``)."""
-    parts, _ = _closed_form_parts(n, d, g)
+    parts = _closed_form_parts(n, d, g)
     num_bound = _closed_form_weight(n) << 2 * n * g
     return parts, _Band(n * g, max(num_bound, bound * _coprime_denominator(n)[1]))
 
@@ -648,7 +631,7 @@ def _check_coprime(poly, parts, n, g, dim):
         raise InternalCheckError("coprime polynomial fails Poincare duality at dimension %d" % dim)
     # every part opens with the Jacobian (1+u)^g (1+v)^g of its first rank:
     # it is applied once, to the sum of the rest
-    jacobian = list(_leading_factors(1, g))
+    jacobian = _leading_factors(1, g)
     num = None
     for sign, (e, _), factors in parts:
         if factors[:2] != jacobian:

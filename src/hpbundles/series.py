@@ -132,8 +132,8 @@ class TruncatedSeries:
         the window, about 57 ms for two dense 800-term recursion outputs
         to order 100 (Python 3.11, 2-core Xeon), 17 times their product
         packed on their diagonal band.  Bulk windowed work belongs on
-        band values (``packed._BandValue``), as the semistable recursion
-        forms it."""
+        band values (``packed._BandValue.times``), as the semistable
+        recursion forms it."""
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries._raw(_scale_terms(self._terms, as_coeff(other)), self.order)
         if not isinstance(other, TruncatedSeries):

@@ -16,7 +16,14 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import hpbundles  # noqa: E402
-from hpbundles import ONE, InternalCheckError, LaurentPoly, hodge_deligne_stable_rank2, uv_power  # noqa: E402
+from hpbundles import (  # noqa: E402
+    ONE,
+    InternalCheckError,
+    LaurentPoly,
+    TruncatedSeries,
+    hodge_deligne_stable_rank2,
+    uv_power,
+)
 from hpbundles import packed as packed_module  # noqa: E402
 from hpbundles.blocks import _rank2_numerators  # noqa: E402
 from hpbundles.packed import (  # noqa: E402
@@ -232,18 +239,18 @@ def test_widening_round_trips(width):
     terms = {e: rng.choice((limit - 1, 1 - limit, 0, rng.randrange(1 - limit, limit))) for e in points}
     terms[points[0]], terms[points[-1]] = limit - 1, 1 - limit
     terms = {e: c for e, c in terms.items() if c}
-    slots = source.slots(top)
-    value = _pack(terms, (0, 0), source.strides, width, slots) & ((1 << 8 * width * slots) - 1)
-    held = _BandValue(source, value, top, limit - 1)
+    held = _BandValue(source, source.pack(terms, top, limit - 1).value & source.mask(top), top, limit - 1)
     for wide in sorted({width, width + 1, width + 7, 17} - set(range(width))):
         target = _Band(band, (1 << 8 * wide - 1) - 1)
         assert target.width == wide
         for order in range(top + 1):
             cut = {e: c for e, c in terms.items() if sum(e) <= order}
             widened = _widen(held, target, order)
-            # exactly the cut window in the wider slots, nothing above it
-            assert widened == _pack(cut, (0, 0), target.strides, wide, target.slots(order)), (wide, order)
-            assert target.unpack(widened, order) == cut, (wide, order)
+            # exactly the cut window in the wider slots, nothing above it,
+            # held to that order with the held bound
+            assert widened.band is target and widened.order == order and widened.bound == held.bound
+            assert widened.value == _pack(cut, (0, 0), target.strides, wide, target.slots(order)), (wide, order)
+            assert widened.read(order) == cut, (wide, order)
     # a band change, a narrowing or an order above the held one raises
     for target, order in ((_Band(band + 1, limit - 1), top), (_Band(band - 1, limit - 1), top), (source, top + 1)):
         with pytest.raises(InternalCheckError):
@@ -261,9 +268,9 @@ FACTORS = [(1, 1, 0, 2), (-1, 0, 1, 1), (2, 1, 1, 1), (-3, 0, 1, 1)]
 
 
 def band_value(band, terms, order):
-    """A term dict as a truncated series of the band, held to order."""
-    slots = band.slots(order)
-    return _BandValue(band, _pack(terms, (0, 0), band.strides, band.width, slots), order, largest(terms))
+    """A term dict as a truncated series of the band, held to order, with
+    its exact bound."""
+    return band.pack(terms, order, largest(terms))
 
 
 def near_diagonal(a):
@@ -305,15 +312,80 @@ def test_band_operations_match_polynomial_arithmetic(a, b, cut, c, k):
     assert (2 * y).halve() == y
     assert (y.halve() is None) == any(v % 2 for _, v in a.items())
     # each value subtracted is widened once, cut at the window of its first
-    # pair, here from slots of 13 bytes into the 26 of the band; the pairs
-    # come in order of their shifts, so the difference is known to its order
+    # pair, here from slots of 13 bytes into the 26 that the sum of the
+    # bounds sizes; the pairs come in order of their shifts, so the
+    # difference is known to its order
     top = 3 * SIDE
     narrow = band_value(_Band(BAND_WIDTH, 2**100), a.terms(), BAND_TOP)
     pairs = [(1, narrow), (c + 1, x), (c + 1, narrow), (c + 2, x)]
-    difference = band_value(band, a.terms(), top).subtract(pairs)
+    difference = band.pack(a.terms(), BAND_TOP, 2**199).subtract(pairs, top)
     expected = a - sum((a * uv_power(k) for k, _ in pairs), LaurentPoly())
-    assert difference.order == top
+    assert difference.order == top and difference.bound == 2**199 + 4 * largest(a.terms())
+    assert difference.band.band == BAND_WIDTH and difference.band.width == band.width == 26
     assert difference.read(top) == {e: v for e, v in expected.items() if sum(e) <= top}
+
+
+def masked(value):
+    """The band value masked to its window, as the recursion holds its
+    products: a negative coefficient there leaves a borrow above it."""
+    return _BandValue(value.band, value.value & value.band.mask(value.order), value.order, value.bound)
+
+
+def l1(terms):
+    return sum(map(abs, terms.values()))
+
+
+# Products of band values stay within 2 BAND_POLY of the diagonal, and the
+# row factors below move p - q by at most 2 either way more
+ROWS = [(1, 0, (2, -1)), (0, 1, (3,)), (2, 1, (1, 1, 1))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), st.integers(0, 2 * SIDE), st.integers(0, 2 * SIDE))
+@example(LaurentPoly({(0, 0): -1}), LaurentPoly({(0, 0): 1, (1, 1): 2}), 4, 2)
+def test_band_product_matches_the_series_product(a, b, m, k):
+    # the product of two held series, each masked to its window and held to
+    # its own order, is the dict loop's product to the lower order, masked
+    # to that window, with the bound of Young's inequality
+    a = TruncatedSeries(near_diagonal(a), m)
+    b = TruncatedSeries(near_diagonal(b), k)
+    band = _Band(2 * BAND_POLY + 2, 2**200)
+    x = masked(band.pack(dict(a.items()), m, largest(dict(a.items()))))
+    y = masked(band.pack(dict(b.items()), k, largest(dict(b.items()))))
+    norm = l1(dict(b.items()))
+    product = x.times(y, norm)
+    order = min(m, k)
+    assert product.order == order and product.bound == x.bound * norm
+    assert product.read(order) == dict((a * b).items())
+    assert 0 <= product.value <= band.mask(order)
+    assert max(map(abs, product.read(order).values()), default=0) <= product.bound
+    # the cut binomial rows and the running sums of the leading series, on
+    # a signed masked value: the products by the rows, and by the series of
+    # 1 / ((1 - uv)(1 - (uv)^2)), to its order
+    rows = ONE
+    for i, j, row in ROWS:
+        powers = (LaurentPoly.monomial(cj, i * e, j * e) for e, cj in enumerate(row, 1))
+        rows = rows * (ONE + sum(powers, LaurentPoly()))
+    expected = a * TruncatedSeries.from_poly(rows, m)
+    assert x.times_rows(ROWS, 2**150).read(m) == dict(expected.items())
+    inverse = TruncatedSeries.from_poly(ONE, m)
+    for s in (1, 2):
+        inverse = inverse * TruncatedSeries({(s * e, s * e): 1 for e in range(m // s + 1)}, m)
+    assert x.over_diagonal((1, 2), 2**150).read(m) == dict((a * inverse).items())
+
+
+def test_band_product_refuses_what_its_slots_cannot_hold():
+    band = _Band(3, 2**15)
+    x = band.pack({(0, 0): 1, (1, 1): -2}, 6, 2)
+    # a bound at the slot limit, x.bound times the norm of the other factor
+    assert x.times(x, band.limit // 2 - 1).bound == band.limit - 2
+    with pytest.raises(InternalCheckError, match="slot limit"):
+        x.times(x, band.limit // 2)
+    # two bands, even of one width and slot width, do not multiply
+    other = _Band(3, 2**15).pack({(0, 0): 1}, 6, 1)
+    assert other.band.width == band.width
+    with pytest.raises(InternalCheckError, match="two bands"):
+        x.times(other, 1)
 
 
 def test_band_values_refuse_what_their_slots_cannot_hold():
@@ -333,9 +405,11 @@ def test_band_values_refuse_what_their_slots_cannot_hold():
         _Packed(band, 0, band.limit, (0, 0))
     big = _BandValue(band, 0, 6, band.limit // 2)
     with pytest.raises(InternalCheckError):
-        big.subtract([(1, big)])
+        big.times(big, 2)
     with pytest.raises(InternalCheckError):
         big.times_diagonal((1,), 2)
+    # a difference is formed in slots sized for the sum of its bounds
+    assert big.subtract([(1, big)], 6).band.width == band.width + 1
     exact = big.window(6)
     for operation in (
         lambda: exact + exact,
@@ -346,15 +420,21 @@ def test_band_values_refuse_what_their_slots_cannot_hold():
     ):
         with pytest.raises(InternalCheckError):
             operation()
-    # pairs out of order of their shifts would leave a window uncovered
-    with pytest.raises(InternalCheckError):
-        x.subtract([(1, x), (0, x)])
-    # a value of another band width, or in wider slots, cannot be widened
-    # in, and values of two layouts, two bands even of one width and slot
-    # width, or a band and a box, neither add nor subtract
+    # the pairs of one value out of order of their shifts would leave a
+    # window uncovered; those of two values need no order
+    wide = band.pack({(0, 0): 1, (1, 2): -5}, 6, 2**15)
+    with pytest.raises(InternalCheckError, match="misses order 6"):
+        wide.subtract([(1, x), (0, x)], 6)
+    y = band_value(band, {(0, 0): 3}, 6)
+    assert wide.subtract([(1, x), (0, y)], 6).read(6) == {(0, 0): -2, (1, 1): -1, (1, 2): -5, (2, 3): 5}
+    # a value of another band width, or in wider slots than the sum of the
+    # bounds sizes, cannot be widened in, and values of two layouts, two
+    # bands even of one width and slot width, or a band and a box, neither
+    # add nor subtract
+    assert wide.subtract([(0, band_value(_Band(3, 2**8), {(0, 0): 1}, 6))], 6).band.width == band.width
     for other in (_Band(4, 2**15), _Band(3, 2**40)):
-        with pytest.raises(InternalCheckError):
-            x.subtract([(0, band_value(other, {(0, 0): 1}, 6))])
+        with pytest.raises(InternalCheckError, match="cannot read"):
+            wide.subtract([(0, band_value(other, {(0, 0): 1}, 6))], 6)
     y = x.window(6)
     for other in (band_value(_Band(3, 2**15), {(0, 0): 1}, 6).window(6), pack(_Box(4, 2**15), {(0, 0): 1})):
         assert other.layout.width == y.layout.width
@@ -382,14 +462,20 @@ def test_outer_and_binomial_products_match_powers():
     assert unpacked(twisted) == expected
 
 
-BAND_NAMES = {"_Band", "_BandValue", "_widen"}
+# The band's layout and the operations of its values: only the semistable
+# recursion uses them outside packed
+BAND_NAMES = {"_Band", "_BandValue", "_widen", "pack", "times", "times_rows", "over_diagonal", "subtract", "window"}
+# What semistable reads of no packed value: it works through the band
+# values' operations, and never on their slot integers
+SLOT_ATTRIBUTES = {"value", "width", "strides", "offset", "running_sums"}
 
 
 def test_packed_is_the_one_module_of_the_slot_format():
     # packed imports no other module of the package but errors, and no
     # other module converts between integers and slot bytes.  Only the
-    # semistable recursion packs series on a band, and poly packs boxes
-    # alone, by _pack and _unpack
+    # semistable recursion packs series on a band, through the band's and
+    # its values' methods alone, and poly packs boxes alone, by _pack and
+    # _unpack
     package = Path(hpbundles.__file__).parent
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -405,7 +491,11 @@ def test_packed_is_the_one_module_of_the_slot_format():
             where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 assert node.func.attr not in ("from_bytes", "to_bytes"), where
-            if path.name != "semistable.py":
+            if path.name == "semistable.py":
+                if isinstance(node, ast.ImportFrom) and node.module == "packed":
+                    assert not {"_pack", "_widen"} & {alias.name for alias in node.names}, where
+                assert not (isinstance(node, ast.Attribute) and node.attr in SLOT_ATTRIBUTES), where
+            else:
                 if isinstance(node, ast.ImportFrom):
                     assert not BAND_NAMES & {alias.name for alias in node.names}, where
                 assert not (isinstance(node, ast.Name) and node.id in BAND_NAMES), where

@@ -22,7 +22,7 @@ from hpbundles import (
 from hpbundles import packed as packed_module
 from hpbundles import poly as poly_module
 from hpbundles import series as series_module
-from hpbundles.packed import _Band, _expand_binomials, _pack, _slot_width, _times_binomials, _unpack
+from hpbundles.packed import _Band, _BandValue, _expand_binomials, _pack, _slot_width, _times_binomials, _unpack
 from hpbundles.poly import (
     _add_terms,
     _binomial_power,
@@ -240,7 +240,7 @@ def test_windowed_product_far_from_the_diagonal_takes_the_dict_loop(monkeypatch)
     # product is formed by the dict loop, and nothing is packed, in a
     # box or on a band
     windows, packs = [], []
-    mul_sparse, pack, band_unpack = series_module._mul_sparse, poly_module._pack, packed_module._Band.unpack
+    mul_sparse, pack, band_pack = series_module._mul_sparse, poly_module._pack, packed_module._Band.pack
 
     def recording_mul_sparse(a, b, order=None):
         windows.append(order)
@@ -250,13 +250,13 @@ def test_windowed_product_far_from_the_diagonal_takes_the_dict_loop(monkeypatch)
         packs.append("box")
         return pack(*args)
 
-    def recording_band_unpack(band, value, order):
+    def recording_band_pack(band, terms, order, bound):
         packs.append("band")
-        return band_unpack(band, value, order)
+        return band_pack(band, terms, order, bound)
 
     monkeypatch.setattr(series_module, "_mul_sparse", recording_mul_sparse)
     monkeypatch.setattr(poly_module, "_pack", recording_pack)
-    monkeypatch.setattr(packed_module._Band, "unpack", recording_band_unpack)
+    monkeypatch.setattr(packed_module._Band, "pack", recording_band_pack)
     row = {(k, 0): math.comb(40, k) for k in range(41)}
     diagonal = {(p, s - p): s + 1 for s in range(21) for p in range(s + 1) if abs(2 * p - s) <= 2}
     for a, order in ((row, 40), (row, 7), (diagonal, 20), (diagonal, 9)):
@@ -423,7 +423,8 @@ def test_band_unpack_matches_the_per_slot_reference():
         packed = _pack(terms, (0, 0), layout.strides, width, layout.slots(degree))
         assert packed == (per_term_pack(terms, (0, 0), (band + 1, band), width) if terms else 0)
         expected = {(p, q): c for (p, q), c in terms.items() if p + q <= order}
-        assert layout.unpack(packed, order) == per_slot_band_unpack(packed, band, width, order) == expected
+        held = _BandValue(layout, packed, order, layout.limit - 1)
+        assert held.read(order) == per_slot_band_unpack(packed, band, width, order) == expected
 
     check()
 

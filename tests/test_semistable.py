@@ -21,7 +21,7 @@ from hpbundles import (
     stable_coprime_polynomial,
     uv_power,
 )
-from hpbundles import InternalCheckError, semistable
+from hpbundles import InternalCheckError, packed, semistable
 from hpbundles.hntypes import MAX_RANK, _compositions
 from hpbundles.packed import _Band, _parts_box, _slot_width
 from hpbundles.semistable import _certify_coprime, _leading_series, leading_closed_term, ss_closed_form
@@ -140,14 +140,14 @@ def test_product_memo_one_entry_per_class_multiset(orders, monkeypatch):
         return held
 
     packs = []  # one per factor series packed into a product
-    pack = semistable._pack
+    pack = packed._Band.pack
 
     def counting(*args):
         packs.append(None)
         return pack(*args)
 
     monkeypatch.setattr(SemistableSeries, "_product", recording)
-    monkeypatch.setattr(semistable, "_pack", counting)
+    monkeypatch.setattr(packed._Band, "pack", counting)
     evaluator = SemistableSeries()
     for order in orders:
         for r in range(5):
@@ -362,7 +362,7 @@ def test_held_values_and_results_fit_their_slots(monkeypatch):
     # its slots.  The band of a miss is the target of its last widening;
     # a miss with no live type makes none and reads its leading series.
     targets = []
-    widen = semistable._widen
+    widen = packed._widen
 
     def recording_widen(held, target, order):
         targets.append(target)
@@ -378,7 +378,7 @@ def test_held_values_and_results_fit_their_slots(monkeypatch):
         results.append((n, g, terms, band, len(targets) > before))
         return terms
 
-    monkeypatch.setattr(semistable, "_widen", recording_widen)
+    monkeypatch.setattr(packed, "_widen", recording_widen)
     monkeypatch.setattr(SemistableSeries, "_miss", recording_miss)
     products = 0
     for g in (2, 3, 4):
@@ -669,7 +669,7 @@ def test_coprime_certificate_rejects_a_dual_pair_off_the_band(monkeypatch, n, d,
     def refused(*args):
         raise AssertionError("packed a candidate off the band")
 
-    monkeypatch.setattr(semistable, "_pack", refused)
+    monkeypatch.setattr(packed._Band, "pack", refused)
     for p, q in ((0, dim), (n * g + 1, 0), (dim, dim - n * g - 1)):
         assert abs(p - q) > n * g and 0 <= min(p, q) and max(p, q) <= dim
         paired = _mutated(_mutated(poly, (p, q)), (dim - p, dim - q))
@@ -770,9 +770,38 @@ def test_coprime_denominator_norm_bounds_every_partial_product(n):
 
 
 def test_closed_form_rejects_fractional_exponent(monkeypatch):
+    # the parts are held per class, so the class must be formed anew
+    semistable._closed_form_terms.cache_clear()
     monkeypatch.setattr(semistable, "_closed_form_exponent", lambda ranks, d, g: Fraction(1, 2))
     with pytest.raises(InternalCheckError, match="not an integer"):
         ss_closed_form(2, 1, 2)
+
+
+def test_closed_form_parts_are_formed_once_per_class(monkeypatch):
+    # the parts depend on (n, d mod n, g) alone: formed once per class, one
+    # exponent per composition, and read for every degree of the class;
+    # the arguments and caps are still checked on every call
+    semistable._closed_form_terms.cache_clear()
+    exponent = semistable._closed_form_exponent
+    calls = []
+
+    def counting(ranks, d, g):
+        calls.append(ranks)
+        return exponent(ranks, d, g)
+
+    monkeypatch.setattr(semistable, "_closed_form_exponent", counting)
+    parts = semistable._closed_form_parts(4, 1, 2)
+    assert len(calls) == len(list(_compositions(4))) == len(parts)
+    for d in (5, -3, 41):
+        assert semistable._closed_form_parts(4, d, 2) is parts
+    assert len(calls) == len(parts)
+    assert semistable._closed_form_parts(4, 3, 2) != parts and len(calls) == 2 * len(parts)
+    # tuples all the way down, so no caller can change what is held
+    assert type(parts) is tuple
+    assert all(type(part) is tuple and type(part[2]) is tuple for part in parts)
+    for args, error in (((4, 1.5, 2), DomainError), ((4, 1, 1), DomainError), ((4, 1, 17), DomainError)):
+        with pytest.raises(error):
+            semistable._closed_form_parts(*args)
 
 
 @pytest.mark.parametrize("n, d, g, order", [(1, 0, 3, 12), (2, 0, 3, 16), (3, 1, 2, 20), (4, 2, 3, 16)])
