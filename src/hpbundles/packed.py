@@ -587,20 +587,19 @@ class _BandValue:
             raise InternalCheckError("cannot read order %d of a band value held to order %d" % (order, self.order))
         return self.band.read(self.value, self.band.slots(order))
 
-    def window(self, order, top=None):
+    def window(self, order):
         """The window p + q <= order <= self.order, an exact ``_Packed``
-        value with top (order, order), or the caller's tighter top: the
-        value masked to the low slots(order) slots, less
-        2^(8 w slots(order)) when its top bit is set.  Every slot holds
-        less than half its range, so the window's packed integer lies below
-        half that of its slots: its sign."""
+        value with top (order, order): the value masked to the low
+        slots(order) slots, less 2^(8 w slots(order)) when its top bit is
+        set.  Every slot holds less than half its range, so the window's
+        packed integer lies below half that of its slots: its sign."""
         if order > self.order:
             raise InternalCheckError("cannot cut order %d of a band value held to order %d" % (order, self.order))
         bits = 8 * self.band.width * self.band.slots(order)
         value = self.value & ((1 << bits) - 1)
         if bits and value >> (bits - 1):
             value -= 1 << bits
-        return _Packed(self.band, value, self.bound, top or (order, order))
+        return _Packed(self.band, value, self.bound, (order, order))
 
     def times(self, other, norm):
         """self times other, a value of the same band, to the lower of their

@@ -136,7 +136,11 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # a constant equals its value (``__eq__``), so it hashes as that value
+        terms = self._terms
+        if terms.keys() <= {(0, 0)}:
+            return hash(terms.get((0, 0), 0))
+        return hash(frozenset(terms.items()))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):

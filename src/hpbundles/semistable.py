@@ -63,10 +63,11 @@ being linear; duality is that reversal of P compared with P as
 integers, P D one shift and subtraction per stride, and N is shifted
 and added from the parts of the sum (``_closed_form_parts``) in the same
 band.  Soundness: every value stays in the band, where the slot map is
-one-to-one, and the slots hold max(N's coefficient bound, P's times the
-largest L1 norm of a partial product of D), so no slot carries into the
-next and equal integers are equal polynomials.  The value returned is
-the certified one, read once.  Packed in one box instead, with the
+one-to-one, and the slots hold the larger of N's coefficient bound, the
+one the box of its parts gives (``packed._parts_box``), and P's times
+the largest L1 norm of a partial product of D, so no slot carries into
+the next and equal integers are equal polynomials.  The value returned
+is the certified one, read once.  Packed in one box instead, with the
 polynomial mirrored and checked for duality in dicts, the certificate
 took the coprime benchmark from 0.0432 to 0.0311 s; in the band it took
 it from 0.0255 to 0.0221 s (medians of ten alternating pairs, seed 13;
@@ -83,7 +84,7 @@ from functools import cache
 from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .packed import _Band, _BandValue, _expand_binomials, _Packed, _partition_counts
+from .packed import _Band, _BandValue, _expand_binomials, _Packed, _partition_counts, _parts_box
 from .poly import LaurentPoly, as_int
 from .series import FactoredRational, TruncatedSeries, _expand_factors, _lcm_factors, _missing_factors
 
@@ -497,18 +498,21 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
     recursion's series S to order dim, run by ``evaluator`` (a fresh one
     if none is passed), and Poincare duality at dim gives the rest: each
     term (p, q) with p + q < dim is mirrored to (dim - p, dim - q).  S
-    is packed once, in the band of width n g of the certificate
-    (``_coprime_band``), and P formed there: (1-uv) S by one shift and
-    subtraction, its windows p + q <= dim and p + q <= dim - 1 by two
-    masks, each an exact ``packed._Packed``, and the mirror of the second
-    by one slot reversal (``packed._Packed.dual``).  The terms of total
+    is packed once, in the band of width n g of the certificate, and P
+    formed there: (1-uv) S by one shift and subtraction, its windows
+    p + q <= dim and p + q <= dim - 1 by two masks, each an exact
+    ``packed._Packed``, and the mirror of the second by one slot reversal
+    (``packed._Packed.dual``).  The terms of total
     degree dim are taken whole, not mirrored, so duality is checked, not
     built in: P is certified in place (``_check_coprime``), and the
     certified value is what is read and returned.  (1-uv) S has
     coefficients of at most 2 max|S| and P at most 4 max|S| (Young's
-    inequality), and the band is sized for that.  The moduli dimension is
-    capped at ``MAX_ORDER``, the recursion's order, and the rank as in
-    ``ss_closed_form``.
+    inequality).  The band's slots hold the larger of N's bound, that of
+    the box of the closed form's parts (``_closed_form_bound``), and
+    4 max|S| times the norm of ``_coprime_denominator``; an empty S gives
+    the zero polynomial, which the closed form refuses.  The moduli
+    dimension is capped at ``MAX_ORDER``, the recursion's order, and the
+    rank as in ``ss_closed_form``.
     """
     _check_ints(n, d, g)
     if math.gcd(n, d) != 1:
@@ -521,8 +525,9 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
     # a sum of ints is an int, and a non-int coefficient makes it another type
     if type(sum(values)) is not int:
         raise InternalCheckError("the recursion's series has non-integer coefficients")
-    bound = max(max(values), -min(values))
-    parts, band = _coprime_band(n, d, g, 4 * bound)
+    bound = max(max(values, default=0), -min(values, default=0))
+    parts = _closed_form_parts(n, d, g)
+    band = _Band(n * g, max(_closed_form_bound(n, d % n, g), 4 * bound * _coprime_denominator(n)[1]))
     if not terms.keys() <= band.points(dim):
         raise InternalCheckError("the recursion's series has a term outside its window in the band %d" % band.band)
     low = band.pack(terms, dim, bound).times_diagonal((1,), 2)
@@ -531,52 +536,12 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
     return LaurentPoly._raw(poly.unpack())
 
 
-_COPRIME_MISMATCH = "coprime polynomial times the closed form's denominator is not its numerator"
-
-
-def _certify_coprime(poly, n, d, g):
-    """Raise InternalCheckError unless the LaurentPoly poly is the coprime
-    moduli polynomial: it has integer coefficients, every exponent is a
-    point of the window p + q <= 2 dim of the band |p - q| <= n g, where
-    the closed form lies (a term off it fails the closed-form comparison
-    before anything is packed), and, packed in that band with the bound
-    of its largest |coefficient|, it passes ``_check_coprime``."""
-    dim = moduli_dimension(n, g)
-    if not poly.is_integral():
-        raise InternalCheckError("coprime polynomial has non-integer coefficients")
-    terms = poly._terms
-    bound = max(max(terms.values(), default=0), -min(terms.values(), default=0))
-    parts, band = _coprime_band(n, d, g, bound)
-    if not terms.keys() <= band.points(2 * dim):
-        raise InternalCheckError(_COPRIME_MISMATCH)
-    top = (max((p for p, _ in terms), default=0), max((q for _, q in terms), default=0))
-    _check_coprime(band.pack(terms, 2 * dim, bound).window(2 * dim, top), parts, n, g, dim)
-
-
-def _coprime_band(n, d, g, bound):
-    """The closed form's parts (``_closed_form_parts``) and the band of the
-    coprime certificate for a candidate with coefficients at most bound:
-    width n g, slots that hold the larger of N's bound and bound times
-    the norm of ``_coprime_denominator``.
-
-    N's bound, the one its parts track, is that of ``packed._parts_box``,
-    the sum over the parts of prod (1 + |c|)^k over their factors
-    (c, a, b, k).  The leading factors of a part's ranks are 2n factors
-    (1 + u^a v^b)^g, so they give 2^(2 n g) for every part, and its
-    missing factors (1 - (uv)^k)^m give 2^m each: the bound is
-    2^(2 n g) M(n), M(n) the sum over the compositions of 2^(sum of their
-    missing multiplicities) (``_closed_form_weight``)."""
-    parts = _closed_form_parts(n, d, g)
-    num_bound = _closed_form_weight(n) << 2 * n * g
-    return parts, _Band(n * g, max(num_bound, bound * _coprime_denominator(n)[1]))
-
-
 @cache
-def _closed_form_weight(n):
-    """M(n) of ``_coprime_band``: the sum over the compositions of n of
-    2^(sum of the multiplicities of the factors their denominators lack).
-    It depends on the rank only, so it is formed once per rank."""
-    return sum(1 << sum(m for *_, m in missing) for _, _, missing in _closed_form_shape(n)[0])
+def _closed_form_bound(n, r, g):
+    """N's coefficient bound for the degrees d = r mod n, that of the box of
+    its parts (``packed._parts_box``), formed once per class as the parts
+    are (``_closed_form_terms``)."""
+    return _parts_box(_closed_form_terms(n, r, g))[3]
 
 
 @cache
@@ -616,12 +581,13 @@ def _check_coprime(poly, parts, n, g, dim):
     them up and m down, the ranks of a part sum to n, and the diagonal
     factors keep p - q.  poly lies there with exponents at most dim, as
     its dual checks, and D's factors keep p - q and only raise slots.
-    Every value tracks a bound
-    on its largest |coefficient| (Young's inequality), each partial
-    product of poly and D at most poly's times the norm of
-    ``_coprime_denominator``, and the slots hold the larger of N's and
-    that (``_coprime_band``), so no slot of N, of a partial sum or of a
-    partial product carries into the next: equal integers are equal
+    Every value tracks a bound on its largest |coefficient| (Young's
+    inequality), each partial product of poly and D at most poly's times
+    the norm of ``_coprime_denominator``, and the slots hold the larger
+    of that and N's, the bound of the box of its parts
+    (``_closed_form_bound``), which also bounds every partial product of
+    a part and every partial sum, so no slot of N, of a partial sum or of
+    a partial product carries into the next: equal integers are equal
     polynomials, and poly D = N.  A wrong poly, however large its
     coefficients, the zero polynomial included, fails the comparison.
     The largest partial norm, not 2 per stride (2^15 against 2^28 at rank
@@ -640,4 +606,4 @@ def _check_coprime(poly, parts, n, g, dim):
         num = part if num is None else num + part
     strides, norm = _coprime_denominator(n)
     if poly.times_diagonal(strides, norm) != num.times_binomials(jacobian):
-        raise InternalCheckError(_COPRIME_MISMATCH)
+        raise InternalCheckError("coprime polynomial times the closed form's denominator is not its numerator")

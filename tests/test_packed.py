@@ -4,6 +4,7 @@ against ``LaurentPoly`` arithmetic, on hypothesis-drawn signed integer
 polynomials with non-negative exponents."""
 
 import ast
+import collections
 import itertools
 import random
 from pathlib import Path
@@ -502,6 +503,42 @@ def test_packed_is_the_one_module_of_the_slot_format():
                 assert not (isinstance(node, ast.Attribute) and node.attr in BAND_NAMES), where
             if path.name == "poly.py" and isinstance(node, ast.ImportFrom) and node.module == "packed":
                 assert {alias.name for alias in node.names} <= {"_pack", "_slot_width", "_unpack"}, where
+
+
+def _named(tree):
+    """Every name a tree reads: Names, Attributes and import aliases."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_helper_has_a_caller():
+    # each module-level private function or class, and each private method,
+    # of the package is named in the package outside its own definition:
+    # a helper only the tests reach is dead code
+    package = Path(hpbundles.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    uses = collections.Counter(name for tree in trees.values() for name in _named(tree))
+    defined = (ast.FunctionDef, ast.ClassDef)
+    private = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, defined):
+                private.append((module, node))
+            if isinstance(node, ast.ClassDef):
+                private.extend((module, item) for item in node.body if isinstance(item, defined))
+    private = [(module, node) for module, node in private if node.name.startswith("_") and not node.name.endswith("__")]
+    assert len(private) > 100
+    unused = [
+        "%s:%d %s" % (module, node.lineno, node.name)
+        for module, node in private
+        if uses[node.name] == collections.Counter(_named(node))[node.name]
+    ]
+    assert not unused
 
 
 def test_rank2_call_builds_each_slot_pattern_once(monkeypatch):

@@ -101,6 +101,19 @@ def test_fraction_coefficients_demote_to_int():
     assert type(p.coefficient(0, 0)) is int
 
 
+def test_constants_hash_as_their_values():
+    # a constant equals its value, so it must hash as it does and serve
+    # as the same dict key and set member: ints, Fractions and zero
+    for value in (0, 1, -7, 2**80, Fraction(1, 2), Fraction(-5, 3), Fraction(0)):
+        const = LaurentPoly.const(value)
+        assert const == value and hash(const) == hash(value), value
+        assert {value: "x"}[const] == "x" and {const: "x"}[value] == "x", value
+        assert len({const, value}) == 1, value
+    assert {1: "x"}[ONE] == "x" and {0: "x"}[LaurentPoly()] == "x"
+    # a polynomial that is no constant hashes its terms, as before
+    assert hash(U + 1) == hash(frozenset({(1, 0): 1, (0, 0): 1}.items()))
+
+
 def box_terms(rng, rows, cols, fill, coeff):
     """Terms in a rows x cols box at a random, possibly negative, origin;
     each cell is kept with probability ``fill``.  Normalized like every

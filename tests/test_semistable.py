@@ -5,7 +5,6 @@ import pytest
 
 from hpbundles import (
     ONE,
-    LaurentPoly,
     U,
     V,
     DomainError,
@@ -23,8 +22,8 @@ from hpbundles import (
 )
 from hpbundles import InternalCheckError, packed, semistable
 from hpbundles.hntypes import MAX_RANK, _compositions
-from hpbundles.packed import _Band, _parts_box, _slot_width
-from hpbundles.semistable import _certify_coprime, _leading_series, leading_closed_term, ss_closed_form
+from hpbundles.packed import _Band, _slot_width
+from hpbundles.semistable import _leading_series, leading_closed_term, ss_closed_form
 from hpbundles.series import _expand_factors
 from hpbundles.univariate import diagonal_ss_series, diagonal_stable_coprime
 
@@ -590,105 +589,123 @@ def test_stable_coprime_dual_degree_and_jacobian_factor(n, g):
         assert exact_divide(poly, jacobian).is_integral(), (n, d, g)
 
 
+@pytest.mark.parametrize("n, g", BENCHMARK_COPRIME_CLASSES)
+def test_stable_coprime_reads_a_shared_evaluator(n, g):
+    # a shared evaluator that holds the class at a higher order, asked at
+    # another degree of the class, serves the series to the moduli
+    # dimension as one memo hit, a truncation, and the polynomial is the
+    # one a fresh evaluator gives
+    dim = n * n * (g - 1) + 1
+    for d in range(1, n):
+        if math.gcd(n, d) != 1:
+            continue
+        evaluator = SemistableSeries()
+        evaluator.series(n, d + 5 * n, g, dim + 4)
+        hits, misses = evaluator.hits, evaluator.misses
+        assert stable_coprime_polynomial(n, d, g, evaluator) == stable_coprime_polynomial(n, d, g), (n, d, g)
+        assert (evaluator.hits, evaluator.misses) == (hits + 1, misses), (n, d, g)
+
+
 CLOSED_FORM_MISMATCH = "closed form's denominator is not its numerator"
 
 
-def _mutated(poly, e, delta=1):
-    terms = poly.terms()
-    terms[e] = terms.get(e, 0) + delta
-    return LaurentPoly(terms)
+class _HeldSeries:
+    """An evaluator that serves the one series it holds, whatever order it
+    is asked for."""
+
+    def __init__(self, terms, order):
+        self.held = TruncatedSeries(terms, order)
+
+    def series(self, n, d, g, order):
+        return self.held
+
+
+def _changed(n, d, g, changes):
+    """An evaluator serving the recursion's true series to the moduli
+    dimension with the coefficient at each exponent of changes raised by
+    its delta."""
+    dim = n * n * (g - 1) + 1
+    terms = dict(SemistableSeries().series(n, d, g, dim).items())
+    for e, delta in changes.items():
+        terms[e] = terms.get(e, 0) + delta
+    return _HeldSeries(terms, dim)
 
 
 # (4, 1, 2) and (5, 2, 2) have compositions of up to four and five parts,
 # each opening with the Jacobian factor the certificate applies once
 @pytest.mark.parametrize("n, d, g", [(2, 1, 2), (3, 1, 2), (3, 2, 3), (4, 1, 2), (5, 2, 2)])
 def test_coprime_certificate_rejects_one_changed_coefficient(n, d, g):
-    poly = stable_coprime_polynomial(n, d, g)
     dim = n * n * (g - 1) + 1
-    _certify_coprime(poly, n, d, g)
-    lower = [e for e in sorted(dict(poly.items())) if e[0] + e[1] < dim]
-    upper = [e for e in sorted(dict(poly.items())) if e[0] + e[1] > dim]
-    for e in (lower[0], lower[-1], upper[0], upper[-1]):
-        with pytest.raises(InternalCheckError, match="Poincare duality"):
-            _certify_coprime(_mutated(poly, e), n, d, g)
-    with pytest.raises(InternalCheckError, match="non-integer"):
-        _certify_coprime(_mutated(poly, lower[-1], Fraction(1, 2)), n, d, g)
-    # the zero polynomial is integral and dual, and no quotient
-    with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
-        _certify_coprime(LaurentPoly(), n, d, g)
-    # a change that keeps duality is caught by the closed form alone: a
-    # term and its dual changed together, or a self-dual middle term
-    p, q = lower[-1]
-    paired = _mutated(_mutated(poly, (p, q)), (dim - p, dim - q))
-    with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
-        _certify_coprime(paired, n, d, g)
+    assert stable_coprime_polynomial(n, d, g, _changed(n, d, g, {})) == stable_coprime_polynomial(n, d, g)
+    # S at (p, q) changes P = (1-uv) S at (p, q) and (p + 1, q + 1); below
+    # total degree dim - 2, or at dim - 1, where the second falls above the
+    # window, each change is mirrored with its dual, so P stays dual by
+    # construction and the closed form alone refuses it
+    terms = hp_ss_series(n, d, g, dim)._terms
+    low = sorted(e for e in terms if sum(e) <= dim - 3)
+    top = sorted(e for e in terms if sum(e) == dim - 1)
+    for e in (low[0], low[len(low) // 2], low[-1], top[0], top[-1]):
+        with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
+            stable_coprime_polynomial(n, d, g, _changed(n, d, g, {e: 1}))
+    # the middle diagonal p + q = dim is taken whole, not mirrored: a change
+    # off p = q is refused as not dual, one on it, self-dual, by the closed
+    # form
+    with pytest.raises(InternalCheckError, match="Poincare duality"):
+        stable_coprime_polynomial(n, d, g, _changed(n, d, g, {(dim // 2 + 1, dim - dim // 2 - 1): 1}))
     if dim % 2 == 0:
         with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
-            _certify_coprime(_mutated(poly, (dim // 2, dim // 2)), n, d, g)
-    # a dual pair of terms with an exponent outside [0, dim]
-    for e in ((-1, 0), (0, -1)):
-        outside = _mutated(_mutated(poly, e), (dim - e[0], dim - e[1]))
-        with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
-            _certify_coprime(outside, n, d, g)
+            stable_coprime_polynomial(n, d, g, _changed(n, d, g, {(dim // 2, dim // 2): -1}))
+    # an empty series gives the zero polynomial: integral and dual, and no
+    # quotient of the closed form
+    with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
+        stable_coprime_polynomial(n, d, g, _HeldSeries({}, dim))
 
 
 @pytest.mark.parametrize("n, d, g", [(2, 1, 2), (3, 1, 2), (4, 3, 2)])
 def test_coprime_certificate_box_is_sized_from_the_candidate(monkeypatch, n, d, g):
-    # a term and its dual raised by one slot's range of the band the true
-    # polynomial gets: packed in that band, the raised slot would carry
-    # into its neighbour, so the band must widen with the candidate's norm
-    # and the candidate fail the comparison, not a bounds check
+    # a coefficient of S raised by one slot's range of the band the true
+    # series gets: packed in that band, the raised slot would carry into
+    # its neighbour, so the band must widen with the series' largest
+    # coefficient and the candidate fail the comparison, not a bounds check
+    dim = n * n * (g - 1) + 1
+    terms = dict(hp_ss_series(n, d, g, dim).items())
+    e = sorted(x for x in terms if sum(x) <= dim - 3)[-1]
     bands = []
 
     def recording(band, bound):
         bands.append(_Band(band, bound))
         return bands[-1]
 
-    poly = stable_coprime_polynomial(n, d, g)
     monkeypatch.setattr(semistable, "_Band", recording)
-    _certify_coprime(poly, n, d, g)
+    stable_coprime_polynomial(n, d, g, _HeldSeries(terms, dim))
     assert len(bands) == 1 and bands[0].band == n * g
-    dim = n * n * (g - 1) + 1
     width = bands[0].width
-    p, q = sorted(e for e in dict(poly.items()) if e[0] + e[1] < dim)[-1]
-    raised = _mutated(_mutated(poly, (p, q), 1 << 8 * width), (dim - p, dim - q), 1 << 8 * width)
+    raised = {**terms, e: terms[e] + (1 << 8 * width)}
     with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
-        _certify_coprime(raised, n, d, g)
+        stable_coprime_polynomial(n, d, g, _HeldSeries(raised, dim))
     assert len(bands) == 2 and bands[1].band == n * g
     assert bands[1].width > width
 
 
 @pytest.mark.parametrize("n, d, g", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (4, 1, 2)])
 def test_coprime_certificate_rejects_a_dual_pair_off_the_band(monkeypatch, n, d, g):
-    # the closed form lies in the band |p - q| <= n g, so a dual pair of
-    # terms inside [0, dim]^2 but off it is refused before anything is
-    # packed: packed, it would alias slots of the band
-    poly = stable_coprime_polynomial(n, d, g)
+    # the recursion's series and the closed form lie in the band
+    # |p - q| <= n g, so a series with a term in its window p + q <= dim
+    # but off the band is refused before anything is packed: packed, it
+    # would alias a slot of the band
     dim = n * n * (g - 1) + 1
+    q = (dim - n * g - 1) // 2
+    off = [(0, n * g + 1), (n * g + 1, 0), (q + n * g + 1, q)]
+    evaluators = [_changed(n, d, g, {e: 1}) for e in off]
 
     def refused(*args):
-        raise AssertionError("packed a candidate off the band")
+        raise AssertionError("packed a series off the band")
 
     monkeypatch.setattr(packed._Band, "pack", refused)
-    for p, q in ((0, dim), (n * g + 1, 0), (dim, dim - n * g - 1)):
-        assert abs(p - q) > n * g and 0 <= min(p, q) and max(p, q) <= dim
-        paired = _mutated(_mutated(poly, (p, q)), (dim - p, dim - q))
-        with pytest.raises(InternalCheckError, match=CLOSED_FORM_MISMATCH):
-            _certify_coprime(paired, n, d, g)
-
-
-class _ChangedSeries:
-    """An evaluator that returns the recursion's true series with the
-    coefficient at one exponent raised by delta."""
-
-    def __init__(self, exponent, delta=1):
-        self.exponent = exponent
-        self.delta = delta
-
-    def series(self, n, d, g, order):
-        terms = dict(SemistableSeries().series(n, d, g, order).items())
-        terms[self.exponent] = terms.get(self.exponent, 0) + self.delta
-        return TruncatedSeries(terms, order)
+    for (p, q), evaluator in zip(off, evaluators):
+        assert abs(p - q) > n * g and min(p, q) >= 0 and p + q <= dim
+        with pytest.raises(InternalCheckError, match="outside its window"):
+            stable_coprime_polynomial(n, d, g, evaluator)
 
 
 @pytest.mark.parametrize("n, d, g", [(2, 1, 2), (3, 1, 2), (4, 1, 2), (5, 2, 2)])
@@ -702,10 +719,10 @@ def test_stable_coprime_certifies_what_it_returns(n, d, g):
     dim = n * n * (g - 1) + 1
     for exponent in ((0, 0), (dim // 4, dim // 4), (dim // 2, dim - dim // 2), (dim // 2, dim // 2 - 1)):
         with pytest.raises(InternalCheckError):
-            stable_coprime_polynomial(n, d, g, _ChangedSeries(exponent))
+            stable_coprime_polynomial(n, d, g, _changed(n, d, g, {exponent: 1}))
     # and a series that is not integral is refused before it is packed
     with pytest.raises(InternalCheckError, match="non-integer"):
-        stable_coprime_polynomial(n, d, g, _ChangedSeries((0, 0), Fraction(1, 2)))
+        stable_coprime_polynomial(n, d, g, _changed(n, d, g, {(0, 0): Fraction(1, 2)}))
 
 
 # every coprime class of ranks 2-5 at genus 2 and ranks 2-3 at genus 3
@@ -730,25 +747,6 @@ def test_closed_form_exponent_is_integral_up_to_rank_8():
         for ranks in _compositions(n):
             for d in range(n):
                 assert semistable._closed_form_exponent(ranks, d, 2).denominator == 1, (ranks, d)
-
-
-def test_coprime_norm_bound_is_that_of_the_parts_box(monkeypatch):
-    # _coprime_band forms N's norm bound from the rank and genus alone,
-    # 2^(2 n g) M(n); it must be the bound the parts box gives, for every
-    # coprime class of ranks up to 8 at genus 2-4 (all within the caps)
-    bounds = []
-
-    def recording(band, bound):
-        bounds.append(bound)
-        return _Band(band, bound)
-
-    monkeypatch.setattr(semistable, "_Band", recording)
-    for g in (2, 3, 4):
-        for n in range(1, MAX_RANK + 1):
-            for d in range(n):
-                if math.gcd(n, d) == 1:
-                    parts, _ = semistable._coprime_band(n, d, g, 0)
-                    assert bounds.pop() == _parts_box(parts)[3], (n, d, g)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_RANK + 1))
