@@ -27,6 +27,15 @@ from .series import FactoredRational
 
 HALF = Fraction(1, 2)
 
+# The cap on the genus of the rank-2 record, so of every rank-2 call.  The
+# stable polynomial has degree at most the moduli dimension 4g - 3 in each
+# variable, so at most (4g - 2)^2 terms: 64,516 at the cap.  The time
+# grows faster than the output, as about g^3 to g^4; at the cap,
+# `compute stable2 --genus 64 --deligne` takes about 1.1 s on a 2-core
+# Intel Xeon with Python 3.11, interpreter start and printing included
+# (the call itself about 0.45 s).
+MAX_GENUS = 64
+
 
 def hp_jacobian(g):
     """(1+u)^g (1+v)^g, the Hodge-Poincare polynomial of a g-dimensional
@@ -48,7 +57,7 @@ def _binomial_outer(c, e, g):
 def _leading_factors(n, g):
     """The factors (1 + u^l v^(l-1))^g (1 + u^(l-1) v^l)^g, l = 1..n, of the
     numerator of the leading semistable term, as the factors (c, a, b, k)
-    of a ``packed._expand_binomials`` part.  Those of l = 1 make
+    of ``packed._Packed.times_binomials``.  Those of l = 1 make
     hp_jacobian(g), those of l = 2 the twisted numerator
     (1+u^2 v)^g (1+u v^2)^g of the rank-2 closed forms."""
     return tuple((1, a, b, g) for l in range(1, n + 1) for a, b in ((l, l - 1), (l - 1, l)))
@@ -181,9 +190,12 @@ def _rank2_bound(g):
 
 
 def _rank2_numerators(g):
-    """The record of genus g, for one call."""
+    """The record of genus g, for one call: past MAX_GENUS a call raises
+    DomainError instead of running for minutes."""
     if g < 0:
         raise DomainError("genus must be non-negative")
+    if g > MAX_GENUS:
+        raise DomainError("genus %d is above the rank-2 cap of %d" % (g, MAX_GENUS))
     return _Rank2Numerators(g)
 
 

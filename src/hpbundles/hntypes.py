@@ -58,7 +58,8 @@ class HNType:
     def __post_init__(self):
         if not self.quotients:
             raise DomainError("a filtration type needs at least one quotient")
-        object.__setattr__(self, "quotients", tuple((int(r), int(d)) for r, d in self.quotients))
+        quotients = tuple((as_int(r, "quotient rank"), as_int(d, "quotient degree")) for r, d in self.quotients)
+        object.__setattr__(self, "quotients", quotients)
         prev = None
         for r, d in self.quotients:
             if r < 1:
@@ -98,6 +99,7 @@ def _check_rank(n):
 
 def codim_hn(t, g):
     """Codimension of the stratum of bundles with filtration type t."""
+    as_int(g, "genus")
     if g < 1:
         raise DomainError("genus must be at least 1")
     qs = t.quotients
@@ -233,7 +235,7 @@ class ReductiveClass:
     at_dimension_bound: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        pairs = tuple(sorted((int(m), int(r)) for m, r in self.pairs))
+        pairs = tuple(sorted((as_int(m, "multiplicity"), as_int(r, "rank")) for m, r in self.pairs))
         if not pairs:
             raise DomainError("a stabilizer class needs at least one pair")
         if any(m < 1 or r < 1 for m, r in pairs):
@@ -301,6 +303,8 @@ def enumerate_reductive_classes(n, d):
 def codim_deeper_stratum(c, n, g):
     """Codimension of the locus stabilized by class c inside the rank-n
     semistable locus: (g-1)(n^2 - sum n_j^2) + sum (m_j^2 - 1)."""
+    as_int(n, "rank")
+    as_int(g, "genus")
     if g < 1:
         raise DomainError("genus must be at least 1")
     if c.rank != n:

@@ -76,41 +76,38 @@ strided byte slice per byte of the held slots).  A window is an exact
 polynomial, a ``_Packed`` value of the band (below): so are the coprime
 moduli polynomial, the closed-form numerator that certifies it and every
 partial product, formed and compared in the band of the recursion's
-series (``semistable.stable_coprime_polynomial``).  Values that fill a
-box stay in boxes, the unwindowed products and the rank-2 record: in a
+series (``semistable.stable_coprime_polynomial``).  The layout rule: a
+band holds everything that lies near the diagonal, and a box holds
+square supports, the rank-2 record and ``poly``'s dense product: in a
 band the corners of a square support would double the slots.
 
-Products of binomial powers.  A sum of monomials times products of
-binomial powers, sum s u^p v^q prod (1 + c u^a v^b)^k with a and b >= 0,
-is formed by shift-adds (``_expand_binomials``): each part starts as the
-integer s, each power is one big-integer shift and add,
-x += c (x << shift), the factors taken in order of the slots a power
-adds, fewest first, so that the passes run on the shortest integers they
-can (``_times_binomials``), and the part is added at the slot of its
-monomial into one accumulator in the box of the whole sum
-(``_parts_box``), which is unpacked once.  More than half the cost of
-one product is that unpacking: the genus-24 product
-(1+u)^g (1+v)^g (1+u^2 v)^g (1+u v^2)^g takes about 4 ms, 2.5 ms of it
-unpacking, against 26 ms for the dense product of the two halves.  The
-unwindowed leading terms of the semistable series, the products of
-denominator factors and the numerator of the closed-form HN sum
-(``semistable.ss_closed_form``), one part per composition, are formed
-so.  Every call packs the whole box of its sum, so a diagonal product is
-expanded in one variable instead (``series._expand_factors``), and an
-outer product of two binomial rows, such as the Jacobian, is formed from
-binomial coefficients (``_Box.outer``).
+Products of binomial powers.  A packed value times
+prod (1 + c u^a v^b)^k, a and b >= 0, is formed by shift-adds in its
+layout (``_Packed.times_binomials``): each power is one big-integer
+shift and add, x += c (x << shift), the factors taken in order of the
+slots a power adds, fewest first, so that the passes run on the
+shortest integers they can (``_times_binomials``).  A sum of monomials
+times such products is formed part by part, each part added into one
+value that the caller's layout sizes for every partial product and
+partial sum, and unpacked once: so are the numerator of the
+closed-form HN sum and the unwindowed leading terms, in the band of
+width n g (``semistable._closed_form_numerator``), and the diagonal
+products prod (1 - t^k)^m in t = uv, in a box of one column
+(``series._expand_factors``).  An outer product of two binomial rows,
+such as the Jacobian, is packed row by row from binomial coefficients
+(``_Box.outer``).
 
 Exact polynomials.  A computation that goes on working with its
 products keeps them packed as ``_Packed`` values of one layout, a
 ``_Box`` with origin (0, 0) (the rank-2 pipeline,
-``blocks._rank2_numerators``) or a ``_Band`` (the coprime certificate).
-Every packed value carries a bound on its largest |coefficient| and on
-its exponents, so an operation that could overflow a slot, or carry a
-term past a box's last column into the next row, raises
-InternalCheckError.  Sums add the bounds, small-int multiples scale
-them, and a product by a polynomial, prod (1 - (uv)^m) or binomial
-powers, multiplies the bound by the L1 norm of each partial product it
-forms: by Young's inequality, max |coefficient of a b| <=
+``blocks._rank2_numerators``) or a ``_Band`` (the coprime certificate
+and the closed-form numerators).  Every packed value carries a bound on
+its largest |coefficient| and on its exponents, so an operation that
+could overflow a slot, or carry a term past a box's last column into the
+next row, raises InternalCheckError.  Sums add the bounds, small-int
+multiples scale them, and a product by a polynomial, prod (1 - (uv)^m)
+or binomial powers, multiplies the bound by the L1 norm of each partial
+product it forms: by Young's inequality, max |coefficient of a b| <=
 max |coefficient of a| |b|_1.  Those operations are then big-integer
 adds and shifts in either layout, equality is integer equality, a
 parity mask finds odd coefficients, and the dual (uv)^d p(1/u, 1/v)
@@ -331,49 +328,6 @@ def _times_binomials(x, factors, strides, width):
     return x
 
 
-def _parts_box(parts):
-    """The box of a non-empty sum of parts (s, (p, q), factors), each
-    s u^p v^q prod (1 + c u^a v^b)^k over its factors (c, a, b, k): the
-    least offset (p0, q0) of the parts, the rows and columns from there
-    that hold every partial product of every part (sum k a rows and
-    sum k b columns past its offset), and the sum of |s| prod (1 + |c|)^k
-    over the parts, which bounds the L1 norm of every partial product and
-    partial sum."""
-    p0 = min(p for _, (p, _), _ in parts)
-    q0 = min(q for _, (_, q), _ in parts)
-    rows = cols = bound = 0
-    for s, (p, q), factors in parts:
-        # s, p and q become the part's norm bound and last row and column
-        for c, a, b, k in factors:
-            s *= (1 + abs(c)) ** k
-            p += k * a
-            q += k * b
-        rows, cols, bound = max(rows, p - p0 + 1), max(cols, q - q0 + 1), bound + abs(s)
-    return (p0, q0), rows, cols, bound
-
-
-def _expand_binomials(parts):
-    """The term dict of the sum of s u^p v^q prod (1 + c u^a v^b)^k over
-    the parts (s, (p, q), factors), each factor (c, a, b, k) with ints
-    a, b, k >= 0 and c, by shift-adds on one packed integer.
-
-    The sum is packed in the box of ``_parts_box``, so no term of a
-    partial product leaves the box, and its slots hold the norm bound and
-    a sign bit, so they never carry into each other.  Each part starts as
-    s at slot (0, 0), its factors are applied by ``_times_binomials``, and
-    it is added into one accumulator at the slot of its offset; the sum
-    is unpacked once.
-    """
-    if not parts:
-        return {}
-    (p0, q0), rows, cols, bound = _parts_box(parts)
-    width = _slot_width(bound)
-    packed = 0
-    for s, (p, q), factors in parts:
-        packed += _times_binomials(s, factors, (cols, 1), width) << 8 * width * ((p - p0) * cols + q - q0)
-    return _unpack(packed, (p0, q0), rows, cols, width)
-
-
 class _Slots:
     """Slots of width bytes, sized so that every coefficient and every
     tracked coefficient bound stays below limit = 2^(8 width - 1) for a
@@ -492,20 +446,20 @@ class _Box(_Slots):
 
     def outer(self, c, e, k):
         """(1 + c u^e)^k (1 + c v^e)^k, packed row by row: the v-row by
-        shift-adds on one row, then row p is the row times its own
-        coefficient of v^p.  No pass runs over the whole box.  Its largest
+        shift-adds on one row, then row e j is the row times C(k, j) c^j,
+        its coefficient of v^(e j), and the rows between are blank.  No
+        pass runs over the whole box, and no slot is read.  Its largest
         coefficient is exactly (max_j C(k, j) |c|^j)^2, the bound, and
         the row's is its square root."""
         cols, width = self.cols, self.width
-        bound = max(comb(k, j) * abs(c) ** j for j in range(k + 1)) ** 2
+        coeffs = [0] * (e * k + 1)
+        coeffs[::e] = [comb(k, j) * c**j for j in range(k + 1)]
+        bound = max(map(abs, coeffs)) ** 2
         top = (e * k, e * k)
         self.check(bound, top)
         row = _times_binomials(1, [(c, 0, e, k)], self.strides, width)
-        coeffs = self.read(row, cols)
         blank = self.pattern(self.limit, cols)
-        data = b"".join(
-            (coeffs.get((0, p), 0) * row + blank).to_bytes(cols * width, "little") for p in range(e * k + 1)
-        )
+        data = b"".join((a * row + blank).to_bytes(cols * width, "little") for a in coeffs)
         value = int.from_bytes(data, "little") - self.pattern(self.limit, cols * (e * k + 1))
         return _Packed(self, value, bound, top)
 

@@ -36,8 +36,8 @@ recursion forms its windowed products packed on their diagonal band
 instead (``packed._BandValue.times``).
 
 The packed format, its unpacking and the shift-add products of binomial
-powers (``packed._expand_binomials``) live in ``packed``, as do the
-packed values that a computation goes on working with.
+powers (``packed._Packed.times_binomials``) live in ``packed``, as do
+the packed values that a computation goes on working with.
 
 A two-term base is raised to a power by the binomial theorem.
 """

@@ -25,8 +25,9 @@ unpacked once per call; a Hodge-Deligne call reverses its slots for the
 dual instead and unpacks that.  Public functions that return a
 numerator, a stratum or a closed form unpack it from the same record.
 
-The genus is capped at MAX_GENUS, a bound sized from the output: past it
-a call raises DomainError instead of running for minutes.
+The genus is capped at MAX_GENUS, a bound sized from the output, which
+the record checks (``blocks._rank2_numerators``), so every rank-2 call,
+the building blocks' included, refuses a genus past it.
 """
 
 from __future__ import annotations
@@ -35,22 +36,15 @@ from dataclasses import dataclass
 
 from . import convex
 from .blocks import DEN_BT, HALF, _nt_zts, _rank2_numerators, _rational
-# bound here too, though no formula reads it: perfbench's tracer test
-# checks that its wrapper reaches every module that binds hp_jacobian
-from .blocks import hp_jacobian  # noqa: F401
+# bound here too, though no formula reads them: the cap is read as
+# rank2.MAX_GENUS, and perfbench's tracer test checks that its wrapper
+# reaches every module that binds hp_jacobian
+from .blocks import MAX_GENUS, hp_jacobian  # noqa: F401
 from .errors import DomainError, InternalCheckError
 from .hntypes import ReductiveClass, codim_deeper_stratum
 from .poly import LaurentPoly, as_int
 from .semistable import SS_RANK2_DEN, _ss_rank2_numerator, moduli_dimension
 from .series import FactoredRational, _lcm_factors, _missing_factors
-
-# The polynomial has degree at most the moduli dimension 4g - 3 in each
-# variable, so at most (4g - 2)^2 terms: 64,516 at the cap.  The time
-# grows faster than the output, as about g^3 to g^4; at the cap,
-# `compute stable2 --genus 64 --deligne` takes about 1.1 s on a 2-core
-# Intel Xeon with Python 3.11, interpreter start and printing included
-# (the call itself about 0.45 s).
-MAX_GENUS = 64
 
 
 # (1 - uv)^2, the denominator of the beta strata
@@ -326,5 +320,3 @@ def _check_genus(g):
     as_int(g, "genus")
     if g < 2:
         raise DomainError("genus out of supported range")
-    if g > MAX_GENUS:
-        raise DomainError("genus %d is above the rank-2 cap of %d" % (g, MAX_GENUS))

@@ -40,12 +40,15 @@ operation on it live in ``packed``.
 The recursion has a closed solution, a finite sum over the compositions
 of n (``ss_closed_form``).  Over the common denominator every term of
 the sum is a monomial times binomial powers (``_closed_form_parts``),
-so its numerator is formed in one packed pass of
-``packed._expand_binomials``, as is the unwindowed leading term
-``leading_closed_term``; the windowed leading series of the recursion
-are formed packed inside their window by ``_leading_series`` instead.
-The packed pass took the coprime benchmark from 0.103 to 0.061 s
-(medians of ten alternating pairs, seed 101; 2-core Xeon, Python 3.11).
+so its numerator N is one packed value, formed part by part in the band
+of width n g by ``_closed_form_numerator``, which both ``ss_closed_form``
+and the coprime certificate call; the unwindowed leading term
+``leading_closed_term`` is its one-part case, and the windowed leading
+series of the recursion are formed inside their window by
+``_leading_series`` instead.  In the band, forming and unpacking N took
+0.13 s at (n, d, g) = (8, 1, 4) against 0.59 s in the box of its
+support, but 1.0 s at (1, 0, 256) against 0.32 s, where the support
+fills that box (best of five; 2-core Xeon, Python 3.11).
 
 The coprime moduli polynomial P is taken from the recursion run to the
 moduli dimension dim, its upper half by Poincare duality, and certified
@@ -60,13 +63,12 @@ windows p + q <= dim and dim - 1, two masks, are exact polynomials
 (``packed._Packed`` in the band), as are P, N and their parts.  The
 mirror of the second window is one slot reversal, the band's slot map
 being linear; duality is that reversal of P compared with P as
-integers, P D one shift and subtraction per stride, and N is shifted
-and added from the parts of the sum (``_closed_form_parts``) in the same
-band.  Soundness: every value stays in the band, where the slot map is
-one-to-one, and the slots hold the larger of N's coefficient bound, the
-one the box of its parts gives (``packed._parts_box``), and P's times
-the largest L1 norm of a partial product of D, so no slot carries into
-the next and equal integers are equal polynomials.  The value returned
+integers, P D one shift and subtraction per stride, and N is formed in
+the same band (``_closed_form_numerator``).  Soundness: every value
+stays in the band, where the slot map is one-to-one, and the slots hold
+the larger of N's coefficient bound (``_closed_form_bound``) and P's
+times the largest L1 norm of a partial product of D, so no slot carries
+into the next and equal integers are equal polynomials.  The value returned
 is the certified one, read once.  Packed in one box instead, with the
 polynomial mirrored and checked for duality in dicts, the certificate
 took the coprime benchmark from 0.0432 to 0.0311 s; in the band it took
@@ -84,7 +86,7 @@ from functools import cache
 from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .packed import _Band, _BandValue, _expand_binomials, _Packed, _partition_counts, _parts_box
+from .packed import _Band, _BandValue, _Packed, _partition_counts
 from .poly import LaurentPoly, as_int
 from .series import FactoredRational, TruncatedSeries, _expand_factors, _lcm_factors, _missing_factors
 
@@ -94,18 +96,22 @@ MAX_ORDER = 100
 
 # Cap on the moduli dimension n^2(g-1) + 1 of ``ss_closed_form``.  Each
 # power of the sum is one shift and add over the whole packed numerator,
-# so at a fixed rank the cost grows about as g^4: rank 2 takes 0.03 s at
-# genus 32, 0.5 s at genus 64 (dim 253) and 10 s at genus 128.  The cap
-# keeps rank 2 up to genus 64 and rank 8 up to genus 4 (dim 193), the
-# slowest call it allows at about 1.5 s on a 2-core Xeon with Python 3.11.
+# so at a fixed rank the cost grows about as g^4: as the first call of a
+# process, rank 2 takes 0.03 s at genus 32, 0.8 s at genus 64 (dim 253)
+# and 9 s at genus 128.  The cap keeps rank 8 up to genus 4 (dim 193,
+# 0.23 s), rank 2 up to genus 64 and rank 1 up to genus 256, the slowest
+# call it allows at 3.2-3.5 s (1.0-1.3 s repeated in one process), on a
+# 2-core Xeon with Python 3.11.
 MAX_CLOSED_FORM_DIM = 256
 
 
 def leading_closed_term(n, g):
     """prod_{l=1..n} (1+u^l v^(l-1))^g (1+u^(l-1) v^l)^g over
-    (1-u^n v^n) prod_{l<n} (1-u^l v^l)^2."""
-    num = _expand_binomials([(1, (0, 0), _leading_factors(n, g))])
-    return FactoredRational(LaurentPoly._raw(num), _leading_den(n))
+    (1-u^n v^n) prod_{l<n} (1-u^l v^l)^2: the numerator is the one-part
+    ``_closed_form_numerator``, in the band of width n g whose slots hold
+    its L1 norm 4^(n g)."""
+    num = _closed_form_numerator(((1, (0, 0), _leading_factors(n, g)),), g, _Band(n * g, 4 ** (n * g)))
+    return FactoredRational(LaurentPoly._raw(num.unpack()), _leading_den(n))
 
 
 def _leading_den(n):
@@ -389,21 +395,52 @@ def ss_closed_form(n, d, g):
     The sum is returned over the least common denominator of its terms.
     There, the numerator of each term is a monomial (uv)^e with its sign
     times binomial powers (``_closed_form_parts``), so the whole
-    numerator is one ``packed._expand_binomials`` call, one part per
-    composition.  The rank is capped at ``hntypes.MAX_RANK``, since the
-    sum has 2^(n-1) terms, and the moduli dimension n^2(g-1) + 1 at
-    ``MAX_CLOSED_FORM_DIM``.
+    numerator is one packed value in the band of width n g, one part per
+    composition, sized by ``_closed_form_bound`` and unpacked once
+    (``_closed_form_numerator``).  The rank is capped at
+    ``hntypes.MAX_RANK``, since the sum has 2^(n-1) terms, and the moduli
+    dimension n^2(g-1) + 1 at ``MAX_CLOSED_FORM_DIM``.
     """
     parts = _closed_form_parts(n, d, g)
-    return FactoredRational(LaurentPoly._raw(_expand_binomials(parts)), dict(_closed_form_shape(n)[1]))
+    num = _closed_form_numerator(parts, g, _Band(n * g, _closed_form_bound(n, d % n, g)))
+    return FactoredRational(LaurentPoly._raw(num.unpack()), dict(_closed_form_shape(n)[1]))
+
+
+def _closed_form_numerator(parts, g, band):
+    """The sum of the parts (s, (e, e), factors), each s (uv)^e times the
+    binomial powers of its factors (c, a, b, k), as a ``packed._Packed``
+    value of the band: the numerator N of ``ss_closed_form`` from
+    ``_closed_form_parts``, or that of ``leading_closed_term`` from its
+    one part.  Every part opens with the Jacobian factor (1+u)^g (1+v)^g
+    of its first rank: each part is formed without it, shifted by (uv)^e
+    and added to the sum, and the Jacobian is applied once, to the sum.
+
+    The caller sizes the band: width n g for the rank n, and slots that
+    hold the sum of |s| prod (1 + |c|)^k over the parts
+    (``_closed_form_bound``), which bounds the L1 norm of every partial
+    product of a part and of every partial sum.  Each leading factor
+    (1 + u^a v^b)^g of a rank m moves p - q by g, m of them up and m
+    down, the ranks of a part sum to n, and the diagonal factors keep
+    p - q, so every value formed lies in the band with non-negative
+    exponents, where the slot map is one-to-one, and no slot carries into
+    the next: the packed integer is N's.
+    """
+    jacobian = _leading_factors(1, g)
+    num = None
+    for sign, (e, _), factors in parts:
+        if factors[:2] != jacobian:
+            raise InternalCheckError("closed-form part does not open with the Jacobian factor")
+        part = _Packed(band, sign, abs(sign), (0, 0)).times_binomials(factors[2:]).uv(e)
+        num = part if num is None else num + part
+    return num.times_binomials(jacobian)
 
 
 def _closed_form_parts(n, d, g):
     """The numerator of ``ss_closed_form(n, d, g)`` over the common
-    denominator of ``_closed_form_shape``, as a tuple of
-    ``_expand_binomials`` parts (``_closed_form_terms``).  The arguments
-    and caps are checked here, on every call, before anything is read or
-    expanded.
+    denominator of ``_closed_form_shape``, as a tuple of parts
+    (s, (e, e), factors) of ``_closed_form_numerator``
+    (``_closed_form_terms``).  The arguments and caps are checked here, on
+    every call, before anything is read or expanded.
     """
     _check_ints(n, d, g)
     _check_rank(n)
@@ -507,10 +544,10 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
     built in: P is certified in place (``_check_coprime``), and the
     certified value is what is read and returned.  (1-uv) S has
     coefficients of at most 2 max|S| and P at most 4 max|S| (Young's
-    inequality).  The band's slots hold the larger of N's bound, that of
-    the box of the closed form's parts (``_closed_form_bound``), and
-    4 max|S| times the norm of ``_coprime_denominator``; an empty S gives
-    the zero polynomial, which the closed form refuses.  The moduli
+    inequality).  The band's slots hold the larger of N's bound
+    (``_closed_form_bound``) and 4 max|S| times the norm of
+    ``_coprime_denominator``; an empty S gives the zero polynomial, which
+    the closed form refuses.  The moduli
     dimension is capped at ``MAX_ORDER``, the recursion's order, and the
     rank as in ``ss_closed_form``.
     """
@@ -538,10 +575,13 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
 
 @cache
 def _closed_form_bound(n, r, g):
-    """N's coefficient bound for the degrees d = r mod n, that of the box of
-    its parts (``packed._parts_box``), formed once per class as the parts
-    are (``_closed_form_terms``)."""
-    return _parts_box(_closed_form_terms(n, r, g))[3]
+    """N's coefficient bound for the degrees d = r mod n: the sum of
+    |s| prod (1 + |c|)^k over its parts (s, (e, e), factors), which
+    bounds the L1 norm of every partial product and partial sum
+    (``_closed_form_numerator``), formed once per class as the parts are
+    (``_closed_form_terms``)."""
+    parts = _closed_form_terms(n, r, g)
+    return sum(abs(s) * math.prod((1 + abs(c)) ** k for c, _, _, k in factors) for s, _, factors in parts)
 
 
 @cache
@@ -564,46 +604,30 @@ def _check_coprime(poly, parts, n, g, dim):
     poly is Poincare dual at the moduli dimension dim and, times D, the
     closed form's common denominator less one factor (1-uv)
     (``_coprime_denominator``), is the closed form's numerator N, formed
-    from its parts in the same band.  Then N / D is a polynomial, and it
-    is poly.
+    from its parts in the same band (``_closed_form_numerator``) and never
+    unpacked.  Then N / D is a polynomial, and it is poly.
 
     Duality is poly's slot reversal compared with poly
     (``packed._Packed.dual``).  The product is poly times D by one shift
-    and subtraction per stride.  N is the sum of its parts, each formed
-    without the Jacobian factor (1+u)^g (1+v)^g that opens it, and the
-    Jacobian applied once to the sum; it is never unpacked.
+    and subtraction per stride.
 
     Soundness.  The band's slot map is one-to-one on the points with
     |p - q| <= n g, so a polynomial there whose slots are non-negative and
-    hold its coefficients has one packed integer.  N lies there with
-    non-negative exponents, and so does each partial product of a part:
-    each leading factor (1 + u^a v^b)^g of a rank m moves p - q by g, m of
-    them up and m down, the ranks of a part sum to n, and the diagonal
-    factors keep p - q.  poly lies there with exponents at most dim, as
-    its dual checks, and D's factors keep p - q and only raise slots.
-    Every value tracks a bound on its largest |coefficient| (Young's
-    inequality), each partial product of poly and D at most poly's times
-    the norm of ``_coprime_denominator``, and the slots hold the larger
-    of that and N's, the bound of the box of its parts
-    (``_closed_form_bound``), which also bounds every partial product of
-    a part and every partial sum, so no slot of N, of a partial sum or of
-    a partial product carries into the next: equal integers are equal
-    polynomials, and poly D = N.  A wrong poly, however large its
-    coefficients, the zero polynomial included, fails the comparison.
+    hold its coefficients has one packed integer.  N and every value
+    formed for it lie there (``_closed_form_numerator``); poly lies there
+    with exponents at most dim, as its dual checks, and D's factors keep
+    p - q and only raise slots.  Every value tracks a bound on its largest
+    |coefficient| (Young's inequality), each partial product of poly and
+    D at most poly's times the norm of ``_coprime_denominator``, and the
+    slots hold the larger of that and N's (``_closed_form_bound``), so no
+    slot carries into the next: equal integers are equal polynomials,
+    and poly D = N.  A wrong poly, however large its coefficients, the
+    zero polynomial included, fails the comparison.
     The largest partial norm, not 2 per stride (2^15 against 2^28 at rank
     8), keeps the slots no wider than N needs.
     """
     if poly.dual(dim) != poly:
         raise InternalCheckError("coprime polynomial fails Poincare duality at dimension %d" % dim)
-    # every part opens with the Jacobian (1+u)^g (1+v)^g of its first rank:
-    # it is applied once, to the sum of the rest
-    jacobian = _leading_factors(1, g)
-    num = None
-    for sign, (e, _), factors in parts:
-        if factors[:2] != jacobian:
-            raise InternalCheckError("closed-form part does not open with the Jacobian factor")
-        part = _Packed(poly.layout, sign, 1, (0, 0)).times_binomials(factors[2:]).uv(e)
-        num = part if num is None else num + part
     strides, norm = _coprime_denominator(n)
-    if poly.times_diagonal(strides, norm) != num.times_binomials(jacobian):
+    if poly.times_diagonal(strides, norm) != _closed_form_numerator(parts, g, poly.layout):
         raise InternalCheckError("coprime polynomial times the closed form's denominator is not its numerator")

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError
-from .packed import _expand_binomials
+from .packed import _Box, _Packed
 from .poly import LaurentPoly, _add_terms, _mul_sparse, _scale_terms, _sub_terms
 from .poly import as_coeff, as_int, exact_divide
 
@@ -354,8 +354,12 @@ def _times_int(poly, c):
 
 def _expand_factors(factors):
     """prod (1 - (uv)^k)^m over the factor multiset {(k, k): m}: the
-    product prod (1 - t^k)^m in one variable, placed on the diagonal t = uv."""
-    line = _expand_binomials([(1, (0, 0), [(-1, k, 0, m) for (k, _), m in factors.items()])])
+    product prod (1 - t^k)^m in one variable, formed packed in a box of
+    one column, t^j at slot j (``packed._Packed.times_binomials``), whose
+    slots hold its L1 norm 2^(sum m), and placed on the diagonal t = uv."""
+    binomials = [(-1, k, 0, m) for (k, _), m in factors.items()]
+    box = _Box(1, 2 ** sum(factors.values()))
+    line = _Packed(box, 1, 1, (0, 0)).times_binomials(binomials).unpack()
     return LaurentPoly._raw({(j, j): c for (j, _), c in line.items()})
 
 

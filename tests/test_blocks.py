@@ -45,6 +45,16 @@ def twisted_numerator(g):
     return (ONE + LaurentPoly.monomial(1, 2, 1)) ** g * (ONE + LaurentPoly.monomial(1, 1, 2)) ** g
 
 
+def test_rank2_builders_refuse_genus_over_the_cap():
+    # the record checks the cap, so the building blocks that build one
+    # refuse genus 65 as fast as the rank-2 entry points do
+    assert blocks.MAX_GENUS == rank2.MAX_GENUS == 64
+    for build in (hp_ss_rank2_closed_form, hp_plusminus_jac_pair, hp_nt_zts):
+        with pytest.raises(DomainError, match="above the rank-2 cap of 64"):
+            build(65)
+        build(2)
+
+
 def test_jacobian_small_genus():
     assert hp_jacobian(0) == ONE
     assert hp_jacobian(1) == LaurentPoly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})

@@ -87,6 +87,26 @@ def test_type_validation():
         codim_hn(HNType(((1, 1), (1, 0))), 0)
 
 
+def test_float_and_boolean_inputs_rejected():
+    # an int() would truncate 1.5 to 1 and pass a float genus through to
+    # the codimension; each input is read as an integer instead
+    t = HNType(((1, 1), (1, 0)))
+    gl2 = ReductiveClass(((2, 1),))
+    for call in (
+        lambda: HNType(((1.5, 1), (1, 0))),
+        lambda: HNType(((1, 1), (1, 0.0))),
+        lambda: HNType(((True, 1), (1, 0))),
+        lambda: ReductiveClass(((1.5, 1),)),
+        lambda: ReductiveClass(((1, True),)),
+        lambda: codim_hn(t, 2.5),
+        lambda: codim_hn(t, True),
+        lambda: codim_deeper_stratum(gl2, 2, 2.5),
+        lambda: codim_deeper_stratum(gl2, 2.0, 2),
+    ):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+
+
 def test_rank_one_has_no_types():
     assert enumerate_hn_types(1, 5, 2, 50) == []
 

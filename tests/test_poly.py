@@ -22,7 +22,8 @@ from hpbundles import (
 from hpbundles import packed as packed_module
 from hpbundles import poly as poly_module
 from hpbundles import series as series_module
-from hpbundles.packed import _Band, _BandValue, _expand_binomials, _pack, _slot_width, _times_binomials, _unpack
+from hpbundles.packed import _Band, _BandValue, _Box, _pack, _Packed, _slot_width, _times_binomials, _unpack
+from hpbundles.semistable import _closed_form_parts, ss_closed_form
 from hpbundles.poly import (
     _add_terms,
     _binomial_power,
@@ -547,8 +548,37 @@ def test_binomial_power_matches_repeated_products():
 
 
 def expand(factors):
-    """The one-part call of the binomial expander: prod (1 + c u^a v^b)^k."""
-    return _expand_binomials([(1, (0, 0), factors)])
+    """prod (1 + c u^a v^b)^k by the binomial expander, from 1 in a box."""
+    return packed_sum([(1, (0, 0), factors)])
+
+
+def parts_bound(parts):
+    """sum |s| prod (1 + |c|)^k over the parts (s, (p, q), factors): a bound
+    on the L1 norm of every partial product and partial sum."""
+    return sum(abs(s) * math.prod((1 + abs(c)) ** k for c, _, _, k in factors) for s, _, factors in parts)
+
+
+def parts_band(parts):
+    """A band of the parts: its width is their largest total degree, which
+    no |p - q| of a partial product exceeds."""
+    width = max(p + q + sum(k * (a + b) for _, a, b, k in factors) for _, (p, q), factors in parts)
+    return _Band(width, parts_bound(parts))
+
+
+def packed_sum(parts, layout=None):
+    """sum s u^p v^q prod (1 + c u^a v^b)^k over the parts (s, (p, q),
+    factors), p, q >= 0, by the binomial expander: each part is its
+    monomial packed in the layout times its binomial powers
+    (``_Packed.times_binomials``), added into one value and unpacked once.
+    By default the layout is the box with one column past every exponent
+    of v that a partial product reaches."""
+    if layout is None:
+        cols = 1 + max(q + sum(k * b for _, _, b, k in factors) for _, (_, q), factors in parts)
+        layout = _Box(cols, parts_bound(parts))
+    total = _Packed(layout, 0, 0, (0, 0))
+    for s, (p, q), factors in parts:
+        total += _Packed(layout, s << layout.offset(p, q), abs(s), (p, q)).times_binomials(factors)
+    return total.unpack()
 
 
 def binomial_product(factors):
@@ -636,44 +666,43 @@ def random_parts(rng, count):
             a, b = rng.randint(1, 3), rng.randint(1, 3)
             a, b = rng.choice(((0, b), (a, 0), (a, b)))
             factors.append((rng.choice((1, -1, 2, -3, 5)), a, b, rng.randint(0, 5)))
-        offset = (rng.randint(-3, 4), rng.randint(-3, 4))
+        offset = (rng.randint(0, 6), rng.randint(0, 6))
         parts.append((rng.choice((1, -1, 2, -7, 0)), offset, factors))
     return parts
 
 
 def test_binomial_expander_sums_shifted_parts_in_one_unpacking(monkeypatch):
     # random signs and scalars s (0 and |s| > 1 too), coefficients c
-    # beyond +-1, k = 0, empty factor lists, and offsets of either sign,
-    # so the least offset sets the origin of the box; a sum of more than
-    # one part is unpacked once
-    unpacked = []
-    unpack = packed_module._unpack
+    # beyond +-1, k = 0, empty factor lists, and offsets on and off the
+    # diagonal; a sum of more than one part is the dict-loop sum in a box
+    # and in a band alike, and is read once
+    reads = []
+    read = packed_module._read_slots
 
-    def recording_unpack(*args):
-        unpacked.append(args[1])
-        return unpack(*args)
+    def recording_read(*args):
+        reads.append(args[3])
+        return read(*args)
 
-    monkeypatch.setattr(packed_module, "_unpack", recording_unpack)
+    monkeypatch.setattr(packed_module, "_read_slots", recording_read)
     rng = random.Random(14)
     seen = set()
     for _ in range(200):
         parts = random_parts(rng, rng.randint(2, 5))
-        unpacked.clear()
-        assert _expand_binomials(parts) == parts_sum(parts)
-        assert len(unpacked) == 1
-        origin = (min(p for _, (p, _), _ in parts), min(q for _, (_, q), _ in parts))
-        assert unpacked == [origin]
-        seen.add(origin != (0, 0))
+        for layout in (None, parts_band(parts)):
+            reads.clear()
+            assert packed_sum(parts, layout) == parts_sum(parts)
+            assert len(reads) == 1
+        seen.update("off diagonal" for _, (p, q), _ in parts if p != q)
         seen.update("empty" for _, _, factors in parts if not factors)
         seen.update("k = 0" for _, _, factors in parts for *_, k in factors if k == 0)
-    assert seen >= {True, False, "empty", "k = 0"}
+    assert seen >= {"off diagonal", "empty", "k = 0"}
     # parts that cancel: a part and its negative, and a product minus its
     # expansion term by term
     for s, offset, factors in random_parts(rng, 20):
-        assert _expand_binomials([(s, offset, factors), (-s, offset, factors)]) == {}
-    cancel = [(3, (1, -2), [(2, 1, 1, 2)]), (-3, (1, -2), []), (-12, (2, -1), []), (-12, (3, 0), [])]
-    assert _expand_binomials(cancel) == {}
-    assert _expand_binomials([]) == {}
+        assert packed_sum([(s, offset, factors), (-s, offset, factors)]) == {}
+    cancel = [(3, (1, 2), [(2, 1, 1, 2)]), (-3, (1, 2), []), (-12, (2, 3), []), (-12, (3, 4), [])]
+    assert packed_sum(cancel) == {}
+    assert packed_sum(cancel, parts_band(cancel)) == {}
 
 
 def test_times_binomials_is_the_same_for_every_order_of_its_factors():
@@ -697,7 +726,7 @@ def test_times_binomials_is_the_same_for_every_order_of_its_factors():
         assert len(values) == 1
         reference = {e: s * c for e, c in binomial_product(factors).items()}
         assert _unpack(values.pop(), (0, 0), rows, cols, width) == reference
-        assert _expand_binomials([(s, (0, 0), factors)]) == reference
+        assert packed_sum([(s, (0, 0), factors)]) == reference
         seen.update("c < 0" for c, *_ in factors if c < 0)
         seen.update("a = 0" for _, a, _, k in factors if a == 0 and k)
         seen.add("a differ" if len({a for _, a, _, k in factors if k}) > 1 else "a alike")
@@ -718,11 +747,21 @@ def test_one_part_call_moves_and_scales_its_product():
     )
     for factors in shapes:
         for _ in range(5):
-            part = (rng.choice((1, -1, 3, -4)), (rng.randint(-3, 3), rng.randint(-3, 3)), factors)
-            assert _expand_binomials([part]) == parts_sum([part])
-        assert _expand_binomials([(0, (2, 2), factors)]) == {}
+            part = (rng.choice((1, -1, 3, -4)), (rng.randint(0, 6), rng.randint(0, 6)), factors)
+            assert packed_sum([part]) == packed_sum([part], parts_band([part])) == parts_sum([part])
+        assert packed_sum([(0, (2, 2), factors)]) == {}
     for part in random_parts(rng, 40):
-        assert _expand_binomials([part]) == parts_sum([part])
+        assert packed_sum([part]) == packed_sum([part], parts_band([part])) == parts_sum([part])
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_closed_form_numerator_is_the_sum_of_its_parts(g):
+    # the numerator of ss_closed_form, formed part by part in the band of
+    # width n g with the Jacobian applied once to the sum, is the dict-loop
+    # sum of its parts at every rank 1-6 and every residue
+    for n in range(1, 7):
+        for d in range(n):
+            assert ss_closed_form(n, d, g).num._terms == parts_sum(_closed_form_parts(n, d, g)), (n, d)
 
 
 def test_negative_power_of_non_unit_rejected():

@@ -234,8 +234,7 @@ def test_deligne_call_builds_one_record_and_one_twisted_product(monkeypatch):
         return times(x, factors, strides, width)
 
     monkeypatch.setattr(rank2, "_rank2_numerators", counting_record)
-    # every packed product of binomial powers, the record's and the dict
-    # expander's alike, runs this shift-add loop
+    # every packed product of binomial powers runs this shift-add loop
     monkeypatch.setattr(packed, "_times_binomials", counting_times)
     hodge_deligne_stable_rank2(g)
     # one record: one Jacobian-times-twisted product and one Jacobian

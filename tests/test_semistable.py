@@ -869,10 +869,10 @@ def test_closed_form_rejects_moduli_dimension_one_over_its_cap(monkeypatch):
     assert semistable.moduli_dimension(8, 4) <= cap < semistable.moduli_dimension(8, 5)
     assert ss_closed_form(1, 0, cap).num == hp_jacobian(cap)
 
-    def refuse(parts):
+    def refuse(parts, g, band):
         raise AssertionError("expanded before the cap check")
 
-    monkeypatch.setattr(semistable, "_expand_binomials", refuse)
+    monkeypatch.setattr(semistable, "_closed_form_numerator", refuse)
     for n, g in ((1, cap + 1), (2, 65), (8, 5), (3, 1000)):
         with pytest.raises(DomainError, match="closed-form cap of %d" % cap):
             ss_closed_form(n, 1, g)

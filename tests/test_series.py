@@ -284,16 +284,16 @@ def test_den_factor_validation():
 
 
 def test_factor_expansion_packs_one_row(monkeypatch):
-    # prod (1 - (uv)^k)^m is expanded in one variable: one unpacking of a
-    # box one slot wide, equal to the product of binomial powers
+    # prod (1 - (uv)^k)^m is expanded in one variable: one read of a box
+    # one slot wide, equal to the product of binomial powers
     boxes = []
-    unpack = packed._unpack
+    read = packed._Slots.read
 
-    def recording_unpack(packed, origin, rows, cols, width, *rest):
-        boxes.append((rows, cols))
-        return unpack(packed, origin, rows, cols, width, *rest)
+    def recording_read(layout, value, slots):
+        boxes.append((type(layout), layout.cols))
+        return read(layout, value, slots)
 
-    monkeypatch.setattr(packed, "_unpack", recording_unpack)
+    monkeypatch.setattr(packed._Slots, "read", recording_read)
     rng = random.Random(21)
     # the denominator of a coprime closed-form sum, and the empty product
     dens = [{(1, 1): 3, (2, 2): 2, (3, 3): 1, (5, 5): 1}, {}]
@@ -304,7 +304,7 @@ def test_factor_expansion_packs_one_row(monkeypatch):
         for (k, _), m in den.items():
             expected = expected * (ONE - uv_power(k)) ** m
         assert _expand_factors(den) == expected
-        assert len(boxes) == 1 and boxes[0][1] == 1
+        assert boxes == [(packed._Box, 1)]
 
 
 def test_as_polynomial_via_division():
