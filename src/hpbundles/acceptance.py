@@ -89,6 +89,7 @@ def criterion_codim_double_entry(genera=DEFAULT_GENERA_CODIM):
     # Each index comes from a fresh, equal system, not the one passed to
     # stratum_codim, so the count stored by index_set is not read back:
     # stratum_codim counts again on its general path.
+    # Nor is the rank-2 calls' store (rank2._stratum_codims) read: an independent route.
     for g in genera:
         checks = (
             ("gl2", codim_deeper_stratum(ReductiveClass(((2, 1),)), 2, g), 3 * g),

@@ -42,10 +42,12 @@ exponents stay in the band, D = band(a) + band(b), and multiplying by
 (uv)^m is a shift by K m slots.  The window is read by ``_slot_values``
 and zipped with a key table, the exponents of slots 0, 1, ... (slot i
 holds s = (2i + D) // K and p = i - D s).  The tables are built at
-power-of-two lengths, and the 64 used last are kept (``_band_table``):
-a shorter window reads a prefix of its table, no table is longer than
-twice a window read at its width, and each is a tuple, built whole
-before it is shared, so threads can share them; a frozenset of a
+power-of-two lengths, and the 64 used last of at most 2^16 keys are
+kept (``_band_table``): a shorter window reads a prefix of its table,
+no table is longer than twice a window read at its width, and each is
+a tuple, built whole before it is shared, so threads can share them; a
+longer table, read only by a closed form at a large genus, is built for
+its read and dropped (``_BAND_TABLE_CAP``); a frozenset of a
 window's points tests a term dict's exponents against it
 (``_Band.points``).  Linearity also gives the dual: (p, q) ->
 (dim - p, dim - q) sends slot i to K dim - i, so the dual
@@ -207,10 +209,20 @@ def _read_slots(biased, keys, width, slots):
     return dict(zip(compress(keys, values), filter(None, values)))
 
 
+# The longest key table held (``_band_table``).  Reads within the
+# recursion's MAX_ORDER and the coprime caps take at most 2^15 keys; a
+# wider read, a closed form at a large genus, would hold megabytes
+_BAND_TABLE_CAP = 1 << 16
+
+
 def _band_keys(band, slots):
     """The key table of the band of width band, at least slots long: the
-    table of its power-of-two length (``_band_table``)."""
-    return _band_table(band, 1 << (slots - 1).bit_length())
+    held table of its power-of-two length (``_band_table``), or, past
+    _BAND_TABLE_CAP keys, one built for this read alone."""
+    length = 1 << (slots - 1).bit_length()
+    if length > _BAND_TABLE_CAP:
+        return _band_table.__wrapped__(band, slots)
+    return _band_table(band, length)
 
 
 @lru_cache(maxsize=64)

@@ -10,8 +10,10 @@ Four strata sit between the semistable locus and the stable one:
 Subtracting their shifted contributions from the semistable series and
 multiplying by (1-uv) leaves the Hodge-Poincare polynomial of the stable
 moduli space.  Every codimension is double-checked against an
-independent formula, and the assembled result is certified against a
-single closed form before being returned.
+independent formula, once per genus per process: the first call of a
+genus counts each codimension by both routes and keeps the four checked
+ints (``_stratum_codims``), and later calls read them.  The assembled
+result is certified against a single closed form before being returned.
 
 There is one numerator record per call: each public entry point checks
 the genus, builds one ``blocks._Rank2Numerators`` record and hands it to
@@ -33,6 +35,8 @@ the building blocks' included, refuses a genus past it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
+from operator import add
 
 from . import convex
 from .blocks import DEN_BT, HALF, _nt_zts, _rank2_numerators, _rational
@@ -117,6 +121,26 @@ def _unique_beta_codim(ws):
     return convex.stratum_codim(ws, indices[0])
 
 
+@cache
+def _stratum_codims(g):
+    """The codimensions (gl2, beta1, t, beta2) of the strata at genus g,
+    3g, 2g-1, 2g-2 and g-1, each counted by two routes: the gl2 and t
+    strata on their reductive classes, the beta strata on their weight
+    systems, and every count checked against its formula.  Held per
+    genus as four ints, so the counts run on the first call of a genus
+    in a process; the record has checked the cap, so at most
+    MAX_GENUS - 1 genera are held."""
+    codims = (
+        ("gl2", codim_deeper_stratum(ReductiveClass(((2, 1),)), 2, g), 3 * g),
+        ("beta1", _unique_beta_codim(weight_system_adjoint_sl2(g)), 2 * g - 1),
+        ("t", codim_deeper_stratum(ReductiveClass(((1, 1), (1, 1))), 2, g), 2 * g - 2),
+        ("beta2", _unique_beta_codim(weight_system_torus(g)), g - 1),
+    )
+    for label, value, expected in codims:
+        _expect_codim(label, value, expected)
+    return tuple(value for _, value, _ in codims)
+
+
 def stratum_gl2(g):
     """Doubled line bundles: HP(BGL(2)) times a Jacobian, codim 3g."""
     _check_genus(g)
@@ -124,9 +148,7 @@ def stratum_gl2(g):
 
 
 def _stratum_gl2(num):
-    codim = codim_deeper_stratum(ReductiveClass(((2, 1),)), 2, num.g)
-    _expect_codim("gl2", codim, 3 * num.g)
-    return _Stratum("gl2", codim, num.jac, DEN_BT, 1)
+    return _Stratum("gl2", _stratum_codims(num.g)[0], num.jac, DEN_BT, 1)
 
 
 def stratum_beta1(g):
@@ -137,9 +159,7 @@ def stratum_beta1(g):
 
 
 def _stratum_beta1(num):
-    codim = _unique_beta_codim(weight_system_adjoint_sl2(num.g))
-    _expect_codim("beta1", codim, 2 * num.g - 1)
-    return _Stratum("beta1", codim, num.jac.times_one_minus_uv(num.g), DEN_BETA, 1)
+    return _Stratum("beta1", _stratum_codims(num.g)[1], num.jac.times_one_minus_uv(num.g), DEN_BETA, 1)
 
 
 def stratum_t(g):
@@ -149,9 +169,7 @@ def stratum_t(g):
 
 
 def _stratum_t(num):
-    codim = codim_deeper_stratum(ReductiveClass(((1, 1), (1, 1))), 2, num.g)
-    _expect_codim("t", codim, 2 * num.g - 2)
-    return _Stratum("t", codim, _nt_zts(num), DEN_BT, HALF)
+    return _Stratum("t", _stratum_codims(num.g)[2], _nt_zts(num), DEN_BT, HALF)
 
 
 def stratum_beta2(g):
@@ -166,13 +184,11 @@ def stratum_beta2(g):
 
 def _stratum_beta2(num):
     g = num.g
-    codim = _unique_beta_codim(weight_system_torus(g))
-    _expect_codim("beta2", codim, g - 1)
     bracket = num.square - num.jac.uv(g)
     plus, minus = num.pair
     if bracket != plus + minus:
         raise InternalCheckError("beta2 bracket is not the eigenspace total")
-    return _Stratum("beta2", codim, bracket.times_one_minus_uv(g - 1), DEN_BETA, 1)
+    return _Stratum("beta2", _stratum_codims(g)[3], bracket.times_one_minus_uv(g - 1), DEN_BETA, 1)
 
 
 def rank2_strata(g):
@@ -201,23 +217,38 @@ def _assembled_num(num):
     is shifted by its codimension and brought to the scalar 1/2 by a
     small-int multiply; the terms that lack the same factors 1 - (uv)^a of
     the common denominator are added up first, and each group is cleared
-    once: gl2 with t by 1 - uv, beta1 with beta2 by 1 - u^2 v^2, and the
-    semistable term by nothing."""
-    terms = [(SS_RANK2_DEN, 1, 0, _ss_rank2_numerator(num))]
-    terms += [(s.den, -s.scalar, s.codim, s.num) for s in _strata(num)]
-    common = _lcm_factors([den for den, _, _, _ in terms])
-    groups = {}
-    for den, scalar, codim, part in terms:
-        part = int(2 * scalar) * part.uv(codim)
-        missing = tuple(sorted(_missing_factors(common, den).items()))
-        groups[missing] = groups[missing] + part if missing in groups else part
+    once (``_ASSEMBLY_GROUPS``): gl2 with t by 1 - uv, beta1 with beta2 by
+    1 - u^2 v^2, and the semistable term by nothing."""
+    terms = [_ss_rank2_numerator(num)] + [s.num.uv(s.codim) for s in _strata(num)]
     total = None
-    for missing, part in groups.items():
+    for strides, members in _ASSEMBLY_GROUPS:
+        part = reduce(add, (k * terms[i] for i, k in members))
         # every factor here is diagonal, 1 - (uv)^a, of L1 norm 2
-        strides = [a for (a, _), k in missing for _ in range(k)]
         part = part.times_diagonal(strides, 2 ** len(strides))
         total = part if total is None else total + part
     return total
+
+
+def _stride_groups(terms):
+    """The terms (den, scalar) of ``_assembled_num`` grouped by the factors
+    1 - (uv)^a of their common denominator that each den lacks: a tuple of
+    (the strides a of those factors, ((term index, 2 scalar), ...)) per
+    group, in order of its first term."""
+    common = _lcm_factors([den for den, _ in terms])
+    groups = {}
+    for i, (den, scalar) in enumerate(terms):
+        missing = sorted(_missing_factors(common, den).items())
+        strides = tuple(a for (a, _), k in missing for _ in range(k))
+        groups.setdefault(strides, []).append((i, int(2 * scalar)))
+    return tuple((strides, tuple(members)) for strides, members in groups.items())
+
+
+# The semistable closed form and the strata of ``_strata``, each with its
+# denominator and its scalar, negated for the strata: depending on no
+# genus, the groups are formed once
+_ASSEMBLY_GROUPS = _stride_groups(
+    ((SS_RANK2_DEN, 1), (DEN_BT, -1), (DEN_BETA, -1), (DEN_BT, -HALF), (DEN_BETA, -1))
+)
 
 
 def stable_rank2_closed_form(g):
@@ -240,7 +271,7 @@ def _stable_num(num):
         - 2 * square
         + square.uv(g - 1)
         - square.uv(g + 1)
-        - signs.times_one_minus_uv(1).times_one_minus_uv(1)
+        - signs.times_diagonal((1, 1), 4)
     )
 
 
@@ -261,7 +292,7 @@ def _deligne_num(num):
         - num.square
         - 2 * num.square.uv(num.g + 1)
         + num.square.uv(2)
-        - num.signs.times_one_minus_uv(1).times_one_minus_uv(1)
+        - num.signs.times_diagonal((1, 1), 4)
     )
 
 
@@ -307,7 +338,7 @@ def hodge_deligne_stable_rank2(g):
     num = _rank2_numerators(g)
     dual = _stable_quotient(num).dual(moduli_dimension_rank2(g))
     closed = _deligne_num(num)
-    cleared = (2 * dual).times_one_minus_uv(1).times_one_minus_uv(2)
+    cleared = (2 * dual).times_diagonal((1, 2), 4)  # by DEN_BT
     if cleared != closed:
         raise InternalCheckError(
             "dual polynomial disagrees with the compact-support closed form; residual %s"

@@ -452,6 +452,25 @@ def test_diagonal_division_refuses_a_band_value():
         x.divide_diagonal((1,))
 
 
+def test_band_key_tables_past_the_cap_are_read_and_dropped():
+    band = _Band(1, 2**7)
+    cap = packed_module._BAND_TABLE_CAP
+    # the window of the lowest order whose table is longer than the cap
+    order = next(order for order in itertools.count() if band.slots(order) > cap)
+    top = (order // 2, order - order // 2)
+    terms = {(0, 0): 1, (1, 0): -2, top: 3}
+    value = band.pack(terms, order, 3).value
+    tables = packed_module._band_table
+    held = tables.cache_info()
+    assert band.read(value, band.slots(order)) == terms
+    assert tables.cache_info() == held
+    # a read below the cap holds its table for the next
+    assert band.read(value, band.slots(order - 1)) == {(0, 0): 1, (1, 0): -2}
+    hits = tables.cache_info().hits
+    assert band.read(value, band.slots(order - 1)) == {(0, 0): 1, (1, 0): -2}
+    assert tables.cache_info().hits == hits + 1
+
+
 def test_outer_and_binomial_products_match_powers():
     for c, e, k in ((1, 1, 0), (1, 1, 3), (-1, 2, 3), (2, 1, 2)):
         assert unpacked(BOX.outer(c, e, k)) == (ONE + LaurentPoly.monomial(c, e, 0)) ** k * (

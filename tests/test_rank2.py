@@ -10,6 +10,7 @@ from hpbundles import (
     V,
     DomainError,
     FactoredRational,
+    InternalCheckError,
     LaurentPoly,
     StratumRecord,
     assemble_stable_hp,
@@ -26,7 +27,7 @@ from hpbundles import (
     stable_rank2_closed_form,
     uv_power,
 )
-from hpbundles import blocks, packed, rank2, serialize
+from hpbundles import blocks, convex, packed, rank2, serialize
 from hpbundles.rank2 import stratum_beta1, stratum_beta2, stratum_gl2, stratum_t
 from hpbundles.semistable import SS_RANK2_DEN, _ss_rank2_numerator
 from hpbundles.series import _lcm_factors, _missing_factors
@@ -40,6 +41,42 @@ def test_stratum_codims():
         assert stratum_beta1(g).codim == 2 * g - 1
         assert stratum_t(g).codim == 2 * g - 2
         assert stratum_beta2(g).codim == g - 1
+    # the held codimensions at every genus
+    for g in range(2, rank2.MAX_GENUS + 1):
+        expected = (3 * g, 2 * g - 1, 2 * g - 2, g - 1)
+        assert rank2._stratum_codims(g) == expected
+        assert tuple(stratum.codim for stratum in rank2_strata(g)) == expected
+
+
+def test_codims_held_once_per_genus_as_ints():
+    held = rank2._stratum_codims
+    held.cache_clear()
+    for g in range(2, rank2.MAX_GENUS + 1):
+        stratum_gl2(g)
+    # a genus past the cap is refused before the store is read
+    with pytest.raises(DomainError):
+        stratum_gl2(rank2.MAX_GENUS + 1)
+    info = held.cache_info()
+    assert info.currsize == rank2.MAX_GENUS - 1
+    for g in range(2, rank2.MAX_GENUS + 1):
+        codims = held(g)
+        assert type(codims) is tuple and len(codims) == 4
+        assert all(type(codim) is int for codim in codims)
+    # every read above came from the store
+    assert held.cache_info().misses == info.misses
+
+
+def test_broken_codimension_route_fails_the_call(monkeypatch):
+    def torus_at_multiplicity_g(g):
+        return convex.WeightSystem(dim=1, weights=(((2,), g), ((-2,), g)), roots=(), chamber=((1,),))
+
+    monkeypatch.setattr(rank2, "weight_system_torus", torus_at_multiplicity_g)
+    rank2._stratum_codims.cache_clear()
+    try:
+        with pytest.raises(InternalCheckError, match="stratum beta2: codimension cross-check 3 != 2"):
+            hp_moduli_stable_rank2(3)
+    finally:
+        rank2._stratum_codims.cache_clear()
 
 
 def test_stratum_gl2_contribution_structure():
