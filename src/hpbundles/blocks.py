@@ -21,9 +21,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DomainError, InternalCheckError
-from .packed import _Box, _partition_counts
+from .packed import _Box, _cut_inverse_norm, _diagonal_norm
 from .poly import ONE, U, V, LaurentPoly, as_int
-from .series import FactoredRational
+from .series import FactoredRational, _strides
 
 HALF = Fraction(1, 2)
 
@@ -87,9 +87,8 @@ def hp_bsl(n):
 def hp_plusminus_bt():
     """Symmetric and antisymmetric parts of H*(BT), T a rank-2 torus, under
     the coordinate swap: (1/((1-uv)(1-u^2v^2)), uv/((1-uv)(1-u^2v^2)))."""
-    den = {(1, 1): 1, (2, 2): 1}
-    plus = FactoredRational(ONE, den)
-    minus = FactoredRational(U * V, den)
+    plus = FactoredRational(ONE, DEN_BT)
+    minus = FactoredRational(U * V, DEN_BT)
     return plus, minus
 
 
@@ -180,13 +179,16 @@ def _rank2_bound(g):
     stable closed form has the bound S = 2 C(g, g/2)^2 4^g (2 jac_twisted)
     + 4 C(2g, g)^2 (the four shifted squares) + 4 C(g, g/2)^2 (signs times
     (1-uv)^2), with g/2 rounded down.  Its half, S // 2, divided by
-    (1-uv)(1-u^2 v^2) has the bound S // 2 times T(4g + 1), the L1 norm of
-    the series 1/((1-uv)(1-u^2 v^2)) cut after the 4g + 1 points of the
-    longest diagonal, T(r) = sum_{k<r} (k // 2 + 1); and the certificate
-    multiplies twice its dual by (1-uv)(1-u^2 v^2), whose L1 norm is 4."""
+    DEN_BT = (1-uv)(1-u^2 v^2) has the bound S // 2 times T(4g + 1), the
+    L1 norm of the series 1/((1-uv)(1-u^2 v^2)) cut after the 4g + 1
+    points of the longest diagonal, T(r) = sum_{k<r} (k // 2 + 1)
+    (``packed._cut_inverse_norm``); and the certificate multiplies twice
+    its dual by DEN_BT, whose partial products have L1 norms of at most 4
+    (``packed._diagonal_norm``)."""
     centre = math.comb(g, g // 2) ** 2
     closed = 2 * centre * 4**g + 4 * math.comb(2 * g, g) ** 2 + 4 * centre
-    return 8 * (closed // 2) * sum(_partition_counts((1, 2), 4 * g + 1))
+    strides = _strides(DEN_BT)
+    return 2 * _diagonal_norm(strides) * (closed // 2) * _cut_inverse_norm(strides, 4 * g + 1)
 
 
 def _rank2_numerators(g):
@@ -225,7 +227,7 @@ def _nt_zts(num):
     closed = (
         num.square
         + num.square.uv(1)
-        + num.signs.times_one_minus_uv(1)
+        + num.signs.times_diagonal((1,))
         - 2 * num.jac.uv(num.g)
     )
     if composed != closed:

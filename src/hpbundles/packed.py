@@ -110,16 +110,21 @@ next row, raises InternalCheckError.  Sums add the bounds, small-int
 multiples scale them, and a product by a polynomial, prod (1 - (uv)^m)
 or binomial powers, multiplies the bound by the L1 norm of each partial
 product it forms: by Young's inequality, max |coefficient of a b| <=
-max |coefficient of a| |b|_1.  Those operations are then big-integer
-adds and shifts in either layout, equality is integer equality, a
-parity mask finds odd coefficients, and the dual (uv)^d p(1/u, 1/v)
-reverses the slots.  In a box only, the division by a product of
-factors 1 - (uv)^m is a running sum by shift-adds along the diagonals,
-certified by multiplying back.  A layout holds its slot patterns, the
-bias, the parity mask and the digit masks of a division: each is built
-once, for the longest run of slots asked for, and cut to a shorter run
-by a mask, about 15 times cheaper than building it.  Only the results
-are unpacked.
+max |coefficient of a| |b|_1.  The norm of a diagonal product
+prod (1 - (uv)^m) is worked out here from its strides m, never taken
+from the caller: the largest L1 norm of a product over the first
+strides, as each is formed (``_diagonal_norm``).  Those operations are
+then big-integer adds and shifts in either layout, equality of two
+values of one layout is integer equality, a parity mask finds odd
+coefficients, and the dual (uv)^d p(1/u, 1/v) reverses the slots.  In
+a box only, the division by a product of factors 1 - (uv)^m is a
+running sum by shift-adds along the diagonals, its bound that of the
+dividend times the L1 norm of the inverse series cut at the longest
+diagonal (``_cut_inverse_norm``), certified by multiplying back.  A
+layout holds its slot patterns, the bias, the parity mask and the digit
+masks of a division: each is built once, for the longest run of slots
+asked for, and cut to a shorter run by a mask, about 15 times cheaper
+than building it.  Only the results are unpacked.
 """
 
 from __future__ import annotations
@@ -390,7 +395,7 @@ class _Slots:
             held = self._patterns[value] = (slots, _slot_pattern(value, self.width, slots))
         return held[1] if held[0] == slots else held[1] & ((1 << 8 * self.width * slots) - 1)
 
-    def times_diagonal(self, value, strides):
+    def diagonal_product(self, value, strides):
         """value times prod (1 - (uv)^m) over the strides m: one shift by
         m (sp + sq) slots and one subtraction per stride, in order."""
         step = self.offset(1, 1)
@@ -427,6 +432,30 @@ def _partition_counts(strides, reach):
         for j in range(m, reach):
             counts[j] += counts[j - m]
     return counts
+
+
+@lru_cache(maxsize=256)
+def _cut_inverse_norm(strides, reach):
+    """The L1 norm of prod 1 / (1 - t^m) over the strides m cut after its
+    first reach terms: the sum of ``_partition_counts``, held per
+    (strides, reach)."""
+    return sum(_partition_counts(strides, reach))
+
+
+@lru_cache(maxsize=256)
+def _diagonal_norm(strides):
+    """The largest L1 norm of prod (1 - t^m) over the first j strides m,
+    j = 0..len(strides): the norm that bounds a product by
+    prod (1 - (uv)^m), formed one stride at a time in order, each partial
+    product being formed, not only the whole, by Young's inequality.
+    Held per tuple of strides."""
+    line, norm = [1], 1
+    for m in strides:
+        line += [0] * m
+        for j in range(len(line) - 1, m - 1, -1):
+            line[j] -= line[j - m]
+        norm = max(norm, sum(map(abs, line)))
+    return norm
 
 
 class _Box(_Slots):
@@ -626,11 +655,12 @@ class _BandValue:
             value -= wide[y].value << c * step
         return _BandValue(band, value, order, bound)
 
-    def times_diagonal(self, strides, norm):
+    def times_diagonal(self, strides):
         """self times prod (1 - (uv)^m) over the strides m, as
-        ``_Packed.times_diagonal``; its window at self's order depends
-        only on self's."""
-        return _BandValue(self.band, self.band.times_diagonal(self.value, strides), self.order, self.bound * norm)
+        ``_Packed.times_diagonal``, the bound times ``_diagonal_norm``;
+        its window at self's order depends only on self's."""
+        value = self.band.diagonal_product(self.value, strides)
+        return _BandValue(self.band, value, self.order, self.bound * _diagonal_norm(strides))
 
 
 def _widen(held, target, order):
@@ -690,8 +720,12 @@ class _Packed:
         self.top = top
 
     def __eq__(self, other):
+        """Integer equality, for values of one layout: the integers of two
+        layouts can be equal for different polynomials."""
         if not isinstance(other, _Packed):
             return NotImplemented
+        if other.layout is not self.layout:
+            raise InternalCheckError("cannot compare values of two layouts")
         return self.value == other.value
 
     __hash__ = None
@@ -718,19 +752,15 @@ class _Packed:
         p, q = self.top
         return _Packed(self.layout, self.value << self.layout.offset(k, k), self.bound, (p + k, q + k))
 
-    def times_one_minus_uv(self, k):
-        """self times 1 - (uv)^k."""
-        return self.times_diagonal((k,), 2)
-
-    def times_diagonal(self, strides, norm):
+    def times_diagonal(self, strides):
         """self times D = prod (1 - (uv)^m) over the strides m, one shift
-        and subtraction per stride, in order, for a bound norm on the L1
-        norm of every partial product over the first strides, each being
-        formed, not only of D."""
+        and subtraction per stride, in order: the bound times the largest
+        L1 norm of a partial product over the first strides, each being
+        formed, not only D (``_diagonal_norm``)."""
         total = sum(strides)
         p, q = self.top
-        value = self.layout.times_diagonal(self.value, strides)
-        return _Packed(self.layout, value, self.bound * norm, (p + total, q + total))
+        value = self.layout.diagonal_product(self.value, strides)
+        return _Packed(self.layout, value, self.bound * _diagonal_norm(strides), (p + total, q + total))
 
     def times_binomials(self, factors):
         """self times prod (1 + c u^a v^b)^k over the factors (c, a, b, k),
@@ -785,7 +815,7 @@ class _Packed:
         Certified, not assumed: an exact quotient is self times the series
         prod 1 / (1 - (uv)^m), of which only the first reach terms reach
         the box, so its coefficients are at most self's bound times their
-        sum, the L1 norm of that cut series (``_partition_counts``), and
+        sum, the L1 norm of that cut series (``_cut_inverse_norm``), and
         its exponents are at most top - (sum m, sum m).  The candidate must
         have digits of at most limit / 2^(n+1), n the number of strides,
         and no term past those exponents (checked on the biased slots by
@@ -799,7 +829,7 @@ class _Packed:
         bits = 8 * box.width
         reach = self.top[0] + 1
         top = (self.top[0] - sum(strides), self.top[1] - sum(strides))
-        bound = self.bound * sum(_partition_counts(strides, reach))
+        bound = self.bound * _cut_inverse_norm(strides, reach)
         digit = box.limit >> (len(strides) + 1)
         if bound >= digit:
             raise InternalCheckError("quotient bound %d reaches the digit bound 2^%d" % (bound, digit.bit_length() - 1))
@@ -819,7 +849,7 @@ class _Packed:
         if not 0 <= biased < 1 << bits * slots or biased & high or (biased ^ bias) & past:
             return None
         quotient = _Packed(box, z, bound, top)
-        return quotient if quotient.times_diagonal(strides, 2 ** len(strides)) == self else None
+        return quotient if quotient.times_diagonal(strides) == self else None
 
 
 def _reverse_slots(data, width):

@@ -48,11 +48,16 @@ from .errors import DomainError, InternalCheckError
 from .hntypes import ReductiveClass, codim_deeper_stratum
 from .poly import LaurentPoly, as_int
 from .semistable import SS_RANK2_DEN, _ss_rank2_numerator, moduli_dimension
-from .series import FactoredRational, _lcm_factors, _missing_factors
+from .series import FactoredRational, _lcm_factors, _missing_factors, _strides
 
 
 # (1 - uv)^2, the denominator of the beta strata
 DEN_BETA = {(1, 1): 2}
+
+# The four strata, each stated once: its label, the denominator of its
+# contribution and its scalar, in the order of ``_strata`` and of
+# ``_stratum_codims``, and read by ``_stratum`` and ``_ASSEMBLY_GROUPS``
+_STRATA = (("gl2", DEN_BT, 1), ("beta1", DEN_BETA, 1), ("t", DEN_BT, HALF), ("beta2", DEN_BETA, 1))
 
 
 @dataclass(frozen=True)
@@ -131,14 +136,21 @@ def _stratum_codims(g):
     in a process; the record has checked the cap, so at most
     MAX_GENUS - 1 genera are held."""
     codims = (
-        ("gl2", codim_deeper_stratum(ReductiveClass(((2, 1),)), 2, g), 3 * g),
-        ("beta1", _unique_beta_codim(weight_system_adjoint_sl2(g)), 2 * g - 1),
-        ("t", codim_deeper_stratum(ReductiveClass(((1, 1), (1, 1))), 2, g), 2 * g - 2),
-        ("beta2", _unique_beta_codim(weight_system_torus(g)), g - 1),
+        (codim_deeper_stratum(ReductiveClass(((2, 1),)), 2, g), 3 * g),
+        (_unique_beta_codim(weight_system_adjoint_sl2(g)), 2 * g - 1),
+        (codim_deeper_stratum(ReductiveClass(((1, 1), (1, 1))), 2, g), 2 * g - 2),
+        (_unique_beta_codim(weight_system_torus(g)), g - 1),
     )
-    for label, value, expected in codims:
+    for (label, _, _), (value, expected) in zip(_STRATA, codims):
         _expect_codim(label, value, expected)
-    return tuple(value for _, value, _ in codims)
+    return tuple(value for value, _ in codims)
+
+
+def _stratum(i, num, value):
+    """The stratum _STRATA[i] of the record's genus, its packed
+    numerator value."""
+    label, den, scalar = _STRATA[i]
+    return _Stratum(label, _stratum_codims(num.g)[i], value, den, scalar)
 
 
 def stratum_gl2(g):
@@ -148,7 +160,7 @@ def stratum_gl2(g):
 
 
 def _stratum_gl2(num):
-    return _Stratum("gl2", _stratum_codims(num.g)[0], num.jac, DEN_BT, 1)
+    return _stratum(0, num, num.jac)
 
 
 def stratum_beta1(g):
@@ -159,7 +171,7 @@ def stratum_beta1(g):
 
 
 def _stratum_beta1(num):
-    return _Stratum("beta1", _stratum_codims(num.g)[1], num.jac.times_one_minus_uv(num.g), DEN_BETA, 1)
+    return _stratum(1, num, num.jac.times_diagonal((num.g,)))
 
 
 def stratum_t(g):
@@ -169,7 +181,7 @@ def stratum_t(g):
 
 
 def _stratum_t(num):
-    return _Stratum("t", _stratum_codims(num.g)[2], _nt_zts(num), DEN_BT, HALF)
+    return _stratum(2, num, _nt_zts(num))
 
 
 def stratum_beta2(g):
@@ -188,7 +200,7 @@ def _stratum_beta2(num):
     plus, minus = num.pair
     if bracket != plus + minus:
         raise InternalCheckError("beta2 bracket is not the eigenspace total")
-    return _Stratum("beta2", _stratum_codims(g)[3], bracket.times_one_minus_uv(g - 1), DEN_BETA, 1)
+    return _stratum(3, num, bracket.times_diagonal((g - 1,)))
 
 
 def rank2_strata(g):
@@ -202,13 +214,15 @@ def _strata(num):
 
 def assemble_stable_hp(ss, strata):
     """Remove the strata from the semistable series:
-    ss - sum (uv)^codim * contribution, over a common denominator."""
-    result = ss
+    ss - sum (uv)^codim * contribution, as one ``FactoredRational.sum``
+    over the common denominator; ss itself when there are no strata.
+    Every codimension is checked before anything is summed."""
     for stratum in strata:
         if stratum.codim <= 0:
             raise DomainError("stratum %s has non-positive codimension" % stratum.label)
-        result = result - stratum.contribution.shift_degrees(stratum.codim)
-    return result
+    if not strata:
+        return ss
+    return FactoredRational.sum([ss] + [-s.contribution.shift_degrees(s.codim) for s in strata])
 
 
 def _assembled_num(num):
@@ -223,8 +237,7 @@ def _assembled_num(num):
     total = None
     for strides, members in _ASSEMBLY_GROUPS:
         part = reduce(add, (k * terms[i] for i, k in members))
-        # every factor here is diagonal, 1 - (uv)^a, of L1 norm 2
-        part = part.times_diagonal(strides, 2 ** len(strides))
+        part = part.times_diagonal(strides)
         total = part if total is None else total + part
     return total
 
@@ -237,18 +250,15 @@ def _stride_groups(terms):
     common = _lcm_factors([den for den, _ in terms])
     groups = {}
     for i, (den, scalar) in enumerate(terms):
-        missing = sorted(_missing_factors(common, den).items())
-        strides = tuple(a for (a, _), k in missing for _ in range(k))
+        strides = tuple(sorted(_strides(_missing_factors(common, den))))
         groups.setdefault(strides, []).append((i, int(2 * scalar)))
     return tuple((strides, tuple(members)) for strides, members in groups.items())
 
 
-# The semistable closed form and the strata of ``_strata``, each with its
+# The semistable closed form and the strata of ``_STRATA``, each with its
 # denominator and its scalar, negated for the strata: depending on no
 # genus, the groups are formed once
-_ASSEMBLY_GROUPS = _stride_groups(
-    ((SS_RANK2_DEN, 1), (DEN_BT, -1), (DEN_BETA, -1), (DEN_BT, -HALF), (DEN_BETA, -1))
-)
+_ASSEMBLY_GROUPS = _stride_groups(((SS_RANK2_DEN, 1),) + tuple((den, -scalar) for _, den, scalar in _STRATA))
 
 
 def stable_rank2_closed_form(g):
@@ -271,7 +281,7 @@ def _stable_num(num):
         - 2 * square
         + square.uv(g - 1)
         - square.uv(g + 1)
-        - signs.times_diagonal((1, 1), 4)
+        - signs.times_diagonal((1, 1))
     )
 
 
@@ -292,7 +302,7 @@ def _deligne_num(num):
         - num.square
         - 2 * num.square.uv(num.g + 1)
         + num.square.uv(2)
-        - num.signs.times_diagonal((1, 1), 4)
+        - num.signs.times_diagonal((1, 1))
     )
 
 
@@ -325,7 +335,7 @@ def _stable_quotient(num):
     half = closed.halve()
     if half is None:
         raise InternalCheckError("stable rank-2 polynomial has non-integer coefficients")
-    quotient = half.divide_diagonal((1, 2))  # by DEN_BT, (1 - uv)(1 - u^2 v^2)
+    quotient = half.divide_diagonal(_strides(DEN_BT))
     if quotient is None:
         raise InternalCheckError("assembled series is not a polynomial")
     return quotient
@@ -338,7 +348,7 @@ def hodge_deligne_stable_rank2(g):
     num = _rank2_numerators(g)
     dual = _stable_quotient(num).dual(moduli_dimension_rank2(g))
     closed = _deligne_num(num)
-    cleared = (2 * dual).times_diagonal((1, 2), 4)  # by DEN_BT
+    cleared = (2 * dual).times_diagonal(_strides(DEN_BT))
     if cleared != closed:
         raise InternalCheckError(
             "dual polynomial disagrees with the compact-support closed form; residual %s"

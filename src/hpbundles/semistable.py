@@ -67,9 +67,10 @@ integers, P D one shift and subtraction per stride, and N is formed in
 the same band (``_closed_form_numerator``).  Soundness: every value
 stays in the band, where the slot map is one-to-one, and the slots hold
 the larger of N's coefficient bound (``_closed_form_bound``) and P's
-times the largest L1 norm of a partial product of D, so no slot carries
-into the next and equal integers are equal polynomials.  The value returned
-is the certified one, read once.  Packed in one box instead, with the
+times the largest L1 norm of a partial product of D, which ``packed``
+works out from D's strides (``packed._diagonal_norm``), so no slot
+carries into the next and equal integers are equal polynomials.  The
+value returned is the certified one, read once.  Packed in one box instead, with the
 polynomial mirrored and checked for duality in dicts, the certificate
 took the coprime benchmark from 0.0432 to 0.0311 s; in the band it took
 it from 0.0255 to 0.0221 s (medians of ten alternating pairs, seed 13;
@@ -86,9 +87,9 @@ from functools import cache
 from .blocks import _leading_factors, _rank2_numerators, _rational
 from .errors import DomainError, InternalCheckError
 from .hntypes import _check_rank, _compositions, codim_hn, enumerate_hn_types
-from .packed import _Band, _BandValue, _Packed, _partition_counts
+from .packed import _Band, _BandValue, _diagonal_norm, _Packed, _partition_counts
 from .poly import LaurentPoly, as_int
-from .series import FactoredRational, TruncatedSeries, _expand_factors, _lcm_factors, _missing_factors
+from .series import FactoredRational, TruncatedSeries, _lcm_factors, _missing_factors, _strides
 
 # A series to order N has up to (N+1)(N+2)/2 terms, 5151 at this cap.
 # Rank 8 at order 100 takes about 0.4 s on a 2-core Xeon with Python 3.11.
@@ -129,7 +130,7 @@ def _leading_division(n):
     (``packed._partition_counts``).  Neither depends on the genus or the
     order, so both are formed once per rank, as ``_closed_form_shape``
     is."""
-    strides = tuple(m for (m, _), k in _leading_den(n).items() for _ in range(k))
+    strides = _strides(_leading_den(n))
     return strides, tuple(_partition_counts(strides, MAX_ORDER // 2 + 1))
 
 
@@ -545,9 +546,10 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
     certified value is what is read and returned.  (1-uv) S has
     coefficients of at most 2 max|S| and P at most 4 max|S| (Young's
     inequality).  The band's slots hold the larger of N's bound
-    (``_closed_form_bound``) and 4 max|S| times the norm of
-    ``_coprime_denominator``; an empty S gives the zero polynomial, which
-    the closed form refuses.  The moduli
+    (``_closed_form_bound``) and 4 max|S| times the diagonal norm of the
+    strides of ``_coprime_denominator`` (``packed._diagonal_norm``), the
+    bound of P D; an empty S gives the zero polynomial, which the closed
+    form refuses.  The moduli
     dimension is capped at ``MAX_ORDER``, the recursion's order, and the
     rank as in ``ss_closed_form``.
     """
@@ -564,10 +566,10 @@ def stable_coprime_polynomial(n, d, g, evaluator=None):
         raise InternalCheckError("the recursion's series has non-integer coefficients")
     bound = max(max(values, default=0), -min(values, default=0))
     parts = _closed_form_parts(n, d, g)
-    band = _Band(n * g, max(_closed_form_bound(n, d % n, g), 4 * bound * _coprime_denominator(n)[1]))
+    band = _Band(n * g, max(_closed_form_bound(n, d % n, g), 4 * bound * _diagonal_norm(_coprime_denominator(n))))
     if not terms.keys() <= band.points(dim):
         raise InternalCheckError("the recursion's series has a term outside its window in the band %d" % band.band)
-    low = band.pack(terms, dim, bound).times_diagonal((1,), 2)
+    low = band.pack(terms, dim, bound).times_diagonal((1,))
     poly = low.window(dim) + low.window(dim - 1).dual(dim)
     _check_coprime(poly, parts, n, g, dim)
     return LaurentPoly._raw(poly.unpack())
@@ -587,16 +589,14 @@ def _closed_form_bound(n, r, g):
 @cache
 def _coprime_denominator(n):
     """The strides m of the closed form's common denominator less one
-    factor (1-uv), D = prod (1 - (uv)^m), and the largest L1 norm of a
-    product over the first strides, the norm ``packed._Packed``'s
-    ``times_diagonal`` needs, as it forms each: above D's own at ranks 5
-    (224 against 208) and 7 (5036 against 5012).  Neither depends on the
-    degree or the genus, so both are formed once per rank."""
+    factor (1-uv), D = prod (1 - (uv)^m), in the order of
+    ``_closed_form_shape``: ``packed._Packed.times_diagonal`` forms D one
+    stride at a time in that order, and works out its norm from them.
+    They do not depend on the degree or the genus, so they are formed
+    once per rank."""
     den = dict(_closed_form_shape(n)[1])
     den[(1, 1)] -= 1  # (1-uv) times the sum
-    strides = tuple(m for (m, _), k in den.items() for _ in range(k))
-    heads = (Counter((m, m) for m in strides[:j]) for j in range(len(strides) + 1))
-    return strides, max(sum(map(abs, _expand_factors(head)._terms.values())) for head in heads)
+    return _strides(den)
 
 
 def _check_coprime(poly, parts, n, g, dim):
@@ -618,16 +618,17 @@ def _check_coprime(poly, parts, n, g, dim):
     with exponents at most dim, as its dual checks, and D's factors keep
     p - q and only raise slots.  Every value tracks a bound on its largest
     |coefficient| (Young's inequality), each partial product of poly and
-    D at most poly's times the norm of ``_coprime_denominator``, and the
-    slots hold the larger of that and N's (``_closed_form_bound``), so no
-    slot carries into the next: equal integers are equal polynomials,
-    and poly D = N.  A wrong poly, however large its coefficients, the
-    zero polynomial included, fails the comparison.
-    The largest partial norm, not 2 per stride (2^15 against 2^28 at rank
-    8), keeps the slots no wider than N needs.
+    D at most poly's times the largest L1 norm of a product over the
+    first strides of D (``packed._diagonal_norm``: above D's own at ranks
+    5, 224 against 208, and 7, 5036 against 5012), and the slots hold the
+    larger of that and N's (``_closed_form_bound``), so no slot carries
+    into the next: equal integers are equal polynomials, and poly D = N.
+    A wrong poly, however large its coefficients, the zero polynomial
+    included, fails the comparison.  The largest partial norm, not 2 per
+    stride (2^15 against 2^28 at rank 8), keeps the slots no wider than N
+    needs.
     """
     if poly.dual(dim) != poly:
         raise InternalCheckError("coprime polynomial fails Poincare duality at dimension %d" % dim)
-    strides, norm = _coprime_denominator(n)
-    if poly.times_diagonal(strides, norm) != _closed_form_numerator(parts, g, poly.layout):
+    if poly.times_diagonal(_coprime_denominator(n)) != _closed_form_numerator(parts, g, poly.layout):
         raise InternalCheckError("coprime polynomial times the closed form's denominator is not its numerator")

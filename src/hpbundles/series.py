@@ -363,6 +363,14 @@ def _expand_factors(factors):
     return LaurentPoly._raw({(j, j): c for (j, _), c in line.items()})
 
 
+def _strides(den):
+    """The strides k of the factor multiset den {(k, k): m}, each
+    repeated m times, in den's order, as a tuple: one per factor
+    1 - (uv)^k of prod (1 - (uv)^k)^m, as the packed diagonal operations
+    take them (``packed._Packed.times_diagonal``)."""
+    return tuple(k for (k, _), m in den.items() for _ in range(m))
+
+
 def _divide_factors(terms, den, order=None):
     """The term dict q with q * prod (1 - (uv)^k)^m = terms over the
     factor multiset den {(k, k): m}, or None if there is none.
@@ -379,7 +387,7 @@ def _divide_factors(terms, den, order=None):
     edge of that window, the series quotient there; nothing is checked or
     dropped.
     """
-    strides = [k for (k, _), m in den.items() for _ in range(m)]
+    strides = _strides(den)
     diagonals = {}
     for (p, q), c in sorted(terms.items()):
         diagonals.setdefault(p - q, []).append((p, q, c))

@@ -31,12 +31,14 @@ from hpbundles.packed import (  # noqa: E402
     _Band,
     _BandValue,
     _Box,
+    _diagonal_norm,
     _pack,
     _Packed,
     _partition_counts,
     _unpack,
     _widen,
 )
+from hpbundles.series import _expand_factors  # noqa: E402
 
 # Room for the drawn polynomials (exponents below SIDE) and every shift,
 # product and dual below; slots of 2^200 hold the drawn coefficients,
@@ -85,7 +87,10 @@ def test_shift_is_a_monomial_product(a, k):
 @settings(max_examples=60, deadline=None)
 @given(polys(), st.integers(0, SIDE))
 def test_one_minus_uv_power_is_one_shift_and_one_subtraction(a, k):
-    assert unpacked(packed(a).times_one_minus_uv(k)) == a * (ONE - uv_power(k))
+    x = packed(a)
+    product = x.times_diagonal((k,))
+    assert unpacked(product) == a * (ONE - uv_power(k))
+    assert product.bound == x.bound * _diagonal_norm((k,))
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,7 +124,7 @@ def test_dual_is_slot_reversal(a, extra):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys(side=SIDE - 2), st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=2))
+@given(polys(side=SIDE - 2), st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=2).map(tuple))
 def test_diagonal_division_is_certified(y, strides):
     den = ONE
     for m in strides:
@@ -150,11 +155,11 @@ def bounded(value):
     st.integers(-5, 5),
     st.integers(0, SIDE),
     binomial_factors,
-    st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=2),
+    st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=2).map(tuple),
 )
 # a quotient larger than its dividend: (1 + 2t + 2t^2 + 2t^3 + t^4)(1 - t)
 # = 1 + t - t^4 - t^5, t = uv
-@example(LaurentPoly({(0, 0): 1, (1, 1): 2, (2, 2): 2, (3, 3): 2, (4, 4): 1}), LaurentPoly(), 0, 0, [], [1])
+@example(LaurentPoly({(0, 0): 1, (1, 1): 2, (2, 2): 2, (3, 3): 2, (4, 4): 1}), LaurentPoly(), 0, 0, [], (1,))
 def test_tracked_bounds_hold_the_largest_coefficient(a, b, k, c, factors, strides):
     # the drawn values carry their exact largest |coefficient|; every
     # operation's tracked bound must stay at or above the one of its result
@@ -163,8 +168,8 @@ def test_tracked_bounds_hold_the_largest_coefficient(a, b, k, c, factors, stride
     bounded(x - y)
     bounded(k * x)
     bounded(x.uv(c))
-    bounded(x.times_one_minus_uv(c + 1))
-    bounded(x.times_diagonal(strides, 2 ** len(strides)))
+    assert bounded(x.times_diagonal((c + 1,))).bound == x.bound * _diagonal_norm((c + 1,))
+    assert bounded(x.times_diagonal(strides)).bound == x.bound * _diagonal_norm(strides)
     bounded(x.times_binomials(factors))
     bounded((2 * x).halve())
     bounded(x.dual(SIDE - 1 + c))
@@ -192,6 +197,36 @@ def test_partition_counts_are_the_series_of_the_running_sums():
             if total < 20:
                 brute[total] += 1
         assert counts == brute, strides
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=8).map(tuple))
+# the product over the first four strides has a larger L1 norm, 16, than
+# the whole product, 14
+@example((1, 1, 1, 3, 2))
+def test_diagonal_norm_is_the_largest_partial_product_norm(strides):
+    # times_diagonal forms the product over the first j strides for each j,
+    # in order, so its norm must bound the L1 norm of every one of them,
+    # not only of the whole product
+    heads = (collections.Counter((m, m) for m in strides[:j]) for j in range(len(strides) + 1))
+    assert _diagonal_norm(strides) == max(l1(dict(_expand_factors(head).items())) for head in heads)
+
+
+def test_values_of_two_layouts_do_not_compare():
+    # one integer is a different polynomial in a box and in a band: here
+    # 1 + 2 (2^8)^5, slot 5 holding 2, is 1 + 2u in the box of 5 columns
+    # and 1 + 2u^2v in the band of width 1
+    box, band = _Box(5, 100), _Band(1, 100)
+    assert box.width == band.width == 1
+    value = 1 + (2 << 8 * 5)
+    x, y = _Packed(box, value, 2, (1, 0)), _Packed(band, value, 2, (2, 1))
+    assert x.unpack() == {(0, 0): 1, (1, 0): 2} and y.unpack() == {(0, 0): 1, (2, 1): 2}
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(InternalCheckError, match="two layouts"):
+            a == b  # noqa: B015
+        with pytest.raises(InternalCheckError, match="two layouts"):
+            a != b  # noqa: B015
+    assert x == _Packed(box, value, 2, (1, 0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,8 +327,9 @@ def test_band_operations_match_polynomial_arithmetic(a, b, cut, c, k):
     assert window.value == _pack(truncated, (0, 0), band.strides, band.width, band.slots(BAND_TOP))
     assert window.top == (cut, cut) and window.unpack() == truncated
     den = (ONE - uv_power(1)) * (ONE - uv_power(2)) ** 2
-    # every partial product of den has L1 norm at most 8
-    assert x.times_diagonal((1, 2, 2), 8).read(BAND_TOP) == (a * den).terms()
+    product = x.times_diagonal((1, 2, 2))
+    assert product.read(BAND_TOP) == (a * den).terms()
+    assert product.bound == x.bound * _diagonal_norm((1, 2, 2))
     # the operations of an exact polynomial run on band values as on a box
     y, z = pack(band, a.terms()), pack(band, b.terms())
     assert y == x.window(BAND_TOP) and (y == z) == (a == b)
@@ -301,8 +337,9 @@ def test_band_operations_match_polynomial_arithmetic(a, b, cut, c, k):
     assert bounded(y - z).unpack() == (a - b).terms()
     assert bounded(k * y).unpack() == (a * k).terms()
     assert bounded(y.uv(c)).unpack() == (a * uv_power(c)).terms()
-    assert bounded(y.times_one_minus_uv(c + 1)).unpack() == (a * (ONE - uv_power(c + 1))).terms()
-    assert bounded(y.times_diagonal((1, 2, 2), 8)).unpack() == (a * den).terms()
+    assert bounded(y.times_diagonal((c + 1,))).unpack() == (a * (ONE - uv_power(c + 1))).terms()
+    product = bounded(y.times_diagonal((1, 2, 2)))
+    assert product.unpack() == (a * den).terms() and product.bound == y.bound * _diagonal_norm((1, 2, 2))
     product = a
     for s, i, j, m in FACTORS:
         product = product * (ONE + LaurentPoly.monomial(s, i, j)) ** m
@@ -408,7 +445,7 @@ def test_band_values_refuse_what_their_slots_cannot_hold():
     with pytest.raises(InternalCheckError):
         big.times(big, 2)
     with pytest.raises(InternalCheckError):
-        big.times_diagonal((1,), 2)
+        big.times_diagonal((1,))
     # a difference is formed in slots sized for the sum of its bounds
     assert big.subtract([(1, big)], 6).band.width == band.width + 1
     exact = big.window(6)
@@ -416,7 +453,7 @@ def test_band_values_refuse_what_their_slots_cannot_hold():
         lambda: exact + exact,
         lambda: exact - exact,
         lambda: 2 * exact,
-        lambda: exact.times_diagonal((1,), 2),
+        lambda: exact.times_diagonal((1,)),
         lambda: exact.times_binomials([(1, 1, 0, 1)]),
     ):
         with pytest.raises(InternalCheckError):
@@ -487,7 +524,7 @@ def test_outer_and_binomial_products_match_powers():
 BAND_NAMES = {"_Band", "_BandValue", "_widen", "pack", "times", "times_rows", "over_diagonal", "subtract", "window"}
 # What semistable reads of no packed value: it works through the band
 # values' operations, and never on their slot integers
-SLOT_ATTRIBUTES = {"value", "width", "strides", "offset", "running_sums"}
+SLOT_ATTRIBUTES = {"value", "width", "strides", "offset", "running_sums", "diagonal_product"}
 
 
 def test_packed_is_the_one_module_of_the_slot_format():
@@ -522,6 +559,24 @@ def test_packed_is_the_one_module_of_the_slot_format():
                 assert not (isinstance(node, ast.Attribute) and node.attr in BAND_NAMES), where
             if path.name == "poly.py" and isinstance(node, ast.ImportFrom) and node.module == "packed":
                 assert {alias.name for alias in node.names} <= {"_pack", "_slot_width", "_unpack"}, where
+
+
+def test_every_diagonal_norm_is_derived_in_packed():
+    # the norm of a product by prod (1 - (uv)^m) is worked out in packed
+    # from its strides: no call in the package passes times_diagonal more
+    # than the strides, and the one-stride shortcut is gone
+    package = Path(hpbundles.__file__).parent
+    calls = 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "times_diagonal":
+                calls += 1
+                assert len(node.args) == 1 and not node.keywords, "%s:%d" % (path.name, node.lineno)
+            if isinstance(node, ast.FunctionDef):
+                assert node.name != "times_one_minus_uv", path.name
+        assert "times_one_minus_uv" not in set(_named(tree)), path.name
+    assert calls > 5
 
 
 def _named(tree):

@@ -150,6 +150,31 @@ def test_assemble_single_stratum_factoring():
     assert assembled.equals(expected)
 
 
+def test_assemble_is_the_one_at_a_time_fold():
+    # one sum over the common denominator forms the numerator, the
+    # denominator and the scalar that subtracting the strata one at a
+    # time, each over a new common denominator, forms
+    for g in range(2, 11):
+        ss = hp_ss_rank2_closed_form(g)
+        strata = rank2_strata(g)
+        fold = ss
+        for stratum in strata:
+            fold = fold - stratum.contribution.shift_degrees(stratum.codim)
+        assembled = assemble_stable_hp(ss, strata)
+        assert (assembled.num, assembled.den, assembled.scalar) == (fold.num, fold.den, fold.scalar), g
+    assert assemble_stable_hp(ss, []) is ss
+
+
+def test_assemble_checks_every_codimension_first():
+    # a stratum of non-positive codimension is refused before anything is
+    # summed, even after a stratum whose contribution cannot be summed
+    ss = hp_ss_rank2_closed_form(2)
+    bad = StratumRecord("all", 3, ss)
+    object.__setattr__(bad, "codim", 0)
+    with pytest.raises(DomainError, match="non-positive codimension"):
+        assemble_stable_hp(ss, [StratumRecord("none", 1, None), bad])
+
+
 def test_pipeline_matches_closed_form():
     for g in range(2, 6):
         assembled = assemble_stable_hp(hp_ss_rank2_closed_form(g), rank2_strata(g))
@@ -295,7 +320,9 @@ def ungrouped_assembled_num(num):
         part = part.uv(codim)
         for (a, _), k in _missing_factors(common, den).items():
             for _ in range(k):
-                part = part.times_one_minus_uv(a)
+                product = part.times_diagonal((a,))
+                assert product.bound == part.bound * packed._diagonal_norm((a,))
+                part = product
         part = int(2 * scalar) * part
         total = part if total is None else total + part
     return total

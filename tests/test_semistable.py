@@ -22,7 +22,7 @@ from hpbundles import (
 )
 from hpbundles import InternalCheckError, packed, semistable
 from hpbundles.hntypes import MAX_RANK, _compositions
-from hpbundles.packed import _Band, _slot_width
+from hpbundles.packed import _Band, _diagonal_norm, _slot_width
 from hpbundles.semistable import _leading_series, leading_closed_term, ss_closed_form
 from hpbundles.series import _expand_factors
 from hpbundles.univariate import diagonal_ss_series, diagonal_stable_coprime
@@ -752,10 +752,10 @@ def test_closed_form_exponent_is_integral_up_to_rank_8():
 @pytest.mark.parametrize("n", range(1, MAX_RANK + 1))
 def test_coprime_denominator_norm_bounds_every_partial_product(n):
     # times_diagonal forms the product over the first j strides for each j,
-    # in order, so the norm it is given must bound the L1 norm of every one
-    # of them, not only of the whole denominator: 224 against 208 at rank 5
-    # and 5036 against 5012 at rank 7
-    strides, norm = semistable._coprime_denominator(n)
+    # in order, so the norm packed derives for them must bound the L1 norm
+    # of every one of them, not only of the whole denominator: 224 against
+    # 208 at rank 5 and 5036 against 5012 at rank 7
+    strides = semistable._coprime_denominator(n)
     partial, norms = ONE, [1]
     for m in strides:
         partial = partial * (ONE - uv_power(m))
@@ -764,7 +764,11 @@ def test_coprime_denominator_norm_bounds_every_partial_product(n):
     den = dict(semistable._closed_form_shape(n)[1])
     den[(1, 1)] -= 1
     assert partial == _expand_factors(den)
+    norm = _diagonal_norm(strides)
     assert norm == max(norms), (n, norm, max(norms))
+    # pinned: the certificate's band, and so its slot width, is sized by
+    # these norms
+    assert norm == (1, 4, 16, 68, 224, 1196, 5036, 18500)[n - 1]
 
 
 def test_closed_form_rejects_fractional_exponent(monkeypatch):

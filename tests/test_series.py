@@ -20,7 +20,7 @@ from hpbundles import (
 )
 from hpbundles import packed
 from hpbundles import series as series_module
-from hpbundles.series import _divide_factors, _expand_factors
+from hpbundles.series import _divide_factors, _expand_factors, _strides
 
 
 def brute_convolution(factors, order):
@@ -305,6 +305,14 @@ def test_factor_expansion_packs_one_row(monkeypatch):
             expected = expected * (ONE - uv_power(k)) ** m
         assert _expand_factors(den) == expected
         assert boxes == [(packed._Box, 1)]
+        # one stride k per factor 1 - (uv)^k, m of them for (1 - (uv)^k)^m
+        strides = _strides(den)
+        by_strides = ONE
+        for k in strides:
+            by_strides = by_strides * (ONE - uv_power(k))
+        assert by_strides == _expand_factors(den) and len(strides) == sum(den.values())
+    # in den's order, as the packed diagonal products apply them
+    assert _strides({(3, 3): 1, (1, 1): 2, (2, 2): 1}) == (3, 1, 1, 2)
 
 
 def test_as_polynomial_via_division():
